@@ -11,12 +11,11 @@ ledger state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cluster import ClusterState, read_manifest
 from .errors import EmptyGrant
 from .ledger import Ledger
-from .manifest import Manifest
 from .protocol import Mode, Verdict, verify_equality
 
 
@@ -56,14 +55,6 @@ def audit(ledger: Ledger, cluster: ClusterState, grant: AuditGrant) -> list[Verd
     for epoch in epochs:
         stored = ledger.points[epoch].manifest
         stored_keys = {r.key for r in stored.records}
-        restricted_records = tuple(r for r in live.records if r.key in stored_keys)
-        restricted = Manifest(
-            level=live.level,
-            epoch=epoch,
-            records=restricted_records,
-            total_weight=sum(r.weight for r in restricted_records),
-            server_count=live.server_count,
-            unavailable_servers=live.unavailable_servers,
-        )
+        restricted = replace(live, epoch=epoch, records=tuple(r for r in live.records if r.key in stored_keys))
         verdicts.append(verify_equality(stored, restricted, grant.mode))
     return verdicts

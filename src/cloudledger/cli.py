@@ -151,11 +151,15 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
 
 def _load_state(config: SimConfig) -> tuple[ClusterState, Ledger]:
     ledger = load_ledger(config.ledger_dir)
+    return _load_cluster(config, ledger), ledger
+
+
+def _load_cluster(config: SimConfig, ledger: Ledger) -> ClusterState:
     cluster_path = config.ledger_dir / CLUSTER_FILE
     cluster = load_snapshot(cluster_path.read_text(encoding="utf-8"), rng_seed=config.seed)
     for point in ledger.points:
         cluster.manifest_history[point.epoch] = point.manifest
-    return cluster, ledger
+    return cluster
 
 
 def _save_cluster(config: SimConfig, cluster: ClusterState) -> None:
@@ -267,7 +271,7 @@ def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     ledger = load_ledger(config.ledger_dir)
     if not ledger.points:
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")
-    cluster, ledger = _load_state(config)
+    cluster = _load_cluster(config, ledger)
     report = recover(ledger, cluster)
     _save_cluster(config, cluster)
     print(f"{report.action.value} epoch={report.epoch}")

@@ -1,12 +1,14 @@
 """Simulated multi-server storage cluster.
 
 Uploads are split into fixed-size blocks placed round-robin across R
-servers. Cloud-level manifests are always rebuilt from the stored
-payloads, never echoed from client metadata, so any corruption of stored
-bytes is visible to the reading protocol. Fault injection covers byte
-corruption, truncation, same-weight substitution, block drops, server
-crashes (which erase that server's data), and a lying read path that
-keeps serving the previous epoch's manifest.
+servers. Cloud-level manifests are built from the (weight, checksum)
+each stored block got from make_block when its bytes were stored, never
+echoed from client metadata. Every write, faults included, goes through
+make_block, so any corruption of stored bytes is visible to the reading
+protocol. Fault injection covers byte corruption, truncation,
+same-weight substitution, block drops, server crashes (which erase that
+server's data), and a lying read path that keeps serving the previous
+epoch's manifest.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .manifest import (
     Manifest,
     build_manifest,
     make_block,
-    manifest_from_records,
     parse_manifest,
     serialize_manifest,
 )
@@ -70,17 +71,15 @@ class FaultReport:
 
 @dataclass
 class ServerState:
-    """One server partition: ordered blocks plus a liveness flag."""
+    """One server partition: blocks keyed by block_id, plus a liveness flag.
+
+    The dict is kept in block-id order (appends take the next id, updates
+    replace in place), so iterating it matches the manifest order.
+    """
 
     server_index: int
-    blocks: list[DataBlock] = field(default_factory=list)
+    blocks: dict[int, DataBlock] = field(default_factory=dict)
     alive: bool = True
-
-    def find_block(self, block_id: int) -> Optional[DataBlock]:
-        for block in self.blocks:
-            if block.block_id == block_id:
-                return block
-        return None
 
 
 @dataclass
@@ -105,7 +104,7 @@ class ClusterState:
         return len(self.servers)
 
     def total_stored_bytes(self) -> int:
-        return sum(b.weight for s in self.servers for b in s.blocks)
+        return sum(b.weight for s in self.servers for b in s.blocks.values())
 
     def has_data(self) -> bool:
         return any(s.blocks for s in self.servers)
@@ -143,7 +142,7 @@ def partition_upload(payload: bytes, server_count: int, block_size: int) -> list
 def upload(cluster: ClusterState, payload: bytes, block_size: int) -> Manifest:
     """Store a payload across all servers and return the cloud manifest.
 
-    The manifest is rebuilt by re-reading what was stored. Refuses to run
+    The manifest is read back from what was stored. Refuses to run
     against a cluster that already holds data (initial-upload contract) or
     has a dead server; in both cases the cluster is left untouched.
     """
@@ -153,18 +152,19 @@ def upload(cluster: ClusterState, payload: bytes, block_size: int) -> Manifest:
     if cluster.has_data():
         raise PreexistingData("cluster already holds data; initial upload requires empty storage")
     for server, blocks in zip(cluster.servers, partition_upload(payload, cluster.server_count, block_size)):
-        server.blocks = list(blocks)
+        server.blocks = {block.block_id: block for block in blocks}
     return read_manifest(cluster)
 
 
 def read_manifest(cluster: ClusterState) -> Manifest:
-    """Rebuild the cloud-level manifest from currently stored payloads.
+    """Build the cloud-level manifest from the blocks currently stored.
 
-    Weights and checksums are recomputed from the bytes on every read.
-    Dead servers contribute no records and are listed in
-    unavailable_servers. While the stale-manifest fault is armed, the
-    previous epoch's committed records are served instead, stamped with
-    the current epoch (the lying CSP claims they are current).
+    Each record carries the weight and checksum make_block computed when
+    the block was stored, so a read hashes nothing. Dead servers
+    contribute no records and are listed in unavailable_servers. While
+    the stale-manifest fault is armed, the previous epoch's committed
+    records are served instead, stamped with the current epoch (the lying
+    CSP claims they are current).
     """
     if cluster.stale_armed:
         base = cluster.manifest_history.get(cluster.epoch - 1)
@@ -174,20 +174,12 @@ def read_manifest(cluster: ClusterState) -> Manifest:
             level=Level.CLOUD,
             epoch=cluster.epoch,
             records=base.records,
-            total_weight=base.total_weight,
             server_count=cluster.server_count,
         )
-    records = (
-        BlockRecord(server.server_index, block.block_id, len(block.payload), fnv1a64(block.payload))
-        for server in cluster.servers
-        if server.alive
-        for block in server.blocks
-    )
-    return manifest_from_records(
+    return build_manifest(
         Level.CLOUD,
         cluster.epoch,
-        records,
-        cluster.server_count,
+        [server.blocks.values() if server.alive else () for server in cluster.servers],
         unavailable_servers=(s.server_index for s in cluster.servers if not s.alive),
     )
 
@@ -195,24 +187,6 @@ def read_manifest(cluster: ClusterState) -> Manifest:
 def record_epoch_manifest(cluster: ClusterState, manifest: Manifest) -> None:
     """Remember the manifest committed for an epoch (feeds the stale read path)."""
     cluster.manifest_history[manifest.epoch] = manifest
-
-
-def _replace_block(server: ServerState, block_id: int, payload: bytes) -> DataBlock:
-    for i, block in enumerate(server.blocks):
-        if block.block_id == block_id:
-            rebuilt = make_block(server.server_index, block_id, payload)
-            server.blocks[i] = rebuilt
-            return rebuilt
-    raise NoSuchTarget(f"no block {block_id} on server {server.server_index}")
-
-
-def _require_block(server: ServerState, block_id: Optional[int]) -> DataBlock:
-    if block_id is None:
-        raise NoSuchTarget("fault kind requires a target block")
-    block = server.find_block(block_id)
-    if block is None:
-        raise NoSuchTarget(f"no block {block_id} on server {server.server_index}")
-    return block
 
 
 def _record_of(server_index: int, block: DataBlock) -> BlockRecord:
@@ -232,9 +206,9 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
     stream = XorShift64Star(cluster.rng_seed ^ fault.seed)
 
     if fault.kind is FaultKind.SERVER_CRASH:
-        erased = sum(b.weight for b in server.blocks)
+        erased = sum(b.weight for b in server.blocks.values())
         server.alive = False
-        server.blocks = []
+        server.blocks = {}
         return FaultReport(
             fault.kind, fault.target_server, None, None, None,
             f"server {fault.target_server} crashed, {erased} bytes erased",
@@ -249,11 +223,15 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
             f"read path now serves the epoch-{cluster.epoch - 1} manifest",
         )
 
-    block = _require_block(server, fault.target_block)
+    if fault.target_block is None:
+        raise NoSuchTarget("fault kind requires a target block")
+    block = server.blocks.get(fault.target_block)
+    if block is None:
+        raise NoSuchTarget(f"no block {fault.target_block} on server {server.server_index}")
     before = _record_of(server.server_index, block)
 
     if fault.kind is FaultKind.DROP_BLOCK:
-        server.blocks = [b for b in server.blocks if b.block_id != block.block_id]
+        del server.blocks[block.block_id]
         return FaultReport(fault.kind, fault.target_server, block.block_id, before, None, "block dropped")
 
     if block.weight < 1:
@@ -264,21 +242,22 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
         xor_value = 1 + stream.randrange(255)
         corrupted = bytearray(block.payload)
         corrupted[position] ^= xor_value
-        after_block = _replace_block(server, block.block_id, bytes(corrupted))
+        payload = bytes(corrupted)
         note = f"byte {position} xored with 0x{xor_value:02x}"
     elif fault.kind is FaultKind.TRUNCATE:
         cut = 1 + stream.randrange(block.weight)
-        after_block = _replace_block(server, block.block_id, block.payload[: block.weight - cut])
+        payload = block.payload[: block.weight - cut]
         note = f"{cut} trailing bytes removed"
     elif fault.kind is FaultKind.SAME_WEIGHT_SUBSTITUTE:
-        substitute = stream.bytes(block.weight)
-        while substitute == block.payload or fnv1a64(substitute) == block.checksum:
-            substitute = stream.bytes(block.weight)
-        after_block = _replace_block(server, block.block_id, substitute)
+        payload = stream.bytes(block.weight)
+        while payload == block.payload or fnv1a64(payload) == block.checksum:
+            payload = stream.bytes(block.weight)
         note = "payload substituted, same weight"
     else:
         raise NoSuchTarget(f"unknown fault kind {fault.kind!r}")
 
+    after_block = make_block(server.server_index, block.block_id, payload)
+    server.blocks[block.block_id] = after_block
     return FaultReport(
         fault.kind, fault.target_server, block.block_id,
         before, _record_of(server.server_index, after_block), note,
@@ -295,11 +274,10 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
-    per_server = [list(s.blocks) for s in cluster.servers]
-    manifest = build_manifest(Level.CLOUD, cluster.epoch, per_server)
+    manifest = build_manifest(Level.CLOUD, cluster.epoch, [s.blocks.values() for s in cluster.servers])
     lines = [serialize_manifest(manifest).rstrip("\n")]
     for server in cluster.servers:
-        for block in server.blocks:
+        for block in server.blocks.values():
             payload_hex = block.payload.hex() or "-"
             lines.append(f"{server.server_index} {block.block_id} {payload_hex}")
     for server in cluster.servers:
@@ -313,7 +291,8 @@ def snapshot_cluster(cluster: ClusterState) -> str:
 
 def load_snapshot(text: str, rng_seed: int = 0) -> ClusterState:
     """Rebuild a cluster from snapshot text, verifying payloads against the
-    embedded manifest. Any inconsistency raises SnapshotCorrupt."""
+    embedded manifest. Each payload is hashed once, by make_block. Any
+    inconsistency raises SnapshotCorrupt."""
     lines = text.splitlines()
     if "END" not in lines:
         raise SnapshotCorrupt("snapshot missing manifest terminator")
@@ -347,21 +326,18 @@ def load_snapshot(text: str, rng_seed: int = 0) -> ClusterState:
             raise SnapshotCorrupt(f"duplicate payload line for {key}")
         payloads[key] = payload
 
-    expected = manifest.record_map()
-    if set(payloads) != set(expected):
+    if set(payloads) != set(manifest.record_map()):
         raise SnapshotCorrupt("payload lines do not match manifest records")
-    for key, payload in payloads.items():
-        record = expected[key]
-        if len(payload) != record.weight or fnv1a64(payload) != record.checksum:
-            raise SnapshotCorrupt(f"payload for server={key[0]} block={key[1]} fails its manifest record")
 
     cluster = new_cluster(manifest.server_count, rng_seed=rng_seed)
     cluster.epoch = manifest.epoch
     cluster.stale_armed = stale
     for record in manifest.records:
-        cluster.servers[record.server_index].blocks.append(
-            make_block(record.server_index, record.block_id, payloads[record.key])
-        )
+        block = make_block(record.server_index, record.block_id, payloads[record.key])
+        if (block.weight, block.checksum) != (record.weight, record.checksum):
+            raise SnapshotCorrupt(f"payload for server={record.server_index} block={record.block_id}"
+                                  " fails its manifest record")
+        cluster.servers[record.server_index].blocks[record.block_id] = block
     for server_index in down:
         if not 0 <= server_index < cluster.server_count:
             raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")

@@ -3,10 +3,12 @@
 Every verified update commits one restore point: the cloud manifest, a
 full payload snapshot, and the aggregate X (cloud total plus user total
 summed per server; a verified commit has S = T, so X is twice the
-manifest total). Recovery recomputes the current aggregate Y from the
-live cluster; if Y matches the last committed X, checksums still verify,
-and every server is up, the state is intact, otherwise the cluster is
-rewritten from the last snapshot.
+manifest total). X is checked again whenever a ledger is loaded.
+Recovery declares the state intact when every server is up and a
+CHECKSUM comparison against the last committed manifest passes; equal
+records imply equal weights, so the live aggregate Y equals X without
+being recomputed. Otherwise the cluster is rewritten from the last
+snapshot.
 
 Timestamps are logical clock ticks, not wall time, so ledgers are
 byte-reproducible.
@@ -141,30 +143,24 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
 def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
     """Restore the cluster to the last committed point unless it is intact.
 
-    Intact means: the live aggregate Y equals the committed X, every
-    server is alive, and a CHECKSUM comparison against the stored manifest
-    passes. Weight equality alone is not trusted, because identical-weight
-    substitutions leave Y unchanged. Otherwise the cluster is rewritten
-    from the snapshot, crashed servers are revived, the lying read path is
-    cleared, and the restored state is re-verified.
+    Intact means: the cluster is at the committed epoch and server count,
+    every server is alive, and a CHECKSUM comparison against the stored
+    manifest passes, which also implies the live aggregate Y equals the
+    committed X. Weight equality alone is not trusted, because
+    identical-weight substitutions leave Y unchanged. Otherwise the
+    cluster is rewritten from the snapshot, crashed servers are revived,
+    the lying read path is cleared, and the restored state is re-verified.
     """
     last = ledger.last()
     live = read_manifest(cluster)
-    previous = committed_summaries(last.manifest)
-    if live.server_count == last.manifest.server_count and live.epoch == last.epoch:
-        live_totals = per_server_totals(live)
-        deltas = [
-            WeightSummary(cloud_total=lw - p.cloud_total, user_total=0, epoch=cluster.epoch)
-            for lw, p in zip(live_totals, previous)
-        ]
-        y = compute_y(previous, deltas)
-        intact = (
-            y == last.committed_x
-            and all(s.alive for s in cluster.servers)
-            and verify_equality(last.manifest, live, Mode.CHECKSUM).z
-        )
-        if intact:
-            return RecoveryReport(RecoveryAction.INTACT, last.epoch)
+    intact = (
+        live.server_count == last.manifest.server_count
+        and live.epoch == last.epoch
+        and all(s.alive for s in cluster.servers)
+        and verify_equality(last.manifest, live, Mode.CHECKSUM).z
+    )
+    if intact:
+        return RecoveryReport(RecoveryAction.INTACT, last.epoch)
 
     rewrite_cluster_from_point(cluster, last)
     return RecoveryReport(RecoveryAction.RESTORED, last.epoch)

@@ -1,11 +1,14 @@
 """Block and manifest data model.
 
-A DataBlock is the payload-bearing unit stored on a server; a BlockRecord
-is its metadata projection (no payload); a Manifest is the ordered list of
+A DataBlock is the payload-bearing unit stored on a server. Its weight
+and checksum are computed once, by make_block, when the bytes are stored;
+every cloud-side reader uses those stored digests. A BlockRecord is its
+metadata projection (no payload); a Manifest is the ordered list of
 records for one side of the reading protocol (user level before upload,
-cloud level after), plus recomputed totals. Manifests are the values the
-verification protocol compares, so everything here is immutable and the
-serialization is canonical: same records in, same bytes out.
+cloud level after), with totals derived from the records. Manifests are
+the values the verification protocol compares, so everything here is
+immutable and the serialization is canonical: same records in, same
+bytes out.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ class DataBlock(NamedTuple):
     """One stored unit of payload.
 
     weight is always the exact byte length of payload and checksum its
-    FNV-1a 64 digest; construct through make_block to keep that true.
+    FNV-1a 64 digest. make_block is the only constructor, so readers can
+    trust both fields without rehashing the payload.
     block_id is the block's ordinal within its owning server. A NamedTuple
     because simulations create these by the hundred thousand.
     """
@@ -58,10 +62,10 @@ class BlockRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Manifest:
-    """Ordered per-server, per-block record list with recomputed totals.
+    """Ordered per-server, per-block record list; totals derive from it.
 
     unavailable_servers is read-side state only: servers that could not be
-    read when the manifest was rebuilt. It never appears in the canonical
+    read when the manifest was built. It never appears in the canonical
     serialization (committed manifests come from verified clusters, which
     have no unavailable servers); the verdict layer uses it to distinguish
     a crashed server from silently missing blocks.
@@ -70,9 +74,12 @@ class Manifest:
     level: Level
     epoch: int
     records: tuple[BlockRecord, ...]
-    total_weight: int
     server_count: int
     unavailable_servers: frozenset[int] = field(default=frozenset())
+
+    @property
+    def total_weight(self) -> int:
+        return sum(r.weight for r in self.records)
 
     def record_map(self) -> dict[tuple[int, int], BlockRecord]:
         return {r.key: r for r in self.records}
@@ -111,48 +118,36 @@ def make_block(server_index: int, block_id: int, payload: bytes) -> DataBlock:
     )
 
 
-def manifest_from_records(
+def build_manifest(
     level: Level,
     epoch: int,
-    records: Iterable[BlockRecord],
-    server_count: int,
+    blocks: Sequence[Iterable[DataBlock]],
     unavailable_servers: Iterable[int] = (),
 ) -> Manifest:
-    """Sort, deduplicate-check, and total an iterable of records."""
+    """Build a manifest from per-server block collections.
+
+    Records carry each block's stored (weight, checksum) and are sorted by
+    (server_index, block_id), so the result depends only on the block
+    set, not on insertion order. Raises DuplicateBlock if an address
+    repeats.
+    """
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    ordered = sorted(records)
-    for prev, cur in zip(ordered, ordered[1:]):
+    records = sorted(
+        BlockRecord(server_index, block.block_id, block.weight, block.checksum)
+        for server_index, server_blocks in enumerate(blocks)
+        for block in server_blocks
+    )
+    for prev, cur in zip(records, records[1:]):
         if prev.key == cur.key:
             raise DuplicateBlock(f"duplicate block at server={cur.server_index} block={cur.block_id}")
     return Manifest(
         level=level,
         epoch=epoch,
-        records=tuple(ordered),
-        total_weight=sum(r.weight for r in ordered),
-        server_count=server_count,
+        records=tuple(records),
+        server_count=len(blocks),
         unavailable_servers=frozenset(unavailable_servers),
     )
-
-
-def build_manifest(
-    level: Level,
-    epoch: int,
-    blocks: Sequence[Sequence[DataBlock]],
-    unavailable_servers: Iterable[int] = (),
-) -> Manifest:
-    """Build a manifest from per-server block lists.
-
-    Records are sorted by (server_index, block_id) and totals are summed
-    from scratch, so the result depends only on the block set, not on
-    insertion order. Raises DuplicateBlock if an address repeats.
-    """
-    records = (
-        BlockRecord(server_index, block.block_id, block.weight, block.checksum)
-        for server_index, server_blocks in enumerate(blocks)
-        for block in server_blocks
-    )
-    return manifest_from_records(level, epoch, records, len(blocks), unavailable_servers)
 
 
 def per_server_totals(manifest: Manifest) -> list[int]:
@@ -225,19 +220,14 @@ def parse_manifest(text: str) -> Manifest:
             raise ManifestFormatError(f"bad record line: {line!r}") from exc
         if len(parts[3]) != 16 or parts[3] != checksum_hex(record.checksum):
             raise ManifestFormatError(f"bad checksum field: {parts[3]!r}")
+        if not 0 <= record.server_index < server_count:
+            raise ManifestFormatError(f"record server {record.server_index} outside servers={server_count}")
         records.append(record)
 
     for prev, cur in zip(records, records[1:]):
         if prev.key >= cur.key:
             raise ManifestFormatError("records out of order")
-    if sum(r.weight for r in records) != total:
+    manifest = Manifest(level=level, epoch=epoch, records=tuple(records), server_count=server_count)
+    if manifest.total_weight != total:
         raise ManifestFormatError("header total does not match record weights")
-    if records and server_count < 1:
-        raise ManifestFormatError("server count must be >= 1 for non-empty manifest")
-    return Manifest(
-        level=level,
-        epoch=epoch,
-        records=tuple(records),
-        total_weight=total,
-        server_count=server_count,
-    )
+    return manifest

@@ -126,42 +126,28 @@ def apply(
 
     expected_map = last.manifest.record_map()
     if request.kind is OperationKind.APPEND:
-        payload = bytes(request.payload or b"")
-        block_id = max((b.block_id for b in server.blocks), default=-1) + 1
-        server.blocks.append(make_block(server.server_index, block_id, payload))
-        delta = len(payload)
-        expected_map[(request.server_index, block_id)] = BlockRecord(
-            request.server_index, block_id, len(payload), fnv1a64(payload)
-        )
-    elif request.kind is OperationKind.DELETE:
-        block_id = request.block_id
-        old = server.find_block(block_id)
-        if old is None:
-            raise NoSuchBlock(f"no block {block_id} on server {request.server_index}")
-        server.blocks = [b for b in server.blocks if b.block_id != block_id]
-        delta = -old.weight
-        del expected_map[(request.server_index, block_id)]
+        block_id, old_weight = max(server.blocks, default=-1) + 1, 0
+    elif request.block_id in server.blocks:
+        block_id, old_weight = request.block_id, server.blocks[request.block_id].weight
     else:
-        block_id = request.block_id
-        old = server.find_block(block_id)
-        if old is None:
-            raise NoSuchBlock(f"no block {block_id} on server {request.server_index}")
+        raise NoSuchBlock(f"no block {request.block_id} on server {request.server_index}")
+    if request.kind is OperationKind.DELETE:
+        del server.blocks[block_id]
+        del expected_map[(request.server_index, block_id)]
+        delta = -old_weight
+    else:
         payload = bytes(request.payload or b"")
-        for i, block in enumerate(server.blocks):
-            if block.block_id == block_id:
-                server.blocks[i] = make_block(server.server_index, block_id, payload)
-        delta = len(payload) - old.weight
+        server.blocks[block_id] = make_block(server.server_index, block_id, payload)
         expected_map[(request.server_index, block_id)] = BlockRecord(
             request.server_index, block_id, len(payload), fnv1a64(payload)
         )
+        delta = len(payload) - old_weight
 
     cluster.epoch += 1
-    records = tuple(expected_map[key] for key in sorted(expected_map))
     expected = Manifest(
         level=Level.USER,
         epoch=cluster.epoch,
-        records=records,
-        total_weight=sum(r.weight for r in records),
+        records=tuple(expected_map[key] for key in sorted(expected_map)),
         server_count=last.manifest.server_count,
     )
 

@@ -1,7 +1,7 @@
 """Two-sided data reading protocol.
 
 The user computes a manifest of the payload before it leaves the client;
-the cloud recomputes one from stored bytes after the write; the verdict
+the cloud builds one from the digests it stored with the bytes; the verdict
 is the record-by-record comparison of the two. CHECKSUM mode compares
 (weight, checksum) per block; WEIGHT_ONLY restricts the comparison to
 weights, which reproduces pure size accounting and its blind spot:

@@ -224,16 +224,16 @@ def test_criterion_6_accounting_identity():
                 elif action <= 7:
                     result = update(
                         cluster, ledger, server_index,
-                        rng.choice(blocks).block_id, random_payload(rng, rng.randint(0, 24)),
+                        rng.choice(list(blocks)), random_payload(rng, rng.randint(0, 24)),
                     )
                 else:
-                    result = delete(cluster, ledger, server_index, rng.choice(blocks).block_id)
+                    result = delete(cluster, ledger, server_index, rng.choice(list(blocks)))
             except NoSuchBlock:
                 continue
             assert result.s_after == result.s_before + result.delta
             delta_sum += result.delta
             successes += 1
-        stored_total = sum(b.weight for s in cluster.servers for b in s.blocks)
+        stored_total = sum(b.weight for s in cluster.servers for b in s.blocks.values())
         assert stored_total == initial_total + delta_sum, sequence
         assert cluster.epoch == successes
         assert len(ledger.points) == successes + 1

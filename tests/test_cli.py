@@ -92,6 +92,14 @@ def test_verify_clean_and_after_tamper(ledger_dir, capsys):
     assert "CHECKSUM_MISMATCH server=0 block=0" in out
 
 
+def test_snapshot_naming_unknown_server_exits_2(ledger_dir, capsys):
+    seeded_upload(ledger_dir)
+    state = ledger_dir / "cluster.state"
+    state.write_text(state.read_text().replace("servers=3", "servers=1", 1))
+    assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 2
+    assert "snapshot manifest unreadable" in capsys.readouterr().err
+
+
 def test_tamper_then_recover_then_verify(ledger_dir, capsys):
     seeded_upload(ledger_dir)
     run_cli("--ledger-dir", str(ledger_dir), "crash", "--server", "2")

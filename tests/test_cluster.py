@@ -219,17 +219,17 @@ def test_stale_manifest_changes_reads_not_payloads():
     record_epoch_manifest(cluster, first)
     # a committed update happened: epoch moves on, content changes
     cluster.epoch = 1
-    cluster.servers[0].blocks.pop()
+    cluster.servers[0].blocks.popitem()
     live = read_manifest(cluster)
     record_epoch_manifest(cluster, live)
     cluster.epoch = 2
 
-    stored_payloads = [list(s.blocks) for s in cluster.servers]
+    stored_payloads = [dict(s.blocks) for s in cluster.servers]
     inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))
     stale = read_manifest(cluster)
     assert stale.epoch == 2  # the lying read path claims to be current
     assert stale.records == live.records
-    assert [list(s.blocks) for s in cluster.servers] == stored_payloads
+    assert [dict(s.blocks) for s in cluster.servers] == stored_payloads
 
 
 def test_snapshot_round_trip():

@@ -83,7 +83,7 @@ def test_delete_sole_block_leaves_alive_empty_server():
     assert result.s_after == 0
     manifest = read_manifest(cluster)
     assert manifest.records == ()
-    assert cluster.servers[0].blocks == []
+    assert cluster.servers[0].blocks == {}
     assert cluster.servers[0].alive
 
 
@@ -91,7 +91,7 @@ def test_delete_middle_block_keeps_ids():
     cluster, ledger = make_committed_state(bytes(range(30)), 1, 10)
     result = delete(cluster, ledger, 0, 1)
     assert result.delta == -10
-    remaining = [b.block_id for b in cluster.servers[0].blocks]
+    remaining = [b.block_id for b in cluster.servers[0].blocks.values()]
     assert remaining == [0, 2]
     manifest = read_manifest(cluster)
     assert {r.key for r in manifest.records} == {(0, 0), (0, 2)}
@@ -210,15 +210,15 @@ def test_accounting_identity_over_random_sequences():
                     bytes(rng.randrange(256) for _ in range(rng.randrange(0, 30))),
                 )
             elif choice == 1:
-                result = delete(cluster, ledger, server_index, rng.choice(blocks).block_id)
+                result = delete(cluster, ledger, server_index, rng.choice(list(blocks)))
             else:
                 result = update(
-                    cluster, ledger, server_index, rng.choice(blocks).block_id,
+                    cluster, ledger, server_index, rng.choice(list(blocks)),
                     bytes(rng.randrange(256) for _ in range(rng.randrange(0, 30))),
                 )
             deltas.append(result.delta)
             assert result.s_after == result.s_before + result.delta
-        stored_total = sum(b.weight for s in cluster.servers for b in s.blocks)
+        stored_total = sum(b.weight for s in cluster.servers for b in s.blocks.values())
         assert stored_total == initial_total + sum(deltas)
         assert cluster.epoch == len(deltas)
         assert len(ledger.points) == len(deltas) + 1

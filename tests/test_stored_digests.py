@@ -1,0 +1,142 @@
+"""Stored blocks are the single source of their (weight, checksum).
+
+make_block hashes a payload when it is stored; every cloud-side reader
+uses those digests instead of rehashing. These tests pin how many bytes
+each step hashes and check the invariant that makes stored digests safe
+to read: after any operation or fault, each block's digests still match
+its bytes.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import cloudledger
+from cloudledger import (
+    FaultKind,
+    FaultSpec,
+    Mode,
+    RecoveryAction,
+    append,
+    delete,
+    fnv1a64,
+    generate_payload,
+    inject_fault,
+    load_snapshot,
+    read_manifest,
+    recover,
+    snapshot_cluster,
+    update,
+    verify_equality,
+)
+from helpers import make_committed_state
+
+STORE_BYTES = 64 * 1024
+APPEND_BYTES = 100
+
+
+def bytes_hashed(monkeypatch, action):
+    """Run action with fnv1a64 counted under every cloudledger binding."""
+    counted = []
+
+    def counting(payload):
+        counted.append(len(payload))
+        return fnv1a64(payload)
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cloudledger" and getattr(module, "fnv1a64", None) is fnv1a64:
+                patch.setattr(module, "fnv1a64", counting)
+        result = action()
+    return sum(counted), result
+
+
+@pytest.fixture
+def appended(monkeypatch):
+    """A committed 64 KiB store (4 servers, B=4096, seed 42) plus one 100 B append."""
+    cluster, ledger = make_committed_state(generate_payload(42, STORE_BYTES), 4, 4096, seed=42)
+    hashed, result = bytes_hashed(
+        monkeypatch, lambda: append(cluster, ledger, 0, generate_payload(43, APPEND_BYTES))
+    )
+    assert result.new_epoch == 1
+    return cluster, ledger, hashed
+
+
+def test_append_hashes_only_the_new_payload(appended):
+    # once when the cloud stores the block, once for the client's expected record
+    assert appended[2] == 2 * APPEND_BYTES
+
+
+def test_verify_hashes_nothing(appended, monkeypatch):
+    cluster, ledger, _ = appended
+    hashed, verdict = bytes_hashed(
+        monkeypatch, lambda: verify_equality(ledger.last().manifest, read_manifest(cluster), Mode.CHECKSUM)
+    )
+    assert verdict.z
+    assert hashed == 0
+
+
+def test_load_snapshot_hashes_each_stored_byte_once(appended, monkeypatch):
+    cluster, ledger, _ = appended
+    snapshot = ledger.last().payload_snapshot
+    hashed, loaded = bytes_hashed(monkeypatch, lambda: load_snapshot(snapshot))
+    assert snapshot_cluster(loaded) == snapshot
+    assert hashed == STORE_BYTES + APPEND_BYTES
+
+
+def test_intact_recover_hashes_nothing(appended, monkeypatch):
+    cluster, ledger, _ = appended
+    hashed, report = bytes_hashed(monkeypatch, lambda: recover(ledger, cluster))
+    assert report.action is RecoveryAction.INTACT
+    assert hashed == 0
+
+
+def assert_digests_match_payloads(cluster):
+    for server in cluster.servers:
+        for block_id, block in server.blocks.items():
+            assert block.block_id == block_id
+            assert block.weight == len(block.payload)
+            assert block.checksum == fnv1a64(block.payload)
+
+
+def test_stored_digests_match_payloads_after_every_op_and_fault():
+    payload = generate_payload(7, 300)
+    cluster, ledger = make_committed_state(payload, 3, 16, seed=7)
+    steps = [
+        lambda: append(cluster, ledger, 1, b"appended bytes"),
+        lambda: update(cluster, ledger, 2, 0, b"new"),
+        lambda: delete(cluster, ledger, 0, 1),
+    ]
+    for step in steps:
+        step()
+        assert_digests_match_payloads(cluster)
+
+    for kind in FaultKind:
+        inject_fault(cluster, FaultSpec(kind, target_server=0, target_block=2, seed=11))
+        assert_digests_match_payloads(cluster)
+        assert recover(ledger, cluster).action is RecoveryAction.RESTORED
+        assert_digests_match_payloads(cluster)
+
+
+def test_data_block_is_built_only_by_make_block():
+    def builds_data_block(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            func = func.value
+        return isinstance(func, ast.Name) and func.id == "DataBlock"
+
+    sites = []
+    for path in sorted(Path(cloudledger.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_make_block = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == "make_block"
+            for node in ast.walk(function)
+        }
+        sites += [(path.name, id(node) in in_make_block) for node in ast.walk(tree) if builds_data_block(node)]
+    assert sites == [("manifest.py", True)]
