@@ -5,7 +5,8 @@ servers, and tracked through manifests of per-block (weight, checksum)
 records. The reading protocol compares client-side and cloud-side
 manifests before and after every change; each verified change commits a
 restore point (manifest, payload snapshot, aggregate X) that crash
-recovery rewinds to. A fault-injection harness exercises detection
+recovery rewinds to; snapshots name blocks by content digest, and each
+distinct block is stored once. A fault-injection harness exercises detection
 coverage, including the weight-only mode whose same-size substitution
 blind spot the checksum mode closes.
 """

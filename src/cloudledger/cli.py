@@ -6,9 +6,9 @@ Ties the simulator together behind deterministic, scriptable subcommands:
     audit, history, report
 
 State lives in the ledger directory (--ledger-dir, or CLOUDLEDGER_DIR):
-the restore-point files and index, the live cluster snapshot
-(cluster.state), the effective configuration (config, key=value lines),
-and the operation journal. Identical configuration plus an identical
+the restore-point files, block pack and index, the live cluster snapshot
+(cluster.state, whose blocks are in the pack), the effective
+configuration (config, key=value lines), and the operation journal. Identical configuration plus an identical
 command sequence reproduces byte-identical directory contents.
 
 Exit codes: 0 success / verified, 1 verification or operation failure,
@@ -53,7 +53,7 @@ from .errors import (
     StaleEpoch,
     UnverifiedState,
 )
-from .ledger import Ledger, commit_restore_point, load_ledger, recover
+from .ledger import Ledger, commit_restore_point, load_ledger, recover, store_blocks
 from .protocol import Mode, render_verdict_report, round_trip_verify, verify_equality
 from .rng import generate_payload
 
@@ -156,13 +156,14 @@ def _load_state(config: SimConfig) -> tuple[ClusterState, Ledger]:
 
 def _load_cluster(config: SimConfig, ledger: Ledger) -> ClusterState:
     cluster_path = config.ledger_dir / CLUSTER_FILE
-    cluster = load_snapshot(cluster_path.read_text(encoding="utf-8"), rng_seed=config.seed)
+    cluster = load_snapshot(cluster_path.read_text(encoding="utf-8"), ledger.blocks, rng_seed=config.seed)
     for point in ledger.points:
         cluster.manifest_history[point.epoch] = point.manifest
     return cluster
 
 
-def _save_cluster(config: SimConfig, cluster: ClusterState) -> None:
+def _save_cluster(config: SimConfig, cluster: ClusterState, ledger: Ledger) -> None:
+    store_blocks(ledger, cluster)
     (config.ledger_dir / CLUSTER_FILE).write_text(
         snapshot_cluster(cluster), encoding="utf-8", newline="\n"
     )
@@ -207,7 +208,7 @@ def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     ledger = Ledger(directory=config.ledger_dir)
     commit_restore_point(ledger, cluster, verdict)
     _write_config_file(config.ledger_dir / CONFIG_FILE, config)
-    _save_cluster(config, cluster)
+    _save_cluster(config, cluster, ledger)
     return EXIT_OK
 
 
@@ -245,14 +246,14 @@ def cmd_op(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         raise
     line = ops.render_journal_line(result)
     _append_journal(config, line)
-    _save_cluster(config, cluster)
+    _save_cluster(config, cluster, ledger)
     print(line)
     return EXIT_OK
 
 
 def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    cluster, _ = _load_state(config)
+    cluster, ledger = _load_state(config)
     fault = FaultSpec(
         kind=FaultKind(args.kind),
         target_server=args.server,
@@ -260,7 +261,7 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         seed=args.fault_seed if args.fault_seed is not None else config.seed,
     )
     report = inject_fault(cluster, fault)
-    _save_cluster(config, cluster)
+    _save_cluster(config, cluster, ledger)
     block = report.target_block if report.target_block is not None else "-"
     print(f"TAMPER {report.kind.value} server={report.target_server} block={block} note={report.note}")
     return EXIT_OK
@@ -273,7 +274,7 @@ def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")
     cluster = _load_cluster(config, ledger)
     report = recover(ledger, cluster)
-    _save_cluster(config, cluster)
+    _save_cluster(config, cluster, ledger)
     print(f"{report.action.value} epoch={report.epoch}")
     return EXIT_OK
 

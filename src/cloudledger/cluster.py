@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .checksum import fnv1a64
 from .errors import (
@@ -266,20 +266,23 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 
 # --- cluster snapshots -------------------------------------------------------
 #
-# A snapshot is the canonical manifest text followed by one payload line per
-# block (`<server> <block> <payload hex>`, `-` for an empty payload), then
-# optional status lines (`DOWN <server>`, `STALE`) and a final END. Status
-# lines only appear when the condition is present, so snapshots of healthy
-# clusters are exactly manifest-plus-payloads.
+# A snapshot names each block by its content digest instead of carrying its
+# bytes (ledger format v2): the marker line SNAPSHOT_HEADER, the canonical
+# manifest text, one reference line per block (`<server> <block> <digest>`),
+# then optional status lines (`DOWN <server>`, `STALE`) and a final END.
+# Status lines only appear when the condition is present. The bytes live
+# once in a block store, a mapping from digest to DataBlock (on disk, the
+# ledger's block pack).
+
+SNAPSHOT_HEADER = "SNAPSHOT v2"
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
     manifest = build_manifest(Level.CLOUD, cluster.epoch, [s.blocks.values() for s in cluster.servers])
-    lines = [serialize_manifest(manifest).rstrip("\n")]
+    lines = [SNAPSHOT_HEADER, serialize_manifest(manifest).rstrip("\n")]
     for server in cluster.servers:
         for block in server.blocks.values():
-            payload_hex = block.payload.hex() or "-"
-            lines.append(f"{server.server_index} {block.block_id} {payload_hex}")
+            lines.append(f"{server.server_index} {block.block_id} {block.digest}")
     for server in cluster.servers:
         if not server.alive:
             lines.append(f"DOWN {server.server_index}")
@@ -289,22 +292,28 @@ def snapshot_cluster(cluster: ClusterState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_snapshot(text: str, rng_seed: int = 0) -> ClusterState:
-    """Rebuild a cluster from snapshot text, verifying payloads against the
-    embedded manifest. Each payload is hashed once, by make_block. Any
-    inconsistency raises SnapshotCorrupt."""
+def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0) -> ClusterState:
+    """Rebuild a cluster from snapshot text, taking each referenced block
+    from ``blocks`` (digest -> DataBlock). Nothing is decoded or hashed:
+    each block must match its manifest record by the weight and checksum
+    make_block stored with it. Any inconsistency raises SnapshotCorrupt."""
     lines = text.splitlines()
+    if not lines or lines[0] != SNAPSHOT_HEADER:
+        if lines and lines[0].startswith("MANIFEST v1 "):
+            raise SnapshotCorrupt("snapshot is in ledger format v1 (inline payload hex), which is no longer"
+                                  f" supported; expected format v2 ({SNAPSHOT_HEADER!r})")
+        raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
     if "END" not in lines:
         raise SnapshotCorrupt("snapshot missing manifest terminator")
     split = lines.index("END")
     try:
-        manifest = parse_manifest("\n".join(lines[: split + 1]) + "\n")
+        manifest = parse_manifest("\n".join(lines[1 : split + 1]) + "\n")
     except ManifestFormatError as exc:
         raise SnapshotCorrupt(f"snapshot manifest unreadable: {exc}") from exc
 
-    if not lines or lines[-1] != "END":
+    if lines[-1] != "END":
         raise SnapshotCorrupt("snapshot not terminated by END")
-    payloads: dict[tuple[int, int], bytes] = {}
+    references: dict[tuple[int, int], str] = {}
     down: set[int] = set()
     stale = False
     for line in lines[split + 1 : -1]:
@@ -317,26 +326,31 @@ def load_snapshot(text: str, rng_seed: int = 0) -> ClusterState:
                 continue
             parts = line.split(" ")
             if len(parts) != 3:
-                raise SnapshotCorrupt(f"bad payload line: {line!r}")
+                raise SnapshotCorrupt(f"bad reference line: {line!r}")
             key = (int(parts[0]), int(parts[1]))
-            payload = b"" if parts[2] == "-" else bytes.fromhex(parts[2])
         except ValueError as exc:
             raise SnapshotCorrupt(f"bad snapshot line: {line!r}") from exc
-        if key in payloads:
-            raise SnapshotCorrupt(f"duplicate payload line for {key}")
-        payloads[key] = payload
+        if key in references:
+            raise SnapshotCorrupt(f"duplicate reference line for {key}")
+        references[key] = parts[2]
 
-    if set(payloads) != set(manifest.record_map()):
-        raise SnapshotCorrupt("payload lines do not match manifest records")
+    if references.keys() != manifest.record_map().keys():
+        raise SnapshotCorrupt("reference lines do not match manifest records")
 
     cluster = new_cluster(manifest.server_count, rng_seed=rng_seed)
     cluster.epoch = manifest.epoch
     cluster.stale_armed = stale
     for record in manifest.records:
-        block = make_block(record.server_index, record.block_id, payloads[record.key])
+        digest = references[record.key]
+        block = blocks.get(digest)
+        if block is None:
+            raise SnapshotCorrupt(f"server={record.server_index} block={record.block_id} references"
+                                  f" block {digest}, which the store lacks")
         if (block.weight, block.checksum) != (record.weight, record.checksum):
-            raise SnapshotCorrupt(f"payload for server={record.server_index} block={record.block_id}"
+            raise SnapshotCorrupt(f"block referenced by server={record.server_index} block={record.block_id}"
                                   " fails its manifest record")
+        if block.block_id != record.block_id:
+            block = block._replace(block_id=record.block_id)
         cluster.servers[record.server_index].blocks[record.block_id] = block
     for server_index in down:
         if not 0 <= server_index < cluster.server_count:

@@ -43,7 +43,8 @@ class NothingToRestore(CloudLedgerError):
 
 
 class SnapshotCorrupt(CloudLedgerError):
-    """A payload snapshot failed its own manifest consistency check."""
+    """A payload snapshot failed its own manifest consistency check, named a
+    block the store lacks, or a stored block failed its digest."""
 
 
 class MisalignedServers(CloudLedgerError):
@@ -59,7 +60,7 @@ class EmptyGrant(CloudLedgerError):
 
 
 class ManifestFormatError(CloudLedgerError):
-    """Serialized manifest, snapshot, or ledger index text failed to parse."""
+    """Serialized manifest, snapshot, ledger index, or block pack failed to parse."""
 
 
 class PreStateCorrupt(CloudLedgerError):

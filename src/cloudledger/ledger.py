@@ -1,9 +1,14 @@
 """Append-only restore-point ledger and crash recovery.
 
 Every verified update commits one restore point: the cloud manifest, a
-full payload snapshot, and the aggregate X (cloud total plus user total
+payload snapshot, and the aggregate X (cloud total plus user total
 summed per server; a verified commit has S = T, so X is twice the
 manifest total). X is checked again whenever a ledger is loaded.
+Snapshots name blocks by content digest; the ledger keeps one block
+store, shared by all its points, holding each distinct block once (on
+disk, an append-only pack), so a commit stores only the blocks the store
+lacks.
+
 Recovery declares the state intact when every server is up and a
 CHECKSUM comparison against the last committed manifest passes; equal
 records imply equal weights, so the live aggregate Y equals X without
@@ -17,6 +22,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -36,32 +42,52 @@ from .errors import (
     SnapshotCorrupt,
     UnverifiedState,
 )
-from .manifest import Manifest, WeightSummary, parse_manifest, per_server_totals, serialize_manifest
+from .manifest import (
+    DataBlock,
+    Manifest,
+    WeightSummary,
+    make_block,
+    parse_manifest,
+    per_server_totals,
+    serialize_manifest,
+)
 from .protocol import Mode, Verdict, verify_equality
 
 
 @dataclass(frozen=True)
 class RestorePoint:
-    """One committed epoch: aggregate X, manifest, payload snapshot, tick."""
+    """One committed epoch: aggregate X, manifest, payload snapshot, tick.
+
+    The snapshot names the epoch's blocks by digest; ``blocks`` is the
+    ledger's block store they resolve in, and ``added`` the blocks this
+    commit was first to store, which persisting the point appends to the
+    pack (empty for points read back from disk). Neither takes part in
+    equality.
+    """
 
     epoch: int
     committed_x: int
     manifest: Manifest
     payload_snapshot: str
     timestamp: int
+    blocks: dict[str, DataBlock] = field(compare=False, repr=False)
+    added: tuple[DataBlock, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass
 class Ledger:
     """Append-only list of restore points; points[k].epoch == k.
 
-    When bound to a directory, every commit also persists
-    ``<epoch>.manifest``, ``<epoch>.snapshot`` and appends one
+    ``blocks`` is the block store (digest -> DataBlock) every point's
+    snapshot resolves in. When bound to a directory, every commit appends
+    the blocks the store lacked to ``blocks.pack``, persists
+    ``<epoch>.manifest`` and ``<epoch>.snapshot``, and appends one
     ``<epoch> <timestamp> <committed_x>`` line to ``index``.
     """
 
     points: list[RestorePoint] = field(default_factory=list)
     directory: Optional[Path] = None
+    blocks: dict[str, DataBlock] = field(default_factory=dict)
 
     @property
     def next_epoch(self) -> int:
@@ -132,6 +158,8 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
         manifest=manifest,
         payload_snapshot=snapshot_cluster(cluster),
         timestamp=ledger.points[-1].timestamp + 1 if ledger.points else 1,
+        blocks=ledger.blocks,
+        added=_add_blocks(ledger.blocks, cluster),
     )
     ledger.points.append(point)
     record_epoch_manifest(cluster, manifest)
@@ -169,11 +197,12 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
 def rewrite_cluster_from_point(cluster: ClusterState, point: RestorePoint) -> None:
     """Overwrite cluster storage with a restore point's payload snapshot.
 
-    Revives every server, disarms a stale read path, resets the epoch to
-    the point's, and re-verifies the result against the stored manifest;
+    The blocks come from the ledger's store as stored, unhashed. Revives
+    every server, disarms a stale read path, resets the epoch to the
+    point's, and re-verifies the result against the stored manifest;
     failure to verify means the snapshot itself is corrupt.
     """
-    restored = load_snapshot(point.payload_snapshot, rng_seed=cluster.rng_seed)
+    restored = load_snapshot(point.payload_snapshot, point.blocks, rng_seed=cluster.rng_seed)
     cluster.servers = restored.servers
     cluster.epoch = restored.epoch
     cluster.stale_armed = False
@@ -184,9 +213,41 @@ def rewrite_cluster_from_point(cluster: ClusterState, point: RestorePoint) -> No
         raise SnapshotCorrupt(f"restored state fails its manifest check ({len(check.divergences)} divergences)")
 
 
+def store_blocks(ledger: Ledger, cluster: ClusterState) -> None:
+    """Store the cluster's blocks that the ledger's store lacks.
+
+    Afterwards a snapshot of the cluster (such as the CLI's cluster.state)
+    resolves against the ledger. A directory-bound ledger appends the new
+    blocks to its pack.
+    """
+    added = _add_blocks(ledger.blocks, cluster)
+    if ledger.directory is not None:
+        _append_pack(ledger.directory, added)
+
+
+def _add_blocks(store: dict[str, DataBlock], cluster: ClusterState) -> tuple[DataBlock, ...]:
+    """Put the cluster's blocks that ``store`` lacks into it; return them in address order."""
+    added = []
+    for server in cluster.servers:
+        for block in server.blocks.values():
+            if block.digest not in store:
+                store[block.digest] = block
+                added.append(block)
+    return tuple(added)
+
+
 # --- persistence --------------------------------------------------------------
+#
+# Ledger format v2: ``blocks.pack`` holds each distinct block once, as
+# PACK_HEADER followed by entries ``<sha256 hex> <weight>\n<payload>\n``,
+# appended to, never rewritten. A commit appends its new blocks first, then
+# writes ``<epoch>.manifest`` and ``<epoch>.snapshot``; the ``index`` line
+# comes last.
 
 INDEX_FILE = "index"
+PACK_FILE = "blocks.pack"
+PACK_HEADER = b"PACK v2\n"
+_PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
 
 
 def _manifest_path(directory: Path, epoch: int) -> Path:
@@ -197,8 +258,53 @@ def _snapshot_path(directory: Path, epoch: int) -> Path:
     return directory / f"{epoch}.snapshot"
 
 
+def _append_pack(directory: Path, blocks: Sequence[DataBlock]) -> None:
+    """Append one pack entry per block, in a single write."""
+    if not blocks:
+        return
+    with open(directory / PACK_FILE, "ab") as pack:
+        chunks = [] if pack.tell() else [PACK_HEADER]
+        for block in blocks:
+            chunks += (f"{block.digest} {block.weight}\n".encode("ascii"), block.payload, b"\n")
+        pack.write(b"".join(chunks))
+
+
+def _read_pack(directory: Path) -> dict[str, DataBlock]:
+    """Read the block pack, checking that each entry hashes to its digest.
+
+    Each block is hashed once, by make_block. Pack entries carry no
+    address, so they are built at block 0 of server 0; load_snapshot moves
+    each to the address its snapshot reference names.
+    """
+    path = directory / PACK_FILE
+    if not path.exists():
+        return {}
+    data = path.read_bytes()
+    if not data.startswith(PACK_HEADER):
+        raise ManifestFormatError(f"{PACK_FILE} does not start with {PACK_HEADER!r}")
+    blocks: dict[str, DataBlock] = {}
+    position = len(PACK_HEADER)
+    while position < len(data):
+        entry = _PACK_ENTRY.match(data, position)
+        if entry is None:
+            raise ManifestFormatError(f"bad {PACK_FILE} entry header at byte {position}")
+        digest = entry.group(1).decode("ascii")
+        start, end = entry.end(), entry.end() + int(entry.group(2))
+        if data[end : end + 1] != b"\n":
+            raise ManifestFormatError(f"{PACK_FILE} entry at byte {position} is cut short")
+        if digest in blocks:
+            raise ManifestFormatError(f"{PACK_FILE} holds block {digest} twice")
+        block = make_block(0, 0, data[start:end])
+        if block.digest != digest:
+            raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
+        blocks[digest] = block
+        position = end + 1
+    return blocks
+
+
 def _persist_point(directory: Path, point: RestorePoint) -> None:
     directory.mkdir(parents=True, exist_ok=True)
+    _append_pack(directory, point.added)
     _manifest_path(directory, point.epoch).write_text(
         serialize_manifest(point.manifest), encoding="utf-8", newline="\n"
     )
@@ -210,15 +316,26 @@ def _persist_point(directory: Path, point: RestorePoint) -> None:
 
 
 def load_ledger(directory: Path) -> Ledger:
-    """Load a persisted ledger, revalidating epochs, clocks, X, and snapshots."""
+    """Load a persisted ledger, revalidating every epoch.
+
+    Checks the pack's digests, index sequence and clocks, each epoch's X
+    against its manifest, and each snapshot's block references against the
+    manifest records. Each distinct block is hashed once, so the cost is
+    O(distinct stored bytes + epochs x records).
+    """
     directory = Path(directory)
     ledger = Ledger(directory=directory)
     index_path = directory / INDEX_FILE
     if not index_path.exists():
         return ledger
 
+    index_text = index_path.read_text(encoding="utf-8")
+    lines = index_text.splitlines()
+    if index_text and not index_text.endswith("\n"):
+        raise ManifestFormatError(f"index ends in a partial line at epoch {len(lines) - 1}: {lines[-1]!r}")
+    ledger.blocks.update(_read_pack(directory))
     previous_tick = 0
-    for position, line in enumerate(index_path.read_text(encoding="utf-8").splitlines()):
+    for position, line in enumerate(lines):
         parts = line.split(" ")
         if len(parts) != 3:
             raise ManifestFormatError(f"bad index line: {line!r}")
@@ -235,8 +352,7 @@ def load_ledger(directory: Path) -> Ledger:
         if committed_x != compute_x(committed_summaries(manifest)):
             raise ManifestFormatError(f"index X for epoch {epoch} does not match its manifest")
         snapshot_text = _snapshot_path(directory, epoch).read_text(encoding="utf-8")
-        snapshot_cluster_state = load_snapshot(snapshot_text)
-        if read_manifest(snapshot_cluster_state).records != manifest.records:
+        if read_manifest(load_snapshot(snapshot_text, ledger.blocks)).records != manifest.records:
             raise SnapshotCorrupt(f"snapshot for epoch {epoch} disagrees with its manifest")
 
         ledger.points.append(
@@ -246,6 +362,7 @@ def load_ledger(directory: Path) -> Ledger:
                 manifest=manifest,
                 payload_snapshot=snapshot_text,
                 timestamp=timestamp,
+                blocks=ledger.blocks,
             )
         )
     return ledger

@@ -1,9 +1,10 @@
 """Block and manifest data model.
 
-A DataBlock is the payload-bearing unit stored on a server. Its weight
-and checksum are computed once, by make_block, when the bytes are stored;
-every cloud-side reader uses those stored digests. A BlockRecord is its
-metadata projection (no payload); a Manifest is the ordered list of
+A DataBlock is the payload-bearing unit stored on a server. Its weight,
+checksum and content digest are computed once, by make_block, when the
+bytes are stored; every cloud-side reader uses those stored digests, and
+the ledger's block store is keyed by the content digest. A BlockRecord
+is its metadata projection (no payload); a Manifest is the ordered list of
 records for one side of the reading protocol (user level before upload,
 cloud level after), with totals derived from the records. Manifests are
 the values the verification protocol compares, so everything here is
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from hashlib import sha256
 from typing import Iterable, NamedTuple, Sequence
 
 from .checksum import checksum_hex, fnv1a64
@@ -31,17 +33,22 @@ class Level(enum.Enum):
 class DataBlock(NamedTuple):
     """One stored unit of payload.
 
-    weight is always the exact byte length of payload and checksum its
-    FNV-1a 64 digest. make_block is the only constructor, so readers can
-    trust both fields without rehashing the payload.
-    block_id is the block's ordinal within its owning server. A NamedTuple
-    because simulations create these by the hundred thousand.
+    weight is always the exact byte length of payload, checksum its
+    FNV-1a 64 digest and digest its SHA-256 in lowercase hex, the name
+    the content-addressed block store files it under (collision resistant,
+    unlike FNV, so two payloads never share a name). make_block is the only
+    constructor, so readers can trust all three without rehashing the
+    payload; moving a stored block to another block_id (``_replace``)
+    carries them over unchanged. block_id is the block's ordinal within its
+    owning server. A NamedTuple because simulations create these by the
+    hundred thousand.
     """
 
     block_id: int
     payload: bytes
     weight: int
     checksum: int
+    digest: str
 
 
 class BlockRecord(NamedTuple):
@@ -110,12 +117,7 @@ def make_block(server_index: int, block_id: int, payload: bytes) -> DataBlock:
     if block_id < 0:
         raise ValueError(f"block_id must be >= 0, got {block_id}")
     payload = bytes(payload)
-    return DataBlock(
-        block_id=block_id,
-        payload=payload,
-        weight=len(payload),
-        checksum=fnv1a64(payload),
-    )
+    return DataBlock(block_id, payload, len(payload), fnv1a64(payload), sha256(payload).hexdigest())
 
 
 def build_manifest(
@@ -139,7 +141,7 @@ def build_manifest(
         for block in server_blocks
     )
     for prev, cur in zip(records, records[1:]):
-        if prev.key == cur.key:
+        if prev.block_id == cur.block_id and prev.server_index == cur.server_index:
             raise DuplicateBlock(f"duplicate block at server={cur.server_index} block={cur.block_id}")
     return Manifest(
         level=level,

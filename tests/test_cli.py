@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cloudledger import cli
+from cloudledger import Level, build_manifest, cli, partition_upload, serialize_manifest
 from cloudledger.rng import generate_payload
 
 MIB = 1024 * 1024
@@ -98,6 +98,45 @@ def test_snapshot_naming_unknown_server_exits_2(ledger_dir, capsys):
     state.write_text(state.read_text().replace("servers=3", "servers=1", 1))
     assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 2
     assert "snapshot manifest unreadable" in capsys.readouterr().err
+
+
+def test_torn_index_tail_is_reported_as_a_partial_line(ledger_dir, capsys):
+    seeded_upload(ledger_dir)
+    run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40")
+    index = ledger_dir / "index"
+    assert index.read_text().endswith("\n1 2 1680\n")
+    index.write_text(index.read_text()[: -len("80\n")])
+    capsys.readouterr()
+    for command in ("verify", "recover"):
+        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
+        assert "index ends in a partial line at epoch 1: '1 2 16'" in capsys.readouterr().err
+
+
+def v1_snapshot(payload, servers, block_size):
+    """Cluster snapshot text as ledger format v1 wrote it: payload hex inline."""
+    blocks = partition_upload(payload, servers, block_size)
+    lines = [serialize_manifest(build_manifest(Level.CLOUD, 0, blocks)).rstrip("\n")]
+    for server_index, server_blocks in enumerate(blocks):
+        lines += [f"{server_index} {b.block_id} {b.payload.hex() or '-'}" for b in server_blocks]
+    return "\n".join(lines + ["END"]) + "\n"
+
+
+def test_v1_ledger_files_are_rejected_by_name(ledger_dir, capsys):
+    payload = generate_payload(42, 800)
+    old = v1_snapshot(payload, 3, 32)
+    # A v2 ledger whose cluster.state is still in format v1 ...
+    seeded_upload(ledger_dir)
+    (ledger_dir / "cluster.state").write_text(old)
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 2
+    assert "ledger format v1" in capsys.readouterr().err
+    # ... and an epoch snapshot in format v1, as a v1 ledger directory holds.
+    (ledger_dir / "0.snapshot").write_text(old)
+    for command in ("verify", "recover"):
+        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
+        err = capsys.readouterr().err
+        assert "ledger format v1" in err
+        assert "payload line" not in err
 
 
 def test_tamper_then_recover_then_verify(ledger_dir, capsys):

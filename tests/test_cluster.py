@@ -15,6 +15,7 @@ from cloudledger import (
     build_manifest,
     inject_fault,
     load_snapshot,
+    make_block,
     new_cluster,
     partition_upload,
     read_manifest,
@@ -32,6 +33,11 @@ def reassemble_oracle(per_server, server_count):
     for k in range(total):
         out += per_server[k % server_count][k // server_count].payload
     return out
+
+
+def stored_blocks(cluster):
+    """The cluster's blocks as a block store: digest -> DataBlock."""
+    return {block.digest: block for server in cluster.servers for block in server.blocks.values()}
 
 
 def test_partition_empty_payload():
@@ -237,7 +243,7 @@ def test_snapshot_round_trip():
     upload(cluster, bytes(range(33)), 4)
     cluster.epoch = 2
     text = snapshot_cluster(cluster)
-    loaded = load_snapshot(text, rng_seed=4)
+    loaded = load_snapshot(text, stored_blocks(cluster), rng_seed=4)
     assert snapshot_cluster(loaded) == text
     assert loaded.epoch == 2
     assert read_manifest(loaded).records == read_manifest(cluster).records
@@ -253,7 +259,7 @@ def test_snapshot_preserves_down_and_stale_flags():
     text = snapshot_cluster(cluster)
     assert "DOWN 1\n" in text
     assert "STALE\n" in text
-    loaded = load_snapshot(text)
+    loaded = load_snapshot(text, stored_blocks(cluster))
     assert not loaded.servers[1].alive
     assert loaded.stale_armed
 
@@ -262,19 +268,22 @@ def test_snapshot_detects_payload_corruption():
     cluster = new_cluster(2)
     upload(cluster, b"abcdef", 2)
     text = snapshot_cluster(cluster)
-    corrupted = text.replace(b"cd".hex(), b"cc".hex())
+    blocks = stored_blocks(cluster)
+    substitute = make_block(0, 0, b"cc")
+    blocks[substitute.digest] = substitute
+    corrupted = text.replace(make_block(0, 0, b"cd").digest, substitute.digest)
     assert corrupted != text
     with pytest.raises(SnapshotCorrupt):
-        load_snapshot(corrupted)
+        load_snapshot(corrupted, blocks)
 
 
 def test_snapshot_detects_missing_payload_line():
     cluster = new_cluster(2)
     upload(cluster, b"abcdef", 2)
     lines = snapshot_cluster(cluster).splitlines()
-    del lines[-2]  # drop one payload line
+    del lines[-2]  # drop one reference line
     with pytest.raises(SnapshotCorrupt):
-        load_snapshot("\n".join(lines) + "\n")
+        load_snapshot("\n".join(lines) + "\n", stored_blocks(cluster))
 
 
 def test_empty_payload_blocks_survive_snapshots():
@@ -282,7 +291,7 @@ def test_empty_payload_blocks_survive_snapshots():
     upload(cluster, b"x", 1)
     inject_fault(cluster, FaultSpec(FaultKind.TRUNCATE, 0, 0, seed=3))
     text = snapshot_cluster(cluster)
-    loaded = load_snapshot(text)
+    loaded = load_snapshot(text, stored_blocks(cluster))
     assert loaded.servers[0].blocks[0].payload == b""
     assert snapshot_cluster(loaded) == text
 

@@ -25,6 +25,7 @@ from cloudledger import (
     compute_y,
     inject_fault,
     load_ledger,
+    make_block,
     new_cluster,
     read_manifest,
     recover,
@@ -32,6 +33,7 @@ from cloudledger import (
     snapshot_cluster,
     verify_equality,
 )
+from cloudledger.ledger import _persist_point
 from helpers import make_committed_state
 
 
@@ -196,13 +198,24 @@ def test_recover_requires_a_point():
         recover(Ledger(), new_cluster(2))
 
 
+def digest_of(payload):
+    return make_block(0, 0, payload).digest
+
+
+def swap_reference(snapshot):
+    """Point the reference to block "ab" at the stored block "cd" (same weight)."""
+    swapped = snapshot.replace(digest_of(b"ab"), digest_of(b"cd"), 1)
+    assert swapped != snapshot
+    return swapped
+
+
 def test_recover_detects_corrupt_snapshot():
     cluster, ledger = make_committed_state(b"abcdef", 2, 2)
     point = ledger.points[0]
-    broken = dataclasses.replace(point, payload_snapshot=point.payload_snapshot.replace("61", "62", 1))
+    broken = dataclasses.replace(point, payload_snapshot=swap_reference(point.payload_snapshot))
     ledger.points[0] = broken
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 0))
-    with pytest.raises(SnapshotCorrupt):
+    with pytest.raises(SnapshotCorrupt, match="fails its manifest record"):
         recover(ledger, cluster)
 
 
@@ -224,6 +237,26 @@ def test_persistence_round_trip(tmp_path):
     assert loaded.points == ledger.points
 
 
+def test_persisting_in_memory_points_stores_each_block_once(tmp_path):
+    def session(directory):
+        cluster, ledger = make_committed_state(bytes(range(48)), 3, 6, directory=directory)
+        append(cluster, ledger, 1, b"more")
+        append(cluster, ledger, 2, bytes(range(6)))  # the same bytes as server 0, block 0
+        return cluster, ledger
+
+    bound = tmp_path / "bound"
+    session(bound)
+    cluster, ledger = session(None)
+    later = tmp_path / "later"
+    for point in ledger.points:
+        _persist_point(later, point)
+    files = sorted(p.name for p in bound.iterdir())
+    assert files == sorted(p.name for p in later.iterdir())
+    assert all((bound / name).read_bytes() == (later / name).read_bytes() for name in files)
+    assert sum(len(s.blocks) for s in cluster.servers) == 10
+    assert len(load_ledger(later).blocks) == 9
+
+
 def test_load_ledger_empty_directory(tmp_path):
     assert load_ledger(tmp_path).points == []
 
@@ -242,8 +275,28 @@ def test_load_ledger_rejects_tampered_snapshot(tmp_path):
     directory = tmp_path / "ledger"
     make_committed_state(b"abcdef", 2, 2, directory=directory)
     snapshot = directory / "0.snapshot"
-    snapshot.write_text(snapshot.read_text().replace("61", "62", 1))
-    with pytest.raises(SnapshotCorrupt):
+    snapshot.write_text(swap_reference(snapshot.read_text()))
+    with pytest.raises(SnapshotCorrupt, match="fails its manifest record"):
+        load_ledger(directory)
+
+
+def test_load_ledger_rejects_reference_missing_from_pack(tmp_path):
+    directory = tmp_path / "ledger"
+    make_committed_state(b"abcdef", 2, 2, directory=directory)
+    snapshot = directory / "0.snapshot"
+    snapshot.write_text(snapshot.read_text().replace(digest_of(b"ab"), "0" * 64, 1))
+    with pytest.raises(SnapshotCorrupt, match="which the store lacks"):
+        load_ledger(directory)
+
+
+def test_load_ledger_rejects_flipped_pack_byte(tmp_path):
+    directory = tmp_path / "ledger"
+    make_committed_state(b"abcdef", 2, 2, directory=directory)
+    pack = directory / "blocks.pack"
+    data = bytearray(pack.read_bytes())
+    data[data.index(b" 2\nab\n") + 3] ^= 0x01
+    pack.write_bytes(bytes(data))
+    with pytest.raises(SnapshotCorrupt, match="does not hash to its digest"):
         load_ledger(directory)
 
 

@@ -2,12 +2,14 @@
 
 make_block hashes a payload when it is stored; every cloud-side reader
 uses those digests instead of rehashing. These tests pin how many bytes
-each step hashes and check the invariant that makes stored digests safe
-to read: after any operation or fault, each block's digests still match
-its bytes.
+each step hashes, and how many bytes a commit adds to the ledger
+directory, and check the invariant that makes stored digests safe to
+read: after any operation or fault, each block's digests still match its
+bytes.
 """
 
 import ast
+import hashlib
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from cloudledger import (
     fnv1a64,
     generate_payload,
     inject_fault,
+    load_ledger,
     load_snapshot,
     read_manifest,
     recover,
@@ -35,6 +38,7 @@ from helpers import make_committed_state
 
 STORE_BYTES = 64 * 1024
 APPEND_BYTES = 100
+APPENDS = 10
 
 
 def bytes_hashed(monkeypatch, action):
@@ -53,10 +57,16 @@ def bytes_hashed(monkeypatch, action):
     return sum(counted), result
 
 
+def directory_bytes(directory):
+    return sum(path.stat().st_size for path in directory.rglob("*") if path.is_file())
+
+
 @pytest.fixture
-def appended(monkeypatch):
+def appended(monkeypatch, tmp_path):
     """A committed 64 KiB store (4 servers, B=4096, seed 42) plus one 100 B append."""
-    cluster, ledger = make_committed_state(generate_payload(42, STORE_BYTES), 4, 4096, seed=42)
+    cluster, ledger = make_committed_state(
+        generate_payload(42, STORE_BYTES), 4, 4096, seed=42, directory=tmp_path / "ledger"
+    )
     hashed, result = bytes_hashed(
         monkeypatch, lambda: append(cluster, ledger, 0, generate_payload(43, APPEND_BYTES))
     )
@@ -79,11 +89,18 @@ def test_verify_hashes_nothing(appended, monkeypatch):
 
 
 def test_load_snapshot_hashes_each_stored_byte_once(appended, monkeypatch):
+    # Reading the block store back from disk hashes each stored byte once;
+    # resolving the snapshot's references against it hashes nothing more.
     cluster, ledger, _ = appended
     snapshot = ledger.last().payload_snapshot
-    hashed, loaded = bytes_hashed(monkeypatch, lambda: load_snapshot(snapshot))
+    hashed, loaded = bytes_hashed(
+        monkeypatch, lambda: load_snapshot(snapshot, load_ledger(ledger.directory).blocks)
+    )
     assert snapshot_cluster(loaded) == snapshot
     assert hashed == STORE_BYTES + APPEND_BYTES
+    hashed, loaded = bytes_hashed(monkeypatch, lambda: load_snapshot(snapshot, ledger.blocks))
+    assert snapshot_cluster(loaded) == snapshot
+    assert hashed == 0
 
 
 def test_intact_recover_hashes_nothing(appended, monkeypatch):
@@ -93,12 +110,44 @@ def test_intact_recover_hashes_nothing(appended, monkeypatch):
     assert hashed == 0
 
 
+@pytest.fixture
+def eleven_epochs(tmp_path):
+    """The 64 KiB store above, then ten 100 B appends on servers i % 4.
+
+    Returns the ledger directory and the bytes each append added to it.
+    """
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(
+        generate_payload(42, STORE_BYTES), 4, 4096, seed=42, directory=directory
+    )
+    growth = []
+    for i in range(APPENDS):
+        before = directory_bytes(directory)
+        append(cluster, ledger, i % 4, generate_payload(43 + i, APPEND_BYTES))
+        growth.append(directory_bytes(directory) - before)
+    return directory, growth
+
+
+def test_load_ledger_hashes_each_distinct_stored_byte_once(eleven_epochs, monkeypatch):
+    directory, _ = eleven_epochs
+    hashed, ledger = bytes_hashed(monkeypatch, lambda: load_ledger(directory))
+    assert len(ledger.points) == APPENDS + 1
+    assert hashed == STORE_BYTES + APPENDS * APPEND_BYTES
+
+
+def test_append_adds_about_its_delta_to_the_ledger_directory(eleven_epochs):
+    # A full payload copy would add over 64 KiB per commit.
+    _, growth = eleven_epochs
+    assert max(growth) <= 4096
+
+
 def assert_digests_match_payloads(cluster):
     for server in cluster.servers:
         for block_id, block in server.blocks.items():
             assert block.block_id == block_id
             assert block.weight == len(block.payload)
             assert block.checksum == fnv1a64(block.payload)
+            assert block.digest == hashlib.sha256(block.payload).hexdigest()
 
 
 def test_stored_digests_match_payloads_after_every_op_and_fault():
