@@ -120,8 +120,8 @@ def _write_config_file(path: Path, config: SimConfig) -> None:
 def resolve_config(args: argparse.Namespace) -> SimConfig:
     """Flags override the config file, which overrides defaults.
 
-    The config file is --config when given, otherwise the one the upload
-    command wrote into the ledger directory.
+    The config file is --config when given, which must exist, otherwise
+    the one the upload command wrote into the ledger directory, if any.
     """
     ledger_dir = Path(
         args.ledger_dir
@@ -130,7 +130,7 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     )
     file_values: dict[str, str] = {}
     config_path = Path(args.config) if args.config else ledger_dir / CONFIG_FILE
-    if config_path.exists():
+    if args.config or config_path.exists():
         file_values = _parse_config_file(config_path)
 
     def pick(flag, key: str, fallback):

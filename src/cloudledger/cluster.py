@@ -267,22 +267,21 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # --- cluster snapshots -------------------------------------------------------
 #
 # A snapshot names each block by its content digest instead of carrying its
-# bytes (ledger format v2): the marker line SNAPSHOT_HEADER, the canonical
-# manifest text, one reference line per block (`<server> <block> <digest>`),
-# then optional status lines (`DOWN <server>`, `STALE`) and a final END.
-# Status lines only appear when the condition is present. The bytes live
-# once in a block store, a mapping from digest to DataBlock (on disk, the
-# ledger's block pack).
+# bytes (ledger format v3): the marker line SNAPSHOT_HEADER, the canonical
+# manifest text, one digest line per manifest record in record order, then
+# optional status lines (`DOWN <server>`, `STALE`) and a final END. Status
+# lines only appear when the condition is present. The bytes live once in a
+# block store, a mapping from digest to DataBlock (on disk, the ledger's
+# block pack).
 
-SNAPSHOT_HEADER = "SNAPSHOT v2"
+SNAPSHOT_HEADER = "SNAPSHOT v3"
+_RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"])
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
     manifest = build_manifest(Level.CLOUD, cluster.epoch, [s.blocks.values() for s in cluster.servers])
     lines = [SNAPSHOT_HEADER, serialize_manifest(manifest).rstrip("\n")]
-    for server in cluster.servers:
-        for block in server.blocks.values():
-            lines.append(f"{server.server_index} {block.block_id} {block.digest}")
+    lines += [cluster.servers[r.server_index].blocks[r.block_id].digest for r in manifest.records]
     for server in cluster.servers:
         if not server.alive:
             lines.append(f"DOWN {server.server_index}")
@@ -293,15 +292,17 @@ def snapshot_cluster(cluster: ClusterState) -> str:
 
 
 def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0) -> ClusterState:
-    """Rebuild a cluster from snapshot text, taking each referenced block
-    from ``blocks`` (digest -> DataBlock). Nothing is decoded or hashed:
-    each block must match its manifest record by the weight and checksum
+    """Rebuild a cluster from snapshot text, taking the block each digest
+    line names from ``blocks`` (digest -> DataBlock) and placing it at the
+    address of the manifest record in the same position. Nothing is decoded
+    or hashed: each block must match its record by the weight and checksum
     make_block stored with it. Any inconsistency raises SnapshotCorrupt."""
     lines = text.splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
-        if lines and lines[0].startswith("MANIFEST v1 "):
-            raise SnapshotCorrupt("snapshot is in ledger format v1 (inline payload hex), which is no longer"
-                                  f" supported; expected format v2 ({SNAPSHOT_HEADER!r})")
+        head = lines[0].split(" ")[:2] if lines else []
+        if head in _RETIRED_HEADERS:
+            raise SnapshotCorrupt(f"snapshot is in ledger format {head[1]}, which is no longer supported;"
+                                  f" expected format v3 ({SNAPSHOT_HEADER!r})")
         raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
     if "END" not in lines:
         raise SnapshotCorrupt("snapshot missing manifest terminator")
@@ -313,35 +314,25 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
 
     if lines[-1] != "END":
         raise SnapshotCorrupt("snapshot not terminated by END")
-    references: dict[tuple[int, int], str] = {}
+    count = len(manifest.records)
+    body = lines[split + 1 : -1]
+    digests, status = body[:count], body[count:]
+    if len(digests) != count:
+        raise SnapshotCorrupt(f"snapshot has {len(digests)} digest lines for {count} manifest records")
     down: set[int] = set()
     stale = False
-    for line in lines[split + 1 : -1]:
-        try:
-            if line.startswith("DOWN "):
-                down.add(int(line.split(" ")[1]))
-                continue
-            if line == "STALE":
-                stale = True
-                continue
-            parts = line.split(" ")
-            if len(parts) != 3:
-                raise SnapshotCorrupt(f"bad reference line: {line!r}")
-            key = (int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise SnapshotCorrupt(f"bad snapshot line: {line!r}") from exc
-        if key in references:
-            raise SnapshotCorrupt(f"duplicate reference line for {key}")
-        references[key] = parts[2]
-
-    if references.keys() != manifest.record_map().keys():
-        raise SnapshotCorrupt("reference lines do not match manifest records")
+    for line in status:
+        if line == "STALE":
+            stale = True
+        elif line.startswith("DOWN ") and line[5:].isdecimal():
+            down.add(int(line[5:]))
+        else:
+            raise SnapshotCorrupt(f"bad snapshot line: {line!r}")
 
     cluster = new_cluster(manifest.server_count, rng_seed=rng_seed)
     cluster.epoch = manifest.epoch
     cluster.stale_armed = stale
-    for record in manifest.records:
-        digest = references[record.key]
+    for record, digest in zip(manifest.records, digests):
         block = blocks.get(digest)
         if block is None:
             raise SnapshotCorrupt(f"server={record.server_index} block={record.block_id} references"

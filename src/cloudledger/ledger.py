@@ -1,13 +1,13 @@
 """Append-only restore-point ledger and crash recovery.
 
-Every verified update commits one restore point: the cloud manifest, a
-payload snapshot, and the aggregate X (cloud total plus user total
-summed per server; a verified commit has S = T, so X is twice the
-manifest total). X is checked again whenever a ledger is loaded.
-Snapshots name blocks by content digest; the ledger keeps one block
-store, shared by all its points, holding each distinct block once (on
-disk, an append-only pack), so a commit stores only the blocks the store
-lacks.
+Every verified update commits one restore point: a snapshot of the
+cluster, which holds the cloud manifest and names each record's block by
+content digest, and the aggregate X (cloud total plus user total summed
+per server; a verified commit has S = T, so X is twice the manifest
+total). X is checked again whenever a ledger is loaded. The ledger keeps
+one block store, shared by all its points, holding each distinct block
+once (on disk, an append-only pack), so a commit stores only the blocks
+the store lacks.
 
 Recovery declares the state intact when every server is up and a
 CHECKSUM comparison against the last committed manifest passes; equal
@@ -44,12 +44,12 @@ from .errors import (
 )
 from .manifest import (
     DataBlock,
+    Level,
     Manifest,
     WeightSummary,
+    build_manifest,
     make_block,
-    parse_manifest,
     per_server_totals,
-    serialize_manifest,
 )
 from .protocol import Mode, Verdict, verify_equality
 
@@ -58,11 +58,11 @@ from .protocol import Mode, Verdict, verify_equality
 class RestorePoint:
     """One committed epoch: aggregate X, manifest, payload snapshot, tick.
 
-    The snapshot names the epoch's blocks by digest; ``blocks`` is the
-    ledger's block store they resolve in, and ``added`` the blocks this
-    commit was first to store, which persisting the point appends to the
-    pack (empty for points read back from disk). Neither takes part in
-    equality.
+    The snapshot holds the manifest and names each record's block by
+    digest; ``blocks`` is the ledger's block store they resolve in, and
+    ``added`` the blocks this commit was first to store, which persisting
+    the point appends to the pack (empty for points read back from disk).
+    Neither takes part in equality.
     """
 
     epoch: int
@@ -81,8 +81,8 @@ class Ledger:
     ``blocks`` is the block store (digest -> DataBlock) every point's
     snapshot resolves in. When bound to a directory, every commit appends
     the blocks the store lacked to ``blocks.pack``, persists
-    ``<epoch>.manifest`` and ``<epoch>.snapshot``, and appends one
-    ``<epoch> <timestamp> <committed_x>`` line to ``index``.
+    ``<epoch>.snapshot``, and appends one ``<epoch> <timestamp>
+    <committed_x>`` line to ``index``.
     """
 
     points: list[RestorePoint] = field(default_factory=list)
@@ -140,7 +140,8 @@ def committed_summaries(manifest: Manifest) -> list[WeightSummary]:
 def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict) -> RestorePoint:
     """Append a restore point for the cluster's current (verified) state.
 
-    Refuses unverified or epoch-desynced commits; on success the cloud
+    Refuses unverified or epoch-desynced commits, and stored blocks that a
+    stale read path hid from the verdict; on success the stored blocks'
     manifest, a payload snapshot, and X are frozen, the logical clock
     ticks, and the manifest is recorded as the epoch's committed view.
     """
@@ -151,7 +152,9 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     if cluster.epoch != ledger.next_epoch:
         raise EpochMismatch(f"ledger expects epoch {ledger.next_epoch}, cluster is at {cluster.epoch}")
 
-    manifest = read_manifest(cluster)
+    manifest = _stored_manifest(cluster)
+    if manifest.records != read_manifest(cluster).records:
+        raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
     point = RestorePoint(
         epoch=cluster.epoch,
         committed_x=compute_x(committed_summaries(manifest)),
@@ -225,6 +228,11 @@ def store_blocks(ledger: Ledger, cluster: ClusterState) -> None:
         _append_pack(ledger.directory, added)
 
 
+def _stored_manifest(cluster: ClusterState) -> Manifest:
+    """The cloud manifest of the blocks the cluster stores, whatever its read path serves."""
+    return build_manifest(Level.CLOUD, cluster.epoch, [s.blocks.values() for s in cluster.servers])
+
+
 def _add_blocks(store: dict[str, DataBlock], cluster: ClusterState) -> tuple[DataBlock, ...]:
     """Put the cluster's blocks that ``store`` lacks into it; return them in address order."""
     added = []
@@ -238,20 +246,16 @@ def _add_blocks(store: dict[str, DataBlock], cluster: ClusterState) -> tuple[Dat
 
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v2: ``blocks.pack`` holds each distinct block once, as
+# Ledger format v3: ``blocks.pack`` holds each distinct block once, as
 # PACK_HEADER followed by entries ``<sha256 hex> <weight>\n<payload>\n``,
 # appended to, never rewritten. A commit appends its new blocks first, then
-# writes ``<epoch>.manifest`` and ``<epoch>.snapshot``; the ``index`` line
-# comes last.
+# writes ``<epoch>.snapshot``, the epoch's only file and the one copy of its
+# manifest; the ``index`` line comes last.
 
 INDEX_FILE = "index"
 PACK_FILE = "blocks.pack"
 PACK_HEADER = b"PACK v2\n"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
-
-
-def _manifest_path(directory: Path, epoch: int) -> Path:
-    return directory / f"{epoch}.manifest"
 
 
 def _snapshot_path(directory: Path, epoch: int) -> Path:
@@ -274,7 +278,7 @@ def _read_pack(directory: Path) -> dict[str, DataBlock]:
 
     Each block is hashed once, by make_block. Pack entries carry no
     address, so they are built at block 0 of server 0; load_snapshot moves
-    each to the address its snapshot reference names.
+    each to the address of the manifest record its digest line pairs with.
     """
     path = directory / PACK_FILE
     if not path.exists():
@@ -305,9 +309,6 @@ def _read_pack(directory: Path) -> dict[str, DataBlock]:
 def _persist_point(directory: Path, point: RestorePoint) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     _append_pack(directory, point.added)
-    _manifest_path(directory, point.epoch).write_text(
-        serialize_manifest(point.manifest), encoding="utf-8", newline="\n"
-    )
     _snapshot_path(directory, point.epoch).write_text(
         point.payload_snapshot, encoding="utf-8", newline="\n"
     )
@@ -318,9 +319,10 @@ def _persist_point(directory: Path, point: RestorePoint) -> None:
 def load_ledger(directory: Path) -> Ledger:
     """Load a persisted ledger, revalidating every epoch.
 
-    Checks the pack's digests, index sequence and clocks, each epoch's X
-    against its manifest, and each snapshot's block references against the
-    manifest records. Each distinct block is hashed once, so the cost is
+    Checks the pack's digests, index sequence and clocks, each snapshot's
+    blocks against its manifest (the epoch's one copy, parsed once), and
+    X against the stored blocks' manifest, derived as commit_restore_point
+    derives it. Each distinct block is hashed once, so the cost is
     O(distinct stored bytes + epochs x records).
     """
     directory = Path(directory)
@@ -346,14 +348,12 @@ def load_ledger(directory: Path) -> Ledger:
             raise ManifestFormatError(f"index timestamps not strictly increasing at epoch {epoch}")
         previous_tick = timestamp
 
-        manifest = parse_manifest(_manifest_path(directory, epoch).read_text(encoding="utf-8"))
+        snapshot_text = _snapshot_path(directory, epoch).read_text(encoding="utf-8")
+        manifest = _stored_manifest(load_snapshot(snapshot_text, ledger.blocks))
         if manifest.epoch != epoch:
-            raise ManifestFormatError(f"manifest file for epoch {epoch} claims epoch {manifest.epoch}")
+            raise ManifestFormatError(f"snapshot for epoch {epoch} claims epoch {manifest.epoch}")
         if committed_x != compute_x(committed_summaries(manifest)):
             raise ManifestFormatError(f"index X for epoch {epoch} does not match its manifest")
-        snapshot_text = _snapshot_path(directory, epoch).read_text(encoding="utf-8")
-        if read_manifest(load_snapshot(snapshot_text, ledger.blocks)).records != manifest.records:
-            raise SnapshotCorrupt(f"snapshot for epoch {epoch} disagrees with its manifest")
 
         ledger.points.append(
             RestorePoint(

@@ -24,6 +24,7 @@ from .errors import (
     PreStateCorrupt,
     ServerDown,
     StaleEpoch,
+    UnverifiedState,
 )
 from .ledger import Ledger, commit_restore_point, rewrite_cluster_from_point
 from .manifest import BlockRecord, Level, Manifest
@@ -101,7 +102,8 @@ def apply(
     Raises StaleEpoch for requests pinned to an old epoch, PreStateCorrupt
     (without mutating) when the live state no longer matches the last
     restore point, NoSuchBlock / ServerDown for bad targets, and
-    PostStateCorrupt (after rolling back) when the mutation landed wrong.
+    PostStateCorrupt (after rolling back) when the mutation landed wrong;
+    UnverifiedState (likewise) when the commit refuses what a stale read path hid.
     post_mutation_hook runs between the mutation and the post-check; fault
     scenarios use it to corrupt in-flight state.
     """
@@ -163,7 +165,11 @@ def apply(
             post_verdict,
         )
 
-    commit_restore_point(ledger, cluster, post_verdict)
+    try:
+        commit_restore_point(ledger, cluster, post_verdict)
+    except UnverifiedState:
+        rewrite_cluster_from_point(cluster, last)
+        raise
     return OperationResult(
         kind=request.kind,
         server_index=request.server_index,

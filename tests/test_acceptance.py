@@ -294,5 +294,8 @@ def test_criterion_8_full_demo_determinism(tmp_path, seed):
     assert sorted(first) == sorted(second)
     for name in first:
         assert first[name] == second[name], f"ledger file {name} differs between runs"
-    assert len(first) >= 10  # index, config, cluster.state, journal, per-epoch files
+    assert set(first) == {
+        "blocks.pack", "cluster.state", "config", "index", "journal",
+        "0.snapshot", "1.snapshot", "2.snapshot", "3.snapshot",
+    }
     print("ACCEPTANCE 8 demo determinism (byte-identical ledgers): PASS")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cloudledger import Level, build_manifest, cli, partition_upload, serialize_manifest
+from cloudledger import Level, build_manifest, cli, load_ledger, partition_upload, serialize_manifest
 from cloudledger.rng import generate_payload
 
 MIB = 1024 * 1024
@@ -45,8 +45,9 @@ def test_upload_commits_epoch_zero(ledger_dir, capsys):
     assert "UPLOAD bytes=800 servers=3 block_size=32 mode=checksum seed=42" in out
     assert "VERDICT z=true mode=checksum epoch=0 divergences=0" in out
     assert (ledger_dir / "index").read_text() == "0 1 1600\n"
-    for name in ("0.manifest", "0.snapshot", "cluster.state", "config"):
+    for name in ("0.snapshot", "cluster.state", "config"):
         assert (ledger_dir / name).exists()
+    assert not (ledger_dir / "0.manifest").exists()
 
 
 def test_upload_empty_file(ledger_dir, tmp_path, capsys):
@@ -69,7 +70,7 @@ def test_upload_golden_one_mib_file(ledger_dir, tmp_path, capsys):
     rc = run_cli("--ledger-dir", str(ledger_dir), "upload", str(source))
     assert rc == 0
     assert (ledger_dir / "index").read_text() == f"0 1 {2 * MIB}\n"
-    manifest_head = (ledger_dir / "0.manifest").read_text().splitlines()[0]
+    manifest_head = (ledger_dir / "0.snapshot").read_text().splitlines()[1]
     assert manifest_head == f"MANIFEST v1 level=CLOUD epoch=0 servers=4 total={MIB}"
 
 
@@ -112,31 +113,73 @@ def test_torn_index_tail_is_reported_as_a_partial_line(ledger_dir, capsys):
         assert "index ends in a partial line at epoch 1: '1 2 16'" in capsys.readouterr().err
 
 
-def v1_snapshot(payload, servers, block_size):
-    """Cluster snapshot text as ledger format v1 wrote it: payload hex inline."""
+def old_snapshot(version, payload, servers, block_size):
+    """Cluster snapshot text as ledger format v1 (payload hex inline) or v2
+    (a `<server> <block> <digest>` line per block) wrote it."""
     blocks = partition_upload(payload, servers, block_size)
-    lines = [serialize_manifest(build_manifest(Level.CLOUD, 0, blocks)).rstrip("\n")]
+    lines = ["SNAPSHOT v2"] if version == "v2" else []
+    lines.append(serialize_manifest(build_manifest(Level.CLOUD, 0, blocks)).rstrip("\n"))
     for server_index, server_blocks in enumerate(blocks):
-        lines += [f"{server_index} {b.block_id} {b.payload.hex() or '-'}" for b in server_blocks]
+        for b in server_blocks:
+            name = b.digest if version == "v2" else b.payload.hex() or "-"
+            lines.append(f"{server_index} {b.block_id} {name}")
     return "\n".join(lines + ["END"]) + "\n"
 
 
-def test_v1_ledger_files_are_rejected_by_name(ledger_dir, capsys):
+def test_v1_ledger_files_are_rejected_by_name(tmp_path, capsys):
     payload = generate_payload(42, 800)
-    old = v1_snapshot(payload, 3, 32)
-    # A v2 ledger whose cluster.state is still in format v1 ...
-    seeded_upload(ledger_dir)
-    (ledger_dir / "cluster.state").write_text(old)
+    for version in ("v1", "v2"):
+        old = old_snapshot(version, payload, 3, 32)
+        # A v3 ledger whose cluster.state is still in an older format ...
+        ledger_dir = tmp_path / version
+        seeded_upload(ledger_dir)
+        (ledger_dir / "cluster.state").write_text(old)
+        capsys.readouterr()
+        assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 2
+        assert f"ledger format {version}" in capsys.readouterr().err
+        # ... and an epoch snapshot in that format, as an older ledger directory holds.
+        (ledger_dir / "0.snapshot").write_text(old)
+        for command in ("verify", "recover"):
+            assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
+            err = capsys.readouterr().err
+            assert f"ledger format {version}" in err
+            assert "payload line" not in err
+
+
+def test_commit_while_stale_read_path_is_armed_keeps_the_ledger_loadable(ledger_dir, tmp_path, capsys):
+    # An update that rewrites a block with its own bytes commits even while
+    # the read path replays the previous epoch, so epoch 2's snapshot
+    # records the STALE status line.
+    seeded_upload(ledger_dir, gen_bytes=200)
+    same_bytes = tmp_path / "block0.bin"
+    same_bytes.write_bytes(generate_payload(42, 200)[:32])
+    update = ("--ledger-dir", str(ledger_dir), "update", "--server", "0", "--block", "0", str(same_bytes))
+    assert run_cli(*update) == 0
+    assert run_cli("--ledger-dir", str(ledger_dir), "tamper", "--kind", "stale-manifest", "--server", "0") == 0
+    assert run_cli(*update) == 0
+    assert "STALE\n" in (ledger_dir / "2.snapshot").read_text()
+    for command in ("verify", "recover", "report"):
+        assert run_cli("--ledger-dir", str(ledger_dir), command) == 0, capsys.readouterr().err
+    assert len(load_ledger(ledger_dir).points) == 3
+
+
+def test_commit_refuses_a_corruption_the_stale_read_path_hides(ledger_dir, tmp_path, capsys):
+    # The replayed previous epoch hides a flipped byte on server 1 from the
+    # verdict, but not from the snapshot: committing it would make the
+    # corruption history that recovery restores and loading accepts.
+    seeded_upload(ledger_dir, gen_bytes=200)
+    same_bytes = tmp_path / "block0.bin"
+    same_bytes.write_bytes(generate_payload(42, 200)[:32])
+    update = ("--ledger-dir", str(ledger_dir), "update", "--server", "0", "--block", "0", str(same_bytes))
+    assert run_cli(*update) == 0
+    tamper = ("--ledger-dir", str(ledger_dir), "tamper", "--kind")
+    assert run_cli(*tamper, "flip-byte", "--server", "1", "--block", "0") == 0
+    assert run_cli(*tamper, "stale-manifest", "--server", "0") == 0
     capsys.readouterr()
-    assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 2
-    assert "ledger format v1" in capsys.readouterr().err
-    # ... and an epoch snapshot in format v1, as a v1 ledger directory holds.
-    (ledger_dir / "0.snapshot").write_text(old)
-    for command in ("verify", "recover"):
-        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
-        err = capsys.readouterr().err
-        assert "ledger format v1" in err
-        assert "payload line" not in err
+    assert run_cli(*update) == 1
+    assert "differ from the verified read path" in capsys.readouterr().err
+    assert not (ledger_dir / "2.snapshot").exists()
+    assert len(load_ledger(ledger_dir).points) == 2
 
 
 def test_tamper_then_recover_then_verify(ledger_dir, capsys):
@@ -266,6 +309,11 @@ def test_config_file_flag(ledger_dir, tmp_path, capsys):
     assert run_cli("--ledger-dir", str(ledger_dir), "--config", str(config), "upload", "--gen-bytes", "50") == 0
     out = capsys.readouterr().out
     assert "UPLOAD bytes=50 servers=5 block_size=10 mode=checksum seed=7" in out
+    # An explicit --config must exist; only the ledger directory's own config is optional.
+    missing, elsewhere = tmp_path / "no-such.cfg", tmp_path / "elsewhere"
+    assert run_cli("--ledger-dir", str(elsewhere), "--config", str(missing), "upload", "--gen-bytes", "50") == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not elsewhere.exists()
 
 
 def test_identical_command_sequences_produce_identical_directories(tmp_path):

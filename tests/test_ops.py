@@ -14,6 +14,7 @@ from cloudledger import (
     PreStateCorrupt,
     ServerDown,
     StaleEpoch,
+    UnverifiedState,
     append,
     apply,
     delete,
@@ -167,6 +168,20 @@ def test_post_state_corruption_rolls_back_exactly():
     assert snapshot_cluster(cluster) == committed
     assert cluster.epoch == 0
     assert len(ledger.points) == 1
+
+
+def test_corruption_hidden_by_a_stale_read_path_is_not_committed():
+    cluster, ledger = make_committed_state(bytes(range(40)), 2, 5)
+    same = cluster.servers[0].blocks[0].payload
+    update(cluster, ledger, 0, 0, same)
+    committed = snapshot_cluster(cluster)
+    inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 1, 0, seed=2))
+    inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))
+    with pytest.raises(UnverifiedState):
+        update(cluster, ledger, 0, 0, same)  # the replayed epoch 0 matches the prediction
+    assert snapshot_cluster(cluster) == committed
+    assert cluster.epoch == 1
+    assert len(ledger.points) == 2
 
 
 def test_request_shape_validation():

@@ -28,6 +28,7 @@ from cloudledger import (
     inject_fault,
     load_ledger,
     load_snapshot,
+    parse_manifest,
     read_manifest,
     recover,
     snapshot_cluster,
@@ -41,20 +42,25 @@ APPEND_BYTES = 100
 APPENDS = 10
 
 
-def bytes_hashed(monkeypatch, action):
-    """Run action with fnv1a64 counted under every cloudledger binding."""
+def tally(monkeypatch, function, measure, action):
+    """Run action with function wrapped under every cloudledger binding;
+    return the sum of measure(argument) over its calls, and action's result."""
     counted = []
 
-    def counting(payload):
-        counted.append(len(payload))
-        return fnv1a64(payload)
+    def counting(argument):
+        counted.append(measure(argument))
+        return function(argument)
 
     with monkeypatch.context() as patch:
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "cloudledger" and getattr(module, "fnv1a64", None) is fnv1a64:
-                patch.setattr(module, "fnv1a64", counting)
+            if name.split(".")[0] == "cloudledger" and getattr(module, function.__name__, None) is function:
+                patch.setattr(module, function.__name__, counting)
         result = action()
     return sum(counted), result
+
+
+def bytes_hashed(monkeypatch, action):
+    return tally(monkeypatch, fnv1a64, len, action)
 
 
 def directory_bytes(directory):
@@ -135,10 +141,20 @@ def test_load_ledger_hashes_each_distinct_stored_byte_once(eleven_epochs, monkey
     assert hashed == STORE_BYTES + APPENDS * APPEND_BYTES
 
 
+def test_load_ledger_parses_each_epoch_manifest_once(eleven_epochs, monkeypatch):
+    # Each epoch's manifest is stored once, inside its snapshot.
+    directory, _ = eleven_epochs
+    assert not list(directory.glob("*.manifest"))
+    parsed, ledger = tally(monkeypatch, parse_manifest, lambda text: 1, lambda: load_ledger(directory))
+    assert len(ledger.points) == APPENDS + 1
+    assert parsed == APPENDS + 1
+
+
 def test_append_adds_about_its_delta_to_the_ledger_directory(eleven_epochs):
-    # A full payload copy would add over 64 KiB per commit.
+    # A full payload copy would add over 64 KiB per commit. The growth
+    # comes from each snapshot repeating the manifest and every digest.
     _, growth = eleven_epochs
-    assert max(growth) <= 4096
+    assert max(growth) <= 2614
 
 
 def assert_digests_match_payloads(cluster):
