@@ -81,6 +81,7 @@ DEFAULT_SEED = 42
 DEFAULT_LEDGER_DIR = "ledger"
 
 CONFIG_FILE = "config"
+CONFIG_KEYS = ("servers", "block_size", "mode", "seed")
 CLUSTER_FILE = "cluster.state"
 JOURNAL_FILE = "journal"
 
@@ -103,7 +104,10 @@ def _parse_config_file(path: Path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ManifestFormatError(f"bad config line in {path}: {line!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ManifestFormatError(f"unknown config key {key!r} in {path}")
+        values[key] = value.strip()
     return values
 
 

@@ -175,12 +175,14 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
     """Restore the cluster to the last committed point unless it is intact.
 
     Intact means: the cluster is at the committed epoch and server count,
-    every server is alive, and a CHECKSUM comparison against the stored
+    every server is alive, a CHECKSUM comparison against the stored
     manifest passes, which also implies the live aggregate Y equals the
-    committed X. Weight equality alone is not trusted, because
-    identical-weight substitutions leave Y unchanged. Otherwise the
-    cluster is rewritten from the snapshot, crashed servers are revived,
-    the lying read path is cleared, and the restored state is re-verified.
+    committed X, and no stale read path is armed. Weight equality alone is
+    not trusted, because identical-weight substitutions leave Y unchanged;
+    nor is a pass through a stale read path, which replays committed
+    records whatever the servers store. Otherwise the cluster is
+    rewritten from the snapshot, crashed servers are revived, the lying
+    read path is cleared, and the restored state is re-verified.
     """
     last = ledger.last()
     live = read_manifest(cluster)
@@ -189,6 +191,7 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
         and live.epoch == last.epoch
         and all(s.alive for s in cluster.servers)
         and verify_equality(last.manifest, live, Mode.CHECKSUM).z
+        and not cluster.stale_armed
     )
     if intact:
         return RecoveryReport(RecoveryAction.INTACT, last.epoch)

@@ -88,9 +88,6 @@ class Manifest:
     def total_weight(self) -> int:
         return sum(r.weight for r in self.records)
 
-    def record_map(self) -> dict[tuple[int, int], BlockRecord]:
-        return {r.key: r for r in self.records}
-
 
 @dataclass(frozen=True)
 class WeightSummary:

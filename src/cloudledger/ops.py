@@ -13,6 +13,7 @@ delta the signed weight contribution of the operation.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -126,30 +127,33 @@ def apply(
     if not server.alive:
         raise ServerDown(f"server {request.server_index} is not alive")
 
-    expected_map = last.manifest.record_map()
     if request.kind is OperationKind.APPEND:
         block_id, old_weight = max(server.blocks, default=-1) + 1, 0
     elif request.block_id in server.blocks:
         block_id, old_weight = request.block_id, server.blocks[request.block_id].weight
     else:
         raise NoSuchBlock(f"no block {request.block_id} on server {request.server_index}")
+    # The expected manifest is the committed one with the changed address
+    # spliced: its old record (if any) removed, the new one (if any) in place.
+    records = list(last.manifest.records)
+    key = (request.server_index, block_id)
+    at = bisect_left(records, key)
+    end = at + (at < len(records) and records[at].key == key)
     if request.kind is OperationKind.DELETE:
         del server.blocks[block_id]
-        del expected_map[(request.server_index, block_id)]
+        records[at:end] = []
         delta = -old_weight
     else:
         payload = bytes(request.payload or b"")
         server.blocks[block_id] = make_block(server.server_index, block_id, payload)
-        expected_map[(request.server_index, block_id)] = BlockRecord(
-            request.server_index, block_id, len(payload), fnv1a64(payload)
-        )
+        records[at:end] = [BlockRecord(request.server_index, block_id, len(payload), fnv1a64(payload))]
         delta = len(payload) - old_weight
 
     cluster.epoch += 1
     expected = Manifest(
         level=Level.USER,
         epoch=cluster.epoch,
-        records=tuple(expected_map[key] for key in sorted(expected_map)),
+        records=tuple(records),
         server_count=last.manifest.server_count,
     )
 

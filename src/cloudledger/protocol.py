@@ -6,6 +6,9 @@ is the record-by-record comparison of the two. CHECKSUM mode compares
 (weight, checksum) per block; WEIGHT_ONLY restricts the comparison to
 weights, which reproduces pure size accounting and its blind spot:
 substituting different content of identical length goes undetected.
+The comparison hashes whole records as sets in C and spends Python work
+only on the records that differ plus those on unavailable servers, so a
+clean check of a large manifest costs little more than building the sets.
 """
 
 from __future__ import annotations
@@ -68,14 +71,29 @@ def verify_equality(user: Manifest, cloud: Manifest, mode: Mode) -> Verdict:
 
     Classification is positional: a record present only in the first
     manifest is MISSING, only in the second EXTRA. Records on a server
-    either side reports unavailable become SERVER_UNAVAILABLE. In
-    WEIGHT_ONLY mode checksums are ignored entirely.
+    either side reports unavailable become SERVER_UNAVAILABLE, even when
+    both sides hold them unchanged. In WEIGHT_ONLY mode checksums are
+    ignored entirely. Divergences come in (server, block) order.
+
+    Whole records are compared as sets, hashed in C; a record both sides
+    hold unchanged on an available server cannot diverge. Only the
+    records in the sets' symmetric difference, plus the records on
+    unavailable servers, are paired by address and classified, so the
+    Python work grows with those records, not with the manifest size
+    (picking out the records on unavailable servers, when there are any,
+    takes one more pass over both manifests). Addresses must be unique
+    within each manifest, as build_manifest and parse_manifest guarantee.
     """
     if user.epoch != cloud.epoch:
         raise EpochMismatch(f"cannot compare epoch {user.epoch} with epoch {cloud.epoch}")
     unavailable = user.unavailable_servers | cloud.unavailable_servers
-    user_map = user.record_map()
-    cloud_map = cloud.record_map()
+    user_set, cloud_set = set(user.records), set(cloud.records)
+    user_only, cloud_only = user_set - cloud_set, cloud_set - user_set
+    if unavailable:
+        user_only.update(r for r in user.records if r.server_index in unavailable)
+        cloud_only.update(r for r in cloud.records if r.server_index in unavailable)
+    user_map = {r.key: r for r in user_only}
+    cloud_map = {r.key: r for r in cloud_only}
     divergences = []
     for key in sorted(user_map.keys() | cloud_map.keys()):
         expected = user_map.get(key)

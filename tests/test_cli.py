@@ -182,6 +182,24 @@ def test_commit_refuses_a_corruption_the_stale_read_path_hides(ledger_dir, tmp_p
     assert len(load_ledger(ledger_dir).points) == 2
 
 
+def test_recover_restores_while_a_stale_read_path_is_armed(ledger_dir, tmp_path, capsys):
+    # After an identical update the replayed previous epoch equals the
+    # commit, so only the armed read path tells recovery the state is not intact.
+    seeded_upload(ledger_dir, gen_bytes=200)
+    same_bytes = tmp_path / "block0.bin"
+    same_bytes.write_bytes(generate_payload(42, 200)[:32])
+    d = str(ledger_dir)
+    assert run_cli("--ledger-dir", d, "update", "--server", "0", "--block", "0", str(same_bytes)) == 0
+    assert run_cli("--ledger-dir", d, "tamper", "--kind", "stale-manifest", "--server", "0") == 0
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", d, "recover") == 0
+    assert capsys.readouterr().out == "RESTORED epoch=1\n"
+    assert "STALE" not in (ledger_dir / "cluster.state").read_text().splitlines()
+    assert run_cli("--ledger-dir", d, "append", "--server", "1", "--gen-bytes", "10") == 0
+    assert run_cli("--ledger-dir", d, "recover") == 0
+    assert capsys.readouterr().out.endswith("INTACT epoch=2\n")
+
+
 def test_tamper_then_recover_then_verify(ledger_dir, capsys):
     seeded_upload(ledger_dir)
     run_cli("--ledger-dir", str(ledger_dir), "crash", "--server", "2")
@@ -313,6 +331,13 @@ def test_config_file_flag(ledger_dir, tmp_path, capsys):
     missing, elsewhere = tmp_path / "no-such.cfg", tmp_path / "elsewhere"
     assert run_cli("--ledger-dir", str(elsewhere), "--config", str(missing), "upload", "--gen-bytes", "50") == 2
     assert str(missing) in capsys.readouterr().err
+    assert not elsewhere.exists()
+    # A key the CLI does not know is an error, not a silently ignored line.
+    misspelled = tmp_path / "misspelled.cfg"
+    misspelled.write_text("server=3\n")
+    assert run_cli("--ledger-dir", str(elsewhere), "--config", str(misspelled), "upload", "--gen-bytes", "300") == 2
+    err = capsys.readouterr().err
+    assert "'server'" in err and str(misspelled) in err
     assert not elsewhere.exists()
 
 

@@ -183,7 +183,7 @@ def test_server_crash_marks_unavailable_and_spares_others():
     assert after.unavailable_servers == frozenset({2})
     assert {r.key for r in after.records} == {r.key for r in before.records if r.server_index != 2}
     for record in after.records:
-        assert before.record_map()[record.key] == record
+        assert {r.key: r for r in before.records}[record.key] == record
 
 
 def test_fault_determinism():
