@@ -24,7 +24,6 @@ from .cluster import (
     new_cluster,
     partition_upload,
     read_manifest,
-    record_epoch_manifest,
     snapshot_cluster,
     upload,
 )

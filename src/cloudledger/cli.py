@@ -161,8 +161,8 @@ def _load_state(config: SimConfig) -> tuple[ClusterState, Ledger]:
 def _load_cluster(config: SimConfig, ledger: Ledger) -> ClusterState:
     cluster_path = config.ledger_dir / CLUSTER_FILE
     cluster = load_snapshot(cluster_path.read_text(encoding="utf-8"), ledger.blocks, rng_seed=config.seed)
-    for point in ledger.points:
-        cluster.manifest_history[point.epoch] = point.manifest
+    if 1 <= cluster.epoch <= len(ledger.points):
+        cluster.previous_records = ledger.points[cluster.epoch - 1].manifest.records
     return cluster
 
 

@@ -1,20 +1,21 @@
 """Simulated multi-server storage cluster.
 
 Uploads are split into fixed-size blocks placed round-robin across R
-servers. Cloud-level manifests are built from the (weight, checksum)
-each stored block got from make_block when its bytes were stored, never
-echoed from client metadata. Every write, faults included, goes through
-make_block, so any corruption of stored bytes is visible to the reading
-protocol. Fault injection covers byte corruption, truncation,
-same-weight substitution, block drops, server crashes (which erase that
-server's data), and a lying read path that keeps serving the previous
-epoch's manifest.
+servers. Every write, faults and snapshot loads included, goes through
+ServerState.put and drop, which keep each block's record (the weight and
+checksum make_block stored with it, never client metadata) beside it. A
+cloud-level manifest joins those records, so a read hashes and builds
+nothing, yet sees any corruption of stored bytes. Fault injection covers
+byte corruption, truncation, same-weight substitution, block drops,
+server crashes (which erase that server's data), and a lying read path
+that replays the previous epoch's records.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Optional
 
 from .checksum import fnv1a64
@@ -30,7 +31,6 @@ from .manifest import (
     DataBlock,
     Level,
     Manifest,
-    build_manifest,
     make_block,
     parse_manifest,
     serialize_manifest,
@@ -71,33 +71,46 @@ class FaultReport:
 
 @dataclass
 class ServerState:
-    """One server partition: blocks keyed by block_id, plus a liveness flag.
+    """One server partition: blocks and their records keyed by block_id,
+    plus a liveness flag.
 
-    The dict is kept in block-id order (appends take the next id, updates
-    replace in place), so iterating it matches the manifest order.
+    put and drop are the only writers of both dicts, so records[i] is the
+    record of blocks[i]. Both stay in block-id order (appends take the next
+    id, updates replace in place), which is the manifest order.
     """
 
     server_index: int
     blocks: dict[int, DataBlock] = field(default_factory=dict)
+    records: dict[int, BlockRecord] = field(default_factory=dict)
     alive: bool = True
+
+    def put(self, block: DataBlock) -> None:
+        """Store a block at its block_id, replacing any block there."""
+        self.blocks[block.block_id] = block
+        self.records[block.block_id] = BlockRecord(self.server_index, block.block_id, block.weight, block.checksum)
+
+    def drop(self, block_id: int) -> None:
+        """Remove the block at block_id and its record."""
+        del self.blocks[block_id]
+        del self.records[block_id]
 
 
 @dataclass
 class ClusterState:
     """The simulated CSP: R servers, the current epoch, and read-path state.
 
-    manifest_history holds the cloud manifest committed at each epoch; the
-    stale-manifest fault replays history[epoch - 1] through read_manifest
-    (stamped with the current epoch, as a hiding CSP would) until a restore
-    clears it. Mutation is serialized through a single driver; reads are
-    side-effect free.
+    previous_records are the records committed at epoch - 1 (None before
+    there are any); the stale-manifest fault replays them through
+    read_manifest (stamped with the current epoch, as a hiding CSP would)
+    until a restore clears it. Mutation is serialized through a single
+    driver; reads are side-effect free.
     """
 
     servers: list[ServerState]
     epoch: int = 0
     rng_seed: int = 0
     stale_armed: bool = False
-    manifest_history: dict[int, Manifest] = field(default_factory=dict)
+    previous_records: Optional[tuple[BlockRecord, ...]] = None
 
     @property
     def server_count(self) -> int:
@@ -152,50 +165,38 @@ def upload(cluster: ClusterState, payload: bytes, block_size: int) -> Manifest:
     if cluster.has_data():
         raise PreexistingData("cluster already holds data; initial upload requires empty storage")
     for server, blocks in zip(cluster.servers, partition_upload(payload, cluster.server_count, block_size)):
-        server.blocks = {block.block_id: block for block in blocks}
+        for block in blocks:
+            server.put(block)
     return read_manifest(cluster)
 
 
-def read_manifest(cluster: ClusterState) -> Manifest:
-    """Build the cloud-level manifest from the blocks currently stored.
+def stored_manifest(cluster: ClusterState, unavailable_servers: frozenset[int] = frozenset()) -> Manifest:
+    """The cloud manifest of the blocks on every server not listed as
+    unavailable, whatever the read path serves: the servers' records
+    joined in server order, so already sorted, and shared, not rebuilt."""
+    records = chain.from_iterable(s.records.values() for s in cluster.servers
+                                  if s.server_index not in unavailable_servers)
+    return Manifest(Level.CLOUD, cluster.epoch, tuple(records), cluster.server_count, unavailable_servers)
 
-    Each record carries the weight and checksum make_block computed when
-    the block was stored, so a read hashes nothing. Dead servers
-    contribute no records and are listed in unavailable_servers. While
-    the stale-manifest fault is armed, the previous epoch's committed
-    records are served instead, stamped with the current epoch (the lying
-    CSP claims they are current).
+
+def read_manifest(cluster: ClusterState) -> Manifest:
+    """The cloud-level manifest the read path serves: the stored manifest
+    of the alive servers, whose records carry the weight and checksum
+    make_block computed when each block was stored. Dead servers are
+    listed in unavailable_servers. While the stale-manifest fault is
+    armed, the previous epoch's committed records are served instead,
+    stamped with the current epoch (the lying CSP claims they are current).
     """
     if cluster.stale_armed:
-        base = cluster.manifest_history.get(cluster.epoch - 1)
-        if base is None:
+        if cluster.previous_records is None:
             raise NoSuchTarget("stale manifest armed but no previous-epoch manifest exists")
         return Manifest(
             level=Level.CLOUD,
             epoch=cluster.epoch,
-            records=base.records,
+            records=cluster.previous_records,
             server_count=cluster.server_count,
         )
-    return build_manifest(
-        Level.CLOUD,
-        cluster.epoch,
-        [server.blocks.values() if server.alive else () for server in cluster.servers],
-        unavailable_servers=(s.server_index for s in cluster.servers if not s.alive),
-    )
-
-
-def record_epoch_manifest(cluster: ClusterState, manifest: Manifest) -> None:
-    """Remember the manifest committed for an epoch (feeds the stale read path)."""
-    cluster.manifest_history[manifest.epoch] = manifest
-
-
-def _record_of(server_index: int, block: DataBlock) -> BlockRecord:
-    return BlockRecord(
-        server_index=server_index,
-        block_id=block.block_id,
-        weight=block.weight,
-        checksum=block.checksum,
-    )
+    return stored_manifest(cluster, frozenset(s.server_index for s in cluster.servers if not s.alive))
 
 
 def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
@@ -208,14 +209,15 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
     if fault.kind is FaultKind.SERVER_CRASH:
         erased = sum(b.weight for b in server.blocks.values())
         server.alive = False
-        server.blocks = {}
+        for block_id in list(server.blocks):
+            server.drop(block_id)
         return FaultReport(
             fault.kind, fault.target_server, None, None, None,
             f"server {fault.target_server} crashed, {erased} bytes erased",
         )
 
     if fault.kind is FaultKind.CSP_STALE_MANIFEST:
-        if cluster.epoch - 1 not in cluster.manifest_history:
+        if cluster.previous_records is None:
             raise NoSuchTarget("no previous-epoch manifest to serve as stale")
         cluster.stale_armed = True
         return FaultReport(
@@ -228,10 +230,10 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
     block = server.blocks.get(fault.target_block)
     if block is None:
         raise NoSuchTarget(f"no block {fault.target_block} on server {server.server_index}")
-    before = _record_of(server.server_index, block)
+    before = server.records[block.block_id]
 
     if fault.kind is FaultKind.DROP_BLOCK:
-        del server.blocks[block.block_id]
+        server.drop(block.block_id)
         return FaultReport(fault.kind, fault.target_server, block.block_id, before, None, "block dropped")
 
     if block.weight < 1:
@@ -256,11 +258,10 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
     else:
         raise NoSuchTarget(f"unknown fault kind {fault.kind!r}")
 
-    after_block = make_block(server.server_index, block.block_id, payload)
-    server.blocks[block.block_id] = after_block
+    server.put(make_block(server.server_index, block.block_id, payload))
     return FaultReport(
         fault.kind, fault.target_server, block.block_id,
-        before, _record_of(server.server_index, after_block), note,
+        before, server.records[block.block_id], note,
     )
 
 
@@ -279,9 +280,8 @@ _RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"])
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
-    manifest = build_manifest(Level.CLOUD, cluster.epoch, [s.blocks.values() for s in cluster.servers])
-    lines = [SNAPSHOT_HEADER, serialize_manifest(manifest).rstrip("\n")]
-    lines += [cluster.servers[r.server_index].blocks[r.block_id].digest for r in manifest.records]
+    lines = [SNAPSHOT_HEADER, serialize_manifest(stored_manifest(cluster)).rstrip("\n")]
+    lines += [block.digest for server in cluster.servers for block in server.blocks.values()]
     for server in cluster.servers:
         if not server.alive:
             lines.append(f"DOWN {server.server_index}")
@@ -342,7 +342,7 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
                                   " fails its manifest record")
         if block.block_id != record.block_id:
             block = block._replace(block_id=record.block_id)
-        cluster.servers[record.server_index].blocks[record.block_id] = block
+        cluster.servers[record.server_index].put(block)
     for server_index in down:
         if not 0 <= server_index < cluster.server_count:
             raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")

@@ -31,8 +31,8 @@ from .cluster import (
     ClusterState,
     load_snapshot,
     read_manifest,
-    record_epoch_manifest,
     snapshot_cluster,
+    stored_manifest,
 )
 from .errors import (
     EpochMismatch,
@@ -44,10 +44,8 @@ from .errors import (
 )
 from .manifest import (
     DataBlock,
-    Level,
     Manifest,
     WeightSummary,
-    build_manifest,
     make_block,
     per_server_totals,
 )
@@ -142,8 +140,10 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
 
     Refuses unverified or epoch-desynced commits, and stored blocks that a
     stale read path hid from the verdict; on success the stored blocks'
-    manifest, a payload snapshot, and X are frozen, the logical clock
-    ticks, and the manifest is recorded as the epoch's committed view.
+    manifest, a payload snapshot, and X are frozen and the logical clock
+    ticks. The manifest shares every record the commit did not change with
+    the previous point, whose records become the cluster's
+    previous_records, the ones a stale read path replays.
     """
     if not verdict.z:
         raise UnverifiedState("refusing to snapshot a state that failed verification")
@@ -152,7 +152,7 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     if cluster.epoch != ledger.next_epoch:
         raise EpochMismatch(f"ledger expects epoch {ledger.next_epoch}, cluster is at {cluster.epoch}")
 
-    manifest = _stored_manifest(cluster)
+    manifest = stored_manifest(cluster)
     if manifest.records != read_manifest(cluster).records:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
     point = RestorePoint(
@@ -164,8 +164,8 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
         blocks=ledger.blocks,
         added=_add_blocks(ledger.blocks, cluster),
     )
+    cluster.previous_records = ledger.points[-1].manifest.records if ledger.points else None
     ledger.points.append(point)
-    record_epoch_manifest(cluster, manifest)
     if ledger.directory is not None:
         _persist_point(ledger.directory, point)
     return point
@@ -203,10 +203,12 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
 def rewrite_cluster_from_point(cluster: ClusterState, point: RestorePoint) -> None:
     """Overwrite cluster storage with a restore point's payload snapshot.
 
-    The blocks come from the ledger's store as stored, unhashed. Revives
-    every server, disarms a stale read path, resets the epoch to the
-    point's, and re-verifies the result against the stored manifest;
-    failure to verify means the snapshot itself is corrupt.
+    Callers pass the ledger's last point, so the cluster's
+    previous_records stay those committed before it. The servers
+    load_snapshot builds from the ledger's store (unhashed) replace the
+    cluster's. Revives every server, disarms a stale read path, resets the
+    epoch to the point's, and re-verifies the result against the stored
+    manifest; failure to verify means the snapshot itself is corrupt.
     """
     restored = load_snapshot(point.payload_snapshot, point.blocks, rng_seed=cluster.rng_seed)
     cluster.servers = restored.servers
@@ -229,11 +231,6 @@ def store_blocks(ledger: Ledger, cluster: ClusterState) -> None:
     added = _add_blocks(ledger.blocks, cluster)
     if ledger.directory is not None:
         _append_pack(ledger.directory, added)
-
-
-def _stored_manifest(cluster: ClusterState) -> Manifest:
-    """The cloud manifest of the blocks the cluster stores, whatever its read path serves."""
-    return build_manifest(Level.CLOUD, cluster.epoch, [s.blocks.values() for s in cluster.servers])
 
 
 def _add_blocks(store: dict[str, DataBlock], cluster: ClusterState) -> tuple[DataBlock, ...]:
@@ -329,16 +326,15 @@ def load_ledger(directory: Path) -> Ledger:
     O(distinct stored bytes + epochs x records).
     """
     directory = Path(directory)
-    ledger = Ledger(directory=directory)
     index_path = directory / INDEX_FILE
     if not index_path.exists():
-        return ledger
+        return Ledger(directory=directory)
 
     index_text = index_path.read_text(encoding="utf-8")
     lines = index_text.splitlines()
     if index_text and not index_text.endswith("\n"):
         raise ManifestFormatError(f"index ends in a partial line at epoch {len(lines) - 1}: {lines[-1]!r}")
-    ledger.blocks.update(_read_pack(directory))
+    ledger = Ledger(directory=directory, blocks=_read_pack(directory))
     previous_tick = 0
     for position, line in enumerate(lines):
         parts = line.split(" ")
@@ -352,7 +348,7 @@ def load_ledger(directory: Path) -> Ledger:
         previous_tick = timestamp
 
         snapshot_text = _snapshot_path(directory, epoch).read_text(encoding="utf-8")
-        manifest = _stored_manifest(load_snapshot(snapshot_text, ledger.blocks))
+        manifest = stored_manifest(load_snapshot(snapshot_text, ledger.blocks))
         if manifest.epoch != epoch:
             raise ManifestFormatError(f"snapshot for epoch {epoch} claims epoch {manifest.epoch}")
         if committed_x != compute_x(committed_summaries(manifest)):

@@ -117,12 +117,7 @@ def make_block(server_index: int, block_id: int, payload: bytes) -> DataBlock:
     return DataBlock(block_id, payload, len(payload), fnv1a64(payload), sha256(payload).hexdigest())
 
 
-def build_manifest(
-    level: Level,
-    epoch: int,
-    blocks: Sequence[Iterable[DataBlock]],
-    unavailable_servers: Iterable[int] = (),
-) -> Manifest:
+def build_manifest(level: Level, epoch: int, blocks: Sequence[Iterable[DataBlock]]) -> Manifest:
     """Build a manifest from per-server block collections.
 
     Records carry each block's stored (weight, checksum) and are sorted by
@@ -145,7 +140,6 @@ def build_manifest(
         epoch=epoch,
         records=tuple(records),
         server_count=len(blocks),
-        unavailable_servers=frozenset(unavailable_servers),
     )
 
 
@@ -200,6 +194,8 @@ def parse_manifest(text: str) -> Manifest:
         total = int(header["total"])
     except (KeyError, ValueError) as exc:
         raise ManifestFormatError(f"bad manifest header: {lines[0]!r}") from exc
+    if epoch < 0:
+        raise ManifestFormatError(f"manifest epoch {epoch} is negative")
 
     if not lines[-1] == "END":
         raise ManifestFormatError("manifest not terminated by END")
@@ -221,6 +217,8 @@ def parse_manifest(text: str) -> Manifest:
             raise ManifestFormatError(f"bad checksum field: {parts[3]!r}")
         if not 0 <= record.server_index < server_count:
             raise ManifestFormatError(f"record server {record.server_index} outside servers={server_count}")
+        if record.block_id < 0:
+            raise ManifestFormatError(f"record block {record.block_id} is negative")
         records.append(record)
 
     for prev, cur in zip(records, records[1:]):

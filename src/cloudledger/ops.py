@@ -140,16 +140,18 @@ def apply(
     at = bisect_left(records, key)
     end = at + (at < len(records) and records[at].key == key)
     if request.kind is OperationKind.DELETE:
-        del server.blocks[block_id]
+        server.drop(block_id)
         records[at:end] = []
         delta = -old_weight
     else:
         payload = bytes(request.payload or b"")
-        server.blocks[block_id] = make_block(server.server_index, block_id, payload)
+        server.put(make_block(server.server_index, block_id, payload))
         records[at:end] = [BlockRecord(request.server_index, block_id, len(payload), fnv1a64(payload))]
         delta = len(payload) - old_weight
 
+    # The last point's records are now the previous epoch's, until a rollback.
     cluster.epoch += 1
+    committed_before, cluster.previous_records = cluster.previous_records, last.manifest.records
     expected = Manifest(
         level=Level.USER,
         epoch=cluster.epoch,
@@ -163,6 +165,7 @@ def apply(
     post_verdict = verify_equality(expected, read_manifest(cluster), Mode.CHECKSUM)
     if not post_verdict.z:
         rewrite_cluster_from_point(cluster, last)
+        cluster.previous_records = committed_before
         raise PostStateCorrupt(
             f"cloud state after the operation does not match the expected manifest;"
             f" rolled back to epoch {last.epoch}",
@@ -173,6 +176,7 @@ def apply(
         commit_restore_point(ledger, cluster, post_verdict)
     except UnverifiedState:
         rewrite_cluster_from_point(cluster, last)
+        cluster.previous_records = committed_before
         raise
     return OperationResult(
         kind=request.kind,

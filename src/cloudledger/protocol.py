@@ -82,7 +82,8 @@ def verify_equality(user: Manifest, cloud: Manifest, mode: Mode) -> Verdict:
     Python work grows with those records, not with the manifest size
     (picking out the records on unavailable servers, when there are any,
     takes one more pass over both manifests). Addresses must be unique
-    within each manifest, as build_manifest and parse_manifest guarantee.
+    within each manifest, as build_manifest, the servers' record dicts and
+    parse_manifest guarantee.
     """
     if user.epoch != cloud.epoch:
         raise EpochMismatch(f"cannot compare epoch {user.epoch} with epoch {cloud.epoch}")

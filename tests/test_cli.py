@@ -101,6 +101,26 @@ def test_snapshot_naming_unknown_server_exits_2(ledger_dir, capsys):
     assert "snapshot manifest unreadable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda text: text.replace(" epoch=0 ", " epoch=-1 ", 1), "manifest epoch -1 is negative"),
+        (lambda text: text.replace("\n0 0 ", "\n0 -1 ", 1), "record block -1 is negative"),
+    ],
+)
+def test_cluster_state_with_a_negative_epoch_or_block_exits_2(ledger_dir, capsys, edit, error):
+    seeded_upload(ledger_dir)
+    state = ledger_dir / "cluster.state"
+    edited = edit(state.read_text())
+    assert edited != state.read_text()
+    state.write_text(edited)
+    capsys.readouterr()
+    for command in ("verify", "recover"):
+        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
+        assert error in capsys.readouterr().err
+    assert state.read_text() == edited
+
+
 def test_torn_index_tail_is_reported_as_a_partial_line(ledger_dir, capsys):
     seeded_upload(ledger_dir)
     run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40")

@@ -19,7 +19,6 @@ from cloudledger import (
     new_cluster,
     partition_upload,
     read_manifest,
-    record_epoch_manifest,
     snapshot_cluster,
     upload,
     user_level_manifest,
@@ -221,13 +220,12 @@ def test_fault_target_validation():
 
 def test_stale_manifest_changes_reads_not_payloads():
     cluster = new_cluster(2)
-    first = upload(cluster, bytes(range(20)), 5)
-    record_epoch_manifest(cluster, first)
+    upload(cluster, bytes(range(20)), 5)
     # a committed update happened: epoch moves on, content changes
     cluster.epoch = 1
-    cluster.servers[0].blocks.popitem()
+    cluster.servers[0].drop(max(cluster.servers[0].blocks))
     live = read_manifest(cluster)
-    record_epoch_manifest(cluster, live)
+    cluster.previous_records = live.records
     cluster.epoch = 2
 
     stored_payloads = [dict(s.blocks) for s in cluster.servers]
@@ -252,7 +250,7 @@ def test_snapshot_round_trip():
 def test_snapshot_preserves_down_and_stale_flags():
     cluster = new_cluster(3)
     first = upload(cluster, bytes(range(12)), 2)
-    record_epoch_manifest(cluster, first)
+    cluster.previous_records = first.records
     cluster.epoch = 1
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 1))
     inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))

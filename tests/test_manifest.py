@@ -144,6 +144,8 @@ def test_parse_round_trip():
         lambda t: t.replace("af63dc4c8601ec8c", "AF63DC4C8601EC8C"),
         lambda t: "\n".join(reversed(t.splitlines()[:-1])) + "\nEND\n",
         lambda t: t.replace("\n0 1 ", "\n1 1 "),  # server index outside servers=1
+        lambda t: t.replace("epoch=0", "epoch=-1"),
+        lambda t: t.replace("\n0 0 ", "\n0 -1 "),  # negative block id, still in order
     ],
 )
 def test_parse_rejects_malformed_text(mutation):

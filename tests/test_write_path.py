@@ -1,0 +1,187 @@
+"""ServerState.put and drop: the one write path to stored blocks.
+
+Each server keeps the record of every block it stores, written beside the
+block by put and drop, and every cloud manifest joins those records. These
+tests check the maintained records against a full rebuild from the stored
+blocks, that nothing else in the package writes either dict, and that a
+commit shares the records it did not change with the previous point.
+"""
+
+import ast
+import random
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import cloudledger
+from cloudledger import (
+    BlockRecord,
+    FaultKind,
+    FaultSpec,
+    Ledger,
+    Level,
+    Manifest,
+    Mode,
+    PostStateCorrupt,
+    RecoveryAction,
+    append,
+    build_manifest,
+    commit_restore_point,
+    delete,
+    fnv1a64,
+    generate_payload,
+    inject_fault,
+    new_cluster,
+    read_manifest,
+    recover,
+    round_trip_verify,
+    update,
+    verify_equality,
+)
+from helpers import make_committed_state
+
+
+def rebuilt_read_manifest(cluster, ledger):
+    """read_manifest as defined before servers kept records: build_manifest
+    over the alive servers' blocks, with the dead ones unavailable, or, while
+    the stale read path is armed, the records committed at epoch - 1."""
+    if cluster.stale_armed:
+        records = ledger.points[cluster.epoch - 1].manifest.records
+        return Manifest(Level.CLOUD, cluster.epoch, records, cluster.server_count)
+    dead = frozenset(s.server_index for s in cluster.servers if not s.alive)
+    blocks = [() if s.server_index in dead else s.blocks.values() for s in cluster.servers]
+    return replace(build_manifest(Level.CLOUD, cluster.epoch, blocks), unavailable_servers=dead)
+
+
+def assert_records_match_a_rebuild(cluster, ledger, mode):
+    for server in cluster.servers:
+        alone = [server.blocks.values() if s is server else () for s in cluster.servers]
+        assert tuple(server.records.values()) == build_manifest(Level.CLOUD, cluster.epoch, alone).records
+        assert list(server.records) == list(server.blocks)
+    live, rebuilt = read_manifest(cluster), rebuilt_read_manifest(cluster, ledger)
+    assert live == rebuilt
+    committed = ledger.last().manifest
+    assert verify_equality(committed, live, mode) == verify_equality(committed, rebuilt, mode)
+
+
+def random_payload(rng):
+    return rng.randbytes(rng.randrange(1, 24))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_maintained_records_equal_a_full_rebuild(mode, seed):
+    rng = random.Random(seed)
+    cluster = new_cluster(3, rng_seed=seed)
+    verdict = round_trip_verify(cluster, generate_payload(seed, 300), 3, 16, mode)
+    ledger = Ledger()
+    commit_restore_point(ledger, cluster, verdict)
+    assert_records_match_a_rebuild(cluster, ledger, mode)
+
+    def some_block(least=1):
+        server = rng.choice([s for s in cluster.servers if len(s.blocks) >= least])
+        return server.server_index, rng.choice(list(server.blocks))
+
+    kinds = ["append", "update", "delete", "delete-highest-then-append"]
+    for kind in kinds * 4 + [rng.choice(kinds) for _ in range(24)]:
+        if kind == "append":
+            append(cluster, ledger, rng.randrange(3), random_payload(rng))
+        elif kind == "update":
+            update(cluster, ledger, *some_block(), random_payload(rng))
+        elif kind == "delete":
+            delete(cluster, ledger, *some_block(least=2))
+        else:
+            server_index = some_block(least=2)[0]
+            delete(cluster, ledger, server_index, max(cluster.servers[server_index].blocks))
+            assert_records_match_a_rebuild(cluster, ledger, mode)
+            append(cluster, ledger, server_index, random_payload(rng))
+        assert_records_match_a_rebuild(cluster, ledger, mode)
+
+    for kind in FaultKind:
+        server_index, block_id = some_block()
+        inject_fault(cluster, FaultSpec(kind, server_index, block_id, seed=rng.randrange(1 << 16)))
+        assert_records_match_a_rebuild(cluster, ledger, mode)
+        assert recover(ledger, cluster).action is RecoveryAction.RESTORED
+        assert_records_match_a_rebuild(cluster, ledger, mode)
+
+    for kind in set(FaultKind) - {FaultKind.CSP_STALE_MANIFEST}:
+        server_index, block_id = some_block()
+        sabotage = FaultSpec(kind, server_index, block_id, seed=rng.randrange(1 << 16))
+        with pytest.raises(PostStateCorrupt):
+            append(cluster, ledger, rng.randrange(3), random_payload(rng),
+                   post_mutation_hook=lambda c: inject_fault(c, sabotage))
+        assert_records_match_a_rebuild(cluster, ledger, mode)
+
+
+def test_stale_read_path_armed_during_an_update_replays_the_last_point():
+    # An identical update while the hook arms the stale read path: it
+    # replays the last point, equal to the expected records, so it commits.
+    cluster, ledger = make_committed_state(bytes(range(60)), 3, 8)
+    append(cluster, ledger, 0, b"abc")
+    payload = cluster.servers[1].blocks[0].payload
+    arm = lambda c: inject_fault(c, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))
+    assert update(cluster, ledger, 1, 0, payload, post_mutation_hook=arm).new_epoch == 2
+    assert cluster.stale_armed
+    assert cluster.previous_records == ledger.points[1].manifest.records
+
+
+MUTATORS = {"pop", "popitem", "clear", "update", "setdefault"}
+STORAGE = {"blocks", "records"}
+
+
+def unpacked(target):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from unpacked(element)
+    elif isinstance(target, ast.Starred):
+        yield from unpacked(target.value)
+    else:
+        yield target
+
+
+def is_storage(target):
+    if isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr in STORAGE
+
+
+def storage_writes(tree):
+    """Nodes that assign, subscript-assign, delete or mutate an attribute named blocks or records."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+            targets = [node.func.value]
+        else:
+            continue
+        if any(is_storage(target) for element in targets for target in unpacked(element)):
+            yield node
+
+
+def test_stored_blocks_are_written_only_by_put_and_drop():
+    sites = []
+    for path in sorted(Path(cloudledger.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_write_pair = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "ServerState"
+            for function in cls.body
+            if isinstance(function, ast.FunctionDef) and function.name in {"put", "drop"}
+            for node in ast.walk(function)
+        }
+        sites += [(path.name, id(node) in in_write_pair) for node in storage_writes(tree)]
+    assert sites == [("cluster.py", True)] * 4
+
+
+def test_a_commit_allocates_only_the_changed_record():
+    payload = generate_payload(5, 4096 * 16)
+    cluster, ledger = make_committed_state(payload, 8, 16)
+    assert len(ledger.last().manifest.records) == 4096
+    update(cluster, ledger, 3, 100, b"changed")
+    before = {id(record) for record in ledger.points[0].manifest.records}
+    fresh = [record for record in ledger.points[1].manifest.records if id(record) not in before]
+    assert fresh == [BlockRecord(3, 100, 7, fnv1a64(b"changed"))]
