@@ -4,9 +4,9 @@ Payloads are split into blocks, placed round-robin across simulated
 servers, and tracked through manifests of per-block (weight, checksum)
 records. The reading protocol compares client-side and cloud-side
 manifests before and after every change; each verified change commits a
-restore point (manifest, payload snapshot, aggregate X) that crash
-recovery rewinds to; snapshots name blocks by content digest, and each
-distinct block is stored once. A fault-injection harness exercises detection
+restore point (manifest and payload snapshot, from which the aggregate X
+derives) that crash recovery rewinds to; snapshots name blocks by content
+digest, and each distinct block is stored once. A fault-injection harness exercises detection
 coverage, including the weight-only mode whose same-size substitution
 blind spot the checksum mode closes.
 """
@@ -33,7 +33,6 @@ from .errors import (
     EmptyGrant,
     EpochMismatch,
     ManifestFormatError,
-    MisalignedServers,
     NoSuchBlock,
     NoSuchTarget,
     NothingToRestore,
@@ -51,9 +50,6 @@ from .ledger import (
     RecoveryReport,
     RestorePoint,
     commit_restore_point,
-    committed_summaries,
-    compute_x,
-    compute_y,
     load_ledger,
     recover,
 )
@@ -62,11 +58,9 @@ from .manifest import (
     DataBlock,
     Level,
     Manifest,
-    WeightSummary,
     build_manifest,
     make_block,
     parse_manifest,
-    per_server_totals,
     serialize_manifest,
 )
 from .ops import (

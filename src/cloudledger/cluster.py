@@ -147,7 +147,7 @@ def partition_upload(payload: bytes, server_count: int, block_size: int) -> list
     for k in range(0, len(payload), block_size):
         server_index = (k // block_size) % server_count
         per_server[server_index].append(
-            make_block(server_index, len(per_server[server_index]), payload[k : k + block_size])
+            make_block(len(per_server[server_index]), payload[k : k + block_size])
         )
     return per_server
 
@@ -258,7 +258,7 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
     else:
         raise NoSuchTarget(f"unknown fault kind {fault.kind!r}")
 
-    server.put(make_block(server.server_index, block.block_id, payload))
+    server.put(make_block(block.block_id, payload))
     return FaultReport(
         fault.kind, fault.target_server, block.block_id,
         before, server.records[block.block_id], note,
@@ -271,8 +271,10 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # bytes (ledger format v3): the marker line SNAPSHOT_HEADER, the canonical
 # manifest text, one digest line per manifest record in record order, then
 # optional status lines (`DOWN <server>`, `STALE`) and a final END. Status
-# lines only appear when the condition is present. The bytes live once in a
-# block store, a mapping from digest to DataBlock (on disk, the ledger's
+# lines only appear when the condition is present, and at most once each; a
+# DOWN server holds no records (a crash erases them), and STALE never appears
+# at epoch 0, which has no previous epoch to replay. The bytes live once in
+# a block store, a mapping from digest to DataBlock (on disk, the ledger's
 # block pack).
 
 SNAPSHOT_HEADER = "SNAPSHOT v3"
@@ -322,12 +324,14 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
     down: set[int] = set()
     stale = False
     for line in status:
-        if line == "STALE":
+        if line == "STALE" and not stale:
             stale = True
-        elif line.startswith("DOWN ") and line[5:].isdecimal():
+        elif line.startswith("DOWN ") and line[5:].isdecimal() and int(line[5:]) not in down:
             down.add(int(line[5:]))
         else:
-            raise SnapshotCorrupt(f"bad snapshot line: {line!r}")
+            raise SnapshotCorrupt(f"bad or repeated snapshot line: {line!r}")
+    if stale and manifest.epoch == 0:
+        raise SnapshotCorrupt("STALE line at epoch 0, which has no previous epoch to replay")
 
     cluster = new_cluster(manifest.server_count, rng_seed=rng_seed)
     cluster.epoch = manifest.epoch
@@ -346,5 +350,7 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
     for server_index in down:
         if not 0 <= server_index < cluster.server_count:
             raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")
+        if cluster.servers[server_index].blocks:
+            raise SnapshotCorrupt(f"DOWN line names server {server_index}, which holds records")
         cluster.servers[server_index].alive = False
     return cluster

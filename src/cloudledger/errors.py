@@ -47,10 +47,6 @@ class SnapshotCorrupt(CloudLedgerError):
     block the store lacks, or a stored block failed its digest."""
 
 
-class MisalignedServers(CloudLedgerError):
-    """Per-server summary lists passed to the aggregate formulas differ in length."""
-
-
 class StaleEpoch(CloudLedgerError):
     """An operation request carried an epoch that is no longer current."""
 

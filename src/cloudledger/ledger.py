@@ -2,17 +2,18 @@
 
 Every verified update commits one restore point: a snapshot of the
 cluster, which holds the cloud manifest and names each record's block by
-content digest, and the aggregate X (cloud total plus user total summed
-per server; a verified commit has S = T, so X is twice the manifest
-total). X is checked again whenever a ledger is loaded. The ledger keeps
-one block store, shared by all its points, holding each distinct block
-once (on disk, an append-only pack), so a commit stores only the blocks
-the store lacks.
+content digest. The point's aggregate X (cloud total plus user total
+summed over servers) is derived from that manifest: a verified commit
+has S = T, so X is twice the manifest total. The index stores X beside
+each epoch as a check, compared again whenever a ledger is loaded. The
+ledger keeps one block store, shared by all its points, holding each
+distinct block once (on disk, an append-only pack), so a commit stores
+only the blocks the store lacks.
 
 Recovery declares the state intact when every server is up and a
 CHECKSUM comparison against the last committed manifest passes; equal
 records imply equal weights, so the live aggregate Y equals X without
-being recomputed. Otherwise the cluster is rewritten from the last
+being computed. Otherwise the cluster is rewritten from the last
 snapshot.
 
 Timestamps are logical clock ticks, not wall time, so ledgers are
@@ -37,39 +38,35 @@ from .cluster import (
 from .errors import (
     EpochMismatch,
     ManifestFormatError,
-    MisalignedServers,
     NothingToRestore,
     SnapshotCorrupt,
     UnverifiedState,
 )
-from .manifest import (
-    DataBlock,
-    Manifest,
-    WeightSummary,
-    make_block,
-    per_server_totals,
-)
+from .manifest import DataBlock, Manifest, make_block
 from .protocol import Mode, Verdict, verify_equality
 
 
 @dataclass(frozen=True)
 class RestorePoint:
-    """One committed epoch: aggregate X, manifest, payload snapshot, tick.
+    """One committed epoch: manifest, payload snapshot, tick.
 
     The snapshot holds the manifest and names each record's block by
-    digest; ``blocks`` is the ledger's block store they resolve in, and
-    ``added`` the blocks this commit was first to store, which persisting
-    the point appends to the pack (empty for points read back from disk).
-    Neither takes part in equality.
+    digest, resolved in the ledger's block store. ``added`` holds the
+    blocks this commit was first to store, which persisting the point
+    appends to the pack (empty for points read back from disk); it takes
+    no part in equality.
     """
 
     epoch: int
-    committed_x: int
     manifest: Manifest
     payload_snapshot: str
     timestamp: int
-    blocks: dict[str, DataBlock] = field(compare=False, repr=False)
     added: tuple[DataBlock, ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def committed_x(self) -> int:
+        """Aggregate X, the sum over servers of S_i + T_i: twice the total, as S_i = T_i."""
+        return 2 * self.manifest.total_weight
 
 
 @dataclass
@@ -108,42 +105,15 @@ class RecoveryReport:
     epoch: int
 
 
-def compute_x(summaries: Sequence[WeightSummary]) -> int:
-    """Aggregate of committed state: sum over servers of (S_i + T_i)."""
-    return sum(s.cloud_total + s.user_total for s in summaries)
-
-
-def compute_y(previous: Sequence[WeightSummary], deltas: Sequence[WeightSummary]) -> int:
-    """Current aggregate: previous totals plus in-flight signed deltas.
-
-    Sum over servers of (S_i + dS_i + T_i + dT_i), lists aligned
-    positionally by server index.
-    """
-    if len(previous) != len(deltas):
-        raise MisalignedServers(f"{len(previous)} summaries vs {len(deltas)} deltas")
-    return sum(
-        p.cloud_total + d.cloud_total + p.user_total + d.user_total
-        for p, d in zip(previous, deltas)
-    )
-
-
-def committed_summaries(manifest: Manifest) -> list[WeightSummary]:
-    """Per-server summaries of a verified commit, where S_i = T_i."""
-    return [
-        WeightSummary(cloud_total=w, user_total=w, epoch=manifest.epoch)
-        for w in per_server_totals(manifest)
-    ]
-
-
 def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict) -> RestorePoint:
     """Append a restore point for the cluster's current (verified) state.
 
     Refuses unverified or epoch-desynced commits, and stored blocks that a
     stale read path hid from the verdict; on success the stored blocks'
-    manifest, a payload snapshot, and X are frozen and the logical clock
-    ticks. The manifest shares every record the commit did not change with
-    the previous point, whose records become the cluster's
-    previous_records, the ones a stale read path replays.
+    manifest (and with it X) and a payload snapshot are frozen and the
+    logical clock ticks. The manifest shares every record the commit did
+    not change with the previous point, whose records become the
+    cluster's previous_records, the ones a stale read path replays.
     """
     if not verdict.z:
         raise UnverifiedState("refusing to snapshot a state that failed verification")
@@ -157,11 +127,9 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
     point = RestorePoint(
         epoch=cluster.epoch,
-        committed_x=compute_x(committed_summaries(manifest)),
         manifest=manifest,
         payload_snapshot=snapshot_cluster(cluster),
         timestamp=ledger.points[-1].timestamp + 1 if ledger.points else 1,
-        blocks=ledger.blocks,
         added=_add_blocks(ledger.blocks, cluster),
     )
     cluster.previous_records = ledger.points[-1].manifest.records if ledger.points else None
@@ -196,21 +164,22 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
     if intact:
         return RecoveryReport(RecoveryAction.INTACT, last.epoch)
 
-    rewrite_cluster_from_point(cluster, last)
+    rewrite_cluster_from_point(ledger, cluster)
     return RecoveryReport(RecoveryAction.RESTORED, last.epoch)
 
 
-def rewrite_cluster_from_point(cluster: ClusterState, point: RestorePoint) -> None:
-    """Overwrite cluster storage with a restore point's payload snapshot.
+def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
+    """Overwrite cluster storage with the ledger's last payload snapshot.
 
-    Callers pass the ledger's last point, so the cluster's
-    previous_records stay those committed before it. The servers
-    load_snapshot builds from the ledger's store (unhashed) replace the
-    cluster's. Revives every server, disarms a stale read path, resets the
-    epoch to the point's, and re-verifies the result against the stored
-    manifest; failure to verify means the snapshot itself is corrupt.
+    The cluster's previous_records stay those committed before that
+    point. The servers load_snapshot builds from the ledger's store
+    (unhashed) replace the cluster's. Revives every server, disarms a
+    stale read path, resets the epoch to the point's, and re-verifies the
+    result against the stored manifest; failure to verify means the
+    snapshot itself is corrupt.
     """
-    restored = load_snapshot(point.payload_snapshot, point.blocks, rng_seed=cluster.rng_seed)
+    point = ledger.last()
+    restored = load_snapshot(point.payload_snapshot, ledger.blocks, rng_seed=cluster.rng_seed)
     cluster.servers = restored.servers
     cluster.epoch = restored.epoch
     cluster.stale_armed = False
@@ -277,7 +246,7 @@ def _read_pack(directory: Path) -> dict[str, DataBlock]:
     """Read the block pack, checking that each entry hashes to its digest.
 
     Each block is hashed once, by make_block. Pack entries carry no
-    address, so they are built at block 0 of server 0; load_snapshot moves
+    address, so they are built at block 0; load_snapshot moves
     each to the address of the manifest record its digest line pairs with.
     """
     path = directory / PACK_FILE
@@ -298,7 +267,7 @@ def _read_pack(directory: Path) -> dict[str, DataBlock]:
             raise ManifestFormatError(f"{PACK_FILE} entry at byte {position} is cut short")
         if digest in blocks:
             raise ManifestFormatError(f"{PACK_FILE} holds block {digest} twice")
-        block = make_block(0, 0, data[start:end])
+        block = make_block(0, data[start:end])
         if block.digest != digest:
             raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
         blocks[digest] = block
@@ -321,8 +290,7 @@ def load_ledger(directory: Path) -> Ledger:
 
     Checks the pack's digests, index sequence and clocks, each snapshot's
     blocks against its manifest (the epoch's one copy, parsed once), and
-    X against the stored blocks' manifest, derived as commit_restore_point
-    derives it. Each distinct block is hashed once, so the cost is
+    the index's X against the X that manifest derives. Each distinct block is hashed once, so the cost is
     O(distinct stored bytes + epochs x records).
     """
     directory = Path(directory)
@@ -351,17 +319,8 @@ def load_ledger(directory: Path) -> Ledger:
         manifest = stored_manifest(load_snapshot(snapshot_text, ledger.blocks))
         if manifest.epoch != epoch:
             raise ManifestFormatError(f"snapshot for epoch {epoch} claims epoch {manifest.epoch}")
-        if committed_x != compute_x(committed_summaries(manifest)):
+        point = RestorePoint(epoch=epoch, manifest=manifest, payload_snapshot=snapshot_text, timestamp=timestamp)
+        if committed_x != point.committed_x:
             raise ManifestFormatError(f"index X for epoch {epoch} does not match its manifest")
-
-        ledger.points.append(
-            RestorePoint(
-                epoch=epoch,
-                committed_x=committed_x,
-                manifest=manifest,
-                payload_snapshot=snapshot_text,
-                timestamp=timestamp,
-                blocks=ledger.blocks,
-            )
-        )
+        ledger.points.append(point)
     return ledger

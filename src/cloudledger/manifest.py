@@ -1,15 +1,16 @@
 """Block and manifest data model.
 
 A DataBlock is the payload-bearing unit stored on a server. Its weight,
-checksum and content digest are computed once, by make_block, when the
-bytes are stored; every cloud-side reader uses those stored digests, and
-the ledger's block store is keyed by the content digest. A BlockRecord
-is its metadata projection (no payload); a Manifest is the ordered list of
-records for one side of the reading protocol (user level before upload,
-cloud level after), with totals derived from the records. Manifests are
-the values the verification protocol compares, so everything here is
-immutable and the serialization is canonical: same records in, same
-bytes out.
+checksum and content digest are computed once, by make_block(block_id,
+payload), when the bytes are stored; every cloud-side reader uses those
+stored digests, and the ledger's block store is keyed by the content
+digest. A block does not know its server: ownership lives in the cluster
+structure and in BlockRecord, its metadata projection (no payload). A
+Manifest is the ordered list of records for one side of the reading
+protocol (user level before upload, cloud level after), with totals
+derived from the records. Manifests are the values the verification
+protocol compares, so everything here is immutable and the serialization
+is canonical: same records in, same bytes out.
 """
 
 from __future__ import annotations
@@ -89,28 +90,8 @@ class Manifest:
         return sum(r.weight for r in self.records)
 
 
-@dataclass(frozen=True)
-class WeightSummary:
-    """Per-server (cloud_total, user_total) pair at one epoch.
-
-    Genuine summaries are non-negative; the same type also carries the
-    signed per-server deltas of an in-flight operation when computing the
-    pre-crash aggregate, so no sign check is enforced here.
-    """
-
-    cloud_total: int
-    user_total: int
-    epoch: int
-
-
-def make_block(server_index: int, block_id: int, payload: bytes) -> DataBlock:
-    """Build a DataBlock destined for ``server_index``.
-
-    The server index is validated for the caller's bookkeeping but not
-    stored; ownership lives in the cluster structure and in BlockRecord.
-    """
-    if server_index < 0:
-        raise ValueError(f"server_index must be >= 0, got {server_index}")
+def make_block(block_id: int, payload: bytes) -> DataBlock:
+    """Build the DataBlock of ``payload`` at ``block_id``, hashing it once."""
     if block_id < 0:
         raise ValueError(f"block_id must be >= 0, got {block_id}")
     payload = bytes(payload)
@@ -141,14 +122,6 @@ def build_manifest(level: Level, epoch: int, blocks: Sequence[Iterable[DataBlock
         records=tuple(records),
         server_count=len(blocks),
     )
-
-
-def per_server_totals(manifest: Manifest) -> list[int]:
-    """Sum of record weights per server index 0..server_count-1."""
-    totals = [0] * manifest.server_count
-    for record in manifest.records:
-        totals[record.server_index] += record.weight
-    return totals
 
 
 def serialize_manifest(manifest: Manifest) -> str:

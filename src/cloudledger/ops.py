@@ -145,7 +145,7 @@ def apply(
         delta = -old_weight
     else:
         payload = bytes(request.payload or b"")
-        server.put(make_block(server.server_index, block_id, payload))
+        server.put(make_block(block_id, payload))
         records[at:end] = [BlockRecord(request.server_index, block_id, len(payload), fnv1a64(payload))]
         delta = len(payload) - old_weight
 
@@ -164,7 +164,7 @@ def apply(
 
     post_verdict = verify_equality(expected, read_manifest(cluster), Mode.CHECKSUM)
     if not post_verdict.z:
-        rewrite_cluster_from_point(cluster, last)
+        rewrite_cluster_from_point(ledger, cluster)
         cluster.previous_records = committed_before
         raise PostStateCorrupt(
             f"cloud state after the operation does not match the expected manifest;"
@@ -175,7 +175,7 @@ def apply(
     try:
         commit_restore_point(ledger, cluster, post_verdict)
     except UnverifiedState:
-        rewrite_cluster_from_point(cluster, last)
+        rewrite_cluster_from_point(ledger, cluster)
         cluster.previous_records = committed_before
         raise
     return OperationResult(

@@ -41,4 +41,6 @@ class XorShift64Star:
 
 def generate_payload(seed: int, size: int) -> bytes:
     """Deterministic demo payload of ``size`` bytes from ``seed``."""
+    if size < 0:
+        raise ValueError(f"payload size must be >= 0, got {size}")
     return XorShift64Star(seed).bytes(size)

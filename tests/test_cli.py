@@ -110,6 +110,11 @@ def test_snapshot_naming_unknown_server_exits_2(ledger_dir, capsys):
 )
 def test_cluster_state_with_a_negative_epoch_or_block_exits_2(ledger_dir, capsys, edit, error):
     seeded_upload(ledger_dir)
+    assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error)
+
+
+def assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error):
+    """verify and recover both reject the edited cluster.state, and leave it as it is."""
     state = ledger_dir / "cluster.state"
     edited = edit(state.read_text())
     assert edited != state.read_text()
@@ -119,6 +124,39 @@ def test_cluster_state_with_a_negative_epoch_or_block_exits_2(ledger_dir, capsys
         assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
         assert error in capsys.readouterr().err
     assert state.read_text() == edited
+
+
+def add_status_lines(*lines):
+    return lambda text: text[: -len("END\n")] + "".join(line + "\n" for line in lines) + "END\n"
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (add_status_lines("STALE"), "STALE line at epoch 0"),
+        (add_status_lines("DOWN 1"), "DOWN line names server 1, which holds records"),
+        (add_status_lines("STALE", "STALE"), "bad or repeated snapshot line: 'STALE'"),
+        (add_status_lines("DOWN 2", "DOWN 2"), "bad or repeated snapshot line: 'DOWN 2'"),
+    ],
+    ids=["stale-at-epoch-0", "down-server-with-records", "repeated-stale", "repeated-down"],
+)
+def test_cluster_state_with_a_status_line_snapshots_never_write_exits_2(ledger_dir, capsys, edit, error):
+    seeded_upload(ledger_dir)
+    assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error)
+
+
+@pytest.mark.parametrize("command", [["upload"], ["append", "--server", "0"]], ids=["upload", "append"])
+def test_negative_gen_bytes_exits_2_and_writes_nothing(ledger_dir, capsys, command):
+    if command[0] == "append":
+        seeded_upload(ledger_dir)
+    before = dir_contents(ledger_dir)
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", str(ledger_dir), *command, "--gen-bytes", "-5") == 2
+    captured = capsys.readouterr()
+    assert "payload size must be >= 0, got -5" in captured.err
+    assert captured.out == ""
+    assert dir_contents(ledger_dir) == before
+    assert ledger_dir.exists() is (command[0] == "append")
 
 
 def test_torn_index_tail_is_reported_as_a_partial_line(ledger_dir, capsys):

@@ -267,9 +267,9 @@ def test_snapshot_detects_payload_corruption():
     upload(cluster, b"abcdef", 2)
     text = snapshot_cluster(cluster)
     blocks = stored_blocks(cluster)
-    substitute = make_block(0, 0, b"cc")
+    substitute = make_block(0, b"cc")
     blocks[substitute.digest] = substitute
-    corrupted = text.replace(make_block(0, 0, b"cd").digest, substitute.digest)
+    corrupted = text.replace(make_block(0, b"cd").digest, substitute.digest)
     assert corrupted != text
     with pytest.raises(SnapshotCorrupt):
         load_snapshot(corrupted, blocks)

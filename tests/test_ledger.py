@@ -1,7 +1,6 @@
-"""Restore-point ledger: X/Y aggregates, commits, recovery, persistence."""
+"""Restore-point ledger: the aggregate X, commits, recovery, persistence."""
 
 import dataclasses
-import random
 
 import pytest
 
@@ -11,18 +10,13 @@ from cloudledger import (
     FaultSpec,
     Ledger,
     ManifestFormatError,
-    MisalignedServers,
     Mode,
     NothingToRestore,
     RecoveryAction,
     SnapshotCorrupt,
     UnverifiedState,
-    WeightSummary,
     append,
     commit_restore_point,
-    committed_summaries,
-    compute_x,
-    compute_y,
     inject_fault,
     load_ledger,
     make_block,
@@ -32,62 +26,34 @@ from cloudledger import (
     round_trip_verify,
     snapshot_cluster,
     update,
+    user_level_manifest,
     verify_equality,
 )
 from cloudledger.ledger import _persist_point
 from helpers import make_committed_state
 
 
-def summaries(*pairs, epoch=0):
-    return [WeightSummary(cloud_total=s, user_total=t, epoch=epoch) for s, t in pairs]
-
-
 def test_compute_x_empty():
-    assert compute_x([]) == 0
+    _, ledger = make_committed_state(b"", 2, 4)
+    assert ledger.points[0].committed_x == 0
 
 
 def test_compute_x_direct_sum():
-    assert compute_x(summaries((4, 4), (6, 6))) == 20
+    # X sums S_i + T_i over servers: 10 bytes in 2-byte blocks put 6 on server 0, 4 on server 1.
+    cluster, ledger = make_committed_state(bytes(10), 2, 2)
+    user = user_level_manifest(bytes(10), 2, 2, 0)
+    per_server = [
+        (sum(b.weight for b in s.blocks.values()), sum(r.weight for r in user.records if r.server_index == i))
+        for i, s in enumerate(cluster.servers)
+    ]
+    assert per_server == [(6, 6), (4, 4)]
+    assert ledger.points[0].committed_x == sum(s + t for s, t in per_server) == 20
 
 
 def test_compute_x_after_fifty_unit_commit():
     # Verified 50-unit payload over 5 servers doubles into X = 100.
     cluster, ledger = make_committed_state(bytes(range(50)), 5, 1)
-    point = ledger.points[0]
-    assert point.committed_x == 100
-    assert point.committed_x == compute_x(committed_summaries(point.manifest))
-
-
-def test_compute_y_zero_deltas_equals_x():
-    prev = summaries((4, 4), (6, 6))
-    zeros = summaries((0, 0), (0, 0))
-    assert compute_y(prev, zeros) == compute_x(prev) == 20
-
-
-def test_compute_y_append_delta():
-    prev = summaries((4, 4), (6, 6))
-    deltas = summaries((5, 5), (0, 0))
-    assert compute_y(prev, deltas) == 30
-
-
-def test_compute_y_signed_delete_delta():
-    prev = summaries((4, 4), (6, 6))
-    deltas = summaries((0, 0), (-6, -6))
-    assert compute_y(prev, deltas) == 8
-
-
-def test_compute_y_alignment_enforced():
-    with pytest.raises(MisalignedServers):
-        compute_y(summaries((1, 1)), summaries((0, 0), (0, 0)))
-
-
-def test_zero_delta_identity_property():
-    rng = random.Random(31)
-    for _ in range(200):
-        count = rng.randrange(0, 9)
-        prev = summaries(*[(rng.randrange(10**6), rng.randrange(10**6)) for _ in range(count)])
-        zeros = summaries(*[(0, 0)] * count)
-        assert compute_y(prev, zeros) == compute_x(prev)
+    assert ledger.points[0].committed_x == 100
 
 
 def test_first_commit_is_epoch_zero():
@@ -206,7 +172,7 @@ def test_recover_requires_a_point():
 
 
 def digest_of(payload):
-    return make_block(0, 0, payload).digest
+    return make_block(0, payload).digest
 
 
 def swap_reference(snapshot):

@@ -9,12 +9,10 @@ from cloudledger import (
     DuplicateBlock,
     Level,
     ManifestFormatError,
-    WeightSummary,
     build_manifest,
     fnv1a64,
     make_block,
     parse_manifest,
-    per_server_totals,
     serialize_manifest,
 )
 
@@ -27,22 +25,22 @@ PAIR_B_DIGEST = 0x01D30D8EA37F806B
 
 
 def test_make_block_empty_payload():
-    block = make_block(0, 0, b"")
+    block = make_block(0, b"")
     assert block.weight == 0
     assert block.checksum == 0xCBF29CE484222325
 
 
 def test_make_block_weight_is_length():
     payload = bytes(range(256)) * 4
-    block = make_block(2, 7, payload)
+    block = make_block(7, payload)
     assert block.weight == 1024
     assert block.payload == payload
     assert block.checksum == fnv1a64(payload)
 
 
 def test_same_weight_blocks_distinct_checksums():
-    a = make_block(0, 0, PAIR_A)
-    b = make_block(0, 1, PAIR_B)
+    a = make_block(0, PAIR_A)
+    b = make_block(1, PAIR_B)
     assert a.weight == b.weight == 16
     assert a.checksum == PAIR_A_DIGEST
     assert b.checksum == PAIR_B_DIGEST
@@ -51,9 +49,7 @@ def test_same_weight_blocks_distinct_checksums():
 
 def test_make_block_rejects_negative_ordinals():
     with pytest.raises(ValueError):
-        make_block(-1, 0, b"x")
-    with pytest.raises(ValueError):
-        make_block(0, -1, b"x")
+        make_block(-1, b"x")
 
 
 def test_build_manifest_empty():
@@ -65,30 +61,30 @@ def test_build_manifest_empty():
 
 def test_build_manifest_fifty_units_across_five_servers():
     # 5 servers x 10 one-byte blocks: 50 records, total weight 50.
-    blocks = [[make_block(s, i, bytes([s * 10 + i])) for i in range(10)] for s in range(5)]
+    blocks = [[make_block(i, bytes([s * 10 + i])) for i in range(10)] for s in range(5)]
     manifest = build_manifest(Level.CLOUD, 0, blocks)
     assert len(manifest.records) == 50
     assert manifest.total_weight == 50
     assert manifest.server_count == 5
-    assert per_server_totals(manifest) == [10] * 5
+    assert [sum(r.weight for r in manifest.records if r.server_index == s) for s in range(5)] == [10] * 5
 
 
 def test_serialization_insensitive_to_insertion_order():
     """Brute force: every permutation of a 3-block input serializes identically."""
-    blocks = [make_block(0, 0, b"a"), make_block(0, 1, b"bb"), make_block(0, 2, b"ccc")]
+    blocks = [make_block(0, b"a"), make_block(1, b"bb"), make_block(2, b"ccc")]
     baseline = serialize_manifest(build_manifest(Level.USER, 1, [blocks]))
     for perm in itertools.permutations(blocks):
         assert serialize_manifest(build_manifest(Level.USER, 1, [list(perm)])) == baseline
 
 
 def test_duplicate_block_rejected():
-    blocks = [[make_block(0, 3, b"x"), make_block(0, 3, b"y")]]
+    blocks = [[make_block(3, b"x"), make_block(3, b"y")]]
     with pytest.raises(DuplicateBlock):
         build_manifest(Level.USER, 0, blocks)
 
 
 def test_serialized_form_is_exact():
-    blocks = [[make_block(0, 0, b"a")], [make_block(1, 0, b"ab")]]
+    blocks = [[make_block(0, b"a")], [make_block(0, b"ab")]]
     manifest = build_manifest(Level.USER, 3, blocks)
     assert serialize_manifest(manifest) == (
         "MANIFEST v1 level=USER epoch=3 servers=2 total=3\n"
@@ -102,7 +98,7 @@ def test_total_weight_recomputed_from_records():
     rng = random.Random(99)
     for _ in range(25):
         blocks = [
-            [make_block(s, i, bytes(rng.randrange(256) for _ in range(rng.randrange(0, 20))))
+            [make_block(i, bytes(rng.randrange(256) for _ in range(rng.randrange(0, 20))))
              for i in range(rng.randrange(0, 6))]
             for s in range(rng.randrange(1, 5))
         ]
@@ -111,20 +107,20 @@ def test_total_weight_recomputed_from_records():
 
 
 def test_any_differing_record_tuple_changes_serialization():
-    base_blocks = [[make_block(0, 0, b"aa"), make_block(0, 1, b"bb")]]
+    base_blocks = [[make_block(0, b"aa"), make_block(1, b"bb")]]
     base = serialize_manifest(build_manifest(Level.CLOUD, 0, base_blocks))
     variants = [
-        [[make_block(0, 0, b"aa"), make_block(0, 1, b"bc")]],   # checksum changes
-        [[make_block(0, 0, b"aa"), make_block(0, 1, b"bbb")]],  # weight changes
-        [[make_block(0, 0, b"aa"), make_block(0, 2, b"bb")]],   # block id changes
-        [[make_block(0, 0, b"aa")], [make_block(1, 1, b"bb")]], # server changes
+        [[make_block(0, b"aa"), make_block(1, b"bc")]],   # checksum changes
+        [[make_block(0, b"aa"), make_block(1, b"bbb")]],  # weight changes
+        [[make_block(0, b"aa"), make_block(2, b"bb")]],   # block id changes
+        [[make_block(0, b"aa")], [make_block(1, b"bb")]], # server changes
     ]
     for blocks in variants:
         assert serialize_manifest(build_manifest(Level.CLOUD, 0, blocks)) != base
 
 
 def test_parse_round_trip():
-    blocks = [[make_block(0, i, bytes([i] * (i + 1))) for i in range(4)], []]
+    blocks = [[make_block(i, bytes([i] * (i + 1))) for i in range(4)], []]
     manifest = build_manifest(Level.CLOUD, 7, blocks)
     text = serialize_manifest(manifest)
     parsed = parse_manifest(text)
@@ -149,14 +145,9 @@ def test_parse_round_trip():
     ],
 )
 def test_parse_rejects_malformed_text(mutation):
-    blocks = [[make_block(0, 0, b"a"), make_block(0, 1, b"b" * 9)]]
+    blocks = [[make_block(0, b"a"), make_block(1, b"b" * 9)]]
     text = serialize_manifest(build_manifest(Level.USER, 0, blocks))
     assert "total=10" in text
     with pytest.raises(ManifestFormatError):
         parse_manifest(mutation(text))
 
-
-def test_weight_summary_holds_signed_deltas():
-    # Real summaries are non-negative; delta summaries may go negative.
-    delta = WeightSummary(cloud_total=-6, user_total=-6, epoch=2)
-    assert delta.cloud_total == -6

@@ -96,8 +96,8 @@ def test_same_weight_substitution_blind_spot():
 
 
 def test_missing_extra_symmetry():
-    small = build_manifest(Level.USER, 0, [[make_block(0, 0, b"aa")]])
-    large = build_manifest(Level.CLOUD, 0, [[make_block(0, 0, b"aa"), make_block(0, 1, b"bb")]])
+    small = build_manifest(Level.USER, 0, [[make_block(0, b"aa")]])
+    large = build_manifest(Level.CLOUD, 0, [[make_block(0, b"aa"), make_block(1, b"bb")]])
     forward = verify_equality(small, large, Mode.CHECKSUM)
     backward = verify_equality(large, small, Mode.CHECKSUM)
     assert [d.kind for d in forward.divergences] == [DivergenceKind.EXTRA]
