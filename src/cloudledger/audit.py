@@ -7,12 +7,12 @@ pure comparison the client uses, and drops the EXTRA divergences: blocks
 at addresses the epoch did not hold are not its concern. The interface
 is metadata-only by construction: verdicts carry records (weights and
 checksums), never payload bytes, and nothing here can mutate cluster or
-ledger state.
+ledger state. A grant is a NamedTuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .cluster import ClusterState, read_manifest
 from .errors import EmptyGrant
@@ -20,8 +20,7 @@ from .ledger import Ledger
 from .protocol import DivergenceKind, Mode, Verdict, verify_equality
 
 
-@dataclass(frozen=True)
-class AuditGrant:
+class AuditGrant(NamedTuple):
     """Delegated read access: an inclusive epoch range plus the mode."""
 
     first_epoch: int
@@ -60,7 +59,7 @@ def audit(ledger: Ledger, cluster: ClusterState, grant: AuditGrant) -> list[Verd
     live = read_manifest(cluster)
     verdicts = []
     for epoch in epochs:
-        verdict = verify_equality(ledger.points[epoch].manifest, replace(live, epoch=epoch), grant.mode)
+        verdict = verify_equality(ledger.points[epoch].manifest, live._replace(epoch=epoch), grant.mode)
         kept = tuple(d for d in verdict.divergences if d.kind is not DivergenceKind.EXTRA)
-        verdicts.append(replace(verdict, z=not kept, divergences=kept))
+        verdicts.append(verdict._replace(z=not kept, divergences=kept))
     return verdicts

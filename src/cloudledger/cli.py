@@ -21,9 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ops
 from .audit import AuditGrant, audit as run_audit
@@ -86,8 +85,7 @@ CLUSTER_FILE = "cluster.state"
 JOURNAL_FILE = "journal"
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     server_count: int
     block_size: int
     mode: Mode

@@ -8,15 +8,15 @@ cloud-level manifest joins those records, so a read hashes and builds
 nothing, yet sees any corruption of stored bytes. Fault injection covers
 byte corruption, truncation, same-weight substitution, block drops,
 server crashes (which erase that server's data), and a lying read path
-that replays the previous epoch's records.
+that replays the previous epoch's records. FaultSpec and FaultReport are
+NamedTuples; ServerState and ClusterState are plain mutable classes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .checksum import fnv1a64
 from .errors import (
@@ -47,8 +47,7 @@ class FaultKind(enum.Enum):
     CSP_STALE_MANIFEST = "stale-manifest"
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     """One deterministic fault: what to do, where, and the byte-stream seed."""
 
     kind: FaultKind
@@ -57,8 +56,7 @@ class FaultSpec:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class FaultReport:
+class FaultReport(NamedTuple):
     """What a fault actually did, as metadata (before/after records)."""
 
     kind: FaultKind
@@ -69,20 +67,21 @@ class FaultReport:
     note: str
 
 
-@dataclass
 class ServerState:
     """One server partition: blocks and their records keyed by block_id,
     plus a liveness flag.
 
-    put and drop are the only writers of both dicts, so records[i] is the
-    record of blocks[i]. Both stay in block-id order (appends take the next
-    id, updates replace in place), which is the manifest order.
+    A server starts empty; put and drop are the only writers of both dicts,
+    so records[i] is the record of blocks[i]. Both stay in block-id order
+    (appends take the next id, updates replace in place), which is the
+    manifest order.
     """
 
-    server_index: int
-    blocks: dict[int, DataBlock] = field(default_factory=dict)
-    records: dict[int, BlockRecord] = field(default_factory=dict)
-    alive: bool = True
+    def __init__(self, server_index: int, *, alive: bool = True) -> None:
+        self.server_index = server_index
+        self.blocks: dict[int, DataBlock] = {}
+        self.records: dict[int, BlockRecord] = {}
+        self.alive = alive
 
     def put(self, block: DataBlock) -> None:
         """Store a block at its block_id, replacing any block there."""
@@ -95,7 +94,6 @@ class ServerState:
         del self.records[block_id]
 
 
-@dataclass
 class ClusterState:
     """The simulated CSP: R servers, the current epoch, and read-path state.
 
@@ -106,11 +104,19 @@ class ClusterState:
     driver; reads are side-effect free.
     """
 
-    servers: list[ServerState]
-    epoch: int = 0
-    rng_seed: int = 0
-    stale_armed: bool = False
-    previous_records: Optional[tuple[BlockRecord, ...]] = None
+    def __init__(
+        self,
+        servers: list[ServerState],
+        epoch: int = 0,
+        rng_seed: int = 0,
+        stale_armed: bool = False,
+        previous_records: Optional[tuple[BlockRecord, ...]] = None,
+    ) -> None:
+        self.servers = servers
+        self.epoch = epoch
+        self.rng_seed = rng_seed
+        self.stale_armed = stale_armed
+        self.previous_records = previous_records
 
     @property
     def server_count(self) -> int:

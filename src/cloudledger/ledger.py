@@ -17,16 +17,16 @@ being computed. Otherwise the cluster is rewritten from the last
 snapshot.
 
 Timestamps are logical clock ticks, not wall time, so ledgers are
-byte-reproducible.
+byte-reproducible. Ledger is a plain mutable class, RestorePoint a plain
+immutable one, and RecoveryReport a NamedTuple.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cluster import (
     ClusterState,
@@ -46,22 +46,36 @@ from .manifest import DataBlock, Manifest, make_block
 from .protocol import Mode, Verdict, verify_equality
 
 
-@dataclass(frozen=True)
 class RestorePoint:
-    """One committed epoch: manifest, payload snapshot, tick.
+    """One committed epoch: manifest, payload snapshot, tick. Immutable.
 
     The snapshot holds the manifest and names each record's block by
     digest, resolved in the ledger's block store. ``added`` holds the
     blocks this commit was first to store, which persisting the point
     appends to the pack (empty for points read back from disk); it takes
-    no part in equality.
+    no part in equality, so a point equals itself read back.
     """
 
-    epoch: int
-    manifest: Manifest
-    payload_snapshot: str
-    timestamp: int
-    added: tuple[DataBlock, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("epoch", "manifest", "payload_snapshot", "timestamp", "added")
+
+    def __init__(self, epoch: int, manifest: Manifest, payload_snapshot: str, timestamp: int,
+                 added: tuple[DataBlock, ...] = ()) -> None:
+        for name, value in zip(self.__slots__, (epoch, manifest, payload_snapshot, timestamp, added)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a RestorePoint is immutable")
+
+    def _compared(self) -> tuple[int, Manifest, str, int]:
+        return (self.epoch, self.manifest, self.payload_snapshot, self.timestamp)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
 
     @property
     def committed_x(self) -> int:
@@ -69,7 +83,6 @@ class RestorePoint:
         return 2 * self.manifest.total_weight
 
 
-@dataclass
 class Ledger:
     """Append-only list of restore points; points[k].epoch == k.
 
@@ -80,9 +93,15 @@ class Ledger:
     <committed_x>`` line to ``index``.
     """
 
-    points: list[RestorePoint] = field(default_factory=list)
-    directory: Optional[Path] = None
-    blocks: dict[str, DataBlock] = field(default_factory=dict)
+    def __init__(
+        self,
+        points: Optional[list[RestorePoint]] = None,
+        directory: Optional[Path] = None,
+        blocks: Optional[dict[str, DataBlock]] = None,
+    ) -> None:
+        self.points = [] if points is None else points
+        self.directory = directory
+        self.blocks = {} if blocks is None else blocks
 
     @property
     def next_epoch(self) -> int:
@@ -99,8 +118,7 @@ class RecoveryAction(enum.Enum):
     INTACT = "INTACT"
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(NamedTuple):
     action: RecoveryAction
     epoch: int
 

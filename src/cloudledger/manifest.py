@@ -10,13 +10,13 @@ Manifest is the ordered list of records for one side of the reading
 protocol (user level before upload, cloud level after), with totals
 derived from the records. Manifests are the values the verification
 protocol compares, so everything here is immutable and the serialization
-is canonical: same records in, same bytes out.
+is canonical: same records in, same bytes out. All three are NamedTuples,
+which compare (and hash) as plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Iterable, NamedTuple, Sequence
 
@@ -68,8 +68,7 @@ class BlockRecord(NamedTuple):
         return (self.server_index, self.block_id)
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """Ordered per-server, per-block record list; totals derive from it.
 
     unavailable_servers is read-side state only: servers that could not be
@@ -83,7 +82,7 @@ class Manifest:
     epoch: int
     records: tuple[BlockRecord, ...]
     server_count: int
-    unavailable_servers: frozenset[int] = field(default=frozenset())
+    unavailable_servers: frozenset[int] = frozenset()
 
     @property
     def total_weight(self) -> int:
@@ -131,14 +130,15 @@ def serialize_manifest(manifest: Manifest) -> str:
     digits. Byte-identical for equal manifests; any differing record
     tuple changes the output.
     """
-    lines = [
-        f"MANIFEST v1 level={manifest.level.value} epoch={manifest.epoch}"
-        f" servers={manifest.server_count} total={manifest.total_weight}"
-    ]
+    lines = [_render_header(manifest.level, manifest.epoch, manifest.server_count, manifest.total_weight)]
     for r in manifest.records:
         lines.append(f"{r.server_index} {r.block_id} {r.weight} {checksum_hex(r.checksum)}")
     lines.append("END")
     return "\n".join(lines) + "\n"
+
+
+def _render_header(level: Level, epoch: int, server_count: int, total: int) -> str:
+    return f"MANIFEST v1 level={level.value} epoch={epoch} servers={server_count} total={total}"
 
 
 def _parse_header(line: str) -> dict[str, str]:
@@ -169,6 +169,8 @@ def parse_manifest(text: str) -> Manifest:
         raise ManifestFormatError(f"bad manifest header: {lines[0]!r}") from exc
     if epoch < 0:
         raise ManifestFormatError(f"manifest epoch {epoch} is negative")
+    if lines[0] != _render_header(level, epoch, server_count, total):
+        raise ManifestFormatError(f"manifest header is not canonical: {lines[0]!r}")
 
     if not lines[-1] == "END":
         raise ManifestFormatError("manifest not terminated by END")

@@ -7,15 +7,15 @@ new manifest must match what the cloud actually serves. Only then is a
 new restore point committed, advancing the epoch by exactly one. A failed
 post-check rolls the cluster back to the last snapshot, so operations are
 atomic. The byte accounting is exact: s_after = s_before + delta, with
-delta the signed weight contribution of the operation.
+delta the signed weight contribution of the operation. Requests and
+results are NamedTuples.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .checksum import fnv1a64
 from .cluster import ClusterState, make_block, read_manifest
@@ -38,8 +38,7 @@ class OperationKind(enum.Enum):
     UPDATE = "UPDATE"
 
 
-@dataclass(frozen=True)
-class OperationRequest:
+class OperationRequest(NamedTuple):
     """A client's intent: what to do, where, with which bytes, at which epoch.
 
     DELETE carries no payload; APPEND carries no block_id (the server
@@ -54,8 +53,7 @@ class OperationRequest:
     epoch_expected: int = 0
 
 
-@dataclass(frozen=True)
-class OperationResult:
+class OperationResult(NamedTuple):
     """Outcome of one committed operation, including both verdicts.
 
     delta is signed: positive for appends, negative for deletes, and the

@@ -9,13 +9,13 @@ substituting different content of identical length goes undetected.
 The comparison hashes whole records as sets in C and spends Python work
 only on the records that differ plus those on unavailable servers, so a
 clean check of a large manifest costs little more than building the sets.
+Divergence and Verdict are NamedTuples, which compare as tuples.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .checksum import checksum_hex
 from .cluster import ClusterState, partition_upload, read_manifest, upload
@@ -36,8 +36,7 @@ class DivergenceKind(enum.Enum):
     SERVER_UNAVAILABLE = "SERVER_UNAVAILABLE"
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(NamedTuple):
     """One record-level disagreement between two manifests."""
 
     server_index: int
@@ -47,8 +46,7 @@ class Divergence:
     actual: Optional[BlockRecord]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a manifest comparison: z is true iff nothing diverged."""
 
     z: bool

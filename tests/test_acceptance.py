@@ -17,8 +17,10 @@ Criteria:
 """
 
 import hashlib
+import os
 import random
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -275,8 +277,10 @@ DEMO_LEDGER_SHA256 = {
 @pytest.mark.parametrize("seed", ["42"])
 def test_criterion_8_full_demo_determinism(tmp_path, seed):
     """Two runs of the demo script produce byte-identical ledger directories,
-    whose files match the pinned digests."""
+    whose files match the pinned digests. The script's ``python3`` is the
+    interpreter running the tests, put first on its PATH."""
     script = REPO_ROOT / "demos" / "full_demo.sh"
+    env = {**os.environ, "PATH": os.pathsep.join([os.path.dirname(sys.executable), os.environ.get("PATH", "")])}
 
     def run_demo(workdir: Path) -> dict[str, bytes]:
         result = subprocess.run(
@@ -284,6 +288,7 @@ def test_criterion_8_full_demo_determinism(tmp_path, seed):
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
+            env=env,
         )
         assert result.returncode == 0, result.stdout + result.stderr
         ledger_dir = workdir / "ledger"

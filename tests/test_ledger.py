@@ -1,7 +1,5 @@
 """Restore-point ledger: the aggregate X, commits, recovery, persistence."""
 
-import dataclasses
-
 import pytest
 
 from cloudledger import (
@@ -13,6 +11,7 @@ from cloudledger import (
     Mode,
     NothingToRestore,
     RecoveryAction,
+    RestorePoint,
     SnapshotCorrupt,
     UnverifiedState,
     append,
@@ -89,7 +88,7 @@ def test_commit_refuses_epoch_desync():
     cluster = new_cluster(2)
     verdict = round_trip_verify(cluster, bytes(range(16)), 2, 4, Mode.CHECKSUM)
     cluster.epoch = 5
-    stale = dataclasses.replace(verdict, epoch=5)
+    stale = verdict._replace(epoch=5)
     with pytest.raises(EpochMismatch):
         commit_restore_point(Ledger(), cluster, stale)
 
@@ -185,7 +184,7 @@ def swap_reference(snapshot):
 def test_recover_detects_corrupt_snapshot():
     cluster, ledger = make_committed_state(b"abcdef", 2, 2)
     point = ledger.points[0]
-    broken = dataclasses.replace(point, payload_snapshot=swap_reference(point.payload_snapshot))
+    broken = RestorePoint(point.epoch, point.manifest, swap_reference(point.payload_snapshot), point.timestamp)
     ledger.points[0] = broken
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 0))
     with pytest.raises(SnapshotCorrupt, match="fails its manifest record"):

@@ -142,6 +142,12 @@ def test_parse_round_trip():
         lambda t: t.replace("\n0 1 ", "\n1 1 "),  # server index outside servers=1
         lambda t: t.replace("epoch=0", "epoch=-1"),
         lambda t: t.replace("\n0 0 ", "\n0 -1 "),  # negative block id, still in order
+        lambda t: t.replace("total=10", "total=10 junk=1"),  # unknown header field
+        lambda t: t.replace("epoch=0", "epoch=5 epoch=0"),  # repeated field, the last one would win
+        lambda t: t.replace("servers=1 total=10", "total=10 servers=1"),  # reordered fields
+        lambda t: t.replace("epoch=0", "epoch=00"),  # non-canonical numbers
+        lambda t: t.replace("servers=1", "servers=+1"),
+        lambda t: t.replace("total=10", "total=1_0"),
     ],
 )
 def test_parse_rejects_malformed_text(mutation):

@@ -8,7 +8,6 @@ oracle: on seeded random inputs both must give equal results.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -71,7 +70,7 @@ def reference_audit(ledger, cluster, grant: AuditGrant) -> list[Verdict]:
     for epoch in epochs:
         stored = ledger.points[epoch].manifest
         stored_keys = {r.key for r in stored.records}
-        restricted = replace(live, epoch=epoch, records=tuple(r for r in live.records if r.key in stored_keys))
+        restricted = live._replace(epoch=epoch, records=tuple(r for r in live.records if r.key in stored_keys))
         verdicts.append(reference_verify_equality(stored, restricted, grant.mode))
     return verdicts
 

@@ -1,0 +1,77 @@
+"""Value types and CLI start-up.
+
+Immutable values are NamedTuples and cluster and ledger state are plain
+classes, so importing the CLI loads neither ``dataclasses`` nor
+``inspect``: importing them and decorating classes would add start-up
+time to every CLI command.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cloudledger
+from cloudledger import (
+    AuditGrant,
+    Divergence,
+    DivergenceKind,
+    FaultKind,
+    FaultReport,
+    FaultSpec,
+    Level,
+    Manifest,
+    Mode,
+    OperationKind,
+    OperationRequest,
+    OperationResult,
+    RecoveryAction,
+    RecoveryReport,
+    RestorePoint,
+    Verdict,
+)
+from cloudledger.cli import SimConfig
+from helpers import make_committed_state
+
+MANIFEST = Manifest(Level.USER, 0, (), 1)
+VERDICT = Verdict(True, Mode.CHECKSUM, (), 0)
+IMMUTABLE = {  # one value of each former frozen class, and one of its fields
+    "Manifest": (MANIFEST, "records"),
+    "Divergence": (Divergence(0, 0, DivergenceKind.MISSING, None, None), "kind"),
+    "Verdict": (VERDICT, "z"),
+    "FaultSpec": (FaultSpec(FaultKind.DROP_BLOCK, 0, 0), "target_block"),
+    "FaultReport": (FaultReport(FaultKind.DROP_BLOCK, 0, 0, None, None, "block dropped"), "after"),
+    "RecoveryReport": (RecoveryReport(RecoveryAction.INTACT, 0), "action"),
+    "OperationRequest": (OperationRequest(OperationKind.DELETE, 0, 0), "epoch_expected"),
+    "OperationResult": (OperationResult(OperationKind.DELETE, 0, 0, 1, VERDICT, VERDICT, 5, -5, 0), "s_after"),
+    "AuditGrant": (AuditGrant(0, 0, Mode.CHECKSUM), "mode"),
+    "SimConfig": (SimConfig(4, 4096, Mode.CHECKSUM, 42, Path("ledger")), "ledger_dir"),
+    "RestorePoint": (RestorePoint(0, MANIFEST, "", 1), "payload_snapshot"),
+}
+
+
+@pytest.mark.parametrize("value, field", IMMUTABLE.values(), ids=IMMUTABLE)
+def test_values_reject_attribute_assignment(value, field):
+    for attribute in (field, "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(value, attribute, None)
+
+
+def test_restore_point_equality_ignores_added():
+    _, ledger = make_committed_state(b"abcdef", 2, 2)
+    point = ledger.last()
+    assert point.added
+    read_back = RestorePoint(point.epoch, point.manifest, point.payload_snapshot, point.timestamp)
+    assert read_back == point and hash(read_back) == hash(point)
+    assert RestorePoint(point.epoch, point.manifest, point.payload_snapshot, point.timestamp + 1) != point
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    src = str(Path(cloudledger.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import cloudledger.cli;"
+        " print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

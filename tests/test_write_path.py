@@ -9,7 +9,6 @@ commit shares the records it did not change with the previous point.
 
 import ast
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -51,7 +50,7 @@ def rebuilt_read_manifest(cluster, ledger):
         return Manifest(Level.CLOUD, cluster.epoch, records, cluster.server_count)
     dead = frozenset(s.server_index for s in cluster.servers if not s.alive)
     blocks = [() if s.server_index in dead else s.blocks.values() for s in cluster.servers]
-    return replace(build_manifest(Level.CLOUD, cluster.epoch, blocks), unavailable_servers=dead)
+    return build_manifest(Level.CLOUD, cluster.epoch, blocks)._replace(unavailable_servers=dead)
 
 
 def assert_records_match_a_rebuild(cluster, ledger, mode):
@@ -161,20 +160,41 @@ def storage_writes(tree):
             yield node
 
 
+def method_of(tree):
+    """Map id(node) to "Class.method" for every node inside a method."""
+    return {
+        id(node): f"{cls.name}.{function.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for function in cls.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+    }
+
+
+def binds_empty_dict(node):
+    return isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict) and not node.value.keys
+
+
 def test_stored_blocks_are_written_only_by_put_and_drop():
+    """Besides put and drop, the only writes are constructor bindings: a new
+    server's two dicts start as empty literals, and a Ledger binds its block
+    store (not a server's blocks)."""
     sites = []
     for path in sorted(Path(cloudledger.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        in_write_pair = {
-            id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == "ServerState"
-            for function in cls.body
-            if isinstance(function, ast.FunctionDef) and function.name in {"put", "drop"}
-            for node in ast.walk(function)
-        }
-        sites += [(path.name, id(node) in in_write_pair) for node in storage_writes(tree)]
-    assert sites == [("cluster.py", True)] * 4
+        method = method_of(tree)
+        for node in storage_writes(tree):
+            where = method.get(id(node), "module level")
+            if where == "ServerState.__init__" and binds_empty_dict(node):
+                where += " = {}"
+            sites.append((path.name, where))
+    assert sorted(sites) == sorted(
+        [("cluster.py", "ServerState.__init__ = {}")] * 2
+        + [("cluster.py", "ServerState.put")] * 2
+        + [("cluster.py", "ServerState.drop")] * 2
+        + [("ledger.py", "Ledger.__init__")]
+    )
 
 
 def test_a_commit_allocates_only_the_changed_record():
