@@ -29,7 +29,6 @@ from .cluster import (
 )
 from .errors import (
     CloudLedgerError,
-    DuplicateBlock,
     EmptyGrant,
     EpochMismatch,
     ManifestFormatError,

@@ -2,14 +2,15 @@
 
 Uploads are split into fixed-size blocks placed round-robin across R
 servers. Every write, faults and snapshot loads included, goes through
-ServerState.put and drop, which keep each block's record (the weight and
-checksum make_block stored with it, never client metadata) beside it. A
-cloud-level manifest joins those records, so a read hashes and builds
-nothing, yet sees any corruption of stored bytes. Fault injection covers
-byte corruption, truncation, same-weight substitution, block drops,
-server crashes (which erase that server's data), and a lying read path
-that replays the previous epoch's records. FaultSpec and FaultReport are
-NamedTuples; ServerState and ClusterState are plain mutable classes.
+ServerState.put and drop, which keep each block's record (its address,
+its length and the checksum make_block stored with it, never client
+metadata) beside it. A cloud-level manifest joins those records, so a
+read hashes and builds nothing, yet sees any corruption of stored bytes.
+Fault injection covers byte corruption, truncation, same-weight
+substitution, block drops, server crashes (which erase that server's
+data), and a lying read path that replays the previous epoch's records.
+FaultSpec and FaultReport are NamedTuples; ServerState and ClusterState
+are plain mutable classes.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class ServerState:
     plus a liveness flag.
 
     A server starts empty; put and drop are the only writers of both dicts,
-    so records[i] is the record of blocks[i]. Both stay in block-id order
-    (appends take the next id, updates replace in place), which is the
-    manifest order.
+    so records[i] is the record of blocks[i]. The keys are the only place a
+    block's address lives. Both dicts stay in block-id order (appends take
+    the next id, updates replace in place), which is the manifest order.
     """
 
     def __init__(self, server_index: int, *, alive: bool = True) -> None:
@@ -83,10 +84,11 @@ class ServerState:
         self.records: dict[int, BlockRecord] = {}
         self.alive = alive
 
-    def put(self, block: DataBlock) -> None:
-        """Store a block at its block_id, replacing any block there."""
-        self.blocks[block.block_id] = block
-        self.records[block.block_id] = BlockRecord(self.server_index, block.block_id, block.weight, block.checksum)
+    def put(self, block_id: int, block: DataBlock) -> None:
+        """Store a block at block_id, replacing any block there, and record
+        it there with its length as weight and its stored checksum."""
+        self.blocks[block_id] = block
+        self.records[block_id] = BlockRecord(self.server_index, block_id, len(block.payload), block.checksum)
 
     def drop(self, block_id: int) -> None:
         """Remove the block at block_id and its record."""
@@ -123,7 +125,7 @@ class ClusterState:
         return len(self.servers)
 
     def total_stored_bytes(self) -> int:
-        return sum(b.weight for s in self.servers for b in s.blocks.values())
+        return sum(len(b.payload) for s in self.servers for b in s.blocks.values())
 
     def has_data(self) -> bool:
         return any(s.blocks for s in self.servers)
@@ -142,8 +144,9 @@ def partition_upload(payload: bytes, server_count: int, block_size: int) -> list
     """Split a payload into blocks and place them round-robin.
 
     Global block k (payload[k*B : (k+1)*B], last one ragged) goes to
-    server k mod n with within-server block ids 0, 1, 2, ...; reading the
-    blocks back in global order reconstructs the payload exactly.
+    server k mod n; a block's position in its server's list is its block
+    id (0, 1, 2, ...). Reading the blocks back in global order
+    reconstructs the payload exactly.
     """
     if server_count < 1:
         raise ValueError(f"server_count must be >= 1, got {server_count}")
@@ -151,10 +154,7 @@ def partition_upload(payload: bytes, server_count: int, block_size: int) -> list
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     per_server: list[list[DataBlock]] = [[] for _ in range(server_count)]
     for k in range(0, len(payload), block_size):
-        server_index = (k // block_size) % server_count
-        per_server[server_index].append(
-            make_block(len(per_server[server_index]), payload[k : k + block_size])
-        )
+        per_server[(k // block_size) % server_count].append(make_block(payload[k : k + block_size]))
     return per_server
 
 
@@ -171,8 +171,8 @@ def upload(cluster: ClusterState, payload: bytes, block_size: int) -> Manifest:
     if cluster.has_data():
         raise PreexistingData("cluster already holds data; initial upload requires empty storage")
     for server, blocks in zip(cluster.servers, partition_upload(payload, cluster.server_count, block_size)):
-        for block in blocks:
-            server.put(block)
+        for block_id, block in enumerate(blocks):
+            server.put(block_id, block)
     return read_manifest(cluster)
 
 
@@ -213,7 +213,7 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
     stream = XorShift64Star(cluster.rng_seed ^ fault.seed)
 
     if fault.kind is FaultKind.SERVER_CRASH:
-        erased = sum(b.weight for b in server.blocks.values())
+        erased = sum(r.weight for r in server.records.values())
         server.alive = False
         for block_id in list(server.blocks):
             server.drop(block_id)
@@ -233,42 +233,39 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 
     if fault.target_block is None:
         raise NoSuchTarget("fault kind requires a target block")
-    block = server.blocks.get(fault.target_block)
-    if block is None:
-        raise NoSuchTarget(f"no block {fault.target_block} on server {server.server_index}")
-    before = server.records[block.block_id]
+    block_id = fault.target_block
+    if block_id not in server.blocks:
+        raise NoSuchTarget(f"no block {block_id} on server {server.server_index}")
+    block, before = server.blocks[block_id], server.records[block_id]
 
     if fault.kind is FaultKind.DROP_BLOCK:
-        server.drop(block.block_id)
-        return FaultReport(fault.kind, fault.target_server, block.block_id, before, None, "block dropped")
+        server.drop(block_id)
+        return FaultReport(fault.kind, fault.target_server, block_id, before, None, "block dropped")
 
-    if block.weight < 1:
+    if before.weight < 1:
         raise NoSuchTarget(f"{fault.kind.value} needs a non-empty block")
 
     if fault.kind is FaultKind.FLIP_BYTE:
-        position = stream.randrange(block.weight)
+        position = stream.randrange(before.weight)
         xor_value = 1 + stream.randrange(255)
         corrupted = bytearray(block.payload)
         corrupted[position] ^= xor_value
         payload = bytes(corrupted)
         note = f"byte {position} xored with 0x{xor_value:02x}"
     elif fault.kind is FaultKind.TRUNCATE:
-        cut = 1 + stream.randrange(block.weight)
-        payload = block.payload[: block.weight - cut]
+        cut = 1 + stream.randrange(before.weight)
+        payload = block.payload[: before.weight - cut]
         note = f"{cut} trailing bytes removed"
     elif fault.kind is FaultKind.SAME_WEIGHT_SUBSTITUTE:
-        payload = stream.bytes(block.weight)
+        payload = stream.bytes(before.weight)
         while payload == block.payload or fnv1a64(payload) == block.checksum:
-            payload = stream.bytes(block.weight)
+            payload = stream.bytes(before.weight)
         note = "payload substituted, same weight"
     else:
         raise NoSuchTarget(f"unknown fault kind {fault.kind!r}")
 
-    server.put(make_block(block.block_id, payload))
-    return FaultReport(
-        fault.kind, fault.target_server, block.block_id,
-        before, server.records[block.block_id], note,
-    )
+    server.put(block_id, make_block(payload))
+    return FaultReport(fault.kind, fault.target_server, block_id, before, server.records[block_id], note)
 
 
 # --- cluster snapshots -------------------------------------------------------
@@ -301,10 +298,11 @@ def snapshot_cluster(cluster: ClusterState) -> str:
 
 def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0) -> ClusterState:
     """Rebuild a cluster from snapshot text, taking the block each digest
-    line names from ``blocks`` (digest -> DataBlock) and placing it at the
-    address of the manifest record in the same position. Nothing is decoded
-    or hashed: each block must match its record by the weight and checksum
-    make_block stored with it. Any inconsistency raises SnapshotCorrupt."""
+    line names from ``blocks`` (digest -> DataBlock) and putting that very
+    object at the address of the manifest record in the same position.
+    Nothing is decoded or hashed: each block must match its record by its
+    length and the checksum make_block stored with it. Any inconsistency,
+    a manifest of no servers included, raises SnapshotCorrupt."""
     lines = text.splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
         head = lines[0].split(" ")[:2] if lines else []
@@ -319,6 +317,8 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
         manifest = parse_manifest("\n".join(lines[1 : split + 1]) + "\n")
     except ManifestFormatError as exc:
         raise SnapshotCorrupt(f"snapshot manifest unreadable: {exc}") from exc
+    if manifest.server_count < 1:
+        raise SnapshotCorrupt(f"snapshot manifest has servers={manifest.server_count}; a cluster needs one")
 
     if lines[-1] != "END":
         raise SnapshotCorrupt("snapshot not terminated by END")
@@ -332,7 +332,7 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
     for line in status:
         if line == "STALE" and not stale:
             stale = True
-        elif line.startswith("DOWN ") and line[5:].isdecimal() and int(line[5:]) not in down:
+        elif line[5:].isdecimal() and line == f"DOWN {int(line[5:])}" and int(line[5:]) not in down:
             down.add(int(line[5:]))
         else:
             raise SnapshotCorrupt(f"bad or repeated snapshot line: {line!r}")
@@ -347,12 +347,10 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
         if block is None:
             raise SnapshotCorrupt(f"server={record.server_index} block={record.block_id} references"
                                   f" block {digest}, which the store lacks")
-        if (block.weight, block.checksum) != (record.weight, record.checksum):
+        if (len(block.payload), block.checksum) != (record.weight, record.checksum):
             raise SnapshotCorrupt(f"block referenced by server={record.server_index} block={record.block_id}"
                                   " fails its manifest record")
-        if block.block_id != record.block_id:
-            block = block._replace(block_id=record.block_id)
-        cluster.servers[record.server_index].put(block)
+        cluster.servers[record.server_index].put(record.block_id, block)
     for server_index in down:
         if not 0 <= server_index < cluster.server_count:
             raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")

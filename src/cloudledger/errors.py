@@ -10,10 +10,6 @@ class CloudLedgerError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DuplicateBlock(CloudLedgerError):
-    """A (server_index, block_id) address appeared twice while building a manifest."""
-
-
 class ServerDown(CloudLedgerError):
     """A write targeted a server whose alive flag is False."""
 

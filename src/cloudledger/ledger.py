@@ -17,8 +17,9 @@ being computed. Otherwise the cluster is rewritten from the last
 snapshot.
 
 Timestamps are logical clock ticks, not wall time, so ledgers are
-byte-reproducible. Ledger is a plain mutable class, RestorePoint a plain
-immutable one, and RecoveryReport a NamedTuple.
+byte-reproducible: epoch k commits at tick k + 1. Ledger is a plain
+mutable class, RestorePoint a plain immutable one, and RecoveryReport a
+NamedTuple.
 """
 
 from __future__ import annotations
@@ -47,27 +48,28 @@ from .protocol import Mode, Verdict, verify_equality
 
 
 class RestorePoint:
-    """One committed epoch: manifest, payload snapshot, tick. Immutable.
+    """One committed epoch: manifest and payload snapshot. Immutable.
 
     The snapshot holds the manifest and names each record's block by
-    digest, resolved in the ledger's block store. ``added`` holds the
-    blocks this commit was first to store, which persisting the point
-    appends to the pack (empty for points read back from disk); it takes
-    no part in equality, so a point equals itself read back.
+    digest, resolved in the ledger's block store. The tick and X derive
+    from the epoch and the manifest. ``added`` holds the blocks this
+    commit was first to store, which persisting the point appends to the
+    pack (empty for points read back from disk); it takes no part in
+    equality, so a point equals itself read back.
     """
 
-    __slots__ = ("epoch", "manifest", "payload_snapshot", "timestamp", "added")
+    __slots__ = ("epoch", "manifest", "payload_snapshot", "added")
 
-    def __init__(self, epoch: int, manifest: Manifest, payload_snapshot: str, timestamp: int,
+    def __init__(self, epoch: int, manifest: Manifest, payload_snapshot: str,
                  added: tuple[DataBlock, ...] = ()) -> None:
-        for name, value in zip(self.__slots__, (epoch, manifest, payload_snapshot, timestamp, added)):
+        for name, value in zip(self.__slots__, (epoch, manifest, payload_snapshot, added)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign {name!r}: a RestorePoint is immutable")
 
-    def _compared(self) -> tuple[int, Manifest, str, int]:
-        return (self.epoch, self.manifest, self.payload_snapshot, self.timestamp)
+    def _compared(self) -> tuple[int, Manifest, str]:
+        return (self.epoch, self.manifest, self.payload_snapshot)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -76,6 +78,11 @@ class RestorePoint:
 
     def __hash__(self) -> int:
         return hash(self._compared())
+
+    @property
+    def timestamp(self) -> int:
+        """The logical tick of the commit: one per epoch, starting at 1."""
+        return self.epoch + 1
 
     @property
     def committed_x(self) -> int:
@@ -147,7 +154,6 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
         epoch=cluster.epoch,
         manifest=manifest,
         payload_snapshot=snapshot_cluster(cluster),
-        timestamp=ledger.points[-1].timestamp + 1 if ledger.points else 1,
         added=_add_blocks(ledger.blocks, cluster),
     )
     cluster.previous_records = ledger.points[-1].manifest.records if ledger.points else None
@@ -256,16 +262,16 @@ def _append_pack(directory: Path, blocks: Sequence[DataBlock]) -> None:
     with open(directory / PACK_FILE, "ab") as pack:
         chunks = [] if pack.tell() else [PACK_HEADER]
         for block in blocks:
-            chunks += (f"{block.digest} {block.weight}\n".encode("ascii"), block.payload, b"\n")
+            chunks += (f"{block.digest} {len(block.payload)}\n".encode("ascii"), block.payload, b"\n")
         pack.write(b"".join(chunks))
 
 
 def _read_pack(directory: Path) -> dict[str, DataBlock]:
     """Read the block pack, checking that each entry hashes to its digest.
 
-    Each block is hashed once, by make_block. Pack entries carry no
-    address, so they are built at block 0; load_snapshot moves
-    each to the address of the manifest record its digest line pairs with.
+    Each block is hashed once, by make_block. Neither a pack entry nor a
+    DataBlock carries an address: load_snapshot puts each block object at
+    the address of every manifest record whose digest line names it.
     """
     path = directory / PACK_FILE
     if not path.exists():
@@ -285,7 +291,7 @@ def _read_pack(directory: Path) -> dict[str, DataBlock]:
             raise ManifestFormatError(f"{PACK_FILE} entry at byte {position} is cut short")
         if digest in blocks:
             raise ManifestFormatError(f"{PACK_FILE} holds block {digest} twice")
-        block = make_block(0, data[start:end])
+        block = make_block(data[start:end])
         if block.digest != digest:
             raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
         blocks[digest] = block
@@ -306,10 +312,11 @@ def _persist_point(directory: Path, point: RestorePoint) -> None:
 def load_ledger(directory: Path) -> Ledger:
     """Load a persisted ledger, revalidating every epoch.
 
-    Checks the pack's digests, index sequence and clocks, each snapshot's
-    blocks against its manifest (the epoch's one copy, parsed once), and
-    the index's X against the X that manifest derives. Each distinct block is hashed once, so the cost is
-    O(distinct stored bytes + epochs x records).
+    Checks the pack's digests, that each index line is canonical with
+    epochs in sequence and tick = epoch + 1, each snapshot's blocks
+    against its manifest (the epoch's one copy, parsed once), and the
+    index's X against the X that manifest derives. Each distinct block is
+    hashed once, so the cost is O(distinct stored bytes + epochs x records).
     """
     directory = Path(directory)
     index_path = directory / INDEX_FILE
@@ -321,23 +328,23 @@ def load_ledger(directory: Path) -> Ledger:
     if index_text and not index_text.endswith("\n"):
         raise ManifestFormatError(f"index ends in a partial line at epoch {len(lines) - 1}: {lines[-1]!r}")
     ledger = Ledger(directory=directory, blocks=_read_pack(directory))
-    previous_tick = 0
     for position, line in enumerate(lines):
-        parts = line.split(" ")
-        if len(parts) != 3:
-            raise ManifestFormatError(f"bad index line: {line!r}")
-        epoch, timestamp, committed_x = (int(p) for p in parts)
+        try:
+            epoch, tick, committed_x = (int(p) for p in line.split(" "))
+        except ValueError as exc:
+            raise ManifestFormatError(f"bad index line: {line!r}") from exc
+        if line != f"{epoch} {tick} {committed_x}":
+            raise ManifestFormatError(f"index line is not canonical: {line!r}")
         if epoch != position:
             raise ManifestFormatError(f"index epoch {epoch} out of sequence at line {position}")
-        if timestamp <= previous_tick:
-            raise ManifestFormatError(f"index timestamps not strictly increasing at epoch {epoch}")
-        previous_tick = timestamp
+        if tick != epoch + 1:
+            raise ManifestFormatError(f"index tick {tick} at epoch {epoch} is not epoch + 1")
 
         snapshot_text = _snapshot_path(directory, epoch).read_text(encoding="utf-8")
         manifest = stored_manifest(load_snapshot(snapshot_text, ledger.blocks))
         if manifest.epoch != epoch:
             raise ManifestFormatError(f"snapshot for epoch {epoch} claims epoch {manifest.epoch}")
-        point = RestorePoint(epoch=epoch, manifest=manifest, payload_snapshot=snapshot_text, timestamp=timestamp)
+        point = RestorePoint(epoch=epoch, manifest=manifest, payload_snapshot=snapshot_text)
         if committed_x != point.committed_x:
             raise ManifestFormatError(f"index X for epoch {epoch} does not match its manifest")
         ledger.points.append(point)

@@ -1,17 +1,19 @@
 """Block and manifest data model.
 
-A DataBlock is the payload-bearing unit stored on a server. Its weight,
-checksum and content digest are computed once, by make_block(block_id,
-payload), when the bytes are stored; every cloud-side reader uses those
+A DataBlock is the payload-bearing unit stored on a server, and nothing
+but its content: the payload, its checksum and its content digest, the
+two hashes computed once, by make_block(payload), when the bytes are
+stored. Its weight is len(payload). Every cloud-side reader uses those
 stored digests, and the ledger's block store is keyed by the content
-digest. A block does not know its server: ownership lives in the cluster
-structure and in BlockRecord, its metadata projection (no payload). A
-Manifest is the ordered list of records for one side of the reading
-protocol (user level before upload, cloud level after), with totals
-derived from the records. Manifests are the values the verification
-protocol compares, so everything here is immutable and the serialization
-is canonical: same records in, same bytes out. All three are NamedTuples,
-which compare (and hash) as plain tuples of their fields.
+digest. A block does not know its address: the server's dict key is its
+block id, and its server is the one holding it. BlockRecord is its
+metadata projection at that address (no payload). A Manifest is the
+ordered list of records for one side of the reading protocol (user level
+before upload, cloud level after), with totals derived from the records.
+Manifests are the values the verification protocol compares, so
+everything here is immutable and the serialization is canonical: same
+records in, same bytes out. All three are NamedTuples, which compare (and
+hash) as plain tuples of their fields.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hashlib import sha256
 from typing import Iterable, NamedTuple, Sequence
 
 from .checksum import checksum_hex, fnv1a64
-from .errors import DuplicateBlock, ManifestFormatError
+from .errors import ManifestFormatError
 
 
 class Level(enum.Enum):
@@ -32,22 +34,19 @@ class Level(enum.Enum):
 
 
 class DataBlock(NamedTuple):
-    """One stored unit of payload.
+    """One stored unit of payload, content only.
 
-    weight is always the exact byte length of payload, checksum its
-    FNV-1a 64 digest and digest its SHA-256 in lowercase hex, the name
-    the content-addressed block store files it under (collision resistant,
-    unlike FNV, so two payloads never share a name). make_block is the only
-    constructor, so readers can trust all three without rehashing the
-    payload; moving a stored block to another block_id (``_replace``)
-    carries them over unchanged. block_id is the block's ordinal within its
-    owning server. A NamedTuple because simulations create these by the
+    checksum is the payload's FNV-1a 64 digest and digest its SHA-256 in
+    lowercase hex, the name the content-addressed block store files it
+    under (collision resistant, unlike FNV, so two payloads never share a
+    name); its weight is len(payload). make_block is the only constructor,
+    so readers can trust both hashes without rehashing the payload. A block
+    carries no address, so one block object can sit at any number of
+    addresses. A NamedTuple because simulations create these by the
     hundred thousand.
     """
 
-    block_id: int
     payload: bytes
-    weight: int
     checksum: int
     digest: str
 
@@ -89,38 +88,27 @@ class Manifest(NamedTuple):
         return sum(r.weight for r in self.records)
 
 
-def make_block(block_id: int, payload: bytes) -> DataBlock:
-    """Build the DataBlock of ``payload`` at ``block_id``, hashing it once."""
-    if block_id < 0:
-        raise ValueError(f"block_id must be >= 0, got {block_id}")
+def make_block(payload: bytes) -> DataBlock:
+    """Build the DataBlock of ``payload``, hashing it once."""
     payload = bytes(payload)
-    return DataBlock(block_id, payload, len(payload), fnv1a64(payload), sha256(payload).hexdigest())
+    return DataBlock(payload, fnv1a64(payload), sha256(payload).hexdigest())
 
 
 def build_manifest(level: Level, epoch: int, blocks: Sequence[Iterable[DataBlock]]) -> Manifest:
-    """Build a manifest from per-server block collections.
+    """Build a manifest from per-server block sequences.
 
-    Records carry each block's stored (weight, checksum) and are sorted by
-    (server_index, block_id), so the result depends only on the block
-    set, not on insertion order. Raises DuplicateBlock if an address
-    repeats.
+    Addresses are positions: the k-th block of server i gets the record
+    (i, k, len(payload), checksum), so the records come out sorted and no
+    address can repeat.
     """
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    records = sorted(
-        BlockRecord(server_index, block.block_id, block.weight, block.checksum)
+    records = tuple(
+        BlockRecord(server_index, block_id, len(block.payload), block.checksum)
         for server_index, server_blocks in enumerate(blocks)
-        for block in server_blocks
+        for block_id, block in enumerate(server_blocks)
     )
-    for prev, cur in zip(records, records[1:]):
-        if prev.block_id == cur.block_id and prev.server_index == cur.server_index:
-            raise DuplicateBlock(f"duplicate block at server={cur.server_index} block={cur.block_id}")
-    return Manifest(
-        level=level,
-        epoch=epoch,
-        records=tuple(records),
-        server_count=len(blocks),
-    )
+    return Manifest(level=level, epoch=epoch, records=records, server_count=len(blocks))
 
 
 def serialize_manifest(manifest: Manifest) -> str:

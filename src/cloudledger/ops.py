@@ -127,8 +127,8 @@ def apply(
 
     if request.kind is OperationKind.APPEND:
         block_id, old_weight = max(server.blocks, default=-1) + 1, 0
-    elif request.block_id in server.blocks:
-        block_id, old_weight = request.block_id, server.blocks[request.block_id].weight
+    elif request.block_id in server.records:
+        block_id, old_weight = request.block_id, server.records[request.block_id].weight
     else:
         raise NoSuchBlock(f"no block {request.block_id} on server {request.server_index}")
     # The expected manifest is the committed one with the changed address
@@ -143,7 +143,7 @@ def apply(
         delta = -old_weight
     else:
         payload = bytes(request.payload or b"")
-        server.put(make_block(block_id, payload))
+        server.put(block_id, make_block(payload))
         records[at:end] = [BlockRecord(request.server_index, block_id, len(payload), fnv1a64(payload))]
         delta = len(payload) - old_weight
 

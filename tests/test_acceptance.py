@@ -223,7 +223,7 @@ def test_criterion_6_accounting_identity():
             assert result.s_after == result.s_before + result.delta
             delta_sum += result.delta
             successes += 1
-        stored_total = sum(b.weight for s in cluster.servers for b in s.blocks.values())
+        stored_total = sum(len(b.payload) for s in cluster.servers for b in s.blocks.values())
         assert stored_total == initial_total + delta_sum, sequence
         assert cluster.epoch == successes
         assert len(ledger.points) == successes + 1

@@ -116,14 +116,14 @@ def test_cluster_state_with_a_negative_epoch_or_block_exits_2(ledger_dir, capsys
 def assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error):
     """verify and recover both reject the edited cluster.state, and leave it as it is."""
     state = ledger_dir / "cluster.state"
-    edited = edit(state.read_text())
-    assert edited != state.read_text()
-    state.write_text(edited)
+    edited = edit(state.read_text(encoding="utf-8"))
+    assert edited != state.read_text(encoding="utf-8")
+    state.write_text(edited, encoding="utf-8")
     capsys.readouterr()
     for command in ("verify", "recover"):
         assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
         assert error in capsys.readouterr().err
-    assert state.read_text() == edited
+    assert state.read_text(encoding="utf-8") == edited
 
 
 def add_status_lines(*lines):
@@ -137,12 +137,22 @@ def add_status_lines(*lines):
         (add_status_lines("DOWN 1"), "DOWN line names server 1, which holds records"),
         (add_status_lines("STALE", "STALE"), "bad or repeated snapshot line: 'STALE'"),
         (add_status_lines("DOWN 2", "DOWN 2"), "bad or repeated snapshot line: 'DOWN 2'"),
+        (add_status_lines("DOWN 01"), "bad or repeated snapshot line: 'DOWN 01'"),
+        (add_status_lines("DOWN \u0661"), "bad or repeated snapshot line: 'DOWN \u0661'"),  # Arabic-Indic 1
     ],
-    ids=["stale-at-epoch-0", "down-server-with-records", "repeated-stale", "repeated-down"],
+    ids=["stale-at-epoch-0", "down-server-with-records", "repeated-stale", "repeated-down", "zero-padded-down",
+         "non-ascii-down"],
 )
 def test_cluster_state_with_a_status_line_snapshots_never_write_exits_2(ledger_dir, capsys, edit, error):
     seeded_upload(ledger_dir)
     assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error)
+
+
+@pytest.mark.parametrize("servers", ["0", "-1"])
+def test_cluster_state_of_no_servers_exits_2(ledger_dir, capsys, servers):
+    seeded_upload(ledger_dir, gen_bytes=0)
+    edit = lambda text: text.replace(" servers=3 ", f" servers={servers} ", 1)
+    assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, f"snapshot manifest has servers={servers};")
 
 
 @pytest.mark.parametrize("command", [["upload"], ["append", "--server", "0"]], ids=["upload", "append"])
@@ -178,9 +188,9 @@ def old_snapshot(version, payload, servers, block_size):
     lines = ["SNAPSHOT v2"] if version == "v2" else []
     lines.append(serialize_manifest(build_manifest(Level.CLOUD, 0, blocks)).rstrip("\n"))
     for server_index, server_blocks in enumerate(blocks):
-        for b in server_blocks:
+        for block_id, b in enumerate(server_blocks):
             name = b.digest if version == "v2" else b.payload.hex() or "-"
-            lines.append(f"{server_index} {b.block_id} {name}")
+            lines.append(f"{server_index} {block_id} {name}")
     return "\n".join(lines + ["END"]) + "\n"
 
 

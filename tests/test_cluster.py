@@ -57,8 +57,7 @@ def test_partition_ragged_tail_placement():
     per_server = partition_upload(payload, 2, 3)
     assert [b.payload for b in per_server[0]] == [b"012", b"678"]
     assert [b.payload for b in per_server[1]] == [b"345", b"9"]
-    assert [b.block_id for b in per_server[0]] == [0, 1]
-    assert [b.block_id for b in per_server[1]] == [0, 1]
+    assert [r.key for r in build_manifest(Level.USER, 0, per_server).records] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_partition_reassembles_exhaustively():
@@ -160,7 +159,7 @@ def test_truncate_single_byte_block_to_zero():
     upload(cluster, b"z", 1)
     report = inject_fault(cluster, FaultSpec(FaultKind.TRUNCATE, 0, 0, seed=1))
     assert report.after.weight == 0
-    assert cluster.servers[0].blocks[0].weight == 0
+    assert cluster.servers[0].blocks[0].payload == b""
 
 
 def test_drop_block_removes_only_that_record():
@@ -267,12 +266,19 @@ def test_snapshot_detects_payload_corruption():
     upload(cluster, b"abcdef", 2)
     text = snapshot_cluster(cluster)
     blocks = stored_blocks(cluster)
-    substitute = make_block(0, b"cc")
+    substitute = make_block(b"cc")
     blocks[substitute.digest] = substitute
-    corrupted = text.replace(make_block(0, b"cd").digest, substitute.digest)
+    corrupted = text.replace(make_block(b"cd").digest, substitute.digest)
     assert corrupted != text
     with pytest.raises(SnapshotCorrupt):
         load_snapshot(corrupted, blocks)
+
+
+@pytest.mark.parametrize("servers", [0, -1])
+def test_load_snapshot_rejects_a_manifest_of_no_servers(servers):
+    text = snapshot_cluster(new_cluster(2)).replace(" servers=2 ", f" servers={servers} ", 1)
+    with pytest.raises(SnapshotCorrupt, match=f"servers={servers};"):
+        load_snapshot(text, {})
 
 
 def test_snapshot_detects_missing_payload_line():

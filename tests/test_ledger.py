@@ -18,6 +18,7 @@ from cloudledger import (
     commit_restore_point,
     inject_fault,
     load_ledger,
+    load_snapshot,
     make_block,
     new_cluster,
     read_manifest,
@@ -42,7 +43,7 @@ def test_compute_x_direct_sum():
     cluster, ledger = make_committed_state(bytes(10), 2, 2)
     user = user_level_manifest(bytes(10), 2, 2, 0)
     per_server = [
-        (sum(b.weight for b in s.blocks.values()), sum(r.weight for r in user.records if r.server_index == i))
+        (sum(len(b.payload) for b in s.blocks.values()), sum(r.weight for r in user.records if r.server_index == i))
         for i, s in enumerate(cluster.servers)
     ]
     assert per_server == [(6, 6), (4, 4)]
@@ -171,7 +172,7 @@ def test_recover_requires_a_point():
 
 
 def digest_of(payload):
-    return make_block(0, payload).digest
+    return make_block(payload).digest
 
 
 def swap_reference(snapshot):
@@ -184,7 +185,7 @@ def swap_reference(snapshot):
 def test_recover_detects_corrupt_snapshot():
     cluster, ledger = make_committed_state(b"abcdef", 2, 2)
     point = ledger.points[0]
-    broken = RestorePoint(point.epoch, point.manifest, swap_reference(point.payload_snapshot), point.timestamp)
+    broken = RestorePoint(point.epoch, point.manifest, swap_reference(point.payload_snapshot))
     ledger.points[0] = broken
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 0))
     with pytest.raises(SnapshotCorrupt, match="fails its manifest record"):
@@ -241,6 +242,55 @@ def test_load_ledger_rejects_tampered_index(tmp_path):
     index.write_text(f"{epoch} {tick} {int(x) + 2}\n")
     with pytest.raises(ManifestFormatError):
         load_ledger(directory)
+
+
+def rewrite_index_line(directory, epoch, render):
+    """Replace the index line of ``epoch`` by render(epoch, tick, x)."""
+    index = directory / "index"
+    lines = index.read_text(encoding="utf-8").splitlines()
+    lines[epoch] = render(*(int(field) for field in lines[epoch].split(" ")))
+    index.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda e, t, x: f"+{e} \u0662 {x}",  # "+1 2 X" with an Arabic-Indic 2
+        lambda e, t, x: f"0{e} {t} {x}",
+        lambda e, t, x: f"{e} {t} {x // 10}_{x % 10}",
+    ],
+    ids=["signed-epoch-and-non-ascii-tick", "leading-zero", "underscore"],
+)
+def test_load_ledger_rejects_a_non_canonical_index_line(tmp_path, render):
+    directory = tmp_path / "ledger"
+    cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
+    append(cluster, load_ledger(directory), 0, b"more")
+    rewrite_index_line(directory, 1, render)
+    with pytest.raises(ManifestFormatError, match="index line is not canonical"):
+        load_ledger(directory)
+
+
+@pytest.mark.parametrize("tick", [1, 3])
+def test_load_ledger_rejects_a_tick_other_than_epoch_plus_one(tmp_path, tick):
+    directory = tmp_path / "ledger"
+    cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
+    append(cluster, load_ledger(directory), 0, b"more")
+    rewrite_index_line(directory, 1, lambda e, t, x: f"{e} {tick} {x}")
+    with pytest.raises(ManifestFormatError, match=f"index tick {tick} at epoch 1 is not epoch \\+ 1"):
+        load_ledger(directory)
+
+
+def test_loaded_servers_hold_the_stored_block_objects(tmp_path):
+    """A block carries no address, so loading puts the block store's own
+    object at every address that names it, repeated content included."""
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(bytes(24) + bytes(range(24)), 3, 6, directory=directory)
+    append(cluster, ledger, 1, b"more")
+    loaded = load_ledger(directory)
+    clusters = [load_snapshot(point.payload_snapshot, loaded.blocks) for point in loaded.points]
+    held = [block for restored in clusters for server in restored.servers for block in server.blocks.values()]
+    assert len(held) == 8 + 9 and len(loaded.blocks) == 6
+    assert all(block is loaded.blocks[block.digest] for block in held)
 
 
 def test_load_ledger_rejects_tampered_snapshot(tmp_path):

@@ -92,7 +92,7 @@ def test_delete_middle_block_keeps_ids():
     cluster, ledger = make_committed_state(bytes(range(30)), 1, 10)
     result = delete(cluster, ledger, 0, 1)
     assert result.delta == -10
-    remaining = [b.block_id for b in cluster.servers[0].blocks.values()]
+    remaining = list(cluster.servers[0].blocks)
     assert remaining == [0, 2]
     manifest = read_manifest(cluster)
     assert {r.key for r in manifest.records} == {(0, 0), (0, 2)}
@@ -233,7 +233,7 @@ def test_accounting_identity_over_random_sequences():
                 )
             deltas.append(result.delta)
             assert result.s_after == result.s_before + result.delta
-        stored_total = sum(b.weight for s in cluster.servers for b in s.blocks.values())
+        stored_total = sum(len(b.payload) for s in cluster.servers for b in s.blocks.values())
         assert stored_total == initial_total + sum(deltas)
         assert cluster.epoch == len(deltas)
         assert len(ledger.points) == len(deltas) + 1

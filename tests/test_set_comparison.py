@@ -161,10 +161,10 @@ def inject_random_fault(rng: random.Random, cluster, kind: FaultKind) -> bool:
         return True
     min_weight = 0 if kind is FaultKind.DROP_BLOCK else 1
     targets = [
-        (server.server_index, block.block_id)
+        (server.server_index, block_id)
         for server in cluster.servers
-        for block in server.blocks.values()
-        if block.weight >= min_weight
+        for block_id, record in server.records.items()
+        if record.weight >= min_weight
     ]
     if not targets:
         return False

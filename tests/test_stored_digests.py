@@ -17,6 +17,7 @@ import pytest
 
 import cloudledger
 from cloudledger import (
+    BlockRecord,
     FaultKind,
     FaultSpec,
     Mode,
@@ -160,8 +161,8 @@ def test_append_adds_about_its_delta_to_the_ledger_directory(eleven_epochs):
 def assert_digests_match_payloads(cluster):
     for server in cluster.servers:
         for block_id, block in server.blocks.items():
-            assert block.block_id == block_id
-            assert block.weight == len(block.payload)
+            assert server.records[block_id] == BlockRecord(server.server_index, block_id, len(block.payload),
+                                                           block.checksum)
             assert block.checksum == fnv1a64(block.payload)
             assert block.digest == hashlib.sha256(block.payload).hexdigest()
 

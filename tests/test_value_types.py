@@ -15,6 +15,7 @@ import pytest
 import cloudledger
 from cloudledger import (
     AuditGrant,
+    DataBlock,
     Divergence,
     DivergenceKind,
     FaultKind,
@@ -47,7 +48,7 @@ IMMUTABLE = {  # one value of each former frozen class, and one of its fields
     "OperationResult": (OperationResult(OperationKind.DELETE, 0, 0, 1, VERDICT, VERDICT, 5, -5, 0), "s_after"),
     "AuditGrant": (AuditGrant(0, 0, Mode.CHECKSUM), "mode"),
     "SimConfig": (SimConfig(4, 4096, Mode.CHECKSUM, 42, Path("ledger")), "ledger_dir"),
-    "RestorePoint": (RestorePoint(0, MANIFEST, "", 1), "payload_snapshot"),
+    "RestorePoint": (RestorePoint(0, MANIFEST, ""), "payload_snapshot"),
 }
 
 
@@ -62,9 +63,14 @@ def test_restore_point_equality_ignores_added():
     _, ledger = make_committed_state(b"abcdef", 2, 2)
     point = ledger.last()
     assert point.added
-    read_back = RestorePoint(point.epoch, point.manifest, point.payload_snapshot, point.timestamp)
+    read_back = RestorePoint(point.epoch, point.manifest, point.payload_snapshot)
     assert read_back == point and hash(read_back) == hash(point)
-    assert RestorePoint(point.epoch, point.manifest, point.payload_snapshot, point.timestamp + 1) != point
+    assert RestorePoint(point.epoch, point.manifest, point.payload_snapshot + "\n") != point
+
+
+def test_a_block_is_its_content_and_a_point_derives_its_tick():
+    assert DataBlock._fields == ("payload", "checksum", "digest")
+    assert [RestorePoint(epoch, MANIFEST, "").timestamp for epoch in range(3)] == [1, 2, 3]
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():

@@ -25,7 +25,6 @@ from cloudledger import (
     PostStateCorrupt,
     RecoveryAction,
     append,
-    build_manifest,
     commit_restore_point,
     delete,
     fnv1a64,
@@ -41,22 +40,30 @@ from cloudledger import (
 from helpers import make_committed_state
 
 
+def rebuilt_records(server):
+    """A server's records rebuilt from its stored blocks, keyed and sorted by block id."""
+    return tuple(
+        BlockRecord(server.server_index, block_id, len(block.payload), block.checksum)
+        for block_id, block in sorted(server.blocks.items())
+    )
+
+
 def rebuilt_read_manifest(cluster, ledger):
-    """read_manifest as defined before servers kept records: build_manifest
-    over the alive servers' blocks, with the dead ones unavailable, or, while
-    the stale read path is armed, the records committed at epoch - 1."""
+    """read_manifest as defined before servers kept records: the records
+    rebuilt from the alive servers' blocks, with the dead ones unavailable,
+    or, while the stale read path is armed, the records committed at
+    epoch - 1."""
     if cluster.stale_armed:
         records = ledger.points[cluster.epoch - 1].manifest.records
         return Manifest(Level.CLOUD, cluster.epoch, records, cluster.server_count)
     dead = frozenset(s.server_index for s in cluster.servers if not s.alive)
-    blocks = [() if s.server_index in dead else s.blocks.values() for s in cluster.servers]
-    return build_manifest(Level.CLOUD, cluster.epoch, blocks)._replace(unavailable_servers=dead)
+    records = tuple(r for s in cluster.servers if s.server_index not in dead for r in rebuilt_records(s))
+    return Manifest(Level.CLOUD, cluster.epoch, records, cluster.server_count, dead)
 
 
 def assert_records_match_a_rebuild(cluster, ledger, mode):
     for server in cluster.servers:
-        alone = [server.blocks.values() if s is server else () for s in cluster.servers]
-        assert tuple(server.records.values()) == build_manifest(Level.CLOUD, cluster.epoch, alone).records
+        assert tuple(server.records.values()) == rebuilt_records(server)
         assert list(server.records) == list(server.blocks)
     live, rebuilt = read_manifest(cluster), rebuilt_read_manifest(cluster, ledger)
     assert live == rebuilt
