@@ -52,7 +52,7 @@ from .errors import (
     StaleEpoch,
     UnverifiedState,
 )
-from .ledger import Ledger, commit_restore_point, load_ledger, recover, store_blocks
+from .ledger import Ledger, commit_restore_point, load_ledger, previous_records, recover, store_blocks
 from .protocol import Mode, render_verdict_report, round_trip_verify, verify_equality
 from .rng import generate_payload
 
@@ -159,8 +159,7 @@ def _load_state(config: SimConfig) -> tuple[ClusterState, Ledger]:
 def _load_cluster(config: SimConfig, ledger: Ledger) -> ClusterState:
     cluster_path = config.ledger_dir / CLUSTER_FILE
     cluster = load_snapshot(cluster_path.read_text(encoding="utf-8"), ledger.blocks, rng_seed=config.seed)
-    if 1 <= cluster.epoch <= len(ledger.points):
-        cluster.previous_records = ledger.points[cluster.epoch - 1].manifest.records
+    cluster.previous_records = previous_records(ledger, cluster.epoch)
     return cluster
 
 

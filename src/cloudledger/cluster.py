@@ -78,11 +78,11 @@ class ServerState:
     the next id, updates replace in place), which is the manifest order.
     """
 
-    def __init__(self, server_index: int, *, alive: bool = True) -> None:
+    def __init__(self, server_index: int) -> None:
         self.server_index = server_index
         self.blocks: dict[int, DataBlock] = {}
         self.records: dict[int, BlockRecord] = {}
-        self.alive = alive
+        self.alive = True
 
     def put(self, block_id: int, block: DataBlock) -> None:
         """Store a block at block_id, replacing any block there, and record
@@ -99,26 +99,20 @@ class ServerState:
 class ClusterState:
     """The simulated CSP: R servers, the current epoch, and read-path state.
 
-    previous_records are the records committed at epoch - 1 (None before
-    there are any); the stale-manifest fault replays them through
+    previous_records, the records committed at epoch - 1 (None before
+    there are any), come only from ledger.previous_records; the
+    stale-manifest fault replays them through
     read_manifest (stamped with the current epoch, as a hiding CSP would)
     until a restore clears it. Mutation is serialized through a single
     driver; reads are side-effect free.
     """
 
-    def __init__(
-        self,
-        servers: list[ServerState],
-        epoch: int = 0,
-        rng_seed: int = 0,
-        stale_armed: bool = False,
-        previous_records: Optional[tuple[BlockRecord, ...]] = None,
-    ) -> None:
+    def __init__(self, servers: list[ServerState], rng_seed: int = 0) -> None:
         self.servers = servers
-        self.epoch = epoch
+        self.epoch = 0
         self.rng_seed = rng_seed
-        self.stale_armed = stale_armed
-        self.previous_records = previous_records
+        self.stale_armed = False
+        self.previous_records: Optional[tuple[BlockRecord, ...]] = None
 
     @property
     def server_count(self) -> int:
@@ -301,8 +295,8 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
     line names from ``blocks`` (digest -> DataBlock) and putting that very
     object at the address of the manifest record in the same position.
     Nothing is decoded or hashed: each block must match its record by its
-    length and the checksum make_block stored with it. Any inconsistency,
-    a manifest of no servers included, raises SnapshotCorrupt."""
+    length and the checksum make_block stored with it. Any inconsistency, a
+    manifest of no servers or of the user level included, raises SnapshotCorrupt."""
     lines = text.splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
         head = lines[0].split(" ")[:2] if lines else []
@@ -319,6 +313,8 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
         raise SnapshotCorrupt(f"snapshot manifest unreadable: {exc}") from exc
     if manifest.server_count < 1:
         raise SnapshotCorrupt(f"snapshot manifest has servers={manifest.server_count}; a cluster needs one")
+    if manifest.level is not Level.CLOUD:
+        raise SnapshotCorrupt(f"snapshot manifest has level={manifest.level.value}; a snapshot holds the cloud's")
 
     if lines[-1] != "END":
         raise SnapshotCorrupt("snapshot not terminated by END")

@@ -43,7 +43,7 @@ from .errors import (
     SnapshotCorrupt,
     UnverifiedState,
 )
-from .manifest import DataBlock, Manifest, make_block
+from .manifest import BlockRecord, DataBlock, Manifest, make_block
 from .protocol import Mode, Verdict, verify_equality
 
 
@@ -100,13 +100,8 @@ class Ledger:
     <committed_x>`` line to ``index``.
     """
 
-    def __init__(
-        self,
-        points: Optional[list[RestorePoint]] = None,
-        directory: Optional[Path] = None,
-        blocks: Optional[dict[str, DataBlock]] = None,
-    ) -> None:
-        self.points = [] if points is None else points
+    def __init__(self, directory: Optional[Path] = None, blocks: Optional[dict[str, DataBlock]] = None) -> None:
+        self.points: list[RestorePoint] = []
         self.directory = directory
         self.blocks = {} if blocks is None else blocks
 
@@ -118,6 +113,11 @@ class Ledger:
         if not self.points:
             raise NothingToRestore("ledger holds no restore points")
         return self.points[-1]
+
+
+def previous_records(ledger: Ledger, epoch: int) -> Optional[tuple[BlockRecord, ...]]:
+    """The records committed at epoch - 1, which a stale read path replays; None if there are none."""
+    return ledger.points[epoch - 1].manifest.records if 0 < epoch <= len(ledger.points) else None
 
 
 class RecoveryAction(enum.Enum):
@@ -156,7 +156,7 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
         payload_snapshot=snapshot_cluster(cluster),
         added=_add_blocks(ledger.blocks, cluster),
     )
-    cluster.previous_records = ledger.points[-1].manifest.records if ledger.points else None
+    cluster.previous_records = previous_records(ledger, cluster.epoch)
     ledger.points.append(point)
     if ledger.directory is not None:
         _persist_point(ledger.directory, point)
@@ -195,17 +195,18 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
 def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
     """Overwrite cluster storage with the ledger's last payload snapshot.
 
-    The cluster's previous_records stay those committed before that
-    point. The servers load_snapshot builds from the ledger's store
-    (unhashed) replace the cluster's. Revives every server, disarms a
-    stale read path, resets the epoch to the point's, and re-verifies the
-    result against the stored manifest; failure to verify means the
-    snapshot itself is corrupt.
+    The servers load_snapshot builds from the ledger's store (unhashed)
+    replace the cluster's. Revives every server, disarms a stale read
+    path, resets the epoch to the point's and the previous_records to
+    those committed before it, and re-verifies the result against the
+    stored manifest; failure to verify means the snapshot itself is
+    corrupt. It is the one rollback, for recover and a failed ops.apply.
     """
     point = ledger.last()
     restored = load_snapshot(point.payload_snapshot, ledger.blocks, rng_seed=cluster.rng_seed)
     cluster.servers = restored.servers
     cluster.epoch = restored.epoch
+    cluster.previous_records = previous_records(ledger, cluster.epoch)
     cluster.stale_armed = False
     for server in cluster.servers:
         server.alive = True

@@ -19,6 +19,7 @@ hash) as plain tuples of their fields.
 from __future__ import annotations
 
 import enum
+import re
 from hashlib import sha256
 from typing import Iterable, NamedTuple, Sequence
 
@@ -142,8 +143,23 @@ def _parse_header(line: str) -> dict[str, str]:
     return fields
 
 
+# A record line as serialize_manifest writes it: three canonical decimals
+# (no sign, no leading zero, no "_", ASCII digits only) and 16 lowercase hex.
+_DECIMAL = "(?:0|[1-9][0-9]*)"
+_RECORD_LINES = re.compile(f"(?:{_DECIMAL} {_DECIMAL} {_DECIMAL} [0-9a-f]{{16}}\n)*")
+
+
+def _bad_record(line: str) -> ManifestFormatError:
+    """The error for the first record line _RECORD_LINES rejects."""
+    for name, field in zip(("server", "block", "weight"), line.split(" ")):
+        if field.startswith("-"):
+            return ManifestFormatError(f"record {name} {field} is negative")
+    return ManifestFormatError(f"record line is not canonical: {line!r}")
+
+
 def parse_manifest(text: str) -> Manifest:
-    """Parse serialize_manifest output, revalidating every invariant."""
+    """Parse serialize_manifest output, revalidating every invariant; the
+    header and every record line must equal their canonical rendering."""
     lines = text.splitlines()
     if not lines:
         raise ManifestFormatError("empty manifest text")
@@ -162,31 +178,16 @@ def parse_manifest(text: str) -> Manifest:
 
     if not lines[-1] == "END":
         raise ManifestFormatError("manifest not terminated by END")
-    records = []
-    for line in lines[1:-1]:
-        parts = line.split(" ")
-        if len(parts) != 4:
-            raise ManifestFormatError(f"bad record line: {line!r}")
-        try:
-            record = BlockRecord(
-                server_index=int(parts[0]),
-                block_id=int(parts[1]),
-                weight=int(parts[2]),
-                checksum=int(parts[3], 16),
-            )
-        except ValueError as exc:
-            raise ManifestFormatError(f"bad record line: {line!r}") from exc
-        if len(parts[3]) != 16 or parts[3] != checksum_hex(record.checksum):
-            raise ManifestFormatError(f"bad checksum field: {parts[3]!r}")
-        if not 0 <= record.server_index < server_count:
-            raise ManifestFormatError(f"record server {record.server_index} outside servers={server_count}")
-        if record.block_id < 0:
-            raise ManifestFormatError(f"record block {record.block_id} is negative")
-        records.append(record)
-
+    section = "\n".join(lines[1:])
+    canonical = _RECORD_LINES.match(section).end()
+    if canonical != len(section) - len("END"):
+        raise _bad_record(section[canonical:].partition("\n")[0])
+    records = [BlockRecord(int(s), int(b), int(w), int(c, 16)) for s, b, w, c in map(str.split, lines[1:-1])]
     for prev, cur in zip(records, records[1:]):
         if prev.key >= cur.key:
             raise ManifestFormatError("records out of order")
+    if records and records[-1].server_index >= server_count:  # in order, so the last server is the largest
+        raise ManifestFormatError(f"record server {records[-1].server_index} outside servers={server_count}")
     manifest = Manifest(level=level, epoch=epoch, records=tuple(records), server_count=server_count)
     if manifest.total_weight != total:
         raise ManifestFormatError("header total does not match record weights")

@@ -4,11 +4,11 @@ Each operation is bracketed by two protocol runs. Before mutating, the
 live cloud state must verify clean against the last committed restore
 point (checksums included); afterwards, the client-side prediction of the
 new manifest must match what the cloud actually serves. Only then is a
-new restore point committed, advancing the epoch by exactly one. A failed
-post-check rolls the cluster back to the last snapshot, so operations are
-atomic. The byte accounting is exact: s_after = s_before + delta, with
-delta the signed weight contribution of the operation. Requests and
-results are NamedTuples.
+new restore point committed, advancing the epoch by exactly one. Any
+failure after the mutation rolls the cluster back to the last snapshot
+and is re-raised, so operations are atomic. The byte accounting is exact:
+s_after = s_before + delta, with delta the signed weight contribution of
+the operation. Requests and results are NamedTuples.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .errors import (
     PreStateCorrupt,
     ServerDown,
     StaleEpoch,
-    UnverifiedState,
 )
-from .ledger import Ledger, commit_restore_point, rewrite_cluster_from_point
+from .ledger import Ledger, commit_restore_point, previous_records, rewrite_cluster_from_point
 from .manifest import BlockRecord, Level, Manifest
 from .protocol import Mode, Verdict, verify_equality
 
@@ -101,10 +100,11 @@ def apply(
     Raises StaleEpoch for requests pinned to an old epoch, PreStateCorrupt
     (without mutating) when the live state no longer matches the last
     restore point, NoSuchBlock / ServerDown for bad targets, and
-    PostStateCorrupt (after rolling back) when the mutation landed wrong;
-    UnverifiedState (likewise) when the commit refuses what a stale read path hid.
-    post_mutation_hook runs between the mutation and the post-check; fault
-    scenarios use it to corrupt in-flight state.
+    PostStateCorrupt when the mutation landed wrong. post_mutation_hook runs
+    between the mutation and the post-check; fault scenarios use it to
+    corrupt in-flight state. Any exception from the hook, the post-check or
+    the commit (UnverifiedState when it refuses what a stale read path
+    hid) rolls the cluster back to the last restore point and is re-raised.
     """
     _validate_request(request)
     last = ledger.last()
@@ -147,34 +147,27 @@ def apply(
         records[at:end] = [BlockRecord(request.server_index, block_id, len(payload), fnv1a64(payload))]
         delta = len(payload) - old_weight
 
-    # The last point's records are now the previous epoch's, until a rollback.
     cluster.epoch += 1
-    committed_before, cluster.previous_records = cluster.previous_records, last.manifest.records
+    cluster.previous_records = previous_records(ledger, cluster.epoch)
     expected = Manifest(
         level=Level.USER,
         epoch=cluster.epoch,
         records=tuple(records),
         server_count=last.manifest.server_count,
     )
-
-    if post_mutation_hook is not None:
-        post_mutation_hook(cluster)
-
-    post_verdict = verify_equality(expected, read_manifest(cluster), Mode.CHECKSUM)
-    if not post_verdict.z:
-        rewrite_cluster_from_point(ledger, cluster)
-        cluster.previous_records = committed_before
-        raise PostStateCorrupt(
-            f"cloud state after the operation does not match the expected manifest;"
-            f" rolled back to epoch {last.epoch}",
-            post_verdict,
-        )
-
     try:
+        if post_mutation_hook is not None:
+            post_mutation_hook(cluster)
+        post_verdict = verify_equality(expected, read_manifest(cluster), Mode.CHECKSUM)
+        if not post_verdict.z:
+            raise PostStateCorrupt(
+                f"cloud state after the operation does not match the expected manifest;"
+                f" rolled back to epoch {last.epoch}",
+                post_verdict,
+            )
         commit_restore_point(ledger, cluster, post_verdict)
-    except UnverifiedState:
+    except BaseException:
         rewrite_cluster_from_point(ledger, cluster)
-        cluster.previous_records = committed_before
         raise
     return OperationResult(
         kind=request.kind,

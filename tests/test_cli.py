@@ -155,6 +155,12 @@ def test_cluster_state_of_no_servers_exits_2(ledger_dir, capsys, servers):
     assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, f"snapshot manifest has servers={servers};")
 
 
+def test_cluster_state_of_a_user_level_manifest_exits_2(ledger_dir, capsys):
+    seeded_upload(ledger_dir)
+    edit = lambda text: text.replace(" level=CLOUD ", " level=USER ", 1)
+    assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, "snapshot manifest has level=USER;")
+
+
 @pytest.mark.parametrize("command", [["upload"], ["append", "--server", "0"]], ids=["upload", "append"])
 def test_negative_gen_bytes_exits_2_and_writes_nothing(ledger_dir, capsys, command):
     if command[0] == "append":

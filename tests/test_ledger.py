@@ -171,6 +171,18 @@ def test_recover_requires_a_point():
         recover(Ledger(), new_cluster(2))
 
 
+@pytest.mark.parametrize("loaded_epoch", [0, 1])
+def test_recover_after_an_epoch_drift_takes_the_previous_records_from_the_ledger(loaded_epoch):
+    cluster, ledger = make_committed_state(b"abcdefgh", 2, 2)
+    update(cluster, ledger, 0, 0, b"zz")
+    update(cluster, ledger, 1, 0, b"yy")
+    drifted = load_snapshot(ledger.points[loaded_epoch].payload_snapshot, ledger.blocks)  # an older epoch's state
+    assert drifted.previous_records is None
+    assert recover(ledger, drifted).action is RecoveryAction.RESTORED
+    assert drifted.epoch == 2
+    assert drifted.previous_records == ledger.points[drifted.epoch - 1].manifest.records
+
+
 def digest_of(payload):
     return make_block(payload).digest
 

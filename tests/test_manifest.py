@@ -128,6 +128,9 @@ def test_parse_round_trip():
         lambda t: t.replace("epoch=0", "epoch=00"),  # non-canonical numbers
         lambda t: t.replace("servers=1", "servers=+1"),
         lambda t: t.replace("total=10", "total=1_0"),
+        lambda t: t.replace("\n0 1 ", "\n0 01 "),  # non-canonical record fields, each of which int() reads as 1
+        lambda t: t.replace("\n0 1 ", "\n0 0_1 "),
+        lambda t: t.replace("\n0 1 ", "\n0 \u0661 "),  # Arabic-Indic 1
     ],
 )
 def test_parse_rejects_malformed_text(mutation):

@@ -7,11 +7,13 @@ import pytest
 from cloudledger import (
     FaultKind,
     FaultSpec,
+    Mode,
     NoSuchBlock,
     OperationKind,
     OperationRequest,
     PostStateCorrupt,
     PreStateCorrupt,
+    RecoveryAction,
     ServerDown,
     StaleEpoch,
     UnverifiedState,
@@ -21,9 +23,11 @@ from cloudledger import (
     fnv1a64,
     inject_fault,
     read_manifest,
+    recover,
     render_journal_line,
     snapshot_cluster,
     update,
+    verify_equality,
 )
 from helpers import make_committed_state
 
@@ -182,6 +186,22 @@ def test_corruption_hidden_by_a_stale_read_path_is_not_committed():
     assert snapshot_cluster(cluster) == committed
     assert cluster.epoch == 1
     assert len(ledger.points) == 2
+
+
+def test_a_raising_hook_rolls_back_and_a_later_stale_read_path_is_caught():
+    cluster, ledger = make_committed_state(b"abcdefgh", 2, 2)
+    update(cluster, ledger, 0, 0, b"zz")
+
+    def crash(c):
+        raise RuntimeError("writer died between the mutation and the post-check")
+
+    with pytest.raises(RuntimeError):
+        append(cluster, ledger, 1, b"q", post_mutation_hook=crash)
+    assert snapshot_cluster(cluster) == ledger.points[1].payload_snapshot
+    assert len(ledger.points) == 2
+    assert recover(ledger, cluster).action is RecoveryAction.INTACT
+    inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))  # replays epoch 0: block 0 is "ab"
+    assert not verify_equality(ledger.last().manifest, read_manifest(cluster), Mode.CHECKSUM).z
 
 
 def test_request_shape_validation():
