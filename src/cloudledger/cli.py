@@ -8,8 +8,10 @@ Ties the simulator together behind deterministic, scriptable subcommands:
 State lives in the ledger directory (--ledger-dir, or CLOUDLEDGER_DIR):
 the restore-point files, block pack and index, the live cluster snapshot
 (cluster.state, whose blocks are in the pack), the effective
-configuration (config, key=value lines), and the operation journal. Identical configuration plus an identical
-command sequence reproduces byte-identical directory contents.
+configuration (config, key=value lines), and the operation journal. The
+ledger module writes every one of them, through ledger.write_file.
+Identical configuration plus an identical command sequence reproduces
+byte-identical directory contents.
 
 Exit codes: 0 success / verified, 1 verification or operation failure,
 2 I/O or usage failure, 3 preexisting data, 4 missing target, 5 stale
@@ -31,10 +33,8 @@ from .cluster import (
     FaultKind,
     FaultSpec,
     inject_fault,
-    load_snapshot,
     new_cluster,
     read_manifest,
-    snapshot_cluster,
 )
 from .errors import (
     CloudLedgerError,
@@ -52,7 +52,7 @@ from .errors import (
     StaleEpoch,
     UnverifiedState,
 )
-from .ledger import Ledger, commit_restore_point, load_ledger, previous_records, recover, store_blocks
+from .ledger import Ledger, commit_restore_point, load_cluster, load_ledger, recover, save_cluster, write_file
 from .protocol import Mode, render_verdict_report, round_trip_verify, verify_equality
 from .rng import generate_payload
 
@@ -81,7 +81,6 @@ DEFAULT_LEDGER_DIR = "ledger"
 
 CONFIG_FILE = "config"
 CONFIG_KEYS = ("servers", "block_size", "mode", "seed")
-CLUSTER_FILE = "cluster.state"
 JOURNAL_FILE = "journal"
 
 
@@ -107,16 +106,6 @@ def _parse_config_file(path: Path) -> dict[str, str]:
             raise ManifestFormatError(f"unknown config key {key!r} in {path}")
         values[key] = value.strip()
     return values
-
-
-def _write_config_file(path: Path, config: SimConfig) -> None:
-    text = (
-        f"servers={config.server_count}\n"
-        f"block_size={config.block_size}\n"
-        f"mode={config.mode.value}\n"
-        f"seed={config.seed}\n"
-    )
-    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def resolve_config(args: argparse.Namespace) -> SimConfig:
@@ -153,21 +142,7 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
 
 def _load_state(config: SimConfig) -> tuple[ClusterState, Ledger]:
     ledger = load_ledger(config.ledger_dir)
-    return _load_cluster(config, ledger), ledger
-
-
-def _load_cluster(config: SimConfig, ledger: Ledger) -> ClusterState:
-    cluster_path = config.ledger_dir / CLUSTER_FILE
-    cluster = load_snapshot(cluster_path.read_text(encoding="utf-8"), ledger.blocks, rng_seed=config.seed)
-    cluster.previous_records = previous_records(ledger, cluster.epoch)
-    return cluster
-
-
-def _save_cluster(config: SimConfig, cluster: ClusterState, ledger: Ledger) -> None:
-    store_blocks(ledger, cluster)
-    (config.ledger_dir / CLUSTER_FILE).write_text(
-        snapshot_cluster(cluster), encoding="utf-8", newline="\n"
-    )
+    return load_cluster(ledger, config.seed), ledger
 
 
 def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, config: SimConfig,
@@ -180,11 +155,6 @@ def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, 
         return generate_payload(config.seed ^ epoch, args.gen_bytes)
     parser.error("an input file or --gen-bytes is required")
     raise AssertionError("unreachable")
-
-
-def _append_journal(config: SimConfig, line: str) -> None:
-    with open(config.ledger_dir / JOURNAL_FILE, "a", encoding="utf-8", newline="\n") as fh:
-        fh.write(line + "\n")
 
 
 # --- commands ------------------------------------------------------------------
@@ -206,10 +176,12 @@ def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     print(render_verdict_report(verdict), end="")
     if not verdict.z:
         return EXIT_FAILED
+    values = (config.server_count, config.block_size, config.mode.value, config.seed)
+    text = "".join(f"{key}={value}\n" for key, value in zip(CONFIG_KEYS, values))
+    write_file(config.ledger_dir, CONFIG_FILE, text.encode("utf-8"))
     ledger = Ledger(directory=config.ledger_dir)
+    save_cluster(ledger, cluster)
     commit_restore_point(ledger, cluster, verdict)
-    _write_config_file(config.ledger_dir / CONFIG_FILE, config)
-    _save_cluster(config, cluster, ledger)
     return EXIT_OK
 
 
@@ -246,8 +218,8 @@ def cmd_op(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         print(render_verdict_report(exc.verdict), end="")
         raise
     line = ops.render_journal_line(result)
-    _append_journal(config, line)
-    _save_cluster(config, cluster, ledger)
+    write_file(config.ledger_dir, JOURNAL_FILE, f"{line}\n".encode("utf-8"), append=True)
+    save_cluster(ledger, cluster)
     print(line)
     return EXIT_OK
 
@@ -262,7 +234,7 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         seed=args.fault_seed if args.fault_seed is not None else config.seed,
     )
     report = inject_fault(cluster, fault)
-    _save_cluster(config, cluster, ledger)
+    save_cluster(ledger, cluster)
     block = report.target_block if report.target_block is not None else "-"
     print(f"TAMPER {report.kind.value} server={report.target_server} block={block} note={report.note}")
     return EXIT_OK
@@ -273,9 +245,9 @@ def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     ledger = load_ledger(config.ledger_dir)
     if not ledger.points:
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")
-    cluster = _load_cluster(config, ledger)
+    cluster = load_cluster(ledger, config.seed)
     report = recover(ledger, cluster)
-    _save_cluster(config, cluster, ledger)
+    save_cluster(ledger, cluster)
     print(f"{report.action.value} epoch={report.epoch}")
     return EXIT_OK
 

@@ -20,11 +20,16 @@ Timestamps are logical clock ticks, not wall time, so ledgers are
 byte-reproducible: epoch k commits at tick k + 1. Ledger is a plain
 mutable class, RestorePoint a plain immutable one, and RecoveryReport a
 NamedTuple.
+
+This module owns the ledger directory, the CLI's files included, and
+write_file is its one writer. Memory follows the disk: a commit's blocks
+join the store once the pack holds them, its point once the index does.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 import re
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -138,7 +143,9 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     manifest (and with it X) and a payload snapshot are frozen and the
     logical clock ticks. The manifest shares every record the commit did
     not change with the previous point, whose records become the
-    cluster's previous_records, the ones a stale read path replays.
+    cluster's previous_records, the ones a stale read path replays. A bound
+    ledger writes the pack, the snapshot and the index line before the
+    point joins ``points``.
     """
     if not verdict.z:
         raise UnverifiedState("refusing to snapshot a state that failed verification")
@@ -150,16 +157,12 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     manifest = stored_manifest(cluster)
     if manifest.records != read_manifest(cluster).records:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
-    point = RestorePoint(
-        epoch=cluster.epoch,
-        manifest=manifest,
-        payload_snapshot=snapshot_cluster(cluster),
-        added=_add_blocks(ledger.blocks, cluster),
-    )
+    added = _save_blocks(ledger, cluster)
+    point = RestorePoint(cluster.epoch, manifest, snapshot_cluster(cluster), added)
+    if ledger.directory is not None:
+        _write_point(ledger.directory, point)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     ledger.points.append(point)
-    if ledger.directory is not None:
-        _persist_point(ledger.directory, point)
     return point
 
 
@@ -215,27 +218,23 @@ def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
         raise SnapshotCorrupt(f"restored state fails its manifest check ({len(check.divergences)} divergences)")
 
 
-def store_blocks(ledger: Ledger, cluster: ClusterState) -> None:
-    """Store the cluster's blocks that the ledger's store lacks.
+def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]:
+    """Store the cluster's blocks that the ledger lacks and return them, each once, in address order.
 
-    Afterwards a snapshot of the cluster (such as the CLI's cluster.state)
-    resolves against the ledger. A directory-bound ledger appends the new
-    blocks to its pack.
+    They go to a bound ledger's pack first, then into its store, so a retry
+    after a later write fails does not pack them twice.
     """
-    added = _add_blocks(ledger.blocks, cluster)
-    if ledger.directory is not None:
-        _append_pack(ledger.directory, added)
-
-
-def _add_blocks(store: dict[str, DataBlock], cluster: ClusterState) -> tuple[DataBlock, ...]:
-    """Put the cluster's blocks that ``store`` lacks into it; return them in address order."""
-    added = []
+    store = ledger.blocks
+    new: dict[str, DataBlock] = {}
     for server in cluster.servers:
         for block in server.blocks.values():
             if block.digest not in store:
-                store[block.digest] = block
-                added.append(block)
-    return tuple(added)
+                new.setdefault(block.digest, block)
+    added = tuple(new.values())
+    if ledger.directory is not None:
+        _append_pack(ledger.directory, added)
+    store.update(new)
+    return added
 
 
 # --- persistence --------------------------------------------------------------
@@ -243,28 +242,53 @@ def _add_blocks(store: dict[str, DataBlock], cluster: ClusterState) -> tuple[Dat
 # Ledger format v3: ``blocks.pack`` holds each distinct block once, as
 # PACK_HEADER followed by entries ``<sha256 hex> <weight>\n<payload>\n``,
 # appended to, never rewritten. A commit appends its new blocks first, then
-# writes ``<epoch>.snapshot``, the epoch's only file and the one copy of its
-# manifest; the ``index`` line comes last.
+# replaces ``<epoch>.snapshot``, the epoch's only file and the one copy of its
+# manifest; the ``index`` line comes last and is the commit. A crash before it
+# leaves only unread blocks and an unlisted snapshot, which a retry replaces.
 
 INDEX_FILE = "index"
 PACK_FILE = "blocks.pack"
+CLUSTER_FILE = "cluster.state"
 PACK_HEADER = b"PACK v2\n"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
 
 
-def _snapshot_path(directory: Path, epoch: int) -> Path:
-    return directory / f"{epoch}.snapshot"
+def write_file(directory: Path, name: str, data: bytes, append: bool = False) -> None:
+    """The one writer of a ledger directory: append ``data`` to ``name``, or
+    replace ``name`` by way of ``<name>.tmp``, so a crash leaves the old file or the new."""
+    directory.mkdir(parents=True, exist_ok=True)
+    if append:
+        with open(directory / name, "ab") as fh:
+            fh.write(data)
+        return
+    temporary = directory / f"{name}.tmp"
+    temporary.write_bytes(data)
+    os.replace(temporary, directory / name)
+
+
+def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
+    """The live cluster in the ledger's directory, its blocks taken from the ledger's store."""
+    text = (ledger.directory / CLUSTER_FILE).read_text(encoding="utf-8")
+    cluster = load_snapshot(text, ledger.blocks, rng_seed=rng_seed)
+    cluster.previous_records = previous_records(ledger, cluster.epoch)
+    return cluster
+
+
+def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
+    """Store the cluster's blocks that the bound ledger lacks, then replace its directory's live cluster."""
+    _save_blocks(ledger, cluster)
+    write_file(ledger.directory, CLUSTER_FILE, snapshot_cluster(cluster).encode("utf-8"))
 
 
 def _append_pack(directory: Path, blocks: Sequence[DataBlock]) -> None:
     """Append one pack entry per block, in a single write."""
     if not blocks:
         return
-    with open(directory / PACK_FILE, "ab") as pack:
-        chunks = [] if pack.tell() else [PACK_HEADER]
-        for block in blocks:
-            chunks += (f"{block.digest} {len(block.payload)}\n".encode("ascii"), block.payload, b"\n")
-        pack.write(b"".join(chunks))
+    pack = directory / PACK_FILE
+    chunks = [] if pack.exists() and pack.stat().st_size else [PACK_HEADER]
+    for block in blocks:
+        chunks += (f"{block.digest} {len(block.payload)}\n".encode("ascii"), block.payload, b"\n")
+    write_file(directory, PACK_FILE, b"".join(chunks), append=True)
 
 
 def _read_pack(directory: Path) -> dict[str, DataBlock]:
@@ -300,14 +324,15 @@ def _read_pack(directory: Path) -> dict[str, DataBlock]:
     return blocks
 
 
+def _write_point(directory: Path, point: RestorePoint) -> None:
+    write_file(directory, f"{point.epoch}.snapshot", point.payload_snapshot.encode("utf-8"))
+    write_file(directory, INDEX_FILE, f"{point.epoch} {point.timestamp} {point.committed_x}\n".encode(), append=True)
+
+
 def _persist_point(directory: Path, point: RestorePoint) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write an in-memory point's files as a bound commit does: new blocks, snapshot, index line."""
     _append_pack(directory, point.added)
-    _snapshot_path(directory, point.epoch).write_text(
-        point.payload_snapshot, encoding="utf-8", newline="\n"
-    )
-    with open(directory / INDEX_FILE, "a", encoding="utf-8", newline="\n") as index:
-        index.write(f"{point.epoch} {point.timestamp} {point.committed_x}\n")
+    _write_point(directory, point)
 
 
 def load_ledger(directory: Path) -> Ledger:
@@ -341,7 +366,7 @@ def load_ledger(directory: Path) -> Ledger:
         if tick != epoch + 1:
             raise ManifestFormatError(f"index tick {tick} at epoch {epoch} is not epoch + 1")
 
-        snapshot_text = _snapshot_path(directory, epoch).read_text(encoding="utf-8")
+        snapshot_text = (directory / f"{epoch}.snapshot").read_text(encoding="utf-8")
         manifest = stored_manifest(load_snapshot(snapshot_text, ledger.blocks))
         if manifest.epoch != epoch:
             raise ManifestFormatError(f"snapshot for epoch {epoch} claims epoch {manifest.epoch}")

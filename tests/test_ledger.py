@@ -29,6 +29,7 @@ from cloudledger import (
     user_level_manifest,
     verify_equality,
 )
+from cloudledger import ledger as ledger_module
 from cloudledger.ledger import _persist_point
 from helpers import make_committed_state
 
@@ -220,6 +221,44 @@ def test_persistence_round_trip(tmp_path):
     ]
     loaded = load_ledger(directory)
     assert loaded.points == ledger.points
+
+
+def test_a_commit_whose_index_write_fails_stays_out_of_the_ledger(tmp_path, monkeypatch):
+    """The point joins ledger.points only once its index line is on disk, so
+    the rollback reaches the last point on disk and a retry commits."""
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(b"abcdefgh", 2, 2, directory=directory)
+    real_write_file = ledger_module.write_file
+
+    def write_file(directory, name, data, append=False):
+        if name == "index":
+            raise OSError("injected failure at the index write")
+        real_write_file(directory, name, data, append)
+
+    monkeypatch.setattr(ledger_module, "write_file", write_file)
+    with pytest.raises(OSError):
+        update(cluster, ledger, 0, 0, b"zz")
+    assert len(ledger.points) == 1
+    assert snapshot_cluster(cluster) == ledger.points[0].payload_snapshot
+    monkeypatch.undo()
+    assert update(cluster, ledger, 0, 0, b"zz").new_epoch == 1
+    assert load_ledger(directory).points == ledger.points
+
+
+def test_a_block_joins_the_store_only_after_the_pack_write(tmp_path, monkeypatch):
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(b"abcdefgh", 2, 2, directory=directory)
+
+    def failing_append_pack(directory, blocks):
+        raise OSError("injected failure at the pack write")
+
+    monkeypatch.setattr(ledger_module, "_append_pack", failing_append_pack)
+    with pytest.raises(OSError):
+        append(cluster, ledger, 0, b"new!")
+    assert digest_of(b"new!") not in ledger.blocks
+    monkeypatch.undo()
+    append(cluster, ledger, 0, b"new!")
+    assert load_ledger(directory).points == ledger.points
 
 
 def test_persisting_in_memory_points_stores_each_block_once(tmp_path):

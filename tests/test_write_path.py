@@ -4,7 +4,9 @@ Each server keeps the record of every block it stores, written beside the
 block by put and drop, and every cloud manifest joins those records. These
 tests check the maintained records against a full rebuild from the stored
 blocks, that nothing else in the package writes either dict, and that a
-commit shares the records it did not change with the previous point.
+commit shares the records it did not change with the previous point. The
+files of a ledger directory have one writer too, ledger.write_file, and a
+test checks that nothing else in the package writes a file.
 """
 
 import ast
@@ -202,6 +204,54 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
         + [("cluster.py", "ServerState.drop")] * 2
         + [("ledger.py", "Ledger.__init__")]
     )
+
+
+def file_writes(tree):
+    """Calls that write a file: write_text, write_bytes, os.replace or
+    os.rename, and open unless its mode is a literal of only r, b and t."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        on_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+        if name in ("write_text", "write_bytes") or (on_os and name in ("replace", "rename")):
+            yield node
+        elif name == "open":
+            # open(path, mode) and os.open(path, flags), but path.open(mode)
+            position = 0 if isinstance(func, ast.Attribute) and not on_os else 1
+            modes = node.args[position : position + 1] + [k.value for k in node.keywords if k.arg in ("mode", "flags")]
+            if any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt")) for m in modes):
+                yield node
+
+
+def function_of(tree):
+    """Map id(node) to the name of the innermost function holding it."""
+    return {
+        id(node): function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+    }
+
+
+def test_file_writes_are_recognised():
+    sample = ast.parse(
+        "open(p, 'w'); open(p, mode='ab'); open(p, m); p.open('x'); os.open(p, flags)\n"
+        "p.write_text(t); p.write_bytes(b); os.replace(a, b); os.rename(a, b)\n"
+        "open(p); open(p, 'rb'); p.open(); p.open('r'); t.replace('a', 'b'); p.read_text()\n"
+    )
+    assert len(list(file_writes(sample))) == 9
+
+
+def test_ledger_write_file_is_the_only_file_writer():
+    """A new write site in the package fails here: route it through ledger.write_file."""
+    sites = []
+    for path in sorted(Path(cloudledger.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        function = function_of(tree)
+        sites += [(path.name, function.get(id(node), "module level")) for node in file_writes(tree)]
+    assert sites == [("ledger.py", "write_file")] * 3
 
 
 def test_a_commit_allocates_only_the_changed_record():
