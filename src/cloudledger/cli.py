@@ -52,7 +52,17 @@ from .errors import (
     StaleEpoch,
     UnverifiedState,
 )
-from .ledger import Ledger, commit_restore_point, load_cluster, load_ledger, recover, save_cluster, write_file
+from .ledger import (
+    CLUSTER_FILE,
+    PACK_FILE,
+    Ledger,
+    commit_restore_point,
+    load_cluster,
+    load_ledger,
+    recover,
+    save_cluster,
+    write_file,
+)
 from .protocol import Mode, render_verdict_report, round_trip_verify, verify_equality
 from .rng import generate_payload
 
@@ -82,6 +92,10 @@ DEFAULT_LEDGER_DIR = "ledger"
 CONFIG_FILE = "config"
 CONFIG_KEYS = ("servers", "block_size", "mode", "seed")
 JOURNAL_FILE = "journal"
+# What an upload writes before its index line. A directory holding nothing
+# else has committed nothing, so an upload into it starts over.
+_UPLOAD_FILES = {name + suffix for name in (CONFIG_FILE, PACK_FILE, CLUSTER_FILE, "0.snapshot")
+                 for suffix in ("", ".tmp")}
 
 
 class SimConfig(NamedTuple):
@@ -141,8 +155,14 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
 
 
 def _load_state(config: SimConfig) -> tuple[ClusterState, Ledger]:
+    """The live cluster and the ledger; refuses a live cluster behind the last
+    committed epoch, which an operation that failed after its index line leaves."""
     ledger = load_ledger(config.ledger_dir)
-    return load_cluster(ledger, config.seed), ledger
+    cluster = load_cluster(ledger, config.seed)
+    if ledger.points and cluster.epoch != ledger.last().epoch:
+        raise EpochMismatch(f"{CLUSTER_FILE} is at epoch {cluster.epoch} but the ledger committed epoch"
+                            f" {ledger.last().epoch}; run recover to restore it")
+    return cluster, ledger
 
 
 def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, config: SimConfig,
@@ -162,8 +182,10 @@ def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, 
 
 def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if config.ledger_dir.exists() and any(config.ledger_dir.iterdir()):
-        raise PreexistingData(f"ledger directory {config.ledger_dir} is not empty")
+    if config.ledger_dir.exists():
+        kept = sorted(p.name for p in config.ledger_dir.iterdir() if p.name not in _UPLOAD_FILES)
+        if kept:
+            raise PreexistingData(f"ledger directory {config.ledger_dir} is not empty: it holds {kept[0]}")
     payload = _resolve_payload(parser, args, config, epoch=0)
     cluster = new_cluster(config.server_count, rng_seed=config.seed)
     verdict = round_trip_verify(

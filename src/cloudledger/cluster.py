@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from itertools import chain
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional
 
 from .checksum import fnv1a64
@@ -279,15 +280,12 @@ _RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"])
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
-    lines = [SNAPSHOT_HEADER, serialize_manifest(stored_manifest(cluster)).rstrip("\n")]
-    lines += [block.digest for server in cluster.servers for block in server.blocks.values()]
-    for server in cluster.servers:
-        if not server.alive:
-            lines.append(f"DOWN {server.server_index}")
+    tail = list(map(attrgetter("digest"), chain.from_iterable(s.blocks.values() for s in cluster.servers)))
+    tail += [f"DOWN {server.server_index}" for server in cluster.servers if not server.alive]
     if cluster.stale_armed:
-        lines.append("STALE")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+        tail.append("STALE")
+    tail.append("END\n")
+    return "".join((SNAPSHOT_HEADER, "\n", serialize_manifest(stored_manifest(cluster)), "\n".join(tail)))
 
 
 def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0) -> ClusterState:

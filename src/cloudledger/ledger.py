@@ -222,7 +222,10 @@ def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]
     """Store the cluster's blocks that the ledger lacks and return them, each once, in address order.
 
     They go to a bound ledger's pack first, then into its store, so a retry
-    after a later write fails does not pack them twice.
+    after a later write fails does not pack them twice. The pack holds
+    exactly the blocks of a store that holds any, so it is appended to;
+    for an empty store it is written whole, which discards any pack an
+    upload left without committing.
     """
     store = ledger.blocks
     new: dict[str, DataBlock] = {}
@@ -232,7 +235,7 @@ def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]
                 new.setdefault(block.digest, block)
     added = tuple(new.values())
     if ledger.directory is not None:
-        _append_pack(ledger.directory, added)
+        _write_pack(ledger.directory, added, append=bool(store))
     store.update(new)
     return added
 
@@ -241,7 +244,9 @@ def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]
 #
 # Ledger format v3: ``blocks.pack`` holds each distinct block once, as
 # PACK_HEADER followed by entries ``<sha256 hex> <weight>\n<payload>\n``,
-# appended to, never rewritten. A commit appends its new blocks first, then
+# written whole by the first write that stores a block, which replaces what
+# an upload that never committed left, and appended to, never rewritten,
+# after that. A commit appends its new blocks first, then
 # replaces ``<epoch>.snapshot``, the epoch's only file and the one copy of its
 # manifest; the ``index`` line comes last and is the commit. A crash before it
 # leaves only unread blocks and an unlisted snapshot, which a retry replaces.
@@ -280,15 +285,15 @@ def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
     write_file(ledger.directory, CLUSTER_FILE, snapshot_cluster(cluster).encode("utf-8"))
 
 
-def _append_pack(directory: Path, blocks: Sequence[DataBlock]) -> None:
-    """Append one pack entry per block, in a single write."""
+def _write_pack(directory: Path, blocks: Sequence[DataBlock], append: bool) -> None:
+    """Write one pack entry per block, in a single write: appended to the
+    pack, or else as a whole new pack, header first, replacing any pack there."""
     if not blocks:
         return
-    pack = directory / PACK_FILE
-    chunks = [] if pack.exists() and pack.stat().st_size else [PACK_HEADER]
+    chunks = [] if append else [PACK_HEADER]
     for block in blocks:
         chunks += (f"{block.digest} {len(block.payload)}\n".encode("ascii"), block.payload, b"\n")
-    write_file(directory, PACK_FILE, b"".join(chunks), append=True)
+    write_file(directory, PACK_FILE, b"".join(chunks), append=append)
 
 
 def _read_pack(directory: Path) -> dict[str, DataBlock]:
@@ -331,7 +336,7 @@ def _write_point(directory: Path, point: RestorePoint) -> None:
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
     """Write an in-memory point's files as a bound commit does: new blocks, snapshot, index line."""
-    _append_pack(directory, point.added)
+    _write_pack(directory, point.added, append=(directory / PACK_FILE).exists())
     _write_point(directory, point)
 
 

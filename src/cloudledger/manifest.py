@@ -21,9 +21,10 @@ from __future__ import annotations
 import enum
 import re
 from hashlib import sha256
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .checksum import checksum_hex, fnv1a64
+from .checksum import fnv1a64
 from .errors import ManifestFormatError
 
 
@@ -112,18 +113,22 @@ def build_manifest(level: Level, epoch: int, blocks: Sequence[Iterable[DataBlock
     return Manifest(level=level, epoch=epoch, records=records, server_count=len(blocks))
 
 
+# One record line: server, block id and weight in decimal, checksum as 16 lowercase hex digits.
+_RECORD_FORMAT = "%d %d %d %016x\n"
+
+
 def serialize_manifest(manifest: Manifest) -> str:
     """Canonical line-oriented form: header, one line per record, END.
 
     LF endings, no trailing whitespace, checksums as 16 lowercase hex
     digits. Byte-identical for equal manifests; any differing record
-    tuple changes the output.
+    tuple changes the output. The record lines come from one %-format
+    over the flattened records.
     """
-    lines = [_render_header(manifest.level, manifest.epoch, manifest.server_count, manifest.total_weight)]
-    for r in manifest.records:
-        lines.append(f"{r.server_index} {r.block_id} {r.weight} {checksum_hex(r.checksum)}")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    records = manifest.records
+    header = _render_header(manifest.level, manifest.epoch, manifest.server_count, manifest.total_weight)
+    lines = (_RECORD_FORMAT * len(records)) % tuple(chain.from_iterable(records))
+    return f"{header}\n{lines}END\n"
 
 
 def _render_header(level: Level, epoch: int, server_count: int, total: int) -> str:

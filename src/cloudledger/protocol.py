@@ -6,9 +6,11 @@ is the record-by-record comparison of the two. CHECKSUM mode compares
 (weight, checksum) per block; WEIGHT_ONLY restricts the comparison to
 weights, which reproduces pure size accounting and its blind spot:
 substituting different content of identical length goes undetected.
-The comparison hashes whole records as sets in C and spends Python work
-only on the records that differ plus those on unavailable servers, so a
-clean check of a large manifest costs little more than building the sets.
+A clean check, with every server available, is one tuple comparison in
+C, which hashes nothing and passes over a record shared by both sides by
+identity. Otherwise whole records are compared as sets, hashed in C, and
+Python work is spent only on the records that differ plus those on
+unavailable servers.
 Divergence and Verdict are NamedTuples, which compare as tuples.
 """
 
@@ -73,9 +75,15 @@ def verify_equality(user: Manifest, cloud: Manifest, mode: Mode) -> Verdict:
     both sides hold them unchanged. In WEIGHT_ONLY mode checksums are
     ignored entirely. Divergences come in (server, block) order.
 
-    Whole records are compared as sets, hashed in C; a record both sides
-    hold unchanged on an available server cannot diverge. Only the
-    records in the sets' symmetric difference, plus the records on
+    When no server is unavailable on either side and the record tuples
+    are equal, the verdict is clean at once. That comparison runs in C,
+    hashes no record, and stops at identity for a record object both
+    manifests share, as a live manifest shares its unchanged records with
+    the committed one.
+
+    Otherwise whole records are compared as sets, hashed in C; a record
+    both sides hold unchanged on an available server cannot diverge. Only
+    the records in the sets' symmetric difference, plus the records on
     unavailable servers, are paired by address and classified, so the
     Python work grows with those records, not with the manifest size
     (picking out the records on unavailable servers, when there are any,
@@ -86,6 +94,8 @@ def verify_equality(user: Manifest, cloud: Manifest, mode: Mode) -> Verdict:
     if user.epoch != cloud.epoch:
         raise EpochMismatch(f"cannot compare epoch {user.epoch} with epoch {cloud.epoch}")
     unavailable = user.unavailable_servers | cloud.unavailable_servers
+    if not unavailable and user.records == cloud.records:
+        return Verdict(z=True, mode=mode, divergences=(), epoch=user.epoch)
     user_set, cloud_set = set(user.records), set(cloud.records)
     user_only, cloud_only = user_set - cloud_set, cloud_set - user_set
     if unavailable:

@@ -63,6 +63,14 @@ def test_upload_into_nonempty_dir_exits_3(ledger_dir):
     assert seeded_upload(ledger_dir) == 3
 
 
+def test_upload_into_a_dir_holding_a_foreign_file_exits_3(ledger_dir):
+    ledger_dir.mkdir()
+    (ledger_dir / "config").write_text("servers=3\n")
+    (ledger_dir / "notes.txt").write_text("not the ledger's\n")
+    assert seeded_upload(ledger_dir) == 3
+    assert sorted(p.name for p in ledger_dir.iterdir()) == ["config", "notes.txt"]
+
+
 def test_upload_golden_one_mib_file(ledger_dir, tmp_path, capsys):
     """Golden run recorded once: 1 MiB seeded file, default 4 servers x 4096B."""
     source = tmp_path / "payload.bin"

@@ -4,8 +4,9 @@ Every write into a ledger directory goes through ledger.write_file. These
 tests patch each binding of it so that its k-th call raises OSError, either
 before writing anything or after writing half of its data (a torn write),
 for every k a command reaches. The next commands must then find the old
-epoch or the new one, never a directory they cannot read, except for the
-blind spot named below: a torn append to the pack or the index.
+epoch or the new one, never a directory they cannot read, and an upload
+that never committed must run again, except for the blind spot named
+below: a torn append to the pack or the index.
 """
 
 import os
@@ -59,6 +60,18 @@ def base(tmp_path_factory):
     return {"upload": root / "absent", "recover": crashed, None: ledger}
 
 
+@pytest.fixture(scope="module")
+def clean_upload(tmp_path_factory):
+    """The directory an upload that no write failed leaves."""
+    directory = tmp_path_factory.mktemp("clean") / "ledger"
+    assert run_cli(directory, *COMMANDS["upload"]) == 0
+    return directory
+
+
+def files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 def start_from(base, command, directory):
     source = base.get(command, base[None])
     if source.exists():
@@ -102,7 +115,8 @@ def test_each_command_writes_its_files_in_commit_order(base, tmp_path, monkeypat
 
 @pytest.mark.parametrize("torn", [False, True], ids=["failed", "torn"])
 @pytest.mark.parametrize("command", COMMANDS)
-def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, tmp_path, monkeypatch, capsys, command, torn):
+def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload, tmp_path, monkeypatch, capsys,
+                                                               command, torn):
     writes = WRITES[command]
     for k, name in enumerate(writes, start=1):
         directory = tmp_path / f"k{k}"
@@ -124,8 +138,12 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, tmp_path, mo
             assert recovered == 2 and "error:" in err, (k, name)
             continue
         if old_epoch is None:
-            # An upload that never reached its index line committed nothing.
+            # An upload that never reached its index line committed nothing,
+            # and the same upload then starts the directory over.
             assert recovered == 6 and not (directory / "index").exists(), (k, name)
+            assert run_cli(directory, *COMMANDS["upload"]) == 0, (k, name)
+            assert run_cli(directory, "verify") == 0, (k, name)
+            assert files(directory) == files(clean_upload), (k, name)
             continue
         committed = "index" in writes[: k - 1]
         assert recovered == 0, (k, name, err)
@@ -156,3 +174,19 @@ def test_an_empty_pack_left_by_a_failed_append_still_gets_its_header(tmp_path):
     ledger_module.write_file(directory, "blocks.pack", b"", append=True)
     _, ledger = make_committed_state(b"abcdefgh", 2, 2, directory=directory)
     assert load_ledger(directory).points == ledger.points
+
+
+def test_a_live_state_behind_the_ledger_names_recover(base, tmp_path, monkeypatch, capsys):
+    directory = tmp_path / "ledger"
+    old_epoch = start_from(base, "append", directory)
+    inject(monkeypatch, WRITES["append"].index("journal") + 1, torn=False)
+    assert run_cli(directory, *COMMANDS["append"]) == 2
+    monkeypatch.undo()
+    capsys.readouterr()
+    for command in ("verify", "report"):
+        assert run_cli(directory, command) == 5, command
+        err = capsys.readouterr().err
+        assert "recover" in err and f"epoch {old_epoch}" in err and f"epoch {old_epoch + 1}" in err, err
+    assert run_cli(directory, "recover") == 0
+    assert capsys.readouterr().out == f"RESTORED epoch={old_epoch + 1}\n"
+    assert run_cli(directory, "verify") == 0

@@ -249,10 +249,10 @@ def test_a_block_joins_the_store_only_after_the_pack_write(tmp_path, monkeypatch
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(b"abcdefgh", 2, 2, directory=directory)
 
-    def failing_append_pack(directory, blocks):
+    def failing_write_pack(directory, blocks, append):
         raise OSError("injected failure at the pack write")
 
-    monkeypatch.setattr(ledger_module, "_append_pack", failing_append_pack)
+    monkeypatch.setattr(ledger_module, "_write_pack", failing_write_pack)
     with pytest.raises(OSError):
         append(cluster, ledger, 0, b"new!")
     assert digest_of(b"new!") not in ledger.blocks

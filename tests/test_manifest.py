@@ -5,7 +5,9 @@ import random
 import pytest
 
 from cloudledger import (
+    BlockRecord,
     Level,
+    Manifest,
     ManifestFormatError,
     build_manifest,
     fnv1a64,
@@ -13,6 +15,7 @@ from cloudledger import (
     parse_manifest,
     serialize_manifest,
 )
+from cloudledger.checksum import checksum_hex
 
 # 16-byte pair generated once with seed 42 and frozen (equal weights must
 # not imply equal checksums).
@@ -72,6 +75,35 @@ def test_serialized_form_is_exact():
         "1 0 2 089c4407b545986a\n"
         "END\n"
     )
+
+
+def reference_serialize_manifest(manifest: Manifest) -> str:
+    """The per-line rendering serialize_manifest replaced, kept as the oracle."""
+    lines = [
+        f"MANIFEST v1 level={manifest.level.value} epoch={manifest.epoch}"
+        f" servers={manifest.server_count} total={manifest.total_weight}"
+    ]
+    for r in manifest.records:
+        lines.append(f"{r.server_index} {r.block_id} {r.weight} {checksum_hex(r.checksum)}")
+    lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_RECORDS = (
+    BlockRecord(0, 0, 0, 0),
+    BlockRecord(0, 257, 1, 2**64 - 1),
+    BlockRecord(3, 1000, 4096, 1),
+    BlockRecord(300, 70000, 10**6, 0xABC),
+)
+
+
+@pytest.mark.parametrize("records", [(), EDGE_RECORDS], ids=["no-records", "edge-values"])
+@pytest.mark.parametrize("level", list(Level))
+def test_serialization_equals_the_per_line_rendering(records, level):
+    manifest = Manifest(level, 7, records, 301)
+    text = serialize_manifest(manifest)
+    assert text == reference_serialize_manifest(manifest)
+    assert parse_manifest(text) == manifest
 
 
 def test_total_weight_recomputed_from_records():

@@ -1,10 +1,12 @@
 """Set-based manifest comparison against the address-keyed versions it replaced.
 
-verify_equality compares manifests as sets of whole records and pairs by
-address only the records that differ, and audit drops EXTRA divergences
-instead of restricting the live manifest to each epoch's addresses. The
-reference functions below are the earlier implementations, kept as the
-oracle: on seeded random inputs both must give equal results.
+verify_equality returns a clean verdict for equal record tuples with every
+server available, else compares manifests as sets of whole records and
+pairs by address only the records that differ, and audit drops EXTRA
+divergences instead of restricting the live manifest to each epoch's
+addresses. The reference functions below are the earlier
+implementations, kept as the oracle: on seeded random inputs both must
+give equal results.
 """
 
 import random
@@ -125,6 +127,84 @@ def test_verdicts_equal_the_address_keyed_reference(mode):
         expected_kinds.discard(DivergenceKind.CHECKSUM_MISMATCH)
     assert kinds_seen == expected_kinds
     assert unchanged_on_unavailable > 0
+
+
+def copy_record(record: BlockRecord, cls=BlockRecord) -> BlockRecord:
+    """An equal-valued record that shares no int above 256 with ``record``."""
+    return cls(*(int(str(field)) for field in record))
+
+
+def clean_path_cases(rng: random.Random):
+    """Manifest pairs around the clean path, by name: the same record tuple,
+    equal-valued copies, one record changed, added or removed, and equal
+    records with a server unavailable on either side. Block ids lie above
+    256, where CPython caches no int, so a copy compares by value."""
+    servers = rng.randint(1, 4)
+    records = tuple(
+        BlockRecord(server, block, rng.randrange(3), rng.randrange(3))
+        for server in range(servers)
+        for block in sorted(rng.sample(range(257, 600), rng.randint(0, 4)))
+    )
+    copies = tuple(map(copy_record, records))
+    assert all(a.block_id is not b.block_id for a, b in zip(records, copies))
+    cases = {"same": records, "copies": copies}
+    if records:
+        at = rng.randrange(len(records))
+        changed = records[at]._replace(**{rng.choice(("weight", "checksum")): 3})
+        cases["changed"] = records[:at] + (changed,) + records[at + 1 :]
+        cases["removed"] = records[:at] + records[at + 1 :]
+    server = rng.randrange(servers)
+    added = BlockRecord(server, 600, rng.randrange(3), rng.randrange(3))
+    cases["added"] = tuple(sorted(records + (added,)))
+    epoch = rng.randrange(3)
+    user = Manifest(Level.USER, epoch, records, servers)
+    for name, cloud_records in cases.items():
+        yield name, user, Manifest(Level.CLOUD, epoch, cloud_records, servers)
+    down = frozenset({server})
+    yield "unavailable-user", user._replace(unavailable_servers=down), user._replace(level=Level.CLOUD)
+    yield "unavailable-cloud", user, user._replace(level=Level.CLOUD, records=copies, unavailable_servers=down)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_clean_path_verdicts_equal_the_address_keyed_reference(mode):
+    rng = random.Random(0xC1EA + len(mode.value))
+    seen = set()
+    for _ in range(500):
+        for name, user, cloud in clean_path_cases(rng):
+            verdict = verify_equality(user, cloud, mode)
+            assert verdict == reference_verify_equality(user, cloud, mode), (name, user, cloud)
+            if name in ("same", "copies"):
+                assert verdict.z, name
+            elif name.startswith("unavailable"):
+                down = user.unavailable_servers | cloud.unavailable_servers
+                on_down = [r for r in user.records if r.server_index in down]
+                assert [d.kind for d in verdict.divergences] == [DivergenceKind.SERVER_UNAVAILABLE] * len(on_down)
+            elif name != "changed" or mode is Mode.CHECKSUM:
+                assert not verdict.z, name
+            seen.add((name, verdict.z))
+    assert {("same", True), ("copies", True), ("changed", False), ("added", False), ("removed", False),
+            ("unavailable-user", False), ("unavailable-cloud", False)} <= seen
+
+
+class UnhashableRecord(BlockRecord):
+    """A record that fails the test if the comparison hashes it."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        raise AssertionError("verify_equality hashed a record")
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_clean_check_hashes_no_record(mode):
+    records = tuple(UnhashableRecord(s, b, b % 7, b * 31) for s in range(3) for b in range(250, 270))
+    copies = tuple(copy_record(r, UnhashableRecord) for r in records)
+    user = Manifest(Level.USER, 2, records, 3)
+    for cloud_records in (records, copies):
+        verdict = verify_equality(user, Manifest(Level.CLOUD, 2, cloud_records, 3), mode)
+        assert verdict == Verdict(z=True, mode=mode, divergences=(), epoch=2)
+    with pytest.raises(AssertionError, match="hashed"):
+        verify_equality(user, Manifest(Level.CLOUD, 2, copies[1:], 3), mode)
 
 
 def random_history(rng: random.Random):
