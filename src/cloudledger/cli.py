@@ -54,9 +54,11 @@ from .errors import (
 )
 from .ledger import (
     CLUSTER_FILE,
+    INDEX_FILE,
     PACK_FILE,
     Ledger,
     commit_restore_point,
+    cut_index_tail,
     load_cluster,
     load_ledger,
     recover,
@@ -92,9 +94,9 @@ DEFAULT_LEDGER_DIR = "ledger"
 CONFIG_FILE = "config"
 CONFIG_KEYS = ("servers", "block_size", "mode", "seed")
 JOURNAL_FILE = "journal"
-# What an upload writes before its index line. A directory holding nothing
-# else has committed nothing, so an upload into it starts over.
-_UPLOAD_FILES = {name + suffix for name in (CONFIG_FILE, PACK_FILE, CLUSTER_FILE, "0.snapshot")
+# What an upload writes. A directory holding nothing else, and no whole
+# index line, has committed nothing, so an upload into it starts over.
+_UPLOAD_FILES = {name + suffix for name in (CONFIG_FILE, PACK_FILE, CLUSTER_FILE, "0.snapshot", INDEX_FILE)
                  for suffix in ("", ".tmp")}
 
 
@@ -183,7 +185,8 @@ def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, 
 def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if config.ledger_dir.exists():
-        kept = sorted(p.name for p in config.ledger_dir.iterdir() if p.name not in _UPLOAD_FILES)
+        kept = sorted(p.name for p in config.ledger_dir.iterdir() if p.name not in _UPLOAD_FILES
+                      or p.name == INDEX_FILE and b"\n" in p.read_bytes())
         if kept:
             raise PreexistingData(f"ledger directory {config.ledger_dir} is not empty: it holds {kept[0]}")
     payload = _resolve_payload(parser, args, config, epoch=0)
@@ -264,6 +267,9 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    cut = cut_index_tail(config.ledger_dir)
+    if cut:
+        print(f"recover: {cut}, which committed nothing; cut it", file=sys.stderr)
     ledger = load_ledger(config.ledger_dir)
     if not ledger.points:
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")

@@ -34,6 +34,7 @@ from .manifest import (
     Level,
     Manifest,
     make_block,
+    new_record,
     parse_manifest,
     serialize_manifest,
 )
@@ -89,7 +90,7 @@ class ServerState:
         """Store a block at block_id, replacing any block there, and record
         it there with its length as weight and its stored checksum."""
         self.blocks[block_id] = block
-        self.records[block_id] = BlockRecord(self.server_index, block_id, len(block.payload), block.checksum)
+        self.records[block_id] = new_record((self.server_index, block_id, len(block.payload), block.checksum))
 
     def drop(self, block_id: int) -> None:
         """Remove the block at block_id and its record."""
@@ -293,20 +294,28 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
     line names from ``blocks`` (digest -> DataBlock) and putting that very
     object at the address of the manifest record in the same position.
     Nothing is decoded or hashed: each block must match its record by its
-    length and the checksum make_block stored with it. Any inconsistency, a
-    manifest of no servers or of the user level included, raises SnapshotCorrupt."""
-    lines = text.splitlines()
-    if not lines or lines[0] != SNAPSHOT_HEADER:
-        head = lines[0].split(" ")[:2] if lines else []
-        if head in _RETIRED_HEADERS:
-            raise SnapshotCorrupt(f"snapshot is in ledger format {head[1]}, which is no longer supported;"
+    length and the checksum make_block stored with it. Lines end in LF
+    only, the last one included. Any inconsistency, a manifest of no
+    servers or of the user level included, raises SnapshotCorrupt.
+
+    The text is cut at LFs by str methods and the blocks are looked up in
+    one pass. put records each block's own weight and checksum at its
+    record's address, so one tuple comparison in C checks every block
+    against its record; only a failed check walks the records, to name the
+    first bad one.
+    """
+    head = text.partition("\n")[0]
+    if head != SNAPSHOT_HEADER:
+        version = head.split(" ")[:2]
+        if version in _RETIRED_HEADERS:
+            raise SnapshotCorrupt(f"snapshot is in ledger format {version[1]}, which is no longer supported;"
                                   f" expected format v3 ({SNAPSHOT_HEADER!r})")
         raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
-    if "END" not in lines:
+    split = text.find("\nEND\n", len(head))
+    if split < 0:
         raise SnapshotCorrupt("snapshot missing manifest terminator")
-    split = lines.index("END")
     try:
-        manifest = parse_manifest("\n".join(lines[1 : split + 1]) + "\n")
+        manifest = parse_manifest(text[len(head) + 1 : split + len("\nEND\n")])
     except ManifestFormatError as exc:
         raise SnapshotCorrupt(f"snapshot manifest unreadable: {exc}") from exc
     if manifest.server_count < 1:
@@ -314,10 +323,12 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
     if manifest.level is not Level.CLOUD:
         raise SnapshotCorrupt(f"snapshot manifest has level={manifest.level.value}; a snapshot holds the cloud's")
 
-    if lines[-1] != "END":
+    body = text[split + len("\nEND\n") :].split("\n")
+    if body[-2:] != ["END", ""]:
         raise SnapshotCorrupt("snapshot not terminated by END")
-    count = len(manifest.records)
-    body = lines[split + 1 : -1]
+    del body[-2:]
+    records = manifest.records
+    count = len(records)
     digests, status = body[:count], body[count:]
     if len(digests) != count:
         raise SnapshotCorrupt(f"snapshot has {len(digests)} digest lines for {count} manifest records")
@@ -333,18 +344,18 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
     if stale and manifest.epoch == 0:
         raise SnapshotCorrupt("STALE line at epoch 0, which has no previous epoch to replay")
 
+    found = list(map(blocks.get, digests))
+    if None in found:
+        raise _first_bad_record(records, digests, blocks)
     cluster = new_cluster(manifest.server_count, rng_seed=rng_seed)
     cluster.epoch = manifest.epoch
     cluster.stale_armed = stale
-    for record, digest in zip(manifest.records, digests):
-        block = blocks.get(digest)
-        if block is None:
-            raise SnapshotCorrupt(f"server={record.server_index} block={record.block_id} references"
-                                  f" block {digest}, which the store lacks")
-        if (len(block.payload), block.checksum) != (record.weight, record.checksum):
-            raise SnapshotCorrupt(f"block referenced by server={record.server_index} block={record.block_id}"
-                                  " fails its manifest record")
-        cluster.servers[record.server_index].put(record.block_id, block)
+    servers = cluster.servers
+    for (server_index, block_id, _, _), block in zip(records, found):
+        servers[server_index].put(block_id, block)
+    # put recorded each block's own weight and checksum at its record's address.
+    if tuple(chain.from_iterable(s.records.values() for s in servers)) != records:
+        raise _first_bad_record(records, digests, blocks)
     for server_index in down:
         if not 0 <= server_index < cluster.server_count:
             raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")
@@ -352,3 +363,18 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
             raise SnapshotCorrupt(f"DOWN line names server {server_index}, which holds records")
         cluster.servers[server_index].alive = False
     return cluster
+
+
+def _first_bad_record(records: tuple[BlockRecord, ...], digests: list[str],
+                      blocks: Mapping[str, DataBlock]) -> SnapshotCorrupt:
+    """The error for the first record whose digest names no block in
+    ``blocks``, or a block that fails the record's weight or checksum."""
+    for record, digest in zip(records, digests):
+        block = blocks.get(digest)
+        if block is None:
+            return SnapshotCorrupt(f"server={record.server_index} block={record.block_id} references"
+                                   f" block {digest}, which the store lacks")
+        if (len(block.payload), block.checksum) != (record.weight, record.checksum):
+            return SnapshotCorrupt(f"block referenced by server={record.server_index} block={record.block_id}"
+                                   " fails its manifest record")
+    return SnapshotCorrupt("snapshot blocks fail their manifest records")

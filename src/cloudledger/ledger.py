@@ -10,11 +10,12 @@ ledger keeps one block store, shared by all its points, holding each
 distinct block once (on disk, an append-only pack), so a commit stores
 only the blocks the store lacks.
 
-Recovery declares the state intact when every server is up and a
-CHECKSUM comparison against the last committed manifest passes; equal
+Recovery declares the state intact when every server is up and the
+live records equal the last committed manifest's, one tuple comparison
+that, with no server unavailable, is the clean CHECKSUM verdict; equal
 records imply equal weights, so the live aggregate Y equals X without
 being computed. Otherwise the cluster is rewritten from the last
-snapshot.
+snapshot, and only that restored state runs through verify_equality.
 
 Timestamps are logical clock ticks, not wall time, so ledgers are
 byte-reproducible: epoch k commits at tick k + 1. Ledger is a plain
@@ -170,14 +171,17 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
     """Restore the cluster to the last committed point unless it is intact.
 
     Intact means: the cluster is at the committed epoch and server count,
-    every server is alive, a CHECKSUM comparison against the stored
-    manifest passes, which also implies the live aggregate Y equals the
-    committed X, and no stale read path is armed. Weight equality alone is
-    not trusted, because identical-weight substitutions leave Y unchanged;
+    every server is alive, no stale read path is armed, and the live
+    records equal the stored manifest's. That is one tuple comparison in
+    C, and with every server up it is exactly a passing CHECKSUM
+    comparison, so verify_equality is not run; it also implies the live
+    aggregate Y equals the committed X. Weight equality alone is not
+    trusted, because identical-weight substitutions leave Y unchanged;
     nor is a pass through a stale read path, which replays committed
     records whatever the servers store. Otherwise the cluster is
     rewritten from the snapshot, crashed servers are revived, the lying
-    read path is cleared, and the restored state is re-verified.
+    read path is cleared, and the restored state is re-verified: the one
+    verify_equality call a recover makes.
     """
     last = ledger.last()
     live = read_manifest(cluster)
@@ -185,8 +189,8 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
         live.server_count == last.manifest.server_count
         and live.epoch == last.epoch
         and all(s.alive for s in cluster.servers)
-        and verify_equality(last.manifest, live, Mode.CHECKSUM).z
         and not cluster.stale_armed
+        and live.records == last.manifest.records
     )
     if intact:
         return RecoveryReport(RecoveryAction.INTACT, last.epoch)
@@ -248,8 +252,10 @@ def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]
 # an upload that never committed left, and appended to, never rewritten,
 # after that. A commit appends its new blocks first, then
 # replaces ``<epoch>.snapshot``, the epoch's only file and the one copy of its
-# manifest; the ``index`` line comes last and is the commit. A crash before it
-# leaves only unread blocks and an unlisted snapshot, which a retry replaces.
+# manifest; the ``index`` line comes last and, once its LF is written, is the
+# commit (epoch 0's line is written as the whole index). A crash before it
+# leaves only unread blocks, an unlisted snapshot, which a retry replaces, and
+# perhaps a partial index line, which recover cuts.
 
 INDEX_FILE = "index"
 PACK_FILE = "blocks.pack"
@@ -271,10 +277,15 @@ def write_file(directory: Path, name: str, data: bytes, append: bool = False) ->
     os.replace(temporary, directory / name)
 
 
+def _read_text(path: Path) -> str:
+    """A file's text as written: unlike read_text, this translates no CR or
+    CRLF into LF, so the loaders see the line ends that are on disk."""
+    return path.read_bytes().decode("utf-8")
+
+
 def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
     """The live cluster in the ledger's directory, its blocks taken from the ledger's store."""
-    text = (ledger.directory / CLUSTER_FILE).read_text(encoding="utf-8")
-    cluster = load_snapshot(text, ledger.blocks, rng_seed=rng_seed)
+    cluster = load_snapshot(_read_text(ledger.directory / CLUSTER_FILE), ledger.blocks, rng_seed=rng_seed)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     return cluster
 
@@ -330,14 +341,36 @@ def _read_pack(directory: Path) -> dict[str, DataBlock]:
 
 
 def _write_point(directory: Path, point: RestorePoint) -> None:
+    """Replace the point's snapshot, then write its index line: appended,
+    or for epoch 0 as a whole new index, which discards any partial line
+    an upload that never committed left."""
     write_file(directory, f"{point.epoch}.snapshot", point.payload_snapshot.encode("utf-8"))
-    write_file(directory, INDEX_FILE, f"{point.epoch} {point.timestamp} {point.committed_x}\n".encode(), append=True)
+    line = f"{point.epoch} {point.timestamp} {point.committed_x}\n".encode()
+    write_file(directory, INDEX_FILE, line, append=point.epoch > 0)
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
     """Write an in-memory point's files as a bound commit does: new blocks, snapshot, index line."""
     _write_pack(directory, point.added, append=(directory / PACK_FILE).exists())
     _write_point(directory, point)
+
+
+def _partial_index_line(epoch: int, partial: str) -> str:
+    return f"index ends in a partial line at epoch {epoch}: {partial!r}"
+
+
+def cut_index_tail(directory: Path) -> str:
+    """Cut a partial last line off the directory's index, through
+    write_file's replace, and describe it ("" when the index ends in a
+    whole line or is missing). Only a whole line commits an epoch, so a
+    line an append tore before its LF committed nothing."""
+    path = Path(directory) / INDEX_FILE
+    data = path.read_bytes() if path.exists() else b""
+    whole = data[: data.rfind(b"\n") + 1]
+    if whole == data:
+        return ""
+    write_file(Path(directory), INDEX_FILE, whole)
+    return _partial_index_line(whole.count(b"\n"), data[len(whole) :].decode("utf-8", "replace"))
 
 
 def load_ledger(directory: Path) -> Ledger:
@@ -348,16 +381,19 @@ def load_ledger(directory: Path) -> Ledger:
     against its manifest (the epoch's one copy, parsed once), and the
     index's X against the X that manifest derives. Each distinct block is
     hashed once, so the cost is O(distinct stored bytes + epochs x records).
+    Files are read as written, with no newline translation, and every
+    line, the index's too, must end in LF; a partial last index line,
+    which cut_index_tail removes, is an error here.
     """
     directory = Path(directory)
     index_path = directory / INDEX_FILE
     if not index_path.exists():
         return Ledger(directory=directory)
 
-    index_text = index_path.read_text(encoding="utf-8")
-    lines = index_text.splitlines()
-    if index_text and not index_text.endswith("\n"):
-        raise ManifestFormatError(f"index ends in a partial line at epoch {len(lines) - 1}: {lines[-1]!r}")
+    lines = _read_text(index_path).split("\n")
+    partial = lines.pop()
+    if partial:
+        raise ManifestFormatError(_partial_index_line(len(lines), partial))
     ledger = Ledger(directory=directory, blocks=_read_pack(directory))
     for position, line in enumerate(lines):
         try:
@@ -371,7 +407,7 @@ def load_ledger(directory: Path) -> Ledger:
         if tick != epoch + 1:
             raise ManifestFormatError(f"index tick {tick} at epoch {epoch} is not epoch + 1")
 
-        snapshot_text = (directory / f"{epoch}.snapshot").read_text(encoding="utf-8")
+        snapshot_text = _read_text(directory / f"{epoch}.snapshot")
         manifest = stored_manifest(load_snapshot(snapshot_text, ledger.blocks))
         if manifest.epoch != epoch:
             raise ManifestFormatError(f"snapshot for epoch {epoch} claims epoch {manifest.epoch}")

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import enum
 import re
+from functools import partial
 from hashlib import sha256
-from itertools import chain
+from itertools import chain, repeat
+from operator import lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .checksum import fnv1a64
@@ -67,6 +69,11 @@ class BlockRecord(NamedTuple):
     @property
     def key(self) -> tuple[int, int]:
         return (self.server_index, self.block_id)
+
+
+# A BlockRecord from a (server_index, block_id, weight, checksum) tuple. The
+# NamedTuple's own __new__ is Python code; tuple.__new__ runs in C.
+new_record = partial(tuple.__new__, BlockRecord)
 
 
 class Manifest(NamedTuple):
@@ -163,37 +170,49 @@ def _bad_record(line: str) -> ManifestFormatError:
 
 
 def parse_manifest(text: str) -> Manifest:
-    """Parse serialize_manifest output, revalidating every invariant; the
-    header and every record line must equal their canonical rendering."""
-    lines = text.splitlines()
-    if not lines:
+    """Parse serialize_manifest output, revalidating every invariant.
+
+    The header and every record line must equal their canonical rendering,
+    every line must end in LF (a CR, a form feed or U+2028 is no line end)
+    and the last one must be END. The record section is checked by one
+    pattern and then decoded by column in C: the fields are the section's
+    whitespace-split words once the pattern has matched, the order and
+    total checks run over whole columns, and each record is built by the
+    C tuple constructor.
+    """
+    if not text:
         raise ManifestFormatError("empty manifest text")
-    header = _parse_header(lines[0])
+    first, _, section = text.partition("\n")
+    header = _parse_header(first)
     try:
         level = Level(header["level"])
         epoch = int(header["epoch"])
         server_count = int(header["servers"])
         total = int(header["total"])
     except (KeyError, ValueError) as exc:
-        raise ManifestFormatError(f"bad manifest header: {lines[0]!r}") from exc
+        raise ManifestFormatError(f"bad manifest header: {first!r}") from exc
     if epoch < 0:
         raise ManifestFormatError(f"manifest epoch {epoch} is negative")
-    if lines[0] != _render_header(level, epoch, server_count, total):
-        raise ManifestFormatError(f"manifest header is not canonical: {lines[0]!r}")
+    if first != _render_header(level, epoch, server_count, total):
+        raise ManifestFormatError(f"manifest header is not canonical: {first!r}")
 
-    if not lines[-1] == "END":
+    if not section.endswith("END\n"):
         raise ManifestFormatError("manifest not terminated by END")
-    section = "\n".join(lines[1:])
     canonical = _RECORD_LINES.match(section).end()
-    if canonical != len(section) - len("END"):
+    if canonical != len(section) - len("END\n"):
         raise _bad_record(section[canonical:].partition("\n")[0])
-    records = [BlockRecord(int(s), int(b), int(w), int(c, 16)) for s, b, w, c in map(str.split, lines[1:-1])]
-    for prev, cur in zip(records, records[1:]):
-        if prev.key >= cur.key:
-            raise ManifestFormatError("records out of order")
-    if records and records[-1].server_index >= server_count:  # in order, so the last server is the largest
-        raise ManifestFormatError(f"record server {records[-1].server_index} outside servers={server_count}")
-    manifest = Manifest(level=level, epoch=epoch, records=tuple(records), server_count=server_count)
-    if manifest.total_weight != total:
+    fields = section.split()
+    fields.pop()  # END
+    servers = list(map(int, fields[0::4]))
+    ids = list(map(int, fields[1::4]))
+    keys = list(zip(servers, ids))
+    if not all(map(lt, keys, keys[1:])):
+        raise ManifestFormatError("records out of order")
+    if servers and servers[-1] >= server_count:  # in order, so the last server is the largest
+        raise ManifestFormatError(f"record server {servers[-1]} outside servers={server_count}")
+    weights = list(map(int, fields[2::4]))
+    if sum(weights) != total:
         raise ManifestFormatError("header total does not match record weights")
-    return manifest
+    checksums = map(int, fields[3::4], repeat(16))
+    records = tuple(map(new_record, zip(servers, ids, weights, checksums)))
+    return Manifest(level=level, epoch=epoch, records=records, server_count=server_count)

@@ -190,9 +190,16 @@ def test_torn_index_tail_is_reported_as_a_partial_line(ledger_dir, capsys):
     assert index.read_text().endswith("\n1 2 1680\n")
     index.write_text(index.read_text()[: -len("80\n")])
     capsys.readouterr()
-    for command in ("verify", "recover"):
-        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
+    for command in ("verify", "report", "audit --epochs 0"):
+        assert run_cli("--ledger-dir", str(ledger_dir), *command.split()) == 2
         assert "index ends in a partial line at epoch 1: '1 2 16'" in capsys.readouterr().err
+    # The partial line committed nothing: recover cuts it and restores epoch 0.
+    assert run_cli("--ledger-dir", str(ledger_dir), "recover") == 0
+    out, err = capsys.readouterr()
+    assert out == "RESTORED epoch=0\n"
+    assert "index ends in a partial line at epoch 1: '1 2 16'" in err
+    assert index.read_text().count("\n") == 1 and index.read_text().endswith("\n")
+    assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 0
 
 
 def old_snapshot(version, payload, servers, block_size):

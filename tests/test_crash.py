@@ -6,7 +6,8 @@ before writing anything or after writing half of its data (a torn write),
 for every k a command reaches. The next commands must then find the old
 epoch or the new one, never a directory they cannot read, and an upload
 that never committed must run again, except for the blind spot named
-below: a torn append to the pack or the index.
+below: a torn append to the pack. A torn index line committed nothing,
+and recover cuts it.
 """
 
 import os
@@ -133,10 +134,11 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
 
         recovered = run_cli(directory, "recover")
         out, err = capsys.readouterr()
-        if torn and name in ("blocks.pack", "index") and (directory / "index").exists():
-            # Blind spot: a torn append to the pack or index tail makes every command exit 2.
+        if torn and name == "blocks.pack" and (directory / "index").exists():
+            # Blind spot: a torn append to the pack tail makes every command exit 2.
             assert recovered == 2 and "error:" in err, (k, name)
             continue
+        assert ("index ends in a partial line" in err) == (torn and name == "index" and old_epoch is not None), err
         if old_epoch is None:
             # An upload that never reached its index line committed nothing,
             # and the same upload then starts the directory over.
@@ -190,3 +192,19 @@ def test_a_live_state_behind_the_ledger_names_recover(base, tmp_path, monkeypatc
     assert run_cli(directory, "recover") == 0
     assert capsys.readouterr().out == f"RESTORED epoch={old_epoch + 1}\n"
     assert run_cli(directory, "verify") == 0
+
+
+@pytest.mark.parametrize("recover_first", [False, True], ids=["upload", "recover-then-upload"])
+def test_an_index_with_no_whole_line_commits_nothing(clean_upload, tmp_path, capsys, recover_first):
+    directory = tmp_path / "ledger"
+    shutil.copytree(clean_upload, directory)
+    index = directory / "index"
+    index.write_bytes(index.read_bytes()[:-2])
+    if recover_first:
+        assert run_cli(directory, "recover") == 6
+        assert "index ends in a partial line at epoch 0" in capsys.readouterr().err
+        assert index.read_bytes() == b""
+    assert run_cli(directory, *COMMANDS["upload"]) == 0
+    assert files(directory) == files(clean_upload)
+    assert run_cli(directory, *COMMANDS["upload"]) == 3
+    assert "it holds index" in capsys.readouterr().err

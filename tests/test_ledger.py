@@ -122,6 +122,26 @@ def test_recover_clean_state_is_intact():
     assert report.epoch == 0
 
 
+@pytest.mark.parametrize("fault, calls", [(FaultSpec(FaultKind.FLIP_BYTE, 1, 0, seed=3), 1), (None, 0)],
+                         ids=["flip-byte", "intact"])
+def test_recover_compares_records_without_verify_equality(monkeypatch, fault, calls):
+    """The intact check is one tuple comparison; verify_equality runs only on the restored state."""
+    cluster, ledger = make_committed_state(bytes(range(90)), 3, 10)
+    append(cluster, ledger, 1, b"extra bytes")
+    if fault is not None:
+        inject_fault(cluster, fault)
+    seen = []
+
+    def counting(user, cloud, mode):
+        seen.append(mode)
+        return verify_equality(user, cloud, mode)
+
+    monkeypatch.setattr(ledger_module, "verify_equality", counting)
+    action = RecoveryAction.RESTORED if fault else RecoveryAction.INTACT
+    assert recover(ledger, cluster).action is action
+    assert seen == [Mode.CHECKSUM] * calls
+
+
 def test_recover_is_idempotent():
     cluster, ledger = make_committed_state(bytes(range(30)), 3, 5)
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 0))
