@@ -55,10 +55,12 @@ from .errors import (
 from .ledger import (
     CLUSTER_FILE,
     INDEX_FILE,
+    JOURNAL_FILE,
     PACK_FILE,
     Ledger,
     commit_restore_point,
     cut_index_tail,
+    cut_pack_tail,
     load_cluster,
     load_ledger,
     recover,
@@ -93,7 +95,6 @@ DEFAULT_LEDGER_DIR = "ledger"
 
 CONFIG_FILE = "config"
 CONFIG_KEYS = ("servers", "block_size", "mode", "seed")
-JOURNAL_FILE = "journal"
 # What an upload writes. A directory holding nothing else, and no whole
 # index line, has committed nothing, so an upload into it starts over.
 _UPLOAD_FILES = {name + suffix for name in (CONFIG_FILE, PACK_FILE, CLUSTER_FILE, "0.snapshot", INDEX_FILE)
@@ -267,9 +268,9 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    cut = cut_index_tail(config.ledger_dir)
-    if cut:
-        print(f"recover: {cut}, which committed nothing; cut it", file=sys.stderr)
+    for cut in (cut_index_tail(config.ledger_dir), cut_pack_tail(config.ledger_dir)):
+        if cut:
+            print(f"recover: {cut}, which committed nothing; cut it", file=sys.stderr)
     ledger = load_ledger(config.ledger_dir)
     if not ledger.points:
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")

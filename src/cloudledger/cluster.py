@@ -16,8 +16,9 @@ are plain mutable classes.
 from __future__ import annotations
 
 import enum
-from itertools import chain
-from operator import attrgetter
+from bisect import bisect_left
+from itertools import chain, compress
+from operator import attrgetter, itemgetter, ne
 from typing import Mapping, NamedTuple, Optional
 
 from .checksum import fnv1a64
@@ -78,6 +79,10 @@ class ServerState:
     so records[i] is the record of blocks[i]. The keys are the only place a
     block's address lives. Both dicts stay in block-id order (appends take
     the next id, updates replace in place), which is the manifest order.
+    A record object outlives the writes at other addresses, so a commit's
+    manifest shares it, and a snapshot loaded into the server (a recover
+    or a rollback) puts only the blocks that differ; a server whose block
+    ids differ from the snapshot's is replaced by a new one instead.
     """
 
     def __init__(self, server_index: int) -> None:
@@ -289,20 +294,30 @@ def snapshot_cluster(cluster: ClusterState) -> str:
     return "".join((SNAPSHOT_HEADER, "\n", serialize_manifest(stored_manifest(cluster)), "\n".join(tail)))
 
 
-def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0) -> ClusterState:
-    """Rebuild a cluster from snapshot text, taking the block each digest
-    line names from ``blocks`` (digest -> DataBlock) and putting that very
+def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
+                  into: Optional[ClusterState] = None) -> ClusterState:
+    """Load snapshot text into a cluster, taking the block each digest line
+    names from ``blocks`` (digest -> DataBlock) and putting that very
     object at the address of the manifest record in the same position.
     Nothing is decoded or hashed: each block must match its record by its
     length and the checksum make_block stored with it. Lines end in LF
     only, the last one included. Any inconsistency, a manifest of no
     servers or of the user level included, raises SnapshotCorrupt.
 
-    The text is cut at LFs by str methods and the blocks are looked up in
-    one pass. put records each block's own weight and checksum at its
-    record's address, so one tuple comparison in C checks every block
-    against its record; only a failed check walks the records, to name the
-    first bad one.
+    The cluster is a new one seeded with ``rng_seed``, or ``into``, which
+    must have the snapshot's server count (else ValueError). Every check
+    runs before the first write, so a snapshot that fails one leaves
+    ``into`` as it was. The text is cut at LFs by str methods, the blocks
+    are looked up in one pass, and their weights and checksums are
+    compared with the records' column by column in C; only a failed check
+    walks the records, to name the first bad one.
+
+    Writes go only where a server's blocks differ from the snapshot's, so
+    an unchanged address keeps its record object, which the committed
+    points share. A server holding the snapshot's block ids in order gets
+    one put per differing block, found by one C pass over its blocks; any
+    other server is replaced by a new one, filled by put in block-id
+    order. Epoch, stale flag and liveness are then set from the snapshot.
     """
     head = text.partition("\n")[0]
     if head != SNAPSHOT_HEADER:
@@ -318,8 +333,9 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
         manifest = parse_manifest(text[len(head) + 1 : split + len("\nEND\n")])
     except ManifestFormatError as exc:
         raise SnapshotCorrupt(f"snapshot manifest unreadable: {exc}") from exc
-    if manifest.server_count < 1:
-        raise SnapshotCorrupt(f"snapshot manifest has servers={manifest.server_count}; a cluster needs one")
+    server_count = manifest.server_count
+    if server_count < 1:
+        raise SnapshotCorrupt(f"snapshot manifest has servers={server_count}; a cluster needs one")
     if manifest.level is not Level.CLOUD:
         raise SnapshotCorrupt(f"snapshot manifest has level={manifest.level.value}; a snapshot holds the cloud's")
 
@@ -344,24 +360,43 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0)
     if stale and manifest.epoch == 0:
         raise SnapshotCorrupt("STALE line at epoch 0, which has no previous epoch to replay")
 
-    found = list(map(blocks.get, digests))
-    if None in found:
+    try:
+        found = list(map(blocks.__getitem__, digests))
+    except KeyError:
+        raise _first_bad_record(records, digests, blocks) from None
+    if (list(map(itemgetter(2), records)) != list(map(len, map(itemgetter(0), found)))
+            or list(map(itemgetter(3), records)) != list(map(itemgetter(1), found))):
         raise _first_bad_record(records, digests, blocks)
-    cluster = new_cluster(manifest.server_count, rng_seed=rng_seed)
+    # Records are sorted, so server i's are records[bounds[i] : bounds[i + 1]].
+    bounds = [bisect_left(records, (server_index,)) for server_index in range(server_count)] + [count]
+    for server_index in down:
+        if not 0 <= server_index < server_count:
+            raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")
+        if bounds[server_index] != bounds[server_index + 1]:
+            raise SnapshotCorrupt(f"DOWN line names server {server_index}, which holds records")
+    if into is None:
+        cluster = new_cluster(server_count, rng_seed=rng_seed)
+    elif into.server_count == server_count:
+        cluster = into
+    else:
+        raise ValueError(f"snapshot has servers={server_count}, the cluster {into.server_count}")
+
+    ids = list(map(itemgetter(1), records))
+    for server, start, end in zip(cluster.servers, bounds, bounds[1:]):
+        target_ids, target_blocks = ids[start:end], found[start:end]
+        if list(server.blocks) == target_ids:
+            changed = compress(zip(target_ids, target_blocks), map(ne, server.blocks.values(), target_blocks))
+            for block_id, block in list(changed):
+                server.put(block_id, block)
+            continue
+        if server.blocks:  # put in block-id order: a dropped id put back must not land at the end
+            server = cluster.servers[server.server_index] = ServerState(server.server_index)
+        for block_id, block in zip(target_ids, target_blocks):
+            server.put(block_id, block)
     cluster.epoch = manifest.epoch
     cluster.stale_armed = stale
-    servers = cluster.servers
-    for (server_index, block_id, _, _), block in zip(records, found):
-        servers[server_index].put(block_id, block)
-    # put recorded each block's own weight and checksum at its record's address.
-    if tuple(chain.from_iterable(s.records.values() for s in servers)) != records:
-        raise _first_bad_record(records, digests, blocks)
-    for server_index in down:
-        if not 0 <= server_index < cluster.server_count:
-            raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")
-        if cluster.servers[server_index].blocks:
-            raise SnapshotCorrupt(f"DOWN line names server {server_index}, which holds records")
-        cluster.servers[server_index].alive = False
+    for server in cluster.servers:
+        server.alive = server.server_index not in down
     return cluster
 
 

@@ -14,8 +14,9 @@ Recovery declares the state intact when every server is up and the
 live records equal the last committed manifest's, one tuple comparison
 that, with no server unavailable, is the clean CHECKSUM verdict; equal
 records imply equal weights, so the live aggregate Y equals X without
-being computed. Otherwise the cluster is rewritten from the last
-snapshot, and only that restored state runs through verify_equality.
+being computed. Otherwise the last snapshot is loaded into the cluster,
+writing only the addresses whose block differs, and only that restored
+state runs through verify_equality.
 
 Timestamps are logical clock ticks, not wall time, so ledgers are
 byte-reproducible: epoch k commits at tick k + 1. Ledger is a plain
@@ -33,7 +34,7 @@ import enum
 import os
 import re
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .cluster import (
     ClusterState,
@@ -178,10 +179,11 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
     aggregate Y equals the committed X. Weight equality alone is not
     trusted, because identical-weight substitutions leave Y unchanged;
     nor is a pass through a stale read path, which replays committed
-    records whatever the servers store. Otherwise the cluster is
-    rewritten from the snapshot, crashed servers are revived, the lying
-    read path is cleared, and the restored state is re-verified: the one
-    verify_equality call a recover makes.
+    records whatever the servers store. Otherwise the snapshot is loaded
+    into the cluster, which writes only the addresses a fault changed, so
+    the restored cluster shares the committed records; crashed servers
+    are revived, the lying read path is cleared, and the restored state is
+    re-verified: the one verify_equality call a recover makes.
     """
     last = ledger.last()
     live = read_manifest(cluster)
@@ -202,17 +204,21 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
 def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
     """Overwrite cluster storage with the ledger's last payload snapshot.
 
-    The servers load_snapshot builds from the ledger's store (unhashed)
-    replace the cluster's. Revives every server, disarms a stale read
-    path, resets the epoch to the point's and the previous_records to
+    load_snapshot loads the snapshot into the cluster itself, taking the
+    blocks from the ledger's store (unhashed) and writing only the
+    addresses whose block differs, so every unchanged address keeps the
+    record object the committed point holds. (A cluster of another server
+    count gets new servers instead.) Revives every server, disarms a stale
+    read path, resets the epoch to the point's and the previous_records to
     those committed before it, and re-verifies the result against the
-    stored manifest; failure to verify means the snapshot itself is
-    corrupt. It is the one rollback, for recover and a failed ops.apply.
+    stored manifest, a comparison that stops at identity for the shared
+    records; failure to verify means the snapshot itself is corrupt. It is
+    the one rollback, for recover and a failed ops.apply.
     """
     point = ledger.last()
-    restored = load_snapshot(point.payload_snapshot, ledger.blocks, rng_seed=cluster.rng_seed)
-    cluster.servers = restored.servers
-    cluster.epoch = restored.epoch
+    fits = cluster.server_count == point.manifest.server_count
+    restored = load_snapshot(point.payload_snapshot, ledger.blocks, into=cluster if fits else None)
+    cluster.servers, cluster.epoch = restored.servers, restored.epoch
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     cluster.stale_armed = False
     for server in cluster.servers:
@@ -249,19 +255,23 @@ def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]
 # Ledger format v3: ``blocks.pack`` holds each distinct block once, as
 # PACK_HEADER followed by entries ``<sha256 hex> <weight>\n<payload>\n``,
 # written whole by the first write that stores a block, which replaces what
-# an upload that never committed left, and appended to, never rewritten,
-# after that. A commit appends its new blocks first, then
-# replaces ``<epoch>.snapshot``, the epoch's only file and the one copy of its
-# manifest; the ``index`` line comes last and, once its LF is written, is the
-# commit (epoch 0's line is written as the whole index). A crash before it
-# leaves only unread blocks, an unlisted snapshot, which a retry replaces, and
-# perhaps a partial index line, which recover cuts.
+# an upload that never committed left, and appended to after that; only
+# recover rewrites it, to cut a torn last entry. A commit appends its new
+# blocks first, then replaces ``<epoch>.snapshot``, the epoch's only file and
+# the one copy of its manifest; the ``index`` line comes last and, once its LF
+# is written, is the commit (epoch 0's line is written as the whole index). A
+# crash before it leaves only unread blocks, perhaps a torn pack entry, an
+# unlisted snapshot, which a retry replaces, and perhaps a partial index line;
+# recover cuts the torn entry and the partial line.
 
 INDEX_FILE = "index"
 PACK_FILE = "blocks.pack"
 CLUSTER_FILE = "cluster.state"
+JOURNAL_FILE = "journal"
 PACK_HEADER = b"PACK v2\n"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
+# What a torn append can leave of an entry header: a strict prefix of _PACK_ENTRY.
+_PACK_ENTRY_HEAD = re.compile(rb"[0-9a-f]{0,64}|[0-9a-f]{64} [0-9]*")
 
 
 def write_file(directory: Path, name: str, data: bytes, append: bool = False) -> None:
@@ -307,36 +317,58 @@ def _write_pack(directory: Path, blocks: Sequence[DataBlock], append: bool) -> N
     write_file(directory, PACK_FILE, b"".join(chunks), append=append)
 
 
+def _pack_entries(data: bytes) -> Iterator[tuple[int, str, int, int]]:
+    """Walk a pack's entries after its header: (position, digest, start,
+    end) for each whole one, its payload data[start:end]. A malformed entry
+    raises ManifestFormatError. The walk stops early at a torn tail, a
+    strict prefix of an entry (a header, payload or LF cut short), which is
+    what an append that failed halfway leaves."""
+    if not data.startswith(PACK_HEADER):
+        raise ManifestFormatError(f"{PACK_FILE} does not start with {PACK_HEADER!r}")
+    position = len(PACK_HEADER)
+    while position < len(data):
+        entry = _PACK_ENTRY.match(data, position)
+        if entry is None:
+            if _PACK_ENTRY_HEAD.fullmatch(data, position):
+                return
+            raise ManifestFormatError(f"bad {PACK_FILE} entry header at byte {position}")
+        start, end = entry.end(), entry.end() + int(entry.group(2))
+        if end >= len(data):
+            return
+        if data[end] != ord("\n"):
+            raise ManifestFormatError(f"{PACK_FILE} entry at byte {position} is cut short")
+        yield position, entry.group(1).decode("ascii"), start, end
+        position = end + 1
+
+
+def _partial_pack_entry(position: int) -> str:
+    return f"{PACK_FILE} ends in a partial entry at byte {position}"
+
+
 def _read_pack(directory: Path) -> dict[str, DataBlock]:
     """Read the block pack, checking that each entry hashes to its digest.
 
     Each block is hashed once, by make_block. Neither a pack entry nor a
     DataBlock carries an address: load_snapshot puts each block object at
-    the address of every manifest record whose digest line names it.
+    the address of every manifest record whose digest line names it. A
+    torn tail, which cut_pack_tail removes, is an error here.
     """
     path = directory / PACK_FILE
     if not path.exists():
         return {}
     data = path.read_bytes()
-    if not data.startswith(PACK_HEADER):
-        raise ManifestFormatError(f"{PACK_FILE} does not start with {PACK_HEADER!r}")
     blocks: dict[str, DataBlock] = {}
-    position = len(PACK_HEADER)
-    while position < len(data):
-        entry = _PACK_ENTRY.match(data, position)
-        if entry is None:
-            raise ManifestFormatError(f"bad {PACK_FILE} entry header at byte {position}")
-        digest = entry.group(1).decode("ascii")
-        start, end = entry.end(), entry.end() + int(entry.group(2))
-        if data[end : end + 1] != b"\n":
-            raise ManifestFormatError(f"{PACK_FILE} entry at byte {position} is cut short")
+    whole = len(PACK_HEADER)
+    for position, digest, start, end in _pack_entries(data):
         if digest in blocks:
             raise ManifestFormatError(f"{PACK_FILE} holds block {digest} twice")
         block = make_block(data[start:end])
         if block.digest != digest:
             raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
         blocks[digest] = block
-        position = end + 1
+        whole = end + 1
+    if whole < len(data):
+        raise ManifestFormatError(_partial_pack_entry(whole))
     return blocks
 
 
@@ -363,14 +395,56 @@ def cut_index_tail(directory: Path) -> str:
     """Cut a partial last line off the directory's index, through
     write_file's replace, and describe it ("" when the index ends in a
     whole line or is missing). Only a whole line commits an epoch, so a
-    line an append tore before its LF committed nothing."""
-    path = Path(directory) / INDEX_FILE
-    data = path.read_bytes() if path.exists() else b""
-    whole = data[: data.rfind(b"\n") + 1]
-    if whole == data:
+    line an append tore before its LF committed nothing.
+
+    The journal then keeps only its whole lines for the epochs the index
+    holds, so the operation of a cut line leaves no history line for a
+    later operation to repeat. That pass runs whether or not a line was
+    cut, so a crash between the two writes is mended by the next call.
+    """
+    directory = Path(directory)
+    path = directory / INDEX_FILE
+    if not path.exists():
         return ""
-    write_file(Path(directory), INDEX_FILE, whole)
-    return _partial_index_line(whole.count(b"\n"), data[len(whole) :].decode("utf-8", "replace"))
+    data = path.read_bytes()
+    whole = data[: data.rfind(b"\n") + 1]
+    if whole != data:
+        write_file(directory, INDEX_FILE, whole)
+    epochs = whole.count(b"\n")
+    _cut_journal(directory, epochs)
+    return "" if whole == data else _partial_index_line(epochs, data[len(whole) :].decode("utf-8", "replace"))
+
+
+def _cut_journal(directory: Path, epochs: int) -> None:
+    """Keep only the journal's whole lines that name an epoch below ``epochs``."""
+    path = directory / JOURNAL_FILE
+    if not path.exists():
+        return
+    data = path.read_bytes()
+    kept = b"".join(line + b"\n" for line in data.split(b"\n")[:-1]  # the last piece is "" or torn
+                    if (epoch := line.partition(b" ")[0]).isdigit() and int(epoch) < epochs)
+    if kept != data:
+        write_file(directory, JOURNAL_FILE, kept)
+
+
+def cut_pack_tail(directory: Path) -> str:
+    """Cut a torn last entry off the directory's block pack, through
+    write_file's replace, and describe it ("" when the pack ends in a whole
+    entry or is missing). A commit appends its blocks before its index
+    line, so an entry an append tore belongs to no commit. A malformed
+    entry elsewhere raises ManifestFormatError, as loading does."""
+    directory = Path(directory)
+    path = directory / PACK_FILE
+    if not path.exists():
+        return ""
+    data = path.read_bytes()
+    whole = len(PACK_HEADER)
+    for _, _, _, end in _pack_entries(data):
+        whole = end + 1
+    if whole == len(data):
+        return ""
+    write_file(directory, PACK_FILE, data[:whole])
+    return _partial_pack_entry(whole)
 
 
 def load_ledger(directory: Path) -> Ledger:

@@ -5,9 +5,8 @@ tests patch each binding of it so that its k-th call raises OSError, either
 before writing anything or after writing half of its data (a torn write),
 for every k a command reaches. The next commands must then find the old
 epoch or the new one, never a directory they cannot read, and an upload
-that never committed must run again, except for the blind spot named
-below: a torn append to the pack. A torn index line committed nothing,
-and recover cuts it.
+that never committed must run again. A torn index line or pack entry
+committed nothing, and recover cuts it.
 """
 
 import os
@@ -40,6 +39,8 @@ WRITES = {
     "crash": ["cluster.state"],
     "recover": ["cluster.state"],
 }
+# What recover says on stderr when it cuts a torn tail off each appended file.
+CUTS = {"index": "index ends in a partial line", "blocks.pack": "blocks.pack ends in a partial entry"}
 real_write_file = ledger_module.write_file
 
 
@@ -134,11 +135,8 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
 
         recovered = run_cli(directory, "recover")
         out, err = capsys.readouterr()
-        if torn and name == "blocks.pack" and (directory / "index").exists():
-            # Blind spot: a torn append to the pack tail makes every command exit 2.
-            assert recovered == 2 and "error:" in err, (k, name)
-            continue
-        assert ("index ends in a partial line" in err) == (torn and name == "index" and old_epoch is not None), err
+        for file, cut in CUTS.items():
+            assert (cut in err) == (torn and name == file and old_epoch is not None), err
         if old_epoch is None:
             # An upload that never reached its index line committed nothing,
             # and the same upload then starts the directory over.
@@ -208,3 +206,50 @@ def test_an_index_with_no_whole_line_commits_nothing(clean_upload, tmp_path, cap
     assert files(directory) == files(clean_upload)
     assert run_cli(directory, *COMMANDS["upload"]) == 3
     assert "it holds index" in capsys.readouterr().err
+
+
+def test_recover_cuts_a_torn_pack_tail_and_read_commands_exit_2_before(base, tmp_path, capsys):
+    directory = tmp_path / "ledger"
+    old_epoch = start_from(base, "append", directory)
+    pack = directory / "blocks.pack"
+    whole = pack.read_bytes()
+    entry = b"%s 5\nabcde\n" % (b"0" * 64)
+    for torn in (entry[:10], entry[:64], entry[:67], entry[:-3], entry[:-1]):
+        pack.write_bytes(whole + torn)
+        assert run_cli(directory, "verify") == 2
+        assert f"blocks.pack ends in a partial entry at byte {len(whole)}" in capsys.readouterr().err
+        assert run_cli(directory, "recover") == 0
+        out, err = capsys.readouterr()
+        assert out == f"INTACT epoch={old_epoch}\n" and "which committed nothing; cut it" in err, err
+        assert pack.read_bytes() == whole
+    assert run_cli(directory, *COMMANDS["append"]) == 0
+    assert run_cli(directory, "verify") == 0
+
+
+@pytest.mark.parametrize("broken", [b"zz" + b"0" * 62 + b" 1\nx\n", b"0" * 64 + b" 1\nxy"],
+                         ids=["bad-header", "no-lf-after-payload"])
+def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_path, capsys, broken):
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    pack = directory / "blocks.pack"
+    damaged = pack.read_bytes() + broken
+    pack.write_bytes(damaged)
+    assert run_cli(directory, "recover") == 2
+    assert re.search(r"bad blocks.pack entry header|entry at byte \d+ is cut short", capsys.readouterr().err)
+    assert pack.read_bytes() == damaged
+
+
+def test_the_journal_follows_a_cut_index(base, tmp_path, capsys):
+    """An operation whose index line recover cuts leaves no history line,
+    so the operation that commits that epoch again journals it once."""
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    index = directory / "index"
+    index.write_bytes(index.read_bytes()[:-3])
+    assert run_cli(directory, "recover") == 0
+    assert "index ends in a partial line at epoch 1" in capsys.readouterr().err
+    assert (directory / "journal").read_bytes() == b""
+    assert run_cli(directory, *COMMANDS["append"]) == 0
+    capsys.readouterr()
+    assert run_cli(directory, "history") == 0
+    assert [line.split(" ")[:2] for line in capsys.readouterr().out.splitlines()] == [["1", "APPEND"]]

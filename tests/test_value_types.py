@@ -6,6 +6,7 @@ classes, so importing the CLI loads neither ``dataclasses`` nor
 time to every CLI command.
 """
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -73,11 +74,27 @@ def test_a_block_is_its_content_and_a_point_derives_its_tick():
     assert [RestorePoint(epoch, MANIFEST, "").timestamp for epoch in range(3)] == [1, 2, 3]
 
 
-def test_importing_the_cli_loads_no_dataclasses_or_inspect():
-    src = str(Path(cloudledger.__file__).parents[1])
+def import_the_cli(src):
+    """Import cloudledger.cli from ``src`` in an isolated interpreter (-I -S,
+    as CI's stdlib-only check does) that writes no bytecode (-B: -I ignores
+    PYTHONDONTWRITEBYTECODE), and return what the child prints: the
+    modules among dataclasses, inspect, ast and dis that it loaded."""
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import cloudledger.cli;"
+        f"import sys; sys.path.insert(0, {str(src)!r}); import cloudledger.cli;"
         " print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
     )
-    result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    assert import_the_cli(Path(cloudledger.__file__).parents[1]) == "[]\n"
+
+
+def test_importing_the_cli_writes_no_bytecode(tmp_path):
+    """A bytecode cache left in the checkout speeds up every later CLI
+    process, so a benchmark run after the tests would measure it."""
+    package = Path(cloudledger.__file__).parent
+    shutil.copytree(package, tmp_path / "cloudledger", ignore=shutil.ignore_patterns("__pycache__"))
+    assert import_the_cli(tmp_path) == "[]\n"
+    assert not list(tmp_path.rglob("__pycache__"))
