@@ -59,10 +59,9 @@ from .ledger import (
     PACK_FILE,
     Ledger,
     commit_restore_point,
-    cut_index_tail,
-    cut_pack_tail,
     load_cluster,
     load_ledger,
+    load_ledger_cutting_tails,
     recover,
     save_cluster,
     write_file,
@@ -268,10 +267,9 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    for cut in (cut_index_tail(config.ledger_dir), cut_pack_tail(config.ledger_dir)):
-        if cut:
-            print(f"recover: {cut}, which committed nothing; cut it", file=sys.stderr)
-    ledger = load_ledger(config.ledger_dir)
+    ledger, cuts = load_ledger_cutting_tails(config.ledger_dir)
+    for cut in cuts:
+        print(f"recover: {cut}, which committed nothing; cut it", file=sys.stderr)
     if not ledger.points:
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")
     cluster = load_cluster(ledger, config.seed)

@@ -305,10 +305,10 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     servers or of the user level included, raises SnapshotCorrupt.
 
     The cluster is a new one seeded with ``rng_seed``, or ``into``, which
-    must have the snapshot's server count (else ValueError). Every check
-    runs before the first write, so a snapshot that fails one leaves
-    ``into`` as it was. The text is cut at LFs by str methods, the blocks
-    are looked up in one pass, and their weights and checksums are
+    gets new servers if it has another server count than the snapshot.
+    Every check runs before the first write, so a snapshot that fails one
+    leaves ``into`` as it was. The text is cut at LFs by str methods, the
+    blocks are looked up in one pass, and their weights and checksums are
     compared with the records' column by column in C; only a failed check
     walks the records, to name the first bad one.
 
@@ -376,10 +376,10 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
             raise SnapshotCorrupt(f"DOWN line names server {server_index}, which holds records")
     if into is None:
         cluster = new_cluster(server_count, rng_seed=rng_seed)
-    elif into.server_count == server_count:
-        cluster = into
     else:
-        raise ValueError(f"snapshot has servers={server_count}, the cluster {into.server_count}")
+        cluster = into
+        if cluster.server_count != server_count:
+            cluster.servers = [ServerState(i) for i in range(server_count)]
 
     ids = list(map(itemgetter(1), records))
     for server, start, end in zip(cluster.servers, bounds, bounds[1:]):

@@ -207,19 +207,18 @@ def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
     load_snapshot loads the snapshot into the cluster itself, taking the
     blocks from the ledger's store (unhashed) and writing only the
     addresses whose block differs, so every unchanged address keeps the
-    record object the committed point holds. (A cluster of another server
-    count gets new servers instead.) Revives every server, disarms a stale
-    read path, resets the epoch to the point's and the previous_records to
+    record object the committed point holds (a cluster of another server
+    count gets new servers). Revives every server, disarms a stale read
+    path, resets the epoch to the point's and the previous_records to
     those committed before it, and re-verifies the result against the
     stored manifest, a comparison that stops at identity for the shared
     records; failure to verify means the snapshot itself is corrupt. It is
     the one rollback, for recover and a failed ops.apply.
     """
     point = ledger.last()
-    fits = cluster.server_count == point.manifest.server_count
-    restored = load_snapshot(point.payload_snapshot, ledger.blocks, into=cluster if fits else None)
-    cluster.servers, cluster.epoch = restored.servers, restored.epoch
+    load_snapshot(point.payload_snapshot, ledger.blocks, into=cluster)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
+    # A committed snapshot may hold STALE or DOWN lines; a restore clears both.
     cluster.stale_armed = False
     for server in cluster.servers:
         server.alive = True
@@ -345,18 +344,25 @@ def _partial_pack_entry(position: int) -> str:
     return f"{PACK_FILE} ends in a partial entry at byte {position}"
 
 
-def _read_pack(directory: Path) -> dict[str, DataBlock]:
-    """Read the block pack, checking that each entry hashes to its digest.
+def _whole_pack_length(data: bytes) -> int:
+    """The length of the pack up to the end of its last whole entry."""
+    whole = len(PACK_HEADER)
+    for _, _, _, end in _pack_entries(data):
+        whole = end + 1
+    return whole
+
+
+def _read_pack(data: Optional[bytes]) -> dict[str, DataBlock]:
+    """Read the block pack's bytes (None for no pack), checking that each
+    entry hashes to its digest.
 
     Each block is hashed once, by make_block. Neither a pack entry nor a
     DataBlock carries an address: load_snapshot puts each block object at
     the address of every manifest record whose digest line names it. A
-    torn tail, which cut_pack_tail removes, is an error here.
+    torn tail, which load_ledger_cutting_tails leaves out, is an error here.
     """
-    path = directory / PACK_FILE
-    if not path.exists():
+    if data is None:
         return {}
-    data = path.read_bytes()
     blocks: dict[str, DataBlock] = {}
     whole = len(PACK_HEADER)
     for position, digest, start, end in _pack_entries(data):
@@ -391,30 +397,6 @@ def _partial_index_line(epoch: int, partial: str) -> str:
     return f"index ends in a partial line at epoch {epoch}: {partial!r}"
 
 
-def cut_index_tail(directory: Path) -> str:
-    """Cut a partial last line off the directory's index, through
-    write_file's replace, and describe it ("" when the index ends in a
-    whole line or is missing). Only a whole line commits an epoch, so a
-    line an append tore before its LF committed nothing.
-
-    The journal then keeps only its whole lines for the epochs the index
-    holds, so the operation of a cut line leaves no history line for a
-    later operation to repeat. That pass runs whether or not a line was
-    cut, so a crash between the two writes is mended by the next call.
-    """
-    directory = Path(directory)
-    path = directory / INDEX_FILE
-    if not path.exists():
-        return ""
-    data = path.read_bytes()
-    whole = data[: data.rfind(b"\n") + 1]
-    if whole != data:
-        write_file(directory, INDEX_FILE, whole)
-    epochs = whole.count(b"\n")
-    _cut_journal(directory, epochs)
-    return "" if whole == data else _partial_index_line(epochs, data[len(whole) :].decode("utf-8", "replace"))
-
-
 def _cut_journal(directory: Path, epochs: int) -> None:
     """Keep only the journal's whole lines that name an epoch below ``epochs``."""
     path = directory / JOURNAL_FILE
@@ -427,24 +409,8 @@ def _cut_journal(directory: Path, epochs: int) -> None:
         write_file(directory, JOURNAL_FILE, kept)
 
 
-def cut_pack_tail(directory: Path) -> str:
-    """Cut a torn last entry off the directory's block pack, through
-    write_file's replace, and describe it ("" when the pack ends in a whole
-    entry or is missing). A commit appends its blocks before its index
-    line, so an entry an append tore belongs to no commit. A malformed
-    entry elsewhere raises ManifestFormatError, as loading does."""
-    directory = Path(directory)
-    path = directory / PACK_FILE
-    if not path.exists():
-        return ""
-    data = path.read_bytes()
-    whole = len(PACK_HEADER)
-    for _, _, _, end in _pack_entries(data):
-        whole = end + 1
-    if whole == len(data):
-        return ""
-    write_file(directory, PACK_FILE, data[:whole])
-    return _partial_pack_entry(whole)
+def _read_optional(path: Path) -> Optional[bytes]:
+    return path.read_bytes() if path.exists() else None
 
 
 def load_ledger(directory: Path) -> Ledger:
@@ -456,19 +422,67 @@ def load_ledger(directory: Path) -> Ledger:
     index's X against the X that manifest derives. Each distinct block is
     hashed once, so the cost is O(distinct stored bytes + epochs x records).
     Files are read as written, with no newline translation, and every
-    line, the index's too, must end in LF; a partial last index line,
-    which cut_index_tail removes, is an error here.
+    line, the index's too, must end in LF; a partial last index line or
+    pack entry, which load_ledger_cutting_tails leaves out, is an error here.
     """
     directory = Path(directory)
-    index_path = directory / INDEX_FILE
-    if not index_path.exists():
+    index = _read_optional(directory / INDEX_FILE)
+    if index is None:
         return Ledger(directory=directory)
+    return _load_ledger(directory, index, _read_optional(directory / PACK_FILE))
 
-    lines = _read_text(index_path).split("\n")
+
+def load_ledger_cutting_tails(directory: Path) -> tuple[Ledger, list[str]]:
+    """Load a persisted ledger as recover does, cutting what a torn append
+    left, and describe each cut.
+
+    Only a whole index line commits an epoch, and a commit appends its
+    blocks to the pack before its index line, so a partial last index line
+    and a pack that ends in a strict prefix of an entry committed nothing.
+    The ledger is loaded without them, from memory; only if that load
+    succeeds, so that every listed epoch still finds its blocks, are the
+    files cut through write_file's replace. A corrupt entry that merely
+    looks torn (a weight raised past the end of the pack) would drop
+    committed blocks, so the load fails and nothing is written. The
+    journal then keeps only its whole lines for the loaded epochs, so the
+    operation of a cut line leaves no history line for a later operation
+    to repeat; that pass runs on every load, so a crash between these
+    writes is mended by the next recover.
+    """
+    directory = Path(directory)
+    index = _read_optional(directory / INDEX_FILE)
+    if index is None:
+        return Ledger(directory=directory), []
+    pack = _read_optional(directory / PACK_FILE)
+    whole_index = index[: index.rfind(b"\n") + 1]
+    whole_pack = None if pack is None else pack[: _whole_pack_length(pack)]
+    cuts = []
+    if whole_index != index:
+        partial = index[len(whole_index) :].decode("utf-8", "replace")
+        cuts.append(_partial_index_line(whole_index.count(b"\n"), partial))
+    if whole_pack != pack:
+        cuts.append(_partial_pack_entry(len(whole_pack)))
+    try:
+        ledger = _load_ledger(directory, whole_index, whole_pack)
+    except (ManifestFormatError, SnapshotCorrupt) as exc:
+        if not cuts:
+            raise
+        raise exc.__class__(f"{'; '.join(cuts)}, but the ledger does not load without it: {exc}") from exc
+    if whole_index != index:
+        write_file(directory, INDEX_FILE, whole_index)
+    if whole_pack != pack:
+        write_file(directory, PACK_FILE, whole_pack)
+    _cut_journal(directory, len(ledger.points))
+    return ledger, cuts
+
+
+def _load_ledger(directory: Path, index: bytes, pack: Optional[bytes]) -> Ledger:
+    """Load a ledger from its index and pack bytes, reading the snapshots from ``directory``."""
+    lines = index.decode("utf-8").split("\n")
     partial = lines.pop()
     if partial:
         raise ManifestFormatError(_partial_index_line(len(lines), partial))
-    ledger = Ledger(directory=directory, blocks=_read_pack(directory))
+    ledger = Ledger(directory=directory, blocks=_read_pack(pack))
     for position, line in enumerate(lines):
         try:
             epoch, tick, committed_x = (int(p) for p in line.split(" "))

@@ -239,6 +239,38 @@ def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_
     assert pack.read_bytes() == damaged
 
 
+def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(base, tmp_path, capsys):
+    """A weight raised past the end of the pack makes a committed entry
+    look torn; cutting there would drop committed blocks, so recover
+    exits 2 and leaves every file as it was, a partial index line too."""
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    pack = directory / "blocks.pack"
+    data = pack.read_bytes()
+    entry = re.compile(rb"[0-9a-f]{64} ([0-9]+)\n").search(data, len(ledger_module.PACK_HEADER))
+    pack.write_bytes(data[: entry.end(1)] + b"0000" + data[entry.end(1) :])
+    index = directory / "index"
+    index.write_bytes(index.read_bytes()[:-3])
+    before = files(directory)
+    assert run_cli(directory, "recover") == 2
+    err = capsys.readouterr().err
+    assert f"blocks.pack ends in a partial entry at byte {entry.start()}" in err, err
+    assert "but the ledger does not load without it" in err and "which the store lacks" in err, err
+    assert files(directory) == before
+
+
+def test_recover_leaves_the_journal_when_the_ledger_fails_to_load(base, tmp_path, capsys):
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    index = directory / "index"
+    index.write_bytes(index.read_bytes()[:-3])
+    (directory / "0.snapshot").write_bytes(b"SNAPSHOT v3\n")
+    before = files(directory)
+    assert run_cli(directory, "recover") == 2
+    assert "index ends in a partial line at epoch 1" in capsys.readouterr().err
+    assert files(directory) == before
+
+
 def test_the_journal_follows_a_cut_index(base, tmp_path, capsys):
     """An operation whose index line recover cuts leaves no history line,
     so the operation that commits that epoch again journals it once."""

@@ -186,12 +186,13 @@ def test_a_snapshot_that_fails_a_check_leaves_the_live_cluster_as_it_was(corrupt
     assert state(cluster) == before and objects(cluster) == identities
 
 
-def test_loading_into_a_cluster_of_another_server_count_is_refused_but_recover_restores_it():
+def test_loading_into_a_cluster_of_another_server_count_gives_it_the_snapshots_servers():
     cluster, ledger = make_committed_state(generate_payload(2, 90), 3, 10)
     other = new_cluster(2)
-    with pytest.raises(ValueError, match="servers=3"):
-        load_snapshot(ledger.last().payload_snapshot, ledger.blocks, into=other)
-    assert other.server_count == 2 and not other.has_data()
+    assert load_snapshot(ledger.last().payload_snapshot, ledger.blocks, into=other) is other
+    assert other.server_count == 3
+    assert state(other) == state(fresh_load(ledger))
+    other = new_cluster(4)
     assert recover(ledger, other).action is RecoveryAction.RESTORED
     assert state(other) == state(fresh_load(ledger))
 
