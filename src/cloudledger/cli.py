@@ -7,7 +7,8 @@ Ties the simulator together behind deterministic, scriptable subcommands:
 
 State lives in the ledger directory (--ledger-dir, or CLOUDLEDGER_DIR):
 the restore-point files, block pack and index, the live cluster snapshot
-(cluster.state, whose blocks are in the pack), the effective
+(cluster.state, whose blocks are in the pack, empty while it is the last
+restore point), the effective
 configuration (config, key=value lines), and the operation journal. The
 ledger module writes every one of them, through ledger.write_file.
 Identical configuration plus an identical command sequence reproduces
@@ -267,12 +268,11 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    ledger, cuts = load_ledger_cutting_tails(config.ledger_dir)
+    ledger, cluster, cuts = load_ledger_cutting_tails(config.ledger_dir, config.seed)
     for cut in cuts:
         print(f"recover: {cut}, which committed nothing; cut it", file=sys.stderr)
-    if not ledger.points:
+    if cluster is None:
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")
-    cluster = load_cluster(ledger, config.seed)
     report = recover(ledger, cluster)
     save_cluster(ledger, cluster)
     print(f"{report.action.value} epoch={report.epoch}")

@@ -261,7 +261,8 @@ def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]
 # is written, is the commit (epoch 0's line is written as the whole index). A
 # crash before it leaves only unread blocks, perhaps a torn pack entry, an
 # unlisted snapshot, which a retry replaces, and perhaps a partial index line;
-# recover cuts the torn entry and the partial line.
+# recover cuts the torn entry and the partial line. The CLI's live cluster,
+# ``cluster.state``, is written empty while it is the last point's snapshot.
 
 INDEX_FILE = "index"
 PACK_FILE = "blocks.pack"
@@ -293,16 +294,19 @@ def _read_text(path: Path) -> str:
 
 
 def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
-    """The live cluster in the ledger's directory, its blocks taken from the ledger's store."""
-    cluster = load_snapshot(_read_text(ledger.directory / CLUSTER_FILE), ledger.blocks, rng_seed=rng_seed)
+    """The live cluster in the ledger's directory (an empty file is the last point), its blocks from the store."""
+    text = _read_text(ledger.directory / CLUSTER_FILE) or ledger.last().payload_snapshot
+    cluster = load_snapshot(text, ledger.blocks, rng_seed=rng_seed)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     return cluster
 
 
 def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
-    """Store the cluster's blocks that the bound ledger lacks, then replace its directory's live cluster."""
+    """Store the blocks the bound ledger lacks, then the live cluster, left empty while it is the last point."""
     _save_blocks(ledger, cluster)
-    write_file(ledger.directory, CLUSTER_FILE, snapshot_cluster(cluster).encode("utf-8"))
+    text = snapshot_cluster(cluster)
+    same = ledger.points and text == ledger.last().payload_snapshot
+    write_file(ledger.directory, CLUSTER_FILE, b"" if same else text.encode("utf-8"))
 
 
 def _write_pack(directory: Path, blocks: Sequence[DataBlock], append: bool) -> None:
@@ -383,8 +387,11 @@ def _write_point(directory: Path, point: RestorePoint) -> None:
     or for epoch 0 as a whole new index, which discards any partial line
     an upload that never committed left."""
     write_file(directory, f"{point.epoch}.snapshot", point.payload_snapshot.encode("utf-8"))
-    line = f"{point.epoch} {point.timestamp} {point.committed_x}\n".encode()
-    write_file(directory, INDEX_FILE, line, append=point.epoch > 0)
+    write_file(directory, INDEX_FILE, _index_line(point), append=point.epoch > 0)
+
+
+def _index_line(point: RestorePoint) -> bytes:
+    return f"{point.epoch} {point.timestamp} {point.committed_x}\n".encode()
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
@@ -397,16 +404,29 @@ def _partial_index_line(epoch: int, partial: str) -> str:
     return f"index ends in a partial line at epoch {epoch}: {partial!r}"
 
 
-def _cut_journal(directory: Path, epochs: int) -> None:
-    """Keep only the journal's whole lines that name an epoch below ``epochs``."""
-    path = directory / JOURNAL_FILE
-    if not path.exists():
-        return
-    data = path.read_bytes()
-    kept = b"".join(line + b"\n" for line in data.split(b"\n")[:-1]  # the last piece is "" or torn
-                    if (epoch := line.partition(b" ")[0]).isdigit() and int(epoch) < epochs)
-    if kept != data:
-        write_file(directory, JOURNAL_FILE, kept)
+def _check_torn_commit(ledger: Ledger, partial: bytes) -> None:
+    """Refuse a partial last index line that no failed commit can leave: a
+    commit writes its snapshot before its index line, so the partial line
+    must be a strict prefix of the line that epoch's snapshot commits."""
+    epoch = len(ledger.points)
+    try:
+        text = _read_text(ledger.directory / f"{epoch}.snapshot")
+        manifest = stored_manifest(load_snapshot(text, ledger.blocks))
+    except (OSError, ValueError, SnapshotCorrupt) as exc:
+        raise SnapshotCorrupt(f"{epoch}.snapshot, which a torn commit leaves whole, does not load: {exc}") from exc
+    line = _index_line(RestorePoint(manifest.epoch, manifest, text))
+    if manifest.epoch != epoch or not line.startswith(partial):
+        raise ManifestFormatError(f"it is no prefix of {line.decode()!r}, the line {epoch}.snapshot commits")
+
+
+def _check_journal(journal: bytes, epochs: int) -> None:
+    """Refuse a whole journal line naming an epoch at or past ``epochs``: an
+    operation journals only after its index line, so the index lost a commit."""
+    for line in journal.split(b"\n")[:-1]:
+        epoch = line.partition(b" ")[0]
+        if epoch.isdigit() and int(epoch) >= epochs:
+            raise ManifestFormatError(f"{JOURNAL_FILE} names epoch {int(epoch)}, past the index's last;"
+                                      " the index lost a commit")
 
 
 def _read_optional(path: Path) -> Optional[bytes]:
@@ -419,8 +439,10 @@ def load_ledger(directory: Path) -> Ledger:
     Checks the pack's digests, that each index line is canonical with
     epochs in sequence and tick = epoch + 1, each snapshot's blocks
     against its manifest (the epoch's one copy, parsed once), and the
-    index's X against the X that manifest derives. Each distinct block is
-    hashed once, so the cost is O(distinct stored bytes + epochs x records).
+    index's X against the X that manifest derives. Every epoch loads into
+    one cluster, which puts only the records the epoch changed, so the
+    points share every other record object. Each distinct block is hashed
+    once, so the cost is O(distinct stored bytes + epochs x records).
     Files are read as written, with no newline translation, and every
     line, the index's too, must end in LF; a partial last index line or
     pack entry, which load_ledger_cutting_tails leaves out, is an error here.
@@ -432,30 +454,34 @@ def load_ledger(directory: Path) -> Ledger:
     return _load_ledger(directory, index, _read_optional(directory / PACK_FILE))
 
 
-def load_ledger_cutting_tails(directory: Path) -> tuple[Ledger, list[str]]:
-    """Load a persisted ledger as recover does, cutting what a torn append
-    left, and describe each cut.
+def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, Optional[ClusterState], list[str]]:
+    """Load a persisted ledger and its live cluster (None while the ledger
+    holds no point) as recover does, cutting what a torn append left, and
+    describe each cut.
 
     Only a whole index line commits an epoch, and a commit appends its
-    blocks to the pack before its index line, so a partial last index line
-    and a pack that ends in a strict prefix of an entry committed nothing.
-    The ledger is loaded without them, from memory; only if that load
-    succeeds, so that every listed epoch still finds its blocks, are the
-    files cut through write_file's replace. A corrupt entry that merely
-    looks torn (a weight raised past the end of the pack) would drop
-    committed blocks, so the load fails and nothing is written. The
-    journal then keeps only its whole lines for the loaded epochs, so the
-    operation of a cut line leaves no history line for a later operation
-    to repeat; that pass runs on every load, so a crash between these
-    writes is mended by the next recover.
+    blocks to the pack and writes its snapshot before its index line, so a
+    pack that ends in a strict prefix of an entry committed nothing, nor
+    did a partial last index line that is a strict prefix of the line its
+    epoch's snapshot commits; any other partial line is refused. The
+    ledger and live cluster are loaded without the torn tails, from
+    memory, and the journal's whole lines are checked against the loaded
+    epochs: an operation journals after its index line, so a line naming
+    a later epoch proves that the index lost a commit. Only if every check
+    passes are the files cut through write_file's replace, the journal's
+    torn last line included; otherwise nothing is written. A corrupt pack
+    entry that merely looks torn (a weight raised past the end of the
+    pack) would drop a committed block or the live cluster's, so it fails.
     """
     directory = Path(directory)
     index = _read_optional(directory / INDEX_FILE)
     if index is None:
-        return Ledger(directory=directory), []
+        return Ledger(directory=directory), None, []
     pack = _read_optional(directory / PACK_FILE)
+    journal = _read_optional(directory / JOURNAL_FILE) or b""
     whole_index = index[: index.rfind(b"\n") + 1]
     whole_pack = None if pack is None else pack[: _whole_pack_length(pack)]
+    whole_journal = journal[: journal.rfind(b"\n") + 1]
     cuts = []
     if whole_index != index:
         partial = index[len(whole_index) :].decode("utf-8", "replace")
@@ -464,16 +490,19 @@ def load_ledger_cutting_tails(directory: Path) -> tuple[Ledger, list[str]]:
         cuts.append(_partial_pack_entry(len(whole_pack)))
     try:
         ledger = _load_ledger(directory, whole_index, whole_pack)
+        if whole_index != index:
+            _check_torn_commit(ledger, index[len(whole_index) :])
+        _check_journal(whole_journal, len(ledger.points))
+        cluster = load_cluster(ledger, rng_seed) if ledger.points else None
     except (ManifestFormatError, SnapshotCorrupt) as exc:
         if not cuts:
             raise
-        raise exc.__class__(f"{'; '.join(cuts)}, but the ledger does not load without it: {exc}") from exc
-    if whole_index != index:
-        write_file(directory, INDEX_FILE, whole_index)
-    if whole_pack != pack:
-        write_file(directory, PACK_FILE, whole_pack)
-    _cut_journal(directory, len(ledger.points))
-    return ledger, cuts
+        raise exc.__class__(f"{'; '.join(cuts)}, but recover cuts nothing: {exc}") from exc
+    for name, whole, data in ((INDEX_FILE, whole_index, index), (PACK_FILE, whole_pack, pack),
+                              (JOURNAL_FILE, whole_journal, journal)):
+        if whole != data:
+            write_file(directory, name, whole)
+    return ledger, cluster, cuts
 
 
 def _load_ledger(directory: Path, index: bytes, pack: Optional[bytes]) -> Ledger:
@@ -483,6 +512,7 @@ def _load_ledger(directory: Path, index: bytes, pack: Optional[bytes]) -> Ledger
     if partial:
         raise ManifestFormatError(_partial_index_line(len(lines), partial))
     ledger = Ledger(directory=directory, blocks=_read_pack(pack))
+    cluster: Optional[ClusterState] = None  # every epoch loads into it, so points share records
     for position, line in enumerate(lines):
         try:
             epoch, tick, committed_x = (int(p) for p in line.split(" "))
@@ -496,7 +526,8 @@ def _load_ledger(directory: Path, index: bytes, pack: Optional[bytes]) -> Ledger
             raise ManifestFormatError(f"index tick {tick} at epoch {epoch} is not epoch + 1")
 
         snapshot_text = _read_text(directory / f"{epoch}.snapshot")
-        manifest = stored_manifest(load_snapshot(snapshot_text, ledger.blocks))
+        cluster = load_snapshot(snapshot_text, ledger.blocks, into=cluster)
+        manifest = stored_manifest(cluster)
         if manifest.epoch != epoch:
             raise ManifestFormatError(f"snapshot for epoch {epoch} claims epoch {manifest.epoch}")
         point = RestorePoint(epoch=epoch, manifest=manifest, payload_snapshot=snapshot_text)

@@ -267,7 +267,7 @@ DEMO_LEDGER_SHA256 = {
     "2.snapshot": "c88b9684519928e6ffac0c6c3e623a2bdd6ee54e517a2abf006f4254385b2be3",
     "3.snapshot": "261be701089082a2ddfdb41adb732bab3dc4860651643cc42faac40f55f69b1a",
     "blocks.pack": "a38a8b58baa4b23bcaa820dc29c10c2d9de6b45a6f6d4dcff97ddee6c4797deb",
-    "cluster.state": "261be701089082a2ddfdb41adb732bab3dc4860651643cc42faac40f55f69b1a",
+    "cluster.state": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty: the last point
     "config": "a07f9fbb9806c1bf1db68156c74d1cb624c2b40b9ea5b2e5164201295c000bb3",
     "index": "ee03fbb46e9c28ceaff2c6bd8e633ea67224d82138514829ba6c976117b6008f",
     "journal": "dbf2f2a24342afcfc53eef3ddf740ba1f6680f430507c1ecdb2fab2e6db5c817",

@@ -185,7 +185,12 @@ def test_negative_gen_bytes_exits_2_and_writes_nothing(ledger_dir, capsys, comma
 
 def test_torn_index_tail_is_reported_as_a_partial_line(ledger_dir, capsys):
     seeded_upload(ledger_dir)
+    live = (ledger_dir / "cluster.state").read_bytes()
     run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40")
+    # What the append leaves when it fails while writing its index line:
+    # no journal line, and the live cluster of epoch 0.
+    (ledger_dir / "journal").unlink()
+    (ledger_dir / "cluster.state").write_bytes(live)
     index = ledger_dir / "index"
     assert index.read_text().endswith("\n1 2 1680\n")
     index.write_text(index.read_text()[: -len("80\n")])
@@ -193,10 +198,10 @@ def test_torn_index_tail_is_reported_as_a_partial_line(ledger_dir, capsys):
     for command in ("verify", "report", "audit --epochs 0"):
         assert run_cli("--ledger-dir", str(ledger_dir), *command.split()) == 2
         assert "index ends in a partial line at epoch 1: '1 2 16'" in capsys.readouterr().err
-    # The partial line committed nothing: recover cuts it and restores epoch 0.
+    # The partial line committed nothing: recover cuts it and keeps epoch 0.
     assert run_cli("--ledger-dir", str(ledger_dir), "recover") == 0
     out, err = capsys.readouterr()
-    assert out == "RESTORED epoch=0\n"
+    assert out == "INTACT epoch=0\n"
     assert "index ends in a partial line at epoch 1: '1 2 16'" in err
     assert index.read_text().count("\n") == 1 and index.read_text().endswith("\n")
     assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 0

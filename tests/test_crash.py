@@ -176,12 +176,28 @@ def test_an_empty_pack_left_by_a_failed_append_still_gets_its_header(tmp_path):
     assert load_ledger(directory).points == ledger.points
 
 
-def test_a_live_state_behind_the_ledger_names_recover(base, tmp_path, monkeypatch, capsys):
+def test_an_operation_failing_after_its_index_line_leaves_the_new_epoch_readable(base, tmp_path, monkeypatch,
+                                                                                capsys):
+    """On a clean ledger cluster.state is empty, which reads as the last
+    point, so once the index line is written every command sees the new epoch."""
     directory = tmp_path / "ledger"
     old_epoch = start_from(base, "append", directory)
     inject(monkeypatch, WRITES["append"].index("journal") + 1, torn=False)
     assert run_cli(directory, *COMMANDS["append"]) == 2
     monkeypatch.undo()
+    capsys.readouterr()
+    assert run_cli(directory, "verify") == 0
+    assert capsys.readouterr().out == f"VERDICT z=true mode=checksum epoch={old_epoch + 1} divergences=0\n"
+    assert run_cli(directory, "report") == 0
+    assert capsys.readouterr().out.startswith(f"REPORT epoch={old_epoch + 1} ")
+    assert run_cli(directory, *COMMANDS["append"]) == 0
+
+
+def test_a_live_state_behind_the_ledger_names_recover(base, tmp_path, capsys):
+    directory = tmp_path / "ledger"
+    old_epoch = start_from(base, "append", directory)
+    assert run_cli(directory, *COMMANDS["append"]) == 0
+    (directory / "cluster.state").write_bytes((directory / f"{old_epoch}.snapshot").read_bytes())
     capsys.readouterr()
     for command in ("verify", "report"):
         assert run_cli(directory, command) == 5, command
@@ -189,6 +205,7 @@ def test_a_live_state_behind_the_ledger_names_recover(base, tmp_path, monkeypatc
         assert "recover" in err and f"epoch {old_epoch}" in err and f"epoch {old_epoch + 1}" in err, err
     assert run_cli(directory, "recover") == 0
     assert capsys.readouterr().out == f"RESTORED epoch={old_epoch + 1}\n"
+    assert (directory / "cluster.state").read_bytes() == b""
     assert run_cli(directory, "verify") == 0
 
 
@@ -255,7 +272,7 @@ def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(b
     assert run_cli(directory, "recover") == 2
     err = capsys.readouterr().err
     assert f"blocks.pack ends in a partial entry at byte {entry.start()}" in err, err
-    assert "but the ledger does not load without it" in err and "which the store lacks" in err, err
+    assert "but recover cuts nothing" in err and "which the store lacks" in err, err
     assert files(directory) == before
 
 
@@ -271,17 +288,103 @@ def test_recover_leaves_the_journal_when_the_ledger_fails_to_load(base, tmp_path
     assert files(directory) == before
 
 
-def test_the_journal_follows_a_cut_index(base, tmp_path, capsys):
-    """An operation whose index line recover cuts leaves no history line,
-    so the operation that commits that epoch again journals it once."""
+def test_the_journal_follows_a_cut_index(base, tmp_path, monkeypatch, capsys):
+    """An operation whose index line a crash tore journals nothing, so the
+    operation that commits that epoch again journals it once."""
     directory = tmp_path / "ledger"
-    start_from(base, "append", directory)
-    index = directory / "index"
-    index.write_bytes(index.read_bytes()[:-3])
+    old_epoch = start_from(base, "append", directory)
+    journal = (directory / "journal").read_bytes()
+    inject(monkeypatch, WRITES["append"].index("index") + 1, torn=True)
+    assert run_cli(directory, *COMMANDS["append"]) == 2
+    monkeypatch.undo()
+    capsys.readouterr()
     assert run_cli(directory, "recover") == 0
-    assert "index ends in a partial line at epoch 1" in capsys.readouterr().err
-    assert (directory / "journal").read_bytes() == b""
+    out, err = capsys.readouterr()
+    assert out == f"INTACT epoch={old_epoch}\n" and f"index ends in a partial line at epoch {old_epoch + 1}" in err
+    assert (directory / "journal").read_bytes() == journal
     assert run_cli(directory, *COMMANDS["append"]) == 0
     capsys.readouterr()
     assert run_cli(directory, "history") == 0
-    assert [line.split(" ")[:2] for line in capsys.readouterr().out.splitlines()] == [["1", "APPEND"]]
+    assert [line.split(" ")[:2] for line in capsys.readouterr().out.splitlines()] == [["1", "APPEND"], ["2", "APPEND"]]
+
+
+def drop_journal_line(directory):
+    """Take the last operation's journal line away, as a crash before it was written leaves the journal."""
+    journal = directory / "journal"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(b"".join(lines[:-1]))
+
+
+@pytest.mark.parametrize("tail", [b"9", b"\x0b", b"0", b" 3"], ids=["digit", "vertical-tab", "zero", "field"])
+def test_recover_keeps_a_partial_index_line_that_is_no_torn_commit(base, tmp_path, capsys, tail):
+    """A commit writes its snapshot before its index line, so a torn line is
+    a strict prefix of the line that snapshot commits; any other partial
+    line, such as a whole line whose LF was overwritten, is kept."""
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    drop_journal_line(directory)
+    index = directory / "index"
+    index.write_bytes(index.read_bytes()[:-1] + tail)
+    before = files(directory)
+    assert run_cli(directory, "recover") == 2
+    err = capsys.readouterr().err
+    assert "index ends in a partial line at epoch 1" in err and "but recover cuts nothing" in err, err
+    assert "is no prefix of" in err and "the line 1.snapshot commits" in err, err
+    assert files(directory) == before
+
+
+@pytest.mark.parametrize("snapshot", [None, "0.snapshot", b"SNAPSHOT v3\n"], ids=["missing", "other-epoch", "broken"])
+def test_recover_keeps_a_partial_index_line_whose_snapshot_does_not_load(base, tmp_path, capsys, snapshot):
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    drop_journal_line(directory)
+    index = directory / "index"
+    index.write_bytes(index.read_bytes()[:-3])
+    target = directory / "1.snapshot"
+    if snapshot is None:
+        target.unlink()
+    else:
+        target.write_bytes(snapshot if isinstance(snapshot, bytes) else (directory / snapshot).read_bytes())
+    before = files(directory)
+    assert run_cli(directory, "recover") == 2
+    assert "index ends in a partial line at epoch 1" in capsys.readouterr().err
+    assert files(directory) == before
+
+
+@pytest.mark.parametrize("cut", [
+    lambda data: data[:-3],
+    lambda data: data[: data.index(b"\n") + 1],
+    lambda data: data[: data.index(b"\n") - 1],
+    lambda data: b"",
+], ids=["partial-line", "whole-line", "below-one-line", "all-lines"])
+def test_recover_refuses_an_index_that_lost_a_journaled_commit(base, tmp_path, capsys, cut):
+    """An operation journals after its index line, so a journal line naming
+    an epoch the index lacks proves the index lost a commit: recover exits 2
+    and writes nothing, whether the index lost part of a line or more."""
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    index = directory / "index"
+    index.write_bytes(cut(index.read_bytes()))
+    before = files(directory)
+    assert run_cli(directory, "recover") == 2
+    assert "the index lost a commit" in capsys.readouterr().err
+    assert files(directory) == before
+
+
+def test_recover_cuts_no_pack_tail_the_live_cluster_needs(base, tmp_path, capsys):
+    """A flip-byte appends its block to the pack, and only cluster.state
+    names it; a pack cut inside that entry leaves the ledger loadable but
+    not the live cluster, so recover exits 2 and writes nothing."""
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    pack = directory / "blocks.pack"
+    whole = pack.read_bytes()
+    assert run_cli(directory, *COMMANDS["tamper"]) == 0
+    tampered = pack.read_bytes()
+    pack.write_bytes(tampered[: len(tampered) - 4])
+    before = files(directory)
+    assert run_cli(directory, "recover") == 2
+    err = capsys.readouterr().err
+    assert f"blocks.pack ends in a partial entry at byte {len(whole)}" in err, err
+    assert "but recover cuts nothing" in err and "which the store lacks" in err, err
+    assert files(directory) == before

@@ -286,6 +286,9 @@ def ledger_dir(tmp_path):
 
 @pytest.mark.parametrize("name", ["0.snapshot", "1.snapshot", "index", "cluster.state"])
 def test_a_ledger_file_rewritten_to_crlf_is_rejected(ledger_dir, capsys, name):
+    if name == "cluster.state":  # empty while it is the last point; a pending fault writes it out
+        assert cli.run(["--ledger-dir", str(ledger_dir), "tamper", "--kind", "flip-byte", "--server", "0",
+                        "--block", "0"]) == 0
     path = ledger_dir / name
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     if name != "cluster.state":

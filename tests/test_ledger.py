@@ -398,3 +398,17 @@ def test_recovered_cluster_round_trips_through_snapshots():
     inject_fault(cluster, FaultSpec(FaultKind.TRUNCATE, 1, 0, seed=8))
     recover(ledger, cluster)
     assert snapshot_cluster(cluster) == ledger.points[-1].payload_snapshot
+
+
+def test_loaded_points_share_every_record_an_epoch_did_not_change(tmp_path):
+    """Every epoch loads into one cluster, so an update adds one record
+    object to the loaded points instead of a whole manifest's worth."""
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(bytes(range(200)), 4, 10, directory=directory)
+    n = len(ledger.last().manifest.records)
+    for k in range(6):
+        update(cluster, ledger, k % 4, k % 5, bytes([k]) * 10)
+    points = load_ledger(directory).points
+    assert points == ledger.points
+    distinct = {id(record) for point in points for record in point.manifest.records}
+    assert len(distinct) == n + 6 < len(points) * n
