@@ -16,7 +16,6 @@ are plain mutable classes.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from itertools import chain, compress
 from operator import attrgetter, itemgetter, ne
 from typing import Mapping, NamedTuple, Optional
@@ -34,6 +33,7 @@ from .manifest import (
     DataBlock,
     Level,
     Manifest,
+    _server_bounds,
     make_block,
     new_record,
     parse_manifest,
@@ -81,8 +81,10 @@ class ServerState:
     the next id, updates replace in place), which is the manifest order.
     A record object outlives the writes at other addresses, so a commit's
     manifest shares it, and a snapshot loaded into the server (a recover
-    or a rollback) puts only the blocks that differ; a server whose block
-    ids differ from the snapshot's is replaced by a new one instead.
+    or a rollback, and each epoch of a ledger load) drops the ids the
+    snapshot lacks and puts only the blocks that differ or are missing; a
+    server whose remaining ids are no prefix of the snapshot's is
+    replaced by a new one instead.
     """
 
     def __init__(self, server_index: int) -> None:
@@ -314,10 +316,12 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
 
     Writes go only where a server's blocks differ from the snapshot's, so
     an unchanged address keeps its record object, which the committed
-    points share. A server holding the snapshot's block ids in order gets
-    one put per differing block, found by one C pass over its blocks; any
-    other server is replaced by a new one, filled by put in block-id
-    order. Epoch, stale flag and liveness are then set from the snapshot.
+    points share. A server first drops the ids the snapshot lacks; if the
+    ids it keeps are a prefix of the snapshot's, it gets one put per
+    differing block, found by one C pass over its blocks, and one per
+    missing id, all larger, so an append costs one put. Any other server
+    is replaced by a new one, filled by put in block-id order. Epoch,
+    stale flag and liveness are then set from the snapshot.
     """
     head = text.partition("\n")[0]
     if head != SNAPSHOT_HEADER:
@@ -367,8 +371,7 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     if (list(map(itemgetter(2), records)) != list(map(len, map(itemgetter(0), found)))
             or list(map(itemgetter(3), records)) != list(map(itemgetter(1), found))):
         raise _first_bad_record(records, digests, blocks)
-    # Records are sorted, so server i's are records[bounds[i] : bounds[i + 1]].
-    bounds = [bisect_left(records, (server_index,)) for server_index in range(server_count)] + [count]
+    bounds = _server_bounds(records, server_count)
     for server_index in down:
         if not 0 <= server_index < server_count:
             raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")
@@ -384,14 +387,21 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     ids = list(map(itemgetter(1), records))
     for server, start, end in zip(cluster.servers, bounds, bounds[1:]):
         target_ids, target_blocks = ids[start:end], found[start:end]
-        if list(server.blocks) == target_ids:
-            changed = compress(zip(target_ids, target_blocks), map(ne, server.blocks.values(), target_blocks))
-            for block_id, block in list(changed):
-                server.put(block_id, block)
-            continue
-        if server.blocks:  # put in block-id order: a dropped id put back must not land at the end
-            server = cluster.servers[server.server_index] = ServerState(server.server_index)
-        for block_id, block in zip(target_ids, target_blocks):
+        held = list(server.blocks)
+        if held != target_ids:
+            wanted = set(target_ids)
+            kept = [block_id for block_id in held if block_id in wanted]
+            if kept == target_ids[: len(kept)]:
+                for block_id in held:
+                    if block_id not in wanted:
+                        server.drop(block_id)
+            else:  # put in block-id order: an id put back before a kept one must not land at the end
+                server = cluster.servers[server.server_index] = ServerState(server.server_index)
+        # The server holds a prefix of the snapshot's ids: put the blocks that
+        # differ there, then the missing ids, which are all larger.
+        count = len(server.blocks)
+        changed = compress(zip(target_ids, target_blocks), map(ne, server.blocks.values(), target_blocks))
+        for block_id, block in [*changed, *zip(target_ids[count:], target_blocks[count:])]:
             server.put(block_id, block)
     cluster.epoch = manifest.epoch
     cluster.stale_armed = stale

@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import os
 import re
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -51,7 +52,7 @@ from .errors import (
     UnverifiedState,
 )
 from .manifest import BlockRecord, DataBlock, Manifest, make_block
-from .protocol import Mode, Verdict, verify_equality
+from .protocol import Mode, Verdict, _differing, _on_servers, verify_equality
 
 
 class RestorePoint:
@@ -407,7 +408,8 @@ def _partial_index_line(epoch: int, partial: str) -> str:
 def _check_torn_commit(ledger: Ledger, partial: bytes) -> None:
     """Refuse a partial last index line that no failed commit can leave: a
     commit writes its snapshot before its index line, so the partial line
-    must be a strict prefix of the line that epoch's snapshot commits."""
+    must be a strict prefix of the line that epoch's snapshot commits, and
+    that snapshot must pass _check_operation like every committed one."""
     epoch = len(ledger.points)
     try:
         text = _read_text(ledger.directory / f"{epoch}.snapshot")
@@ -417,6 +419,47 @@ def _check_torn_commit(ledger: Ledger, partial: bytes) -> None:
     line = _index_line(RestorePoint(manifest.epoch, manifest, text))
     if manifest.epoch != epoch or not line.startswith(partial):
         raise ManifestFormatError(f"it is no prefix of {line.decode()!r}, the line {epoch}.snapshot commits")
+    _check_operation(ledger, manifest)
+
+
+def _check_operation(ledger: Ledger, manifest: Manifest) -> None:
+    """Refuse a manifest for the ledger's next epoch that neither an upload
+    (epoch 0) nor one operation on the ledger's last point leaves.
+
+    An upload places its blocks round-robin, so server i holds ids 0, 1,
+    ... for every n-th block from block i. An operation keeps the server
+    count and, compared by _differing, removes at most one record and adds
+    at most one: an update keeps the address, an append takes the next id
+    after the server's largest, a delete only removes, and an update to
+    identical bytes changes nothing. This catches an edited address or
+    server count, which the index's X, a sum of weights, does not cover.
+    """
+    epoch, count, servers = manifest.epoch, len(manifest.records), manifest.server_count
+    if not ledger.points:
+        layout = [(server, block) for server in range(servers) for block in range(len(range(server, count, servers)))]
+        if list(map(itemgetter(0, 1), manifest.records)) != layout:
+            raise SnapshotCorrupt(f"epoch {epoch} is not the round-robin upload of {count} blocks on {servers} servers")
+        return
+    previous = ledger.last().manifest
+    if servers != previous.server_count:
+        raise SnapshotCorrupt(f"epoch {epoch} has servers={servers}, epoch {previous.epoch}"
+                              f" servers={previous.server_count}")
+    removed, added = _differing(previous.records, manifest.records)
+    if len(removed) > 1 or len(added) > 1:
+        raise SnapshotCorrupt(f"epoch {epoch} differs from epoch {previous.epoch} in {len(removed)} removed and"
+                              f" {len(added)} added records; one operation removes and adds at most one")
+    if removed and added:
+        (old,), (new,) = removed, added
+        if old.key != new.key:
+            raise SnapshotCorrupt(f"epoch {epoch} removes server={old.server_index} block={old.block_id} and adds"
+                                  f" server={new.server_index} block={new.block_id}; an update keeps the address")
+    elif added:
+        (new,) = added
+        held = tuple(_on_servers(previous.records, frozenset({new.server_index})))
+        next_id = held[-1].block_id + 1 if held else 0
+        if new.block_id != next_id:
+            raise SnapshotCorrupt(f"epoch {epoch} appends server={new.server_index} block={new.block_id};"
+                                  f" an append takes block {next_id}")
 
 
 def _check_journal(journal: bytes, epochs: int) -> None:
@@ -438,10 +481,12 @@ def load_ledger(directory: Path) -> Ledger:
 
     Checks the pack's digests, that each index line is canonical with
     epochs in sequence and tick = epoch + 1, each snapshot's blocks
-    against its manifest (the epoch's one copy, parsed once), and the
-    index's X against the X that manifest derives. Every epoch loads into
-    one cluster, which puts only the records the epoch changed, so the
-    points share every other record object. Each distinct block is hashed
+    against its manifest (the epoch's one copy, parsed once), the
+    index's X against the X that manifest derives, and that the manifest
+    is an upload's (epoch 0) or one operation on the epoch before
+    (_check_operation). Every epoch loads into one cluster, which puts
+    only the records the epoch changed or added, so the points share
+    every other record object. Each distinct block is hashed
     once, so the cost is O(distinct stored bytes + epochs x records).
     Files are read as written, with no newline translation, and every
     line, the index's too, must end in LF; a partial last index line or
@@ -533,5 +578,6 @@ def _load_ledger(directory: Path, index: bytes, pack: Optional[bytes]) -> Ledger
         point = RestorePoint(epoch=epoch, manifest=manifest, payload_snapshot=snapshot_text)
         if committed_x != point.committed_x:
             raise ManifestFormatError(f"index X for epoch {epoch} does not match its manifest")
+        _check_operation(ledger, manifest)
         ledger.points.append(point)
     return ledger

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 from functools import partial
 from hashlib import sha256
 from itertools import chain, repeat
@@ -118,6 +119,12 @@ def build_manifest(level: Level, epoch: int, blocks: Sequence[Iterable[DataBlock
         for block_id, block in enumerate(server_blocks)
     )
     return Manifest(level=level, epoch=epoch, records=records, server_count=len(blocks))
+
+
+def _server_bounds(records: Sequence[BlockRecord], server_count: int) -> list[int]:
+    """Where each server's records start in ``records``, sorted as a
+    manifest's are, then their end: server i's are records[bounds[i] : bounds[i + 1]]."""
+    return [bisect_left(records, (server,)) for server in range(server_count)] + [len(records)]
 
 
 # One record line: server, block id and weight in decimal, checksum as 16 lowercase hex digits.

@@ -8,21 +8,27 @@ weights, which reproduces pure size accounting and its blind spot:
 substituting different content of identical length goes undetected.
 A clean check, with every server available, is one tuple comparison in
 C, which hashes nothing and passes over a record shared by both sides by
-identity. Otherwise whole records are compared as sets, hashed in C, and
-Python work is spent only on the records that differ plus those on
-unavailable servers.
+identity. Otherwise the two record tuples are split at server boundaries
+by bisect, each server's two slices are compared in C the same way, and
+only the servers whose slices differ are hashed into sets, so a check
+after one operation or one fault hashes one server's records. Python
+work is spent only on the records that differ plus those on unavailable
+servers. Records must be sorted by (server, block), as every manifest
+this package builds or parses is.
 Divergence and Verdict are NamedTuples, which compare as tuples.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, NamedTuple, Optional
+from bisect import bisect_left
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .checksum import checksum_hex
 from .cluster import ClusterState, partition_upload, read_manifest, upload
 from .errors import EpochMismatch
-from .manifest import BlockRecord, Level, Manifest, build_manifest
+from .manifest import BlockRecord, Level, Manifest, _server_bounds, build_manifest
 
 
 class Mode(enum.Enum):
@@ -75,34 +81,75 @@ def verify_equality(user: Manifest, cloud: Manifest, mode: Mode) -> Verdict:
     both sides hold them unchanged. In WEIGHT_ONLY mode checksums are
     ignored entirely. Divergences come in (server, block) order.
 
+    Both record tuples must be sorted by (server, block), with unique
+    addresses, as build_manifest, the servers' record dicts and
+    parse_manifest guarantee.
+
     When no server is unavailable on either side and the record tuples
     are equal, the verdict is clean at once. That comparison runs in C,
     hashes no record, and stops at identity for a record object both
     manifests share, as a live manifest shares its unchanged records with
     the committed one.
 
-    Otherwise whole records are compared as sets, hashed in C; a record
-    both sides hold unchanged on an available server cannot diverge. Only
-    the records in the sets' symmetric difference, plus the records on
-    unavailable servers, are paired by address and classified, so the
-    Python work grows with those records, not with the manifest size
-    (picking out the records on unavailable servers, when there are any,
-    takes one more pass over both manifests). Addresses must be unique
-    within each manifest, as build_manifest, the servers' record dicts and
-    parse_manifest guarantee.
+    Otherwise _differing hashes only the servers whose slices differ; a
+    record both sides hold unchanged on an available server cannot
+    diverge. Only the records that differ, plus the records on
+    unavailable servers (taken as bisected slices), are paired by address
+    and classified, so the Python work grows with those records, not with
+    the manifest size.
     """
     if user.epoch != cloud.epoch:
         raise EpochMismatch(f"cannot compare epoch {user.epoch} with epoch {cloud.epoch}")
     unavailable = user.unavailable_servers | cloud.unavailable_servers
     if not unavailable and user.records == cloud.records:
         return Verdict(z=True, mode=mode, divergences=(), epoch=user.epoch)
-    user_set, cloud_set = set(user.records), set(cloud.records)
-    user_only, cloud_only = user_set - cloud_set, cloud_set - user_set
-    if unavailable:
-        user_only.update(r for r in user.records if r.server_index in unavailable)
-        cloud_only.update(r for r in cloud.records if r.server_index in unavailable)
-    user_map = {r.key: r for r in user_only}
-    cloud_map = {r.key: r for r in cloud_only}
+    user_only, cloud_only = _differing(user.records, cloud.records)
+    return _classify(
+        chain(user_only, _on_servers(user.records, unavailable)),
+        chain(cloud_only, _on_servers(cloud.records, unavailable)),
+        unavailable, mode, user.epoch,
+    )
+
+
+def _differing(a: Sequence[BlockRecord], b: Sequence[BlockRecord]) -> tuple[set[BlockRecord], set[BlockRecord]]:
+    """(a_only, b_only): the records of sorted ``a`` that ``b`` lacks and
+    those of sorted ``b`` that ``a`` lacks, by value.
+
+    Both are split at server boundaries by bisect and each server's two
+    slices are compared in C, which stops at identity for a record both
+    share; only the servers whose slices differ are hashed into sets. A
+    record names its server, so the per-server differences are the whole
+    ones: the result equals set(a) - set(b) and set(b) - set(a).
+    """
+    servers = 1 + max(a[-1].server_index if a else -1, b[-1].server_index if b else -1)
+    a_bounds, b_bounds = _server_bounds(a, servers), _server_bounds(b, servers)
+    a_only: set[BlockRecord] = set()
+    b_only: set[BlockRecord] = set()
+    for server in range(servers):
+        a_slice = a[a_bounds[server] : a_bounds[server + 1]]
+        b_slice = b[b_bounds[server] : b_bounds[server + 1]]
+        if a_slice != b_slice:
+            a_set, b_set = set(a_slice), set(b_slice)
+            a_only |= a_set - b_set
+            b_only |= b_set - a_set
+    return a_only, b_only
+
+
+def _on_servers(records: Sequence[BlockRecord], servers: frozenset[int]) -> Iterable[BlockRecord]:
+    """The records of sorted ``records`` on ``servers``, as bisected slices."""
+    return chain.from_iterable(
+        records[bisect_left(records, (server,)) : bisect_left(records, (server + 1,))] for server in sorted(servers)
+    )
+
+
+def _classify(expected_records: Iterable[BlockRecord], actual_records: Iterable[BlockRecord],
+              unavailable: frozenset[int], mode: Mode, epoch: int) -> Verdict:
+    """The verdict on the records that differ: each side's records, paired
+    by address (a record listed twice counts once). An address only the
+    expected side holds is MISSING, only the actual side EXTRA; any
+    address on an unavailable server is SERVER_UNAVAILABLE."""
+    user_map = {r.key: r for r in expected_records}
+    cloud_map = {r.key: r for r in actual_records}
     divergences = []
     for key in sorted(user_map.keys() | cloud_map.keys()):
         expected = user_map.get(key)
@@ -120,12 +167,7 @@ def verify_equality(user: Manifest, cloud: Manifest, mode: Mode) -> Verdict:
         else:
             continue
         divergences.append(Divergence(key[0], key[1], kind, expected, actual))
-    return Verdict(
-        z=not divergences,
-        mode=mode,
-        divergences=tuple(divergences),
-        epoch=user.epoch,
-    )
+    return Verdict(z=not divergences, mode=mode, divergences=tuple(divergences), epoch=epoch)
 
 
 def round_trip_verify(

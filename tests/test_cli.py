@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, reports, persistence layout, determinism."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,27 @@ def test_torn_index_tail_is_reported_as_a_partial_line(ledger_dir, capsys):
     assert "index ends in a partial line at epoch 1: '1 2 16'" in err
     assert index.read_text().count("\n") == 1 and index.read_text().endswith("\n")
     assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 0
+
+
+def test_an_edited_snapshot_address_exits_2_and_writes_nothing(ledger_dir, tmp_path, capsys):
+    """Raising a block id in a committed snapshot keeps its weights, so X
+    still matches; the epoch is no single operation on the one before."""
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(bytes(range(200)))
+    flags = ("--servers", "3", "--block-size", "32", "--ledger-dir", str(ledger_dir))
+    assert run_cli(*flags, "upload", str(payload)) == 0
+    assert run_cli(*flags, "append", "--server", "1", "--gen-bytes", "8") == 0
+    assert run_cli(*flags, "update", "--server", "2", "--block", "0", "--gen-bytes", "8") == 0
+    snapshot = ledger_dir / "1.snapshot"
+    text, edits = re.subn("^0 2 8 ", "0 9 8 ", snapshot.read_text(encoding="utf-8"), flags=re.MULTILINE)
+    assert edits == 1
+    snapshot.write_text(text, encoding="utf-8")
+    before = dir_contents(ledger_dir)
+    capsys.readouterr()
+    for command in (["verify"], ["audit", "--epochs", "0..2"], ["recover"]):
+        assert run_cli(*flags, *command) == 2
+        assert "epoch 1 differs from epoch 0 in 1 removed and 2 added records" in capsys.readouterr().err
+    assert dir_contents(ledger_dir) == before
 
 
 def old_snapshot(version, payload, servers, block_size):

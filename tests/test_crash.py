@@ -351,6 +351,26 @@ def test_recover_keeps_a_partial_index_line_whose_snapshot_does_not_load(base, t
     assert files(directory) == before
 
 
+def test_recover_keeps_a_partial_index_line_whose_snapshot_is_no_single_operation(base, tmp_path, capsys):
+    """The snapshot a torn commit left must be one operation on the last
+    epoch, as every committed one is: here its append took the wrong id."""
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    drop_journal_line(directory)
+    index = directory / "index"
+    index.write_bytes(index.read_bytes()[:-3])
+    snapshot = directory / "1.snapshot"
+    data = snapshot.read_bytes()
+    assert b"\n0 3 24 " in data
+    snapshot.write_bytes(data.replace(b"\n0 3 24 ", b"\n0 4 24 "))
+    before = files(directory)
+    assert run_cli(directory, "recover") == 2
+    err = capsys.readouterr().err
+    assert "index ends in a partial line at epoch 1" in err, err
+    assert "but recover cuts nothing: epoch 1 appends server=0 block=4; an append takes block 3" in err, err
+    assert files(directory) == before
+
+
 @pytest.mark.parametrize("cut", [
     lambda data: data[:-3],
     lambda data: data[: data.index(b"\n") + 1],

@@ -1,5 +1,7 @@
 """Restore-point ledger: the aggregate X, commits, recovery, persistence."""
 
+import re
+
 import pytest
 
 from cloudledger import (
@@ -16,6 +18,7 @@ from cloudledger import (
     UnverifiedState,
     append,
     commit_restore_point,
+    delete,
     inject_fault,
     load_ledger,
     load_snapshot,
@@ -412,3 +415,60 @@ def test_loaded_points_share_every_record_an_epoch_did_not_change(tmp_path):
     assert points == ledger.points
     distinct = {id(record) for point in points for record in point.manifest.records}
     assert len(distinct) == n + 6 < len(points) * n
+
+
+def test_loaded_points_share_every_record_an_append_did_not_change(tmp_path):
+    """An append adds one id past the server's last, so loading its epoch
+    puts one record and keeps the server's others."""
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(bytes(range(64)), 8, 1, directory=directory)
+    for server in range(8):
+        append(cluster, ledger, server, bytes([100 + server]))
+    points = load_ledger(directory).points
+    assert points == ledger.points
+
+    def distinct(points):
+        return len({id(record) for point in points for record in point.manifest.records})
+
+    assert distinct(points) == distinct(ledger.points) == 64 + 8
+
+
+def test_every_operation_kind_loads(tmp_path):
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(bytes(range(50)), 3, 4, directory=directory)
+    append(cluster, ledger, 2, b"new")
+    update(cluster, ledger, 0, 1, b"longer bytes")
+    update(cluster, ledger, 1, 0, cluster.servers[1].blocks[0].payload)  # identical bytes change no record
+    delete(cluster, ledger, 1, 2)
+    delete(cluster, ledger, 0, max(cluster.servers[0].blocks))
+    append(cluster, ledger, 0, b"reused id")  # takes the id the delete freed
+    append(cluster, ledger, 1, b"")
+    assert load_ledger(directory).points == ledger.points
+
+
+def edit_snapshot(directory, epoch, pattern, replacement):
+    path = directory / f"{epoch}.snapshot"
+    text, count = re.subn(pattern, replacement, path.read_text(encoding="utf-8"), count=1, flags=re.MULTILINE)
+    assert count == 1
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("epoch, pattern, replacement, error", [
+    (0, "servers=3", "servers=4", "epoch 0 is not the round-robin upload of 7 blocks on 4 servers"),
+    (0, "^1 1 32 ", "1 2 32 ", "epoch 0 is not the round-robin upload"),
+    (1, "servers=3", "servers=9", "epoch 1 has servers=9, epoch 0 servers=3"),
+    (1, "^0 2 8 ", "0 9 8 ", "epoch 1 differs from epoch 0 in 1 removed and 2 added records"),
+    (1, "^1 2 8 ", "1 3 8 ", "epoch 1 appends server=1 block=3; an append takes block 2"),
+    (2, "^2 1 8 ", "2 2 8 ", "epoch 2 removes server=2 block=1 and adds server=2 block=2"),
+], ids=["upload-servers", "upload-id", "servers", "other-address", "append-id", "update-address"])
+def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, epoch, pattern, replacement, error):
+    """The index's X covers weights only; an edited block id or server
+    count must still make the epoch fail to load."""
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(bytes(range(200)), 3, 32, directory=directory)
+    append(cluster, ledger, 1, bytes(8))
+    update(cluster, ledger, 2, 1, bytes(range(8)))
+    assert load_ledger(directory).points == ledger.points
+    edit_snapshot(directory, epoch, pattern, replacement)
+    with pytest.raises(SnapshotCorrupt, match=re.escape(error)):
+        load_ledger(directory)
