@@ -59,6 +59,7 @@ from .ledger import (
     JOURNAL_FILE,
     PACK_FILE,
     Ledger,
+    _index_line,
     commit_restore_point,
     load_cluster,
     load_ledger,
@@ -110,8 +111,13 @@ class SimConfig(NamedTuple):
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
+    """The file's key=value lines, read as written: each must end in LF and hold no other line end."""
+    text = path.read_bytes().decode("utf-8")
+    lines = text.split("\n")
+    if lines.pop() or text.splitlines() != lines:
+        raise ManifestFormatError(f"config file {path} has a line that does not end in LF alone")
     values: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -313,7 +319,7 @@ def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     print(f"live_total={cluster.total_stored_bytes()}")
     print(f"points={len(ledger.points)}")
     for point in ledger.points:
-        print(f"{point.epoch} {point.timestamp} {point.committed_x}")
+        print(_index_line(point), end="")
     print("END")
     return EXIT_OK
 

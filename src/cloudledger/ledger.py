@@ -4,8 +4,8 @@ Every verified update commits one restore point: a snapshot of the
 cluster, which holds the cloud manifest and names each record's block by
 content digest. The point's aggregate X (cloud total plus user total
 summed over servers) is derived from that manifest: a verified commit
-has S = T, so X is twice the manifest total. The index stores X beside
-each epoch as a check, compared again whenever a ledger is loaded. The
+has S = T, so X is twice the manifest total. An index line must be the
+line its epoch's snapshot commits, as _index_line renders it. The
 ledger keeps one block store, shared by all its points, holding each
 distinct block once (on disk, an append-only pack), so a commit stores
 only the blocks the store lacks.
@@ -59,25 +59,24 @@ class RestorePoint:
     """One committed epoch: manifest and payload snapshot. Immutable.
 
     The snapshot holds the manifest and names each record's block by
-    digest, resolved in the ledger's block store. The tick and X derive
-    from the epoch and the manifest. ``added`` holds the blocks this
-    commit was first to store, which persisting the point appends to the
-    pack (empty for points read back from disk); it takes no part in
-    equality, so a point equals itself read back.
+    digest, resolved in the ledger's block store. The epoch is the
+    manifest's, and the tick and X derive from the manifest. ``added``
+    holds the blocks this commit was first to store, which persisting the
+    point appends to the pack (empty for points read back from disk); it
+    takes no part in equality, so a point equals itself read back.
     """
 
-    __slots__ = ("epoch", "manifest", "payload_snapshot", "added")
+    __slots__ = ("manifest", "payload_snapshot", "added")
 
-    def __init__(self, epoch: int, manifest: Manifest, payload_snapshot: str,
-                 added: tuple[DataBlock, ...] = ()) -> None:
-        for name, value in zip(self.__slots__, (epoch, manifest, payload_snapshot, added)):
+    def __init__(self, manifest: Manifest, payload_snapshot: str, added: tuple[DataBlock, ...] = ()) -> None:
+        for name, value in zip(self.__slots__, (manifest, payload_snapshot, added)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign {name!r}: a RestorePoint is immutable")
 
-    def _compared(self) -> tuple[int, Manifest, str]:
-        return (self.epoch, self.manifest, self.payload_snapshot)
+    def _compared(self) -> tuple[Manifest, str]:
+        return (self.manifest, self.payload_snapshot)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -86,6 +85,10 @@ class RestorePoint:
 
     def __hash__(self) -> int:
         return hash(self._compared())
+
+    @property
+    def epoch(self) -> int:
+        return self.manifest.epoch
 
     @property
     def timestamp(self) -> int:
@@ -161,7 +164,7 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     if manifest.records != read_manifest(cluster).records:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
     added = _save_blocks(ledger, cluster)
-    point = RestorePoint(cluster.epoch, manifest, snapshot_cluster(cluster), added)
+    point = RestorePoint(manifest, snapshot_cluster(cluster), added)
     if ledger.directory is not None:
         _write_point(ledger.directory, point)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
@@ -388,11 +391,11 @@ def _write_point(directory: Path, point: RestorePoint) -> None:
     or for epoch 0 as a whole new index, which discards any partial line
     an upload that never committed left."""
     write_file(directory, f"{point.epoch}.snapshot", point.payload_snapshot.encode("utf-8"))
-    write_file(directory, INDEX_FILE, _index_line(point), append=point.epoch > 0)
+    write_file(directory, INDEX_FILE, _index_line(point).encode(), append=point.epoch > 0)
 
 
-def _index_line(point: RestorePoint) -> bytes:
-    return f"{point.epoch} {point.timestamp} {point.committed_x}\n".encode()
+def _index_line(point: RestorePoint) -> str:
+    return f"{point.epoch} {point.timestamp} {point.committed_x}\n"
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
@@ -403,23 +406,6 @@ def _persist_point(directory: Path, point: RestorePoint) -> None:
 
 def _partial_index_line(epoch: int, partial: str) -> str:
     return f"index ends in a partial line at epoch {epoch}: {partial!r}"
-
-
-def _check_torn_commit(ledger: Ledger, partial: bytes) -> None:
-    """Refuse a partial last index line that no failed commit can leave: a
-    commit writes its snapshot before its index line, so the partial line
-    must be a strict prefix of the line that epoch's snapshot commits, and
-    that snapshot must pass _check_operation like every committed one."""
-    epoch = len(ledger.points)
-    try:
-        text = _read_text(ledger.directory / f"{epoch}.snapshot")
-        manifest = stored_manifest(load_snapshot(text, ledger.blocks))
-    except (OSError, ValueError, SnapshotCorrupt) as exc:
-        raise SnapshotCorrupt(f"{epoch}.snapshot, which a torn commit leaves whole, does not load: {exc}") from exc
-    line = _index_line(RestorePoint(manifest.epoch, manifest, text))
-    if manifest.epoch != epoch or not line.startswith(partial):
-        raise ManifestFormatError(f"it is no prefix of {line.decode()!r}, the line {epoch}.snapshot commits")
-    _check_operation(ledger, manifest)
 
 
 def _check_operation(ledger: Ledger, manifest: Manifest) -> None:
@@ -479,18 +465,19 @@ def _read_optional(path: Path) -> Optional[bytes]:
 def load_ledger(directory: Path) -> Ledger:
     """Load a persisted ledger, revalidating every epoch.
 
-    Checks the pack's digests, that each index line is canonical with
-    epochs in sequence and tick = epoch + 1, each snapshot's blocks
-    against its manifest (the epoch's one copy, parsed once), the
-    index's X against the X that manifest derives, and that the manifest
-    is an upload's (epoch 0) or one operation on the epoch before
-    (_check_operation). Every epoch loads into one cluster, which puts
-    only the records the epoch changed or added, so the points share
-    every other record object. Each distinct block is hashed
-    once, so the cost is O(distinct stored bytes + epochs x records).
-    Files are read as written, with no newline translation, and every
-    line, the index's too, must end in LF; a partial last index line or
-    pack entry, which load_ledger_cutting_tails leaves out, is an error here.
+    Checks the pack's digests, then for each index line loads its epoch's
+    snapshot (the epoch's one copy of the manifest, parsed once) and
+    checks its blocks against its manifest, that the manifest claims the
+    epoch and is an upload's (epoch 0) or one operation on the epoch
+    before (_check_operation), and that the line equals the line the
+    snapshot commits, ``<epoch> <epoch + 1> <X>`` with the X the manifest
+    derives. Every epoch loads into one cluster, which puts only the
+    records the epoch changed or added, so the points share every other
+    record object. Each distinct block is hashed once, so the cost is
+    O(distinct stored bytes + epochs x records). Files are read as
+    written, with no newline translation, and every line, the index's
+    too, must end in LF; a partial last index line or pack entry, which
+    load_ledger_cutting_tails leaves out, is an error here.
     """
     directory = Path(directory)
     index = _read_optional(directory / INDEX_FILE)
@@ -507,16 +494,17 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
     Only a whole index line commits an epoch, and a commit appends its
     blocks to the pack and writes its snapshot before its index line, so a
     pack that ends in a strict prefix of an entry committed nothing, nor
-    did a partial last index line that is a strict prefix of the line its
-    epoch's snapshot commits; any other partial line is refused. The
-    ledger and live cluster are loaded without the torn tails, from
-    memory, and the journal's whole lines are checked against the loaded
-    epochs: an operation journals after its index line, so a line naming
-    a later epoch proves that the index lost a commit. Only if every check
-    passes are the files cut through write_file's replace, the journal's
-    torn last line included; otherwise nothing is written. A corrupt pack
-    entry that merely looks torn (a weight raised past the end of the
-    pack) would drop a committed block or the live cluster's, so it fails.
+    did a partial last index line whose epoch's snapshot loads like a
+    committed one and commits a line the partial one is a strict prefix
+    of; any other partial line is refused. The ledger and live cluster are
+    loaded without the torn tails, from memory, and the journal's whole
+    lines are checked against the loaded epochs: an operation journals
+    after its index line, so a line naming a later epoch proves that the
+    index lost a commit. Only if every check passes are the files cut
+    through write_file's replace, the journal's torn last line included;
+    otherwise nothing is written. A corrupt pack entry that merely looks
+    torn (a weight raised past the end of the pack) would drop a committed
+    block or the live cluster's, so it fails.
     """
     directory = Path(directory)
     index = _read_optional(directory / INDEX_FILE)
@@ -534,9 +522,7 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
     if whole_pack != pack:
         cuts.append(_partial_pack_entry(len(whole_pack)))
     try:
-        ledger = _load_ledger(directory, whole_index, whole_pack)
-        if whole_index != index:
-            _check_torn_commit(ledger, index[len(whole_index) :])
+        ledger = _load_ledger(directory, index, whole_pack, torn=True)
         _check_journal(whole_journal, len(ledger.points))
         cluster = load_cluster(ledger, rng_seed) if ledger.points else None
     except (ManifestFormatError, SnapshotCorrupt) as exc:
@@ -550,34 +536,34 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
     return ledger, cluster, cuts
 
 
-def _load_ledger(directory: Path, index: bytes, pack: Optional[bytes]) -> Ledger:
-    """Load a ledger from its index and pack bytes, reading the snapshots from ``directory``."""
-    lines = index.decode("utf-8").split("\n")
-    partial = lines.pop()
+def _load_ledger(directory: Path, index: bytes, pack: Optional[bytes], torn: bool = False) -> Ledger:
+    """Load a ledger from its index and pack bytes and the snapshots in
+    ``directory``: the one place that decides what an epoch committed. The
+    k-th index line must be a prefix of the line k.snapshot commits: a
+    whole one, LF included, is that line; a partial last one, admitted
+    only if ``torn``, is what a torn commit leaves and commits nothing."""
+    *whole, partial = index.decode("utf-8", "replace").split("\n")
+    lines = [line + "\n" for line in whole]
     if partial:
-        raise ManifestFormatError(_partial_index_line(len(lines), partial))
+        if not torn:
+            raise ManifestFormatError(_partial_index_line(len(lines), partial))
+        lines.append(partial)
     ledger = Ledger(directory=directory, blocks=_read_pack(pack))
     cluster: Optional[ClusterState] = None  # every epoch loads into it, so points share records
-    for position, line in enumerate(lines):
+    for epoch, line in enumerate(lines):
         try:
-            epoch, tick, committed_x = (int(p) for p in line.split(" "))
-        except ValueError as exc:
-            raise ManifestFormatError(f"bad index line: {line!r}") from exc
-        if line != f"{epoch} {tick} {committed_x}":
-            raise ManifestFormatError(f"index line is not canonical: {line!r}")
-        if epoch != position:
-            raise ManifestFormatError(f"index epoch {epoch} out of sequence at line {position}")
-        if tick != epoch + 1:
-            raise ManifestFormatError(f"index tick {tick} at epoch {epoch} is not epoch + 1")
-
-        snapshot_text = _read_text(directory / f"{epoch}.snapshot")
-        cluster = load_snapshot(snapshot_text, ledger.blocks, into=cluster)
-        manifest = stored_manifest(cluster)
-        if manifest.epoch != epoch:
-            raise ManifestFormatError(f"snapshot for epoch {epoch} claims epoch {manifest.epoch}")
-        point = RestorePoint(epoch=epoch, manifest=manifest, payload_snapshot=snapshot_text)
-        if committed_x != point.committed_x:
-            raise ManifestFormatError(f"index X for epoch {epoch} does not match its manifest")
-        _check_operation(ledger, manifest)
-        ledger.points.append(point)
+            text = _read_text(directory / f"{epoch}.snapshot")
+        except (OSError, ValueError) as exc:
+            raise SnapshotCorrupt(f"{epoch}.snapshot does not load: {exc}") from exc
+        cluster = load_snapshot(text, ledger.blocks, into=cluster)
+        point = RestorePoint(stored_manifest(cluster), text)
+        if point.epoch != epoch:
+            raise ManifestFormatError(f"{epoch}.snapshot claims epoch {point.epoch}")
+        _check_operation(ledger, point.manifest)
+        commits = _index_line(point)
+        if not commits.startswith(line):
+            relation = "is not" if line.endswith("\n") else "is no prefix of"
+            raise ManifestFormatError(f"index line {line!r} {relation} {commits!r}, the line {epoch}.snapshot commits")
+        if line == commits:
+            ledger.points.append(point)
     return ledger

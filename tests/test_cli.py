@@ -430,6 +430,17 @@ def test_report_summary(ledger_dir, capsys):
     )
 
 
+def test_report_prints_the_index_byte_for_byte(ledger_dir, capsys):
+    seeded_upload(ledger_dir)
+    for argv in (("append", "--server", "0", "--gen-bytes", "100"), ("update", "--server", "1", "--block", "2",
+                 "--gen-bytes", "7"), ("delete", "--server", "2", "--block", "0")):
+        assert run_cli("--ledger-dir", str(ledger_dir), *argv) == 0
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", str(ledger_dir), "report") == 0
+    out = capsys.readouterr().out.encode()
+    assert out.split(b"points=4\n")[1] == (ledger_dir / "index").read_bytes() + b"END\n"
+
+
 def test_ledger_dir_from_environment(tmp_path, monkeypatch, capsys):
     target = tmp_path / "from-env"
     monkeypatch.setenv("CLOUDLEDGER_DIR", str(target))
@@ -455,6 +466,27 @@ def test_config_file_flag(ledger_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'server'" in err and str(misspelled) in err
     assert not elsewhere.exists()
+
+
+@pytest.mark.parametrize("text", [
+    b"servers=5\r\nblock_size=10\r\n",
+    b"servers=5\x0cblock_size=10\n",
+    b"servers=5\nblock_size=10",
+], ids=["crlf", "form-feed", "no-final-lf"])
+def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(ledger_dir, tmp_path, capsys, text):
+    """Both the ledger directory's config and --config must end every line in LF, and in nothing else."""
+    config = tmp_path / "sim.cfg"
+    config.write_bytes(text)
+    elsewhere = tmp_path / "elsewhere"
+    assert run_cli("--ledger-dir", str(elsewhere), "--config", str(config), "upload", "--gen-bytes", "50") == 2
+    assert f"config file {config} " in capsys.readouterr().err
+    assert not elsewhere.exists()
+    assert seeded_upload(ledger_dir) == 0
+    (ledger_dir / "config").write_bytes(text)
+    capsys.readouterr()
+    for command in ("verify", "report"):
+        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, command
+        assert f"config file {ledger_dir / 'config'} " in capsys.readouterr().err
 
 
 def test_identical_command_sequences_produce_identical_directories(tmp_path):

@@ -303,7 +303,7 @@ def test_a_ledger_file_rewritten_to_crlf_is_rejected(ledger_dir, capsys, name):
 def test_an_index_line_ended_by_another_separator_is_rejected(ledger_dir):
     index = ledger_dir / "index"
     index.write_bytes(index.read_bytes().replace(b"\n", b"\x1c", 1))
-    with pytest.raises(ManifestFormatError, match="bad index line"):
+    with pytest.raises(ManifestFormatError, match=r"index line '0 1 \d+\\x1c1 2 \d+\\n' is not '0 1 \d+\\n'"):
         load_ledger(ledger_dir)
 
 

@@ -221,7 +221,7 @@ def swap_reference(snapshot):
 def test_recover_detects_corrupt_snapshot():
     cluster, ledger = make_committed_state(b"abcdef", 2, 2)
     point = ledger.points[0]
-    broken = RestorePoint(point.epoch, point.manifest, swap_reference(point.payload_snapshot))
+    broken = RestorePoint(point.manifest, swap_reference(point.payload_snapshot))
     ledger.points[0] = broken
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 0))
     with pytest.raises(SnapshotCorrupt, match="fails its manifest record"):
@@ -318,6 +318,11 @@ def test_load_ledger_rejects_tampered_index(tmp_path):
         load_ledger(directory)
 
 
+def not_committed(epoch, found=""):
+    """The message for an index line, starting ``found``, other than the line epoch's snapshot commits."""
+    return rf"index line '{found}.*' is not '{epoch} {epoch + 1} \d+\\n', the line {epoch}\.snapshot commits"
+
+
 def rewrite_index_line(directory, epoch, render):
     """Replace the index line of ``epoch`` by render(epoch, tick, x)."""
     index = directory / "index"
@@ -340,7 +345,7 @@ def test_load_ledger_rejects_a_non_canonical_index_line(tmp_path, render):
     cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
     append(cluster, load_ledger(directory), 0, b"more")
     rewrite_index_line(directory, 1, render)
-    with pytest.raises(ManifestFormatError, match="index line is not canonical"):
+    with pytest.raises(ManifestFormatError, match=not_committed(1)):
         load_ledger(directory)
 
 
@@ -350,7 +355,35 @@ def test_load_ledger_rejects_a_tick_other_than_epoch_plus_one(tmp_path, tick):
     cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
     append(cluster, load_ledger(directory), 0, b"more")
     rewrite_index_line(directory, 1, lambda e, t, x: f"{e} {tick} {x}")
-    with pytest.raises(ManifestFormatError, match=f"index tick {tick} at epoch 1 is not epoch \\+ 1"):
+    with pytest.raises(ManifestFormatError, match=not_committed(1, found=f"1 {tick} ")):
+        load_ledger(directory)
+
+
+def test_load_ledger_rejects_index_lines_out_of_sequence(tmp_path):
+    directory = tmp_path / "ledger"
+    cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
+    append(cluster, load_ledger(directory), 0, b"more")
+    index = directory / "index"
+    first, second = index.read_bytes().splitlines(keepends=True)
+    index.write_bytes(second + first)
+    with pytest.raises(ManifestFormatError, match=not_committed(0, found="1 2 ")):
+        load_ledger(directory)
+
+
+@pytest.mark.parametrize("edit, claimed", [
+    (lambda directory, text: (directory / "0.snapshot").read_text(), 0),
+    (lambda directory, text: text.replace(" epoch=1 ", " epoch=2 ", 1), 2),
+], ids=["epoch-0-copied", "header-edited"])
+def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, edit, claimed):
+    directory = tmp_path / "ledger"
+    cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
+    append(cluster, load_ledger(directory), 0, b"more")
+    snapshot = directory / "1.snapshot"
+    text = snapshot.read_text()
+    edited = edit(directory, text)
+    assert edited != text
+    snapshot.write_text(edited)
+    with pytest.raises(ManifestFormatError, match=f"1.snapshot claims epoch {claimed}$"):
         load_ledger(directory)
 
 

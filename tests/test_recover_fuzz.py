@@ -3,8 +3,10 @@
 Whatever one edit does to one file of a committed ledger directory,
 recover must either exit non-zero and leave every file byte-identical,
 or exit 0 with every committed epoch as it was, after which verify
-passes. The inputs are a 3-epoch CLI ledger (upload, append,
-update) and a copy of it with a flip-byte pending. The edits are every
+passes. The inputs are a 3-epoch CLI ledger (upload, append, update), a
+copy of it with a flip-byte pending, and a copy that a delete left as a
+torn commit: its index line cut mid-line and no journal line. All three
+commit the same 3 epochs. The edits are every
 single byte set to its value xor 1, to LF or to "9", and every
 truncation. pytest tries every edit of a file under SMALL bytes, and of
 a larger one a seeded sample plus every cut at a line boundary. Run as a
@@ -43,7 +45,8 @@ def run_cli(directory, *argv):
 
 
 def build_inputs(root):
-    """The clean 3-epoch ledger and a copy of it with a flip-byte pending."""
+    """The clean 3-epoch ledger, a copy of it with a flip-byte pending, and
+    a copy whose 4th epoch a crash tore mid-way through its index line."""
     clean = root / "clean"
     for argv in (("upload", "--gen-bytes", "100"), ("append", "--server", "1", "--gen-bytes", "20"),
                  ("update", "--server", "0", "--block", "1", "--gen-bytes", "16")):
@@ -51,7 +54,14 @@ def build_inputs(root):
     tampered = root / "tampered"
     shutil.copytree(clean, tampered)
     assert run_cli(tampered, "tamper", "--kind", "flip-byte", "--server", "1", "--block", "0") == 0
-    return {"clean": clean, "tampered": tampered}
+    torn = root / "torn"
+    shutil.copytree(clean, torn)
+    journal = (torn / "journal").read_bytes()
+    assert run_cli(torn, "delete", "--server", "2", "--block", "0") == 0
+    index = torn / "index"
+    index.write_bytes(index.read_bytes()[:-3])
+    (torn / "journal").write_bytes(journal)
+    return {"clean": clean, "tampered": tampered, "torn": torn}
 
 
 def files(directory):
@@ -97,10 +107,10 @@ def violation(directory, original, name, edited, points):
                 (directory / file).write_bytes(original[file])
 
 
-def fuzz(directory, rng=None):
-    """Every violation over the edits of every file in ``directory``, and the number of edits tried."""
+def fuzz(directory, points, rng=None):
+    """Every violation over the edits of every file in ``directory``, whose
+    committed epochs are ``points``, and the number of edits tried."""
     original = files(directory)
-    points = load_ledger(directory).points
     found, tried = [], 0
     for name, data in sorted(original.items()):
         for label, edited in edits(data, rng):
@@ -116,9 +126,9 @@ def inputs(tmp_path_factory):
     return build_inputs(tmp_path_factory.mktemp("fuzz"))
 
 
-@pytest.mark.parametrize("kind", ["clean", "tampered"])
+@pytest.mark.parametrize("kind", ["clean", "tampered", "torn"])
 def test_recover_writes_nothing_or_keeps_every_committed_epoch(inputs, kind):
-    found, tried = fuzz(inputs[kind], random.Random(SEED))
+    found, tried = fuzz(inputs[kind], load_ledger(inputs["clean"]).points, random.Random(SEED))
     assert tried > 500
     assert not found, f"{len(found)} of {tried} edits: " + "; ".join(found[:10])
 
@@ -126,8 +136,10 @@ def test_recover_writes_nothing_or_keeps_every_committed_epoch(inputs, kind):
 def main():
     with tempfile.TemporaryDirectory() as root:
         total = []
-        for directory in build_inputs(Path(root)).values():
-            found, tried = fuzz(directory)
+        inputs = build_inputs(Path(root))
+        points = load_ledger(inputs["clean"]).points
+        for directory in inputs.values():
+            found, tried = fuzz(directory, points)
             print(f"{directory.name}: {tried} edits, {len(found)} violations")
             total += found
         for line in total:

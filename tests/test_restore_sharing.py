@@ -180,7 +180,7 @@ def test_a_snapshot_that_fails_a_check_leaves_the_live_cluster_as_it_was(corrupt
         load_snapshot(text, ledger.blocks, into=cluster)
     assert state(cluster) == before and objects(cluster) == identities
 
-    ledger.points[-1] = RestorePoint(point.epoch, point.manifest, text)
+    ledger.points[-1] = RestorePoint(point.manifest, text)
     with pytest.raises(SnapshotCorrupt, match=message):
         recover(ledger, cluster)
     assert state(cluster) == before and objects(cluster) == identities

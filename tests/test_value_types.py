@@ -49,7 +49,7 @@ IMMUTABLE = {  # one value of each former frozen class, and one of its fields
     "OperationResult": (OperationResult(OperationKind.DELETE, 0, 0, 1, VERDICT, VERDICT, 5, -5, 0), "s_after"),
     "AuditGrant": (AuditGrant(0, 0, Mode.CHECKSUM), "mode"),
     "SimConfig": (SimConfig(4, 4096, Mode.CHECKSUM, 42, Path("ledger")), "ledger_dir"),
-    "RestorePoint": (RestorePoint(0, MANIFEST, ""), "payload_snapshot"),
+    "RestorePoint": (RestorePoint(MANIFEST, ""), "payload_snapshot"),
 }
 
 
@@ -64,14 +64,15 @@ def test_restore_point_equality_ignores_added():
     _, ledger = make_committed_state(b"abcdef", 2, 2)
     point = ledger.last()
     assert point.added
-    read_back = RestorePoint(point.epoch, point.manifest, point.payload_snapshot)
+    read_back = RestorePoint(point.manifest, point.payload_snapshot)
     assert read_back == point and hash(read_back) == hash(point)
-    assert RestorePoint(point.epoch, point.manifest, point.payload_snapshot + "\n") != point
+    assert RestorePoint(point.manifest, point.payload_snapshot + "\n") != point
 
 
 def test_a_block_is_its_content_and_a_point_derives_its_tick():
     assert DataBlock._fields == ("payload", "checksum", "digest")
-    assert [RestorePoint(epoch, MANIFEST, "").timestamp for epoch in range(3)] == [1, 2, 3]
+    points = [RestorePoint(MANIFEST._replace(epoch=epoch), "") for epoch in range(3)]
+    assert [(point.epoch, point.timestamp) for point in points] == [(0, 1), (1, 2), (2, 3)]
 
 
 def import_the_cli(src):
