@@ -50,6 +50,8 @@ $CL --ledger-dir "$LEDGER" verify
 # divergences; the current epoch is the live integrity check.
 echo "=== third-party audit of the current epoch ==="
 $CL --ledger-dir "$LEDGER" audit --epochs 3
+echo "=== third-party audit of every committed epoch ==="
+$CL --ledger-dir "$LEDGER" audit --epochs 0..3 || echo "older epochs diverge as expected (exit $?)"
 
 echo "=== operation journal and summary ==="
 $CL --ledger-dir "$LEDGER" history

@@ -59,6 +59,7 @@ from .ledger import (
     JOURNAL_FILE,
     PACK_FILE,
     Ledger,
+    _check_journal,
     _index_line,
     commit_restore_point,
     load_cluster,
@@ -110,14 +111,19 @@ class SimConfig(NamedTuple):
     ledger_dir: Path
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
-    """The file's key=value lines, read as written: each must end in LF and hold no other line end."""
+def _read_lines(path: Path, what: str) -> list[str]:
+    """The file's lines, read as written: each must end in LF and hold no other line end."""
     text = path.read_bytes().decode("utf-8")
     lines = text.split("\n")
     if lines.pop() or text.splitlines() != lines:
-        raise ManifestFormatError(f"config file {path} has a line that does not end in LF alone")
+        raise ManifestFormatError(f"{what} {path} has a line that does not end in LF alone")
+    return lines
+
+
+def _parse_config_file(path: Path) -> dict[str, str]:
+    """The file's key=value lines."""
     values: dict[str, str] = {}
-    for line in lines:
+    for line in _read_lines(path, "config file"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -305,7 +311,10 @@ def cmd_history(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     config = resolve_config(args)
     journal_path = config.ledger_dir / JOURNAL_FILE
     if journal_path.exists():
-        print(journal_path.read_text(encoding="utf-8"), end="")
+        lines = _read_lines(journal_path, "journal")
+        _check_journal(lines, len(load_ledger(config.ledger_dir).points))
+        for line in lines:
+            print(line)
     return EXIT_OK
 
 

@@ -35,7 +35,7 @@ import os
 import re
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cluster import (
     ClusterState,
@@ -352,26 +352,20 @@ def _partial_pack_entry(position: int) -> str:
     return f"{PACK_FILE} ends in a partial entry at byte {position}"
 
 
-def _whole_pack_length(data: bytes) -> int:
-    """The length of the pack up to the end of its last whole entry."""
-    whole = len(PACK_HEADER)
-    for _, _, _, end in _pack_entries(data):
-        whole = end + 1
-    return whole
-
-
-def _read_pack(data: Optional[bytes]) -> dict[str, DataBlock]:
+def _read_pack(data: Optional[bytes]) -> tuple[dict[str, DataBlock], int]:
     """Read the block pack's bytes (None for no pack), checking that each
-    entry hashes to its digest.
+    entry hashes to its digest: the blocks of its whole entries, and where
+    the last of them ends (0 for no pack).
 
     Each block is hashed once, by make_block. Neither a pack entry nor a
     DataBlock carries an address: load_snapshot puts each block object at
     the address of every manifest record whose digest line names it. A
-    torn tail, which load_ledger_cutting_tails leaves out, is an error here.
+    torn tail is what follows the returned end: load_ledger refuses it and
+    load_ledger_cutting_tails cuts it.
     """
-    if data is None:
-        return {}
     blocks: dict[str, DataBlock] = {}
+    if data is None:
+        return blocks, 0
     whole = len(PACK_HEADER)
     for position, digest, start, end in _pack_entries(data):
         if digest in blocks:
@@ -381,9 +375,7 @@ def _read_pack(data: Optional[bytes]) -> dict[str, DataBlock]:
             raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
         blocks[digest] = block
         whole = end + 1
-    if whole < len(data):
-        raise ManifestFormatError(_partial_pack_entry(whole))
-    return blocks
+    return blocks, whole
 
 
 def _write_point(directory: Path, point: RestorePoint) -> None:
@@ -448,12 +440,12 @@ def _check_operation(ledger: Ledger, manifest: Manifest) -> None:
                                   f" an append takes block {next_id}")
 
 
-def _check_journal(journal: bytes, epochs: int) -> None:
+def _check_journal(lines: Iterable[str], epochs: int) -> None:
     """Refuse a whole journal line naming an epoch at or past ``epochs``: an
     operation journals only after its index line, so the index lost a commit."""
-    for line in journal.split(b"\n")[:-1]:
-        epoch = line.partition(b" ")[0]
-        if epoch.isdigit() and int(epoch) >= epochs:
+    for line in lines:
+        epoch = line.partition(" ")[0]
+        if epoch.isascii() and epoch.isdigit() and int(epoch) >= epochs:
             raise ManifestFormatError(f"{JOURNAL_FILE} names epoch {int(epoch)}, past the index's last;"
                                       " the index lost a commit")
 
@@ -483,7 +475,11 @@ def load_ledger(directory: Path) -> Ledger:
     index = _read_optional(directory / INDEX_FILE)
     if index is None:
         return Ledger(directory=directory)
-    return _load_ledger(directory, index, _read_optional(directory / PACK_FILE))
+    pack = _read_optional(directory / PACK_FILE)
+    blocks, end = _read_pack(pack)
+    if pack is not None and end < len(pack):
+        raise ManifestFormatError(_partial_pack_entry(end))
+    return _load_ledger(directory, index, blocks)
 
 
 def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, Optional[ClusterState], list[str]]:
@@ -512,8 +508,9 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
         return Ledger(directory=directory), None, []
     pack = _read_optional(directory / PACK_FILE)
     journal = _read_optional(directory / JOURNAL_FILE) or b""
+    blocks, pack_end = _read_pack(pack)
     whole_index = index[: index.rfind(b"\n") + 1]
-    whole_pack = None if pack is None else pack[: _whole_pack_length(pack)]
+    whole_pack = None if pack is None else pack[:pack_end]
     whole_journal = journal[: journal.rfind(b"\n") + 1]
     cuts = []
     if whole_index != index:
@@ -522,8 +519,8 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
     if whole_pack != pack:
         cuts.append(_partial_pack_entry(len(whole_pack)))
     try:
-        ledger = _load_ledger(directory, index, whole_pack, torn=True)
-        _check_journal(whole_journal, len(ledger.points))
+        ledger = _load_ledger(directory, index, blocks, torn=True)
+        _check_journal(whole_journal.decode("utf-8", "replace").split("\n")[:-1], len(ledger.points))
         cluster = load_cluster(ledger, rng_seed) if ledger.points else None
     except (ManifestFormatError, SnapshotCorrupt) as exc:
         if not cuts:
@@ -536,8 +533,8 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
     return ledger, cluster, cuts
 
 
-def _load_ledger(directory: Path, index: bytes, pack: Optional[bytes], torn: bool = False) -> Ledger:
-    """Load a ledger from its index and pack bytes and the snapshots in
+def _load_ledger(directory: Path, index: bytes, blocks: dict[str, DataBlock], torn: bool = False) -> Ledger:
+    """Load a ledger from its index bytes, its block store and the snapshots in
     ``directory``: the one place that decides what an epoch committed. The
     k-th index line must be a prefix of the line k.snapshot commits: a
     whole one, LF included, is that line; a partial last one, admitted
@@ -548,7 +545,7 @@ def _load_ledger(directory: Path, index: bytes, pack: Optional[bytes], torn: boo
         if not torn:
             raise ManifestFormatError(_partial_index_line(len(lines), partial))
         lines.append(partial)
-    ledger = Ledger(directory=directory, blocks=_read_pack(pack))
+    ledger = Ledger(directory=directory, blocks=blocks)
     cluster: Optional[ClusterState] = None  # every epoch loads into it, so points share records
     for epoch, line in enumerate(lines):
         try:

@@ -25,7 +25,7 @@ from functools import partial
 from hashlib import sha256
 from itertools import chain, repeat
 from operator import lt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .checksum import fnv1a64
 from .errors import ManifestFormatError
@@ -125,6 +125,12 @@ def _server_bounds(records: Sequence[BlockRecord], server_count: int) -> list[in
     """Where each server's records start in ``records``, sorted as a
     manifest's are, then their end: server i's are records[bounds[i] : bounds[i + 1]]."""
     return [bisect_left(records, (server,)) for server in range(server_count)] + [len(records)]
+
+
+def _record_at(records: Sequence[BlockRecord], key: tuple[int, int]) -> Optional[BlockRecord]:
+    """The record at address ``key`` in ``records``, sorted as a manifest's are, or None."""
+    at = bisect_left(records, key)
+    return records[at] if at < len(records) and records[at][:2] == key else None
 
 
 # One record line: server, block id and weight in decimal, checksum as 16 lowercase hex digits.

@@ -489,6 +489,29 @@ def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(ledger_dir, tmp_pat
         assert f"config file {ledger_dir / 'config'} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda journal: journal.replace(b"\n", b"\r\n"), "does not end in LF alone"),
+    (lambda journal: b"1 APPEND junk\x0c9 APPEND more\n", "does not end in LF alone"),
+    (lambda journal: journal[:-1], "does not end in LF alone"),
+    (lambda journal: journal + b"9 APPEND server=0 block=9\n", "journal names epoch 9, past the index's last"),
+], ids=["crlf", "form-feed", "no-final-lf", "past-the-last-epoch"])
+def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, capsys, edit, error):
+    """history reads the journal as written, every line ending in LF alone,
+    and refuses a line naming an epoch past the ledger's last, writing nothing."""
+    seeded_upload(ledger_dir)
+    for op in (("append", "--server", "0", "--gen-bytes", "40"), ("update", "--server", "1", "--block", "0",
+               "--gen-bytes", "8"), ("delete", "--server", "2", "--block", "1")):
+        assert run_cli("--ledger-dir", str(ledger_dir), *op) == 0
+    journal = ledger_dir / "journal"
+    journal.write_bytes(edit(journal.read_bytes()))
+    before = dir_contents(ledger_dir)
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", str(ledger_dir), "history") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and error in err, err
+    assert dir_contents(ledger_dir) == before
+
+
 def test_identical_command_sequences_produce_identical_directories(tmp_path):
     def scenario(root: Path):
         d = str(root)

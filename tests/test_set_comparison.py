@@ -4,9 +4,10 @@ verify_equality returns a clean verdict for equal record tuples with every
 server available, else compares the two manifests server by server and
 hashes only the servers whose records differ, pairing by address only the
 records that differ; audit walks the granted epochs from newest to
-oldest, keeping the difference with the live records current, and drops
-EXTRA divergences instead of restricting the live manifest to each
-epoch's addresses. The reference functions below are the earlier
+oldest, keeping the records each epoch committed that the live records
+lack, and classifies them against the live records at their addresses
+instead of restricting the live manifest to each epoch's addresses.
+The reference functions below are the earlier
 implementations, kept as the oracle: on seeded random inputs both must
 give equal results. Run as a script, it checks a larger seeded set:
 
@@ -392,6 +393,30 @@ def test_an_audit_hashes_one_server_per_epoch():
     # The live records and the newest point differ on server 2, then each step on one server;
     # comparing every epoch's manifest with the live one as whole sets hashed 2 x 256 records per epoch.
     assert count == 2 * per_server * (epochs + 1)
+
+
+def test_an_audit_classifies_only_what_the_epoch_committed(monkeypatch):
+    """Records appended after the audited epoch, at addresses it never
+    held, reach no classification: auditing epoch 0 after 16 appends and
+    one flipped byte classifies the flipped epoch-0 record and the live
+    record at its address, nothing else."""
+    cluster, ledger = make_committed_state(bytes(range(256)), 4, 16)
+    for k in range(16):
+        append(cluster, ledger, k % 4, bytes([k]) * (1 + k % 3))
+    inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 1, 2, seed=3))
+    module = sys.modules["cloudledger.audit"]  # cloudledger.audit names the function
+    classify, classified = module._classify, []
+
+    def counting(expected, actual, *rest):
+        expected, actual = list(expected), list(actual)
+        classified.extend(expected + actual)
+        return classify(expected, actual, *rest)
+
+    monkeypatch.setattr(module, "_classify", counting)
+    (verdict,) = audit(ledger, cluster, AuditGrant(0, 0, Mode.CHECKSUM))
+    assert [(d.kind, d.server_index, d.block_id) for d in verdict.divergences] == [
+        (DivergenceKind.CHECKSUM_MISMATCH, 1, 2)]
+    assert len(classified) == 2
 
 
 def main():
