@@ -6,6 +6,9 @@ ServerState.put and drop, which keep each block's record (its address,
 its length and the checksum make_block stored with it, never client
 metadata) beside it. A cloud-level manifest joins those records, so a
 read hashes and builds nothing, yet sees any corruption of stored bytes.
+Each server also keeps the lines it contributes to a snapshot until its
+next put or drop, so a commit renders only the servers written since
+their last render.
 Fault injection covers byte corruption, truncation, same-weight
 substitution, block drops, server crashes (which erase that server's
 data), and a lying read path that replays the previous epoch's records.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from itertools import chain, compress
-from operator import attrgetter, itemgetter, ne
+from operator import itemgetter, ne
 from typing import Mapping, NamedTuple, Optional
 
 from .checksum import fnv1a64
@@ -33,6 +36,7 @@ from .manifest import (
     DataBlock,
     Level,
     Manifest,
+    _render_records,
     _server_bounds,
     make_block,
     new_record,
@@ -84,7 +88,10 @@ class ServerState:
     or a rollback, and each epoch of a ledger load) drops the ids the
     snapshot lacks and puts only the blocks that differ or are missing; a
     server whose remaining ids are no prefix of the snapshot's is
-    replaced by a new one instead.
+    replaced by a new one instead. The server's snapshot lines, its record
+    lines and digest lines, are rendered by snapshot_lines on first use
+    and kept until put or drop clears them, so the snapshot of a commit
+    re-renders only the servers written since their last render.
     """
 
     def __init__(self, server_index: int) -> None:
@@ -92,17 +99,29 @@ class ServerState:
         self.blocks: dict[int, DataBlock] = {}
         self.records: dict[int, BlockRecord] = {}
         self.alive = True
+        self._snapshot_lines: Optional[tuple[str, str]] = None
 
     def put(self, block_id: int, block: DataBlock) -> None:
         """Store a block at block_id, replacing any block there, and record
         it there with its length as weight and its stored checksum."""
         self.blocks[block_id] = block
         self.records[block_id] = new_record((self.server_index, block_id, len(block.payload), block.checksum))
+        self._snapshot_lines = None
 
     def drop(self, block_id: int) -> None:
         """Remove the block at block_id and its record."""
         del self.blocks[block_id]
         del self.records[block_id]
+        self._snapshot_lines = None
+
+    def snapshot_lines(self) -> tuple[str, str]:
+        """The server's part of a snapshot: its manifest record lines and
+        its digest lines, rendered on the first call after a put or drop
+        and kept until the next one."""
+        if self._snapshot_lines is None:
+            digests = "".join([f"{block.digest}\n" for block in self.blocks.values()])
+            self._snapshot_lines = (_render_records(self.records.values()), digests)
+        return self._snapshot_lines
 
 
 class ClusterState:
@@ -288,12 +307,16 @@ _RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"])
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
-    tail = list(map(attrgetter("digest"), chain.from_iterable(s.blocks.values() for s in cluster.servers)))
-    tail += [f"DOWN {server.server_index}" for server in cluster.servers if not server.alive]
+    """The cluster's snapshot text. Each server's record and digest lines
+    are the ones it kept since its last put or drop, so a commit renders
+    only the servers written since their last render; serialize_manifest
+    wraps the record lines in the manifest's header and END."""
+    lines = [server.snapshot_lines() for server in cluster.servers]
+    manifest = serialize_manifest(stored_manifest(cluster), "".join(map(itemgetter(0), lines)))
+    status = [f"DOWN {server.server_index}\n" for server in cluster.servers if not server.alive]
     if cluster.stale_armed:
-        tail.append("STALE")
-    tail.append("END\n")
-    return "".join((SNAPSHOT_HEADER, "\n", serialize_manifest(stored_manifest(cluster)), "\n".join(tail)))
+        status.append("STALE\n")
+    return "".join((SNAPSHOT_HEADER, "\n", manifest, *map(itemgetter(1), lines), *status, "END\n"))
 
 
 def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,

@@ -51,7 +51,7 @@ from .errors import (
     SnapshotCorrupt,
     UnverifiedState,
 )
-from .manifest import BlockRecord, DataBlock, Manifest, make_block
+from .manifest import _DECIMAL, BlockRecord, DataBlock, Manifest, make_block
 from .protocol import Mode, Verdict, _differing, _on_servers, verify_equality
 
 
@@ -276,6 +276,11 @@ PACK_HEADER = b"PACK v2\n"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
 # What a torn append can leave of an entry header: a strict prefix of _PACK_ENTRY.
 _PACK_ENTRY_HEAD = re.compile(rb"[0-9a-f]{0,64}|[0-9a-f]{64} [0-9]*")
+# A journal line as ops.render_journal_line writes it, decimals canonical as in a manifest.
+_JOURNAL_LINE = re.compile(
+    f"{_DECIMAL} (?:APPEND|DELETE|UPDATE) server={_DECIMAL} block={_DECIMAL} delta=(?:\\+{_DECIMAL}|-[1-9][0-9]*)"
+    f" s_after={_DECIMAL} z_pre=(?:true|false) z_post=(?:true|false)"
+)
 
 
 def write_file(directory: Path, name: str, data: bytes, append: bool = False) -> None:
@@ -441,13 +446,25 @@ def _check_operation(ledger: Ledger, manifest: Manifest) -> None:
 
 
 def _check_journal(lines: Iterable[str], epochs: int) -> None:
-    """Refuse a whole journal line naming an epoch at or past ``epochs``: an
-    operation journals only after its index line, so the index lost a commit."""
+    """Refuse whole journal lines that the ledger's operations did not write.
+
+    A line naming an epoch at or past ``epochs`` proves that the index lost
+    a commit: an operation journals only after its index line. Every other
+    line must be one ops.render_journal_line renders, for epochs strictly
+    increasing from 1 (the upload journals nothing); an epoch may be
+    missing, as a crash between an index line and its journal line leaves."""
+    previous = 0
     for line in lines:
         epoch = line.partition(" ")[0]
         if epoch.isascii() and epoch.isdigit() and int(epoch) >= epochs:
             raise ManifestFormatError(f"{JOURNAL_FILE} names epoch {int(epoch)}, past the index's last;"
                                       " the index lost a commit")
+        if _JOURNAL_LINE.fullmatch(line) is None:
+            raise ManifestFormatError(f"{JOURNAL_FILE} line {line!r} is no operation's journal line")
+        if int(epoch) <= previous:
+            raise ManifestFormatError(f"{JOURNAL_FILE} names epoch {int(epoch)}, not past epoch {previous};"
+                                      " operations journal epochs from 1 up, each at most once")
+        previous = int(epoch)
 
 
 def _read_optional(path: Path) -> Optional[bytes]:
@@ -496,7 +513,8 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
     loaded without the torn tails, from memory, and the journal's whole
     lines are checked against the loaded epochs: an operation journals
     after its index line, so a line naming a later epoch proves that the
-    index lost a commit. Only if every check passes are the files cut
+    index lost a commit, and each line must be an operation's, in epoch
+    order (_check_journal). Only if every check passes are the files cut
     through write_file's replace, the journal's torn last line included;
     otherwise nothing is written. A corrupt pack entry that merely looks
     torn (a weight raised past the end of the pack) would drop a committed

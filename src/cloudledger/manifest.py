@@ -24,8 +24,8 @@ from bisect import bisect_left
 from functools import partial
 from hashlib import sha256
 from itertools import chain, repeat
-from operator import lt
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import itemgetter, lt
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .checksum import fnv1a64
 from .errors import ManifestFormatError
@@ -95,7 +95,7 @@ class Manifest(NamedTuple):
 
     @property
     def total_weight(self) -> int:
-        return sum(r.weight for r in self.records)
+        return sum(map(itemgetter(2), self.records))
 
 
 def make_block(payload: bytes) -> DataBlock:
@@ -137,17 +137,24 @@ def _record_at(records: Sequence[BlockRecord], key: tuple[int, int]) -> Optional
 _RECORD_FORMAT = "%d %d %d %016x\n"
 
 
-def serialize_manifest(manifest: Manifest) -> str:
+def _render_records(records: Collection[BlockRecord]) -> str:
+    """The manifest record lines of ``records``, one %-format over the flattened records."""
+    return (_RECORD_FORMAT * len(records)) % tuple(chain.from_iterable(records))
+
+
+def serialize_manifest(manifest: Manifest, lines: Optional[str] = None) -> str:
     """Canonical line-oriented form: header, one line per record, END.
 
     LF endings, no trailing whitespace, checksums as 16 lowercase hex
     digits. Byte-identical for equal manifests; any differing record
-    tuple changes the output. The record lines come from one %-format
-    over the flattened records.
+    tuple changes the output. ``lines`` are the record lines, if the
+    caller already rendered them with _render_records (snapshot_cluster
+    joins the lines each server keeps, so a commit renders only the
+    servers written since their last render); else they are rendered here.
     """
-    records = manifest.records
+    if lines is None:
+        lines = _render_records(manifest.records)
     header = _render_header(manifest.level, manifest.epoch, manifest.server_count, manifest.total_weight)
-    lines = (_RECORD_FORMAT * len(records)) % tuple(chain.from_iterable(records))
     return f"{header}\n{lines}END\n"
 
 

@@ -512,6 +512,47 @@ def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, cap
     assert dir_contents(ledger_dir) == before
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda journal: journal + b"1 APPEND server=0 block=2 delta=+10\n", "is no operation's journal line"),
+    (lambda journal: journal + b"1 APPEND again\n", "is no operation's journal line"),
+    (lambda journal: journal + b"junk line\n", "is no operation's journal line"),
+    (lambda journal: journal + b"0 UPDATE nothing\n", "is no operation's journal line"),
+    (lambda journal: journal + journal, "names epoch 1, not past epoch 1"),
+    (lambda journal: journal.replace(b"1 APPEND", b"0 APPEND"), "names epoch 0, not past epoch 0"),
+], ids=["short-line", "again", "junk", "epoch-0-junk", "epoch-1-twice", "epoch-0"])
+def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, capsys, edit, error):
+    """Every whole journal line must be one an operation journals, for epochs
+    increasing from 1: on a 2-epoch ledger, history and recover exit 2 and
+    write nothing."""
+    seeded_upload(ledger_dir)
+    assert run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40") == 0
+    journal = ledger_dir / "journal"
+    journal.write_bytes(edit(journal.read_bytes()))
+    before = dir_contents(ledger_dir)
+    capsys.readouterr()
+    for command in ("history", "recover"):
+        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and error in err, (command, err)
+        assert dir_contents(ledger_dir) == before
+
+
+def test_history_prints_a_journal_a_crash_left_a_gap_in(ledger_dir, capsys):
+    """A crash between an index line and its journal line drops that epoch's
+    line; the later operations journal as usual, and history prints them."""
+    seeded_upload(ledger_dir)
+    for _ in range(3):
+        assert run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40") == 0
+    journal = ledger_dir / "journal"
+    first, _, third = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(first + third)
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", str(ledger_dir), "history") == 0
+    assert capsys.readouterr().out.encode() == first + third
+    assert run_cli("--ledger-dir", str(ledger_dir), "recover") == 0
+    assert capsys.readouterr().out == "INTACT epoch=3\n"
+
+
 def test_identical_command_sequences_produce_identical_directories(tmp_path):
     def scenario(root: Path):
         d = str(root)

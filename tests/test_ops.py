@@ -29,6 +29,7 @@ from cloudledger import (
     update,
     verify_equality,
 )
+from cloudledger.ledger import _check_journal
 from helpers import make_committed_state
 
 
@@ -224,6 +225,21 @@ def test_journal_line_format():
     assert line == "1 APPEND server=2 block=1 delta=+20 s_after=120 z_pre=true z_post=true"
     line = render_journal_line(delete(cluster, ledger, 2, 1))
     assert line == "2 DELETE server=2 block=1 delta=-20 s_after=100 z_pre=true z_post=true"
+
+
+def test_the_journal_check_accepts_every_line_an_operation_journals():
+    """Signed and zero deltas and both verdict values: ledger._check_journal
+    accepts what render_journal_line writes, for epochs from 1 up."""
+    cluster, ledger = make_committed_state(bytes(100), 4, 25)
+    results = [append(cluster, ledger, 2, b""), update(cluster, ledger, 0, 0, bytes(30)),
+               delete(cluster, ledger, 1, 0), update(cluster, ledger, 0, 0, bytes(30))]
+    failed = results[-1].pre_verdict._replace(z=False)
+    results.append(results.pop()._replace(pre_verdict=failed, post_verdict=failed))
+    lines = list(map(render_journal_line, results))
+    assert [line.split(" ")[4] for line in lines] == ["delta=+0", "delta=+5", "delta=-25", "delta=+0"]
+    assert lines[-1].endswith(" z_pre=false z_post=false")
+    _check_journal(lines, len(ledger.points))
+    _check_journal(lines[1:3], len(ledger.points))
 
 
 def test_accounting_identity_over_random_sequences():

@@ -3,14 +3,16 @@
 Each server keeps the record of every block it stores, written beside the
 block by put and drop, and every cloud manifest joins those records. These
 tests check the maintained records against a full rebuild from the stored
-blocks, that nothing else in the package writes either dict, and that a
-commit shares the records it did not change with the previous point. The
+blocks, that nothing else in the package writes either dict, that a
+commit shares the records it did not change with the previous point, and
+that it renders the snapshot lines of only the servers written since. The
 files of a ledger directory have one writer too, ledger.write_file, and a
 test checks that nothing else in the package writes a file.
 """
 
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,14 +150,15 @@ def unpacked(target):
         yield target
 
 
-def is_storage(target):
+def is_storage(target, names):
     if isinstance(target, ast.Subscript):
         target = target.value
-    return isinstance(target, ast.Attribute) and target.attr in STORAGE
+    return isinstance(target, ast.Attribute) and target.attr in names
 
 
-def storage_writes(tree):
-    """Nodes that assign, subscript-assign, delete or mutate an attribute named blocks or records."""
+def storage_writes(tree, names=STORAGE):
+    """Nodes that assign, subscript-assign, delete or mutate an attribute
+    named in ``names``: by default, blocks or records."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.Delete)):
             targets = node.targets
@@ -165,7 +168,7 @@ def storage_writes(tree):
             targets = [node.func.value]
         else:
             continue
-        if any(is_storage(target) for element in targets for target in unpacked(element)):
+        if any(is_storage(target, names) for element in targets for target in unpacked(element)):
             yield node
 
 
@@ -188,8 +191,10 @@ def binds_empty_dict(node):
 def test_stored_blocks_are_written_only_by_put_and_drop():
     """Besides put and drop, the only writes are constructor bindings: a new
     server's two dicts start as empty literals, and a Ledger binds its block
-    store (not a server's blocks)."""
-    sites = []
+    store (not a server's blocks). A server's kept snapshot lines are
+    bound by its constructor, cleared by put and drop, and filled only by
+    snapshot_lines, so they are rendered from the dicts as they stand."""
+    sites, kept = [], []
     for path in sorted(Path(cloudledger.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         method = method_of(tree)
@@ -198,12 +203,15 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
             if where == "ServerState.__init__" and binds_empty_dict(node):
                 where += " = {}"
             sites.append((path.name, where))
+        kept += [(path.name, method.get(id(node), "module level")) for node in storage_writes(tree, {"_snapshot_lines"})]
     assert sorted(sites) == sorted(
         [("cluster.py", "ServerState.__init__ = {}")] * 2
         + [("cluster.py", "ServerState.put")] * 2
         + [("cluster.py", "ServerState.drop")] * 2
         + [("ledger.py", "Ledger.__init__")]
     )
+    assert sorted(kept) == [("cluster.py", f"ServerState.{name}")
+                            for name in ("__init__", "drop", "put", "snapshot_lines")]
 
 
 def file_writes(tree):
@@ -262,3 +270,25 @@ def test_a_commit_allocates_only_the_changed_record():
     before = {id(record) for record in ledger.points[0].manifest.records}
     fresh = [record for record in ledger.points[1].manifest.records if id(record) not in before]
     assert fresh == [BlockRecord(3, 100, 7, fnv1a64(b"changed"))]
+
+
+def test_a_commit_renders_only_the_servers_written_since_their_last_render(monkeypatch):
+    """A server keeps its snapshot lines until its next put or drop: after
+    one update, a commit renders that server's 512 of 4096 records; after a
+    fault and a recover on another server, the next commit renders both."""
+    payload = generate_payload(5, 4096 * 16)
+    cluster, ledger = make_committed_state(payload, 8, 16)
+    render, rendered = sys.modules["cloudledger.manifest"]._render_records, []
+
+    def counting(records):
+        rendered.append(len(records))
+        return render(records)
+
+    for module in ("cloudledger.manifest", "cloudledger.cluster"):
+        monkeypatch.setattr(sys.modules[module], "_render_records", counting)
+    update(cluster, ledger, 3, 100, b"changed")
+    assert rendered == [512]
+    inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 5, 7, seed=1))
+    assert recover(ledger, cluster).action is RecoveryAction.RESTORED
+    update(cluster, ledger, 3, 101, b"again")
+    assert rendered == [512, 512, 512]
