@@ -61,6 +61,7 @@ from .ledger import (
     Ledger,
     _check_journal,
     _index_line,
+    append_journal,
     commit_restore_point,
     load_cluster,
     load_ledger,
@@ -256,7 +257,7 @@ def cmd_op(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         print(render_verdict_report(exc.verdict), end="")
         raise
     line = ops.render_journal_line(result)
-    write_file(config.ledger_dir, JOURNAL_FILE, f"{line}\n".encode("utf-8"), append=True)
+    append_journal(config.ledger_dir, line)
     save_cluster(ledger, cluster)
     print(line)
     return EXIT_OK

@@ -276,11 +276,44 @@ PACK_HEADER = b"PACK v2\n"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
 # What a torn append can leave of an entry header: a strict prefix of _PACK_ENTRY.
 _PACK_ENTRY_HEAD = re.compile(rb"[0-9a-f]{0,64}|[0-9a-f]{64} [0-9]*")
-# A journal line as ops.render_journal_line writes it, decimals canonical as in a manifest.
+# A journal line as journal_line renders it, decimals canonical as in a manifest.
 _JOURNAL_LINE = re.compile(
     f"{_DECIMAL} (?:APPEND|DELETE|UPDATE) server={_DECIMAL} block={_DECIMAL} delta=(?:\\+{_DECIMAL}|-[1-9][0-9]*)"
     f" s_after={_DECIMAL} z_pre=(?:true|false) z_post=(?:true|false)"
 )
+
+
+def journal_line(epoch: int, kind: str, server: int, block: int, delta: int, s_after: int,
+                 z_pre: bool, z_post: bool) -> str:
+    """The journal line of one committed operation, without its LF: the form _JOURNAL_LINE checks."""
+    return (f"{epoch} {kind} server={server} block={block} delta={delta:+d} s_after={s_after}"
+            f" z_pre={'true' if z_pre else 'false'} z_post={'true' if z_post else 'false'}")
+
+
+def append_journal(directory: Path, line: str) -> None:
+    """Append a journal line. A journal ending in a partial line, which a
+    crash while journaling an already committed epoch leaves, is first cut
+    to its whole lines, as recover cuts it, in the same write (a replace),
+    so the new line never joins the partial one."""
+    data = f"{line}\n".encode("utf-8")
+    path = directory / JOURNAL_FILE
+    if not _ends_in_partial_line(path):
+        write_file(directory, JOURNAL_FILE, data, append=True)
+        return
+    journal = path.read_bytes()
+    write_file(directory, JOURNAL_FILE, journal[: journal.rfind(b"\n") + 1] + data)
+
+
+def _ends_in_partial_line(path: Path) -> bool:
+    """Whether the file exists and its last byte is no LF, read without the rest."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.seek(0, os.SEEK_END) == 0:
+                return False
+            fh.seek(-1, os.SEEK_END)
+            return fh.read(1) != b"\n"
+    except FileNotFoundError:
+        return False
 
 
 def write_file(directory: Path, name: str, data: bytes, append: bool = False) -> None:
@@ -450,7 +483,7 @@ def _check_journal(lines: Iterable[str], epochs: int) -> None:
 
     A line naming an epoch at or past ``epochs`` proves that the index lost
     a commit: an operation journals only after its index line. Every other
-    line must be one ops.render_journal_line renders, for epochs strictly
+    line must be one journal_line renders, for epochs strictly
     increasing from 1 (the upload journals nothing); an epoch may be
     missing, as a crash between an index line and its journal line leaves."""
     previous = 0

@@ -26,7 +26,7 @@ from .errors import (
     ServerDown,
     StaleEpoch,
 )
-from .ledger import Ledger, commit_restore_point, previous_records, rewrite_cluster_from_point
+from .ledger import Ledger, commit_restore_point, journal_line, previous_records, rewrite_cluster_from_point
 from .manifest import BlockRecord, Level, Manifest
 from .protocol import Mode, Verdict, verify_equality
 
@@ -240,11 +240,7 @@ def update(
 
 
 def render_journal_line(result: OperationResult) -> str:
-    """One deterministic journal line per committed operation."""
-    return (
-        f"{result.new_epoch} {result.kind.value}"
-        f" server={result.server_index} block={result.block_id}"
-        f" delta={result.delta:+d} s_after={result.s_after}"
-        f" z_pre={'true' if result.pre_verdict.z else 'false'}"
-        f" z_post={'true' if result.post_verdict.z else 'false'}"
-    )
+    """One deterministic journal line per committed operation, rendered by
+    ledger.journal_line beside the check that reads it back."""
+    return journal_line(result.new_epoch, result.kind.value, result.server_index, result.block_id,
+                        result.delta, result.s_after, result.pre_verdict.z, result.post_verdict.z)

@@ -308,6 +308,27 @@ def test_the_journal_follows_a_cut_index(base, tmp_path, monkeypatch, capsys):
     assert [line.split(" ")[:2] for line in capsys.readouterr().out.splitlines()] == [["1", "APPEND"], ["2", "APPEND"]]
 
 
+def test_an_operation_cuts_a_torn_journal_line_before_journaling(base, tmp_path, monkeypatch, capsys):
+    """A crash while journaling leaves a partial line for an epoch the index
+    committed. The next operation, which runs without recover, writes its
+    line after the whole lines only, so recover and history still read it."""
+    directory = tmp_path / "ledger"
+    old_epoch = start_from(base, "append", directory)
+    journal = (directory / "journal").read_bytes()
+    inject(monkeypatch, WRITES["append"].index("journal") + 1, torn=True)
+    assert run_cli(directory, *COMMANDS["append"]) == 2
+    monkeypatch.undo()
+    assert not (directory / "journal").read_bytes().endswith(b"\n")
+    assert run_cli(directory, *COMMANDS["append"]) == 0
+    line = capsys.readouterr().out
+    assert (directory / "journal").read_bytes() == journal + line.encode()
+    assert line.startswith(f"{old_epoch + 2} APPEND ")
+    assert run_cli(directory, "recover") == 0
+    assert capsys.readouterr().out == f"INTACT epoch={old_epoch + 2}\n"
+    assert run_cli(directory, "history") == 0
+    assert capsys.readouterr().out.encode() == journal + line.encode()
+
+
 def drop_journal_line(directory):
     """Take the last operation's journal line away, as a crash before it was written leaves the journal."""
     journal = directory / "journal"
