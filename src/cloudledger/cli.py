@@ -16,7 +16,7 @@ byte-identical directory contents.
 
 Exit codes: 0 success / verified, 1 verification or operation failure,
 2 I/O or usage failure, 3 preexisting data, 4 missing target, 5 stale
-epoch, 6 nothing to restore.
+epoch, 6 nothing to restore (no committed restore point).
 """
 
 from __future__ import annotations
@@ -171,11 +171,15 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
 
 
 def _load_state(config: SimConfig) -> tuple[ClusterState, Ledger]:
-    """The live cluster and the ledger; refuses a live cluster behind the last
-    committed epoch, which an operation that failed after its index line leaves."""
+    """The live cluster and the ledger. Refuses a ledger that committed no
+    point, as recover does, before it reads cluster.state, and a live
+    cluster behind the last committed epoch, which an operation that failed
+    after its index line leaves."""
     ledger = load_ledger(config.ledger_dir)
+    if not ledger.points:
+        raise NothingToRestore(f"no restore points in {config.ledger_dir}")
     cluster = load_cluster(ledger, config.seed)
-    if ledger.points and cluster.epoch != ledger.last().epoch:
+    if cluster.epoch != ledger.last().epoch:
         raise EpochMismatch(f"{CLUSTER_FILE} is at epoch {cluster.epoch} but the ledger committed epoch"
                             f" {ledger.last().epoch}; run recover to restore it")
     return cluster, ledger
@@ -270,7 +274,7 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         kind=FaultKind(args.kind),
         target_server=args.server,
         target_block=args.block,
-        seed=args.fault_seed if args.fault_seed is not None else config.seed,
+        seed=args.fault_seed,
     )
     report = inject_fault(cluster, fault)
     save_cluster(ledger, cluster)
@@ -379,12 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=[k.value for k in FaultKind])
     p.add_argument("--server", type=int, required=True)
     p.add_argument("--block", type=int)
-    p.add_argument("--fault-seed", type=int, help="fault byte-stream seed (default: config seed)")
+    p.add_argument("--fault-seed", type=int, default=0,
+                   help="xored into the config seed to seed the fault byte stream (default 0: the config seed)")
     p.set_defaults(func=cmd_tamper)
 
     p = sub.add_parser("crash", help="crash a server (erases its blocks)")
     p.add_argument("--server", type=int, required=True)
-    p.set_defaults(func=cmd_tamper, kind=FaultKind.SERVER_CRASH.value, block=None, fault_seed=None)
+    p.set_defaults(func=cmd_tamper, kind=FaultKind.SERVER_CRASH.value, block=None, fault_seed=0)
 
     p = sub.add_parser("recover", help="restore from the last restore point unless intact")
     p.set_defaults(func=cmd_recover)

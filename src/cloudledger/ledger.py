@@ -26,6 +26,15 @@ NamedTuple.
 This module owns the ledger directory, the CLI's files included, and
 write_file is its one writer. Memory follows the disk: a commit's blocks
 join the store once the pack holds them, its point once the index does.
+
+A write that fails halfway through an append leaves a torn tail on the
+pack, the index or the journal, which committed nothing. One rule gives
+each appended file's whole part: the pack's ends after its last whole
+entry, and the index's and the journal's after their last LF
+(_whole_lines). One reader, _read_ledger_files, finds the pack's and the
+index's tails; load_ledger refuses them, load_ledger_cutting_tails cuts
+them and the journal's, and append_journal writes after the journal's
+whole lines.
 """
 
 from __future__ import annotations
@@ -291,29 +300,19 @@ def journal_line(epoch: int, kind: str, server: int, block: int, delta: int, s_a
 
 
 def append_journal(directory: Path, line: str) -> None:
-    """Append a journal line. A journal ending in a partial line, which a
-    crash while journaling an already committed epoch leaves, is first cut
-    to its whole lines, as recover cuts it, in the same write (a replace),
-    so the new line never joins the partial one."""
-    data = f"{line}\n".encode("utf-8")
-    path = directory / JOURNAL_FILE
-    if not _ends_in_partial_line(path):
-        write_file(directory, JOURNAL_FILE, data, append=True)
-        return
-    journal = path.read_bytes()
-    write_file(directory, JOURNAL_FILE, journal[: journal.rfind(b"\n") + 1] + data)
+    """Append a journal line after the journal's whole lines. A partial last
+    line, which a crash while journaling an already committed epoch leaves,
+    is cut as recover cuts it, in the same write (a replace), so the new
+    line never joins the partial one."""
+    journal = _read_optional(directory / JOURNAL_FILE) or b""
+    whole = _whole_lines(journal)
+    append = whole == journal
+    write_file(directory, JOURNAL_FILE, (b"" if append else whole) + f"{line}\n".encode("utf-8"), append=append)
 
 
-def _ends_in_partial_line(path: Path) -> bool:
-    """Whether the file exists and its last byte is no LF, read without the rest."""
-    try:
-        with open(path, "rb") as fh:
-            if fh.seek(0, os.SEEK_END) == 0:
-                return False
-            fh.seek(-1, os.SEEK_END)
-            return fh.read(1) != b"\n"
-    except FileNotFoundError:
-        return False
+def _whole_lines(data: bytes) -> bytes:
+    """The data through its last LF: what an appended file of lines keeps when its torn last line is cut."""
+    return data[: data.rfind(b"\n") + 1]
 
 
 def write_file(directory: Path, name: str, data: bytes, append: bool = False) -> None:
@@ -386,36 +385,6 @@ def _pack_entries(data: bytes) -> Iterator[tuple[int, str, int, int]]:
         position = end + 1
 
 
-def _partial_pack_entry(position: int) -> str:
-    return f"{PACK_FILE} ends in a partial entry at byte {position}"
-
-
-def _read_pack(data: Optional[bytes]) -> tuple[dict[str, DataBlock], int]:
-    """Read the block pack's bytes (None for no pack), checking that each
-    entry hashes to its digest: the blocks of its whole entries, and where
-    the last of them ends (0 for no pack).
-
-    Each block is hashed once, by make_block. Neither a pack entry nor a
-    DataBlock carries an address: load_snapshot puts each block object at
-    the address of every manifest record whose digest line names it. A
-    torn tail is what follows the returned end: load_ledger refuses it and
-    load_ledger_cutting_tails cuts it.
-    """
-    blocks: dict[str, DataBlock] = {}
-    if data is None:
-        return blocks, 0
-    whole = len(PACK_HEADER)
-    for position, digest, start, end in _pack_entries(data):
-        if digest in blocks:
-            raise ManifestFormatError(f"{PACK_FILE} holds block {digest} twice")
-        block = make_block(data[start:end])
-        if block.digest != digest:
-            raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
-        blocks[digest] = block
-        whole = end + 1
-    return blocks, whole
-
-
 def _write_point(directory: Path, point: RestorePoint) -> None:
     """Replace the point's snapshot, then write its index line: appended,
     or for epoch 0 as a whole new index, which discards any partial line
@@ -432,10 +401,6 @@ def _persist_point(directory: Path, point: RestorePoint) -> None:
     """Write an in-memory point's files as a bound commit does: new blocks, snapshot, index line."""
     _write_pack(directory, point.added, append=(directory / PACK_FILE).exists())
     _write_point(directory, point)
-
-
-def _partial_index_line(epoch: int, partial: str) -> str:
-    return f"index ends in a partial line at epoch {epoch}: {partial!r}"
 
 
 def _check_operation(ledger: Ledger, manifest: Manifest) -> None:
@@ -504,6 +469,43 @@ def _read_optional(path: Path) -> Optional[bytes]:
     return path.read_bytes() if path.exists() else None
 
 
+def _read_ledger_files(directory: Path) -> Optional[tuple[bytes, dict[str, DataBlock], list[tuple[str, bytes, str]]]]:
+    """Read ``index`` and the pack: the index bytes, the blocks of the
+    pack's whole entries and each torn tail, in write order, as (file,
+    whole part, what recover says it cuts); None for a directory with no
+    index, whose pack is not read.
+
+    Each pack entry is hashed once, by make_block, and must hash to its
+    digest. Neither a pack entry nor a DataBlock carries an address:
+    load_snapshot puts each block object at the address of every manifest
+    record whose digest line names it. The pack's whole part ends after
+    its last whole entry, the index's after its last LF (_whole_lines).
+    """
+    index = _read_optional(directory / INDEX_FILE)
+    if index is None:
+        return None
+    pack = _read_optional(directory / PACK_FILE)
+    blocks: dict[str, DataBlock] = {}
+    tails = []
+    if pack is not None:
+        whole = len(PACK_HEADER)
+        for position, digest, start, end in _pack_entries(pack):
+            if digest in blocks:
+                raise ManifestFormatError(f"{PACK_FILE} holds block {digest} twice")
+            block = make_block(pack[start:end])
+            if block.digest != digest:
+                raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
+            blocks[digest] = block
+            whole = end + 1
+        if whole < len(pack):
+            tails.append((PACK_FILE, pack[:whole], f"{PACK_FILE} ends in a partial entry at byte {whole}"))
+    whole_index = _whole_lines(index)
+    if whole_index != index:
+        epoch, partial = whole_index.count(b"\n"), index[len(whole_index) :].decode("utf-8", "replace")
+        tails.append((INDEX_FILE, whole_index, f"{INDEX_FILE} ends in a partial line at epoch {epoch}: {partial!r}"))
+    return index, blocks, tails
+
+
 def load_ledger(directory: Path) -> Ledger:
     """Load a persisted ledger, revalidating every epoch.
 
@@ -518,17 +520,17 @@ def load_ledger(directory: Path) -> Ledger:
     record object. Each distinct block is hashed once, so the cost is
     O(distinct stored bytes + epochs x records). Files are read as
     written, with no newline translation, and every line, the index's
-    too, must end in LF; a partial last index line or pack entry, which
-    load_ledger_cutting_tails leaves out, is an error here.
+    too, must end in LF. A torn tail, a partial last pack entry or index
+    line, which load_ledger_cutting_tails cuts, is refused before any
+    epoch loads; the error names the pack's if both are torn.
     """
     directory = Path(directory)
-    index = _read_optional(directory / INDEX_FILE)
-    if index is None:
+    files = _read_ledger_files(directory)
+    if files is None:
         return Ledger(directory=directory)
-    pack = _read_optional(directory / PACK_FILE)
-    blocks, end = _read_pack(pack)
-    if pack is not None and end < len(pack):
-        raise ManifestFormatError(_partial_pack_entry(end))
+    index, blocks, tails = files
+    if tails:
+        raise ManifestFormatError(tails[0][2])
     return _load_ledger(directory, index, blocks)
 
 
@@ -540,62 +542,50 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
     Only a whole index line commits an epoch, and a commit appends its
     blocks to the pack and writes its snapshot before its index line, so a
     pack that ends in a strict prefix of an entry committed nothing, nor
-    did a partial last index line whose epoch's snapshot loads like a
-    committed one and commits a line the partial one is a strict prefix
-    of; any other partial line is refused. The ledger and live cluster are
-    loaded without the torn tails, from memory, and the journal's whole
-    lines are checked against the loaded epochs: an operation journals
-    after its index line, so a line naming a later epoch proves that the
-    index lost a commit, and each line must be an operation's, in epoch
-    order (_check_journal). Only if every check passes are the files cut
-    through write_file's replace, the journal's torn last line included;
-    otherwise nothing is written. A corrupt pack entry that merely looks
-    torn (a weight raised past the end of the pack) would drop a committed
-    block or the live cluster's, so it fails.
+    did a partial last index line that _load_ledger admits. The ledger and
+    live cluster are loaded without the torn tails, from memory, and the
+    journal's whole lines are checked against the loaded epochs: an
+    operation journals after its index line, so a line naming a later
+    epoch proves that the index lost a commit, and each line must be an
+    operation's, in epoch order (_check_journal). Only if every check
+    passes are the files cut to their whole parts through write_file's
+    replace, the journal's torn last line included; otherwise nothing is
+    written. A corrupt pack entry that merely looks torn (a weight raised
+    past the end of the pack) would drop a committed block or the live
+    cluster's, so it fails.
     """
     directory = Path(directory)
-    index = _read_optional(directory / INDEX_FILE)
-    if index is None:
+    files = _read_ledger_files(directory)
+    if files is None:
         return Ledger(directory=directory), None, []
-    pack = _read_optional(directory / PACK_FILE)
+    index, blocks, tails = files
+    cuts = [cut for _, _, cut in tails]
     journal = _read_optional(directory / JOURNAL_FILE) or b""
-    blocks, pack_end = _read_pack(pack)
-    whole_index = index[: index.rfind(b"\n") + 1]
-    whole_pack = None if pack is None else pack[:pack_end]
-    whole_journal = journal[: journal.rfind(b"\n") + 1]
-    cuts = []
-    if whole_index != index:
-        partial = index[len(whole_index) :].decode("utf-8", "replace")
-        cuts.append(_partial_index_line(whole_index.count(b"\n"), partial))
-    if whole_pack != pack:
-        cuts.append(_partial_pack_entry(len(whole_pack)))
+    whole_journal = _whole_lines(journal)
     try:
-        ledger = _load_ledger(directory, index, blocks, torn=True)
+        ledger = _load_ledger(directory, index, blocks)
         _check_journal(whole_journal.decode("utf-8", "replace").split("\n")[:-1], len(ledger.points))
         cluster = load_cluster(ledger, rng_seed) if ledger.points else None
     except (ManifestFormatError, SnapshotCorrupt) as exc:
         if not cuts:
             raise
         raise exc.__class__(f"{'; '.join(cuts)}, but recover cuts nothing: {exc}") from exc
-    for name, whole, data in ((INDEX_FILE, whole_index, index), (PACK_FILE, whole_pack, pack),
-                              (JOURNAL_FILE, whole_journal, journal)):
-        if whole != data:
-            write_file(directory, name, whole)
+    for name, whole, _ in tails:
+        write_file(directory, name, whole)
+    if whole_journal != journal:
+        write_file(directory, JOURNAL_FILE, whole_journal)
     return ledger, cluster, cuts
 
 
-def _load_ledger(directory: Path, index: bytes, blocks: dict[str, DataBlock], torn: bool = False) -> Ledger:
+def _load_ledger(directory: Path, index: bytes, blocks: dict[str, DataBlock]) -> Ledger:
     """Load a ledger from its index bytes, its block store and the snapshots in
     ``directory``: the one place that decides what an epoch committed. The
     k-th index line must be a prefix of the line k.snapshot commits: a
-    whole one, LF included, is that line; a partial last one, admitted
-    only if ``torn``, is what a torn commit leaves and commits nothing."""
+    whole one, LF included, is that line; a partial last one, which only
+    load_ledger_cutting_tails passes on, is a strict prefix of it, what a
+    torn commit leaves, and commits nothing."""
     *whole, partial = index.decode("utf-8", "replace").split("\n")
-    lines = [line + "\n" for line in whole]
-    if partial:
-        if not torn:
-            raise ManifestFormatError(_partial_index_line(len(lines), partial))
-        lines.append(partial)
+    lines = [line + "\n" for line in whole] + ([partial] if partial else [])
     ledger = Ledger(directory=directory, blocks=blocks)
     cluster: Optional[ClusterState] = None  # every epoch loads into it, so points share records
     for epoch, line in enumerate(lines):

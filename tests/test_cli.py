@@ -102,6 +102,22 @@ def test_verify_clean_and_after_tamper(ledger_dir, capsys):
     assert "CHECKSUM_MISMATCH server=0 block=0" in out
 
 
+def test_tamper_without_a_fault_seed_draws_from_the_config_seed(tmp_path, capsys):
+    """The fault stream is seeded with the config seed xor --fault-seed, so
+    with the default fault seed two config seeds tamper the same input
+    differently, as they do through the library's FaultSpec default."""
+    source = tmp_path / "payload.bin"
+    source.write_bytes(generate_payload(7, 800))
+    notes = []
+    for seed in ("1", "2"):
+        directory = str(tmp_path / f"seed{seed}")
+        assert run_cli("--seed", seed, "--ledger-dir", directory, "upload", str(source)) == 0
+        capsys.readouterr()
+        assert run_cli("--ledger-dir", directory, "tamper", "--kind", "flip-byte", "--server", "0", "--block", "0") == 0
+        notes.append(capsys.readouterr().out.partition(" note=")[2])
+    assert notes[0].startswith("byte ") and notes[0] != notes[1], notes
+
+
 def test_snapshot_naming_unknown_server_exits_2(ledger_dir, capsys):
     seeded_upload(ledger_dir)
     state = ledger_dir / "cluster.state"

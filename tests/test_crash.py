@@ -9,6 +9,7 @@ that never committed must run again. A torn index line or pack entry
 committed nothing, and recover cuts it.
 """
 
+import itertools
 import os
 import re
 import shutil
@@ -141,6 +142,12 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
             # An upload that never reached its index line committed nothing,
             # and the same upload then starts the directory over.
             assert recovered == 6 and not (directory / "index").exists(), (k, name)
+            # Every other command that needs a committed point exits 6 too, and writes nothing.
+            left = files(directory) if directory.exists() else None
+            others = [argv for other, argv in COMMANDS.items() if other not in ("upload", "recover")]
+            for argv in (("verify",), ("report",), ("audit", "--epochs", "0"), *others):
+                assert run_cli(directory, *argv) == 6, (k, name, argv)
+                assert (files(directory) if directory.exists() else None) == left, (k, name, argv)
             assert run_cli(directory, *COMMANDS["upload"]) == 0, (k, name)
             assert run_cli(directory, "verify") == 0, (k, name)
             assert files(directory) == files(clean_upload), (k, name)
@@ -429,3 +436,47 @@ def test_recover_cuts_no_pack_tail_the_live_cluster_needs(base, tmp_path, capsys
     assert f"blocks.pack ends in a partial entry at byte {len(whole)}" in err, err
     assert "but recover cuts nothing" in err and "which the store lacks" in err, err
     assert files(directory) == before
+
+
+@pytest.fixture(scope="module")
+def three_epochs(base, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("three") / "ledger"
+    shutil.copytree(base[None], directory)
+    assert run_cli(directory, *COMMANDS["update"]) == 0
+    return directory
+
+
+@pytest.mark.parametrize("torn", [tails for n in (1, 2, 3) for tails in itertools.combinations(
+    ("index", "blocks.pack", "journal"), n)], ids="+".join)
+def test_torn_tails_in_combination(three_epochs, tmp_path, capsys, torn):
+    """Any set of appended files torn at once, each as a crash leaves it: a
+    torn index line is an operation's last write, so its journal line is
+    missing. Read commands refuse a torn pack or index, naming the first in
+    write order, and history refuses any torn tail; recover cuts them all,
+    naming each but the journal's, and keeps every whole epoch."""
+    directory = tmp_path / "ledger"
+    shutil.copytree(three_epochs, directory)
+    clean = files(directory)
+    if "index" in torn:
+        (directory / "index").write_bytes(clean["index"][:-3])
+        drop_journal_line(directory)
+    if "blocks.pack" in torn:
+        (directory / "blocks.pack").write_bytes(clean["blocks.pack"] + b"%s 5\nab" % (b"0" * 64))
+    if "journal" in torn:
+        journal = directory / "journal"
+        journal.write_bytes(journal.read_bytes()[:-5])
+    named = [CUTS[name] for name in ("blocks.pack", "index") if name in torn]
+    capsys.readouterr()
+    assert run_cli(directory, "verify") == (2 if named else 0)
+    err = capsys.readouterr().err
+    assert named[0] in err if named else err == "", err
+    assert run_cli(directory, "history") == 2
+    capsys.readouterr()
+    assert run_cli(directory, "recover") == 0
+    out, err = capsys.readouterr()
+    kept = 3 - ("index" in torn)
+    assert out == f"INTACT epoch={kept - 1}\n"
+    assert err.count("which committed nothing; cut it") == len(named) and all(cut in err for cut in named), err
+    assert run_cli(directory, "verify") == 0 and run_cli(directory, "history") == 0
+    assert load_ledger(directory).points == load_ledger(three_epochs).points[:kept]
+    assert (directory / "blocks.pack").read_bytes() == clean["blocks.pack"]
