@@ -6,11 +6,11 @@ Ties the simulator together behind deterministic, scriptable subcommands:
     audit, history, report
 
 State lives in the ledger directory (--ledger-dir, or CLOUDLEDGER_DIR):
-the restore-point files, block pack and index, the live cluster snapshot
-(cluster.state, whose blocks are in the pack, empty while it is the last
-restore point), the effective
-configuration (config, key=value lines), and the operation journal. The
-ledger module writes every one of them, through ledger.write_file.
+one snapshot per committed epoch (<epoch>.snapshot) and the block pack,
+the live cluster snapshot (cluster.state, whose blocks are in the pack,
+empty while it is the last restore point), the effective configuration
+(config, key=value lines), and the operation journal. The ledger module
+writes every one of them, through ledger.write_file.
 Identical configuration plus an identical command sequence reproduces
 byte-identical directory contents.
 
@@ -55,12 +55,10 @@ from .errors import (
 )
 from .ledger import (
     CLUSTER_FILE,
-    INDEX_FILE,
     JOURNAL_FILE,
     PACK_FILE,
     Ledger,
     _check_journal,
-    _index_line,
     append_journal,
     commit_restore_point,
     load_cluster,
@@ -98,10 +96,11 @@ DEFAULT_LEDGER_DIR = "ledger"
 
 CONFIG_FILE = "config"
 CONFIG_KEYS = ("servers", "block_size", "mode", "seed")
-# What an upload writes. A directory holding nothing else, and no whole
-# index line, has committed nothing, so an upload into it starts over.
-_UPLOAD_FILES = {name + suffix for name in (CONFIG_FILE, PACK_FILE, CLUSTER_FILE, "0.snapshot", INDEX_FILE)
-                 for suffix in ("", ".tmp")}
+# What an upload writes before its commit, the rename of 0.snapshot.tmp. A
+# directory holding nothing else has committed nothing, so an upload into it
+# starts over.
+_UPLOAD_FILES = {name + suffix for name in (CONFIG_FILE, PACK_FILE, CLUSTER_FILE) for suffix in ("", ".tmp")}
+_UPLOAD_FILES |= {"0.snapshot.tmp"}
 
 
 class SimConfig(NamedTuple):
@@ -174,7 +173,7 @@ def _load_state(config: SimConfig) -> tuple[ClusterState, Ledger]:
     """The live cluster and the ledger. Refuses a ledger that committed no
     point, as recover does, before it reads cluster.state, and a live
     cluster behind the last committed epoch, which an operation that failed
-    after its index line leaves."""
+    after its snapshot leaves."""
     ledger = load_ledger(config.ledger_dir)
     if not ledger.points:
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")
@@ -203,8 +202,7 @@ def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, 
 def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if config.ledger_dir.exists():
-        kept = sorted(p.name for p in config.ledger_dir.iterdir() if p.name not in _UPLOAD_FILES
-                      or p.name == INDEX_FILE and b"\n" in p.read_bytes())
+        kept = sorted(p.name for p in config.ledger_dir.iterdir() if p.name not in _UPLOAD_FILES)
         if kept:
             raise PreexistingData(f"ledger directory {config.ledger_dir} is not empty: it holds {kept[0]}")
     payload = _resolve_payload(parser, args, config, epoch=0)
@@ -222,9 +220,8 @@ def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     values = (config.server_count, config.block_size, config.mode.value, config.seed)
     text = "".join(f"{key}={value}\n" for key, value in zip(CONFIG_KEYS, values))
     write_file(config.ledger_dir, CONFIG_FILE, text.encode("utf-8"))
-    ledger = Ledger(directory=config.ledger_dir)
-    save_cluster(ledger, cluster)
-    commit_restore_point(ledger, cluster, verdict)
+    write_file(config.ledger_dir, CLUSTER_FILE, b"")  # the live cluster is the point committed next
+    commit_restore_point(Ledger(directory=config.ledger_dir), cluster, verdict)
     return EXIT_OK
 
 
@@ -285,8 +282,8 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    ledger, cluster, cuts = load_ledger_cutting_tails(config.ledger_dir, config.seed)
-    for cut in cuts:
+    ledger, cluster, cut = load_ledger_cutting_tails(config.ledger_dir, config.seed)
+    if cut is not None:
         print(f"recover: {cut}, which committed nothing; cut it", file=sys.stderr)
     if cluster is None:
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")
@@ -333,7 +330,7 @@ def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     print(f"live_total={cluster.total_stored_bytes()}")
     print(f"points={len(ledger.points)}")
     for point in ledger.points:
-        print(_index_line(point), end="")
+        print(point.epoch, point.timestamp, point.committed_x)
     print("END")
     return EXIT_OK
 

@@ -52,7 +52,7 @@ class EmptyGrant(CloudLedgerError):
 
 
 class ManifestFormatError(CloudLedgerError):
-    """Serialized manifest, snapshot, ledger index, or block pack failed to parse."""
+    """Serialized manifest, snapshot, snapshot set, or block pack failed to parse."""
 
 
 class PreStateCorrupt(CloudLedgerError):

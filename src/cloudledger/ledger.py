@@ -4,8 +4,7 @@ Every verified update commits one restore point: a snapshot of the
 cluster, which holds the cloud manifest and names each record's block by
 content digest. The point's aggregate X (cloud total plus user total
 summed over servers) is derived from that manifest: a verified commit
-has S = T, so X is twice the manifest total. An index line must be the
-line its epoch's snapshot commits, as _index_line renders it. The
+has S = T, so X is twice the manifest total, and is never stored. The
 ledger keeps one block store, shared by all its points, holding each
 distinct block once (on disk, an append-only pack), so a commit stores
 only the blocks the store lacks.
@@ -25,16 +24,16 @@ NamedTuple.
 
 This module owns the ledger directory, the CLI's files included, and
 write_file is its one writer. Memory follows the disk: a commit's blocks
-join the store once the pack holds them, its point once the index does.
+join the store once the pack holds them, its point once its snapshot's
+rename, the commit, is done. The committed epochs are the snapshots
+0.snapshot to (E-1).snapshot, found by one listing of the directory.
 
 A write that fails halfway through an append leaves a torn tail on the
-pack, the index or the journal, which committed nothing. One rule gives
-each appended file's whole part: the pack's ends after its last whole
-entry, and the index's and the journal's after their last LF
-(_whole_lines). One reader, _read_ledger_files, finds the pack's and the
-index's tails; load_ledger refuses them, load_ledger_cutting_tails cuts
-them and the journal's, and append_journal writes after the journal's
-whole lines.
+pack or the journal, which committed nothing. The pack's whole part ends
+after its last whole entry, the journal's after its last LF
+(_whole_lines). One reader, _read_ledger_files, finds the pack's tail;
+load_ledger refuses it, load_ledger_cutting_tails cuts it and the
+journal's, and append_journal writes after the journal's whole lines.
 """
 
 from __future__ import annotations
@@ -115,9 +114,8 @@ class Ledger:
 
     ``blocks`` is the block store (digest -> DataBlock) every point's
     snapshot resolves in. When bound to a directory, every commit appends
-    the blocks the store lacked to ``blocks.pack``, persists
-    ``<epoch>.snapshot``, and appends one ``<epoch> <timestamp>
-    <committed_x>`` line to ``index``.
+    the blocks the store lacked to ``blocks.pack``, then replaces
+    ``<epoch>.snapshot``, the rename that commits it.
     """
 
     def __init__(self, directory: Optional[Path] = None, blocks: Optional[dict[str, DataBlock]] = None) -> None:
@@ -159,8 +157,8 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     logical clock ticks. The manifest shares every record the commit did
     not change with the previous point, whose records become the
     cluster's previous_records, the ones a stale read path replays. A bound
-    ledger writes the pack, the snapshot and the index line before the
-    point joins ``points``.
+    ledger writes the pack and the snapshot before the point joins
+    ``points``.
     """
     if not verdict.z:
         raise UnverifiedState("refusing to snapshot a state that failed verification")
@@ -264,20 +262,18 @@ def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]
 
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v3: ``blocks.pack`` holds each distinct block once, as
+# Ledger format v4: ``blocks.pack`` holds each distinct block once, as
 # PACK_HEADER followed by entries ``<sha256 hex> <weight>\n<payload>\n``,
 # written whole by the first write that stores a block, which replaces what
 # an upload that never committed left, and appended to after that; only
 # recover rewrites it, to cut a torn last entry. A commit appends its new
 # blocks first, then replaces ``<epoch>.snapshot``, the epoch's only file and
-# the one copy of its manifest; the ``index`` line comes last and, once its LF
-# is written, is the commit (epoch 0's line is written as the whole index). A
-# crash before it leaves only unread blocks, perhaps a torn pack entry, an
-# unlisted snapshot, which a retry replaces, and perhaps a partial index line;
-# recover cuts the torn entry and the partial line. The CLI's live cluster,
+# the one copy of its manifest, by way of ``<epoch>.snapshot.tmp``: the
+# rename is the commit. A crash before it leaves only unread blocks, perhaps
+# a torn pack entry, which recover cuts, and perhaps a partial ``.tmp``,
+# which no reader lists and a retry replaces. The CLI's live cluster,
 # ``cluster.state``, is written empty while it is the last point's snapshot.
 
-INDEX_FILE = "index"
 PACK_FILE = "blocks.pack"
 CLUSTER_FILE = "cluster.state"
 JOURNAL_FILE = "journal"
@@ -386,19 +382,12 @@ def _pack_entries(data: bytes) -> Iterator[tuple[int, str, int, int]]:
 
 
 def _write_point(directory: Path, point: RestorePoint) -> None:
-    """Replace the point's snapshot, then write its index line: appended,
-    or for epoch 0 as a whole new index, which discards any partial line
-    an upload that never committed left."""
+    """Replace the point's snapshot: the rename that commits it."""
     write_file(directory, f"{point.epoch}.snapshot", point.payload_snapshot.encode("utf-8"))
-    write_file(directory, INDEX_FILE, _index_line(point).encode(), append=point.epoch > 0)
-
-
-def _index_line(point: RestorePoint) -> str:
-    return f"{point.epoch} {point.timestamp} {point.committed_x}\n"
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
-    """Write an in-memory point's files as a bound commit does: new blocks, snapshot, index line."""
+    """Write an in-memory point's files as a bound commit does: new blocks, then the snapshot."""
     _write_pack(directory, point.added, append=(directory / PACK_FILE).exists())
     _write_point(directory, point)
 
@@ -413,7 +402,7 @@ def _check_operation(ledger: Ledger, manifest: Manifest) -> None:
     at most one: an update keeps the address, an append takes the next id
     after the server's largest, a delete only removes, and an update to
     identical bytes changes nothing. This catches an edited address or
-    server count, which the index's X, a sum of weights, does not cover.
+    server count, which X, a sum of weights, does not cover.
     """
     epoch, count, servers = manifest.epoch, len(manifest.records), manifest.server_count
     if not ledger.points:
@@ -446,17 +435,17 @@ def _check_operation(ledger: Ledger, manifest: Manifest) -> None:
 def _check_journal(lines: Iterable[str], epochs: int) -> None:
     """Refuse whole journal lines that the ledger's operations did not write.
 
-    A line naming an epoch at or past ``epochs`` proves that the index lost
-    a commit: an operation journals only after its index line. Every other
-    line must be one journal_line renders, for epochs strictly
+    A line naming an epoch at or past ``epochs`` proves that a committed
+    snapshot is gone: an operation journals only after its snapshot. Every
+    other line must be one journal_line renders, for epochs strictly
     increasing from 1 (the upload journals nothing); an epoch may be
-    missing, as a crash between an index line and its journal line leaves."""
+    missing, as a crash between a snapshot and its journal line leaves."""
     previous = 0
     for line in lines:
         epoch = line.partition(" ")[0]
         if epoch.isascii() and epoch.isdigit() and int(epoch) >= epochs:
-            raise ManifestFormatError(f"{JOURNAL_FILE} names epoch {int(epoch)}, past the index's last;"
-                                      " the index lost a commit")
+            raise ManifestFormatError(f"{JOURNAL_FILE} names epoch {int(epoch)}, but {int(epoch)}.snapshot"
+                                      " is missing; an operation journals only after its snapshot")
         if _JOURNAL_LINE.fullmatch(line) is None:
             raise ManifestFormatError(f"{JOURNAL_FILE} line {line!r} is no operation's journal line")
         if int(epoch) <= previous:
@@ -469,126 +458,117 @@ def _read_optional(path: Path) -> Optional[bytes]:
     return path.read_bytes() if path.exists() else None
 
 
-def _read_ledger_files(directory: Path) -> Optional[tuple[bytes, dict[str, DataBlock], list[tuple[str, bytes, str]]]]:
-    """Read ``index`` and the pack: the index bytes, the blocks of the
-    pack's whole entries and each torn tail, in write order, as (file,
-    whole part, what recover says it cuts); None for a directory with no
-    index, whose pack is not read.
+def _read_ledger_files(directory: Path) -> Optional[tuple[int, dict[str, DataBlock], Optional[tuple[bytes, str]]]]:
+    """List the snapshots and read the pack: the number of committed epochs,
+    the blocks of the pack's whole entries, and, if the pack ends in a torn
+    tail, its whole part and what recover says it cuts; None for a directory
+    with no snapshot, whose pack is not read.
 
-    Each pack entry is hashed once, by make_block, and must hash to its
-    digest. Neither a pack entry nor a DataBlock carries an address:
-    load_snapshot puts each block object at the address of every manifest
-    record whose digest line names it. The pack's whole part ends after
-    its last whole entry, the index's after its last LF (_whole_lines).
+    The committed epochs are exactly 0.snapshot to (E-1).snapshot; any other
+    set of ``*.snapshot`` names, a gap, an extra epoch or a number such as
+    01.snapshot, is refused. A ``.tmp`` file is no snapshot. Each pack
+    entry is hashed once, by make_block, and must hash to its digest.
+    Neither a pack entry nor a DataBlock carries an address: load_snapshot
+    puts each block object at the address of every manifest record whose
+    digest line names it.
     """
-    index = _read_optional(directory / INDEX_FILE)
-    if index is None:
+    if not directory.is_dir():
         return None
+    snapshots = {name for name in os.listdir(directory) if name.endswith(".snapshot")}
+    if not snapshots:
+        return None
+    expected = {f"{epoch}.snapshot" for epoch in range(len(snapshots))}
+    if snapshots != expected:
+        raise ManifestFormatError(f"{min(snapshots - expected)} is in the ledger, but the snapshots of"
+                                  f" {len(snapshots)} epochs are 0.snapshot to {len(snapshots) - 1}.snapshot")
     pack = _read_optional(directory / PACK_FILE)
     blocks: dict[str, DataBlock] = {}
-    tails = []
-    if pack is not None:
-        whole = len(PACK_HEADER)
-        for position, digest, start, end in _pack_entries(pack):
-            if digest in blocks:
-                raise ManifestFormatError(f"{PACK_FILE} holds block {digest} twice")
-            block = make_block(pack[start:end])
-            if block.digest != digest:
-                raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
-            blocks[digest] = block
-            whole = end + 1
-        if whole < len(pack):
-            tails.append((PACK_FILE, pack[:whole], f"{PACK_FILE} ends in a partial entry at byte {whole}"))
-    whole_index = _whole_lines(index)
-    if whole_index != index:
-        epoch, partial = whole_index.count(b"\n"), index[len(whole_index) :].decode("utf-8", "replace")
-        tails.append((INDEX_FILE, whole_index, f"{INDEX_FILE} ends in a partial line at epoch {epoch}: {partial!r}"))
-    return index, blocks, tails
+    if pack is None:
+        return len(snapshots), blocks, None
+    whole = len(PACK_HEADER)
+    for position, digest, start, end in _pack_entries(pack):
+        if digest in blocks:
+            raise ManifestFormatError(f"{PACK_FILE} holds block {digest} twice")
+        block = make_block(pack[start:end])
+        if block.digest != digest:
+            raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
+        blocks[digest] = block
+        whole = end + 1
+    tail = (pack[:whole], f"{PACK_FILE} ends in a partial entry at byte {whole}") if whole < len(pack) else None
+    return len(snapshots), blocks, tail
 
 
 def load_ledger(directory: Path) -> Ledger:
     """Load a persisted ledger, revalidating every epoch.
 
-    Checks the pack's digests, then for each index line loads its epoch's
-    snapshot (the epoch's one copy of the manifest, parsed once) and
-    checks its blocks against its manifest, that the manifest claims the
-    epoch and is an upload's (epoch 0) or one operation on the epoch
-    before (_check_operation), and that the line equals the line the
-    snapshot commits, ``<epoch> <epoch + 1> <X>`` with the X the manifest
-    derives. Every epoch loads into one cluster, which puts only the
-    records the epoch changed or added, so the points share every other
-    record object. Each distinct block is hashed once, so the cost is
-    O(distinct stored bytes + epochs x records). Files are read as
-    written, with no newline translation, and every line, the index's
-    too, must end in LF. A torn tail, a partial last pack entry or index
-    line, which load_ledger_cutting_tails cuts, is refused before any
-    epoch loads; the error names the pack's if both are torn.
+    Checks the snapshot names and the pack's digests, then loads each
+    epoch's snapshot (the epoch's one copy of the manifest, parsed once)
+    and checks its blocks against its manifest, and that the manifest
+    claims the epoch and is an upload's (epoch 0) or one operation on the
+    epoch before (_check_operation). Every epoch loads into one cluster,
+    which puts only the records the epoch changed or added, so the points
+    share every other record object. Each distinct block is hashed once,
+    so the cost is O(distinct stored bytes + epochs x records). Files are
+    read as written, with no newline translation. A torn pack tail, which
+    load_ledger_cutting_tails cuts, is refused before any epoch loads.
     """
     directory = Path(directory)
     files = _read_ledger_files(directory)
     if files is None:
         return Ledger(directory=directory)
-    index, blocks, tails = files
-    if tails:
-        raise ManifestFormatError(tails[0][2])
-    return _load_ledger(directory, index, blocks)
+    epochs, blocks, tail = files
+    if tail is not None:
+        raise ManifestFormatError(tail[1])
+    return _load_ledger(directory, epochs, blocks)
 
 
-def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, Optional[ClusterState], list[str]]:
+def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, Optional[ClusterState], Optional[str]]:
     """Load a persisted ledger and its live cluster (None while the ledger
     holds no point) as recover does, cutting what a torn append left, and
-    describe each cut.
+    describe the pack's cut (None if there is none).
 
-    Only a whole index line commits an epoch, and a commit appends its
-    blocks to the pack and writes its snapshot before its index line, so a
-    pack that ends in a strict prefix of an entry committed nothing, nor
-    did a partial last index line that _load_ledger admits. The ledger and
-    live cluster are loaded without the torn tails, from memory, and the
-    journal's whole lines are checked against the loaded epochs: an
-    operation journals after its index line, so a line naming a later
-    epoch proves that the index lost a commit, and each line must be an
-    operation's, in epoch order (_check_journal). Only if every check
-    passes are the files cut to their whole parts through write_file's
-    replace, the journal's torn last line included; otherwise nothing is
-    written. A corrupt pack entry that merely looks torn (a weight raised
-    past the end of the pack) would drop a committed block or the live
-    cluster's, so it fails.
+    Only a snapshot's rename commits an epoch, and a commit appends its
+    blocks to the pack before it, so a pack that ends in a strict prefix of
+    an entry committed nothing. The ledger and live cluster are loaded
+    without the torn tail, from memory, and the journal's whole lines are
+    checked against the loaded epochs: an operation journals after its
+    snapshot, so a line naming a later epoch proves that a committed
+    snapshot is gone, and each line must be an operation's, in epoch order
+    (_check_journal). Only if every check passes are the pack and the
+    journal cut to their whole parts through write_file's replace;
+    otherwise nothing is written. A corrupt pack entry that merely looks
+    torn (a weight raised past the end of the pack) would drop a committed
+    block or the live cluster's, so it fails.
     """
     directory = Path(directory)
     files = _read_ledger_files(directory)
     if files is None:
-        return Ledger(directory=directory), None, []
-    index, blocks, tails = files
-    cuts = [cut for _, _, cut in tails]
+        return Ledger(directory=directory), None, None
+    epochs, blocks, tail = files
     journal = _read_optional(directory / JOURNAL_FILE) or b""
     whole_journal = _whole_lines(journal)
     try:
-        ledger = _load_ledger(directory, index, blocks)
+        ledger = _load_ledger(directory, epochs, blocks)
         _check_journal(whole_journal.decode("utf-8", "replace").split("\n")[:-1], len(ledger.points))
         cluster = load_cluster(ledger, rng_seed) if ledger.points else None
     except (ManifestFormatError, SnapshotCorrupt) as exc:
-        if not cuts:
+        if tail is None:
             raise
-        raise exc.__class__(f"{'; '.join(cuts)}, but recover cuts nothing: {exc}") from exc
-    for name, whole, _ in tails:
-        write_file(directory, name, whole)
+        raise exc.__class__(f"{tail[1]}, but recover cuts nothing: {exc}") from exc
+    if tail is not None:
+        write_file(directory, PACK_FILE, tail[0])
     if whole_journal != journal:
         write_file(directory, JOURNAL_FILE, whole_journal)
-    return ledger, cluster, cuts
+    return ledger, cluster, None if tail is None else tail[1]
 
 
-def _load_ledger(directory: Path, index: bytes, blocks: dict[str, DataBlock]) -> Ledger:
-    """Load a ledger from its index bytes, its block store and the snapshots in
-    ``directory``: the one place that decides what an epoch committed. The
-    k-th index line must be a prefix of the line k.snapshot commits: a
-    whole one, LF included, is that line; a partial last one, which only
-    load_ledger_cutting_tails passes on, is a strict prefix of it, what a
-    torn commit leaves, and commits nothing."""
-    *whole, partial = index.decode("utf-8", "replace").split("\n")
-    lines = [line + "\n" for line in whole] + ([partial] if partial else [])
+def _load_ledger(directory: Path, epochs: int, blocks: dict[str, DataBlock]) -> Ledger:
+    """Load the snapshots of ``epochs`` committed epochs in ``directory``,
+    their blocks from ``blocks``: the one place that decides what an epoch
+    committed."""
     ledger = Ledger(directory=directory, blocks=blocks)
     cluster: Optional[ClusterState] = None  # every epoch loads into it, so points share records
-    for epoch, line in enumerate(lines):
+    for epoch in range(epochs):
         try:
             text = _read_text(directory / f"{epoch}.snapshot")
         except (OSError, ValueError) as exc:
@@ -598,10 +578,5 @@ def _load_ledger(directory: Path, index: bytes, blocks: dict[str, DataBlock]) ->
         if point.epoch != epoch:
             raise ManifestFormatError(f"{epoch}.snapshot claims epoch {point.epoch}")
         _check_operation(ledger, point.manifest)
-        commits = _index_line(point)
-        if not commits.startswith(line):
-            relation = "is not" if line.endswith("\n") else "is no prefix of"
-            raise ManifestFormatError(f"index line {line!r} {relation} {commits!r}, the line {epoch}.snapshot commits")
-        if line == commits:
-            ledger.points.append(point)
+        ledger.points.append(point)
     return ledger

@@ -262,14 +262,13 @@ def test_criterion_7_tpa_non_interference_and_agreement():
 # SHA-256 of every ledger file the demo writes at seed 42. A change of
 # ledger format updates these pins and says so.
 DEMO_LEDGER_SHA256 = {
-    "0.snapshot": "c6d171ac2ee170993960397fc7f03218d540d7fdd44759350c524af210826e59",
-    "1.snapshot": "a79b5a59aa5b06edadd47a3bcba07f59c579298c9e61d0ae5b0d1aac3e44813c",
-    "2.snapshot": "c88b9684519928e6ffac0c6c3e623a2bdd6ee54e517a2abf006f4254385b2be3",
-    "3.snapshot": "261be701089082a2ddfdb41adb732bab3dc4860651643cc42faac40f55f69b1a",
+    "0.snapshot": "e6c1aed4059531f4e633ab604521b21cd238d73b3e27b3834933d289508e80d0",
+    "1.snapshot": "649a1364df99a8df8babe432f44d773968ea71c634d490541ac7fc645560a32a",
+    "2.snapshot": "7845abee0e467565ae2193948a58e129eec347714e38f11310f68db2cfd27555",
+    "3.snapshot": "84a7c96c8f83f96a35d72533312f741e995236881dd4c1edba3fd44a90ed687b",
     "blocks.pack": "a38a8b58baa4b23bcaa820dc29c10c2d9de6b45a6f6d4dcff97ddee6c4797deb",
     "cluster.state": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty: the last point
     "config": "a07f9fbb9806c1bf1db68156c74d1cb624c2b40b9ea5b2e5164201295c000bb3",
-    "index": "ee03fbb46e9c28ceaff2c6bd8e633ea67224d82138514829ba6c976117b6008f",
     "journal": "dbf2f2a24342afcfc53eef3ddf740ba1f6680f430507c1ecdb2fab2e6db5c817",
 }
 

@@ -45,10 +45,9 @@ def test_upload_commits_epoch_zero(ledger_dir, capsys):
     out = capsys.readouterr().out
     assert "UPLOAD bytes=800 servers=3 block_size=32 mode=checksum seed=42" in out
     assert "VERDICT z=true mode=checksum epoch=0 divergences=0" in out
-    assert (ledger_dir / "index").read_text() == "0 1 1600\n"
-    for name in ("0.snapshot", "cluster.state", "config"):
-        assert (ledger_dir / name).exists()
-    assert not (ledger_dir / "0.manifest").exists()
+    assert sorted(p.name for p in ledger_dir.iterdir()) == ["0.snapshot", "blocks.pack", "cluster.state", "config"]
+    assert [point.committed_x for point in load_ledger(ledger_dir).points] == [1600]
+    assert (ledger_dir / "cluster.state").read_bytes() == b""  # the live cluster is the committed point
 
 
 def test_upload_empty_file(ledger_dir, tmp_path, capsys):
@@ -56,7 +55,7 @@ def test_upload_empty_file(ledger_dir, tmp_path, capsys):
     empty.write_bytes(b"")
     rc = run_cli("--ledger-dir", str(ledger_dir), "upload", str(empty))
     assert rc == 0
-    assert (ledger_dir / "index").read_text() == "0 1 0\n"
+    assert [point.committed_x for point in load_ledger(ledger_dir).points] == [0]
 
 
 def test_upload_into_nonempty_dir_exits_3(ledger_dir):
@@ -78,7 +77,7 @@ def test_upload_golden_one_mib_file(ledger_dir, tmp_path, capsys):
     source.write_bytes(generate_payload(42, MIB))
     rc = run_cli("--ledger-dir", str(ledger_dir), "upload", str(source))
     assert rc == 0
-    assert (ledger_dir / "index").read_text() == f"0 1 {2 * MIB}\n"
+    assert [point.committed_x for point in load_ledger(ledger_dir).points] == [2 * MIB]
     manifest_head = (ledger_dir / "0.snapshot").read_text().splitlines()[1]
     assert manifest_head == f"MANIFEST v1 level=CLOUD epoch=0 servers=4 total={MIB}"
 
@@ -118,10 +117,17 @@ def test_tamper_without_a_fault_seed_draws_from_the_config_seed(tmp_path, capsys
     assert notes[0].startswith("byte ") and notes[0] != notes[1], notes
 
 
+def write_full_cluster_state(ledger_dir):
+    """Write the last snapshot's text into cluster.state, which a clean ledger leaves empty, and return it."""
+    text = (ledger_dir / f"{len(load_ledger(ledger_dir).points) - 1}.snapshot").read_text(encoding="utf-8")
+    (ledger_dir / "cluster.state").write_text(text, encoding="utf-8")
+    return text
+
+
 def test_snapshot_naming_unknown_server_exits_2(ledger_dir, capsys):
     seeded_upload(ledger_dir)
     state = ledger_dir / "cluster.state"
-    state.write_text(state.read_text().replace("servers=3", "servers=1", 1))
+    state.write_text(write_full_cluster_state(ledger_dir).replace("servers=3", "servers=1", 1))
     assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 2
     assert "snapshot manifest unreadable" in capsys.readouterr().err
 
@@ -141,8 +147,9 @@ def test_cluster_state_with_a_negative_epoch_or_block_exits_2(ledger_dir, capsys
 def assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error):
     """verify and recover both reject the edited cluster.state, and leave it as it is."""
     state = ledger_dir / "cluster.state"
-    edited = edit(state.read_text(encoding="utf-8"))
-    assert edited != state.read_text(encoding="utf-8")
+    full = write_full_cluster_state(ledger_dir)
+    edited = edit(full)
+    assert edited != full
     state.write_text(edited, encoding="utf-8")
     capsys.readouterr()
     for command in ("verify", "recover"):
@@ -200,30 +207,6 @@ def test_negative_gen_bytes_exits_2_and_writes_nothing(ledger_dir, capsys, comma
     assert ledger_dir.exists() is (command[0] == "append")
 
 
-def test_torn_index_tail_is_reported_as_a_partial_line(ledger_dir, capsys):
-    seeded_upload(ledger_dir)
-    live = (ledger_dir / "cluster.state").read_bytes()
-    run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40")
-    # What the append leaves when it fails while writing its index line:
-    # no journal line, and the live cluster of epoch 0.
-    (ledger_dir / "journal").unlink()
-    (ledger_dir / "cluster.state").write_bytes(live)
-    index = ledger_dir / "index"
-    assert index.read_text().endswith("\n1 2 1680\n")
-    index.write_text(index.read_text()[: -len("80\n")])
-    capsys.readouterr()
-    for command in ("verify", "report", "audit --epochs 0"):
-        assert run_cli("--ledger-dir", str(ledger_dir), *command.split()) == 2
-        assert "index ends in a partial line at epoch 1: '1 2 16'" in capsys.readouterr().err
-    # The partial line committed nothing: recover cuts it and keeps epoch 0.
-    assert run_cli("--ledger-dir", str(ledger_dir), "recover") == 0
-    out, err = capsys.readouterr()
-    assert out == "INTACT epoch=0\n"
-    assert "index ends in a partial line at epoch 1: '1 2 16'" in err
-    assert index.read_text().count("\n") == 1 and index.read_text().endswith("\n")
-    assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 0
-
-
 def test_an_edited_snapshot_address_exits_2_and_writes_nothing(ledger_dir, tmp_path, capsys):
     """Raising a block id in a committed snapshot keeps its weights, so X
     still matches; the epoch is no single operation on the one before."""
@@ -262,7 +245,7 @@ def test_v1_ledger_files_are_rejected_by_name(tmp_path, capsys):
     payload = generate_payload(42, 800)
     for version in ("v1", "v2"):
         old = old_snapshot(version, payload, 3, 32)
-        # A v3 ledger whose cluster.state is still in an older format ...
+        # A v4 ledger whose cluster.state is still in an older format ...
         ledger_dir = tmp_path / version
         seeded_upload(ledger_dir)
         (ledger_dir / "cluster.state").write_text(old)
@@ -276,6 +259,53 @@ def test_v1_ledger_files_are_rejected_by_name(tmp_path, capsys):
             err = capsys.readouterr().err
             assert f"ledger format {version}" in err
             assert "payload line" not in err
+
+
+def three_epochs(ledger_dir):
+    """upload, append, update: a 3-epoch ledger with a journal."""
+    seeded_upload(ledger_dir)
+    for op in (("append", "--server", "0", "--gen-bytes", "40"), ("update", "--server", "1", "--block", "0",
+               "--gen-bytes", "8")):
+        assert run_cli("--ledger-dir", str(ledger_dir), *op) == 0
+
+
+def test_a_v3_ledger_is_rejected_by_name(ledger_dir, capsys):
+    """A v3 directory may hold a snapshot its index never listed, which v4
+    would read as committed, so every file headed SNAPSHOT v3 fails by name."""
+    three_epochs(ledger_dir)
+    assert run_cli("--ledger-dir", str(ledger_dir), "tamper", "--kind", "flip-byte", "--server", "0",
+                   "--block", "0") == 0
+    for path in [*ledger_dir.glob("*.snapshot"), ledger_dir / "cluster.state"]:
+        head, rest = path.read_bytes().split(b"\n", 1)
+        assert head == b"SNAPSHOT v4"
+        path.write_bytes(b"SNAPSHOT v3\n" + rest)
+    before = dir_contents(ledger_dir)
+    capsys.readouterr()
+    for command in ("verify", "history", "recover"):
+        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, command
+        assert "ledger format v3" in capsys.readouterr().err, command
+        assert dir_contents(ledger_dir) == before, command
+    assert seeded_upload(ledger_dir) == 3
+    assert dir_contents(ledger_dir) == before
+
+
+@pytest.mark.parametrize("edit, stray", [
+    (lambda d: (d / "1.snapshot").unlink(), "2.snapshot"),
+    (lambda d: (d / "5.snapshot").write_bytes((d / "2.snapshot").read_bytes()), "5.snapshot"),
+    (lambda d: (d / "1.snapshot").rename(d / "01.snapshot"), "01.snapshot"),
+], ids=["gap", "extra", "leading-zero"])
+def test_a_snapshot_set_other_than_one_per_epoch_from_0_exits_2(ledger_dir, capsys, edit, stray):
+    """The committed epochs are the files 0.snapshot to (E-1).snapshot, so
+    any other set of snapshot names fails every read command, and recover
+    writes nothing."""
+    three_epochs(ledger_dir)
+    edit(ledger_dir)
+    before = dir_contents(ledger_dir)
+    capsys.readouterr()
+    for command in ("verify", "report", "audit --epochs 0", "history", "recover"):
+        assert run_cli("--ledger-dir", str(ledger_dir), *command.split()) == 2, command
+        assert f"{stray} is in the ledger, but the snapshots of" in capsys.readouterr().err, command
+    assert dir_contents(ledger_dir) == before
 
 
 def test_commit_while_stale_read_path_is_armed_keeps_the_ledger_loadable(ledger_dir, tmp_path, capsys):
@@ -374,7 +404,7 @@ def test_op_flow_and_journal(ledger_dir, capsys):
     assert journal[0].startswith("1 APPEND")
     assert journal[1].startswith("2 UPDATE")
     assert journal[2].startswith("3 DELETE")
-    assert (ledger_dir / "index").read_text().count("\n") == 4
+    assert len(load_ledger(ledger_dir).points) == 4
 
 
 def test_op_after_tamper_exits_1_with_report(ledger_dir, capsys):
@@ -446,22 +476,24 @@ def test_report_summary(ledger_dir, capsys):
     )
 
 
-def test_report_prints_the_index_byte_for_byte(ledger_dir, capsys):
+def test_report_prints_each_point_as_epoch_tick_and_x(ledger_dir, capsys):
     seeded_upload(ledger_dir)
     for argv in (("append", "--server", "0", "--gen-bytes", "100"), ("update", "--server", "1", "--block", "2",
                  "--gen-bytes", "7"), ("delete", "--server", "2", "--block", "0")):
         assert run_cli("--ledger-dir", str(ledger_dir), *argv) == 0
     capsys.readouterr()
     assert run_cli("--ledger-dir", str(ledger_dir), "report") == 0
-    out = capsys.readouterr().out.encode()
-    assert out.split(b"points=4\n")[1] == (ledger_dir / "index").read_bytes() + b"END\n"
+    out = capsys.readouterr().out
+    points = load_ledger(ledger_dir).points
+    lines = [f"{p.epoch} {p.epoch + 1} {2 * p.manifest.total_weight}\n" for p in points]
+    assert out.split("points=4\n")[1] == "".join(lines) + "END\n"
 
 
 def test_ledger_dir_from_environment(tmp_path, monkeypatch, capsys):
     target = tmp_path / "from-env"
     monkeypatch.setenv("CLOUDLEDGER_DIR", str(target))
     assert run_cli("--servers", "2", "--block-size", "16", "upload", "--gen-bytes", "64") == 0
-    assert (target / "index").exists()
+    assert (target / "0.snapshot").exists()
 
 
 def test_config_file_flag(ledger_dir, tmp_path, capsys):
@@ -509,7 +541,7 @@ def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(ledger_dir, tmp_pat
     (lambda journal: journal.replace(b"\n", b"\r\n"), "does not end in LF alone"),
     (lambda journal: b"1 APPEND junk\x0c9 APPEND more\n", "does not end in LF alone"),
     (lambda journal: journal[:-1], "does not end in LF alone"),
-    (lambda journal: journal + b"9 APPEND server=0 block=9\n", "journal names epoch 9, past the index's last"),
+    (lambda journal: journal + b"9 APPEND server=0 block=9\n", "journal names epoch 9, but 9.snapshot is missing"),
 ], ids=["crlf", "form-feed", "no-final-lf", "past-the-last-epoch"])
 def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, capsys, edit, error):
     """history reads the journal as written, every line ending in LF alone,
@@ -554,7 +586,7 @@ def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, cap
 
 
 def test_history_prints_a_journal_a_crash_left_a_gap_in(ledger_dir, capsys):
-    """A crash between an index line and its journal line drops that epoch's
+    """A crash between a snapshot and its journal line drops that epoch's
     line; the later operations journal as usual, and history prints them."""
     seeded_upload(ledger_dir)
     for _ in range(3):

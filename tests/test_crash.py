@@ -5,11 +5,11 @@ tests patch each binding of it so that its k-th call raises OSError, either
 before writing anything or after writing half of its data (a torn write),
 for every k a command reaches. The next commands must then find the old
 epoch or the new one, never a directory they cannot read, and an upload
-that never committed must run again. A torn index line or pack entry
-committed nothing, and recover cuts it.
+that never committed must run again. A commit is a pack append followed
+by the rename of its snapshot. A torn pack entry committed nothing, and
+recover cuts it; a torn snapshot leaves a ``.tmp`` that no command reads.
 """
 
-import itertools
 import os
 import re
 import shutil
@@ -30,18 +30,18 @@ COMMANDS = {
     "crash": ("crash", "--server", "1"),
     "recover": ("recover",),
 }
-# The files each command writes, in order: the index line is the commit.
+# The files each command writes, in order: the snapshot's rename is the commit.
 WRITES = {
-    "upload": ["config", "blocks.pack", "cluster.state", "0.snapshot", "index"],
-    "append": ["blocks.pack", "2.snapshot", "index", "journal", "cluster.state"],
-    "update": ["blocks.pack", "2.snapshot", "index", "journal", "cluster.state"],
-    "delete": ["2.snapshot", "index", "journal", "cluster.state"],
+    "upload": ["config", "cluster.state", "blocks.pack", "0.snapshot"],
+    "append": ["blocks.pack", "2.snapshot", "journal", "cluster.state"],
+    "update": ["blocks.pack", "2.snapshot", "journal", "cluster.state"],
+    "delete": ["2.snapshot", "journal", "cluster.state"],
     "tamper": ["blocks.pack", "cluster.state"],
     "crash": ["cluster.state"],
     "recover": ["cluster.state"],
 }
-# What recover says on stderr when it cuts a torn tail off each appended file.
-CUTS = {"index": "index ends in a partial line", "blocks.pack": "blocks.pack ends in a partial entry"}
+# What recover says on stderr when it cuts a torn tail off the pack.
+PACK_CUT = "blocks.pack ends in a partial entry"
 real_write_file = ledger_module.write_file
 
 
@@ -128,7 +128,7 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
         inject(monkeypatch, k, torn)
         assert run_cli(directory, *COMMANDS[command]) == 2, (k, name)
         monkeypatch.undo()
-        if torn and name not in ("blocks.pack", "index", "journal"):
+        if torn and name not in ("blocks.pack", "journal"):
             # A torn replace leaves the old file and a partial .tmp beside it.
             assert (directory / f"{name}.tmp").exists()
             assert content(directory / name) == before
@@ -136,12 +136,11 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
 
         recovered = run_cli(directory, "recover")
         out, err = capsys.readouterr()
-        for file, cut in CUTS.items():
-            assert (cut in err) == (torn and name == file and old_epoch is not None), err
+        assert (PACK_CUT in err) == (torn and name == "blocks.pack" and old_epoch is not None), err
         if old_epoch is None:
-            # An upload that never reached its index line committed nothing,
+            # An upload that never renamed its snapshot committed nothing,
             # and the same upload then starts the directory over.
-            assert recovered == 6 and not (directory / "index").exists(), (k, name)
+            assert recovered == 6 and not (directory / "0.snapshot").exists(), (k, name)
             # Every other command that needs a committed point exits 6 too, and writes nothing.
             left = files(directory) if directory.exists() else None
             others = [argv for other, argv in COMMANDS.items() if other not in ("upload", "recover")]
@@ -152,7 +151,7 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
             assert run_cli(directory, "verify") == 0, (k, name)
             assert files(directory) == files(clean_upload), (k, name)
             continue
-        committed = "index" in writes[: k - 1]
+        committed = f"{old_epoch + 1}.snapshot" in writes[: k - 1]
         assert recovered == 0, (k, name, err)
         assert re.fullmatch(r"(RESTORED|INTACT) epoch=(\d+)\n", out).group(2) == str(old_epoch + committed)
         assert run_cli(directory, "verify") == 0, (k, name)
@@ -183,10 +182,9 @@ def test_an_empty_pack_left_by_a_failed_append_still_gets_its_header(tmp_path):
     assert load_ledger(directory).points == ledger.points
 
 
-def test_an_operation_failing_after_its_index_line_leaves_the_new_epoch_readable(base, tmp_path, monkeypatch,
-                                                                                capsys):
+def test_an_operation_failing_after_its_snapshot_leaves_the_new_epoch_readable(base, tmp_path, monkeypatch, capsys):
     """On a clean ledger cluster.state is empty, which reads as the last
-    point, so once the index line is written every command sees the new epoch."""
+    point, so once the snapshot is in place every command sees the new epoch."""
     directory = tmp_path / "ledger"
     old_epoch = start_from(base, "append", directory)
     inject(monkeypatch, WRITES["append"].index("journal") + 1, torn=False)
@@ -217,19 +215,23 @@ def test_a_live_state_behind_the_ledger_names_recover(base, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("recover_first", [False, True], ids=["upload", "recover-then-upload"])
-def test_an_index_with_no_whole_line_commits_nothing(clean_upload, tmp_path, capsys, recover_first):
+def test_an_upload_torn_at_its_snapshot_commits_nothing(clean_upload, tmp_path, capsys, recover_first):
+    """An upload whose 0.snapshot.tmp a crash tore never renamed it: the
+    directory committed nothing, recover exits 6 writing nothing, and the
+    upload starts it over."""
     directory = tmp_path / "ledger"
     shutil.copytree(clean_upload, directory)
-    index = directory / "index"
-    index.write_bytes(index.read_bytes()[:-2])
+    snapshot = directory / "0.snapshot"
+    (directory / "0.snapshot.tmp").write_bytes(snapshot.read_bytes()[:-2])
+    snapshot.unlink()
     if recover_first:
+        left = files(directory)
         assert run_cli(directory, "recover") == 6
-        assert "index ends in a partial line at epoch 0" in capsys.readouterr().err
-        assert index.read_bytes() == b""
+        assert files(directory) == left
     assert run_cli(directory, *COMMANDS["upload"]) == 0
     assert files(directory) == files(clean_upload)
     assert run_cli(directory, *COMMANDS["upload"]) == 3
-    assert "it holds index" in capsys.readouterr().err
+    assert "it holds 0.snapshot" in capsys.readouterr().err
 
 
 def test_recover_cuts_a_torn_pack_tail_and_read_commands_exit_2_before(base, tmp_path, capsys):
@@ -266,15 +268,15 @@ def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_
 def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(base, tmp_path, capsys):
     """A weight raised past the end of the pack makes a committed entry
     look torn; cutting there would drop committed blocks, so recover
-    exits 2 and leaves every file as it was, a partial index line too."""
+    exits 2 and leaves every file as it was, a torn journal line too."""
     directory = tmp_path / "ledger"
     start_from(base, "append", directory)
     pack = directory / "blocks.pack"
     data = pack.read_bytes()
     entry = re.compile(rb"[0-9a-f]{64} ([0-9]+)\n").search(data, len(ledger_module.PACK_HEADER))
     pack.write_bytes(data[: entry.end(1)] + b"0000" + data[entry.end(1) :])
-    index = directory / "index"
-    index.write_bytes(index.read_bytes()[:-3])
+    journal = directory / "journal"
+    journal.write_bytes(journal.read_bytes()[:-3])
     before = files(directory)
     assert run_cli(directory, "recover") == 2
     err = capsys.readouterr().err
@@ -286,28 +288,29 @@ def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(b
 def test_recover_leaves_the_journal_when_the_ledger_fails_to_load(base, tmp_path, capsys):
     directory = tmp_path / "ledger"
     start_from(base, "append", directory)
-    index = directory / "index"
-    index.write_bytes(index.read_bytes()[:-3])
-    (directory / "0.snapshot").write_bytes(b"SNAPSHOT v3\n")
+    journal = directory / "journal"
+    journal.write_bytes(journal.read_bytes()[:-3])
+    (directory / "0.snapshot").write_bytes(b"SNAPSHOT v4\n")
     before = files(directory)
     assert run_cli(directory, "recover") == 2
-    assert "index ends in a partial line at epoch 1" in capsys.readouterr().err
+    assert "snapshot missing manifest terminator" in capsys.readouterr().err
     assert files(directory) == before
 
 
-def test_the_journal_follows_a_cut_index(base, tmp_path, monkeypatch, capsys):
-    """An operation whose index line a crash tore journals nothing, so the
+@pytest.mark.parametrize("name", ["blocks.pack", "2.snapshot"])
+def test_the_journal_follows_a_torn_commit(base, tmp_path, monkeypatch, capsys, name):
+    """An operation whose commit a crash tore journals nothing, so the
     operation that commits that epoch again journals it once."""
     directory = tmp_path / "ledger"
     old_epoch = start_from(base, "append", directory)
     journal = (directory / "journal").read_bytes()
-    inject(monkeypatch, WRITES["append"].index("index") + 1, torn=True)
+    inject(monkeypatch, WRITES["append"].index(name) + 1, torn=True)
     assert run_cli(directory, *COMMANDS["append"]) == 2
     monkeypatch.undo()
     capsys.readouterr()
     assert run_cli(directory, "recover") == 0
     out, err = capsys.readouterr()
-    assert out == f"INTACT epoch={old_epoch}\n" and f"index ends in a partial line at epoch {old_epoch + 1}" in err
+    assert out == f"INTACT epoch={old_epoch}\n" and (PACK_CUT in err) == (name == "blocks.pack"), err
     assert (directory / "journal").read_bytes() == journal
     assert run_cli(directory, *COMMANDS["append"]) == 0
     capsys.readouterr()
@@ -316,9 +319,10 @@ def test_the_journal_follows_a_cut_index(base, tmp_path, monkeypatch, capsys):
 
 
 def test_an_operation_cuts_a_torn_journal_line_before_journaling(base, tmp_path, monkeypatch, capsys):
-    """A crash while journaling leaves a partial line for an epoch the index
-    committed. The next operation, which runs without recover, writes its
-    line after the whole lines only, so recover and history still read it."""
+    """A crash while journaling leaves a partial line for an epoch its
+    snapshot committed. The next operation, which runs without recover,
+    writes its line after the whole lines only, so recover and history
+    still read it."""
     directory = tmp_path / "ledger"
     old_epoch = start_from(base, "append", directory)
     journal = (directory / "journal").read_bytes()
@@ -336,86 +340,17 @@ def test_an_operation_cuts_a_torn_journal_line_before_journaling(base, tmp_path,
     assert capsys.readouterr().out.encode() == journal + line.encode()
 
 
-def drop_journal_line(directory):
-    """Take the last operation's journal line away, as a crash before it was written leaves the journal."""
-    journal = directory / "journal"
-    lines = journal.read_bytes().splitlines(keepends=True)
-    journal.write_bytes(b"".join(lines[:-1]))
-
-
-@pytest.mark.parametrize("tail", [b"9", b"\x0b", b"0", b" 3"], ids=["digit", "vertical-tab", "zero", "field"])
-def test_recover_keeps_a_partial_index_line_that_is_no_torn_commit(base, tmp_path, capsys, tail):
-    """A commit writes its snapshot before its index line, so a torn line is
-    a strict prefix of the line that snapshot commits; any other partial
-    line, such as a whole line whose LF was overwritten, is kept."""
+def test_recover_refuses_a_ledger_whose_last_snapshot_the_journal_names_is_gone(base, tmp_path, capsys):
+    """An operation journals after its snapshot, so a journal line naming
+    an epoch whose snapshot is missing proves a committed epoch was lost:
+    recover and history exit 2, and recover writes nothing."""
     directory = tmp_path / "ledger"
-    start_from(base, "append", directory)
-    drop_journal_line(directory)
-    index = directory / "index"
-    index.write_bytes(index.read_bytes()[:-1] + tail)
+    old_epoch = start_from(base, "append", directory)
+    (directory / f"{old_epoch}.snapshot").unlink()
     before = files(directory)
-    assert run_cli(directory, "recover") == 2
-    err = capsys.readouterr().err
-    assert "index ends in a partial line at epoch 1" in err and "but recover cuts nothing" in err, err
-    assert "is no prefix of" in err and "the line 1.snapshot commits" in err, err
-    assert files(directory) == before
-
-
-@pytest.mark.parametrize("snapshot", [None, "0.snapshot", b"SNAPSHOT v3\n"], ids=["missing", "other-epoch", "broken"])
-def test_recover_keeps_a_partial_index_line_whose_snapshot_does_not_load(base, tmp_path, capsys, snapshot):
-    directory = tmp_path / "ledger"
-    start_from(base, "append", directory)
-    drop_journal_line(directory)
-    index = directory / "index"
-    index.write_bytes(index.read_bytes()[:-3])
-    target = directory / "1.snapshot"
-    if snapshot is None:
-        target.unlink()
-    else:
-        target.write_bytes(snapshot if isinstance(snapshot, bytes) else (directory / snapshot).read_bytes())
-    before = files(directory)
-    assert run_cli(directory, "recover") == 2
-    assert "index ends in a partial line at epoch 1" in capsys.readouterr().err
-    assert files(directory) == before
-
-
-def test_recover_keeps_a_partial_index_line_whose_snapshot_is_no_single_operation(base, tmp_path, capsys):
-    """The snapshot a torn commit left must be one operation on the last
-    epoch, as every committed one is: here its append took the wrong id."""
-    directory = tmp_path / "ledger"
-    start_from(base, "append", directory)
-    drop_journal_line(directory)
-    index = directory / "index"
-    index.write_bytes(index.read_bytes()[:-3])
-    snapshot = directory / "1.snapshot"
-    data = snapshot.read_bytes()
-    assert b"\n0 3 24 " in data
-    snapshot.write_bytes(data.replace(b"\n0 3 24 ", b"\n0 4 24 "))
-    before = files(directory)
-    assert run_cli(directory, "recover") == 2
-    err = capsys.readouterr().err
-    assert "index ends in a partial line at epoch 1" in err, err
-    assert "but recover cuts nothing: epoch 1 appends server=0 block=4; an append takes block 3" in err, err
-    assert files(directory) == before
-
-
-@pytest.mark.parametrize("cut", [
-    lambda data: data[:-3],
-    lambda data: data[: data.index(b"\n") + 1],
-    lambda data: data[: data.index(b"\n") - 1],
-    lambda data: b"",
-], ids=["partial-line", "whole-line", "below-one-line", "all-lines"])
-def test_recover_refuses_an_index_that_lost_a_journaled_commit(base, tmp_path, capsys, cut):
-    """An operation journals after its index line, so a journal line naming
-    an epoch the index lacks proves the index lost a commit: recover exits 2
-    and writes nothing, whether the index lost part of a line or more."""
-    directory = tmp_path / "ledger"
-    start_from(base, "append", directory)
-    index = directory / "index"
-    index.write_bytes(cut(index.read_bytes()))
-    before = files(directory)
-    assert run_cli(directory, "recover") == 2
-    assert "the index lost a commit" in capsys.readouterr().err
+    for command in ("recover", "history"):
+        assert run_cli(directory, command) == 2, command
+        assert f"journal names epoch {old_epoch}, but {old_epoch}.snapshot is missing" in capsys.readouterr().err
     assert files(directory) == before
 
 
@@ -446,37 +381,30 @@ def three_epochs(base, tmp_path_factory):
     return directory
 
 
-@pytest.mark.parametrize("torn", [tails for n in (1, 2, 3) for tails in itertools.combinations(
-    ("index", "blocks.pack", "journal"), n)], ids="+".join)
+@pytest.mark.parametrize("torn", [("blocks.pack",), ("journal",), ("blocks.pack", "journal")], ids="+".join)
 def test_torn_tails_in_combination(three_epochs, tmp_path, capsys, torn):
-    """Any set of appended files torn at once, each as a crash leaves it: a
-    torn index line is an operation's last write, so its journal line is
-    missing. Read commands refuse a torn pack or index, naming the first in
-    write order, and history refuses any torn tail; recover cuts them all,
-    naming each but the journal's, and keeps every whole epoch."""
+    """Any set of appended files torn at once, each as a crash leaves it.
+    Read commands refuse a torn pack, and history refuses any torn tail;
+    recover cuts them all, naming the pack's, and keeps every epoch."""
     directory = tmp_path / "ledger"
     shutil.copytree(three_epochs, directory)
     clean = files(directory)
-    if "index" in torn:
-        (directory / "index").write_bytes(clean["index"][:-3])
-        drop_journal_line(directory)
     if "blocks.pack" in torn:
         (directory / "blocks.pack").write_bytes(clean["blocks.pack"] + b"%s 5\nab" % (b"0" * 64))
     if "journal" in torn:
         journal = directory / "journal"
         journal.write_bytes(journal.read_bytes()[:-5])
-    named = [CUTS[name] for name in ("blocks.pack", "index") if name in torn]
+    pack_torn = "blocks.pack" in torn
     capsys.readouterr()
-    assert run_cli(directory, "verify") == (2 if named else 0)
+    assert run_cli(directory, "verify") == (2 if pack_torn else 0)
     err = capsys.readouterr().err
-    assert named[0] in err if named else err == "", err
+    assert PACK_CUT in err if pack_torn else err == "", err
     assert run_cli(directory, "history") == 2
     capsys.readouterr()
     assert run_cli(directory, "recover") == 0
     out, err = capsys.readouterr()
-    kept = 3 - ("index" in torn)
-    assert out == f"INTACT epoch={kept - 1}\n"
-    assert err.count("which committed nothing; cut it") == len(named) and all(cut in err for cut in named), err
+    assert out == "INTACT epoch=2\n"
+    assert err.count("which committed nothing; cut it") == pack_torn and (PACK_CUT in err) == pack_torn, err
     assert run_cli(directory, "verify") == 0 and run_cli(directory, "history") == 0
-    assert load_ledger(directory).points == load_ledger(three_epochs).points[:kept]
+    assert load_ledger(directory).points == load_ledger(three_epochs).points
     assert (directory / "blocks.pack").read_bytes() == clean["blocks.pack"]

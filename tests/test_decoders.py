@@ -284,7 +284,7 @@ def ledger_dir(tmp_path):
     return directory
 
 
-@pytest.mark.parametrize("name", ["0.snapshot", "1.snapshot", "index", "cluster.state"])
+@pytest.mark.parametrize("name", ["0.snapshot", "1.snapshot", "cluster.state"])
 def test_a_ledger_file_rewritten_to_crlf_is_rejected(ledger_dir, capsys, name):
     if name == "cluster.state":  # empty while it is the last point; a pending fault writes it out
         assert cli.run(["--ledger-dir", str(ledger_dir), "tamper", "--kind", "flip-byte", "--server", "0",
@@ -298,13 +298,6 @@ def test_a_ledger_file_rewritten_to_crlf_is_rejected(ledger_dir, capsys, name):
     for command in ("verify", "audit --epochs 0..1"):
         assert cli.run(["--ledger-dir", str(ledger_dir), *command.split()]) == 2, command
         assert "error:" in capsys.readouterr().err
-
-
-def test_an_index_line_ended_by_another_separator_is_rejected(ledger_dir):
-    index = ledger_dir / "index"
-    index.write_bytes(index.read_bytes().replace(b"\n", b"\x1c", 1))
-    with pytest.raises(ManifestFormatError, match=r"index line '0 1 \d+\\x1c1 2 \d+\\n' is not '0 1 \d+\\n'"):
-        load_ledger(ledger_dir)
 
 
 def test_a_committed_ledger_still_loads(tmp_path):

@@ -239,29 +239,27 @@ def test_persistence_round_trip(tmp_path):
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(bytes(range(48)), 3, 6, directory=directory)
     append(cluster, ledger, 1, b"more")
-    assert (directory / "index").read_text().splitlines() == [
-        f"{p.epoch} {p.timestamp} {p.committed_x}" for p in ledger.points
-    ]
+    assert sorted(p.name for p in directory.iterdir()) == ["0.snapshot", "1.snapshot", "blocks.pack"]
     loaded = load_ledger(directory)
     assert loaded.points == ledger.points
 
 
-def test_a_commit_whose_index_write_fails_stays_out_of_the_ledger(tmp_path, monkeypatch):
-    """The point joins ledger.points only once its index line is on disk, so
+def test_a_commit_whose_snapshot_write_fails_stays_out_of_the_ledger(tmp_path, monkeypatch):
+    """The point joins ledger.points only once its snapshot is on disk, so
     the rollback reaches the last point on disk and a retry commits."""
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(b"abcdefgh", 2, 2, directory=directory)
     real_write_file = ledger_module.write_file
 
     def write_file(directory, name, data, append=False):
-        if name == "index":
-            raise OSError("injected failure at the index write")
+        if name == "1.snapshot":
+            raise OSError("injected failure at the snapshot write")
         real_write_file(directory, name, data, append)
 
     monkeypatch.setattr(ledger_module, "write_file", write_file)
     with pytest.raises(OSError):
         update(cluster, ledger, 0, 0, b"zz")
-    assert len(ledger.points) == 1
+    assert len(ledger.points) == 1 and load_ledger(directory).points == ledger.points
     assert snapshot_cluster(cluster) == ledger.points[0].payload_snapshot
     monkeypatch.undo()
     assert update(cluster, ledger, 0, 0, b"zz").new_epoch == 1
@@ -306,68 +304,6 @@ def test_persisting_in_memory_points_stores_each_block_once(tmp_path):
 
 def test_load_ledger_empty_directory(tmp_path):
     assert load_ledger(tmp_path).points == []
-
-
-def test_load_ledger_rejects_tampered_index(tmp_path):
-    directory = tmp_path / "ledger"
-    make_committed_state(bytes(range(10)), 2, 5, directory=directory)
-    index = directory / "index"
-    epoch, tick, x = index.read_text().split()
-    index.write_text(f"{epoch} {tick} {int(x) + 2}\n")
-    with pytest.raises(ManifestFormatError):
-        load_ledger(directory)
-
-
-def not_committed(epoch, found=""):
-    """The message for an index line, starting ``found``, other than the line epoch's snapshot commits."""
-    return rf"index line '{found}.*' is not '{epoch} {epoch + 1} \d+\\n', the line {epoch}\.snapshot commits"
-
-
-def rewrite_index_line(directory, epoch, render):
-    """Replace the index line of ``epoch`` by render(epoch, tick, x)."""
-    index = directory / "index"
-    lines = index.read_text(encoding="utf-8").splitlines()
-    lines[epoch] = render(*(int(field) for field in lines[epoch].split(" ")))
-    index.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-@pytest.mark.parametrize(
-    "render",
-    [
-        lambda e, t, x: f"+{e} \u0662 {x}",  # "+1 2 X" with an Arabic-Indic 2
-        lambda e, t, x: f"0{e} {t} {x}",
-        lambda e, t, x: f"{e} {t} {x // 10}_{x % 10}",
-    ],
-    ids=["signed-epoch-and-non-ascii-tick", "leading-zero", "underscore"],
-)
-def test_load_ledger_rejects_a_non_canonical_index_line(tmp_path, render):
-    directory = tmp_path / "ledger"
-    cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
-    append(cluster, load_ledger(directory), 0, b"more")
-    rewrite_index_line(directory, 1, render)
-    with pytest.raises(ManifestFormatError, match=not_committed(1)):
-        load_ledger(directory)
-
-
-@pytest.mark.parametrize("tick", [1, 3])
-def test_load_ledger_rejects_a_tick_other_than_epoch_plus_one(tmp_path, tick):
-    directory = tmp_path / "ledger"
-    cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
-    append(cluster, load_ledger(directory), 0, b"more")
-    rewrite_index_line(directory, 1, lambda e, t, x: f"{e} {tick} {x}")
-    with pytest.raises(ManifestFormatError, match=not_committed(1, found=f"1 {tick} ")):
-        load_ledger(directory)
-
-
-def test_load_ledger_rejects_index_lines_out_of_sequence(tmp_path):
-    directory = tmp_path / "ledger"
-    cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
-    append(cluster, load_ledger(directory), 0, b"more")
-    index = directory / "index"
-    first, second = index.read_bytes().splitlines(keepends=True)
-    index.write_bytes(second + first)
-    with pytest.raises(ManifestFormatError, match=not_committed(0, found="1 2 ")):
-        load_ledger(directory)
 
 
 @pytest.mark.parametrize("edit, claimed", [
@@ -495,8 +431,8 @@ def edit_snapshot(directory, epoch, pattern, replacement):
     (2, "^2 1 8 ", "2 2 8 ", "epoch 2 removes server=2 block=1 and adds server=2 block=2"),
 ], ids=["upload-servers", "upload-id", "servers", "other-address", "append-id", "update-address"])
 def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, epoch, pattern, replacement, error):
-    """The index's X covers weights only; an edited block id or server
-    count must still make the epoch fail to load."""
+    """X covers weights only; an edited block id or server count must
+    still make the epoch fail to load."""
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(bytes(range(200)), 3, 32, directory=directory)
     append(cluster, ledger, 1, bytes(8))

@@ -4,10 +4,10 @@ Whatever one edit does to one file of a committed ledger directory,
 recover must either exit non-zero and leave every file byte-identical,
 or exit 0 with every committed epoch as it was, after which verify
 passes. The inputs are a 3-epoch CLI ledger (upload, append, update), a
-copy of it with a flip-byte pending, and a copy that a delete left as a
-torn commit: its index line cut mid-line and no journal line. All three
-commit the same 3 epochs. The edits are every
-single byte set to its value xor 1, to LF or to "9", and every
+copy of it with a flip-byte pending, and a copy that an append left as a
+torn commit: its pack entry cut mid-way, a partial 3.snapshot.tmp beside
+it, and no journal line. All three commit the same 3 epochs. The edits
+are every single byte set to its value xor 1, to LF or to "9", and every
 truncation. pytest tries every edit of a file under SMALL bytes, and of
 a larger one a seeded sample plus every cut at a line boundary. Run as a
 script, it tries every edit of every file:
@@ -46,7 +46,8 @@ def run_cli(directory, *argv):
 
 def build_inputs(root):
     """The clean 3-epoch ledger, a copy of it with a flip-byte pending, and
-    a copy whose 4th epoch a crash tore mid-way through its index line."""
+    a copy whose 4th epoch a crash tore: an append whose pack write tore
+    mid-entry, beside the partial 3.snapshot.tmp of an attempt before it."""
     clean = root / "clean"
     for argv in (("upload", "--gen-bytes", "100"), ("append", "--server", "1", "--gen-bytes", "20"),
                  ("update", "--server", "0", "--block", "1", "--gen-bytes", "16")):
@@ -56,10 +57,12 @@ def build_inputs(root):
     assert run_cli(tampered, "tamper", "--kind", "flip-byte", "--server", "1", "--block", "0") == 0
     torn = root / "torn"
     shutil.copytree(clean, torn)
-    journal = (torn / "journal").read_bytes()
-    assert run_cli(torn, "delete", "--server", "2", "--block", "0") == 0
-    index = torn / "index"
-    index.write_bytes(index.read_bytes()[:-3])
+    journal, pack = (torn / "journal").read_bytes(), (torn / "blocks.pack").read_bytes()
+    assert run_cli(torn, "append", "--server", "2", "--gen-bytes", "20") == 0
+    grown, snapshot = (torn / "blocks.pack").read_bytes(), (torn / "3.snapshot").read_bytes()
+    (torn / "blocks.pack").write_bytes(grown[: (len(pack) + len(grown)) // 2])
+    (torn / "3.snapshot").unlink()
+    (torn / "3.snapshot.tmp").write_bytes(snapshot[: len(snapshot) // 2])
     (torn / "journal").write_bytes(journal)
     return {"clean": clean, "tampered": tampered, "torn": torn}
 
