@@ -533,8 +533,9 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
     without the torn tail, from memory, and the journal's whole lines are
     checked against the loaded epochs: an operation journals after its
     snapshot, so a line naming a later epoch proves that a committed
-    snapshot is gone, and each line must be an operation's, in epoch order
-    (_check_journal). Only if every check passes are the pack and the
+    snapshot is gone, even where no snapshot is left, and each line must be
+    an operation's, in epoch order (_check_journal). Only if every check
+    passes are the pack and the
     journal cut to their whole parts through write_file's replace;
     otherwise nothing is written. A corrupt pack entry that merely looks
     torn (a weight raised past the end of the pack) would drop a committed
@@ -542,14 +543,16 @@ def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, O
     """
     directory = Path(directory)
     files = _read_ledger_files(directory)
-    if files is None:
-        return Ledger(directory=directory), None, None
-    epochs, blocks, tail = files
     journal = _read_optional(directory / JOURNAL_FILE) or b""
     whole_journal = _whole_lines(journal)
+    lines = whole_journal.decode("utf-8", "replace").split("\n")[:-1]
+    if files is None:
+        _check_journal(lines, 0)
+        return Ledger(directory=directory), None, None
+    epochs, blocks, tail = files
     try:
         ledger = _load_ledger(directory, epochs, blocks)
-        _check_journal(whole_journal.decode("utf-8", "replace").split("\n")[:-1], len(ledger.points))
+        _check_journal(lines, len(ledger.points))
         cluster = load_cluster(ledger, rng_seed) if ledger.points else None
     except (ManifestFormatError, SnapshotCorrupt) as exc:
         if tail is None:

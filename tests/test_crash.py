@@ -340,17 +340,27 @@ def test_an_operation_cuts_a_torn_journal_line_before_journaling(base, tmp_path,
     assert capsys.readouterr().out.encode() == journal + line.encode()
 
 
-def test_recover_refuses_a_ledger_whose_last_snapshot_the_journal_names_is_gone(base, tmp_path, capsys):
+@pytest.mark.parametrize("lose", [
+    lambda directory: (directory / "1.snapshot").rename(directory / "1.snapshot.tmp"),
+    lambda directory: (directory / "1.snapshot").unlink(),
+    lambda directory: [(directory / "1.snapshot").unlink(), (directory / "0.snapshot").rename(directory / "0.snapshot.tmp")],
+    lambda directory: [(directory / f"{epoch}.snapshot").unlink() for epoch in (1, 0)],
+], ids=["partial-line", "whole-line", "below-one-line", "all-lines"])
+def test_recover_refuses_an_index_that_lost_a_journaled_commit(base, tmp_path, capsys, lose):
     """An operation journals after its snapshot, so a journal line naming
     an epoch whose snapshot is missing proves a committed epoch was lost:
-    recover and history exit 2, and recover writes nothing."""
+    recover and history exit 2, and recover writes nothing. The committed
+    set of snapshots, the ledger's index, loses the journaled epoch 1 as a
+    crash never leaves it: its snapshot back at its .tmp name, deleted,
+    deleted with 0.snapshot back at its .tmp name, or deleted with every
+    other snapshot."""
     directory = tmp_path / "ledger"
-    old_epoch = start_from(base, "append", directory)
-    (directory / f"{old_epoch}.snapshot").unlink()
+    assert start_from(base, "append", directory) == 1
+    lose(directory)
     before = files(directory)
     for command in ("recover", "history"):
         assert run_cli(directory, command) == 2, command
-        assert f"journal names epoch {old_epoch}, but {old_epoch}.snapshot is missing" in capsys.readouterr().err
+        assert "journal names epoch 1, but 1.snapshot is missing" in capsys.readouterr().err
     assert files(directory) == before
 
 
