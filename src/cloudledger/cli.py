@@ -6,11 +6,13 @@ Ties the simulator together behind deterministic, scriptable subcommands:
     audit, history, report
 
 State lives in the ledger directory (--ledger-dir, or CLOUDLEDGER_DIR):
-one snapshot per committed epoch (<epoch>.snapshot) and the block pack,
-the live cluster snapshot (cluster.state, whose blocks are in the pack,
-empty while it is the last restore point), the effective configuration
-(config, key=value lines), and the operation journal. The ledger module
-writes every one of them, through ledger.write_file.
+one file per committed epoch (<epoch>.snapshot, an operation's starting
+with its operation line) and the block pack, the live cluster snapshot
+(cluster.state, whose blocks are in the pack, empty while it is the last
+restore point), and the effective configuration (config, key=value
+lines). The ledger module writes every one of them, through
+ledger.write_file. history renders the operation journal from the
+ledger's epochs.
 Identical configuration plus an identical command sequence reproduces
 byte-identical directory contents.
 
@@ -55,15 +57,13 @@ from .errors import (
 )
 from .ledger import (
     CLUSTER_FILE,
-    JOURNAL_FILE,
     PACK_FILE,
     Ledger,
-    _check_journal,
-    append_journal,
     commit_restore_point,
+    journal_line,
     load_cluster,
     load_ledger,
-    load_ledger_cutting_tails,
+    load_ledger_cutting_tail,
     recover,
     save_cluster,
     write_file,
@@ -111,19 +111,14 @@ class SimConfig(NamedTuple):
     ledger_dir: Path
 
 
-def _read_lines(path: Path, what: str) -> list[str]:
-    """The file's lines, read as written: each must end in LF and hold no other line end."""
+def _parse_config_file(path: Path) -> dict[str, str]:
+    """The file's key=value lines, read as written: each must end in LF and hold no other line end."""
     text = path.read_bytes().decode("utf-8")
     lines = text.split("\n")
     if lines.pop() or text.splitlines() != lines:
-        raise ManifestFormatError(f"{what} {path} has a line that does not end in LF alone")
-    return lines
-
-
-def _parse_config_file(path: Path) -> dict[str, str]:
-    """The file's key=value lines."""
+        raise ManifestFormatError(f"config file {path} has a line that does not end in LF alone")
     values: dict[str, str] = {}
-    for line in _read_lines(path, "config file"):
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -257,10 +252,8 @@ def cmd_op(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     except (PreStateCorrupt, PostStateCorrupt) as exc:
         print(render_verdict_report(exc.verdict), end="")
         raise
-    line = ops.render_journal_line(result)
-    append_journal(config.ledger_dir, line)
     save_cluster(ledger, cluster)
-    print(line)
+    print(ops.render_journal_line(result))
     return EXIT_OK
 
 
@@ -282,7 +275,7 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    ledger, cluster, cut = load_ledger_cutting_tails(config.ledger_dir, config.seed)
+    ledger, cluster, cut = load_ledger_cutting_tail(config.ledger_dir, config.seed)
     if cut is not None:
         print(f"recover: {cut}, which committed nothing; cut it", file=sys.stderr)
     if cluster is None:
@@ -310,13 +303,13 @@ def cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_history(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    journal_path = config.ledger_dir / JOURNAL_FILE
-    if journal_path.exists():
-        lines = _read_lines(journal_path, "journal")
-        _check_journal(lines, len(load_ledger(config.ledger_dir).points))
-        for line in lines:
-            print(line)
+    """One line per committed operation, as the operation printed it: the
+    operation line of each epoch from 1, the change of the total as delta
+    and the new total as s_after."""
+    points = load_ledger(resolve_config(args).ledger_dir).points
+    for before, point in zip(points, points[1:]):
+        total = point.manifest.total_weight
+        print(journal_line(point.epoch, point.op, total - before.manifest.total_weight, total))
     return EXIT_OK
 
 

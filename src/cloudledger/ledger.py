@@ -27,13 +27,14 @@ write_file is its one writer. Memory follows the disk: a commit's blocks
 join the store once the pack holds them, its point once its snapshot's
 rename, the commit, is done. The committed epochs are the snapshots
 0.snapshot to (E-1).snapshot, found by one listing of the directory.
+Each operation's epoch file starts with its operation line, the one
+record of what the operation did, from which history renders the line
+the operation printed.
 
-A write that fails halfway through an append leaves a torn tail on the
-pack or the journal, which committed nothing. The pack's whole part ends
-after its last whole entry, the journal's after its last LF
-(_whole_lines). One reader, _read_ledger_files, finds the pack's tail;
-load_ledger refuses it, load_ledger_cutting_tails cuts it and the
-journal's, and append_journal writes after the journal's whole lines.
+The pack is the one file a commit appends to, and a write that fails
+halfway through an append leaves a torn tail on it, which committed
+nothing. One reader, _read_ledger_files, finds that tail; load_ledger
+refuses it and load_ledger_cutting_tail cuts it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import os
 import re
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .cluster import (
     ClusterState,
@@ -64,27 +65,30 @@ from .protocol import Mode, Verdict, _differing, _on_servers, verify_equality
 
 
 class RestorePoint:
-    """One committed epoch: manifest and payload snapshot. Immutable.
+    """One committed epoch: manifest, payload snapshot and operation line. Immutable.
 
     The snapshot holds the manifest and names each record's block by
-    digest, resolved in the ledger's block store. The epoch is the
-    manifest's, and the tick and X derive from the manifest. ``added``
+    digest, resolved in the ledger's block store. ``op`` is the operation
+    line, ``<KIND> server=<s> block=<b>``, of the operation that committed
+    the epoch, None for the upload's epoch 0. The epoch is the manifest's,
+    and the tick and X derive from the manifest. ``added``
     holds the blocks this commit was first to store, which persisting the
     point appends to the pack (empty for points read back from disk); it
     takes no part in equality, so a point equals itself read back.
     """
 
-    __slots__ = ("manifest", "payload_snapshot", "added")
+    __slots__ = ("manifest", "payload_snapshot", "op", "added")
 
-    def __init__(self, manifest: Manifest, payload_snapshot: str, added: tuple[DataBlock, ...] = ()) -> None:
-        for name, value in zip(self.__slots__, (manifest, payload_snapshot, added)):
+    def __init__(self, manifest: Manifest, payload_snapshot: str, op: Optional[str] = None,
+                 added: tuple[DataBlock, ...] = ()) -> None:
+        for name, value in zip(self.__slots__, (manifest, payload_snapshot, op, added)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign {name!r}: a RestorePoint is immutable")
 
-    def _compared(self) -> tuple[Manifest, str]:
-        return (self.manifest, self.payload_snapshot)
+    def _compared(self) -> tuple[Manifest, str, Optional[str]]:
+        return (self.manifest, self.payload_snapshot, self.op)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -115,7 +119,8 @@ class Ledger:
     ``blocks`` is the block store (digest -> DataBlock) every point's
     snapshot resolves in. When bound to a directory, every commit appends
     the blocks the store lacked to ``blocks.pack``, then replaces
-    ``<epoch>.snapshot``, the rename that commits it.
+    ``<epoch>.snapshot``, its operation line first, the rename that
+    commits it.
     """
 
     def __init__(self, directory: Optional[Path] = None, blocks: Optional[dict[str, DataBlock]] = None) -> None:
@@ -148,13 +153,16 @@ class RecoveryReport(NamedTuple):
     epoch: int
 
 
-def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict) -> RestorePoint:
-    """Append a restore point for the cluster's current (verified) state.
+def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict,
+                         op: Optional[str] = None) -> RestorePoint:
+    """Append a restore point for the cluster's current (verified) state,
+    committed by the operation whose line is ``op``, or by the upload.
 
-    Refuses unverified or epoch-desynced commits, and stored blocks that a
-    stale read path hid from the verdict; on success the stored blocks'
-    manifest (and with it X) and a payload snapshot are frozen and the
-    logical clock ticks. The manifest shares every record the commit did
+    Refuses unverified or epoch-desynced commits, an operation line at
+    epoch 0 or none at a later epoch, and stored blocks that a stale read
+    path hid from the verdict; on success the stored blocks' manifest (and
+    with it X), a payload snapshot and the operation line are frozen and
+    the logical clock ticks. The manifest shares every record the commit did
     not change with the previous point, whose records become the
     cluster's previous_records, the ones a stale read path replays. A bound
     ledger writes the pack and the snapshot before the point joins
@@ -166,12 +174,15 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
         raise EpochMismatch(f"verdict is for epoch {verdict.epoch}, cluster is at {cluster.epoch}")
     if cluster.epoch != ledger.next_epoch:
         raise EpochMismatch(f"ledger expects epoch {ledger.next_epoch}, cluster is at {cluster.epoch}")
+    if (op is None) != (cluster.epoch == 0):
+        raise EpochMismatch(f"epoch {cluster.epoch} is committed {'with' if op else 'without'} an operation line;"
+                            " the upload commits epoch 0, and one operation each later epoch")
 
     manifest = stored_manifest(cluster)
     if manifest.records != read_manifest(cluster).records:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
     added = _save_blocks(ledger, cluster)
-    point = RestorePoint(manifest, snapshot_cluster(cluster), added)
+    point = RestorePoint(manifest, snapshot_cluster(cluster), op, added)
     if ledger.directory is not None:
         _write_point(ledger.directory, point)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
@@ -262,53 +273,40 @@ def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]
 
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v4: ``blocks.pack`` holds each distinct block once, as
+# Ledger format v5: ``blocks.pack`` holds each distinct block once, as
 # PACK_HEADER followed by entries ``<sha256 hex> <weight>\n<payload>\n``,
 # written whole by the first write that stores a block, which replaces what
 # an upload that never committed left, and appended to after that; only
 # recover rewrites it, to cut a torn last entry. A commit appends its new
 # blocks first, then replaces ``<epoch>.snapshot``, the epoch's only file and
 # the one copy of its manifest, by way of ``<epoch>.snapshot.tmp``: the
-# rename is the commit. A crash before it leaves only unread blocks, perhaps
-# a torn pack entry, which recover cuts, and perhaps a partial ``.tmp``,
-# which no reader lists and a retry replaces. The CLI's live cluster,
+# rename is the commit. An operation's epoch file starts with its operation
+# line, ``<KIND> server=<s> block=<b>``, before the snapshot text; the
+# upload's 0.snapshot holds the snapshot text alone. A crash before the
+# rename leaves only unread blocks, perhaps a torn pack entry, which recover
+# cuts, and perhaps a partial ``.tmp``, which no reader lists and a retry
+# replaces. The CLI's live cluster,
 # ``cluster.state``, is written empty while it is the last point's snapshot.
 
 PACK_FILE = "blocks.pack"
 CLUSTER_FILE = "cluster.state"
-JOURNAL_FILE = "journal"
 PACK_HEADER = b"PACK v2\n"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
 # What a torn append can leave of an entry header: a strict prefix of _PACK_ENTRY.
 _PACK_ENTRY_HEAD = re.compile(rb"[0-9a-f]{0,64}|[0-9a-f]{64} [0-9]*")
-# A journal line as journal_line renders it, decimals canonical as in a manifest.
-_JOURNAL_LINE = re.compile(
-    f"{_DECIMAL} (?:APPEND|DELETE|UPDATE) server={_DECIMAL} block={_DECIMAL} delta=(?:\\+{_DECIMAL}|-[1-9][0-9]*)"
-    f" s_after={_DECIMAL} z_pre=(?:true|false) z_post=(?:true|false)"
-)
+# An operation line as operation_line renders it, decimals canonical as in a manifest.
+_OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_DECIMAL}) block=({_DECIMAL})")
 
 
-def journal_line(epoch: int, kind: str, server: int, block: int, delta: int, s_after: int,
-                 z_pre: bool, z_post: bool) -> str:
-    """The journal line of one committed operation, without its LF: the form _JOURNAL_LINE checks."""
-    return (f"{epoch} {kind} server={server} block={block} delta={delta:+d} s_after={s_after}"
-            f" z_pre={'true' if z_pre else 'false'} z_post={'true' if z_post else 'false'}")
+def operation_line(kind: str, server: int, block: int) -> str:
+    """What an operation did, as its epoch file's first line holds it, without the LF."""
+    return f"{kind} server={server} block={block}"
 
 
-def append_journal(directory: Path, line: str) -> None:
-    """Append a journal line after the journal's whole lines. A partial last
-    line, which a crash while journaling an already committed epoch leaves,
-    is cut as recover cuts it, in the same write (a replace), so the new
-    line never joins the partial one."""
-    journal = _read_optional(directory / JOURNAL_FILE) or b""
-    whole = _whole_lines(journal)
-    append = whole == journal
-    write_file(directory, JOURNAL_FILE, (b"" if append else whole) + f"{line}\n".encode("utf-8"), append=append)
-
-
-def _whole_lines(data: bytes) -> bytes:
-    """The data through its last LF: what an appended file of lines keeps when its torn last line is cut."""
-    return data[: data.rfind(b"\n") + 1]
+def journal_line(epoch: int, op: str, delta: int, s_after: int) -> str:
+    """The line an operation prints and history renders from the ledger. Both
+    verdicts are true: only an operation that verified before and after commits."""
+    return f"{epoch} {op} delta={delta:+d} s_after={s_after} z_pre=true z_post=true"
 
 
 def write_file(directory: Path, name: str, data: bytes, append: bool = False) -> None:
@@ -382,8 +380,9 @@ def _pack_entries(data: bytes) -> Iterator[tuple[int, str, int, int]]:
 
 
 def _write_point(directory: Path, point: RestorePoint) -> None:
-    """Replace the point's snapshot: the rename that commits it."""
-    write_file(directory, f"{point.epoch}.snapshot", point.payload_snapshot.encode("utf-8"))
+    """Replace the point's epoch file, its operation line (if any) and its snapshot: the rename that commits it."""
+    text = point.payload_snapshot if point.op is None else f"{point.op}\n{point.payload_snapshot}"
+    write_file(directory, f"{point.epoch}.snapshot", text.encode("utf-8"))
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
@@ -392,17 +391,20 @@ def _persist_point(directory: Path, point: RestorePoint) -> None:
     _write_point(directory, point)
 
 
-def _check_operation(ledger: Ledger, manifest: Manifest) -> None:
+def _check_operation(ledger: Ledger, manifest: Manifest, op: Optional[str]) -> None:
     """Refuse a manifest for the ledger's next epoch that neither an upload
-    (epoch 0) nor one operation on the ledger's last point leaves.
+    (epoch 0) nor the operation its line ``op`` names, on the ledger's last
+    point, leaves.
 
     An upload places its blocks round-robin, so server i holds ids 0, 1,
     ... for every n-th block from block i. An operation keeps the server
     count and, compared by _differing, removes at most one record and adds
     at most one: an update keeps the address, an append takes the next id
     after the server's largest, a delete only removes, and an update to
-    identical bytes changes nothing. This catches an edited address or
-    server count, which X, a sum of weights, does not cover.
+    identical bytes changes nothing. Its line must name that kind and
+    address; an update that changes nothing must name an address the epoch
+    before holds. This catches an edited address or server count, which X,
+    a sum of weights, does not cover, and an edited operation line.
     """
     epoch, count, servers = manifest.epoch, len(manifest.records), manifest.server_count
     if not ledger.points:
@@ -430,32 +432,19 @@ def _check_operation(ledger: Ledger, manifest: Manifest) -> None:
         if new.block_id != next_id:
             raise SnapshotCorrupt(f"epoch {epoch} appends server={new.server_index} block={new.block_id};"
                                   f" an append takes block {next_id}")
-
-
-def _check_journal(lines: Iterable[str], epochs: int) -> None:
-    """Refuse whole journal lines that the ledger's operations did not write.
-
-    A line naming an epoch at or past ``epochs`` proves that a committed
-    snapshot is gone: an operation journals only after its snapshot. Every
-    other line must be one journal_line renders, for epochs strictly
-    increasing from 1 (the upload journals nothing); an epoch may be
-    missing, as a crash between a snapshot and its journal line leaves."""
-    previous = 0
-    for line in lines:
-        epoch = line.partition(" ")[0]
-        if epoch.isascii() and epoch.isdigit() and int(epoch) >= epochs:
-            raise ManifestFormatError(f"{JOURNAL_FILE} names epoch {int(epoch)}, but {int(epoch)}.snapshot"
-                                      " is missing; an operation journals only after its snapshot")
-        if _JOURNAL_LINE.fullmatch(line) is None:
-            raise ManifestFormatError(f"{JOURNAL_FILE} line {line!r} is no operation's journal line")
-        if int(epoch) <= previous:
-            raise ManifestFormatError(f"{JOURNAL_FILE} names epoch {int(epoch)}, not past epoch {previous};"
-                                      " operations journal epochs from 1 up, each at most once")
-        previous = int(epoch)
-
-
-def _read_optional(path: Path) -> Optional[bytes]:
-    return path.read_bytes() if path.exists() else None
+    if removed or added:
+        (record,) = added or removed
+        kind = "UPDATE" if removed and added else "APPEND" if added else "DELETE"
+        expected = operation_line(kind, record.server_index, record.block_id)
+        if op != expected:
+            raise SnapshotCorrupt(f"epoch {epoch} has operation line {op!r}, but its records change as"
+                                  f" {expected!r} does")
+        return
+    kind, server, block = _OPERATION_LINE.fullmatch(op).groups()
+    held = _on_servers(previous.records, frozenset({int(server)}))
+    if kind != "UPDATE" or all(record.block_id != int(block) for record in held):
+        raise SnapshotCorrupt(f"epoch {epoch} changes no record, as an update to identical bytes of a block epoch"
+                              f" {previous.epoch} holds does, but its operation line is {op!r}")
 
 
 def _read_ledger_files(directory: Path) -> Optional[tuple[int, dict[str, DataBlock], Optional[tuple[bytes, str]]]]:
@@ -481,10 +470,10 @@ def _read_ledger_files(directory: Path) -> Optional[tuple[int, dict[str, DataBlo
     if snapshots != expected:
         raise ManifestFormatError(f"{min(snapshots - expected)} is in the ledger, but the snapshots of"
                                   f" {len(snapshots)} epochs are 0.snapshot to {len(snapshots) - 1}.snapshot")
-    pack = _read_optional(directory / PACK_FILE)
     blocks: dict[str, DataBlock] = {}
-    if pack is None:
+    if not (directory / PACK_FILE).exists():
         return len(snapshots), blocks, None
+    pack = (directory / PACK_FILE).read_bytes()
     whole = len(PACK_HEADER)
     for position, digest, start, end in _pack_entries(pack):
         if digest in blocks:
@@ -504,13 +493,13 @@ def load_ledger(directory: Path) -> Ledger:
     Checks the snapshot names and the pack's digests, then loads each
     epoch's snapshot (the epoch's one copy of the manifest, parsed once)
     and checks its blocks against its manifest, and that the manifest
-    claims the epoch and is an upload's (epoch 0) or one operation on the
-    epoch before (_check_operation). Every epoch loads into one cluster,
-    which puts only the records the epoch changed or added, so the points
-    share every other record object. Each distinct block is hashed once,
+    claims the epoch and is an upload's (epoch 0) or, from epoch 1, the
+    operation its line names on the epoch before (_check_operation).
+    Every epoch loads into one cluster, which puts only the records the
+    epoch changed or added, so the points share every other record object. Each distinct block is hashed once,
     so the cost is O(distinct stored bytes + epochs x records). Files are
     read as written, with no newline translation. A torn pack tail, which
-    load_ledger_cutting_tails cuts, is refused before any epoch loads.
+    load_ledger_cutting_tail cuts, is refused before any epoch loads.
     """
     directory = Path(directory)
     files = _read_ledger_files(directory)
@@ -522,53 +511,43 @@ def load_ledger(directory: Path) -> Ledger:
     return _load_ledger(directory, epochs, blocks)
 
 
-def load_ledger_cutting_tails(directory: Path, rng_seed: int) -> tuple[Ledger, Optional[ClusterState], Optional[str]]:
+def load_ledger_cutting_tail(directory: Path, rng_seed: int) -> tuple[Ledger, Optional[ClusterState], Optional[str]]:
     """Load a persisted ledger and its live cluster (None while the ledger
-    holds no point) as recover does, cutting what a torn append left, and
-    describe the pack's cut (None if there is none).
+    holds no point) as recover does, cutting a torn pack tail, and describe
+    the cut (None if there is none).
 
     Only a snapshot's rename commits an epoch, and a commit appends its
     blocks to the pack before it, so a pack that ends in a strict prefix of
     an entry committed nothing. The ledger and live cluster are loaded
-    without the torn tail, from memory, and the journal's whole lines are
-    checked against the loaded epochs: an operation journals after its
-    snapshot, so a line naming a later epoch proves that a committed
-    snapshot is gone, even where no snapshot is left, and each line must be
-    an operation's, in epoch order (_check_journal). Only if every check
-    passes are the pack and the
-    journal cut to their whole parts through write_file's replace;
-    otherwise nothing is written. A corrupt pack entry that merely looks
-    torn (a weight raised past the end of the pack) would drop a committed
-    block or the live cluster's, so it fails.
+    without the torn tail, from memory; only if both load is the pack cut
+    to its whole part through write_file's replace, and otherwise nothing
+    is written. A corrupt pack entry that merely looks torn (a weight raised
+    past the end of the pack) would drop a committed block or the live
+    cluster's, so it fails.
     """
     directory = Path(directory)
     files = _read_ledger_files(directory)
-    journal = _read_optional(directory / JOURNAL_FILE) or b""
-    whole_journal = _whole_lines(journal)
-    lines = whole_journal.decode("utf-8", "replace").split("\n")[:-1]
     if files is None:
-        _check_journal(lines, 0)
         return Ledger(directory=directory), None, None
     epochs, blocks, tail = files
     try:
         ledger = _load_ledger(directory, epochs, blocks)
-        _check_journal(lines, len(ledger.points))
-        cluster = load_cluster(ledger, rng_seed) if ledger.points else None
+        cluster = load_cluster(ledger, rng_seed)
     except (ManifestFormatError, SnapshotCorrupt) as exc:
         if tail is None:
             raise
         raise exc.__class__(f"{tail[1]}, but recover cuts nothing: {exc}") from exc
-    if tail is not None:
-        write_file(directory, PACK_FILE, tail[0])
-    if whole_journal != journal:
-        write_file(directory, JOURNAL_FILE, whole_journal)
-    return ledger, cluster, None if tail is None else tail[1]
+    if tail is None:
+        return ledger, cluster, None
+    write_file(directory, PACK_FILE, tail[0])
+    return ledger, cluster, tail[1]
 
 
 def _load_ledger(directory: Path, epochs: int, blocks: dict[str, DataBlock]) -> Ledger:
-    """Load the snapshots of ``epochs`` committed epochs in ``directory``,
+    """Load the epoch files of ``epochs`` committed epochs in ``directory``,
     their blocks from ``blocks``: the one place that decides what an epoch
-    committed."""
+    committed. Each operation's epoch file, from epoch 1, is split into its
+    operation line and its snapshot."""
     ledger = Ledger(directory=directory, blocks=blocks)
     cluster: Optional[ClusterState] = None  # every epoch loads into it, so points share records
     for epoch in range(epochs):
@@ -576,10 +555,15 @@ def _load_ledger(directory: Path, epochs: int, blocks: dict[str, DataBlock]) -> 
             text = _read_text(directory / f"{epoch}.snapshot")
         except (OSError, ValueError) as exc:
             raise SnapshotCorrupt(f"{epoch}.snapshot does not load: {exc}") from exc
+        op = None
+        if epoch:
+            op, _, text = text.partition("\n")
+            if _OPERATION_LINE.fullmatch(op) is None:
+                raise SnapshotCorrupt(f"{epoch}.snapshot starts with {op!r}, which is no operation line")
         cluster = load_snapshot(text, ledger.blocks, into=cluster)
-        point = RestorePoint(stored_manifest(cluster), text)
+        point = RestorePoint(stored_manifest(cluster), text, op)
         if point.epoch != epoch:
             raise ManifestFormatError(f"{epoch}.snapshot claims epoch {point.epoch}")
-        _check_operation(ledger, point.manifest)
+        _check_operation(ledger, point.manifest, op)
         ledger.points.append(point)
     return ledger

@@ -4,7 +4,8 @@ Each operation is bracketed by two protocol runs. Before mutating, the
 live cloud state must verify clean against the last committed restore
 point (checksums included); afterwards, the client-side prediction of the
 new manifest must match what the cloud actually serves. Only then is a
-new restore point committed, advancing the epoch by exactly one. Any
+new restore point committed, advancing the epoch by exactly one, with
+the operation line that names its kind and address. Any
 failure after the mutation rolls the cluster back to the last snapshot
 and is re-raised, so operations are atomic. The byte accounting is exact:
 s_after = s_before + delta, with delta the signed weight contribution of
@@ -26,7 +27,14 @@ from .errors import (
     ServerDown,
     StaleEpoch,
 )
-from .ledger import Ledger, commit_restore_point, journal_line, previous_records, rewrite_cluster_from_point
+from .ledger import (
+    Ledger,
+    commit_restore_point,
+    journal_line,
+    operation_line,
+    previous_records,
+    rewrite_cluster_from_point,
+)
 from .manifest import BlockRecord, Level, Manifest
 from .protocol import Mode, Verdict, verify_equality
 
@@ -165,7 +173,8 @@ def apply(
                 f" rolled back to epoch {last.epoch}",
                 post_verdict,
             )
-        commit_restore_point(ledger, cluster, post_verdict)
+        commit_restore_point(ledger, cluster, post_verdict,
+                             operation_line(request.kind.value, request.server_index, block_id))
     except BaseException:
         rewrite_cluster_from_point(ledger, cluster)
         raise
@@ -240,7 +249,7 @@ def update(
 
 
 def render_journal_line(result: OperationResult) -> str:
-    """One deterministic journal line per committed operation, rendered by
-    ledger.journal_line beside the check that reads it back."""
-    return journal_line(result.new_epoch, result.kind.value, result.server_index, result.block_id,
-                        result.delta, result.s_after, result.pre_verdict.z, result.post_verdict.z)
+    """One deterministic journal line per committed operation: the line
+    history renders for its epoch from the ledger."""
+    op = operation_line(result.kind.value, result.server_index, result.block_id)
+    return journal_line(result.new_epoch, op, result.delta, result.s_after)

@@ -262,14 +262,13 @@ def test_criterion_7_tpa_non_interference_and_agreement():
 # SHA-256 of every ledger file the demo writes at seed 42. A change of
 # ledger format updates these pins and says so.
 DEMO_LEDGER_SHA256 = {
-    "0.snapshot": "e6c1aed4059531f4e633ab604521b21cd238d73b3e27b3834933d289508e80d0",
-    "1.snapshot": "649a1364df99a8df8babe432f44d773968ea71c634d490541ac7fc645560a32a",
-    "2.snapshot": "7845abee0e467565ae2193948a58e129eec347714e38f11310f68db2cfd27555",
-    "3.snapshot": "84a7c96c8f83f96a35d72533312f741e995236881dd4c1edba3fd44a90ed687b",
+    "0.snapshot": "7a1d5f502053c7c68b2c538c3763109c0f662908a416aae8107a4d7fc28b2441",
+    "1.snapshot": "ceced3300b494a7be1862a2b9900e77a354815f454679b750cacf37cf4e5aed6",
+    "2.snapshot": "a609986851adb1bcaf21f7f9308268f5d48b021bc257885a02e9c1684919cc8b",
+    "3.snapshot": "60fc7e1b72544df13bd3eb169f5a089352c45a2563b65c331185c6f8443b87e4",
     "blocks.pack": "a38a8b58baa4b23bcaa820dc29c10c2d9de6b45a6f6d4dcff97ddee6c4797deb",
     "cluster.state": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty: the last point
     "config": "a07f9fbb9806c1bf1db68156c74d1cb624c2b40b9ea5b2e5164201295c000bb3",
-    "journal": "dbf2f2a24342afcfc53eef3ddf740ba1f6680f430507c1ecdb2fab2e6db5c817",
 }
 
 

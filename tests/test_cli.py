@@ -245,7 +245,7 @@ def test_v1_ledger_files_are_rejected_by_name(tmp_path, capsys):
     payload = generate_payload(42, 800)
     for version in ("v1", "v2"):
         old = old_snapshot(version, payload, 3, 32)
-        # A v4 ledger whose cluster.state is still in an older format ...
+        # A v5 ledger whose cluster.state is still in an older format ...
         ledger_dir = tmp_path / version
         seeded_upload(ledger_dir)
         (ledger_dir / "cluster.state").write_text(old)
@@ -262,31 +262,46 @@ def test_v1_ledger_files_are_rejected_by_name(tmp_path, capsys):
 
 
 def three_epochs(ledger_dir):
-    """upload, append, update: a 3-epoch ledger with a journal."""
+    """upload, append, update: a 3-epoch ledger."""
     seeded_upload(ledger_dir)
     for op in (("append", "--server", "0", "--gen-bytes", "40"), ("update", "--server", "1", "--block", "0",
                "--gen-bytes", "8")):
         assert run_cli("--ledger-dir", str(ledger_dir), *op) == 0
 
 
-def test_a_v3_ledger_is_rejected_by_name(ledger_dir, capsys):
-    """A v3 directory may hold a snapshot its index never listed, which v4
-    would read as committed, so every file headed SNAPSHOT v3 fails by name."""
-    three_epochs(ledger_dir)
-    assert run_cli("--ledger-dir", str(ledger_dir), "tamper", "--kind", "flip-byte", "--server", "0",
+def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
+    """A v3 directory may hold a snapshot its index never listed, which a
+    later format would read as committed, and a v4 directory keeps its
+    operations in a journal file, not in its epoch files, so every file
+    headed SNAPSHOT v3 or v4 fails by name, and recover writes nothing."""
+    current = tmp_path / "v5"
+    three_epochs(current)
+    assert run_cli("--ledger-dir", str(current), "tamper", "--kind", "flip-byte", "--server", "0",
                    "--block", "0") == 0
-    for path in [*ledger_dir.glob("*.snapshot"), ledger_dir / "cluster.state"]:
-        head, rest = path.read_bytes().split(b"\n", 1)
-        assert head == b"SNAPSHOT v4"
-        path.write_bytes(b"SNAPSHOT v3\n" + rest)
-    before = dir_contents(ledger_dir)
     capsys.readouterr()
-    for command in ("verify", "history", "recover"):
-        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, command
-        assert "ledger format v3" in capsys.readouterr().err, command
-        assert dir_contents(ledger_dir) == before, command
-    assert seeded_upload(ledger_dir) == 3
-    assert dir_contents(ledger_dir) == before
+    assert run_cli("--ledger-dir", str(current), "history") == 0
+    journal = capsys.readouterr().out.encode()
+    for version in (b"v3", b"v4"):
+        # The v5 files as that version wrote them: no operation lines, and the operations in a journal.
+        ledger_dir = tmp_path / version.decode()
+        ledger_dir.mkdir()
+        for path in current.iterdir():
+            data = path.read_bytes()
+            if path.name[0].isdigit() and not path.name.startswith("0."):
+                data = data.split(b"\n", 1)[1]
+            if path.name.endswith((".snapshot", ".state")):
+                head, rest = data.split(b"\n", 1)
+                assert head == b"SNAPSHOT v5"
+                data = b"SNAPSHOT " + version + b"\n" + rest
+            (ledger_dir / path.name).write_bytes(data)
+        (ledger_dir / "journal").write_bytes(journal)
+        before = dir_contents(ledger_dir)
+        for command in ("verify", "history", "recover"):
+            assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, (version, command)
+            assert f"ledger format {version.decode()}" in capsys.readouterr().err, (version, command)
+            assert dir_contents(ledger_dir) == before, (version, command)
+        assert seeded_upload(ledger_dir) == 3
+        assert dir_contents(ledger_dir) == before
 
 
 @pytest.mark.parametrize("edit, stray", [
@@ -537,21 +552,21 @@ def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(ledger_dir, tmp_pat
         assert f"config file {ledger_dir / 'config'} " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit, error", [
-    (lambda journal: journal.replace(b"\n", b"\r\n"), "does not end in LF alone"),
-    (lambda journal: b"1 APPEND junk\x0c9 APPEND more\n", "does not end in LF alone"),
-    (lambda journal: journal[:-1], "does not end in LF alone"),
-    (lambda journal: journal + b"9 APPEND server=0 block=9\n", "journal names epoch 9, but 9.snapshot is missing"),
+@pytest.mark.parametrize("epoch, written, edit, error", [
+    (1, 1, lambda data: data.replace(b"\n", b"\r\n", 1), "\\r', which is no operation line"),
+    (1, 1, lambda data: data.replace(b"\n", b"\x0c\n", 1), "\\x0c', which is no operation line"),
+    (3, 3, lambda data: data[:-1], "snapshot not terminated by END"),
+    (3, 4, lambda data: data, "4.snapshot claims epoch 3"),
 ], ids=["crlf", "form-feed", "no-final-lf", "past-the-last-epoch"])
-def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, capsys, edit, error):
-    """history reads the journal as written, every line ending in LF alone,
-    and refuses a line naming an epoch past the ledger's last, writing nothing."""
+def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, capsys, epoch, written, edit, error):
+    """history renders each operation's line from its epoch file, read as
+    written, every line ending in LF alone, and refuses an epoch file past
+    the last epoch the ledger commits, writing nothing."""
     seeded_upload(ledger_dir)
     for op in (("append", "--server", "0", "--gen-bytes", "40"), ("update", "--server", "1", "--block", "0",
                "--gen-bytes", "8"), ("delete", "--server", "2", "--block", "1")):
         assert run_cli("--ledger-dir", str(ledger_dir), *op) == 0
-    journal = ledger_dir / "journal"
-    journal.write_bytes(edit(journal.read_bytes()))
+    (ledger_dir / f"{written}.snapshot").write_bytes(edit((ledger_dir / f"{epoch}.snapshot").read_bytes()))
     before = dir_contents(ledger_dir)
     capsys.readouterr()
     assert run_cli("--ledger-dir", str(ledger_dir), "history") == 2
@@ -560,22 +575,24 @@ def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, cap
     assert dir_contents(ledger_dir) == before
 
 
-@pytest.mark.parametrize("edit, error", [
-    (lambda journal: journal + b"1 APPEND server=0 block=2 delta=+10\n", "is no operation's journal line"),
-    (lambda journal: journal + b"1 APPEND again\n", "is no operation's journal line"),
-    (lambda journal: journal + b"junk line\n", "is no operation's journal line"),
-    (lambda journal: journal + b"0 UPDATE nothing\n", "is no operation's journal line"),
-    (lambda journal: journal + journal, "names epoch 1, not past epoch 1"),
-    (lambda journal: journal.replace(b"1 APPEND", b"0 APPEND"), "names epoch 0, not past epoch 0"),
+@pytest.mark.parametrize("epoch, edit, error", [
+    (1, lambda data, op: data.replace(op, b"APPEND server=0\n", 1), "starts with 'APPEND server=0', which is no"),
+    (1, lambda data, op: data.replace(op, b"APPEND again\n", 1), "starts with 'APPEND again', which is no"),
+    (1, lambda data, op: data.replace(op, b"junk line\n", 1), "starts with 'junk line', which is no operation"),
+    (0, lambda data, op: b"UPDATE nothing\n" + data, "snapshot does not start with 'SNAPSHOT v5'"),
+    (1, lambda data, op: data.replace(op, op + op, 1), "snapshot does not start with 'SNAPSHOT v5'"),
+    (0, lambda data, op: op + data, "snapshot does not start with 'SNAPSHOT v5'"),
 ], ids=["short-line", "again", "junk", "epoch-0-junk", "epoch-1-twice", "epoch-0"])
-def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, capsys, edit, error):
-    """Every whole journal line must be one an operation journals, for epochs
-    increasing from 1: on a 2-epoch ledger, history and recover exit 2 and
-    write nothing."""
+def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, capsys, epoch, edit, error):
+    """Every operation's epoch file starts with the one line it journals,
+    and the upload's 0.snapshot with its snapshot: on a 2-epoch ledger, an
+    epoch file with any other first line, or with the operation line twice,
+    makes history and recover exit 2 and write nothing."""
     seeded_upload(ledger_dir)
     assert run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40") == 0
-    journal = ledger_dir / "journal"
-    journal.write_bytes(edit(journal.read_bytes()))
+    op = (ledger_dir / "1.snapshot").read_bytes().split(b"\n", 1)[0] + b"\n"
+    path = ledger_dir / f"{epoch}.snapshot"
+    path.write_bytes(edit(path.read_bytes(), op))
     before = dir_contents(ledger_dir)
     capsys.readouterr()
     for command in ("history", "recover"):
@@ -583,22 +600,6 @@ def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, cap
         out, err = capsys.readouterr()
         assert out == "" and error in err, (command, err)
         assert dir_contents(ledger_dir) == before
-
-
-def test_history_prints_a_journal_a_crash_left_a_gap_in(ledger_dir, capsys):
-    """A crash between a snapshot and its journal line drops that epoch's
-    line; the later operations journal as usual, and history prints them."""
-    seeded_upload(ledger_dir)
-    for _ in range(3):
-        assert run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40") == 0
-    journal = ledger_dir / "journal"
-    first, _, third = journal.read_bytes().splitlines(keepends=True)
-    journal.write_bytes(first + third)
-    capsys.readouterr()
-    assert run_cli("--ledger-dir", str(ledger_dir), "history") == 0
-    assert capsys.readouterr().out.encode() == first + third
-    assert run_cli("--ledger-dir", str(ledger_dir), "recover") == 0
-    assert capsys.readouterr().out == "INTACT epoch=3\n"
 
 
 def test_identical_command_sequences_produce_identical_directories(tmp_path):

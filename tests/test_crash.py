@@ -6,8 +6,9 @@ before writing anything or after writing half of its data (a torn write),
 for every k a command reaches. The next commands must then find the old
 epoch or the new one, never a directory they cannot read, and an upload
 that never committed must run again. A commit is a pack append followed
-by the rename of its snapshot. A torn pack entry committed nothing, and
-recover cuts it; a torn snapshot leaves a ``.tmp`` that no command reads.
+by the rename of its epoch file, which holds the operation's line. A torn
+pack entry committed nothing, and recover cuts it; a torn epoch file
+leaves a ``.tmp`` that no command reads.
 """
 
 import os
@@ -33,9 +34,9 @@ COMMANDS = {
 # The files each command writes, in order: the snapshot's rename is the commit.
 WRITES = {
     "upload": ["config", "cluster.state", "blocks.pack", "0.snapshot"],
-    "append": ["blocks.pack", "2.snapshot", "journal", "cluster.state"],
-    "update": ["blocks.pack", "2.snapshot", "journal", "cluster.state"],
-    "delete": ["2.snapshot", "journal", "cluster.state"],
+    "append": ["blocks.pack", "2.snapshot", "cluster.state"],
+    "update": ["blocks.pack", "2.snapshot", "cluster.state"],
+    "delete": ["2.snapshot", "cluster.state"],
     "tamper": ["blocks.pack", "cluster.state"],
     "crash": ["cluster.state"],
     "recover": ["cluster.state"],
@@ -128,7 +129,7 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
         inject(monkeypatch, k, torn)
         assert run_cli(directory, *COMMANDS[command]) == 2, (k, name)
         monkeypatch.undo()
-        if torn and name not in ("blocks.pack", "journal"):
+        if torn and name != "blocks.pack":
             # A torn replace leaves the old file and a partial .tmp beside it.
             assert (directory / f"{name}.tmp").exists()
             assert content(directory / name) == before
@@ -184,13 +185,23 @@ def test_an_empty_pack_left_by_a_failed_append_still_gets_its_header(tmp_path):
 
 def test_an_operation_failing_after_its_snapshot_leaves_the_new_epoch_readable(base, tmp_path, monkeypatch, capsys):
     """On a clean ledger cluster.state is empty, which reads as the last
-    point, so once the snapshot is in place every command sees the new epoch."""
+    point, so once the snapshot is in place every command sees the new
+    epoch. The epoch file holds the operation's line, so history lists the
+    new epoch as the operation would have printed it: a crash at the write
+    after the snapshot's rename drops no history line."""
     directory = tmp_path / "ledger"
     old_epoch = start_from(base, "append", directory)
-    inject(monkeypatch, WRITES["append"].index("journal") + 1, torn=False)
+    reference = tmp_path / "reference"
+    shutil.copytree(directory, reference)
+    assert run_cli(reference, *COMMANDS["append"]) == 0
+    printed = capsys.readouterr().out
+    inject(monkeypatch, WRITES["append"].index(f"{old_epoch + 1}.snapshot") + 2, torn=False)
     assert run_cli(directory, *COMMANDS["append"]) == 2
     monkeypatch.undo()
     capsys.readouterr()
+    assert run_cli(directory, "history") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == printed.strip()
+    assert printed.startswith(f"{old_epoch + 1} APPEND ")
     assert run_cli(directory, "verify") == 0
     assert capsys.readouterr().out == f"VERDICT z=true mode=checksum epoch={old_epoch + 1} divergences=0\n"
     assert run_cli(directory, "report") == 0
@@ -202,7 +213,8 @@ def test_a_live_state_behind_the_ledger_names_recover(base, tmp_path, capsys):
     directory = tmp_path / "ledger"
     old_epoch = start_from(base, "append", directory)
     assert run_cli(directory, *COMMANDS["append"]) == 0
-    (directory / "cluster.state").write_bytes((directory / f"{old_epoch}.snapshot").read_bytes())
+    # The snapshot of the old epoch, after its operation line.
+    (directory / "cluster.state").write_bytes((directory / f"{old_epoch}.snapshot").read_bytes().split(b"\n", 1)[1])
     capsys.readouterr()
     for command in ("verify", "report"):
         assert run_cli(directory, command) == 5, command
@@ -268,15 +280,13 @@ def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_
 def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(base, tmp_path, capsys):
     """A weight raised past the end of the pack makes a committed entry
     look torn; cutting there would drop committed blocks, so recover
-    exits 2 and leaves every file as it was, a torn journal line too."""
+    exits 2 and leaves every file as it was."""
     directory = tmp_path / "ledger"
     start_from(base, "append", directory)
     pack = directory / "blocks.pack"
     data = pack.read_bytes()
     entry = re.compile(rb"[0-9a-f]{64} ([0-9]+)\n").search(data, len(ledger_module.PACK_HEADER))
     pack.write_bytes(data[: entry.end(1)] + b"0000" + data[entry.end(1) :])
-    journal = directory / "journal"
-    journal.write_bytes(journal.read_bytes()[:-3])
     before = files(directory)
     assert run_cli(directory, "recover") == 2
     err = capsys.readouterr().err
@@ -285,25 +295,13 @@ def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(b
     assert files(directory) == before
 
 
-def test_recover_leaves_the_journal_when_the_ledger_fails_to_load(base, tmp_path, capsys):
-    directory = tmp_path / "ledger"
-    start_from(base, "append", directory)
-    journal = directory / "journal"
-    journal.write_bytes(journal.read_bytes()[:-3])
-    (directory / "0.snapshot").write_bytes(b"SNAPSHOT v4\n")
-    before = files(directory)
-    assert run_cli(directory, "recover") == 2
-    assert "snapshot missing manifest terminator" in capsys.readouterr().err
-    assert files(directory) == before
-
-
 @pytest.mark.parametrize("name", ["blocks.pack", "2.snapshot"])
 def test_the_journal_follows_a_torn_commit(base, tmp_path, monkeypatch, capsys, name):
-    """An operation whose commit a crash tore journals nothing, so the
-    operation that commits that epoch again journals it once."""
+    """An operation whose commit a crash tore leaves no epoch file, so
+    history lists no line for it, and the operation that commits that epoch
+    again is listed once."""
     directory = tmp_path / "ledger"
     old_epoch = start_from(base, "append", directory)
-    journal = (directory / "journal").read_bytes()
     inject(monkeypatch, WRITES["append"].index(name) + 1, torn=True)
     assert run_cli(directory, *COMMANDS["append"]) == 2
     monkeypatch.undo()
@@ -311,57 +309,12 @@ def test_the_journal_follows_a_torn_commit(base, tmp_path, monkeypatch, capsys, 
     assert run_cli(directory, "recover") == 0
     out, err = capsys.readouterr()
     assert out == f"INTACT epoch={old_epoch}\n" and (PACK_CUT in err) == (name == "blocks.pack"), err
-    assert (directory / "journal").read_bytes() == journal
+    assert run_cli(directory, "history") == 0
+    assert [line.split(" ")[:2] for line in capsys.readouterr().out.splitlines()] == [["1", "APPEND"]]
     assert run_cli(directory, *COMMANDS["append"]) == 0
     capsys.readouterr()
     assert run_cli(directory, "history") == 0
     assert [line.split(" ")[:2] for line in capsys.readouterr().out.splitlines()] == [["1", "APPEND"], ["2", "APPEND"]]
-
-
-def test_an_operation_cuts_a_torn_journal_line_before_journaling(base, tmp_path, monkeypatch, capsys):
-    """A crash while journaling leaves a partial line for an epoch its
-    snapshot committed. The next operation, which runs without recover,
-    writes its line after the whole lines only, so recover and history
-    still read it."""
-    directory = tmp_path / "ledger"
-    old_epoch = start_from(base, "append", directory)
-    journal = (directory / "journal").read_bytes()
-    inject(monkeypatch, WRITES["append"].index("journal") + 1, torn=True)
-    assert run_cli(directory, *COMMANDS["append"]) == 2
-    monkeypatch.undo()
-    assert not (directory / "journal").read_bytes().endswith(b"\n")
-    assert run_cli(directory, *COMMANDS["append"]) == 0
-    line = capsys.readouterr().out
-    assert (directory / "journal").read_bytes() == journal + line.encode()
-    assert line.startswith(f"{old_epoch + 2} APPEND ")
-    assert run_cli(directory, "recover") == 0
-    assert capsys.readouterr().out == f"INTACT epoch={old_epoch + 2}\n"
-    assert run_cli(directory, "history") == 0
-    assert capsys.readouterr().out.encode() == journal + line.encode()
-
-
-@pytest.mark.parametrize("lose", [
-    lambda directory: (directory / "1.snapshot").rename(directory / "1.snapshot.tmp"),
-    lambda directory: (directory / "1.snapshot").unlink(),
-    lambda directory: [(directory / "1.snapshot").unlink(), (directory / "0.snapshot").rename(directory / "0.snapshot.tmp")],
-    lambda directory: [(directory / f"{epoch}.snapshot").unlink() for epoch in (1, 0)],
-], ids=["partial-line", "whole-line", "below-one-line", "all-lines"])
-def test_recover_refuses_an_index_that_lost_a_journaled_commit(base, tmp_path, capsys, lose):
-    """An operation journals after its snapshot, so a journal line naming
-    an epoch whose snapshot is missing proves a committed epoch was lost:
-    recover and history exit 2, and recover writes nothing. The committed
-    set of snapshots, the ledger's index, loses the journaled epoch 1 as a
-    crash never leaves it: its snapshot back at its .tmp name, deleted,
-    deleted with 0.snapshot back at its .tmp name, or deleted with every
-    other snapshot."""
-    directory = tmp_path / "ledger"
-    assert start_from(base, "append", directory) == 1
-    lose(directory)
-    before = files(directory)
-    for command in ("recover", "history"):
-        assert run_cli(directory, command) == 2, command
-        assert "journal names epoch 1, but 1.snapshot is missing" in capsys.readouterr().err
-    assert files(directory) == before
 
 
 def test_recover_cuts_no_pack_tail_the_live_cluster_needs(base, tmp_path, capsys):
@@ -391,30 +344,24 @@ def three_epochs(base, tmp_path_factory):
     return directory
 
 
-@pytest.mark.parametrize("torn", [("blocks.pack",), ("journal",), ("blocks.pack", "journal")], ids="+".join)
+@pytest.mark.parametrize("torn", [("blocks.pack",)], ids="+".join)
 def test_torn_tails_in_combination(three_epochs, tmp_path, capsys, torn):
-    """Any set of appended files torn at once, each as a crash leaves it.
-    Read commands refuse a torn pack, and history refuses any torn tail;
-    recover cuts them all, naming the pack's, and keeps every epoch."""
+    """Every appended file torn at once, as a crash leaves it: the pack is
+    the one file a command appends to. Read commands and history refuse
+    its torn tail; recover cuts it, naming it, and keeps every epoch."""
     directory = tmp_path / "ledger"
     shutil.copytree(three_epochs, directory)
     clean = files(directory)
-    if "blocks.pack" in torn:
-        (directory / "blocks.pack").write_bytes(clean["blocks.pack"] + b"%s 5\nab" % (b"0" * 64))
-    if "journal" in torn:
-        journal = directory / "journal"
-        journal.write_bytes(journal.read_bytes()[:-5])
-    pack_torn = "blocks.pack" in torn
+    for name in torn:
+        (directory / name).write_bytes(clean[name] + b"%s 5\nab" % (b"0" * 64))
     capsys.readouterr()
-    assert run_cli(directory, "verify") == (2 if pack_torn else 0)
-    err = capsys.readouterr().err
-    assert PACK_CUT in err if pack_torn else err == "", err
-    assert run_cli(directory, "history") == 2
-    capsys.readouterr()
+    for command in ("verify", "history"):
+        assert run_cli(directory, command) == 2, command
+        assert PACK_CUT in capsys.readouterr().err, command
     assert run_cli(directory, "recover") == 0
     out, err = capsys.readouterr()
     assert out == "INTACT epoch=2\n"
-    assert err.count("which committed nothing; cut it") == pack_torn and (PACK_CUT in err) == pack_torn, err
+    assert err.count("which committed nothing; cut it") == 1 and PACK_CUT in err, err
     assert run_cli(directory, "verify") == 0 and run_cli(directory, "history") == 0
     assert load_ledger(directory).points == load_ledger(three_epochs).points
     assert (directory / "blocks.pack").read_bytes() == clean["blocks.pack"]

@@ -32,6 +32,7 @@ from cloudledger import (
     user_level_manifest,
     verify_equality,
 )
+from cloudledger import cli
 from cloudledger import ledger as ledger_module
 from cloudledger.ledger import _persist_point
 from helpers import make_committed_state
@@ -96,6 +97,27 @@ def test_commit_refuses_epoch_desync():
     stale = verdict._replace(epoch=5)
     with pytest.raises(EpochMismatch):
         commit_restore_point(Ledger(), cluster, stale)
+
+
+def test_commit_refuses_an_operation_line_that_does_not_match_its_epoch(tmp_path):
+    """The upload commits epoch 0 without an operation line and each
+    operation a later epoch with one; a commit that mixes them up would
+    write a ledger no command loads, so it is refused and writes nothing."""
+    directory = tmp_path / "ledger"
+    cluster = new_cluster(2)
+    verdict = round_trip_verify(cluster, bytes(range(16)), 2, 4, Mode.CHECKSUM)
+    ledger = Ledger(directory=directory)
+    with pytest.raises(EpochMismatch, match="epoch 0 is committed with an operation line"):
+        commit_restore_point(ledger, cluster, verdict, "APPEND server=0 block=2")
+    assert ledger.points == [] and not directory.exists()
+    commit_restore_point(ledger, cluster, verdict)
+    points, files = list(ledger.points), {path.name: path.read_bytes() for path in directory.iterdir()}
+    cluster.servers[0].put(2, make_block(b"more"))
+    cluster.epoch = 1
+    with pytest.raises(EpochMismatch, match="epoch 1 is committed without an operation line"):
+        commit_restore_point(ledger, cluster, verdict._replace(epoch=1))
+    assert ledger.points == points
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == files
 
 
 def test_x_consistency_for_every_commit():
@@ -307,7 +329,7 @@ def test_load_ledger_empty_directory(tmp_path):
 
 
 @pytest.mark.parametrize("edit, claimed", [
-    (lambda directory, text: (directory / "0.snapshot").read_text(), 0),
+    (lambda directory, text: text.split("\n", 1)[0] + "\n" + (directory / "0.snapshot").read_text(), 0),
     (lambda directory, text: text.replace(" epoch=1 ", " epoch=2 ", 1), 2),
 ], ids=["epoch-0-copied", "header-edited"])
 def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, edit, claimed):
@@ -429,15 +451,46 @@ def edit_snapshot(directory, epoch, pattern, replacement):
     (1, "^0 2 8 ", "0 9 8 ", "epoch 1 differs from epoch 0 in 1 removed and 2 added records"),
     (1, "^1 2 8 ", "1 3 8 ", "epoch 1 appends server=1 block=3; an append takes block 2"),
     (2, "^2 1 8 ", "2 2 8 ", "epoch 2 removes server=2 block=1 and adds server=2 block=2"),
-], ids=["upload-servers", "upload-id", "servers", "other-address", "append-id", "update-address"])
-def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, epoch, pattern, replacement, error):
-    """X covers weights only; an edited block id or server count must
-    still make the epoch fail to load."""
+    (1, "^APPEND", "DELETE", "epoch 1 has operation line 'DELETE server=1 block=2', but its records change as"
+                             " 'APPEND server=1 block=2' does"),
+    (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=0", "epoch 2 has operation line 'UPDATE server=2 block=0'"),
+    (1, "^APPEND server=1 ", "APPEND server=01 ", "1.snapshot starts with 'APPEND server=01 block=2', which is no"),
+    (1, "^APPEND server=1 block=2\n", "", "1.snapshot starts with 'SNAPSHOT v5', which is no operation line"),
+    (0, "^", "APPEND server=1 block=2\n", "snapshot does not start with 'SNAPSHOT v5'"),
+], ids=["upload-servers", "upload-id", "servers", "other-address", "append-id", "update-address",
+        "op-kind-swapped", "op-address-moved", "op-server-01", "op-line-missing", "op-line-at-epoch-0"])
+def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsys, epoch, pattern, replacement,
+                                                                  error):
+    """X covers weights only; an edited block id or server count, or an
+    edited operation line, must still make the epoch fail to load: every
+    command that loads the ledger exits 2, and recover writes nothing."""
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(bytes(range(200)), 3, 32, directory=directory)
     append(cluster, ledger, 1, bytes(8))
     update(cluster, ledger, 2, 1, bytes(range(8)))
+    (directory / "cluster.state").write_bytes(b"")  # the live cluster is the last point
     assert load_ledger(directory).points == ledger.points
+    assert cli.run(["--ledger-dir", str(directory), "recover"]) == 0
     edit_snapshot(directory, epoch, pattern, replacement)
     with pytest.raises(SnapshotCorrupt, match=re.escape(error)):
+        load_ledger(directory)
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    capsys.readouterr()
+    for command in ("verify", "history", "recover"):
+        assert cli.run(["--ledger-dir", str(directory), command]) == 2, command
+        assert error in capsys.readouterr().err, command
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
+
+@pytest.mark.parametrize("line", ["UPDATE server=1 block=2", "APPEND server=1 block=1"], ids=["unheld", "append"])
+def test_an_epoch_that_changes_no_record_is_an_update_of_a_held_block(tmp_path, line):
+    """An update to identical bytes changes no record, so only its line
+    names the block: an update of a block the epoch before holds."""
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(bytes(range(50)), 3, 8, directory=directory)
+    update(cluster, ledger, 1, 1, cluster.servers[1].blocks[1].payload)
+    assert ledger.points[1].op == "UPDATE server=1 block=1"
+    assert load_ledger(directory).points == ledger.points
+    edit_snapshot(directory, 1, "^UPDATE server=1 block=1$", line)
+    with pytest.raises(SnapshotCorrupt, match=f"epoch 1 changes no record, .* but its operation line is '{line}'"):
         load_ledger(directory)

@@ -27,8 +27,10 @@ def live(directory):
 
 
 def last_snapshot(directory):
+    """The last point's snapshot text: its epoch file after the operation line, if it has one."""
     epoch = len(list(directory.glob("*.snapshot"))) - 1
-    return (directory / f"{epoch}.snapshot").read_bytes()
+    data = (directory / f"{epoch}.snapshot").read_bytes()
+    return data.split(b"\n", 1)[1] if epoch else data
 
 
 @pytest.fixture
