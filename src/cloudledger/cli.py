@@ -6,15 +6,20 @@ Ties the simulator together behind deterministic, scriptable subcommands:
     audit, history, report
 
 State lives in the ledger directory (--ledger-dir, or CLOUDLEDGER_DIR):
-one file per committed epoch (<epoch>.snapshot, an operation's starting
-with its operation line) and the block pack, the live cluster snapshot
-(cluster.state, whose blocks are in the pack, empty while it is the last
-restore point), and the effective configuration (config, key=value
-lines). The ledger module writes every one of them, through
-ledger.write_file. history renders the operation journal from the
-ledger's epochs.
+one file per committed epoch (<epoch>.snapshot: an operation's line, the
+blocks the epoch was first to store, its snapshot), the live cluster
+snapshot (cluster.state, after the live blocks no epoch file holds, empty
+while it is the last restore point), and the effective configuration
+(config, key=value lines). The ledger module writes every one of them
+whole, through ledger.write_file. history renders the operation journal
+from the ledger's epochs.
 Identical configuration plus an identical command sequence reproduces
 byte-identical directory contents.
+
+One command at a time writes: every command holds flock on the ledger
+directory, if it exists, from before its load to after its last write,
+exclusive for the commands that write and shared for the others, and a
+command that finds it held waits. fcntl makes this POSIX only.
 
 Exit codes: 0 success / verified, 1 verification or operation failure,
 2 I/O or usage failure, 3 preexisting data, 4 missing target, 5 stale
@@ -24,6 +29,7 @@ epoch, 6 nothing to restore (no committed restore point).
 from __future__ import annotations
 
 import argparse
+import fcntl
 import os
 import sys
 from pathlib import Path
@@ -57,13 +63,11 @@ from .errors import (
 )
 from .ledger import (
     CLUSTER_FILE,
-    PACK_FILE,
     Ledger,
     commit_restore_point,
     journal_line,
     load_cluster,
     load_ledger,
-    load_ledger_cutting_tail,
     recover,
     save_cluster,
     write_file,
@@ -99,7 +103,7 @@ CONFIG_KEYS = ("servers", "block_size", "mode", "seed")
 # What an upload writes before its commit, the rename of 0.snapshot.tmp. A
 # directory holding nothing else has committed nothing, so an upload into it
 # starts over.
-_UPLOAD_FILES = {name + suffix for name in (CONFIG_FILE, PACK_FILE, CLUSTER_FILE) for suffix in ("", ".tmp")}
+_UPLOAD_FILES = {name + suffix for name in (CONFIG_FILE, CLUSTER_FILE) for suffix in ("", ".tmp")}
 _UPLOAD_FILES |= {"0.snapshot.tmp"}
 
 
@@ -132,17 +136,17 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
+def _ledger_dir(args: argparse.Namespace) -> Path:
+    return Path(args.ledger_dir or os.environ.get("CLOUDLEDGER_DIR") or DEFAULT_LEDGER_DIR)
+
+
 def resolve_config(args: argparse.Namespace) -> SimConfig:
     """Flags override the config file, which overrides defaults.
 
     The config file is --config when given, which must exist, otherwise
     the one the upload command wrote into the ledger directory, if any.
     """
-    ledger_dir = Path(
-        args.ledger_dir
-        or os.environ.get("CLOUDLEDGER_DIR")
-        or DEFAULT_LEDGER_DIR
-    )
+    ledger_dir = _ledger_dir(args)
     file_values: dict[str, str] = {}
     config_path = Path(args.config) if args.config else ledger_dir / CONFIG_FILE
     if args.config or config_path.exists():
@@ -164,16 +168,34 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     )
 
 
-def _load_state(config: SimConfig) -> tuple[ClusterState, Ledger]:
+def _lock(directory: Path, exclusive: bool) -> Optional[int]:
+    """Take flock on the ledger directory, exclusive or shared, waiting for
+    it, and return the descriptor that holds it until it is closed; None,
+    with no lock, if the directory does not exist. The lock is on the
+    directory itself, so no file is written, and the kernel drops it when
+    the process dies."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except (FileNotFoundError, NotADirectoryError):
+        return None  # no ledger yet: nothing to lock
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _load_state(config: SimConfig, recovering: bool = False) -> tuple[ClusterState, Ledger]:
     """The live cluster and the ledger. Refuses a ledger that committed no
-    point, as recover does, before it reads cluster.state, and a live
+    point before it reads cluster.state, and, unless ``recovering``, a live
     cluster behind the last committed epoch, which an operation that failed
     after its snapshot leaves."""
     ledger = load_ledger(config.ledger_dir)
     if not ledger.points:
         raise NothingToRestore(f"no restore points in {config.ledger_dir}")
     cluster = load_cluster(ledger, config.seed)
-    if cluster.epoch != ledger.last().epoch:
+    if cluster.epoch != ledger.last().epoch and not recovering:
         raise EpochMismatch(f"{CLUSTER_FILE} is at epoch {cluster.epoch} but the ledger committed epoch"
                             f" {ledger.last().epoch}; run recover to restore it")
     return cluster, ledger
@@ -275,11 +297,7 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    ledger, cluster, cut = load_ledger_cutting_tail(config.ledger_dir, config.seed)
-    if cut is not None:
-        print(f"recover: {cut}, which committed nothing; cut it", file=sys.stderr)
-    if cluster is None:
-        raise NothingToRestore(f"no restore points in {config.ledger_dir}")
+    cluster, ledger = _load_state(config, recovering=True)
     report = recover(ledger, cluster)
     save_cluster(ledger, cluster)
     print(f"{report.action.value} epoch={report.epoch}")
@@ -326,6 +344,10 @@ def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         print(point.epoch, point.timestamp, point.committed_x)
     print("END")
     return EXIT_OK
+
+
+# The commands that write into the ledger directory, holding its lock exclusive.
+_WRITERS = (cmd_upload, cmd_op, cmd_tamper, cmd_recover)
 
 
 # --- parser ----------------------------------------------------------------------
@@ -404,7 +426,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    lock = None
     try:
+        lock = _lock(_ledger_dir(args), exclusive=args.func in _WRITERS)
         return args.func(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -417,6 +441,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if lock is not None:
+            os.close(lock)
 
 
 def main(argv: Optional[list[str]] = None) -> None:

@@ -293,17 +293,17 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # --- cluster snapshots -------------------------------------------------------
 #
 # A snapshot names each block by its content digest instead of carrying its
-# bytes (ledger format v5): the marker line SNAPSHOT_HEADER, the canonical
+# bytes (ledger format v6): the marker line SNAPSHOT_HEADER, the canonical
 # manifest text, one digest line per manifest record in record order, then
 # optional status lines (`DOWN <server>`, `STALE`) and a final END. Status
 # lines only appear when the condition is present, and at most once each; a
 # DOWN server holds no records (a crash erases them), and STALE never appears
 # at epoch 0, which has no previous epoch to replay. The bytes live once in
-# a block store, a mapping from digest to DataBlock (on disk, the ledger's
-# block pack).
+# a block store, a mapping from digest to DataBlock (on disk, the entries of
+# the ledger's files).
 
-SNAPSHOT_HEADER = "SNAPSHOT v5"
-_RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"])
+SNAPSHOT_HEADER = "SNAPSHOT v6"
+_RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"])
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
@@ -351,7 +351,7 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
         version = head.split(" ")[:2]
         if version in _RETIRED_HEADERS:
             raise SnapshotCorrupt(f"snapshot is in ledger format {version[1]}, which is no longer supported;"
-                                  f" expected format v5 ({SNAPSHOT_HEADER!r})")
+                                  f" expected format v6 ({SNAPSHOT_HEADER!r})")
         raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
     split = text.find("\nEND\n", len(head))
     if split < 0:

@@ -6,8 +6,8 @@ content digest. The point's aggregate X (cloud total plus user total
 summed over servers) is derived from that manifest: a verified commit
 has S = T, so X is twice the manifest total, and is never stored. The
 ledger keeps one block store, shared by all its points, holding each
-distinct block once (on disk, an append-only pack), so a commit stores
-only the blocks the store lacks.
+distinct block once (on disk, in the epoch file of the commit that was
+first to store it), so a commit stores only the blocks the store lacks.
 
 Recovery declares the state intact when every server is up and the
 live records equal the last committed manifest's, one tuple comparison
@@ -23,18 +23,14 @@ mutable class, RestorePoint a plain immutable one, and RecoveryReport a
 NamedTuple.
 
 This module owns the ledger directory, the CLI's files included, and
-write_file is its one writer. Memory follows the disk: a commit's blocks
-join the store once the pack holds them, its point once its snapshot's
-rename, the commit, is done. The committed epochs are the snapshots
-0.snapshot to (E-1).snapshot, found by one listing of the directory.
-Each operation's epoch file starts with its operation line, the one
-record of what the operation did, from which history renders the line
-the operation printed.
-
-The pack is the one file a commit appends to, and a write that fails
-halfway through an append leaves a torn tail on it, which committed
-nothing. One reader, _read_ledger_files, finds that tail; load_ledger
-refuses it and load_ledger_cutting_tail cuts it.
+write_file is its one writer, replacing whole files only. Memory follows
+the disk: a commit's blocks join the store and its point the ledger once
+its epoch file's rename, the commit, is done. The committed epochs are
+the files 0.snapshot to (E-1).snapshot, found by one listing of the
+directory. Each operation's epoch file starts with its operation line,
+the one record of what the operation did, from which history renders the
+line the operation printed, and holds the blocks the epoch was first to
+store, before its snapshot.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ import os
 import re
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .cluster import (
     ClusterState,
@@ -71,10 +67,9 @@ class RestorePoint:
     digest, resolved in the ledger's block store. ``op`` is the operation
     line, ``<KIND> server=<s> block=<b>``, of the operation that committed
     the epoch, None for the upload's epoch 0. The epoch is the manifest's,
-    and the tick and X derive from the manifest. ``added``
-    holds the blocks this commit was first to store, which persisting the
-    point appends to the pack (empty for points read back from disk); it
-    takes no part in equality, so a point equals itself read back.
+    and the tick and X derive from the manifest. ``added`` holds the
+    blocks this commit was first to store, which its epoch file holds
+    before the snapshot; it takes no part in equality.
     """
 
     __slots__ = ("manifest", "payload_snapshot", "op", "added")
@@ -117,10 +112,9 @@ class Ledger:
     """Append-only list of restore points; points[k].epoch == k.
 
     ``blocks`` is the block store (digest -> DataBlock) every point's
-    snapshot resolves in. When bound to a directory, every commit appends
-    the blocks the store lacked to ``blocks.pack``, then replaces
-    ``<epoch>.snapshot``, its operation line first, the rename that
-    commits it.
+    snapshot resolves in. When bound to a directory, every commit replaces
+    ``<epoch>.snapshot``, its operation line and the blocks the store
+    lacked first, the rename that commits it.
     """
 
     def __init__(self, directory: Optional[Path] = None, blocks: Optional[dict[str, DataBlock]] = None) -> None:
@@ -165,8 +159,8 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     the logical clock ticks. The manifest shares every record the commit did
     not change with the previous point, whose records become the
     cluster's previous_records, the ones a stale read path replays. A bound
-    ledger writes the pack and the snapshot before the point joins
-    ``points``.
+    ledger writes the epoch file before the blocks join the store and the
+    point joins ``points``.
     """
     if not verdict.z:
         raise UnverifiedState("refusing to snapshot a state that failed verification")
@@ -181,10 +175,11 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     manifest = stored_manifest(cluster)
     if manifest.records != read_manifest(cluster).records:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
-    added = _save_blocks(ledger, cluster)
-    point = RestorePoint(manifest, snapshot_cluster(cluster), op, added)
+    added = _unstored_blocks(ledger.blocks, cluster)
+    point = RestorePoint(manifest, snapshot_cluster(cluster), op, tuple(added.values()))
     if ledger.directory is not None:
-        _write_point(ledger.directory, point)
+        _persist_point(ledger.directory, point)
+    ledger.blocks.update(added)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     ledger.points.append(point)
     return point
@@ -249,51 +244,34 @@ def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
         raise SnapshotCorrupt(f"restored state fails its manifest check ({len(check.divergences)} divergences)")
 
 
-def _save_blocks(ledger: Ledger, cluster: ClusterState) -> tuple[DataBlock, ...]:
-    """Store the cluster's blocks that the ledger lacks and return them, each once, in address order.
-
-    They go to a bound ledger's pack first, then into its store, so a retry
-    after a later write fails does not pack them twice. The pack holds
-    exactly the blocks of a store that holds any, so it is appended to;
-    for an empty store it is written whole, which discards any pack an
-    upload left without committing.
-    """
-    store = ledger.blocks
+def _unstored_blocks(store: Mapping[str, DataBlock], cluster: ClusterState) -> dict[str, DataBlock]:
+    """The cluster's blocks that ``store`` lacks, digest -> block, each once, in address order."""
     new: dict[str, DataBlock] = {}
     for server in cluster.servers:
         for block in server.blocks.values():
             if block.digest not in store:
                 new.setdefault(block.digest, block)
-    added = tuple(new.values())
-    if ledger.directory is not None:
-        _write_pack(ledger.directory, added, append=bool(store))
-    store.update(new)
-    return added
+    return new
 
 
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v5: ``blocks.pack`` holds each distinct block once, as
-# PACK_HEADER followed by entries ``<sha256 hex> <weight>\n<payload>\n``,
-# written whole by the first write that stores a block, which replaces what
-# an upload that never committed left, and appended to after that; only
-# recover rewrites it, to cut a torn last entry. A commit appends its new
-# blocks first, then replaces ``<epoch>.snapshot``, the epoch's only file and
-# the one copy of its manifest, by way of ``<epoch>.snapshot.tmp``: the
-# rename is the commit. An operation's epoch file starts with its operation
-# line, ``<KIND> server=<s> block=<b>``, before the snapshot text; the
-# upload's 0.snapshot holds the snapshot text alone. A crash before the
-# rename leaves only unread blocks, perhaps a torn pack entry, which recover
-# cuts, and perhaps a partial ``.tmp``, which no reader lists and a retry
-# replaces. The CLI's live cluster,
-# ``cluster.state``, is written empty while it is the last point's snapshot.
+# Ledger format v6: write_file replaces every file whole, by way of
+# ``<name>.tmp``, so a crash leaves the old file or the new. An epoch's
+# only file, ``<epoch>.snapshot``, holds in order its operation line,
+# ``<KIND> server=<s> block=<b>`` (from epoch 1; the upload's 0.snapshot has
+# none), one entry ``<sha256 hex> <weight>\n<payload>\n`` per block the
+# epoch was first to store, in address order, and its snapshot text, the
+# one copy of its manifest. Its rename is the commit. Every block is stored
+# once in the directory, and epoch k's snapshot names blocks of files 0..k.
+# The CLI's live cluster, ``cluster.state``, is written empty while it is the
+# last point's snapshot, and otherwise holds entries for the live blocks no
+# epoch file holds (a pending tamper's), then its snapshot text. A crash
+# before a rename leaves at most a partial ``.tmp``, which no reader lists
+# and a retry replaces.
 
-PACK_FILE = "blocks.pack"
 CLUSTER_FILE = "cluster.state"
-PACK_HEADER = b"PACK v2\n"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
-# What a torn append can leave of an entry header: a strict prefix of _PACK_ENTRY.
-_PACK_ENTRY_HEAD = re.compile(rb"[0-9a-f]{0,64}|[0-9a-f]{64} [0-9]*")
 # An operation line as operation_line renders it, decimals canonical as in a manifest.
 _OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_DECIMAL}) block=({_DECIMAL})")
 
@@ -309,86 +287,79 @@ def journal_line(epoch: int, op: str, delta: int, s_after: int) -> str:
     return f"{epoch} {op} delta={delta:+d} s_after={s_after} z_pre=true z_post=true"
 
 
-def write_file(directory: Path, name: str, data: bytes, append: bool = False) -> None:
-    """The one writer of a ledger directory: append ``data`` to ``name``, or
-    replace ``name`` by way of ``<name>.tmp``, so a crash leaves the old file or the new."""
+def write_file(directory: Path, name: str, data: bytes) -> None:
+    """The one writer of a ledger directory: replace ``name`` by way of
+    ``<name>.tmp``, so a crash leaves the old file or the new."""
     directory.mkdir(parents=True, exist_ok=True)
-    if append:
-        with open(directory / name, "ab") as fh:
-            fh.write(data)
-        return
     temporary = directory / f"{name}.tmp"
     temporary.write_bytes(data)
     os.replace(temporary, directory / name)
 
 
-def _read_text(path: Path) -> str:
-    """A file's text as written: unlike read_text, this translates no CR or
-    CRLF into LF, so the loaders see the line ends that are on disk."""
-    return path.read_bytes().decode("utf-8")
+def _ledger_file(head: str, blocks: Iterable[DataBlock], text: str) -> bytes:
+    """A ledger file's bytes: ``head``, one entry per block, then the snapshot text."""
+    chunks = [head.encode("utf-8")]
+    for block in blocks:
+        chunks += (f"{block.digest} {len(block.payload)}\n".encode("ascii"), block.payload, b"\n")
+    chunks.append(text.encode("utf-8"))
+    return b"".join(chunks)
+
+
+def _read_entries(name: str, data: bytes, position: int,
+                  stored: Mapping[str, DataBlock]) -> tuple[dict[str, DataBlock], str]:
+    """The blocks of the entries in ``name``'s ``data`` from ``position`` on,
+    read while _PACK_ENTRY matches, and the rest decoded as strict UTF-8:
+    the snapshot text. Each payload is hashed once, by make_block, and must
+    hash to its digest, and a block that ``stored`` (the other files) or
+    an earlier entry holds is refused. Neither an entry nor a DataBlock
+    carries an address: load_snapshot puts each block object at the
+    address of every manifest record whose digest line names it."""
+    blocks: dict[str, DataBlock] = {}
+    while (entry := _PACK_ENTRY.match(data, position)) is not None:
+        digest, start = entry.group(1).decode("ascii"), entry.end()
+        end = start + int(entry.group(2))
+        if data[end : end + 1] != b"\n":
+            raise ManifestFormatError(f"{name} entry at byte {position} is cut short")
+        if digest in stored or digest in blocks:
+            raise ManifestFormatError(f"{name} stores block {digest}, which the ledger already stores")
+        block = make_block(data[start:end])
+        if block.digest != digest:
+            raise SnapshotCorrupt(f"{name} entry at byte {position} does not hash to its digest {digest}")
+        blocks[digest] = block
+        position = end + 1
+    try:
+        return blocks, data[position:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotCorrupt(f"{name} does not load: its snapshot, from byte {position}, is not UTF-8"
+                              f" ({exc.reason} at byte {position + exc.start})") from exc
 
 
 def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
-    """The live cluster in the ledger's directory (an empty file is the last point), its blocks from the store."""
-    text = _read_text(ledger.directory / CLUSTER_FILE) or ledger.last().payload_snapshot
-    cluster = load_snapshot(text, ledger.blocks, rng_seed=rng_seed)
+    """The live cluster in the ledger's directory, an empty file being the
+    last point. Its blocks resolve in the store and in the file's own
+    entries, which stay out of the store."""
+    data = (ledger.directory / CLUSTER_FILE).read_bytes()
+    own, text = _read_entries(CLUSTER_FILE, data, 0, ledger.blocks)
+    cluster = load_snapshot(text if data else ledger.last().payload_snapshot, ledger.blocks | own,
+                            rng_seed=rng_seed)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     return cluster
 
 
 def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
-    """Store the blocks the bound ledger lacks, then the live cluster, left empty while it is the last point."""
-    _save_blocks(ledger, cluster)
+    """Replace the live cluster, empty while it is the last point, and
+    otherwise the live blocks no epoch file holds, then its snapshot."""
     text = snapshot_cluster(cluster)
     same = ledger.points and text == ledger.last().payload_snapshot
-    write_file(ledger.directory, CLUSTER_FILE, b"" if same else text.encode("utf-8"))
-
-
-def _write_pack(directory: Path, blocks: Sequence[DataBlock], append: bool) -> None:
-    """Write one pack entry per block, in a single write: appended to the
-    pack, or else as a whole new pack, header first, replacing any pack there."""
-    if not blocks:
-        return
-    chunks = [] if append else [PACK_HEADER]
-    for block in blocks:
-        chunks += (f"{block.digest} {len(block.payload)}\n".encode("ascii"), block.payload, b"\n")
-    write_file(directory, PACK_FILE, b"".join(chunks), append=append)
-
-
-def _pack_entries(data: bytes) -> Iterator[tuple[int, str, int, int]]:
-    """Walk a pack's entries after its header: (position, digest, start,
-    end) for each whole one, its payload data[start:end]. A malformed entry
-    raises ManifestFormatError. The walk stops early at a torn tail, a
-    strict prefix of an entry (a header, payload or LF cut short), which is
-    what an append that failed halfway leaves."""
-    if not data.startswith(PACK_HEADER):
-        raise ManifestFormatError(f"{PACK_FILE} does not start with {PACK_HEADER!r}")
-    position = len(PACK_HEADER)
-    while position < len(data):
-        entry = _PACK_ENTRY.match(data, position)
-        if entry is None:
-            if _PACK_ENTRY_HEAD.fullmatch(data, position):
-                return
-            raise ManifestFormatError(f"bad {PACK_FILE} entry header at byte {position}")
-        start, end = entry.end(), entry.end() + int(entry.group(2))
-        if end >= len(data):
-            return
-        if data[end] != ord("\n"):
-            raise ManifestFormatError(f"{PACK_FILE} entry at byte {position} is cut short")
-        yield position, entry.group(1).decode("ascii"), start, end
-        position = end + 1
-
-
-def _write_point(directory: Path, point: RestorePoint) -> None:
-    """Replace the point's epoch file, its operation line (if any) and its snapshot: the rename that commits it."""
-    text = point.payload_snapshot if point.op is None else f"{point.op}\n{point.payload_snapshot}"
-    write_file(directory, f"{point.epoch}.snapshot", text.encode("utf-8"))
+    data = b"" if same else _ledger_file("", _unstored_blocks(ledger.blocks, cluster).values(), text)
+    write_file(ledger.directory, CLUSTER_FILE, data)
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
-    """Write an in-memory point's files as a bound commit does: new blocks, then the snapshot."""
-    _write_pack(directory, point.added, append=(directory / PACK_FILE).exists())
-    _write_point(directory, point)
+    """Replace the point's epoch file, the rename that commits it: its
+    operation line (if any), its new blocks, then its snapshot."""
+    head = "" if point.op is None else f"{point.op}\n"
+    write_file(directory, f"{point.epoch}.snapshot", _ledger_file(head, point.added, point.payload_snapshot))
 
 
 def _check_operation(ledger: Ledger, manifest: Manifest, op: Optional[str]) -> None:
@@ -447,123 +418,59 @@ def _check_operation(ledger: Ledger, manifest: Manifest, op: Optional[str]) -> N
                               f" {previous.epoch} holds does, but its operation line is {op!r}")
 
 
-def _read_ledger_files(directory: Path) -> Optional[tuple[int, dict[str, DataBlock], Optional[tuple[bytes, str]]]]:
-    """List the snapshots and read the pack: the number of committed epochs,
-    the blocks of the pack's whole entries, and, if the pack ends in a torn
-    tail, its whole part and what recover says it cuts; None for a directory
-    with no snapshot, whose pack is not read.
-
-    The committed epochs are exactly 0.snapshot to (E-1).snapshot; any other
-    set of ``*.snapshot`` names, a gap, an extra epoch or a number such as
-    01.snapshot, is refused. A ``.tmp`` file is no snapshot. Each pack
-    entry is hashed once, by make_block, and must hash to its digest.
-    Neither a pack entry nor a DataBlock carries an address: load_snapshot
-    puts each block object at the address of every manifest record whose
-    digest line names it.
-    """
+def _epoch_count(directory: Path) -> int:
+    """The number of committed epochs, found by one listing of the
+    directory (none if it does not exist): exactly 0.snapshot to
+    (E-1).snapshot. Any other set of ``*.snapshot`` names, a gap, an extra
+    epoch or a number such as 01.snapshot, is refused. A ``.tmp`` file is
+    no snapshot."""
     if not directory.is_dir():
-        return None
+        return 0
     snapshots = {name for name in os.listdir(directory) if name.endswith(".snapshot")}
-    if not snapshots:
-        return None
     expected = {f"{epoch}.snapshot" for epoch in range(len(snapshots))}
     if snapshots != expected:
         raise ManifestFormatError(f"{min(snapshots - expected)} is in the ledger, but the snapshots of"
                                   f" {len(snapshots)} epochs are 0.snapshot to {len(snapshots) - 1}.snapshot")
-    blocks: dict[str, DataBlock] = {}
-    if not (directory / PACK_FILE).exists():
-        return len(snapshots), blocks, None
-    pack = (directory / PACK_FILE).read_bytes()
-    whole = len(PACK_HEADER)
-    for position, digest, start, end in _pack_entries(pack):
-        if digest in blocks:
-            raise ManifestFormatError(f"{PACK_FILE} holds block {digest} twice")
-        block = make_block(pack[start:end])
-        if block.digest != digest:
-            raise SnapshotCorrupt(f"{PACK_FILE} entry at byte {position} does not hash to its digest {digest}")
-        blocks[digest] = block
-        whole = end + 1
-    tail = (pack[:whole], f"{PACK_FILE} ends in a partial entry at byte {whole}") if whole < len(pack) else None
-    return len(snapshots), blocks, tail
+    return len(snapshots)
 
 
 def load_ledger(directory: Path) -> Ledger:
-    """Load a persisted ledger, revalidating every epoch.
+    """Load a persisted ledger, revalidating every epoch: the one place that
+    decides what an epoch committed.
 
-    Checks the snapshot names and the pack's digests, then loads each
-    epoch's snapshot (the epoch's one copy of the manifest, parsed once)
-    and checks its blocks against its manifest, and that the manifest
-    claims the epoch and is an upload's (epoch 0) or, from epoch 1, the
-    operation its line names on the epoch before (_check_operation).
-    Every epoch loads into one cluster, which puts only the records the
-    epoch changed or added, so the points share every other record object. Each distinct block is hashed once,
-    so the cost is O(distinct stored bytes + epochs x records). Files are
-    read as written, with no newline translation. A torn pack tail, which
-    load_ledger_cutting_tail cuts, is refused before any epoch loads.
+    Reads each epoch file in turn: its operation line (from epoch 1), then
+    its entries (_read_entries), whose blocks join the store, so epoch k
+    resolves only in the blocks of files 0..k, then its snapshot. That is
+    loaded (the epoch's one copy of the manifest, parsed once) and its
+    blocks checked against its manifest, which must claim the epoch and be
+    an upload's (epoch 0) or, from epoch 1, the operation its line names on
+    the epoch before (_check_operation). Every epoch loads into one
+    cluster, which puts only the records the epoch changed or added, so
+    the points share every other record object. Each distinct block is
+    hashed once, so the cost is O(distinct stored bytes + epochs x
+    records). Files are read as written, with no newline translation.
     """
     directory = Path(directory)
-    files = _read_ledger_files(directory)
-    if files is None:
-        return Ledger(directory=directory)
-    epochs, blocks, tail = files
-    if tail is not None:
-        raise ManifestFormatError(tail[1])
-    return _load_ledger(directory, epochs, blocks)
-
-
-def load_ledger_cutting_tail(directory: Path, rng_seed: int) -> tuple[Ledger, Optional[ClusterState], Optional[str]]:
-    """Load a persisted ledger and its live cluster (None while the ledger
-    holds no point) as recover does, cutting a torn pack tail, and describe
-    the cut (None if there is none).
-
-    Only a snapshot's rename commits an epoch, and a commit appends its
-    blocks to the pack before it, so a pack that ends in a strict prefix of
-    an entry committed nothing. The ledger and live cluster are loaded
-    without the torn tail, from memory; only if both load is the pack cut
-    to its whole part through write_file's replace, and otherwise nothing
-    is written. A corrupt pack entry that merely looks torn (a weight raised
-    past the end of the pack) would drop a committed block or the live
-    cluster's, so it fails.
-    """
-    directory = Path(directory)
-    files = _read_ledger_files(directory)
-    if files is None:
-        return Ledger(directory=directory), None, None
-    epochs, blocks, tail = files
-    try:
-        ledger = _load_ledger(directory, epochs, blocks)
-        cluster = load_cluster(ledger, rng_seed)
-    except (ManifestFormatError, SnapshotCorrupt) as exc:
-        if tail is None:
-            raise
-        raise exc.__class__(f"{tail[1]}, but recover cuts nothing: {exc}") from exc
-    if tail is None:
-        return ledger, cluster, None
-    write_file(directory, PACK_FILE, tail[0])
-    return ledger, cluster, tail[1]
-
-
-def _load_ledger(directory: Path, epochs: int, blocks: dict[str, DataBlock]) -> Ledger:
-    """Load the epoch files of ``epochs`` committed epochs in ``directory``,
-    their blocks from ``blocks``: the one place that decides what an epoch
-    committed. Each operation's epoch file, from epoch 1, is split into its
-    operation line and its snapshot."""
-    ledger = Ledger(directory=directory, blocks=blocks)
+    ledger = Ledger(directory=directory)
     cluster: Optional[ClusterState] = None  # every epoch loads into it, so points share records
-    for epoch in range(epochs):
+    for epoch in range(_epoch_count(directory)):
+        name = f"{epoch}.snapshot"
         try:
-            text = _read_text(directory / f"{epoch}.snapshot")
-        except (OSError, ValueError) as exc:
-            raise SnapshotCorrupt(f"{epoch}.snapshot does not load: {exc}") from exc
-        op = None
+            data = (directory / name).read_bytes()
+        except OSError as exc:
+            raise SnapshotCorrupt(f"{name} does not load: {exc}") from exc
+        op, start = None, 0
         if epoch:
-            op, _, text = text.partition("\n")
+            line = data[: data.find(b"\n") + 1]  # empty if the file holds no LF
+            op, start = line[:-1].decode("utf-8", "replace"), len(line)
             if _OPERATION_LINE.fullmatch(op) is None:
-                raise SnapshotCorrupt(f"{epoch}.snapshot starts with {op!r}, which is no operation line")
+                raise SnapshotCorrupt(f"{name} starts with {op!r}, which is no operation line")
+        blocks, text = _read_entries(name, data, start, ledger.blocks)
+        ledger.blocks.update(blocks)
         cluster = load_snapshot(text, ledger.blocks, into=cluster)
-        point = RestorePoint(stored_manifest(cluster), text, op)
+        point = RestorePoint(stored_manifest(cluster), text, op, tuple(blocks.values()))
         if point.epoch != epoch:
-            raise ManifestFormatError(f"{epoch}.snapshot claims epoch {point.epoch}")
+            raise ManifestFormatError(f"{name} claims epoch {point.epoch}")
         _check_operation(ledger, point.manifest, op)
         ledger.points.append(point)
     return ledger

@@ -262,11 +262,10 @@ def test_criterion_7_tpa_non_interference_and_agreement():
 # SHA-256 of every ledger file the demo writes at seed 42. A change of
 # ledger format updates these pins and says so.
 DEMO_LEDGER_SHA256 = {
-    "0.snapshot": "7a1d5f502053c7c68b2c538c3763109c0f662908a416aae8107a4d7fc28b2441",
-    "1.snapshot": "ceced3300b494a7be1862a2b9900e77a354815f454679b750cacf37cf4e5aed6",
-    "2.snapshot": "a609986851adb1bcaf21f7f9308268f5d48b021bc257885a02e9c1684919cc8b",
-    "3.snapshot": "60fc7e1b72544df13bd3eb169f5a089352c45a2563b65c331185c6f8443b87e4",
-    "blocks.pack": "a38a8b58baa4b23bcaa820dc29c10c2d9de6b45a6f6d4dcff97ddee6c4797deb",
+    "0.snapshot": "93d024d278c4b98871bf68a913f6e97c93ceb256c1d3cae9650372a721f1c191",
+    "1.snapshot": "6cf5afcdbdecb1c72bdecfddf6896f95df29059e386d7c6ab8b2dcbca5955192",
+    "2.snapshot": "8e0cafc6f38916a569f94fd5104c2fd484f931917a6875bee865cd13494a27f3",
+    "3.snapshot": "26f1ef9d0e2521ad431751df601cad1bc692fce1e36c200b0622a9affbf0c5d8",
     "cluster.state": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty: the last point
     "config": "a07f9fbb9806c1bf1db68156c74d1cb624c2b40b9ea5b2e5164201295c000bb3",
 }

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cloudledger import Level, build_manifest, cli, load_ledger, partition_upload, serialize_manifest
+from cloudledger import Level, build_manifest, cli, load_ledger, partition_upload, serialize_manifest, snapshot_cluster
+from cloudledger.ledger import load_cluster
 from cloudledger.rng import generate_payload
 
 MIB = 1024 * 1024
@@ -45,7 +46,7 @@ def test_upload_commits_epoch_zero(ledger_dir, capsys):
     out = capsys.readouterr().out
     assert "UPLOAD bytes=800 servers=3 block_size=32 mode=checksum seed=42" in out
     assert "VERDICT z=true mode=checksum epoch=0 divergences=0" in out
-    assert sorted(p.name for p in ledger_dir.iterdir()) == ["0.snapshot", "blocks.pack", "cluster.state", "config"]
+    assert sorted(p.name for p in ledger_dir.iterdir()) == ["0.snapshot", "cluster.state", "config"]
     assert [point.committed_x for point in load_ledger(ledger_dir).points] == [1600]
     assert (ledger_dir / "cluster.state").read_bytes() == b""  # the live cluster is the committed point
 
@@ -78,7 +79,7 @@ def test_upload_golden_one_mib_file(ledger_dir, tmp_path, capsys):
     rc = run_cli("--ledger-dir", str(ledger_dir), "upload", str(source))
     assert rc == 0
     assert [point.committed_x for point in load_ledger(ledger_dir).points] == [2 * MIB]
-    manifest_head = (ledger_dir / "0.snapshot").read_text().splitlines()[1]
+    manifest_head = load_ledger(ledger_dir).points[0].payload_snapshot.splitlines()[1]
     assert manifest_head == f"MANIFEST v1 level=CLOUD epoch=0 servers=4 total={MIB}"
 
 
@@ -119,7 +120,7 @@ def test_tamper_without_a_fault_seed_draws_from_the_config_seed(tmp_path, capsys
 
 def write_full_cluster_state(ledger_dir):
     """Write the last snapshot's text into cluster.state, which a clean ledger leaves empty, and return it."""
-    text = (ledger_dir / f"{len(load_ledger(ledger_dir).points) - 1}.snapshot").read_text(encoding="utf-8")
+    text = load_ledger(ledger_dir).last().payload_snapshot
     (ledger_dir / "cluster.state").write_text(text, encoding="utf-8")
     return text
 
@@ -217,9 +218,9 @@ def test_an_edited_snapshot_address_exits_2_and_writes_nothing(ledger_dir, tmp_p
     assert run_cli(*flags, "append", "--server", "1", "--gen-bytes", "8") == 0
     assert run_cli(*flags, "update", "--server", "2", "--block", "0", "--gen-bytes", "8") == 0
     snapshot = ledger_dir / "1.snapshot"
-    text, edits = re.subn("^0 2 8 ", "0 9 8 ", snapshot.read_text(encoding="utf-8"), flags=re.MULTILINE)
+    data, edits = re.subn(b"^0 2 8 ", b"0 9 8 ", snapshot.read_bytes(), flags=re.MULTILINE)
     assert edits == 1
-    snapshot.write_text(text, encoding="utf-8")
+    snapshot.write_bytes(data)
     before = dir_contents(ledger_dir)
     capsys.readouterr()
     for command in (["verify"], ["audit", "--epochs", "0..2"], ["recover"]):
@@ -271,34 +272,42 @@ def three_epochs(ledger_dir):
 
 def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     """A v3 directory may hold a snapshot its index never listed, which a
-    later format would read as committed, and a v4 directory keeps its
-    operations in a journal file, not in its epoch files, so every file
-    headed SNAPSHOT v3 or v4 fails by name, and recover writes nothing."""
-    current = tmp_path / "v5"
+    later format would read as committed, a v4 directory keeps its
+    operations in a journal file, not in its epoch files, and a v5
+    directory keeps its blocks in a pack, not in its epoch files, so every
+    file headed SNAPSHOT v3, v4 or v5 fails by name, and recover writes
+    nothing."""
+    current = tmp_path / "v6"
     three_epochs(current)
     assert run_cli("--ledger-dir", str(current), "tamper", "--kind", "flip-byte", "--server", "0",
                    "--block", "0") == 0
     capsys.readouterr()
     assert run_cli("--ledger-dir", str(current), "history") == 0
     journal = capsys.readouterr().out.encode()
-    for version in (b"v3", b"v4"):
-        # The v5 files as that version wrote them: no operation lines, and the operations in a journal.
-        ledger_dir = tmp_path / version.decode()
+    ledger = load_ledger(current)
+    live = load_cluster(ledger, 42)
+    texts = {f"{point.epoch}.snapshot": (point.op, point.payload_snapshot) for point in ledger.points}
+    texts["cluster.state"] = (None, snapshot_cluster(live))
+    blocks = {**ledger.blocks, **{block.digest: block for server in live.servers for block in server.blocks.values()}}
+    pack = b"PACK v2\n" + b"".join(b"%s %d\n%s\n" % (digest.encode(), len(block.payload), block.payload)
+                                   for digest, block in blocks.items())
+    for version in ("v3", "v4", "v5"):
+        # The v6 files as that version wrote them: the blocks in a pack, and
+        # before v5 no operation lines, the operations in a journal.
+        ledger_dir = tmp_path / version
         ledger_dir.mkdir()
-        for path in current.iterdir():
-            data = path.read_bytes()
-            if path.name[0].isdigit() and not path.name.startswith("0."):
-                data = data.split(b"\n", 1)[1]
-            if path.name.endswith((".snapshot", ".state")):
-                head, rest = data.split(b"\n", 1)
-                assert head == b"SNAPSHOT v5"
-                data = b"SNAPSHOT " + version + b"\n" + rest
-            (ledger_dir / path.name).write_bytes(data)
-        (ledger_dir / "journal").write_bytes(journal)
+        (ledger_dir / "config").write_bytes((current / "config").read_bytes())
+        (ledger_dir / "blocks.pack").write_bytes(pack)
+        for name, (op, text) in texts.items():
+            assert text.startswith("SNAPSHOT v6\n")
+            head = f"{op}\n" if op and version == "v5" else ""
+            (ledger_dir / name).write_bytes(f"{head}SNAPSHOT {version}{text[len('SNAPSHOT v6'):]}".encode())
+        if version != "v5":
+            (ledger_dir / "journal").write_bytes(journal)
         before = dir_contents(ledger_dir)
         for command in ("verify", "history", "recover"):
             assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, (version, command)
-            assert f"ledger format {version.decode()}" in capsys.readouterr().err, (version, command)
+            assert f"ledger format {version}" in capsys.readouterr().err, (version, command)
             assert dir_contents(ledger_dir) == before, (version, command)
         assert seeded_upload(ledger_dir) == 3
         assert dir_contents(ledger_dir) == before
@@ -579,9 +588,10 @@ def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, cap
     (1, lambda data, op: data.replace(op, b"APPEND server=0\n", 1), "starts with 'APPEND server=0', which is no"),
     (1, lambda data, op: data.replace(op, b"APPEND again\n", 1), "starts with 'APPEND again', which is no"),
     (1, lambda data, op: data.replace(op, b"junk line\n", 1), "starts with 'junk line', which is no operation"),
-    (0, lambda data, op: b"UPDATE nothing\n" + data, "snapshot does not start with 'SNAPSHOT v5'"),
-    (1, lambda data, op: data.replace(op, op + op, 1), "snapshot does not start with 'SNAPSHOT v5'"),
-    (0, lambda data, op: op + data, "snapshot does not start with 'SNAPSHOT v5'"),
+    # A line before an epoch file's entries makes them part of its text, which then holds their binary payloads.
+    (0, lambda data, op: b"UPDATE nothing\n" + data, "0.snapshot does not load: its snapshot, from byte 0, is not"),
+    (1, lambda data, op: data.replace(op, op + op, 1), "1.snapshot does not load: its snapshot, from byte 24, is not"),
+    (0, lambda data, op: op + data, "0.snapshot does not load: its snapshot, from byte 0, is not UTF-8"),
 ], ids=["short-line", "again", "junk", "epoch-0-junk", "epoch-1-twice", "epoch-0"])
 def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, capsys, epoch, edit, error):
     """Every operation's epoch file starts with the one line it journals,

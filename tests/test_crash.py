@@ -1,13 +1,13 @@
 """Crash injection: a ledger directory survives its writer failing at any write.
 
-Every write into a ledger directory goes through ledger.write_file. These
-tests patch each binding of it so that its k-th call raises OSError, either
-before writing anything or after writing half of its data (a torn write),
-for every k a command reaches. The next commands must then find the old
-epoch or the new one, never a directory they cannot read, and an upload
-that never committed must run again. A commit is a pack append followed
-by the rename of its epoch file, which holds the operation's line. A torn
-pack entry committed nothing, and recover cuts it; a torn epoch file
+Every write into a ledger directory goes through ledger.write_file, which
+replaces a whole file. These tests patch each binding of it so that its
+k-th call raises OSError, either before writing anything or after writing
+half of its data to the ``.tmp`` file (a torn write), for every k a command
+reaches. The next commands must then find the old epoch or the new one,
+never a directory they cannot read, and an upload that never committed
+must run again. A commit is the rename of its epoch file, which holds the
+operation's line and the blocks it was first to store; a torn write
 leaves a ``.tmp`` that no command reads.
 """
 
@@ -19,7 +19,6 @@ import pytest
 
 from cloudledger import cli, load_ledger
 from cloudledger import ledger as ledger_module
-from helpers import make_committed_state
 
 FLAGS = ("--servers", "3", "--block-size", "16", "--seed", "5")
 COMMANDS = {
@@ -33,16 +32,14 @@ COMMANDS = {
 }
 # The files each command writes, in order: the snapshot's rename is the commit.
 WRITES = {
-    "upload": ["config", "cluster.state", "blocks.pack", "0.snapshot"],
-    "append": ["blocks.pack", "2.snapshot", "cluster.state"],
-    "update": ["blocks.pack", "2.snapshot", "cluster.state"],
+    "upload": ["config", "cluster.state", "0.snapshot"],
+    "append": ["2.snapshot", "cluster.state"],
+    "update": ["2.snapshot", "cluster.state"],
     "delete": ["2.snapshot", "cluster.state"],
-    "tamper": ["blocks.pack", "cluster.state"],
+    "tamper": ["cluster.state"],
     "crash": ["cluster.state"],
     "recover": ["cluster.state"],
 }
-# What recover says on stderr when it cuts a torn tail off the pack.
-PACK_CUT = "blocks.pack ends in a partial entry"
 real_write_file = ledger_module.write_file
 
 
@@ -91,17 +88,14 @@ def inject(monkeypatch, k, torn):
     """Make the k-th call of write_file fail, torn or not; return the names written to."""
     names = []
 
-    def write_file(directory, name, data, append=False):
+    def write_file(directory, name, data):
         names.append(name)
         if len(names) == k:
-            half = data[: len(data) // 2]
-            if torn and append:
-                real_write_file(directory, name, half, append=True)
-            elif torn:
+            if torn:
                 directory.mkdir(parents=True, exist_ok=True)
-                (directory / f"{name}.tmp").write_bytes(half)
+                (directory / f"{name}.tmp").write_bytes(data[: len(data) // 2])
             raise OSError(f"injected failure at write {k} ({name})")
-        real_write_file(directory, name, data, append)
+        real_write_file(directory, name, data)
 
     for module in (ledger_module, cli):
         monkeypatch.setattr(module, "write_file", write_file)
@@ -129,7 +123,7 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
         inject(monkeypatch, k, torn)
         assert run_cli(directory, *COMMANDS[command]) == 2, (k, name)
         monkeypatch.undo()
-        if torn and name != "blocks.pack":
+        if torn:
             # A torn replace leaves the old file and a partial .tmp beside it.
             assert (directory / f"{name}.tmp").exists()
             assert content(directory / name) == before
@@ -137,7 +131,6 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
 
         recovered = run_cli(directory, "recover")
         out, err = capsys.readouterr()
-        assert (PACK_CUT in err) == (torn and name == "blocks.pack" and old_epoch is not None), err
         if old_epoch is None:
             # An upload that never renamed its snapshot committed nothing,
             # and the same upload then starts the directory over.
@@ -176,13 +169,6 @@ def test_a_failed_replace_leaves_the_old_file(tmp_path, monkeypatch):
     assert (tmp_path / "config.tmp").read_bytes() == b"new\n"
 
 
-def test_an_empty_pack_left_by_a_failed_append_still_gets_its_header(tmp_path):
-    directory = tmp_path / "ledger"
-    ledger_module.write_file(directory, "blocks.pack", b"", append=True)
-    _, ledger = make_committed_state(b"abcdefgh", 2, 2, directory=directory)
-    assert load_ledger(directory).points == ledger.points
-
-
 def test_an_operation_failing_after_its_snapshot_leaves_the_new_epoch_readable(base, tmp_path, monkeypatch, capsys):
     """On a clean ledger cluster.state is empty, which reads as the last
     point, so once the snapshot is in place every command sees the new
@@ -213,8 +199,8 @@ def test_a_live_state_behind_the_ledger_names_recover(base, tmp_path, capsys):
     directory = tmp_path / "ledger"
     old_epoch = start_from(base, "append", directory)
     assert run_cli(directory, *COMMANDS["append"]) == 0
-    # The snapshot of the old epoch, after its operation line.
-    (directory / "cluster.state").write_bytes((directory / f"{old_epoch}.snapshot").read_bytes().split(b"\n", 1)[1])
+    # The snapshot of the old epoch, without its operation line and entries.
+    (directory / "cluster.state").write_text(load_ledger(directory).points[old_epoch].payload_snapshot)
     capsys.readouterr()
     for command in ("verify", "report"):
         assert run_cli(directory, command) == 5, command
@@ -246,56 +232,7 @@ def test_an_upload_torn_at_its_snapshot_commits_nothing(clean_upload, tmp_path, 
     assert "it holds 0.snapshot" in capsys.readouterr().err
 
 
-def test_recover_cuts_a_torn_pack_tail_and_read_commands_exit_2_before(base, tmp_path, capsys):
-    directory = tmp_path / "ledger"
-    old_epoch = start_from(base, "append", directory)
-    pack = directory / "blocks.pack"
-    whole = pack.read_bytes()
-    entry = b"%s 5\nabcde\n" % (b"0" * 64)
-    for torn in (entry[:10], entry[:64], entry[:67], entry[:-3], entry[:-1]):
-        pack.write_bytes(whole + torn)
-        assert run_cli(directory, "verify") == 2
-        assert f"blocks.pack ends in a partial entry at byte {len(whole)}" in capsys.readouterr().err
-        assert run_cli(directory, "recover") == 0
-        out, err = capsys.readouterr()
-        assert out == f"INTACT epoch={old_epoch}\n" and "which committed nothing; cut it" in err, err
-        assert pack.read_bytes() == whole
-    assert run_cli(directory, *COMMANDS["append"]) == 0
-    assert run_cli(directory, "verify") == 0
-
-
-@pytest.mark.parametrize("broken", [b"zz" + b"0" * 62 + b" 1\nx\n", b"0" * 64 + b" 1\nxy"],
-                         ids=["bad-header", "no-lf-after-payload"])
-def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_path, capsys, broken):
-    directory = tmp_path / "ledger"
-    start_from(base, "append", directory)
-    pack = directory / "blocks.pack"
-    damaged = pack.read_bytes() + broken
-    pack.write_bytes(damaged)
-    assert run_cli(directory, "recover") == 2
-    assert re.search(r"bad blocks.pack entry header|entry at byte \d+ is cut short", capsys.readouterr().err)
-    assert pack.read_bytes() == damaged
-
-
-def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(base, tmp_path, capsys):
-    """A weight raised past the end of the pack makes a committed entry
-    look torn; cutting there would drop committed blocks, so recover
-    exits 2 and leaves every file as it was."""
-    directory = tmp_path / "ledger"
-    start_from(base, "append", directory)
-    pack = directory / "blocks.pack"
-    data = pack.read_bytes()
-    entry = re.compile(rb"[0-9a-f]{64} ([0-9]+)\n").search(data, len(ledger_module.PACK_HEADER))
-    pack.write_bytes(data[: entry.end(1)] + b"0000" + data[entry.end(1) :])
-    before = files(directory)
-    assert run_cli(directory, "recover") == 2
-    err = capsys.readouterr().err
-    assert f"blocks.pack ends in a partial entry at byte {entry.start()}" in err, err
-    assert "but recover cuts nothing" in err and "which the store lacks" in err, err
-    assert files(directory) == before
-
-
-@pytest.mark.parametrize("name", ["blocks.pack", "2.snapshot"])
+@pytest.mark.parametrize("name", ["2.snapshot"])
 def test_the_journal_follows_a_torn_commit(base, tmp_path, monkeypatch, capsys, name):
     """An operation whose commit a crash tore leaves no epoch file, so
     history lists no line for it, and the operation that commits that epoch
@@ -308,7 +245,7 @@ def test_the_journal_follows_a_torn_commit(base, tmp_path, monkeypatch, capsys, 
     capsys.readouterr()
     assert run_cli(directory, "recover") == 0
     out, err = capsys.readouterr()
-    assert out == f"INTACT epoch={old_epoch}\n" and (PACK_CUT in err) == (name == "blocks.pack"), err
+    assert out == f"INTACT epoch={old_epoch}\n" and err == "", err
     assert run_cli(directory, "history") == 0
     assert [line.split(" ")[:2] for line in capsys.readouterr().out.splitlines()] == [["1", "APPEND"]]
     assert run_cli(directory, *COMMANDS["append"]) == 0
@@ -317,51 +254,84 @@ def test_the_journal_follows_a_torn_commit(base, tmp_path, monkeypatch, capsys, 
     assert [line.split(" ")[:2] for line in capsys.readouterr().out.splitlines()] == [["1", "APPEND"], ["2", "APPEND"]]
 
 
-def test_recover_cuts_no_pack_tail_the_live_cluster_needs(base, tmp_path, capsys):
-    """A flip-byte appends its block to the pack, and only cluster.state
-    names it; a pack cut inside that entry leaves the ledger loadable but
-    not the live cluster, so recover exits 2 and writes nothing."""
+ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
+# What verify, history and recover say of each bad entry edit_first_entry makes.
+ENTRY_ERRORS = {
+    "bad-header": r"does not load: its snapshot, from byte 0, is not UTF-8|does not start with 'SNAPSHOT v6'",
+    "no-lf-after-payload": r"entry at byte \d+ is cut short",
+    "weight-past-the-next-entry": r"entry at byte \d+ does not hash to its digest",
+    "stored-twice": r"stores block [0-9a-f]{64}, which the ledger already stores",
+    "not-its-digest": r"entry at byte \d+ does not hash to its digest",
+}
+
+
+def whole_entry(data, start=0):
+    """The first entry in ``data`` from ``start`` on, with its payload and LF."""
+    entry = ENTRY.search(data, start)
+    return data[entry.start() : entry.end() + int(entry.group(2)) + 1]
+
+
+def edit_first_entry(data, kind, other):
+    """``data`` with its first entry, which another follows, made bad as
+    ``kind`` names; ``other`` is an entry that another file holds."""
+    first = ENTRY.search(data)
+    start, lf = first.start(), first.end() + int(first.group(2))  # lf: where the payload's LF is
+    if kind == "bad-header":
+        return data[:start] + b"Z" + data[start + 1 :]
+    if kind == "no-lf-after-payload":
+        return data[:lf] + b"x" + data[lf + 1 :]
+    if kind == "weight-past-the-next-entry":  # raised by the next entry's length: the payload ends at its LF
+        weight = int(first.group(2)) + len(whole_entry(data, lf + 1))
+        return data[: first.start(2)] + b"%d" % weight + data[first.end(2) :]
+    if kind == "stored-twice":
+        return data[:start] + other + data[start:]
+    assert kind == "not-its-digest"
+    return data[: lf - 1] + bytes([data[lf - 1] ^ 1]) + data[lf:]
+
+
+@pytest.mark.parametrize("name, kind", [*(("0.snapshot", kind) for kind in ENTRY_ERRORS),
+                                        *(("cluster.state", kind) for kind in ENTRY_ERRORS)],
+                         ids=[*ENTRY_ERRORS, *(f"cluster.state-{kind}" for kind in ENTRY_ERRORS)])
+def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_path, capsys, name, kind):
+    """Every write replaces a whole file, so no ledger file has a torn tail
+    to cut, and a bad entry in an epoch file or in cluster.state (the two
+    blocks two pending tampers wrote) is kept as it is: a malformed header,
+    no LF after the payload, a weight raised past the next entry, a block
+    another file stores, or bytes that do not hash to their digest. verify
+    and recover exit 2, and so does history for an epoch file (it reads no
+    cluster.state); recover writes nothing."""
     directory = tmp_path / "ledger"
     start_from(base, "append", directory)
-    pack = directory / "blocks.pack"
-    whole = pack.read_bytes()
-    assert run_cli(directory, *COMMANDS["tamper"]) == 0
-    tampered = pack.read_bytes()
-    pack.write_bytes(tampered[: len(tampered) - 4])
+    other = "1.snapshot"
+    if name == "cluster.state":
+        assert run_cli(directory, *COMMANDS["tamper"]) == 0
+        assert run_cli(directory, "tamper", "--kind", "flip-byte", "--server", "0", "--block", "0") == 0
+        other = "0.snapshot"
+    data = (directory / name).read_bytes()
+    (directory / name).write_bytes(edit_first_entry(data, kind, whole_entry((directory / other).read_bytes())))
     before = files(directory)
-    assert run_cli(directory, "recover") == 2
-    err = capsys.readouterr().err
-    assert f"blocks.pack ends in a partial entry at byte {len(whole)}" in err, err
-    assert "but recover cuts nothing" in err and "which the store lacks" in err, err
-    assert files(directory) == before
-
-
-@pytest.fixture(scope="module")
-def three_epochs(base, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("three") / "ledger"
-    shutil.copytree(base[None], directory)
-    assert run_cli(directory, *COMMANDS["update"]) == 0
-    return directory
-
-
-@pytest.mark.parametrize("torn", [("blocks.pack",)], ids="+".join)
-def test_torn_tails_in_combination(three_epochs, tmp_path, capsys, torn):
-    """Every appended file torn at once, as a crash leaves it: the pack is
-    the one file a command appends to. Read commands and history refuse
-    its torn tail; recover cuts it, naming it, and keeps every epoch."""
-    directory = tmp_path / "ledger"
-    shutil.copytree(three_epochs, directory)
-    clean = files(directory)
-    for name in torn:
-        (directory / name).write_bytes(clean[name] + b"%s 5\nab" % (b"0" * 64))
     capsys.readouterr()
-    for command in ("verify", "history"):
+    for command in ("verify", "history", "recover"):
+        expected = 0 if command == "history" and name == "cluster.state" else 2
+        assert run_cli(directory, command) == expected, command
+        err = capsys.readouterr().err
+        assert expected == 0 or re.search(ENTRY_ERRORS[kind], err), (command, err)
+        assert files(directory) == before, command
+
+
+def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(base, tmp_path, capsys):
+    """A weight raised past the end of its epoch file makes the entry look
+    like the torn tail an append could leave; no write appends, so every
+    command that loads the ledger exits 2 and recover writes nothing."""
+    directory = tmp_path / "ledger"
+    start_from(base, "append", directory)
+    snapshot = directory / "1.snapshot"
+    data = snapshot.read_bytes()
+    entry = ENTRY.search(data)
+    snapshot.write_bytes(data[: entry.end(2)] + b"0000" + data[entry.end(2) :])
+    before = files(directory)
+    capsys.readouterr()
+    for command in ("verify", "history", "recover"):
         assert run_cli(directory, command) == 2, command
-        assert PACK_CUT in capsys.readouterr().err, command
-    assert run_cli(directory, "recover") == 0
-    out, err = capsys.readouterr()
-    assert out == "INTACT epoch=2\n"
-    assert err.count("which committed nothing; cut it") == 1 and PACK_CUT in err, err
-    assert run_cli(directory, "verify") == 0 and run_cli(directory, "history") == 0
-    assert load_ledger(directory).points == load_ledger(three_epochs).points
-    assert (directory / "blocks.pack").read_bytes() == clean["blocks.pack"]
+        assert f"1.snapshot entry at byte {entry.start()} is cut short" in capsys.readouterr().err, command
+    assert files(directory) == before

@@ -233,6 +233,14 @@ def digest_of(payload):
     return make_block(payload).digest
 
 
+def replace_digest_line(path, digest, replacement):
+    """Replace ``digest`` in the snapshot of the ledger file ``path``: its
+    last occurrence, after the entry that stores its block."""
+    head, found, tail = path.read_bytes().rpartition(f"{digest}\n".encode())
+    assert found
+    path.write_bytes(head + f"{replacement}\n".encode() + tail)
+
+
 def swap_reference(snapshot):
     """Point the reference to block "ab" at the stored block "cd" (same weight)."""
     swapped = snapshot.replace(digest_of(b"ab"), digest_of(b"cd"), 1)
@@ -261,7 +269,7 @@ def test_persistence_round_trip(tmp_path):
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(bytes(range(48)), 3, 6, directory=directory)
     append(cluster, ledger, 1, b"more")
-    assert sorted(p.name for p in directory.iterdir()) == ["0.snapshot", "1.snapshot", "blocks.pack"]
+    assert sorted(p.name for p in directory.iterdir()) == ["0.snapshot", "1.snapshot"]
     loaded = load_ledger(directory)
     assert loaded.points == ledger.points
 
@@ -273,10 +281,10 @@ def test_a_commit_whose_snapshot_write_fails_stays_out_of_the_ledger(tmp_path, m
     cluster, ledger = make_committed_state(b"abcdefgh", 2, 2, directory=directory)
     real_write_file = ledger_module.write_file
 
-    def write_file(directory, name, data, append=False):
+    def write_file(directory, name, data):
         if name == "1.snapshot":
             raise OSError("injected failure at the snapshot write")
-        real_write_file(directory, name, data, append)
+        real_write_file(directory, name, data)
 
     monkeypatch.setattr(ledger_module, "write_file", write_file)
     with pytest.raises(OSError):
@@ -289,13 +297,15 @@ def test_a_commit_whose_snapshot_write_fails_stays_out_of_the_ledger(tmp_path, m
 
 
 def test_a_block_joins_the_store_only_after_the_pack_write(tmp_path, monkeypatch):
+    """The blocks a commit was first to store are written in its epoch
+    file, and join the store only once that file is in place."""
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(b"abcdefgh", 2, 2, directory=directory)
 
-    def failing_write_pack(directory, blocks, append):
-        raise OSError("injected failure at the pack write")
+    def failing_write_file(directory, name, data):
+        raise OSError("injected failure at the epoch file write")
 
-    monkeypatch.setattr(ledger_module, "_write_pack", failing_write_pack)
+    monkeypatch.setattr(ledger_module, "write_file", failing_write_file)
     with pytest.raises(OSError):
         append(cluster, ledger, 0, b"new!")
     assert digest_of(b"new!") not in ledger.blocks
@@ -329,7 +339,7 @@ def test_load_ledger_empty_directory(tmp_path):
 
 
 @pytest.mark.parametrize("edit, claimed", [
-    (lambda directory, text: text.split("\n", 1)[0] + "\n" + (directory / "0.snapshot").read_text(), 0),
+    (lambda directory, text: text.split("\n", 1)[0] + "\n" + load_ledger(directory).points[0].payload_snapshot, 0),
     (lambda directory, text: text.replace(" epoch=1 ", " epoch=2 ", 1), 2),
 ], ids=["epoch-0-copied", "header-edited"])
 def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, edit, claimed):
@@ -361,8 +371,7 @@ def test_loaded_servers_hold_the_stored_block_objects(tmp_path):
 def test_load_ledger_rejects_tampered_snapshot(tmp_path):
     directory = tmp_path / "ledger"
     make_committed_state(b"abcdef", 2, 2, directory=directory)
-    snapshot = directory / "0.snapshot"
-    snapshot.write_text(swap_reference(snapshot.read_text()))
+    replace_digest_line(directory / "0.snapshot", digest_of(b"ab"), digest_of(b"cd"))
     with pytest.raises(SnapshotCorrupt, match="fails its manifest record"):
         load_ledger(directory)
 
@@ -370,8 +379,7 @@ def test_load_ledger_rejects_tampered_snapshot(tmp_path):
 def test_load_ledger_rejects_reference_missing_from_pack(tmp_path):
     directory = tmp_path / "ledger"
     make_committed_state(b"abcdef", 2, 2, directory=directory)
-    snapshot = directory / "0.snapshot"
-    snapshot.write_text(snapshot.read_text().replace(digest_of(b"ab"), "0" * 64, 1))
+    replace_digest_line(directory / "0.snapshot", digest_of(b"ab"), "0" * 64)
     with pytest.raises(SnapshotCorrupt, match="which the store lacks"):
         load_ledger(directory)
 
@@ -379,10 +387,10 @@ def test_load_ledger_rejects_reference_missing_from_pack(tmp_path):
 def test_load_ledger_rejects_flipped_pack_byte(tmp_path):
     directory = tmp_path / "ledger"
     make_committed_state(b"abcdef", 2, 2, directory=directory)
-    pack = directory / "blocks.pack"
-    data = bytearray(pack.read_bytes())
+    snapshot = directory / "0.snapshot"
+    data = bytearray(snapshot.read_bytes())
     data[data.index(b" 2\nab\n") + 3] ^= 0x01
-    pack.write_bytes(bytes(data))
+    snapshot.write_bytes(bytes(data))
     with pytest.raises(SnapshotCorrupt, match="does not hash to its digest"):
         load_ledger(directory)
 
@@ -439,9 +447,9 @@ def test_every_operation_kind_loads(tmp_path):
 
 def edit_snapshot(directory, epoch, pattern, replacement):
     path = directory / f"{epoch}.snapshot"
-    text, count = re.subn(pattern, replacement, path.read_text(encoding="utf-8"), count=1, flags=re.MULTILINE)
+    data, count = re.subn(pattern.encode(), replacement.encode(), path.read_bytes(), count=1, flags=re.MULTILINE)
     assert count == 1
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
 
 
 @pytest.mark.parametrize("epoch, pattern, replacement, error", [
@@ -455,8 +463,10 @@ def edit_snapshot(directory, epoch, pattern, replacement):
                              " 'APPEND server=1 block=2' does"),
     (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=0", "epoch 2 has operation line 'UPDATE server=2 block=0'"),
     (1, "^APPEND server=1 ", "APPEND server=01 ", "1.snapshot starts with 'APPEND server=01 block=2', which is no"),
-    (1, "^APPEND server=1 block=2\n", "", "1.snapshot starts with 'SNAPSHOT v5', which is no operation line"),
-    (0, "^", "APPEND server=1 block=2\n", "snapshot does not start with 'SNAPSHOT v5'"),
+    # Without its operation line, epoch 1's file starts with the entry of the block it appended.
+    (1, "^APPEND server=1 block=2\n", "", f"1.snapshot starts with '{digest_of(bytes(8))} 8', which is no"),
+    # With a line before them, epoch 0's entries are part of its text, which holds their binary payloads.
+    (0, "^", "APPEND server=1 block=2\n", "0.snapshot does not load: its snapshot, from byte 0, is not UTF-8"),
 ], ids=["upload-servers", "upload-id", "servers", "other-address", "append-id", "update-address",
         "op-kind-swapped", "op-address-moved", "op-server-01", "op-line-missing", "op-line-at-epoch-0"])
 def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsys, epoch, pattern, replacement,

@@ -13,7 +13,7 @@ import shutil
 
 import pytest
 
-from cloudledger import cli
+from cloudledger import cli, load_ledger
 
 FLAGS = ("--servers", "3", "--block-size", "16", "--seed", "5")
 
@@ -27,10 +27,8 @@ def live(directory):
 
 
 def last_snapshot(directory):
-    """The last point's snapshot text: its epoch file after the operation line, if it has one."""
-    epoch = len(list(directory.glob("*.snapshot"))) - 1
-    data = (directory / f"{epoch}.snapshot").read_bytes()
-    return data.split(b"\n", 1)[1] if epoch else data
+    """The last point's snapshot text, as its epoch file holds it after the operation line and the entries."""
+    return load_ledger(directory).last().payload_snapshot.encode()
 
 
 @pytest.fixture
@@ -73,7 +71,7 @@ def test_a_restore_that_revives_a_down_server_writes_the_live_cluster_out(tmp_pa
     assert run_cli(directory, "upload", "--gen-bytes", "16") == 0
     assert run_cli(directory, "crash", "--server", "2") == 0
     assert run_cli(directory, "append", "--server", "0", "--gen-bytes", "5") == 0
-    assert "DOWN 2" in (directory / "1.snapshot").read_text()
+    assert b"DOWN 2" in (directory / "1.snapshot").read_bytes()
     assert live(directory) == b""
     capsys.readouterr()
     assert run_cli(directory, "recover") == 0
@@ -102,3 +100,16 @@ def test_a_full_cluster_state_equal_to_the_last_snapshot_reads_the_same(ledger_d
     assert outputs(written_full, capsys) == outputs(ledger_dir, capsys)
     assert {p.name: p.read_bytes() for p in written_full.iterdir()} == \
         {p.name: p.read_bytes() for p in ledger_dir.iterdir()}
+
+
+def test_tamper_and_recover_leave_no_trace(ledger_dir):
+    """A pending tamper's blocks are stored only in cluster.state, which
+    recover writes empty again: after an append, a tamper and a recover,
+    every file in the ledger directory is byte-identical to before the
+    tamper."""
+    assert run_cli(ledger_dir, *OPERATIONS[0]) == 0
+    before = {path.name: path.read_bytes() for path in ledger_dir.iterdir()}
+    assert run_cli(ledger_dir, "tamper", "--kind", "flip-byte", "--server", "1", "--block", "0") == 0
+    assert live(ledger_dir) != b""
+    assert run_cli(ledger_dir, "recover") == 0
+    assert {path.name: path.read_bytes() for path in ledger_dir.iterdir()} == before

@@ -4,10 +4,12 @@ Whatever one edit does to one file of a committed ledger directory,
 recover must either exit non-zero and leave every file byte-identical,
 or exit 0 with every committed epoch as it was, after which verify
 passes. The inputs are a 3-epoch CLI ledger (upload, append, update), a
-copy of it with a flip-byte pending, and a copy that an append left as a
-torn commit: its pack entry cut mid-way and a partial 3.snapshot.tmp
-beside it, which leave no trace of the operation in history. All three
-commit the same 3 epochs. The edits
+copy of it with a flip-byte pending, and the state a crash after a
+commit's rename leaves: on 3 servers, the upload leaving server 2 empty,
+a crash of server 2, then an append that failed at its cluster.state
+write, so 3.snapshot is in place while cluster.state is still at epoch 2
+with DOWN 2, beside the partial 4.snapshot.tmp of a later torn write.
+The edits
 are every single byte set to its value xor 1, to LF or to "9", and every
 truncation. pytest tries every edit of a file under SMALL bytes, and of
 a larger one a seeded sample plus every cut at a line boundary. Run as a
@@ -28,10 +30,11 @@ from unittest import mock
 import pytest
 
 from cloudledger import cli, load_ledger
+from cloudledger import ledger as ledger_module
 
 FLAGS = ("--servers", "3", "--block-size", "16", "--seed", "5")
 SMALL = 200
-SAMPLE = 16  # positions, and as many cuts, tried in each larger file
+SAMPLE = 20  # positions, and as many cuts, tried in each larger file
 SEED = 1607
 
 
@@ -45,10 +48,25 @@ def run_cli(directory, *argv):
         return cli.run([*FLAGS, "--ledger-dir", str(directory), *argv])
 
 
+def failing_write(name, torn=False):
+    """The crash injector: ledger.write_file raises at its write of
+    ``name``, after writing half of it to the ``.tmp`` file if ``torn``."""
+    real_write_file = ledger_module.write_file
+
+    def write_file(directory, written, data):
+        if written == name:
+            if torn:
+                (directory / f"{name}.tmp").write_bytes(data[: len(data) // 2])
+            raise OSError(f"injected failure at {name}")
+        real_write_file(directory, written, data)
+
+    return mock.patch.object(ledger_module, "write_file", write_file)
+
+
 def build_inputs(root):
     """The clean 3-epoch ledger, a copy of it with a flip-byte pending, and
-    a copy whose 4th epoch a crash tore: an append whose pack write tore
-    mid-entry, beside the partial 3.snapshot.tmp of an attempt before it."""
+    a ledger whose last append a crash cut after its commit's rename,
+    beside a partial 4.snapshot.tmp."""
     clean = root / "clean"
     for argv in (("upload", "--gen-bytes", "100"), ("append", "--server", "1", "--gen-bytes", "20"),
                  ("update", "--server", "0", "--block", "1", "--gen-bytes", "16")):
@@ -57,13 +75,20 @@ def build_inputs(root):
     shutil.copytree(clean, tampered)
     assert run_cli(tampered, "tamper", "--kind", "flip-byte", "--server", "1", "--block", "0") == 0
     torn = root / "torn"
-    shutil.copytree(clean, torn)
-    pack = (torn / "blocks.pack").read_bytes()
-    assert run_cli(torn, "append", "--server", "2", "--gen-bytes", "20") == 0
-    grown, snapshot = (torn / "blocks.pack").read_bytes(), (torn / "3.snapshot").read_bytes()
-    (torn / "blocks.pack").write_bytes(grown[: (len(pack) + len(grown)) // 2])
-    (torn / "3.snapshot").unlink()
-    (torn / "3.snapshot.tmp").write_bytes(snapshot[: len(snapshot) // 2])
+    for argv in (("upload", "--gen-bytes", "30"), ("append", "--server", "1", "--gen-bytes", "20"),
+                 ("update", "--server", "0", "--block", "0", "--gen-bytes", "16"), ("crash", "--server", "2")):
+        assert run_cli(torn, *argv) == 0, argv
+    with failing_write("cluster.state"):
+        assert run_cli(torn, "append", "--server", "0", "--gen-bytes", "20") == 2
+    assert b"DOWN 2\n" in (torn / "cluster.state").read_bytes() and (torn / "3.snapshot").exists()
+    # The partial 4.snapshot.tmp of an append torn after a recover, made on a copy.
+    spare = root / "spare"
+    shutil.copytree(torn, spare)
+    assert run_cli(spare, "recover") == 0
+    with failing_write("4.snapshot", torn=True):
+        assert run_cli(spare, "append", "--server", "1", "--gen-bytes", "20") == 2
+    shutil.copy(spare / "4.snapshot.tmp", torn)
+    shutil.rmtree(spare)
     return {"clean": clean, "tampered": tampered, "torn": torn}
 
 
@@ -110,9 +135,10 @@ def violation(directory, original, name, edited, points):
                 (directory / file).write_bytes(original[file])
 
 
-def fuzz(directory, points, rng=None):
-    """Every violation over the edits of every file in ``directory``, whose
-    committed epochs are ``points``, and the number of edits tried."""
+def fuzz(directory, rng=None):
+    """Every violation over the edits of every file in ``directory`` and the
+    number of edits tried."""
+    points = load_ledger(directory).points
     original = files(directory)
     found, tried = [], 0
     for name, data in sorted(original.items()):
@@ -131,7 +157,7 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", ["clean", "tampered", "torn"])
 def test_recover_writes_nothing_or_keeps_every_committed_epoch(inputs, kind):
-    found, tried = fuzz(inputs[kind], load_ledger(inputs["clean"]).points, random.Random(SEED))
+    found, tried = fuzz(inputs[kind], random.Random(SEED))
     assert tried > 450
     assert not found, f"{len(found)} of {tried} edits: " + "; ".join(found[:10])
 
@@ -139,10 +165,8 @@ def test_recover_writes_nothing_or_keeps_every_committed_epoch(inputs, kind):
 def main():
     with tempfile.TemporaryDirectory() as root:
         total = []
-        inputs = build_inputs(Path(root))
-        points = load_ledger(inputs["clean"]).points
-        for directory in inputs.values():
-            found, tried = fuzz(directory, points)
+        for directory in build_inputs(Path(root)).values():
+            found, tried = fuzz(directory)
             print(f"{directory.name}: {tried} edits, {len(found)} violations")
             total += found
         for line in total:

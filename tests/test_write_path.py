@@ -189,17 +189,18 @@ def binds_empty_dict(node):
 
 
 def test_stored_blocks_are_written_only_by_put_and_drop():
-    """Besides put and drop, the only writes are constructor bindings: a new
-    server's two dicts start as empty literals, and a Ledger binds its block
-    store (not a server's blocks). A server's kept snapshot lines are
+    """Besides put and drop, the only writes are constructor bindings, a new
+    server's two dicts starting as empty literals, and the ledger's block
+    store (not a server's blocks): a Ledger binds it, and only a commit and
+    a load add to it. A server's kept snapshot lines are
     bound by its constructor, cleared by put and drop, and filled only by
     snapshot_lines, so they are rendered from the dicts as they stand."""
     sites, kept = [], []
     for path in sorted(Path(cloudledger.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        method = method_of(tree)
+        method, function = method_of(tree), function_of(tree)
         for node in storage_writes(tree):
-            where = method.get(id(node), "module level")
+            where = method.get(id(node)) or function.get(id(node), "module level")
             if where == "ServerState.__init__" and binds_empty_dict(node):
                 where += " = {}"
             sites.append((path.name, where))
@@ -208,7 +209,7 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
         [("cluster.py", "ServerState.__init__ = {}")] * 2
         + [("cluster.py", "ServerState.put")] * 2
         + [("cluster.py", "ServerState.drop")] * 2
-        + [("ledger.py", "Ledger.__init__")]
+        + [("ledger.py", "Ledger.__init__"), ("ledger.py", "commit_restore_point"), ("ledger.py", "load_ledger")]
     )
     assert sorted(kept) == [("cluster.py", f"ServerState.{name}")
                             for name in ("__init__", "drop", "put", "snapshot_lines")]
@@ -216,7 +217,8 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
 
 def file_writes(tree):
     """Calls that write a file: write_text, write_bytes, os.replace or
-    os.rename, and open unless its mode is a literal of only r, b and t."""
+    os.rename, and open unless its mode is a literal of only r, b and t or
+    its flags are os.O_RDONLY alone."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -229,8 +231,13 @@ def file_writes(tree):
             # open(path, mode) and os.open(path, flags), but path.open(mode)
             position = 0 if isinstance(func, ast.Attribute) and not on_os else 1
             modes = node.args[position : position + 1] + [k.value for k in node.keywords if k.arg in ("mode", "flags")]
-            if any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt")) for m in modes):
+            if any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt") or is_read_only_flag(m))
+                   for m in modes):
                 yield node
+
+
+def is_read_only_flag(node):
+    return isinstance(node, ast.Attribute) and node.attr == "O_RDONLY" and getattr(node.value, "id", None) == "os"
 
 
 def function_of(tree):
@@ -246,10 +253,10 @@ def function_of(tree):
 def test_file_writes_are_recognised():
     sample = ast.parse(
         "open(p, 'w'); open(p, mode='ab'); open(p, m); p.open('x'); os.open(p, flags)\n"
-        "p.write_text(t); p.write_bytes(b); os.replace(a, b); os.rename(a, b)\n"
-        "open(p); open(p, 'rb'); p.open(); p.open('r'); t.replace('a', 'b'); p.read_text()\n"
+        "p.write_text(t); p.write_bytes(b); os.replace(a, b); os.rename(a, b); os.open(p, os.O_WRONLY)\n"
+        "open(p); open(p, 'rb'); p.open(); p.open('r'); t.replace('a', 'b'); p.read_text(); os.open(p, os.O_RDONLY)\n"
     )
-    assert len(list(file_writes(sample))) == 9
+    assert len(list(file_writes(sample))) == 10
 
 
 def test_ledger_write_file_is_the_only_file_writer():
@@ -259,7 +266,7 @@ def test_ledger_write_file_is_the_only_file_writer():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         function = function_of(tree)
         sites += [(path.name, function.get(id(node), "module level")) for node in file_writes(tree)]
-    assert sites == [("ledger.py", "write_file")] * 3
+    assert sites == [("ledger.py", "write_file")] * 2
 
 
 def test_a_commit_allocates_only_the_changed_record():
