@@ -19,8 +19,7 @@ state runs through verify_equality.
 
 Timestamps are logical clock ticks, not wall time, so ledgers are
 byte-reproducible: epoch k commits at tick k + 1. Ledger is a plain
-mutable class, RestorePoint a plain immutable one, and RecoveryReport a
-NamedTuple.
+mutable class, RestorePoint and RecoveryReport NamedTuples.
 
 This module owns the ledger directory, the CLI's files included, and
 write_file is its one writer, replacing whole files only. Memory follows
@@ -38,11 +37,14 @@ from __future__ import annotations
 import enum
 import os
 import re
+from bisect import bisect_left
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .cluster import (
+    _RETIRED_HEADERS,
+    SNAPSHOT_HEADER,
     ClusterState,
     load_snapshot,
     read_manifest,
@@ -57,41 +59,26 @@ from .errors import (
     UnverifiedState,
 )
 from .manifest import _DECIMAL, BlockRecord, DataBlock, Manifest, make_block
-from .protocol import Mode, Verdict, _differing, _on_servers, verify_equality
+from .protocol import Mode, Verdict, verify_equality
 
 
-class RestorePoint:
-    """One committed epoch: manifest, payload snapshot and operation line. Immutable.
+class RestorePoint(NamedTuple):
+    """One committed epoch: manifest, payload snapshot, operation line and added blocks.
 
     The snapshot holds the manifest and names each record's block by
     digest, resolved in the ledger's block store. ``op`` is the operation
     line, ``<KIND> server=<s> block=<b>``, of the operation that committed
-    the epoch, None for the upload's epoch 0. The epoch is the manifest's,
-    and the tick and X derive from the manifest. ``added`` holds the
-    blocks this commit was first to store, which its epoch file holds
-    before the snapshot; it takes no part in equality.
+    the epoch, None for the upload's epoch 0. ``added`` holds the blocks
+    this commit was first to store, in address order, as its epoch file
+    holds them before the snapshot, so a loaded point equals the committed
+    one field by field. The epoch is the manifest's, and the tick and X
+    derive from the manifest.
     """
 
-    __slots__ = ("manifest", "payload_snapshot", "op", "added")
-
-    def __init__(self, manifest: Manifest, payload_snapshot: str, op: Optional[str] = None,
-                 added: tuple[DataBlock, ...] = ()) -> None:
-        for name, value in zip(self.__slots__, (manifest, payload_snapshot, op, added)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign {name!r}: a RestorePoint is immutable")
-
-    def _compared(self) -> tuple[Manifest, str, Optional[str]]:
-        return (self.manifest, self.payload_snapshot, self.op)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
+    manifest: Manifest
+    payload_snapshot: str
+    op: Optional[str] = None
+    added: tuple[DataBlock, ...] = ()
 
     @property
     def epoch(self) -> int:
@@ -135,6 +122,17 @@ class Ledger:
 def previous_records(ledger: Ledger, epoch: int) -> Optional[tuple[BlockRecord, ...]]:
     """The records committed at epoch - 1, which a stale read path replays; None if there are none."""
     return ledger.points[epoch - 1].manifest.records if 0 < epoch <= len(ledger.points) else None
+
+
+def operation_records(records: tuple[BlockRecord, ...], key: tuple[int, int],
+                      record: Optional[BlockRecord]) -> tuple[BlockRecord, ...]:
+    """Sorted ``records`` with the record at ``key`` replaced by ``record``,
+    or removed when it is None: what one operation on the address ``key``
+    does to the records. A pure splice, which applies no rules; ops.apply
+    predicts with it, and load_ledger checks every epoch with it."""
+    at = bisect_left(records, key)
+    end = at + (at < len(records) and records[at].key == key)
+    return records[:at] + (() if record is None else (record,)) + records[end:]
 
 
 class RecoveryAction(enum.Enum):
@@ -309,11 +307,14 @@ def _read_entries(name: str, data: bytes, position: int,
                   stored: Mapping[str, DataBlock]) -> tuple[dict[str, DataBlock], str]:
     """The blocks of the entries in ``name``'s ``data`` from ``position`` on,
     read while _PACK_ENTRY matches, and the rest decoded as strict UTF-8:
-    the snapshot text. Each payload is hashed once, by make_block, and must
-    hash to its digest, and a block that ``stored`` (the other files) or
-    an earlier entry holds is refused. Neither an entry nor a DataBlock
-    carries an address: load_snapshot puts each block object at the
-    address of every manifest record whose digest line names it."""
+    the snapshot text, which must be empty or start with a snapshot header,
+    current or retired (load_snapshot names a retired one), so a malformed
+    entry header is named as the line it is. Each payload is hashed once,
+    by make_block, and must hash to its digest, and a block that ``stored``
+    (the other files) or an earlier entry holds is refused. Neither an
+    entry nor a DataBlock carries an address: load_snapshot puts each block
+    object at the address of every manifest record whose digest line names
+    it."""
     blocks: dict[str, DataBlock] = {}
     while (entry := _PACK_ENTRY.match(data, position)) is not None:
         digest, start = entry.group(1).decode("ascii"), entry.end()
@@ -327,8 +328,13 @@ def _read_entries(name: str, data: bytes, position: int,
             raise SnapshotCorrupt(f"{name} entry at byte {position} does not hash to its digest {digest}")
         blocks[digest] = block
         position = end + 1
+    rest = data[position:]
+    line = rest.partition(b"\n")[0].decode("utf-8", "replace")
+    if rest and line.split(" ")[:2] not in (SNAPSHOT_HEADER.split(" "), *_RETIRED_HEADERS):
+        raise SnapshotCorrupt(f"{name} at byte {position} holds {line!r}, which is neither a block entry nor a"
+                              " snapshot header")
     try:
-        return blocks, data[position:].decode("utf-8")
+        return blocks, rest.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SnapshotCorrupt(f"{name} does not load: its snapshot, from byte {position}, is not UTF-8"
                               f" ({exc.reason} at byte {position + exc.start})") from exc
@@ -369,13 +375,13 @@ def _check_operation(ledger: Ledger, manifest: Manifest, op: Optional[str]) -> N
 
     An upload places its blocks round-robin, so server i holds ids 0, 1,
     ... for every n-th block from block i. An operation keeps the server
-    count and, compared by _differing, removes at most one record and adds
-    at most one: an update keeps the address, an append takes the next id
-    after the server's largest, a delete only removes, and an update to
-    identical bytes changes nothing. Its line must name that kind and
-    address; an update that changes nothing must name an address the epoch
-    before holds. This catches an edited address or server count, which X,
-    a sum of weights, does not cover, and an edited operation line.
+    count, and its records must be operation_records of the epoch before's,
+    the splice ops.apply predicts with: the address its line names gets the
+    record the manifest holds there, or none for a delete. An update or a
+    delete names an address the epoch before holds, an append the next id
+    after the server's largest. This catches an edited address or server
+    count, which X, a sum of weights, does not cover, and an edited
+    operation line.
     """
     epoch, count, servers = manifest.epoch, len(manifest.records), manifest.server_count
     if not ledger.points:
@@ -387,35 +393,23 @@ def _check_operation(ledger: Ledger, manifest: Manifest, op: Optional[str]) -> N
     if servers != previous.server_count:
         raise SnapshotCorrupt(f"epoch {epoch} has servers={servers}, epoch {previous.epoch}"
                               f" servers={previous.server_count}")
-    removed, added = _differing(previous.records, manifest.records)
-    if len(removed) > 1 or len(added) > 1:
-        raise SnapshotCorrupt(f"epoch {epoch} differs from epoch {previous.epoch} in {len(removed)} removed and"
-                              f" {len(added)} added records; one operation removes and adds at most one")
-    if removed and added:
-        (old,), (new,) = removed, added
-        if old.key != new.key:
-            raise SnapshotCorrupt(f"epoch {epoch} removes server={old.server_index} block={old.block_id} and adds"
-                                  f" server={new.server_index} block={new.block_id}; an update keeps the address")
-    elif added:
-        (new,) = added
-        held = tuple(_on_servers(previous.records, frozenset({new.server_index})))
-        next_id = held[-1].block_id + 1 if held else 0
-        if new.block_id != next_id:
-            raise SnapshotCorrupt(f"epoch {epoch} appends server={new.server_index} block={new.block_id};"
-                                  f" an append takes block {next_id}")
-    if removed or added:
-        (record,) = added or removed
-        kind = "UPDATE" if removed and added else "APPEND" if added else "DELETE"
-        expected = operation_line(kind, record.server_index, record.block_id)
-        if op != expected:
-            raise SnapshotCorrupt(f"epoch {epoch} has operation line {op!r}, but its records change as"
-                                  f" {expected!r} does")
-        return
     kind, server, block = _OPERATION_LINE.fullmatch(op).groups()
-    held = _on_servers(previous.records, frozenset({int(server)}))
-    if kind != "UPDATE" or all(record.block_id != int(block) for record in held):
-        raise SnapshotCorrupt(f"epoch {epoch} changes no record, as an update to identical bytes of a block epoch"
-                              f" {previous.epoch} holds does, but its operation line is {op!r}")
+    key, before = (int(server), int(block)), previous.records
+    if kind == "APPEND":
+        held = before[bisect_left(before, (key[0],)) : bisect_left(before, (key[0] + 1,))]
+        allowed = key[1] == (held[-1].block_id + 1 if held else 0)
+    else:
+        allowed = _record_at(before, key) is not None
+    record = None if kind == "DELETE" else _record_at(manifest.records, key)
+    if (not allowed or (record is None and kind != "DELETE")
+            or manifest.records != operation_records(before, key, record)):
+        raise SnapshotCorrupt(f"epoch {epoch} is not what {op!r} leaves on epoch {previous.epoch}")
+
+
+def _record_at(records: tuple[BlockRecord, ...], key: tuple[int, int]) -> Optional[BlockRecord]:
+    """The record at ``key`` in sorted ``records``, or None."""
+    at = bisect_left(records, key)
+    return records[at] if at < len(records) and records[at].key == key else None
 
 
 def _epoch_count(directory: Path) -> int:
@@ -443,8 +437,9 @@ def load_ledger(directory: Path) -> Ledger:
     resolves only in the blocks of files 0..k, then its snapshot. That is
     loaded (the epoch's one copy of the manifest, parsed once) and its
     blocks checked against its manifest, which must claim the epoch and be
-    an upload's (epoch 0) or, from epoch 1, the operation its line names on
-    the epoch before (_check_operation). Every epoch loads into one
+    an upload's (epoch 0) or, from epoch 1, what the operation its line
+    names leaves on the epoch before, by the splice ops.apply predicts with,
+    operation_records (_check_operation). Every epoch loads into one
     cluster, which puts only the records the epoch changed or added, so
     the points share every other record object. Each distinct block is
     hashed once, so the cost is O(distinct stored bytes + epochs x

@@ -3,9 +3,11 @@
 Each operation is bracketed by two protocol runs. Before mutating, the
 live cloud state must verify clean against the last committed restore
 point (checksums included); afterwards, the client-side prediction of the
-new manifest must match what the cloud actually serves. Only then is a
-new restore point committed, advancing the epoch by exactly one, with
-the operation line that names its kind and address. Any
+new manifest must match what the cloud actually serves. The prediction is
+ledger.operation_records, the committed records with the operation's
+address spliced, the rule load_ledger checks every persisted epoch by.
+Only then is a new restore point committed, advancing the epoch by
+exactly one, with the operation line that names its kind and address. Any
 failure after the mutation rolls the cluster back to the last snapshot
 and is re-raised, so operations are atomic. The byte accounting is exact:
 s_after = s_before + delta, with delta the signed weight contribution of
@@ -15,7 +17,6 @@ the operation. Requests and results are NamedTuples.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from typing import Callable, NamedTuple, Optional
 
 from .checksum import fnv1a64
@@ -32,6 +33,7 @@ from .ledger import (
     commit_restore_point,
     journal_line,
     operation_line,
+    operation_records,
     previous_records,
     rewrite_cluster_from_point,
 )
@@ -139,20 +141,13 @@ def apply(
         block_id, old_weight = request.block_id, server.records[request.block_id].weight
     else:
         raise NoSuchBlock(f"no block {request.block_id} on server {request.server_index}")
-    # The expected manifest is the committed one with the changed address
-    # spliced: its old record (if any) removed, the new one (if any) in place.
-    records = list(last.manifest.records)
-    key = (request.server_index, block_id)
-    at = bisect_left(records, key)
-    end = at + (at < len(records) and records[at].key == key)
     if request.kind is OperationKind.DELETE:
         server.drop(block_id)
-        records[at:end] = []
-        delta = -old_weight
+        record, delta = None, -old_weight
     else:
         payload = bytes(request.payload or b"")
         server.put(block_id, make_block(payload))
-        records[at:end] = [BlockRecord(request.server_index, block_id, len(payload), fnv1a64(payload))]
+        record = BlockRecord(request.server_index, block_id, len(payload), fnv1a64(payload))
         delta = len(payload) - old_weight
 
     cluster.epoch += 1
@@ -160,7 +155,7 @@ def apply(
     expected = Manifest(
         level=Level.USER,
         epoch=cluster.epoch,
-        records=tuple(records),
+        records=operation_records(last.manifest.records, (request.server_index, block_id), record),
         server_count=last.manifest.server_count,
     )
     try:

@@ -225,7 +225,7 @@ def test_an_edited_snapshot_address_exits_2_and_writes_nothing(ledger_dir, tmp_p
     capsys.readouterr()
     for command in (["verify"], ["audit", "--epochs", "0..2"], ["recover"]):
         assert run_cli(*flags, *command) == 2
-        assert "epoch 1 differs from epoch 0 in 1 removed and 2 added records" in capsys.readouterr().err
+        assert "epoch 1 is not what 'APPEND server=1 block=2' leaves on epoch 0" in capsys.readouterr().err
     assert dir_contents(ledger_dir) == before
 
 
@@ -588,10 +588,10 @@ def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, cap
     (1, lambda data, op: data.replace(op, b"APPEND server=0\n", 1), "starts with 'APPEND server=0', which is no"),
     (1, lambda data, op: data.replace(op, b"APPEND again\n", 1), "starts with 'APPEND again', which is no"),
     (1, lambda data, op: data.replace(op, b"junk line\n", 1), "starts with 'junk line', which is no operation"),
-    # A line before an epoch file's entries makes them part of its text, which then holds their binary payloads.
-    (0, lambda data, op: b"UPDATE nothing\n" + data, "0.snapshot does not load: its snapshot, from byte 0, is not"),
-    (1, lambda data, op: data.replace(op, op + op, 1), "1.snapshot does not load: its snapshot, from byte 24, is not"),
-    (0, lambda data, op: op + data, "0.snapshot does not load: its snapshot, from byte 0, is not UTF-8"),
+    # A line before an epoch file's entries is neither an entry nor a snapshot header.
+    (0, lambda data, op: b"UPDATE nothing\n" + data, "0.snapshot at byte 0 holds 'UPDATE nothing', which is neither"),
+    (1, lambda data, op: data.replace(op, op + op, 1), "1.snapshot at byte 24 holds 'APPEND server=0 block=9', which"),
+    (0, lambda data, op: op + data, "0.snapshot at byte 0 holds 'APPEND server=0 block=9', which is neither a block"),
 ], ids=["short-line", "again", "junk", "epoch-0-junk", "epoch-1-twice", "epoch-0"])
 def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, capsys, epoch, edit, error):
     """Every operation's epoch file starts with the one line it journals,

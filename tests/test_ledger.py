@@ -445,43 +445,58 @@ def test_every_operation_kind_loads(tmp_path):
     assert load_ledger(directory).points == ledger.points
 
 
-def edit_snapshot(directory, epoch, pattern, replacement):
-    path = directory / f"{epoch}.snapshot"
-    data, count = re.subn(pattern.encode(), replacement.encode(), path.read_bytes(), count=1, flags=re.MULTILINE)
+def edit_snapshot(directory, epoch, pattern, replacement, into=None):
+    """Replace the first match of ``pattern`` in epoch ``epoch``'s file and
+    write the result back, or as epoch ``into``'s file."""
+    data, count = re.subn(pattern.encode(), replacement.encode(), (directory / f"{epoch}.snapshot").read_bytes(),
+                          count=1, flags=re.MULTILINE)
     assert count == 1
-    path.write_bytes(data)
+    (directory / f"{epoch if into is None else into}.snapshot").write_bytes(data)
 
 
 @pytest.mark.parametrize("epoch, pattern, replacement, error", [
     (0, "servers=3", "servers=4", "epoch 0 is not the round-robin upload of 7 blocks on 4 servers"),
     (0, "^1 1 32 ", "1 2 32 ", "epoch 0 is not the round-robin upload"),
     (1, "servers=3", "servers=9", "epoch 1 has servers=9, epoch 0 servers=3"),
-    (1, "^0 2 8 ", "0 9 8 ", "epoch 1 differs from epoch 0 in 1 removed and 2 added records"),
-    (1, "^1 2 8 ", "1 3 8 ", "epoch 1 appends server=1 block=3; an append takes block 2"),
-    (2, "^2 1 8 ", "2 2 8 ", "epoch 2 removes server=2 block=1 and adds server=2 block=2"),
-    (1, "^APPEND", "DELETE", "epoch 1 has operation line 'DELETE server=1 block=2', but its records change as"
-                             " 'APPEND server=1 block=2' does"),
-    (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=0", "epoch 2 has operation line 'UPDATE server=2 block=0'"),
+    (1, "^0 2 8 ", "0 9 8 ", "epoch 1 is not what 'APPEND server=1 block=2' leaves on epoch 0"),
+    (1, "^1 2 8 ", "1 3 8 ", "epoch 1 is not what 'APPEND server=1 block=2' leaves on epoch 0"),
+    (2, "^2 1 8 ", "2 2 8 ", "epoch 2 is not what 'UPDATE server=2 block=1' leaves on epoch 1"),
+    (1, "^APPEND", "DELETE", "epoch 1 is not what 'DELETE server=1 block=2' leaves on epoch 0"),
+    (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=0", "epoch 2 is not what 'UPDATE server=2 block=0' leaves"),
     (1, "^APPEND server=1 ", "APPEND server=01 ", "1.snapshot starts with 'APPEND server=01 block=2', which is no"),
     # Without its operation line, epoch 1's file starts with the entry of the block it appended.
     (1, "^APPEND server=1 block=2\n", "", f"1.snapshot starts with '{digest_of(bytes(8))} 8', which is no"),
-    # With a line before them, epoch 0's entries are part of its text, which holds their binary payloads.
-    (0, "^", "APPEND server=1 block=2\n", "0.snapshot does not load: its snapshot, from byte 0, is not UTF-8"),
+    # A line before epoch 0's entries is neither an entry nor a snapshot header.
+    (0, "^", "APPEND server=1 block=2\n", "0.snapshot at byte 0 holds 'APPEND server=1 block=2', which is neither"),
+    # Epoch 3, an update of server 0's block 1 to identical bytes, as epoch 5, after epoch 4 deleted that block:
+    # its records add one at the freed id, below the server's largest, 2.
+    ((3, 5), "epoch=3 ", "epoch=5 ", "epoch 5 is not what 'UPDATE server=0 block=1' leaves on epoch 4"),
+    ((3, 5), r"(?s)^UPDATE(.*?)epoch=3 ", r"APPEND\1epoch=5 ",
+     "epoch 5 is not what 'APPEND server=0 block=1' leaves on epoch 4"),
+    # Epoch 4, the delete, again as epoch 5: no record changes, and the address it names is already gone.
+    ((4, 5), "epoch=4 ", "epoch=5 ", "epoch 5 is not what 'DELETE server=0 block=1' leaves on epoch 4"),
 ], ids=["upload-servers", "upload-id", "servers", "other-address", "append-id", "update-address",
-        "op-kind-swapped", "op-address-moved", "op-server-01", "op-line-missing", "op-line-at-epoch-0"])
+        "op-kind-swapped", "op-address-moved", "op-server-01", "op-line-missing", "op-line-at-epoch-0",
+        "update-freed-id", "append-freed-id", "delete-unheld"])
 def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsys, epoch, pattern, replacement,
                                                                   error):
     """X covers weights only; an edited block id or server count, or an
     edited operation line, must still make the epoch fail to load: every
-    command that loads the ledger exits 2, and recover writes nothing."""
+    command that loads the ledger exits 2, and recover writes nothing. An
+    epoch given as (source, target) is the source epoch's file, edited,
+    written as the target's: an update or a delete must name an address
+    the epoch before holds, and an append the server's next id."""
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(bytes(range(200)), 3, 32, directory=directory)
     append(cluster, ledger, 1, bytes(8))
     update(cluster, ledger, 2, 1, bytes(range(8)))
+    update(cluster, ledger, 0, 1, cluster.servers[0].blocks[1].payload)
+    delete(cluster, ledger, 0, 1)
     (directory / "cluster.state").write_bytes(b"")  # the live cluster is the last point
     assert load_ledger(directory).points == ledger.points
     assert cli.run(["--ledger-dir", str(directory), "recover"]) == 0
-    edit_snapshot(directory, epoch, pattern, replacement)
+    source, target = epoch if isinstance(epoch, tuple) else (epoch, None)
+    edit_snapshot(directory, source, pattern, replacement, into=target)
     with pytest.raises(SnapshotCorrupt, match=re.escape(error)):
         load_ledger(directory)
     before = {path.name: path.read_bytes() for path in directory.iterdir()}
@@ -502,5 +517,5 @@ def test_an_epoch_that_changes_no_record_is_an_update_of_a_held_block(tmp_path, 
     assert ledger.points[1].op == "UPDATE server=1 block=1"
     assert load_ledger(directory).points == ledger.points
     edit_snapshot(directory, 1, "^UPDATE server=1 block=1$", line)
-    with pytest.raises(SnapshotCorrupt, match=f"epoch 1 changes no record, .* but its operation line is '{line}'"):
+    with pytest.raises(SnapshotCorrupt, match=f"epoch 1 is not what '{line}' leaves on epoch 0"):
         load_ledger(directory)

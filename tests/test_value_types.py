@@ -60,13 +60,17 @@ def test_values_reject_attribute_assignment(value, field):
             setattr(value, attribute, None)
 
 
-def test_restore_point_equality_ignores_added():
+def test_restore_point_equality_includes_added():
+    """A loaded point holds the blocks its epoch file stores, in the order
+    the commit added them, so a point compares on all four fields."""
     _, ledger = make_committed_state(b"abcdef", 2, 2)
     point = ledger.last()
     assert point.added
-    read_back = RestorePoint(point.manifest, point.payload_snapshot)
-    assert read_back == point and hash(read_back) == hash(point)
-    assert RestorePoint(point.manifest, point.payload_snapshot + "\n") != point
+    rebuilt = RestorePoint(point.manifest, point.payload_snapshot, point.op, point.added)
+    assert rebuilt == point and hash(rebuilt) == hash(point)
+    assert point._replace(added=point.added[::-1]) != point
+    assert point._replace(added=()) != point
+    assert point._replace(payload_snapshot=point.payload_snapshot + "\n") != point
 
 
 def test_a_block_is_its_content_and_a_point_derives_its_tick():
