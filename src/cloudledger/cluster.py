@@ -6,9 +6,10 @@ ServerState.put and drop, which keep each block's record (its address,
 its length and the checksum make_block stored with it, never client
 metadata) beside it. A cloud-level manifest joins those records, so a
 read hashes and builds nothing, yet sees any corruption of stored bytes.
-Each server also keeps the lines it contributes to a snapshot until its
-next put or drop, so a commit renders only the servers written since
-their last render.
+put renders each record's manifest line as it writes the record, and
+each server keeps its joined snapshot lines and weight total until its
+next put or drop, so a commit renders one line per put and sums the
+weights of only the servers written since their last snapshot.
 Fault injection covers byte corruption, truncation, same-weight
 substitution, block drops, server crashes (which erase that server's
 data), and a lying read path that replays the previous epoch's records.
@@ -36,7 +37,7 @@ from .manifest import (
     DataBlock,
     Level,
     Manifest,
-    _render_records,
+    _RECORD_FORMAT,
     _server_bounds,
     make_block,
     new_record,
@@ -88,39 +89,47 @@ class ServerState:
     or a rollback, and each epoch of a ledger load) drops the ids the
     snapshot lacks and puts only the blocks that differ or are missing; a
     server whose remaining ids are no prefix of the snapshot's is
-    replaced by a new one instead. The server's snapshot lines, its record
-    lines and digest lines, are rendered by snapshot_lines on first use
-    and kept until put or drop clears them, so the snapshot of a commit
-    re-renders only the servers written since their last render.
+    replaced by a new one instead. put renders each record's manifest
+    line into record_lines, the third dict that put and drop alone write,
+    so a record line is rendered once, when its record is written.
+    snapshot_lines joins those lines, renders the digest lines and sums
+    the weights on first use, and keeps all three until the next put or
+    drop, so the snapshot of a commit joins and sums again only the
+    servers written since their last snapshot.
     """
 
     def __init__(self, server_index: int) -> None:
         self.server_index = server_index
         self.blocks: dict[int, DataBlock] = {}
         self.records: dict[int, BlockRecord] = {}
+        self.record_lines: dict[int, str] = {}
         self.alive = True
-        self._snapshot_lines: Optional[tuple[str, str]] = None
+        self._snapshot_lines: Optional[tuple[str, str, int]] = None
 
     def put(self, block_id: int, block: DataBlock) -> None:
         """Store a block at block_id, replacing any block there, and record
-        it there with its length as weight and its stored checksum."""
+        it there with its length as weight and its stored checksum. The
+        record is always a new object, and its manifest line is rendered."""
         self.blocks[block_id] = block
-        self.records[block_id] = new_record((self.server_index, block_id, len(block.payload), block.checksum))
+        record = self.records[block_id] = new_record((self.server_index, block_id, len(block.payload), block.checksum))
+        self.record_lines[block_id] = _RECORD_FORMAT % record
         self._snapshot_lines = None
 
     def drop(self, block_id: int) -> None:
-        """Remove the block at block_id and its record."""
+        """Remove the block at block_id, its record and its record line."""
         del self.blocks[block_id]
         del self.records[block_id]
+        del self.record_lines[block_id]
         self._snapshot_lines = None
 
-    def snapshot_lines(self) -> tuple[str, str]:
-        """The server's part of a snapshot: its manifest record lines and
-        its digest lines, rendered on the first call after a put or drop
-        and kept until the next one."""
+    def snapshot_lines(self) -> tuple[str, str, int]:
+        """The server's part of a snapshot: its manifest record lines, its
+        digest lines and the total weight of its records, made on the
+        first call after a put or drop and kept until the next one."""
         if self._snapshot_lines is None:
             digests = "".join([f"{block.digest}\n" for block in self.blocks.values()])
-            self._snapshot_lines = (_render_records(self.records.values()), digests)
+            total = sum(map(itemgetter(2), self.records.values()))
+            self._snapshot_lines = ("".join(self.record_lines.values()), digests, total)
         return self._snapshot_lines
 
 
@@ -147,7 +156,9 @@ class ClusterState:
         return len(self.servers)
 
     def total_stored_bytes(self) -> int:
-        return sum(len(b.payload) for s in self.servers for b in s.blocks.values())
+        """The bytes stored on all servers: the sum of the weight totals
+        the servers keep beside their snapshot lines."""
+        return sum(server.snapshot_lines()[2] for server in self.servers)
 
     def has_data(self) -> bool:
         return any(s.blocks for s in self.servers)
@@ -307,12 +318,16 @@ _RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], 
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
-    """The cluster's snapshot text. Each server's record and digest lines
-    are the ones it kept since its last put or drop, so a commit renders
-    only the servers written since their last render; serialize_manifest
-    wraps the record lines in the manifest's header and END."""
+    """The cluster's snapshot text. Each server's record lines, digest
+    lines and weight total are the ones it kept since its last put or
+    drop, so a commit joins and sums only the servers written since their
+    last snapshot; serialize_manifest wraps the record lines in the
+    manifest's header, whose total is the sum of the servers' totals, and
+    END. No manifest of the records is built: the one passed names only
+    the header's level, epoch and server count."""
     lines = [server.snapshot_lines() for server in cluster.servers]
-    manifest = serialize_manifest(stored_manifest(cluster), "".join(map(itemgetter(0), lines)))
+    header = Manifest(Level.CLOUD, cluster.epoch, (), cluster.server_count)
+    manifest = serialize_manifest(header, "".join(map(itemgetter(0), lines)), sum(map(itemgetter(2), lines)))
     status = [f"DOWN {server.server_index}\n" for server in cluster.servers if not server.alive]
     if cluster.stale_armed:
         status.append("STALE\n")

@@ -8,6 +8,9 @@ has S = T, so X is twice the manifest total, and is never stored. The
 ledger keeps one block store, shared by all its points, holding each
 distinct block once (on disk, in the epoch file of the commit that was
 first to store it), so a commit stores only the blocks the store lacks.
+It looks them up only on the servers holding a record object the last
+point does not: put always makes a new record, so every other server
+holds the very blocks the last commit found in the store.
 
 Recovery declares the state intact when every server is up and the
 live records equal the last committed manifest's, one tuple comparison
@@ -38,7 +41,7 @@ import enum
 import os
 import re
 from bisect import bisect_left
-from operator import itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -46,6 +49,7 @@ from .cluster import (
     _RETIRED_HEADERS,
     SNAPSHOT_HEADER,
     ClusterState,
+    ServerState,
     load_snapshot,
     read_manifest,
     snapshot_cluster,
@@ -58,7 +62,7 @@ from .errors import (
     SnapshotCorrupt,
     UnverifiedState,
 )
-from .manifest import _DECIMAL, BlockRecord, DataBlock, Manifest, make_block
+from .manifest import _DECIMAL, BlockRecord, DataBlock, Manifest, _record_at, _server_bounds, make_block
 from .protocol import Mode, Verdict, verify_equality
 
 
@@ -156,9 +160,11 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     with it X), a payload snapshot and the operation line are frozen and
     the logical clock ticks. The manifest shares every record the commit did
     not change with the previous point, whose records become the
-    cluster's previous_records, the ones a stale read path replays. A bound
-    ledger writes the epoch file before the blocks join the store and the
-    point joins ``points``.
+    cluster's previous_records, the ones a stale read path replays. Only
+    the servers that hold a record the previous point does not share
+    (_rewritten_servers) are looked up in the store. A bound ledger writes
+    the epoch file before the blocks join the store and the point joins
+    ``points``.
     """
     if not verdict.z:
         raise UnverifiedState("refusing to snapshot a state that failed verification")
@@ -173,7 +179,7 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     manifest = stored_manifest(cluster)
     if manifest.records != read_manifest(cluster).records:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
-    added = _unstored_blocks(ledger.blocks, cluster)
+    added = _unstored_blocks(ledger.blocks, _rewritten_servers(ledger, cluster))
     point = RestorePoint(manifest, snapshot_cluster(cluster), op, tuple(added.values()))
     if ledger.directory is not None:
         _persist_point(ledger.directory, point)
@@ -242,10 +248,26 @@ def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
         raise SnapshotCorrupt(f"restored state fails its manifest check ({len(check.divergences)} divergences)")
 
 
-def _unstored_blocks(store: Mapping[str, DataBlock], cluster: ClusterState) -> dict[str, DataBlock]:
-    """The cluster's blocks that ``store`` lacks, digest -> block, each once, in address order."""
+def _rewritten_servers(ledger: Ledger, cluster: ClusterState) -> list[ServerState]:
+    """The servers whose records are not, object for object, the last
+    point's records on that server: every server if there is no last
+    point or it has another server count. put always makes a new record,
+    even for the same bytes or a block of the same weight and checksum,
+    so any other server holds the very blocks the last commit stored or
+    found in the store. Each comparison is one pass in C that stops at
+    the first record the server rewrote."""
+    if not ledger.points or ledger.last().manifest.server_count != cluster.server_count:
+        return cluster.servers
+    records = ledger.last().manifest.records
+    bounds = _server_bounds(records, cluster.server_count)
+    return [server for server, start, end in zip(cluster.servers, bounds, bounds[1:])
+            if len(server.records) != end - start or not all(map(is_, server.records.values(), records[start:end]))]
+
+
+def _unstored_blocks(store: Mapping[str, DataBlock], servers: Iterable[ServerState]) -> dict[str, DataBlock]:
+    """The blocks on ``servers`` that ``store`` lacks, digest -> block, each once, in address order."""
     new: dict[str, DataBlock] = {}
-    for server in cluster.servers:
+    for server in servers:
         for block in server.blocks.values():
             if block.digest not in store:
                 new.setdefault(block.digest, block)
@@ -357,7 +379,7 @@ def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
     otherwise the live blocks no epoch file holds, then its snapshot."""
     text = snapshot_cluster(cluster)
     same = ledger.points and text == ledger.last().payload_snapshot
-    data = b"" if same else _ledger_file("", _unstored_blocks(ledger.blocks, cluster).values(), text)
+    data = b"" if same else _ledger_file("", _unstored_blocks(ledger.blocks, cluster.servers).values(), text)
     write_file(ledger.directory, CLUSTER_FILE, data)
 
 
@@ -404,12 +426,6 @@ def _check_operation(ledger: Ledger, manifest: Manifest, op: Optional[str]) -> N
     if (not allowed or (record is None and kind != "DELETE")
             or manifest.records != operation_records(before, key, record)):
         raise SnapshotCorrupt(f"epoch {epoch} is not what {op!r} leaves on epoch {previous.epoch}")
-
-
-def _record_at(records: tuple[BlockRecord, ...], key: tuple[int, int]) -> Optional[BlockRecord]:
-    """The record at ``key`` in sorted ``records``, or None."""
-    at = bisect_left(records, key)
-    return records[at] if at < len(records) and records[at].key == key else None
 
 
 def _epoch_count(directory: Path) -> int:

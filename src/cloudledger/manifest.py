@@ -142,19 +142,22 @@ def _render_records(records: Collection[BlockRecord]) -> str:
     return (_RECORD_FORMAT * len(records)) % tuple(chain.from_iterable(records))
 
 
-def serialize_manifest(manifest: Manifest, lines: Optional[str] = None) -> str:
+def serialize_manifest(manifest: Manifest, lines: Optional[str] = None, total: Optional[int] = None) -> str:
     """Canonical line-oriented form: header, one line per record, END.
 
     LF endings, no trailing whitespace, checksums as 16 lowercase hex
     digits. Byte-identical for equal manifests; any differing record
-    tuple changes the output. ``lines`` are the record lines, if the
-    caller already rendered them with _render_records (snapshot_cluster
-    joins the lines each server keeps, so a commit renders only the
-    servers written since their last render); else they are rendered here.
+    tuple changes the output. ``lines`` are the record lines, in
+    _RECORD_FORMAT, and ``total`` their weight total, if the caller
+    already has them (snapshot_cluster joins the lines and sums the
+    totals each server keeps, so a commit renders one line per put);
+    else they are rendered and summed from the manifest's records here.
     """
     if lines is None:
         lines = _render_records(manifest.records)
-    header = _render_header(manifest.level, manifest.epoch, manifest.server_count, manifest.total_weight)
+    if total is None:
+        total = manifest.total_weight
+    header = _render_header(manifest.level, manifest.epoch, manifest.server_count, total)
     return f"{header}\n{lines}END\n"
 
 

@@ -11,7 +11,13 @@ exactly one, with the operation line that names its kind and address. Any
 failure after the mutation rolls the cluster back to the last snapshot
 and is re-raised, so operations are atomic. The byte accounting is exact:
 s_after = s_before + delta, with delta the signed weight contribution of
-the operation. Requests and results are NamedTuples.
+the operation against the last point's record at its address. No
+manifest is summed for it: s_after is the committed cluster's stored
+bytes, the sum of the weight totals its servers keep beside their
+snapshot lines, and s_before = s_after - delta, which is the last point's
+total because the commit requires the stored records to be the
+prediction, the last point's records with one splice. Requests and
+results are NamedTuples.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .ledger import (
     previous_records,
     rewrite_cluster_from_point,
 )
-from .manifest import BlockRecord, Level, Manifest
+from .manifest import BlockRecord, Level, Manifest, _record_at
 from .protocol import Mode, Verdict, verify_equality
 
 
@@ -66,8 +72,11 @@ class OperationResult(NamedTuple):
     """Outcome of one committed operation, including both verdicts.
 
     delta is signed: positive for appends, negative for deletes, and the
-    new-minus-old weight difference for updates; s_after = s_before + delta
-    holds exactly.
+    new-minus-old weight difference for updates, the old weight being the
+    one the last point records at the address (a stale read path can hide
+    a live block of another weight); s_after = s_before + delta holds
+    exactly, and s_before and s_after are the totals of the points before
+    and after the operation.
     """
 
     kind: OperationKind
@@ -127,7 +136,6 @@ def apply(
             f"cloud state diverged from restore point {last.epoch} before the operation",
             pre_verdict,
         )
-    s_before = last.manifest.total_weight
 
     if not 0 <= request.server_index < cluster.server_count:
         raise NoSuchBlock(f"no server {request.server_index}")
@@ -136,11 +144,14 @@ def apply(
         raise ServerDown(f"server {request.server_index} is not alive")
 
     if request.kind is OperationKind.APPEND:
-        block_id, old_weight = max(server.blocks, default=-1) + 1, 0
+        block_id = max(server.blocks, default=-1) + 1
     elif request.block_id in server.records:
-        block_id, old_weight = request.block_id, server.records[request.block_id].weight
+        block_id = request.block_id
     else:
         raise NoSuchBlock(f"no block {request.block_id} on server {request.server_index}")
+    key = (request.server_index, block_id)
+    committed = _record_at(last.manifest.records, key)
+    old_weight = 0 if committed is None else committed.weight
     if request.kind is OperationKind.DELETE:
         server.drop(block_id)
         record, delta = None, -old_weight
@@ -155,7 +166,7 @@ def apply(
     expected = Manifest(
         level=Level.USER,
         epoch=cluster.epoch,
-        records=operation_records(last.manifest.records, (request.server_index, block_id), record),
+        records=operation_records(last.manifest.records, key, record),
         server_count=last.manifest.server_count,
     )
     try:
@@ -173,6 +184,7 @@ def apply(
     except BaseException:
         rewrite_cluster_from_point(ledger, cluster)
         raise
+    s_after = cluster.total_stored_bytes()
     return OperationResult(
         kind=request.kind,
         server_index=request.server_index,
@@ -180,9 +192,9 @@ def apply(
         new_epoch=cluster.epoch,
         pre_verdict=pre_verdict,
         post_verdict=post_verdict,
-        s_before=s_before,
+        s_before=s_after - delta,
         delta=delta,
-        s_after=s_before + delta,
+        s_after=s_after,
     )
 
 

@@ -3,11 +3,14 @@
 ops.apply predicts each operation's manifest with ledger.operation_records,
 and load_ledger checks every persisted epoch with the same splice. A
 seeded random sequence of library operations (appends, updates to new,
-identical, another block's and empty bytes, deletes, then deletes down
-to an empty server and appends to it) runs on a ledger bound to a
-directory, and the points loaded from that directory must equal the
-committed ones, field by field. Run as a script, it checks a larger
-seeded set:
+identical, another block's and empty bytes, deletes, faults of every kind
+each followed by recover, then deletes down to an empty server and
+appends to it) runs on a ledger bound to a directory, and the points
+loaded from that directory must equal the committed ones, field by field.
+The totals stay exact on the way: each result's s_before and s_after are
+the totals of the points before and after it, and after every step the
+cluster's kept total, cluster.total_stored_bytes(), is the stored bytes
+counted block by block. Run as a script, it checks a larger seeded set:
 
     PYTHONPATH=src python -X dev -W error tests/test_operation_replay.py
 """
@@ -19,10 +22,49 @@ from pathlib import Path
 
 import pytest
 
-from cloudledger import append, delete, load_ledger, update
+from cloudledger import (
+    FaultKind,
+    FaultSpec,
+    RecoveryAction,
+    append,
+    delete,
+    inject_fault,
+    load_ledger,
+    recover,
+    update,
+)
 from helpers import make_committed_state
 
-KINDS = ("append", "update", "identical", "copy", "empty", "delete")
+KINDS = ("append", "update", "identical", "copy", "empty", "delete", "fault")
+NEEDS_BYTES = {FaultKind.FLIP_BYTE, FaultKind.TRUNCATE, FaultKind.SAME_WEIGHT_SUBSTITUTE}
+
+
+def assert_total_exact(cluster):
+    assert cluster.total_stored_bytes() == sum(len(block.payload) for server in cluster.servers
+                                               for block in server.blocks.values())
+
+
+def operate(cluster, ledger, operation, *args):
+    """Run one operation; its totals must be those of the points before and after it."""
+    before = ledger.last().manifest.total_weight
+    result = operation(cluster, ledger, *args)
+    assert (result.s_before, result.s_after) == (before, ledger.last().manifest.total_weight)
+    assert_total_exact(cluster)
+
+
+def fault_and_recover(rng, cluster, ledger):
+    """Inject a seeded fault of a random kind at a target it applies to, then recover."""
+    kind = rng.choice(list(FaultKind))
+    targets = [(server.server_index, block_id) for server in cluster.servers
+               for block_id, block in server.blocks.items() if kind not in NEEDS_BYTES or block.payload]
+    if kind in (FaultKind.SERVER_CRASH, FaultKind.CSP_STALE_MANIFEST) or not targets:
+        spec = FaultSpec(FaultKind.SERVER_CRASH if not targets else kind, rng.randrange(cluster.server_count))
+    else:
+        spec = FaultSpec(kind, *rng.choice(targets), seed=rng.randrange(1 << 16))
+    inject_fault(cluster, spec)
+    assert_total_exact(cluster)
+    assert recover(ledger, cluster).action is RecoveryAction.RESTORED
+    assert_total_exact(cluster)
 
 
 def check_sequence(seed, steps, directory):
@@ -30,12 +72,15 @@ def check_sequence(seed, steps, directory):
     servers = rng.randrange(1, 5)
     cluster, ledger = make_committed_state(rng.randbytes(rng.randrange(1, 200)), servers, rng.randrange(4, 32),
                                            seed=seed, directory=directory)
+    assert_total_exact(cluster)
     for kind in KINDS + tuple(rng.choice(KINDS) for _ in range(steps)):
         held = [(server.server_index, block_id) for server in cluster.servers for block_id in server.blocks]
-        if kind == "append" or not held:
-            append(cluster, ledger, rng.randrange(servers), rng.randbytes(rng.randrange(0, 24)))
+        if kind == "fault":
+            fault_and_recover(rng, cluster, ledger)
+        elif kind == "append" or not held:
+            operate(cluster, ledger, append, rng.randrange(servers), rng.randbytes(rng.randrange(0, 24)))
         elif kind == "delete":
-            delete(cluster, ledger, *rng.choice(held))
+            operate(cluster, ledger, delete, *rng.choice(held))
         else:
             server, block_id = rng.choice(held)
             other, other_id = rng.choice(held)
@@ -43,13 +88,13 @@ def check_sequence(seed, steps, directory):
                        "identical": cluster.servers[server].blocks[block_id].payload,
                        "copy": cluster.servers[other].blocks[other_id].payload,
                        "empty": b""}[kind]
-            update(cluster, ledger, server, block_id, payload)
+            operate(cluster, ledger, update, server, block_id, payload)
     emptied = rng.randrange(servers)
     for block_id in rng.sample(sorted(cluster.servers[emptied].blocks), len(cluster.servers[emptied].blocks)):
-        delete(cluster, ledger, emptied, block_id)
+        operate(cluster, ledger, delete, emptied, block_id)
     assert not cluster.servers[emptied].blocks
     for _ in range(rng.randrange(1, 4)):
-        append(cluster, ledger, emptied, rng.randbytes(rng.randrange(0, 24)))
+        operate(cluster, ledger, append, emptied, rng.randbytes(rng.randrange(0, 24)))
     assert load_ledger(directory).points == ledger.points
 
 

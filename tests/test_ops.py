@@ -189,6 +189,27 @@ def test_corruption_hidden_by_a_stale_read_path_is_not_committed():
     assert len(ledger.points) == 2
 
 
+def test_an_update_over_a_truncation_a_stale_read_path_hides_journals_the_committed_change(tmp_path, capsys):
+    """The stale read path replays epoch 0, which epoch 1 equals, so the
+    update's checks pass and its commit, which rewrites the truncated block
+    with its committed bytes, changes no record. delta is taken from the
+    record the last point holds, not from the truncated live one, so the
+    printed totals are the points' and history renders the same line."""
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(bytes(range(64)), 2, 16, directory=directory)
+    same = cluster.servers[0].blocks[1].payload
+    update(cluster, ledger, 0, 1, same)
+    inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))
+    inject_fault(cluster, FaultSpec(FaultKind.TRUNCATE, 0, 1, seed=3))
+    assert cluster.servers[0].records[1].weight < len(same)
+    result = update(cluster, ledger, 0, 1, same)
+    assert (result.s_before, result.delta, result.s_after) == (64, 0, 64)
+    assert ledger.last().manifest.records == ledger.points[0].manifest.records
+    capsys.readouterr()
+    assert cli.run(["--ledger-dir", str(directory), "history"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == render_journal_line(result)
+
+
 def test_a_raising_hook_rolls_back_and_a_later_stale_read_path_is_caught():
     cluster, ledger = make_committed_state(b"abcdefgh", 2, 2)
     update(cluster, ledger, 0, 0, b"zz")

@@ -1,9 +1,11 @@
 """Snapshot text from the lines each server keeps, against a render from scratch.
 
-snapshot_cluster joins the record and digest lines each server rendered
-on the first snapshot after its last put or drop, so a commit renders
-only the servers written since. The reference below renders every line
-again: the snapshot header, serialize_manifest of the stored manifest,
+snapshot_cluster joins the record lines put rendered, the digest lines
+each server rendered on the first snapshot after its last put or drop,
+and the weight totals kept beside them, so a commit renders one record
+line per put and joins only the servers written since. The reference
+below renders every line again: the snapshot header, serialize_manifest
+of the stored manifest (its total summed from the records),
 every block's digest, then the status lines. After each step of a seeded
 random sequence (operations, every fault kind, recover, a rolled-back
 operation, and loads of committed points into a cluster of another

@@ -29,6 +29,7 @@ from cloudledger import (
     inject_fault,
     load_ledger,
     load_snapshot,
+    make_block,
     parse_manifest,
     read_manifest,
     recover,
@@ -207,3 +208,34 @@ def test_data_block_is_built_only_by_make_block():
         }
         sites += [(path.name, id(node) in in_make_block) for node in ast.walk(tree) if builds_data_block(node)]
     assert sites == [("manifest.py", True)]
+
+
+# Two 14-byte payloads with one FNV-1a 64 checksum, 0xb8e810e79816271b (found
+# by lattice reduction; FNV-1a is not collision resistant). A block of either
+# has the weight and checksum of a block of the other, so its record is equal.
+FNV_TWINS = (bytes.fromhex("0164487102040026a337050d1731"), bytes.fromhex("0725cf1d33000c18a7061a0b0932"))
+
+
+@pytest.mark.parametrize("bound", [False, True], ids=["in-memory", "bound"])
+def test_a_commit_stores_every_written_block(tmp_path, bound):
+    """A post-mutation hook puts, beside an append, a block whose record equals
+    the one it replaces (its FNV twin: same weight, same checksum, other
+    bytes) and renders a snapshot before the commit. The verdicts pass, as
+    the records are equal, and the commit must still store both new blocks."""
+    first, second = FNV_TWINS
+    payload = bytearray(generate_payload(3, 14 * 8))
+    payload[14:28] = first  # global block 1: server 1, block 0
+    directory = tmp_path / "ledger" if bound else None
+    cluster, ledger = make_committed_state(bytes(payload), 4, 14, directory=directory)
+    twin = make_block(second)
+    assert first != second and cluster.servers[1].records[0] == BlockRecord(1, 0, len(second), twin.checksum)
+
+    def hook(cluster):
+        cluster.servers[1].put(0, twin)
+        snapshot_cluster(cluster)
+
+    append(cluster, ledger, 0, b"appended", post_mutation_hook=hook)
+    assert ledger.last().added == (make_block(b"appended"), twin)
+    assert ledger.blocks[twin.digest] is twin
+    if bound:
+        assert load_ledger(directory).points == ledger.points

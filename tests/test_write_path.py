@@ -3,16 +3,16 @@
 Each server keeps the record of every block it stores, written beside the
 block by put and drop, and every cloud manifest joins those records. These
 tests check the maintained records against a full rebuild from the stored
-blocks, that nothing else in the package writes either dict, that a
-commit shares the records it did not change with the previous point, and
-that it renders the snapshot lines of only the servers written since. The
-files of a ledger directory have one writer too, ledger.write_file, and a
-test checks that nothing else in the package writes a file.
+blocks, that nothing else in the package writes either dict or the
+record lines put renders beside them, and that a commit shares the
+records it did not change with the previous point (tests/test_cost_shape.py
+counts what a commit renders and looks up). The files of a ledger
+directory have one writer too, ledger.write_file, and a test checks that
+nothing else in the package writes a file.
 """
 
 import ast
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -192,10 +192,12 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
     """Besides put and drop, the only writes are constructor bindings, a new
     server's two dicts starting as empty literals, and the ledger's block
     store (not a server's blocks): a Ledger binds it, and only a commit and
-    a load add to it. A server's kept snapshot lines are
-    bound by its constructor, cleared by put and drop, and filled only by
-    snapshot_lines, so they are rendered from the dicts as they stand."""
-    sites, kept = [], []
+    a load add to it. A server's record lines are bound by its
+    constructor and written only by put and drop, beside the records they
+    render. Its kept snapshot lines are bound by its constructor, cleared
+    by put and drop, and filled only by snapshot_lines, so they are joined
+    from the dicts as they stand."""
+    sites, lines, kept = [], [], []
     for path in sorted(Path(cloudledger.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         method, function = method_of(tree), function_of(tree)
@@ -204,6 +206,7 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
             if where == "ServerState.__init__" and binds_empty_dict(node):
                 where += " = {}"
             sites.append((path.name, where))
+        lines += [(path.name, method.get(id(node), "module level")) for node in storage_writes(tree, {"record_lines"})]
         kept += [(path.name, method.get(id(node), "module level")) for node in storage_writes(tree, {"_snapshot_lines"})]
     assert sorted(sites) == sorted(
         [("cluster.py", "ServerState.__init__ = {}")] * 2
@@ -211,6 +214,7 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
         + [("cluster.py", "ServerState.drop")] * 2
         + [("ledger.py", "Ledger.__init__"), ("ledger.py", "commit_restore_point"), ("ledger.py", "load_ledger")]
     )
+    assert sorted(lines) == [("cluster.py", f"ServerState.{name}") for name in ("__init__", "drop", "put")]
     assert sorted(kept) == [("cluster.py", f"ServerState.{name}")
                             for name in ("__init__", "drop", "put", "snapshot_lines")]
 
@@ -277,25 +281,3 @@ def test_a_commit_allocates_only_the_changed_record():
     before = {id(record) for record in ledger.points[0].manifest.records}
     fresh = [record for record in ledger.points[1].manifest.records if id(record) not in before]
     assert fresh == [BlockRecord(3, 100, 7, fnv1a64(b"changed"))]
-
-
-def test_a_commit_renders_only_the_servers_written_since_their_last_render(monkeypatch):
-    """A server keeps its snapshot lines until its next put or drop: after
-    one update, a commit renders that server's 512 of 4096 records; after a
-    fault and a recover on another server, the next commit renders both."""
-    payload = generate_payload(5, 4096 * 16)
-    cluster, ledger = make_committed_state(payload, 8, 16)
-    render, rendered = sys.modules["cloudledger.manifest"]._render_records, []
-
-    def counting(records):
-        rendered.append(len(records))
-        return render(records)
-
-    for module in ("cloudledger.manifest", "cloudledger.cluster"):
-        monkeypatch.setattr(sys.modules[module], "_render_records", counting)
-    update(cluster, ledger, 3, 100, b"changed")
-    assert rendered == [512]
-    inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 5, 7, seed=1))
-    assert recover(ledger, cluster).action is RecoveryAction.RESTORED
-    update(cluster, ledger, 3, 101, b"again")
-    assert rendered == [512, 512, 512]
