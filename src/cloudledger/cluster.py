@@ -304,17 +304,17 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # --- cluster snapshots -------------------------------------------------------
 #
 # A snapshot names each block by its content digest instead of carrying its
-# bytes (ledger format v6): the marker line SNAPSHOT_HEADER, the canonical
-# manifest text, one digest line per manifest record in record order, then
-# optional status lines (`DOWN <server>`, `STALE`) and a final END. Status
-# lines only appear when the condition is present, and at most once each; a
-# DOWN server holds no records (a crash erases them), and STALE never appears
-# at epoch 0, which has no previous epoch to replay. The bytes live once in
-# a block store, a mapping from digest to DataBlock (on disk, the entries of
-# the ledger's files).
+# bytes (ledger format v7): the marker line SNAPSHOT_HEADER, the canonical
+# manifest text, one digest line per manifest record in record order, and a
+# final END. It holds what a restore point restores, and no live status: a
+# loaded snapshot has every server up and no stale read path, and only the
+# ledger's cluster.state records a DOWN server or an armed STALE path. The
+# bytes live once in a block store, a mapping from digest to DataBlock (on
+# disk, the entries of the ledger's files).
 
-SNAPSHOT_HEADER = "SNAPSHOT v6"
-_RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"])
+SNAPSHOT_HEADER = "SNAPSHOT v7"
+_RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"],
+                    ["SNAPSHOT", "v6"])
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
@@ -328,10 +328,7 @@ def snapshot_cluster(cluster: ClusterState) -> str:
     lines = [server.snapshot_lines() for server in cluster.servers]
     header = Manifest(Level.CLOUD, cluster.epoch, (), cluster.server_count)
     manifest = serialize_manifest(header, "".join(map(itemgetter(0), lines)), sum(map(itemgetter(2), lines)))
-    status = [f"DOWN {server.server_index}\n" for server in cluster.servers if not server.alive]
-    if cluster.stale_armed:
-        status.append("STALE\n")
-    return "".join((SNAPSHOT_HEADER, "\n", manifest, *map(itemgetter(1), lines), *status, "END\n"))
+    return "".join((SNAPSHOT_HEADER, "\n", manifest, *map(itemgetter(1), lines), "END\n"))
 
 
 def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
@@ -358,15 +355,16 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     ids it keeps are a prefix of the snapshot's, it gets one put per
     differing block, found by one C pass over its blocks, and one per
     missing id, all larger, so an append costs one put. Any other server
-    is replaced by a new one, filled by put in block-id order. Epoch,
-    stale flag and liveness are then set from the snapshot.
+    is replaced by a new one, filled by put in block-id order. The epoch is
+    then set from the snapshot, every server is alive and the stale read
+    path is disarmed: a snapshot holds no live status.
     """
     head = text.partition("\n")[0]
     if head != SNAPSHOT_HEADER:
         version = head.split(" ")[:2]
         if version in _RETIRED_HEADERS:
             raise SnapshotCorrupt(f"snapshot is in ledger format {version[1]}, which is no longer supported;"
-                                  f" expected format v6 ({SNAPSHOT_HEADER!r})")
+                                  f" expected format {SNAPSHOT_HEADER.split()[1]} ({SNAPSHOT_HEADER!r})")
         raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
     split = text.find("\nEND\n", len(head))
     if split < 0:
@@ -381,26 +379,13 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     if manifest.level is not Level.CLOUD:
         raise SnapshotCorrupt(f"snapshot manifest has level={manifest.level.value}; a snapshot holds the cloud's")
 
-    body = text[split + len("\nEND\n") :].split("\n")
-    if body[-2:] != ["END", ""]:
+    digests = text[split + len("\nEND\n") :].split("\n")
+    if digests[-2:] != ["END", ""]:
         raise SnapshotCorrupt("snapshot not terminated by END")
-    del body[-2:]
+    del digests[-2:]
     records = manifest.records
-    count = len(records)
-    digests, status = body[:count], body[count:]
-    if len(digests) != count:
-        raise SnapshotCorrupt(f"snapshot has {len(digests)} digest lines for {count} manifest records")
-    down: set[int] = set()
-    stale = False
-    for line in status:
-        if line == "STALE" and not stale:
-            stale = True
-        elif line[5:].isdecimal() and line == f"DOWN {int(line[5:])}" and int(line[5:]) not in down:
-            down.add(int(line[5:]))
-        else:
-            raise SnapshotCorrupt(f"bad or repeated snapshot line: {line!r}")
-    if stale and manifest.epoch == 0:
-        raise SnapshotCorrupt("STALE line at epoch 0, which has no previous epoch to replay")
+    if len(digests) != len(records):
+        raise SnapshotCorrupt(f"snapshot has {len(digests)} digest lines for {len(records)} manifest records")
 
     try:
         found = list(map(blocks.__getitem__, digests))
@@ -410,11 +395,6 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
             or list(map(itemgetter(3), records)) != list(map(itemgetter(1), found))):
         raise _first_bad_record(records, digests, blocks)
     bounds = _server_bounds(records, server_count)
-    for server_index in down:
-        if not 0 <= server_index < server_count:
-            raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")
-        if bounds[server_index] != bounds[server_index + 1]:
-            raise SnapshotCorrupt(f"DOWN line names server {server_index}, which holds records")
     if into is None:
         cluster = new_cluster(server_count, rng_seed=rng_seed)
     else:
@@ -442,9 +422,9 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
         for block_id, block in [*changed, *zip(target_ids[count:], target_blocks[count:])]:
             server.put(block_id, block)
     cluster.epoch = manifest.epoch
-    cluster.stale_armed = stale
+    cluster.stale_armed = False
     for server in cluster.servers:
-        server.alive = server.server_index not in down
+        server.alive = True
     return cluster
 
 

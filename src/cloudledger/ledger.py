@@ -7,10 +7,9 @@ summed over servers) is derived from that manifest: a verified commit
 has S = T, so X is twice the manifest total, and is never stored. The
 ledger keeps one block store, shared by all its points, holding each
 distinct block once (on disk, in the epoch file of the commit that was
-first to store it), so a commit stores only the blocks the store lacks.
-It looks them up only on the servers holding a record object the last
-point does not: put always makes a new record, so every other server
-holds the very blocks the last commit found in the store.
+first to store it), so a commit stores only the blocks the store lacks:
+for an operation, at most the one block it wrote, since its other blocks
+must be the last point's.
 
 Recovery declares the state intact when every server is up and the
 live records equal the last committed manifest's, one tuple comparison
@@ -29,15 +28,17 @@ write_file is its one writer, replacing whole files only. Memory follows
 the disk: a commit's blocks join the store and its point the ledger once
 its epoch file's rename, the commit, is done. The committed epochs are
 the files 0.snapshot to (E-1).snapshot, found by one listing of the
-directory. Each operation's epoch file starts with its operation line,
-the one record of what the operation did, from which history renders the
-line the operation printed, and holds the blocks the epoch was first to
-store, before its snapshot.
+directory. Only the upload's epoch file holds a snapshot. Each later one
+is a redo record of its operation: its operation line, from which history
+renders the line the operation printed, the blocks the epoch was first to
+store, and the digest of the block the operation wrote; load_ledger
+replays it onto the epoch before.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import os
 import re
 from bisect import bisect_left
@@ -62,7 +63,7 @@ from .errors import (
     SnapshotCorrupt,
     UnverifiedState,
 )
-from .manifest import _DECIMAL, BlockRecord, DataBlock, Manifest, _record_at, _server_bounds, make_block
+from .manifest import _DECIMAL, BlockRecord, DataBlock, Manifest, _server_bounds, make_block
 from .protocol import Mode, Verdict, verify_equality
 
 
@@ -70,13 +71,13 @@ class RestorePoint(NamedTuple):
     """One committed epoch: manifest, payload snapshot, operation line and added blocks.
 
     The snapshot holds the manifest and names each record's block by
-    digest, resolved in the ledger's block store. ``op`` is the operation
-    line, ``<KIND> server=<s> block=<b>``, of the operation that committed
-    the epoch, None for the upload's epoch 0. ``added`` holds the blocks
-    this commit was first to store, in address order, as its epoch file
-    holds them before the snapshot, so a loaded point equals the committed
-    one field by field. The epoch is the manifest's, and the tick and X
-    derive from the manifest.
+    digest, resolved in the ledger's block store; it holds no live status.
+    ``op`` is the operation line, ``<KIND> server=<s> block=<b>``, of the
+    operation that committed the epoch, None for the upload's epoch 0.
+    ``added`` holds the blocks this commit was first to store, in address
+    order, as its epoch file holds them, so a loaded point equals the
+    committed one field by field. The epoch is the manifest's, and the
+    tick and X derive from the manifest.
     """
 
     manifest: Manifest
@@ -104,14 +105,16 @@ class Ledger:
 
     ``blocks`` is the block store (digest -> DataBlock) every point's
     snapshot resolves in. When bound to a directory, every commit replaces
-    ``<epoch>.snapshot``, its operation line and the blocks the store
-    lacked first, the rename that commits it.
+    ``<epoch>.snapshot``, the rename that commits it. A ledger load_ledger
+    made also holds, until load_cluster takes it, the cluster its replay
+    ended in, at the last point.
     """
 
     def __init__(self, directory: Optional[Path] = None, blocks: Optional[dict[str, DataBlock]] = None) -> None:
         self.points: list[RestorePoint] = []
         self.directory = directory
         self.blocks = {} if blocks is None else blocks
+        self._replayed: Optional[ClusterState] = None
 
     @property
     def next_epoch(self) -> int:
@@ -133,7 +136,8 @@ def operation_records(records: tuple[BlockRecord, ...], key: tuple[int, int],
     """Sorted ``records`` with the record at ``key`` replaced by ``record``,
     or removed when it is None: what one operation on the address ``key``
     does to the records. A pure splice, which applies no rules; ops.apply
-    predicts with it, and load_ledger checks every epoch with it."""
+    predicts with it, and load_ledger's replay of an epoch's put or drop
+    leaves it."""
     at = bisect_left(records, key)
     end = at + (at < len(records) and records[at].key == key)
     return records[:at] + (() if record is None else (record,)) + records[end:]
@@ -160,10 +164,11 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     with it X), a payload snapshot and the operation line are frozen and
     the logical clock ticks. The manifest shares every record the commit did
     not change with the previous point, whose records become the
-    cluster's previous_records, the ones a stale read path replays. Only
-    the servers that hold a record the previous point does not share
-    (_rewritten_servers) are looked up in the store. A bound ledger writes
-    the epoch file before the blocks join the store and the point joins
+    cluster's previous_records, the ones a stale read path replays. An
+    operation's blocks must be the previous point's but for the one its
+    line names (_written_block), as its epoch file records, so that block
+    is the only one looked up in the store. A bound ledger writes the
+    epoch file before the blocks join the store and the point joins
     ``points``.
     """
     if not verdict.z:
@@ -179,7 +184,11 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     manifest = stored_manifest(cluster)
     if manifest.records != read_manifest(cluster).records:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
-    added = _unstored_blocks(ledger.blocks, _rewritten_servers(ledger, cluster))
+    if op is None:
+        added = _unstored_blocks(ledger.blocks, cluster.servers)
+    else:
+        written = _written_block(ledger.last(), cluster, op)
+        added = {} if written is None or written.digest in ledger.blocks else {written.digest: written}
     point = RestorePoint(manifest, snapshot_cluster(cluster), op, tuple(added.values()))
     if ledger.directory is not None:
         _persist_point(ledger.directory, point)
@@ -229,39 +238,65 @@ def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
     blocks from the ledger's store (unhashed) and writing only the
     addresses whose block differs, so every unchanged address keeps the
     record object the committed point holds (a cluster of another server
-    count gets new servers). Revives every server, disarms a stale read
-    path, resets the epoch to the point's and the previous_records to
-    those committed before it, and re-verifies the result against the
-    stored manifest, a comparison that stops at identity for the shared
-    records; failure to verify means the snapshot itself is corrupt. It is
-    the one rollback, for recover and a failed ops.apply.
+    count gets new servers). Like every snapshot load, it revives every
+    server and disarms a stale read path. Resets the epoch to the point's
+    and the previous_records to those committed before it, and re-verifies
+    the result against the stored manifest, a comparison that stops at
+    identity for the shared records; failure to verify means the snapshot
+    itself is corrupt. It is the one rollback, for recover and a failed
+    ops.apply.
     """
     point = ledger.last()
     load_snapshot(point.payload_snapshot, ledger.blocks, into=cluster)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
-    # A committed snapshot may hold STALE or DOWN lines; a restore clears both.
-    cluster.stale_armed = False
-    for server in cluster.servers:
-        server.alive = True
     check = verify_equality(point.manifest, read_manifest(cluster), Mode.CHECKSUM)
     if not check.z:
         raise SnapshotCorrupt(f"restored state fails its manifest check ({len(check.divergences)} divergences)")
 
 
-def _rewritten_servers(ledger: Ledger, cluster: ClusterState) -> list[ServerState]:
-    """The servers whose records are not, object for object, the last
-    point's records on that server: every server if there is no last
-    point or it has another server count. put always makes a new record,
-    even for the same bytes or a block of the same weight and checksum,
-    so any other server holds the very blocks the last commit stored or
-    found in the store. Each comparison is one pass in C that stops at
-    the first record the server rewrote."""
-    if not ledger.points or ledger.last().manifest.server_count != cluster.server_count:
-        return cluster.servers
-    records = ledger.last().manifest.records
+def _rewritten_servers(last: RestorePoint, cluster: ClusterState) -> list[ServerState]:
+    """The servers whose records are not, object for object, the ``last``
+    point's records on that server, which has the cluster's server count.
+    put always makes a new record, even for the same bytes or a block of
+    the same weight and checksum, so any other server holds the very
+    blocks the last commit stored or found in the store. Each comparison
+    is one pass in C that stops at the first record the server rewrote."""
+    records = last.manifest.records
     bounds = _server_bounds(records, cluster.server_count)
     return [server for server, start, end in zip(cluster.servers, bounds, bounds[1:])
             if len(server.records) != end - start or not all(map(is_, server.records.values(), records[start:end]))]
+
+
+def _written_block(last: RestorePoint, cluster: ClusterState, op: str) -> Optional[DataBlock]:
+    """The block an operation put at the address its line ``op`` names,
+    None for a DELETE, after refusing to commit a cluster of another server
+    count than the ``last`` point, or blocks that are not that point's with
+    only this one put or dropped: its epoch file records this block alone,
+    so load could not rebuild the point. Records equal to the prediction
+    leave only a block of another's weight and FNV-1a checksum to differ
+    so. The kept digest lines of each server _rewritten_servers finds are
+    compared in C with the last point's, sliced from its snapshot, where
+    one 65-character line per record precedes the final END line."""
+    records, text = last.manifest.records, last.payload_snapshot
+    if cluster.server_count != last.manifest.server_count:
+        raise UnverifiedState(f"refusing to commit {cluster.server_count} servers after a point of"
+                              f" {last.manifest.server_count}")
+    kind, server_index, block_id = _OPERATION_LINE.fullmatch(op).groups()
+    key = (int(server_index), int(block_id))
+    written = None if kind == "DELETE" else cluster.servers[key[0]].blocks.get(key[1])
+    start = len(text) - len("END\n") - 65 * len(records)
+    bounds = _server_bounds(records, cluster.server_count)
+    for server in _rewritten_servers(last, cluster):
+        first, end = bounds[server.server_index], bounds[server.server_index + 1]
+        lines = text[start + 65 * first : start + 65 * end]
+        if server.server_index == key[0]:
+            at = bisect_left(records, key) - first
+            held = at < end - first and records[first + at].key == key
+            lines = lines[: 65 * at] + ("" if written is None else f"{written.digest}\n") + lines[65 * (at + held) :]
+        if server.snapshot_lines()[1] != lines:
+            raise UnverifiedState(f"refusing to commit server {server.server_index}: it holds a block {op!r} did"
+                                  " not write, which its epoch file cannot record")
+    return written
 
 
 def _unstored_blocks(store: Mapping[str, DataBlock], servers: Iterable[ServerState]) -> dict[str, DataBlock]:
@@ -276,22 +311,32 @@ def _unstored_blocks(store: Mapping[str, DataBlock], servers: Iterable[ServerSta
 
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v6: write_file replaces every file whole, by way of
-# ``<name>.tmp``, so a crash leaves the old file or the new. An epoch's
-# only file, ``<epoch>.snapshot``, holds in order its operation line,
-# ``<KIND> server=<s> block=<b>`` (from epoch 1; the upload's 0.snapshot has
-# none), one entry ``<sha256 hex> <weight>\n<payload>\n`` per block the
-# epoch was first to store, in address order, and its snapshot text, the
-# one copy of its manifest. Its rename is the commit. Every block is stored
-# once in the directory, and epoch k's snapshot names blocks of files 0..k.
-# The CLI's live cluster, ``cluster.state``, is written empty while it is the
-# last point's snapshot, and otherwise holds entries for the live blocks no
-# epoch file holds (a pending tamper's), then its snapshot text. A crash
-# before a rename leaves at most a partial ``.tmp``, which no reader lists
-# and a retry replaces.
+# Ledger format v7: write_file replaces every file whole, by way of
+# ``<name>.tmp``, so a crash leaves the old file or the new. An epoch's only
+# file is ``<epoch>.snapshot``, and its rename is the commit. The upload's
+# 0.snapshot holds one entry ``<sha256 hex> <weight>\n<payload>\n`` per block,
+# each distinct block once, in address order, then its snapshot text, the
+# ledger's one copy of a manifest. A later epoch's file is a redo record: its
+# operation line ``<KIND> server=<s> block=<b>``, the entry of each block the
+# epoch was first to store, for an APPEND or UPDATE one digest line
+# ``<sha256 hex>\n`` naming the block now at the address, whose length and
+# checksum are the record's weight and checksum, and last its snapshot line
+# ``SNAPSHOT sha256=<hex>\n``: the SHA-256 of the snapshot the epoch
+# committed, which replaying the operation on the epoch before must
+# rebuild. So every block is stored once in the directory, epoch k names
+# blocks of files 0..k, and one manifest text is stored in all. The CLI's
+# live cluster, ``cluster.state``, is written empty while it is the last
+# point with every server up and no stale read path, and otherwise holds
+# entries for the live blocks no epoch file holds (a pending tamper's), its
+# snapshot text, then a status line ``DOWN <server>`` per crashed server and
+# ``STALE`` for an armed stale read path: live status, which no restore point
+# holds. A crash before a rename leaves at most a partial ``.tmp``, which no
+# reader lists and a retry replaces.
 
 CLUSTER_FILE = "cluster.state"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
+_DIGEST_LINE = re.compile(rb"([0-9a-f]{64})\n")
+_SNAPSHOT_LINE = re.compile(rb"SNAPSHOT sha256=([0-9a-f]{64})\n")
 # An operation line as operation_line renders it, decimals canonical as in a manifest.
 _OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_DECIMAL}) block=({_DECIMAL})")
 
@@ -316,27 +361,24 @@ def write_file(directory: Path, name: str, data: bytes) -> None:
     os.replace(temporary, directory / name)
 
 
-def _ledger_file(head: str, blocks: Iterable[DataBlock], text: str) -> bytes:
-    """A ledger file's bytes: ``head``, one entry per block, then the snapshot text."""
+def _ledger_file(head: str, blocks: Iterable[DataBlock], tail: str) -> bytes:
+    """A ledger file's bytes: ``head``, one entry per block, then ``tail``."""
     chunks = [head.encode("utf-8")]
     for block in blocks:
         chunks += (f"{block.digest} {len(block.payload)}\n".encode("ascii"), block.payload, b"\n")
-    chunks.append(text.encode("utf-8"))
+    chunks.append(tail.encode("utf-8"))
     return b"".join(chunks)
 
 
 def _read_entries(name: str, data: bytes, position: int,
-                  stored: Mapping[str, DataBlock]) -> tuple[dict[str, DataBlock], str]:
+                  stored: Mapping[str, DataBlock]) -> tuple[dict[str, DataBlock], int]:
     """The blocks of the entries in ``name``'s ``data`` from ``position`` on,
-    read while _PACK_ENTRY matches, and the rest decoded as strict UTF-8:
-    the snapshot text, which must be empty or start with a snapshot header,
-    current or retired (load_snapshot names a retired one), so a malformed
-    entry header is named as the line it is. Each payload is hashed once,
-    by make_block, and must hash to its digest, and a block that ``stored``
-    (the other files) or an earlier entry holds is refused. Neither an
-    entry nor a DataBlock carries an address: load_snapshot puts each block
-    object at the address of every manifest record whose digest line names
-    it."""
+    read while _PACK_ENTRY matches, and the position after them. Each
+    payload is hashed once, by make_block, and must hash to its digest, and
+    a block that ``stored`` (the other files) or an earlier entry holds is
+    refused. Neither an entry nor a DataBlock carries an address: a block
+    object is put at every address a snapshot's or an operation's digest
+    line names it at."""
     blocks: dict[str, DataBlock] = {}
     while (entry := _PACK_ENTRY.match(data, position)) is not None:
         digest, start = entry.group(1).decode("ascii"), entry.end()
@@ -350,82 +392,197 @@ def _read_entries(name: str, data: bytes, position: int,
             raise SnapshotCorrupt(f"{name} entry at byte {position} does not hash to its digest {digest}")
         blocks[digest] = block
         position = end + 1
+    return blocks, position
+
+
+def _snapshot_text(name: str, data: bytes, position: int) -> str:
+    """The rest of ``name``'s ``data`` from ``position``, after its entries,
+    decoded as strict UTF-8: snapshot text, which must be empty or start
+    with a snapshot header, current or retired (load_snapshot names a
+    retired one), so a malformed entry header is named as the line it is."""
     rest = data[position:]
     line = rest.partition(b"\n")[0].decode("utf-8", "replace")
     if rest and line.split(" ")[:2] not in (SNAPSHOT_HEADER.split(" "), *_RETIRED_HEADERS):
         raise SnapshotCorrupt(f"{name} at byte {position} holds {line!r}, which is neither a block entry nor a"
                               " snapshot header")
     try:
-        return blocks, rest.decode("utf-8")
+        return rest.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SnapshotCorrupt(f"{name} does not load: its snapshot, from byte {position}, is not UTF-8"
                               f" ({exc.reason} at byte {position + exc.start})") from exc
 
 
+def _read_operation(name: str, data: bytes, stored: Mapping[str, DataBlock]
+                    ) -> tuple[str, Optional[str], str, dict[str, DataBlock]]:
+    """An operation's epoch file: its operation line, the digest its digest
+    line names (None for a DELETE, which writes no block), the SHA-256 its
+    snapshot line names, and the blocks of its entries (_read_entries).
+    The snapshot line ends the file; any other line is refused as the line
+    it is."""
+    head, lf, _ = data.partition(b"\n")
+    op = head.decode("utf-8", "replace")
+    if not lf or _OPERATION_LINE.fullmatch(op) is None:
+        raise SnapshotCorrupt(f"{name} starts with {op!r}{'' if lf else ' and no LF'}, which is no operation line")
+    blocks, position = _read_entries(name, data, len(head) + 1, stored)
+    digest = _DIGEST_LINE.match(data, position)
+    check = _SNAPSHOT_LINE.match(data, position if digest is None else digest.end())
+    if check is None or check.end() != len(data):
+        at = check.end() if check else digest.end() if digest else position
+        line, lf, _ = data[at:].partition(b"\n")
+        found = f"holds {line.decode('utf-8', 'replace')!r}{'' if lf else ' and no LF'}" if line or lf else "ends"
+        expected = ("the file ends" if check else "the snapshot line belongs" if digest else
+                    "a block entry, a digest line or the snapshot line belongs")
+        raise SnapshotCorrupt(f"{name} at byte {at} {found}, where {expected}")
+    kind = op.split(" ")[0]
+    if (digest is None) != (kind == "DELETE"):
+        raise SnapshotCorrupt(f"{name} holds a digest line, but a DELETE writes no block" if digest else
+                              f"{name} holds no digest line naming the block its {kind} wrote")
+    return op, digest and digest.group(1).decode("ascii"), check.group(1).decode("ascii"), blocks
+
+
+def _replay(cluster: ClusterState, blocks: Mapping[str, DataBlock], name: str, epoch: int, op: str,
+            digest: Optional[str], check: str) -> str:
+    """Make in ``cluster``, at epoch - 1, the one put or drop that the
+    operation line ``op`` names, and return the snapshot it leaves, which
+    must hash to ``check``. The rules are the ones ops.apply runs by: the
+    server exists, an UPDATE or a DELETE names a block the server holds and
+    an APPEND the next id after the server's largest. An APPEND or UPDATE
+    puts the block ``digest`` names in ``blocks``. The cluster is then at
+    ``epoch``, with records that are operation_records of the epoch
+    before's, by construction."""
+    kind, server, block = _OPERATION_LINE.fullmatch(op).groups()
+    server, block = int(server), int(block)
+    held = cluster.servers[server].blocks if server < cluster.server_count else None
+    if held is None:
+        refusal = f"it has {cluster.server_count} servers"
+    elif kind == "APPEND" and block != max(held, default=-1) + 1:
+        refusal = f"server {server}'s next block id is {max(held, default=-1) + 1}"
+    elif kind != "APPEND" and block not in held:
+        refusal = f"server {server} holds no block {block}"
+    else:
+        refusal = None
+    if refusal is not None:
+        raise SnapshotCorrupt(f"{name} holds {op!r}, which epoch {epoch - 1} refuses: {refusal}")
+    if digest is None:
+        cluster.servers[server].drop(block)
+    elif digest in blocks:
+        cluster.servers[server].put(block, blocks[digest])
+    else:
+        raise SnapshotCorrupt(f"{name} names block {digest}, which the store lacks")
+    cluster.epoch = epoch
+    text = snapshot_cluster(cluster)
+    if _sha256(text) != check:
+        raise SnapshotCorrupt(f"epoch {epoch} is not what {op!r} leaves on epoch {epoch - 1}: its snapshot does"
+                              f" not hash to the one {name} names")
+    return text
+
+
+def _check_upload(name: str, manifest: Manifest) -> None:
+    """Refuse an epoch-0 manifest other than an upload's: it claims epoch
+    0, and its blocks are placed round-robin, so server i holds ids 0, 1,
+    ... for every n-th block from block i. This catches an edited address
+    or server count, which X, a sum of weights, does not cover."""
+    epoch, count, servers = manifest.epoch, len(manifest.records), manifest.server_count
+    if epoch != 0:
+        raise ManifestFormatError(f"{name} claims epoch {epoch}")
+    layout = [(server, block) for server in range(servers) for block in range(len(range(server, count, servers)))]
+    if list(map(itemgetter(0, 1), manifest.records)) != layout:
+        raise SnapshotCorrupt(f"epoch 0 is not the round-robin upload of {count} blocks on {servers} servers")
+
+
+def _apply_status(cluster: ClusterState, status: str) -> None:
+    """Set the cluster's live status from the status lines ``status``, each
+    ending in LF and given at most once: ``DOWN <server>`` for a crashed
+    server, which holds no records (a crash erases them), and ``STALE`` for
+    an armed stale read path, never at epoch 0, which has no previous epoch
+    to replay."""
+    *lines, rest = status.split("\n")
+    down: set[int] = set()
+    stale = False
+    for line in lines:
+        if line == "STALE" and not stale:
+            stale = True
+        elif line[5:].isdecimal() and line == f"DOWN {int(line[5:])}" and int(line[5:]) not in down:
+            down.add(int(line[5:]))
+        else:
+            raise SnapshotCorrupt(f"bad or repeated status line: {line!r}")
+    if rest:
+        raise SnapshotCorrupt(f"{CLUSTER_FILE} ends in {rest!r}, a status line with no LF")
+    if stale and cluster.epoch == 0:
+        raise SnapshotCorrupt("STALE line at epoch 0, which has no previous epoch to replay")
+    for server_index in down:
+        if not 0 <= server_index < cluster.server_count:
+            raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")
+        if cluster.servers[server_index].records:
+            raise SnapshotCorrupt(f"DOWN line names server {server_index}, which holds records")
+    cluster.stale_armed = stale
+    for server_index in down:
+        cluster.servers[server_index].alive = False
+
+
 def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
-    """The live cluster in the ledger's directory, an empty file being the
-    last point. Its blocks resolve in the store and in the file's own
-    entries, which stay out of the store."""
+    """The live cluster in the ledger's directory, seeded with ``rng_seed``.
+    An empty file is the last point: the cluster load_ledger's replay ended
+    in, which it hands out once, so a clean command parses no snapshot but
+    0.snapshot. Otherwise the file's snapshot is loaded into that cluster,
+    which writes only the addresses where it differs, its blocks resolving
+    in the store and in the file's own entries, which stay out of the store,
+    and then its status lines (_apply_status), which this file alone holds,
+    are applied."""
     data = (ledger.directory / CLUSTER_FILE).read_bytes()
-    own, text = _read_entries(CLUSTER_FILE, data, 0, ledger.blocks)
-    cluster = load_snapshot(text if data else ledger.last().payload_snapshot, ledger.blocks | own,
-                            rng_seed=rng_seed)
+    cluster, ledger._replayed = ledger._replayed, None
+    if data:
+        own, position = _read_entries(CLUSTER_FILE, data, 0, ledger.blocks)
+        snapshot, end, status = _snapshot_text(CLUSTER_FILE, data, position).rpartition("\nEND\n")
+        cluster = load_snapshot(snapshot + end, ledger.blocks | own, into=cluster)
+        _apply_status(cluster, status)
+    elif cluster is None:  # a ledger committed in this process, or one whose cluster was handed out
+        cluster = load_snapshot(ledger.last().payload_snapshot, ledger.blocks)
+    cluster.rng_seed = rng_seed
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     return cluster
 
 
 def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
-    """Replace the live cluster, empty while it is the last point, and
-    otherwise the live blocks no epoch file holds, then its snapshot."""
+    """Replace the live cluster: empty while it is the last point with every
+    server up and no stale read path, and otherwise the live blocks no epoch
+    file holds, then its snapshot, then its status lines."""
     text = snapshot_cluster(cluster)
-    same = ledger.points and text == ledger.last().payload_snapshot
-    data = b"" if same else _ledger_file("", _unstored_blocks(ledger.blocks, cluster.servers).values(), text)
+    status = "".join([f"DOWN {server.server_index}\n" for server in cluster.servers if not server.alive])
+    status += "STALE\n" if cluster.stale_armed else ""
+    same = ledger.points and not status and text == ledger.last().payload_snapshot
+    data = b"" if same else _ledger_file("", _unstored_blocks(ledger.blocks, cluster.servers).values(), text + status)
     write_file(ledger.directory, CLUSTER_FILE, data)
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
-    """Replace the point's epoch file, the rename that commits it: its
-    operation line (if any), its new blocks, then its snapshot."""
-    head = "" if point.op is None else f"{point.op}\n"
-    write_file(directory, f"{point.epoch}.snapshot", _ledger_file(head, point.added, point.payload_snapshot))
-
-
-def _check_operation(ledger: Ledger, manifest: Manifest, op: Optional[str]) -> None:
-    """Refuse a manifest for the ledger's next epoch that neither an upload
-    (epoch 0) nor the operation its line ``op`` names, on the ledger's last
-    point, leaves.
-
-    An upload places its blocks round-robin, so server i holds ids 0, 1,
-    ... for every n-th block from block i. An operation keeps the server
-    count, and its records must be operation_records of the epoch before's,
-    the splice ops.apply predicts with: the address its line names gets the
-    record the manifest holds there, or none for a delete. An update or a
-    delete names an address the epoch before holds, an append the next id
-    after the server's largest. This catches an edited address or server
-    count, which X, a sum of weights, does not cover, and an edited
-    operation line.
-    """
-    epoch, count, servers = manifest.epoch, len(manifest.records), manifest.server_count
-    if not ledger.points:
-        layout = [(server, block) for server in range(servers) for block in range(len(range(server, count, servers)))]
-        if list(map(itemgetter(0, 1), manifest.records)) != layout:
-            raise SnapshotCorrupt(f"epoch {epoch} is not the round-robin upload of {count} blocks on {servers} servers")
-        return
-    previous = ledger.last().manifest
-    if servers != previous.server_count:
-        raise SnapshotCorrupt(f"epoch {epoch} has servers={servers}, epoch {previous.epoch}"
-                              f" servers={previous.server_count}")
-    kind, server, block = _OPERATION_LINE.fullmatch(op).groups()
-    key, before = (int(server), int(block)), previous.records
-    if kind == "APPEND":
-        held = before[bisect_left(before, (key[0],)) : bisect_left(before, (key[0] + 1,))]
-        allowed = key[1] == (held[-1].block_id + 1 if held else 0)
+    """Replace the point's epoch file, the rename that commits it: the
+    upload's blocks, then its snapshot, or an operation's line, its new
+    blocks, then its digest line (_digest_line)."""
+    if point.op is None:
+        data = _ledger_file("", point.added, point.payload_snapshot)
     else:
-        allowed = _record_at(before, key) is not None
-    record = None if kind == "DELETE" else _record_at(manifest.records, key)
-    if (not allowed or (record is None and kind != "DELETE")
-            or manifest.records != operation_records(before, key, record)):
-        raise SnapshotCorrupt(f"epoch {epoch} is not what {op!r} leaves on epoch {previous.epoch}")
+        tail = f"{_digest_line(point)}SNAPSHOT sha256={_sha256(point.payload_snapshot)}\n"
+        data = _ledger_file(f"{point.op}\n", point.added, tail)
+    write_file(directory, f"{point.epoch}.snapshot", data)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _digest_line(point: RestorePoint) -> str:
+    """The digest line an operation's epoch file ends with, taken from the
+    point's snapshot: the line naming the block at the address its
+    operation line names, empty for a DELETE. A snapshot's digest lines,
+    one 65-character line per record, in record order, precede its final
+    END line."""
+    kind, server, block = _OPERATION_LINE.fullmatch(point.op).groups()
+    if kind == "DELETE":
+        return ""
+    records, text = point.manifest.records, point.payload_snapshot
+    start = len(text) - len("END\n") - 65 * (len(records) - bisect_left(records, (int(server), int(block))))
+    return text[start : start + 65]
 
 
 def _epoch_count(directory: Path) -> int:
@@ -445,43 +602,47 @@ def _epoch_count(directory: Path) -> int:
 
 
 def load_ledger(directory: Path) -> Ledger:
-    """Load a persisted ledger, revalidating every epoch: the one place that
-    decides what an epoch committed.
+    """Load a persisted ledger by replay, revalidating every epoch: the one
+    place that decides what an epoch committed.
 
-    Reads each epoch file in turn: its operation line (from epoch 1), then
-    its entries (_read_entries), whose blocks join the store, so epoch k
-    resolves only in the blocks of files 0..k, then its snapshot. That is
-    loaded (the epoch's one copy of the manifest, parsed once) and its
-    blocks checked against its manifest, which must claim the epoch and be
-    an upload's (epoch 0) or, from epoch 1, what the operation its line
-    names leaves on the epoch before, by the splice ops.apply predicts with,
-    operation_records (_check_operation). Every epoch loads into one
-    cluster, which puts only the records the epoch changed or added, so
-    the points share every other record object. Each distinct block is
-    hashed once, so the cost is O(distinct stored bytes + epochs x
-    records). Files are read as written, with no newline translation.
+    0.snapshot's entries join the block store, and its snapshot, the one
+    manifest text of the ledger, loads into a new cluster; it must be the
+    upload's (_check_upload). Each later epoch file is read as a redo
+    record (_read_operation): its entries join the store, so epoch k
+    resolves only in the blocks of files 0..k, and its operation line makes
+    one put or drop in that same cluster (_replay), by the rules ops.apply
+    runs by. So each epoch's records are what its operation leaves on the
+    epoch before's, operation_records, by construction, and the points share
+    every record an epoch did not change. Each point's snapshot text is
+    rendered with snapshot_cluster, which joins again only the server its
+    operation wrote, and must hash to its file's snapshot line, which
+    catches an operation line edited into another that the epoch before
+    allows. Each distinct block is hashed once, and one snapshot is parsed,
+    so the cost is O(distinct stored bytes + records + epochs), besides
+    copying and hashing each point's text until points hold decoded
+    values. The cluster the replay ends in is kept for load_cluster. Files
+    are read as written, with no newline translation.
     """
     directory = Path(directory)
     ledger = Ledger(directory=directory)
-    cluster: Optional[ClusterState] = None  # every epoch loads into it, so points share records
+    cluster: Optional[ClusterState] = None  # every epoch replays into it, so points share records
     for epoch in range(_epoch_count(directory)):
         name = f"{epoch}.snapshot"
         try:
             data = (directory / name).read_bytes()
         except OSError as exc:
             raise SnapshotCorrupt(f"{name} does not load: {exc}") from exc
-        op, start = None, 0
         if epoch:
-            line = data[: data.find(b"\n") + 1]  # empty if the file holds no LF
-            op, start = line[:-1].decode("utf-8", "replace"), len(line)
-            if _OPERATION_LINE.fullmatch(op) is None:
-                raise SnapshotCorrupt(f"{name} starts with {op!r}, which is no operation line")
-        blocks, text = _read_entries(name, data, start, ledger.blocks)
+            op, digest, check, blocks = _read_operation(name, data, ledger.blocks)
+        else:
+            op, (blocks, position) = None, _read_entries(name, data, 0, ledger.blocks)
         ledger.blocks.update(blocks)
-        cluster = load_snapshot(text, ledger.blocks, into=cluster)
-        point = RestorePoint(stored_manifest(cluster), text, op, tuple(blocks.values()))
-        if point.epoch != epoch:
-            raise ManifestFormatError(f"{name} claims epoch {point.epoch}")
-        _check_operation(ledger, point.manifest, op)
-        ledger.points.append(point)
+        if epoch:
+            text = _replay(cluster, ledger.blocks, name, epoch, op, digest, check)
+        else:
+            text = _snapshot_text(name, data, position)
+            cluster = load_snapshot(text, ledger.blocks)
+            _check_upload(name, stored_manifest(cluster))
+        ledger.points.append(RestorePoint(stored_manifest(cluster), text, op, tuple(blocks.values())))
+    ledger._replayed = cluster
     return ledger

@@ -5,7 +5,7 @@ live cloud state must verify clean against the last committed restore
 point (checksums included); afterwards, the client-side prediction of the
 new manifest must match what the cloud actually serves. The prediction is
 ledger.operation_records, the committed records with the operation's
-address spliced, the rule load_ledger checks every persisted epoch by.
+address spliced, which load_ledger's replay of each persisted epoch leaves.
 Only then is a new restore point committed, advancing the epoch by
 exactly one, with the operation line that names its kind and address. Any
 failure after the mutation rolls the cluster back to the last snapshot

@@ -34,8 +34,9 @@ def make_committed_state(
 
 
 def state_fingerprint(cluster: ClusterState, ledger: Optional[Ledger] = None) -> str:
-    """Hash of the serialized cluster (and ledger) for before/after comparisons."""
+    """Hash of the serialized cluster, its live status (and the ledger) for before/after comparisons."""
     digest = hashlib.sha256(snapshot_cluster(cluster).encode())
+    digest.update(f"{[server.alive for server in cluster.servers]} {cluster.stale_armed}".encode())
     if ledger is not None:
         for point in ledger.points:
             digest.update(point.payload_snapshot.encode())

@@ -262,10 +262,10 @@ def test_criterion_7_tpa_non_interference_and_agreement():
 # SHA-256 of every ledger file the demo writes at seed 42. A change of
 # ledger format updates these pins and says so.
 DEMO_LEDGER_SHA256 = {
-    "0.snapshot": "93d024d278c4b98871bf68a913f6e97c93ceb256c1d3cae9650372a721f1c191",
-    "1.snapshot": "6cf5afcdbdecb1c72bdecfddf6896f95df29059e386d7c6ab8b2dcbca5955192",
-    "2.snapshot": "8e0cafc6f38916a569f94fd5104c2fd484f931917a6875bee865cd13494a27f3",
-    "3.snapshot": "26f1ef9d0e2521ad431751df601cad1bc692fce1e36c200b0622a9affbf0c5d8",
+    "0.snapshot": "5533a2c4711e3c2fd388826040361265ca3f14c11bf13867b76b4ad0ef9302f6",
+    "1.snapshot": "77c4be656ea9df2526f097b68d7843063777366a937caa08ed12770c9b552624",
+    "2.snapshot": "2431ca93acb7b15f3cf92f224cd4f99302e1aa272a949e517e24536d887f193c",
+    "3.snapshot": "1877581c43d4fe2c8de17260898eb44e2db7510f1dee9677766932ac2c2871e8",
     "cluster.state": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty: the last point
     "config": "a07f9fbb9806c1bf1db68156c74d1cb624c2b40b9ea5b2e5164201295c000bb3",
 }

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from cloudledger import Level, build_manifest, cli, load_ledger, partition_upload, serialize_manifest, snapshot_cluster
-from cloudledger.ledger import load_cluster
+from cloudledger.cluster import SNAPSHOT_HEADER
+from cloudledger.ledger import _ledger_file, load_cluster
 from cloudledger.rng import generate_payload
 
 MIB = 1024 * 1024
@@ -160,7 +161,8 @@ def assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error):
 
 
 def add_status_lines(*lines):
-    return lambda text: text[: -len("END\n")] + "".join(line + "\n" for line in lines) + "END\n"
+    """Status lines as cluster.state holds them, after the snapshot's END."""
+    return lambda text: text + "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize(
@@ -168,15 +170,16 @@ def add_status_lines(*lines):
     [
         (add_status_lines("STALE"), "STALE line at epoch 0"),
         (add_status_lines("DOWN 1"), "DOWN line names server 1, which holds records"),
-        (add_status_lines("STALE", "STALE"), "bad or repeated snapshot line: 'STALE'"),
-        (add_status_lines("DOWN 2", "DOWN 2"), "bad or repeated snapshot line: 'DOWN 2'"),
-        (add_status_lines("DOWN 01"), "bad or repeated snapshot line: 'DOWN 01'"),
-        (add_status_lines("DOWN \u0661"), "bad or repeated snapshot line: 'DOWN \u0661'"),  # Arabic-Indic 1
+        (add_status_lines("STALE", "STALE"), "bad or repeated status line: 'STALE'"),
+        (add_status_lines("DOWN 2", "DOWN 2"), "bad or repeated status line: 'DOWN 2'"),
+        (add_status_lines("DOWN 01"), "bad or repeated status line: 'DOWN 01'"),
+        (add_status_lines("DOWN \u0661"), "bad or repeated status line: 'DOWN \u0661'"),  # Arabic-Indic 1
     ],
     ids=["stale-at-epoch-0", "down-server-with-records", "repeated-stale", "repeated-down", "zero-padded-down",
          "non-ascii-down"],
 )
 def test_cluster_state_with_a_status_line_snapshots_never_write_exits_2(ledger_dir, capsys, edit, error):
+    """Only cluster.state holds status lines, and only the ones a live cluster can have."""
     seeded_upload(ledger_dir)
     assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error)
 
@@ -209,8 +212,8 @@ def test_negative_gen_bytes_exits_2_and_writes_nothing(ledger_dir, capsys, comma
 
 
 def test_an_edited_snapshot_address_exits_2_and_writes_nothing(ledger_dir, tmp_path, capsys):
-    """Raising a block id in a committed snapshot keeps its weights, so X
-    still matches; the epoch is no single operation on the one before."""
+    """Raising the block id an epoch file's operation line names keeps its
+    weights, so X still matches; the append is not of the server's next id."""
     payload = tmp_path / "payload.bin"
     payload.write_bytes(bytes(range(200)))
     flags = ("--servers", "3", "--block-size", "32", "--ledger-dir", str(ledger_dir))
@@ -218,14 +221,16 @@ def test_an_edited_snapshot_address_exits_2_and_writes_nothing(ledger_dir, tmp_p
     assert run_cli(*flags, "append", "--server", "1", "--gen-bytes", "8") == 0
     assert run_cli(*flags, "update", "--server", "2", "--block", "0", "--gen-bytes", "8") == 0
     snapshot = ledger_dir / "1.snapshot"
-    data, edits = re.subn(b"^0 2 8 ", b"0 9 8 ", snapshot.read_bytes(), flags=re.MULTILINE)
+    data, edits = re.subn(b"^APPEND server=1 block=2$", b"APPEND server=1 block=9", snapshot.read_bytes(),
+                          flags=re.MULTILINE)
     assert edits == 1
     snapshot.write_bytes(data)
     before = dir_contents(ledger_dir)
     capsys.readouterr()
     for command in (["verify"], ["audit", "--epochs", "0..2"], ["recover"]):
         assert run_cli(*flags, *command) == 2
-        assert "epoch 1 is not what 'APPEND server=1 block=2' leaves on epoch 0" in capsys.readouterr().err
+        assert ("1.snapshot holds 'APPEND server=1 block=9', which epoch 0 refuses: server 1's next block id is 2"
+                in capsys.readouterr().err)
     assert dir_contents(ledger_dir) == before
 
 
@@ -273,11 +278,12 @@ def three_epochs(ledger_dir):
 def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     """A v3 directory may hold a snapshot its index never listed, which a
     later format would read as committed, a v4 directory keeps its
-    operations in a journal file, not in its epoch files, and a v5
-    directory keeps its blocks in a pack, not in its epoch files, so every
-    file headed SNAPSHOT v3, v4 or v5 fails by name, and recover writes
-    nothing."""
-    current = tmp_path / "v6"
+    operations in a journal file, not in its epoch files, a v5 directory
+    keeps its blocks in a pack, not in its epoch files, and a v6 directory
+    holds a full snapshot, status lines included, in every epoch file, not
+    a redo record, so every file headed SNAPSHOT v3, v4, v5 or v6 fails by
+    name, and recover writes nothing."""
+    current = tmp_path / "v7"
     three_epochs(current)
     assert run_cli("--ledger-dir", str(current), "tamper", "--kind", "flip-byte", "--server", "0",
                    "--block", "0") == 0
@@ -286,23 +292,28 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     journal = capsys.readouterr().out.encode()
     ledger = load_ledger(current)
     live = load_cluster(ledger, 42)
-    texts = {f"{point.epoch}.snapshot": (point.op, point.payload_snapshot) for point in ledger.points}
-    texts["cluster.state"] = (None, snapshot_cluster(live))
-    blocks = {**ledger.blocks, **{block.digest: block for server in live.servers for block in server.blocks.values()}}
+    tampered = tuple(block for server in live.servers for block in server.blocks.values()
+                     if block.digest not in ledger.blocks)
+    texts = {f"{point.epoch}.snapshot": (point.op, point.added, point.payload_snapshot) for point in ledger.points}
+    texts["cluster.state"] = (None, tampered, snapshot_cluster(live))
+    blocks = {**ledger.blocks, **{block.digest: block for block in tampered}}
     pack = b"PACK v2\n" + b"".join(b"%s %d\n%s\n" % (digest.encode(), len(block.payload), block.payload)
                                    for digest, block in blocks.items())
-    for version in ("v3", "v4", "v5"):
-        # The v6 files as that version wrote them: the blocks in a pack, and
-        # before v5 no operation lines, the operations in a journal.
+    for version in ("v3", "v4", "v5", "v6"):
+        # The v7 files as that version wrote them: a full snapshot in every
+        # epoch file, before v6 the blocks in a pack, and before v5 no
+        # operation lines, the operations in a journal.
         ledger_dir = tmp_path / version
         ledger_dir.mkdir()
         (ledger_dir / "config").write_bytes((current / "config").read_bytes())
-        (ledger_dir / "blocks.pack").write_bytes(pack)
-        for name, (op, text) in texts.items():
-            assert text.startswith("SNAPSHOT v6\n")
-            head = f"{op}\n" if op and version == "v5" else ""
-            (ledger_dir / name).write_bytes(f"{head}SNAPSHOT {version}{text[len('SNAPSHOT v6'):]}".encode())
-        if version != "v5":
+        if version != "v6":
+            (ledger_dir / "blocks.pack").write_bytes(pack)
+        for name, (op, added, text) in texts.items():
+            assert text.startswith(SNAPSHOT_HEADER + "\n")
+            head = f"{op}\n" if op and version in ("v5", "v6") else ""
+            text = f"SNAPSHOT {version}{text[len(SNAPSHOT_HEADER):]}"
+            (ledger_dir / name).write_bytes(_ledger_file(head, added if version == "v6" else (), text))
+        if version in ("v3", "v4"):
             (ledger_dir / "journal").write_bytes(journal)
         before = dir_contents(ledger_dir)
         for command in ("verify", "history", "recover"):
@@ -334,8 +345,8 @@ def test_a_snapshot_set_other_than_one_per_epoch_from_0_exits_2(ledger_dir, caps
 
 def test_commit_while_stale_read_path_is_armed_keeps_the_ledger_loadable(ledger_dir, tmp_path, capsys):
     # An update that rewrites a block with its own bytes commits even while
-    # the read path replays the previous epoch, so epoch 2's snapshot
-    # records the STALE status line.
+    # the read path replays the previous epoch. The armed path is live
+    # status: cluster.state records the STALE line, and epoch 2's file does not.
     seeded_upload(ledger_dir, gen_bytes=200)
     same_bytes = tmp_path / "block0.bin"
     same_bytes.write_bytes(generate_payload(42, 200)[:32])
@@ -343,7 +354,8 @@ def test_commit_while_stale_read_path_is_armed_keeps_the_ledger_loadable(ledger_
     assert run_cli(*update) == 0
     assert run_cli("--ledger-dir", str(ledger_dir), "tamper", "--kind", "stale-manifest", "--server", "0") == 0
     assert run_cli(*update) == 0
-    assert "STALE\n" in (ledger_dir / "2.snapshot").read_text()
+    assert b"STALE" not in (ledger_dir / "2.snapshot").read_bytes()
+    assert (ledger_dir / "cluster.state").read_bytes().endswith(b"\nEND\nSTALE\n")
     for command in ("verify", "recover", "report"):
         assert run_cli("--ledger-dir", str(ledger_dir), command) == 0, capsys.readouterr().err
     assert len(load_ledger(ledger_dir).points) == 3
@@ -384,6 +396,41 @@ def test_recover_restores_while_a_stale_read_path_is_armed(ledger_dir, tmp_path,
     assert run_cli("--ledger-dir", d, "append", "--server", "1", "--gen-bytes", "10") == 0
     assert run_cli("--ledger-dir", d, "recover") == 0
     assert capsys.readouterr().out.endswith("INTACT epoch=2\n")
+
+
+def test_a_down_server_is_live_status_that_only_cluster_state_holds(ledger_dir, tmp_path, capsys):
+    """With 4 servers and a 30-byte upload in 16-byte blocks, server 3
+    holds nothing, so after it crashes an append still verifies and
+    commits. The DOWN line is live status: epoch 1's file holds none,
+    cluster.state holds it until recover revives the server, and is empty
+    after that. Every command prints what it printed while a restore point
+    recorded the line."""
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(bytes(range(30)))
+    flags = ("--servers", "4", "--block-size", "16", "--ledger-dir", str(ledger_dir))
+    state = ledger_dir / "cluster.state"
+    expected = [
+        (("upload", str(payload)), 0, "UPLOAD bytes=30 servers=4 block_size=16 mode=checksum seed=42"),
+        (("crash", "--server", "3"), 0, "TAMPER crash server=3 block=- note=server 3 crashed, 0 bytes erased"),
+        (("append", "--server", "0", "--gen-bytes", "5"), 0,
+         "1 APPEND server=0 block=1 delta=+5 s_after=35 z_pre=true z_post=true"),
+        (("verify", "--report"), 0, "VERDICT z=true mode=checksum epoch=1 divergences=0"),
+        (("report",), 0, "REPORT epoch=1 servers=4 block_size=16 mode=checksum seed=42"),
+        (("audit", "--epochs", "0..1"), 0, "TPA VERDICT z=true mode=checksum epoch=0 divergences=0"),
+        (("history",), 0, "1 APPEND server=0 block=1 delta=+5 s_after=35 z_pre=true z_post=true"),
+    ]
+    capsys.readouterr()
+    for argv, code, first in expected:
+        assert run_cli(*flags, *argv) == code, argv
+        assert capsys.readouterr().out.splitlines()[0] == first, argv
+    assert not any(b"DOWN" in (ledger_dir / f"{epoch}.snapshot").read_bytes() for epoch in (0, 1))
+    assert state.read_bytes().endswith(b"\nEND\nDOWN 3\n")
+    for first in ("RESTORED epoch=1", "INTACT epoch=1"):
+        assert run_cli(*flags, "recover") == 0
+        assert capsys.readouterr().out == first + "\n"
+        assert state.read_bytes() == b""
+    assert run_cli(*flags, "append", "--server", "3", "--gen-bytes", "7") == 0
+    assert state.read_bytes() == b""
 
 
 def test_tamper_then_recover_then_verify(ledger_dir, capsys):
@@ -564,8 +611,8 @@ def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(ledger_dir, tmp_pat
 @pytest.mark.parametrize("epoch, written, edit, error", [
     (1, 1, lambda data: data.replace(b"\n", b"\r\n", 1), "\\r', which is no operation line"),
     (1, 1, lambda data: data.replace(b"\n", b"\x0c\n", 1), "\\x0c', which is no operation line"),
-    (3, 3, lambda data: data[:-1], "snapshot not terminated by END"),
-    (3, 4, lambda data: data, "4.snapshot claims epoch 3"),
+    (3, 3, lambda data: data[:-1], "' and no LF, where a block entry, a digest line or the snapshot line belongs"),
+    (3, 4, lambda data: data, "4.snapshot holds 'DELETE server=2 block=1', which epoch 3 refuses: server 2 holds no"),
 ], ids=["crlf", "form-feed", "no-final-lf", "past-the-last-epoch"])
 def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, capsys, epoch, written, edit, error):
     """history renders each operation's line from its epoch file, read as
@@ -590,7 +637,7 @@ def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, cap
     (1, lambda data, op: data.replace(op, b"junk line\n", 1), "starts with 'junk line', which is no operation"),
     # A line before an epoch file's entries is neither an entry nor a snapshot header.
     (0, lambda data, op: b"UPDATE nothing\n" + data, "0.snapshot at byte 0 holds 'UPDATE nothing', which is neither"),
-    (1, lambda data, op: data.replace(op, op + op, 1), "1.snapshot at byte 24 holds 'APPEND server=0 block=9', which"),
+    (1, lambda data, op: data.replace(op, op + op, 1), "1.snapshot at byte 24 holds 'APPEND server=0 block=9', where"),
     (0, lambda data, op: op + data, "0.snapshot at byte 0 holds 'APPEND server=0 block=9', which is neither a block"),
 ], ids=["short-line", "again", "junk", "epoch-0-junk", "epoch-1-twice", "epoch-0"])
 def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, capsys, epoch, edit, error):

@@ -7,12 +7,15 @@ import pytest
 from cloudledger import (
     FaultKind,
     FaultSpec,
+    Ledger,
     Level,
+    Mode,
     NoSuchTarget,
     PreexistingData,
     ServerDown,
     SnapshotCorrupt,
     build_manifest,
+    commit_restore_point,
     inject_fault,
     load_snapshot,
     make_block,
@@ -22,7 +25,9 @@ from cloudledger import (
     snapshot_cluster,
     upload,
     user_level_manifest,
+    verify_equality,
 )
+from cloudledger.ledger import load_cluster, save_cluster
 
 
 def reassemble_oracle(per_server, server_count):
@@ -246,19 +251,29 @@ def test_snapshot_round_trip():
     assert read_manifest(loaded).records == read_manifest(cluster).records
 
 
-def test_snapshot_preserves_down_and_stale_flags():
+def test_live_status_is_kept_by_cluster_state_not_by_snapshots(tmp_path):
+    """A snapshot, what a restore point holds, has no DOWN or STALE line,
+    and a loaded one has every server up and no stale read path; the
+    ledger's cluster.state alone keeps both flags."""
     cluster = new_cluster(3)
     first = upload(cluster, bytes(range(12)), 2)
+    ledger = Ledger(directory=tmp_path)
+    commit_restore_point(ledger, cluster, verify_equality(first, first, Mode.CHECKSUM))
     cluster.previous_records = first.records
     cluster.epoch = 1
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 1))
     inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))
     text = snapshot_cluster(cluster)
-    assert "DOWN 1\n" in text
-    assert "STALE\n" in text
-    loaded = load_snapshot(text, stored_blocks(cluster))
-    assert not loaded.servers[1].alive
-    assert loaded.stale_armed
+    assert "DOWN" not in text and "STALE" not in text
+    loaded = load_snapshot(text, stored_blocks(cluster), into=cluster)
+    assert all(server.alive for server in loaded.servers) and not loaded.stale_armed
+    inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 1))
+    inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))
+    save_cluster(ledger, cluster)
+    assert (tmp_path / "cluster.state").read_text().endswith(text + "DOWN 1\nSTALE\n")
+    live = load_cluster(ledger, 0)
+    assert [server.alive for server in live.servers] == [True, False, True] and live.stale_armed
+    assert snapshot_cluster(live) == text
 
 
 def test_snapshot_detects_payload_corruption():

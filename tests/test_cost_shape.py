@@ -1,11 +1,18 @@
 """The cost target as exact counts: an operation costs O(delta + block count).
 
-One row per call, counted on 4096 records over 8 servers, so no count can
-flake. The commit row: a commit renders one record line per put made since
-the last commit (ServerState.put renders its record's line, and no
-snapshot renders a whole server again), and it looks up in the block
-store only the blocks of the servers whose records differ, object for
-object, from the last point's.
+One row per call, counted exactly, so no count can flake. The commit row,
+on 4096 records over 8 servers: a commit renders one record line per put
+made since the last commit (ServerState.put renders its record's line,
+and no snapshot renders a whole server again), and it looks up in the
+block store only the block its operation wrote: the servers whose
+records differ, object for object, from the last point's must hold the
+last point's blocks but for that one. The load row, on a small grid of
+records n and epochs E of a bound ledger: load_ledger and then
+load_cluster on an empty cluster.state parse one snapshot, 0.snapshot,
+make n puts for it and one put or drop per later epoch, render no record
+line but those puts', and hash each stored entry once; an operation's
+epoch file is its line, its new entries, a digest line for an APPEND or
+UPDATE and its snapshot line.
 """
 
 import sys
@@ -21,9 +28,13 @@ from cloudledger import (
     delete,
     generate_payload,
     inject_fault,
+    load_ledger,
+    make_block,
     recover,
     update,
 )
+from cloudledger import ledger as ledger_module
+from cloudledger.ledger import load_cluster
 from helpers import make_committed_state
 
 
@@ -83,10 +94,6 @@ def counted(monkeypatch):
     return cluster, ledger, puts, whole
 
 
-def blocks_of(cluster, *servers):
-    return sorted(block.digest for server in servers for block in cluster.servers[server].blocks.values())
-
-
 def test_a_commit_renders_one_line_per_put_and_looks_up_only_rewritten_servers(counted):
     cluster, ledger, puts, whole = counted
 
@@ -99,10 +106,11 @@ def test_a_commit_renders_one_line_per_put_and_looks_up_only_rewritten_servers(c
         assert whole == []  # nothing renders a whole server's or manifest's records
         return len(puts), CountingFormat.rendered, sorted(ledger.blocks.looked_up)
 
-    assert commit_row(lambda: update(cluster, ledger, 3, 100, b"changed")) == (1, 1, blocks_of(cluster, 3))
-    assert commit_row(lambda: append(cluster, ledger, 5, b"appended")) == (1, 1, blocks_of(cluster, 5))
-    assert commit_row(lambda: delete(cluster, ledger, 2, 7)) == (0, 0, blocks_of(cluster, 2))
-    assert commit_row(lambda: update(cluster, ledger, 3, 100, b"changed")) == (1, 1, blocks_of(cluster, 3))
+    changed, appended = make_block(b"changed").digest, make_block(b"appended").digest
+    assert commit_row(lambda: update(cluster, ledger, 3, 100, b"changed")) == (1, 1, [changed])
+    assert commit_row(lambda: append(cluster, ledger, 5, b"appended")) == (1, 1, [appended])
+    assert commit_row(lambda: delete(cluster, ledger, 2, 7)) == (0, 0, [])
+    assert commit_row(lambda: update(cluster, ledger, 3, 100, b"changed")) == (1, 1, [changed])
 
     def fault_recover_update():
         inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 6, 9, seed=1))
@@ -110,5 +118,57 @@ def test_a_commit_renders_one_line_per_put_and_looks_up_only_rewritten_servers(c
         ledger.blocks.looked_up.clear()  # the restore takes its blocks from the store; count the commit's
         update(cluster, ledger, 1, 4, b"again")
 
-    # The fault and the restore each put a block on server 6, so the commit looks it up too.
-    assert commit_row(fault_recover_update) == (3, 3, blocks_of(cluster, 1, 6))
+    # The fault and the restore each put a block on server 6, which the commit compares, not looks up.
+    assert commit_row(fault_recover_update) == (3, 3, [make_block(b"again").digest])
+
+
+def epoch_file_bytes(point):
+    """An operation's epoch file size: its line, its entries, a digest line
+    for an APPEND or UPDATE, and its snapshot line."""
+    entries = sum(len(f"{block.digest} {len(block.payload)}\n") + len(block.payload) + 1 for block in point.added)
+    digest_line = 0 if point.op.startswith("DELETE") else 65
+    return len(point.op) + 1 + entries + digest_line + len("SNAPSHOT sha256=") + 65
+
+
+@pytest.mark.parametrize("records, epochs", [(16, 1), (16, 7), (64, 7), (64, 19)])
+def test_a_load_parses_one_snapshot_and_replays_one_write_per_later_epoch(tmp_path, monkeypatch, records, epochs):
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(generate_payload(records, records * 8), 4, 8, directory=directory)
+    for epoch in range(1, epochs):
+        server = epoch % 4
+        if epoch % 3 == 1:
+            append(cluster, ledger, server, generate_payload(epoch, epoch))
+        elif epoch % 3 == 2:  # to bytes the store holds, so the file has no entry
+            copied = next(iter(cluster.servers[(server + 1) % 4].blocks.values())).payload
+            update(cluster, ledger, server, max(cluster.servers[server].blocks), copied)
+        else:
+            delete(cluster, ledger, server, min(cluster.servers[server].blocks))
+        assert (directory / f"{epoch}.snapshot").stat().st_size == epoch_file_bytes(ledger.last()), epoch
+    (directory / "cluster.state").write_bytes(b"")  # the live cluster is the last point
+
+    counts = {"load_snapshot": 0, "parse_manifest": 0, "writes": 0, "hashed": 0}
+    cluster_module = sys.modules["cloudledger.cluster"]
+    monkeypatch.setattr(cluster_module, "_RECORD_FORMAT", CountingFormat(cluster_module._RECORD_FORMAT))
+    CountingFormat.rendered = 0
+
+    def counted(module, name, key):
+        function = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    counted(ledger_module, "load_snapshot", "load_snapshot")
+    counted(ledger_module, "make_block", "hashed")
+    counted(cluster_module, "parse_manifest", "parse_manifest")
+    counted(ServerState, "put", "writes")
+    counted(ServerState, "drop", "writes")
+    loaded = load_ledger(directory)
+    live = load_cluster(loaded, 0)
+    assert counts == {"load_snapshot": 1, "parse_manifest": 1, "writes": records + epochs - 1,
+                      "hashed": len(loaded.blocks)}
+    assert CountingFormat.rendered == records + sum(not point.op.startswith("DELETE") for point in ledger.points[1:])
+    assert loaded.points == ledger.points
+    assert [server.records for server in live.servers] == [server.records for server in cluster.servers]

@@ -33,6 +33,7 @@ from cloudledger import (
 )
 from cloudledger import cli
 from cloudledger.cluster import SNAPSHOT_HEADER, _RETIRED_HEADERS
+from cloudledger.ledger import _apply_status
 from cloudledger.manifest import _RECORD_LINES, _bad_record, _parse_header, _render_header
 from helpers import make_committed_state
 
@@ -91,11 +92,11 @@ def reference_load_snapshot(text, blocks, rng_seed=0):
         raise SnapshotCorrupt(f"snapshot manifest has servers={manifest.server_count}")
     if manifest.level is not Level.CLOUD:
         raise SnapshotCorrupt(f"snapshot manifest has level={manifest.level.value}")
-    if lines[-1] != "END":
+    last = len(lines) - 1 - lines[::-1].index("END")  # status lines, which cluster.state alone holds, follow it
+    if last == split:
         raise SnapshotCorrupt("snapshot not terminated by END")
     count = len(manifest.records)
-    body = lines[split + 1 : -1]
-    digests, status = body[:count], body[count:]
+    digests, status = lines[split + 1 : last], lines[last + 1 :]
     if len(digests) != count:
         raise SnapshotCorrupt(f"snapshot has {len(digests)} digest lines for {count} manifest records")
     down = set()
@@ -106,7 +107,7 @@ def reference_load_snapshot(text, blocks, rng_seed=0):
         elif line[5:].isdecimal() and line == f"DOWN {int(line[5:])}" and int(line[5:]) not in down:
             down.add(int(line[5:]))
         else:
-            raise SnapshotCorrupt(f"bad or repeated snapshot line: {line!r}")
+            raise SnapshotCorrupt(f"bad or repeated status line: {line!r}")
     if stale and manifest.epoch == 0:
         raise SnapshotCorrupt("STALE line at epoch 0")
     cluster = new_cluster(manifest.server_count, rng_seed=rng_seed)
@@ -136,7 +137,7 @@ EDGE_CHECKSUMS = (0, 1, 2**64 - 1)
 def seeded_snapshot(seed):
     """A snapshot text and its block store: up to 4 servers, sparse block ids
     up to 600 (above CPython's small-int cache), checksums including 0 and
-    2**64 - 1, possibly no records, and DOWN and STALE lines."""
+    2**64 - 1, and possibly no records."""
     rng = random.Random(seed)
     server_count = rng.randint(1, 4)
     epoch = rng.choice((0, 1, 7, 300))
@@ -151,11 +152,28 @@ def seeded_snapshot(seed):
             records.append(BlockRecord(server, block_id, len(payload), checksum))
             digests.append(digest)
     manifest = Manifest(Level.CLOUD, epoch, tuple(records), server_count)
-    status = [f"DOWN {s}" for s in range(server_count) if s not in holding and rng.random() < 0.7]
-    if epoch and rng.random() < 0.5:
-        status.append("STALE")
-    text = SNAPSHOT_HEADER + "\n" + serialize_manifest(manifest) + "".join(f"{line}\n" for line in digests + status)
+    text = SNAPSHOT_HEADER + "\n" + serialize_manifest(manifest) + "".join(f"{line}\n" for line in digests)
     return text + "END\n", blocks, manifest
+
+
+def seeded_status(seed, manifest):
+    """Status lines for a seeded snapshot, as cluster.state holds them after
+    it: DOWN lines for servers that hold no records, and STALE after epoch 0."""
+    rng = random.Random(seed)
+    holding = {record.server_index for record in manifest.records}
+    status = [f"DOWN {s}" for s in range(manifest.server_count) if s not in holding and rng.random() < 0.7]
+    if manifest.epoch and rng.random() < 0.5:
+        status.append("STALE")
+    return "".join(f"{line}\n" for line in status)
+
+
+def load_live(text, blocks, rng_seed=0):
+    """What load_cluster makes of a cluster.state holding ``text`` after
+    its entries: the snapshot, up to the last END line, then the status lines."""
+    snapshot, end, status = text.rpartition("\nEND\n")
+    cluster = load_snapshot(snapshot + end, blocks, rng_seed=rng_seed)
+    _apply_status(cluster, status)
+    return cluster
 
 
 ALPHABET = "\n\r \t0159afEND-SOWTALx\x0b\x0c\x1c\x85\u2028\xe9\u0663"
@@ -214,13 +232,16 @@ def test_parse_manifest_agrees_with_the_per_line_oracle(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_load_snapshot_agrees_with_the_per_line_oracle(seed):
+    """load_snapshot, and after it the status lines of a cluster.state."""
     text, blocks, manifest = seeded_snapshot(seed)
     loaded = load_snapshot(text, blocks, rng_seed=seed)
     assert cluster_value(loaded) == cluster_value(reference_load_snapshot(text, blocks, rng_seed=seed))
     assert tuple(r for s in loaded.servers for r in s.records.values()) == manifest.records
-    for edited in single_character_edits(text, random.Random(seed), 300):
+    live = text + seeded_status(seed, manifest)
+    assert cluster_value(load_live(live, blocks, seed)) == cluster_value(reference_load_snapshot(live, blocks, seed))
+    for edited in single_character_edits(live, random.Random(seed), 300):
         assert_agrees(edited, outcome(reference_load_snapshot, edited, blocks),
-                      outcome(load_snapshot, edited, blocks), cluster_value)
+                      outcome(load_live, edited, blocks), cluster_value)
 
 
 def test_the_seeds_cover_the_edge_cases():
@@ -229,8 +250,9 @@ def test_the_seeds_cover_the_edge_cases():
     assert any(r.block_id > 256 for r in records)
     assert {0, 2**64 - 1} <= {r.checksum for r in records}
     assert any(not m.records for _, _, m in snapshots)
-    assert any("\nDOWN " in text for text, _, _ in snapshots)
-    assert any("\nSTALE\n" in text for text, _, _ in snapshots)
+    status = [seeded_status(seed, m) for seed, (_, _, m) in zip(SEEDS, snapshots)]
+    assert any("DOWN " in lines for lines in status)
+    assert any("STALE\n" in lines for lines in status)
 
 
 # --- LF line ends only -------------------------------------------------------------

@@ -339,19 +339,22 @@ def test_load_ledger_empty_directory(tmp_path):
 
 
 @pytest.mark.parametrize("edit, claimed", [
-    (lambda directory, text: text.split("\n", 1)[0] + "\n" + load_ledger(directory).points[0].payload_snapshot, 0),
-    (lambda directory, text: text.replace(" epoch=1 ", " epoch=2 ", 1), 2),
+    (lambda directory, text: load_ledger(directory).points[1].payload_snapshot, 1),
+    (lambda directory, text: text.replace(" epoch=0 ", " epoch=2 ", 1), 2),
 ], ids=["epoch-0-copied", "header-edited"])
 def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, edit, claimed):
+    """Only 0.snapshot holds a snapshot, and it must claim epoch 0: epoch
+    1's snapshot in its place, or an edited header, fails by name."""
     directory = tmp_path / "ledger"
     cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
-    append(cluster, load_ledger(directory), 0, b"more")
-    snapshot = directory / "1.snapshot"
-    text = snapshot.read_text()
+    update(cluster, load_ledger(directory), 0, 0, bytes(range(5)))  # the same bytes: epoch 1 names epoch 0's blocks
+    snapshot = directory / "0.snapshot"
+    data = snapshot.read_bytes()
+    head, text = data[: data.index(b"SNAPSHOT v7\n")], data[data.index(b"SNAPSHOT v7\n") :].decode()
     edited = edit(directory, text)
     assert edited != text
-    snapshot.write_text(edited)
-    with pytest.raises(ManifestFormatError, match=f"1.snapshot claims epoch {claimed}$"):
+    snapshot.write_bytes(head + edited.encode())
+    with pytest.raises(ManifestFormatError, match=f"0.snapshot claims epoch {claimed}$"):
         load_ledger(directory)
 
 
@@ -457,35 +460,42 @@ def edit_snapshot(directory, epoch, pattern, replacement, into=None):
 @pytest.mark.parametrize("epoch, pattern, replacement, error", [
     (0, "servers=3", "servers=4", "epoch 0 is not the round-robin upload of 7 blocks on 4 servers"),
     (0, "^1 1 32 ", "1 2 32 ", "epoch 0 is not the round-robin upload"),
-    (1, "servers=3", "servers=9", "epoch 1 has servers=9, epoch 0 servers=3"),
-    (1, "^0 2 8 ", "0 9 8 ", "epoch 1 is not what 'APPEND server=1 block=2' leaves on epoch 0"),
-    (1, "^1 2 8 ", "1 3 8 ", "epoch 1 is not what 'APPEND server=1 block=2' leaves on epoch 0"),
-    (2, "^2 1 8 ", "2 2 8 ", "epoch 2 is not what 'UPDATE server=2 block=1' leaves on epoch 1"),
-    (1, "^APPEND", "DELETE", "epoch 1 is not what 'DELETE server=1 block=2' leaves on epoch 0"),
-    (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=0", "epoch 2 is not what 'UPDATE server=2 block=0' leaves"),
+    (1, "^APPEND server=1 ", "APPEND server=9 ", "1.snapshot holds 'APPEND server=9 block=2', which epoch 0 refuses:"
+     " it has 3 servers"),
+    (1, "^APPEND server=1 ", "APPEND server=0 ", "1.snapshot holds 'APPEND server=0 block=2', which epoch 0 refuses:"
+     " server 0's next block id is 3"),
+    (1, "^APPEND server=1 block=2", "APPEND server=1 block=3", "which epoch 0 refuses: server 1's next block id is 2"),
+    (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=2", "2.snapshot holds 'UPDATE server=2 block=2', which"
+     " epoch 1 refuses: server 2 holds no block 2"),
+    # A bare digest line is no malformed entry: a DELETE writes no block, so its file names none.
+    (1, "^APPEND", "DELETE", "1.snapshot holds a digest line, but a DELETE writes no block"),
+    (2, "^UPDATE server=2 block=1", "UPDATE server=1 block=3", "epoch 1 refuses: server 1 holds no block 3"),
     (1, "^APPEND server=1 ", "APPEND server=01 ", "1.snapshot starts with 'APPEND server=01 block=2', which is no"),
     # Without its operation line, epoch 1's file starts with the entry of the block it appended.
     (1, "^APPEND server=1 block=2\n", "", f"1.snapshot starts with '{digest_of(bytes(8))} 8', which is no"),
     # A line before epoch 0's entries is neither an entry nor a snapshot header.
     (0, "^", "APPEND server=1 block=2\n", "0.snapshot at byte 0 holds 'APPEND server=1 block=2', which is neither"),
-    # Epoch 3, an update of server 0's block 1 to identical bytes, as epoch 5, after epoch 4 deleted that block:
-    # its records add one at the freed id, below the server's largest, 2.
-    ((3, 5), "epoch=3 ", "epoch=5 ", "epoch 5 is not what 'UPDATE server=0 block=1' leaves on epoch 4"),
-    ((3, 5), r"(?s)^UPDATE(.*?)epoch=3 ", r"APPEND\1epoch=5 ",
-     "epoch 5 is not what 'APPEND server=0 block=1' leaves on epoch 4"),
-    # Epoch 4, the delete, again as epoch 5: no record changes, and the address it names is already gone.
-    ((4, 5), "epoch=4 ", "epoch=5 ", "epoch 5 is not what 'DELETE server=0 block=1' leaves on epoch 4"),
+    # Epoch 3, an update of server 0's block 1 to identical bytes, as epoch 5, after epoch 4 deleted that block,
+    # and as an append, of an id below the server's largest, 2.
+    ((3, 5), "^", "", "5.snapshot holds 'UPDATE server=0 block=1', which epoch 4 refuses: server 0 holds no block 1"),
+    ((3, 5), "^UPDATE", "APPEND", "5.snapshot holds 'APPEND server=0 block=1', which epoch 4 refuses: server 0's"
+     " next block id is 3"),
+    # Epoch 4, the delete, again as epoch 5: the address it names is already gone.
+    ((4, 5), "^", "", "5.snapshot holds 'DELETE server=0 block=1', which epoch 4 refuses: server 0 holds no block 1"),
 ], ids=["upload-servers", "upload-id", "servers", "other-address", "append-id", "update-address",
         "op-kind-swapped", "op-address-moved", "op-server-01", "op-line-missing", "op-line-at-epoch-0",
         "update-freed-id", "append-freed-id", "delete-unheld"])
 def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsys, epoch, pattern, replacement,
                                                                   error):
-    """X covers weights only; an edited block id or server count, or an
-    edited operation line, must still make the epoch fail to load: every
-    command that loads the ledger exits 2, and recover writes nothing. An
-    epoch given as (source, target) is the source epoch's file, edited,
-    written as the target's: an update or a delete must name an address
-    the epoch before holds, and an append the server's next id."""
+    """An epoch file from 1 is its operation, replayed on the epoch
+    before, so an operation line that names no operation that epoch allows
+    (an update or a delete of an address it does not hold, an append of
+    another id than the server's next, a server it does not have), an edit
+    of the upload's addresses or server count, which X, a sum of weights,
+    does not cover, or a file that is no redo record must make the epoch
+    fail to load: every command that loads the ledger exits 2, and recover
+    writes nothing. An epoch given as (source, target) is the source
+    epoch's file, edited, written as the target's."""
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(bytes(range(200)), 3, 32, directory=directory)
     append(cluster, ledger, 1, bytes(8))
@@ -517,5 +527,5 @@ def test_an_epoch_that_changes_no_record_is_an_update_of_a_held_block(tmp_path, 
     assert ledger.points[1].op == "UPDATE server=1 block=1"
     assert load_ledger(directory).points == ledger.points
     edit_snapshot(directory, 1, "^UPDATE server=1 block=1$", line)
-    with pytest.raises(SnapshotCorrupt, match=f"epoch 1 is not what '{line}' leaves on epoch 0"):
+    with pytest.raises(SnapshotCorrupt, match=f"1.snapshot holds '{line}', which epoch 0 refuses: server 1"):
         load_ledger(directory)

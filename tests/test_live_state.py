@@ -3,10 +3,10 @@
 save_cluster writes the live cluster's snapshot only when it differs from
 the last committed one, and load_cluster reads an empty cluster.state as
 the last point's snapshot. So a clean operation or a recover that
-restores the last point writes no second copy of it; a pending fault, or
-a restore that revives servers a committed snapshot lists as DOWN, writes
-the cluster out in full. A full cluster.state equal to the last snapshot,
-as earlier versions wrote it, reads the same.
+restores the last point writes no second copy of it; a pending fault,
+a crashed server included, writes the cluster out in full. A full
+cluster.state equal to the last snapshot, as earlier versions wrote it,
+reads the same.
 """
 
 import shutil
@@ -61,25 +61,6 @@ def test_cluster_state_is_empty_after_operations_and_recover_and_full_while_a_fa
     assert run_cli(ledger_dir, "recover") == 0
     assert capsys.readouterr().out == "INTACT epoch=3\n"
     assert live(ledger_dir) == b""
-
-
-def test_a_restore_that_revives_a_down_server_writes_the_live_cluster_out(tmp_path, capsys):
-    """A crashed server that held nothing leaves verification clean, so an
-    operation commits a snapshot with its DOWN line. Restoring that point
-    revives the server, so the live cluster differs from the snapshot."""
-    directory = tmp_path / "ledger"
-    assert run_cli(directory, "upload", "--gen-bytes", "16") == 0
-    assert run_cli(directory, "crash", "--server", "2") == 0
-    assert run_cli(directory, "append", "--server", "0", "--gen-bytes", "5") == 0
-    assert b"DOWN 2" in (directory / "1.snapshot").read_bytes()
-    assert live(directory) == b""
-    capsys.readouterr()
-    assert run_cli(directory, "recover") == 0
-    assert capsys.readouterr().out == "RESTORED epoch=1\n"
-    assert live(directory) != b"" and b"DOWN" not in live(directory)
-    assert run_cli(directory, "append", "--server", "2", "--gen-bytes", "7") == 0
-    assert b"DOWN" not in (directory / "2.snapshot").read_bytes()
-    assert live(directory) == b""
 
 
 def outputs(directory, capsys):

@@ -1,7 +1,8 @@
 """Seeded operation sequences on a bound ledger load as committed.
 
 ops.apply predicts each operation's manifest with ledger.operation_records,
-and load_ledger checks every persisted epoch with the same splice. A
+and load_ledger replays every persisted epoch's operation, which leaves
+the same splice, and checks the snapshot it rebuilds against its hash. A
 seeded random sequence of library operations (appends, updates to new,
 identical, another block's and empty bytes, deletes, faults of every kind
 each followed by recover, then deletes down to an empty server and

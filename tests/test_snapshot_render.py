@@ -5,9 +5,9 @@ each server rendered on the first snapshot after its last put or drop,
 and the weight totals kept beside them, so a commit renders one record
 line per put and joins only the servers written since. The reference
 below renders every line again: the snapshot header, serialize_manifest
-of the stored manifest (its total summed from the records),
-every block's digest, then the status lines. After each step of a seeded
-random sequence (operations, every fault kind, recover, a rolled-back
+of the stored manifest (its total summed from the records), then every
+block's digest; live status is no part of a snapshot. After each step of
+a seeded random sequence (operations, every fault kind, recover, a rolled-back
 operation, and loads of committed points into a cluster of another
 server count) both must give the same text. Run as a script, it checks
 a larger seeded set:
@@ -41,10 +41,7 @@ from helpers import make_committed_state
 
 def reference_snapshot(cluster):
     """The cluster's snapshot text with every line rendered anew."""
-    digests = [block.digest for server in cluster.servers for block in server.blocks.values()]
-    status = [f"DOWN {server.server_index}" for server in cluster.servers if not server.alive]
-    status += ["STALE"] if cluster.stale_armed else []
-    lines = "".join(f"{line}\n" for line in digests + status)
+    lines = "".join(f"{block.digest}\n" for server in cluster.servers for block in server.blocks.values())
     return f"{SNAPSHOT_HEADER}\n{serialize_manifest(stored_manifest(cluster))}{lines}END\n"
 
 

@@ -35,6 +35,7 @@ from cloudledger import (
     recover,
     snapshot_cluster,
     update,
+    UnverifiedState,
     verify_equality,
 )
 from helpers import make_committed_state
@@ -144,20 +145,20 @@ def test_load_ledger_hashes_each_distinct_stored_byte_once(eleven_epochs, monkey
 
 
 def test_load_ledger_parses_each_epoch_manifest_once(eleven_epochs, monkeypatch):
-    # Each epoch's manifest is stored once, inside its snapshot.
+    # Only 0.snapshot stores a manifest; every later epoch is replayed onto it.
     directory, _ = eleven_epochs
     assert not list(directory.glob("*.manifest"))
     parsed, ledger = tally(monkeypatch, parse_manifest, lambda text: 1, lambda: load_ledger(directory))
     assert len(ledger.points) == APPENDS + 1
-    assert parsed == APPENDS + 1
+    assert parsed == 1
 
 
 def test_append_adds_about_its_delta_to_the_ledger_directory(eleven_epochs):
-    # A full payload copy would add over 64 KiB per commit. The growth
-    # comes from each snapshot repeating the manifest and every digest,
-    # after the epoch file's operation line.
+    # A full payload copy would add over 64 KiB per commit, and a full
+    # snapshot 2.6 KiB. An epoch file holds its operation line, the entry
+    # of the appended block, its digest line and its snapshot line.
     _, growth = eleven_epochs
-    assert max(growth) <= 2625
+    assert max(growth) <= APPEND_BYTES + 300
 
 
 def assert_digests_match_payloads(cluster):
@@ -217,25 +218,34 @@ FNV_TWINS = (bytes.fromhex("0164487102040026a337050d1731"), bytes.fromhex("0725c
 
 
 @pytest.mark.parametrize("bound", [False, True], ids=["in-memory", "bound"])
-def test_a_commit_stores_every_written_block(tmp_path, bound):
-    """A post-mutation hook puts, beside an append, a block whose record equals
-    the one it replaces (its FNV twin: same weight, same checksum, other
-    bytes) and renders a snapshot before the commit. The verdicts pass, as
-    the records are equal, and the commit must still store both new blocks."""
+def test_a_commit_refuses_a_block_its_operation_did_not_write(tmp_path, bound):
+    """A post-mutation hook puts, beside an append on server 0 or on server
+    1, a block whose record equals the one it replaces on server 1 (its
+    FNV twin: same weight, same checksum, other bytes) and renders a
+    snapshot before the commit. The verdicts pass, as the records are
+    equal, but an epoch file records only the block its operation wrote,
+    so the commit is refused: nothing joins the ledger or its directory,
+    and the rollback puts the committed block back."""
     first, second = FNV_TWINS
     payload = bytearray(generate_payload(3, 14 * 8))
     payload[14:28] = first  # global block 1: server 1, block 0
-    directory = tmp_path / "ledger" if bound else None
-    cluster, ledger = make_committed_state(bytes(payload), 4, 14, directory=directory)
     twin = make_block(second)
-    assert first != second and cluster.servers[1].records[0] == BlockRecord(1, 0, len(second), twin.checksum)
 
     def hook(cluster):
         cluster.servers[1].put(0, twin)
         snapshot_cluster(cluster)
 
-    append(cluster, ledger, 0, b"appended", post_mutation_hook=hook)
-    assert ledger.last().added == (make_block(b"appended"), twin)
-    assert ledger.blocks[twin.digest] is twin
-    if bound:
-        assert load_ledger(directory).points == ledger.points
+    for server in (0, 1):
+        directory = tmp_path / f"ledger{server}" if bound else None
+        cluster, ledger = make_committed_state(bytes(payload), 4, 14, directory=directory)
+        assert first != second and cluster.servers[1].records[0] == BlockRecord(1, 0, len(second), twin.checksum)
+        points, blocks = list(ledger.points), dict(ledger.blocks)
+        files = {path.name: path.read_bytes() for path in directory.iterdir()} if bound else None
+        with pytest.raises(UnverifiedState, match=f"server 1: it holds a block 'APPEND server={server} block=2'"):
+            append(cluster, ledger, server, b"appended", post_mutation_hook=hook)
+        assert ledger.points == points and ledger.blocks == blocks
+        assert cluster.servers[1].blocks[0].payload == first
+        assert snapshot_cluster(cluster) == ledger.last().payload_snapshot
+        if bound:
+            assert {path.name: path.read_bytes() for path in directory.iterdir()} == files
+            assert load_ledger(directory).points == ledger.points
