@@ -85,8 +85,8 @@ class ServerState:
     block's address lives. Both dicts stay in block-id order (appends take
     the next id, updates replace in place), which is the manifest order.
     A record object outlives the writes at other addresses, so a commit's
-    manifest shares it, and a snapshot loaded into the server (a recover
-    or a rollback, and each epoch of a ledger load) drops the ids the
+    manifest shares it, and a snapshot loaded into the server (a recover,
+    a rollback or a non-empty cluster.state) drops the ids the
     snapshot lacks and puts only the blocks that differ or are missing; a
     server whose remaining ids are no prefix of the snapshot's is
     replaced by a new one instead. put renders each record's manifest
@@ -304,17 +304,18 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # --- cluster snapshots -------------------------------------------------------
 #
 # A snapshot names each block by its content digest instead of carrying its
-# bytes (ledger format v7): the marker line SNAPSHOT_HEADER, the canonical
+# bytes (ledger format v8): the marker line SNAPSHOT_HEADER, the canonical
 # manifest text, one digest line per manifest record in record order, and a
 # final END. It holds what a restore point restores, and no live status: a
 # loaded snapshot has every server up and no stale read path, and only the
 # ledger's cluster.state records a DOWN server or an armed STALE path. The
 # bytes live once in a block store, a mapping from digest to DataBlock (on
-# disk, the entries of the ledger's files).
+# disk, the entries of the ledger's files). Only a non-empty cluster.state
+# stores snapshot text; an epoch file stores its SHA-256.
 
-SNAPSHOT_HEADER = "SNAPSHOT v7"
+SNAPSHOT_HEADER = "SNAPSHOT v8"
 _RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"],
-                    ["SNAPSHOT", "v6"])
+                    ["SNAPSHOT", "v6"], ["SNAPSHOT", "v7"])
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:

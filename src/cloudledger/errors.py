@@ -52,7 +52,7 @@ class EmptyGrant(CloudLedgerError):
 
 
 class ManifestFormatError(CloudLedgerError):
-    """Serialized manifest, snapshot, snapshot set, or block pack failed to parse."""
+    """A serialized manifest, the set of epoch files, or a block entry in a ledger file failed to parse."""
 
 
 class PreStateCorrupt(CloudLedgerError):

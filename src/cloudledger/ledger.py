@@ -28,11 +28,12 @@ write_file is its one writer, replacing whole files only. Memory follows
 the disk: a commit's blocks join the store and its point the ledger once
 its epoch file's rename, the commit, is done. The committed epochs are
 the files 0.snapshot to (E-1).snapshot, found by one listing of the
-directory. Only the upload's epoch file holds a snapshot. Each later one
-is a redo record of its operation: its operation line, from which history
-renders the line the operation printed, the blocks the epoch was first to
-store, and the digest of the block the operation wrote; load_ledger
-replays it onto the epoch before.
+directory. Each is a redo record of the operation that committed it, the
+upload's included: its operation line, from which history renders the
+line the operation printed, then each block it wrote, stored or named,
+and the hash of the snapshot it left. load_ledger replays the upload
+onto an empty cluster and each later operation onto the epoch before, so
+a clean ledger stores no manifest text.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import hashlib
 import os
 import re
 from bisect import bisect_left
-from operator import is_, itemgetter
+from operator import is_
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -52,6 +53,7 @@ from .cluster import (
     ClusterState,
     ServerState,
     load_snapshot,
+    new_cluster,
     read_manifest,
     snapshot_cluster,
     stored_manifest,
@@ -73,7 +75,8 @@ class RestorePoint(NamedTuple):
     The snapshot holds the manifest and names each record's block by
     digest, resolved in the ledger's block store; it holds no live status.
     ``op`` is the operation line, ``<KIND> server=<s> block=<b>``, of the
-    operation that committed the epoch, None for the upload's epoch 0.
+    operation that committed the epoch, None for the upload's epoch 0,
+    whose file's line, ``UPLOAD servers=<n>``, the manifest gives.
     ``added`` holds the blocks this commit was first to store, in address
     order, as its epoch file holds them, so a loaded point equals the
     committed one field by field. The epoch is the manifest's, and the
@@ -275,8 +278,8 @@ def _written_block(last: RestorePoint, cluster: ClusterState, op: str) -> Option
     so load could not rebuild the point. Records equal to the prediction
     leave only a block of another's weight and FNV-1a checksum to differ
     so. The kept digest lines of each server _rewritten_servers finds are
-    compared in C with the last point's, sliced from its snapshot, where
-    one 65-character line per record precedes the final END line."""
+    compared in C with the last point's, sliced from its snapshot
+    (_digests_at)."""
     records, text = last.manifest.records, last.payload_snapshot
     if cluster.server_count != last.manifest.server_count:
         raise UnverifiedState(f"refusing to commit {cluster.server_count} servers after a point of"
@@ -284,7 +287,7 @@ def _written_block(last: RestorePoint, cluster: ClusterState, op: str) -> Option
     kind, server_index, block_id = _OPERATION_LINE.fullmatch(op).groups()
     key = (int(server_index), int(block_id))
     written = None if kind == "DELETE" else cluster.servers[key[0]].blocks.get(key[1])
-    start = len(text) - len("END\n") - 65 * len(records)
+    start = _digests_at(text, len(records))
     bounds = _server_bounds(records, cluster.server_count)
     for server in _rewritten_servers(last, cluster):
         first, end = bounds[server.server_index], bounds[server.server_index + 1]
@@ -311,20 +314,19 @@ def _unstored_blocks(store: Mapping[str, DataBlock], servers: Iterable[ServerSta
 
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v7: write_file replaces every file whole, by way of
+# Ledger format v8: write_file replaces every file whole, by way of
 # ``<name>.tmp``, so a crash leaves the old file or the new. An epoch's only
-# file is ``<epoch>.snapshot``, and its rename is the commit. The upload's
-# 0.snapshot holds one entry ``<sha256 hex> <weight>\n<payload>\n`` per block,
-# each distinct block once, in address order, then its snapshot text, the
-# ledger's one copy of a manifest. A later epoch's file is a redo record: its
-# operation line ``<KIND> server=<s> block=<b>``, the entry of each block the
-# epoch was first to store, for an APPEND or UPDATE one digest line
-# ``<sha256 hex>\n`` naming the block now at the address, whose length and
-# checksum are the record's weight and checksum, and last its snapshot line
+# file is ``<epoch>.snapshot``, and its rename is the commit. Every epoch file,
+# the upload's included, is a redo record of one grammar: its operation line,
+# ``UPLOAD servers=<n>`` at epoch 0 and ``<KIND> server=<s> block=<b>`` after;
+# one block line per block the operation wrote, in record order: an entry
+# ``<sha256 hex> <weight>\n<payload>\n`` the first time the ledger stores that
+# content, otherwise a reference ``<sha256 hex>\n``; and last its snapshot line
 # ``SNAPSHOT sha256=<hex>\n``: the SHA-256 of the snapshot the epoch
-# committed, which replaying the operation on the epoch before must
-# rebuild. So every block is stored once in the directory, epoch k names
-# blocks of files 0..k, and one manifest text is stored in all. The CLI's
+# committed, which replaying the operation must rebuild. The kind sets the
+# number of block lines: any for an UPLOAD, one for an APPEND or UPDATE, none
+# for a DELETE. So every block is stored once in the directory, epoch k names
+# blocks of files 0..k, and no epoch file holds manifest text. The CLI's
 # live cluster, ``cluster.state``, is written empty while it is the last
 # point with every server up and no stale read path, and otherwise holds
 # entries for the live blocks no epoch file holds (a pending tamper's), its
@@ -335,10 +337,13 @@ def _unstored_blocks(store: Mapping[str, DataBlock], servers: Iterable[ServerSta
 
 CLUSTER_FILE = "cluster.state"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
-_DIGEST_LINE = re.compile(rb"([0-9a-f]{64})\n")
+# An epoch file's block line: an entry's first line, or a reference, which has no weight.
+_BLOCK_LINE = re.compile(rb"([0-9a-f]{64})(?: ([0-9]+))?\n")
 _SNAPSHOT_LINE = re.compile(rb"SNAPSHOT sha256=([0-9a-f]{64})\n")
 # An operation line as operation_line renders it, decimals canonical as in a manifest.
 _OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_DECIMAL}) block=({_DECIMAL})")
+# The upload's line, as _persist_point renders it: a cluster has at least one server.
+_UPLOAD_LINE = re.compile("UPLOAD servers=([1-9][0-9]*)")
 
 
 def operation_line(kind: str, server: int, block: int) -> str:
@@ -361,38 +366,45 @@ def write_file(directory: Path, name: str, data: bytes) -> None:
     os.replace(temporary, directory / name)
 
 
+def _entry(block: DataBlock) -> bytes:
+    """The entry that stores a block: ``<sha256 hex> <weight>\n<payload>\n``."""
+    return b"%s %d\n%s\n" % (block.digest.encode("ascii"), len(block.payload), block.payload)
+
+
 def _ledger_file(head: str, blocks: Iterable[DataBlock], tail: str) -> bytes:
     """A ledger file's bytes: ``head``, one entry per block, then ``tail``."""
-    chunks = [head.encode("utf-8")]
-    for block in blocks:
-        chunks += (f"{block.digest} {len(block.payload)}\n".encode("ascii"), block.payload, b"\n")
-    chunks.append(tail.encode("utf-8"))
-    return b"".join(chunks)
+    return b"".join([head.encode("utf-8"), *map(_entry, blocks), tail.encode("utf-8")])
 
 
-def _read_entries(name: str, data: bytes, position: int,
-                  stored: Mapping[str, DataBlock]) -> tuple[dict[str, DataBlock], int]:
-    """The blocks of the entries in ``name``'s ``data`` from ``position`` on,
-    read while _PACK_ENTRY matches, and the position after them. Each
-    payload is hashed once, by make_block, and must hash to its digest, and
-    a block that ``stored`` (the other files) or an earlier entry holds is
-    refused. Neither an entry nor a DataBlock carries an address: a block
-    object is put at every address a snapshot's or an operation's digest
-    line names it at."""
+def _read_blocks(name: str, data: bytes, position: int, stored: Mapping[str, DataBlock],
+                 line: re.Pattern[bytes] = _BLOCK_LINE) -> tuple[dict[str, DataBlock], list[DataBlock], int]:
+    """The block lines in ``name``'s ``data`` from ``position`` on, read
+    while ``line`` matches: the blocks of its entries, digest -> block, the
+    blocks of all its lines in order, and the position after them. An
+    entry's payload is hashed once, by make_block, and must hash to its
+    digest, and a block that ``stored`` (the other files) or an earlier
+    entry holds is refused. A reference, which _PACK_ENTRY does not match,
+    must name a block one of them holds. No line carries an address: a
+    block object is put at every address a line names it at."""
     blocks: dict[str, DataBlock] = {}
-    while (entry := _PACK_ENTRY.match(data, position)) is not None:
-        digest, start = entry.group(1).decode("ascii"), entry.end()
-        end = start + int(entry.group(2))
-        if data[end : end + 1] != b"\n":
-            raise ManifestFormatError(f"{name} entry at byte {position} is cut short")
-        if digest in stored or digest in blocks:
-            raise ManifestFormatError(f"{name} stores block {digest}, which the ledger already stores")
-        block = make_block(data[start:end])
-        if block.digest != digest:
-            raise SnapshotCorrupt(f"{name} entry at byte {position} does not hash to its digest {digest}")
-        blocks[digest] = block
-        position = end + 1
-    return blocks, position
+    written: list[DataBlock] = []
+    while (match := line.match(data, position)) is not None:
+        digest, position = match.group(1).decode("ascii"), match.end()
+        if match.group(2) is not None:  # an entry, which stores the block
+            end = position + int(match.group(2))
+            if data[end : end + 1] != b"\n":
+                raise ManifestFormatError(f"{name} entry at byte {match.start()} is cut short")
+            if digest in stored or digest in blocks:
+                raise ManifestFormatError(f"{name} stores block {digest}, which the ledger already stores")
+            blocks[digest] = make_block(data[position:end])
+            if blocks[digest].digest != digest:
+                raise SnapshotCorrupt(f"{name} entry at byte {match.start()} does not hash to its digest {digest}")
+            position = end + 1
+        block = blocks[digest] if digest in blocks else stored.get(digest)
+        if block is None:
+            raise SnapshotCorrupt(f"{name} names block {digest}, which the store lacks")
+        written.append(block)
+    return blocks, written, position
 
 
 def _snapshot_text(name: str, data: bytes, position: int) -> str:
@@ -412,82 +424,81 @@ def _snapshot_text(name: str, data: bytes, position: int) -> str:
                               f" ({exc.reason} at byte {position + exc.start})") from exc
 
 
-def _read_operation(name: str, data: bytes, stored: Mapping[str, DataBlock]
-                    ) -> tuple[str, Optional[str], str, dict[str, DataBlock]]:
-    """An operation's epoch file: its operation line, the digest its digest
-    line names (None for a DELETE, which writes no block), the SHA-256 its
-    snapshot line names, and the blocks of its entries (_read_entries).
-    The snapshot line ends the file; any other line is refused as the line
-    it is."""
+def _read_record(name: str, epoch: int, data: bytes, stored: Mapping[str, DataBlock]
+                 ) -> tuple[str, list[DataBlock], str, dict[str, DataBlock]]:
+    """Epoch ``epoch``'s file: its operation line, an UPLOAD at epoch 0 and
+    only there, the blocks its block lines name in order and the blocks of
+    its entries (_read_blocks), and the SHA-256 its snapshot line names.
+    The kind sets the number of block lines, and the snapshot line ends
+    the file; any other line is refused as the line it is. A file of a
+    retired format, entries and then a snapshot header, is refused by
+    name."""
     head, lf, _ = data.partition(b"\n")
     op = head.decode("utf-8", "replace")
-    if not lf or _OPERATION_LINE.fullmatch(op) is None:
+    if not lf or _OPERATION_LINE.fullmatch(op) is None and _UPLOAD_LINE.fullmatch(op) is None:
+        position = _read_blocks(name, data, 0, {}, _PACK_ENTRY)[2]  # past a retired format's entries
+        version = data[position:].partition(b"\n")[0].decode("utf-8", "replace").split(" ")[:2]
+        if version in _RETIRED_HEADERS:
+            raise SnapshotCorrupt(f"{name} is in ledger format {version[1]}, which is no longer supported")
         raise SnapshotCorrupt(f"{name} starts with {op!r}{'' if lf else ' and no LF'}, which is no operation line")
-    blocks, position = _read_entries(name, data, len(head) + 1, stored)
-    digest = _DIGEST_LINE.match(data, position)
-    check = _SNAPSHOT_LINE.match(data, position if digest is None else digest.end())
+    kind = op.split(" ")[0]
+    if (kind == "UPLOAD") != (epoch == 0):
+        raise SnapshotCorrupt(f"{name} holds {op!r}, but the upload commits epoch 0, and only epoch 0")
+    blocks, written, position = _read_blocks(name, data, len(head) + 1, stored)
+    check = _SNAPSHOT_LINE.match(data, position)
     if check is None or check.end() != len(data):
-        at = check.end() if check else digest.end() if digest else position
+        at = position if check is None else check.end()
         line, lf, _ = data[at:].partition(b"\n")
         found = f"holds {line.decode('utf-8', 'replace')!r}{'' if lf else ' and no LF'}" if line or lf else "ends"
-        expected = ("the file ends" if check else "the snapshot line belongs" if digest else
-                    "a block entry, a digest line or the snapshot line belongs")
+        expected = "a block line or the snapshot line belongs" if check is None else "the file ends"
         raise SnapshotCorrupt(f"{name} at byte {at} {found}, where {expected}")
-    kind = op.split(" ")[0]
-    if (digest is None) != (kind == "DELETE"):
-        raise SnapshotCorrupt(f"{name} holds a digest line, but a DELETE writes no block" if digest else
-                              f"{name} holds no digest line naming the block its {kind} wrote")
-    return op, digest and digest.group(1).decode("ascii"), check.group(1).decode("ascii"), blocks
+    count = {"APPEND": 1, "UPDATE": 1, "DELETE": 0}.get(kind, len(written))
+    if len(written) != count:
+        raise SnapshotCorrupt(f"{name} holds {len(written)} block line(s) for {op!r}, which writes {count}")
+    return op, written, check.group(1).decode("ascii"), blocks
 
 
-def _replay(cluster: ClusterState, blocks: Mapping[str, DataBlock], name: str, epoch: int, op: str,
-            digest: Optional[str], check: str) -> str:
-    """Make in ``cluster``, at epoch - 1, the one put or drop that the
-    operation line ``op`` names, and return the snapshot it leaves, which
-    must hash to ``check``. The rules are the ones ops.apply runs by: the
-    server exists, an UPDATE or a DELETE names a block the server holds and
-    an APPEND the next id after the server's largest. An APPEND or UPDATE
-    puts the block ``digest`` names in ``blocks``. The cluster is then at
-    ``epoch``, with records that are operation_records of the epoch
-    before's, by construction."""
-    kind, server, block = _OPERATION_LINE.fullmatch(op).groups()
-    server, block = int(server), int(block)
-    held = cluster.servers[server].blocks if server < cluster.server_count else None
-    if held is None:
-        refusal = f"it has {cluster.server_count} servers"
-    elif kind == "APPEND" and block != max(held, default=-1) + 1:
-        refusal = f"server {server}'s next block id is {max(held, default=-1) + 1}"
-    elif kind != "APPEND" and block not in held:
-        refusal = f"server {server} holds no block {block}"
+def _replay(cluster: Optional[ClusterState], name: str, epoch: int, op: str, written: list[DataBlock],
+            check: str) -> tuple[ClusterState, str]:
+    """Make the writes the operation line ``op`` names, with the blocks
+    ``written``, and return the cluster, now at ``epoch``, and the snapshot
+    it leaves, which must hash to ``check``. The upload, at epoch 0, where
+    there is no ``cluster`` yet, makes a new cluster of its servers and
+    puts the i-th block at the i-th address, in record order, of the
+    round-robin layout of that many blocks, as partition_upload places
+    them. Any other operation makes one put or drop in ``cluster``, at
+    epoch - 1, by the rules ops.apply runs by: the server exists, an
+    UPDATE or a DELETE names a block the server holds and an APPEND the
+    next id after the server's largest. So its records are operation_records
+    of the epoch before's, by construction."""
+    if cluster is None:  # the upload, as _read_record checked
+        cluster, blocks = new_cluster(int(op.removeprefix("UPLOAD servers="))), iter(written)
+        for server in cluster.servers:  # server s holds every n-th block from the s-th
+            for block in range(len(range(server.server_index, len(written), cluster.server_count))):
+                server.put(block, next(blocks))
     else:
-        refusal = None
-    if refusal is not None:
-        raise SnapshotCorrupt(f"{name} holds {op!r}, which epoch {epoch - 1} refuses: {refusal}")
-    if digest is None:
-        cluster.servers[server].drop(block)
-    elif digest in blocks:
-        cluster.servers[server].put(block, blocks[digest])
-    else:
-        raise SnapshotCorrupt(f"{name} names block {digest}, which the store lacks")
+        kind, server, block = _OPERATION_LINE.fullmatch(op).groups()
+        server, block = int(server), int(block)
+        held = cluster.servers[server].blocks if server < cluster.server_count else None
+        if held is None:
+            refusal = f"it has {cluster.server_count} servers"
+        elif kind == "APPEND" and block != max(held, default=-1) + 1:
+            refusal = f"server {server}'s next block id is {max(held, default=-1) + 1}"
+        elif kind != "APPEND" and block not in held:
+            refusal = f"server {server} holds no block {block}"
+        else:
+            refusal = None
+        if refusal is not None:
+            raise SnapshotCorrupt(f"{name} holds {op!r}, which epoch {epoch - 1} refuses: {refusal}")
+        if kind == "DELETE":
+            cluster.servers[server].drop(block)
+        else:
+            cluster.servers[server].put(block, written[0])
     cluster.epoch = epoch
     text = snapshot_cluster(cluster)
     if _sha256(text) != check:
-        raise SnapshotCorrupt(f"epoch {epoch} is not what {op!r} leaves on epoch {epoch - 1}: its snapshot does"
-                              f" not hash to the one {name} names")
-    return text
-
-
-def _check_upload(name: str, manifest: Manifest) -> None:
-    """Refuse an epoch-0 manifest other than an upload's: it claims epoch
-    0, and its blocks are placed round-robin, so server i holds ids 0, 1,
-    ... for every n-th block from block i. This catches an edited address
-    or server count, which X, a sum of weights, does not cover."""
-    epoch, count, servers = manifest.epoch, len(manifest.records), manifest.server_count
-    if epoch != 0:
-        raise ManifestFormatError(f"{name} claims epoch {epoch}")
-    layout = [(server, block) for server in range(servers) for block in range(len(range(server, count, servers)))]
-    if list(map(itemgetter(0, 1), manifest.records)) != layout:
-        raise SnapshotCorrupt(f"epoch 0 is not the round-robin upload of {count} blocks on {servers} servers")
+        raise SnapshotCorrupt(f"epoch {epoch} is not what {op!r} leaves: {name} names another snapshot's hash")
+    return cluster, text
 
 
 def _apply_status(cluster: ClusterState, status: str) -> None:
@@ -523,8 +534,8 @@ def _apply_status(cluster: ClusterState, status: str) -> None:
 def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
     """The live cluster in the ledger's directory, seeded with ``rng_seed``.
     An empty file is the last point: the cluster load_ledger's replay ended
-    in, which it hands out once, so a clean command parses no snapshot but
-    0.snapshot. Otherwise the file's snapshot is loaded into that cluster,
+    in, which it hands out once, so a clean command parses no snapshot.
+    Otherwise the file's snapshot is loaded into that cluster,
     which writes only the addresses where it differs, its blocks resolving
     in the store and in the file's own entries, which stay out of the store,
     and then its status lines (_apply_status), which this file alone holds,
@@ -532,7 +543,7 @@ def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
     data = (ledger.directory / CLUSTER_FILE).read_bytes()
     cluster, ledger._replayed = ledger._replayed, None
     if data:
-        own, position = _read_entries(CLUSTER_FILE, data, 0, ledger.blocks)
+        own, _, position = _read_blocks(CLUSTER_FILE, data, 0, ledger.blocks, _PACK_ENTRY)
         snapshot, end, status = _snapshot_text(CLUSTER_FILE, data, position).rpartition("\nEND\n")
         cluster = load_snapshot(snapshot + end, ledger.blocks | own, into=cluster)
         _apply_status(cluster, status)
@@ -556,33 +567,36 @@ def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
-    """Replace the point's epoch file, the rename that commits it: the
-    upload's blocks, then its snapshot, or an operation's line, its new
-    blocks, then its digest line (_digest_line)."""
-    if point.op is None:
-        data = _ledger_file("", point.added, point.payload_snapshot)
-    else:
-        tail = f"{_digest_line(point)}SNAPSHOT sha256={_sha256(point.payload_snapshot)}\n"
-        data = _ledger_file(f"{point.op}\n", point.added, tail)
-    write_file(directory, f"{point.epoch}.snapshot", data)
+    """Replace the point's epoch file, the rename that commits it: its
+    operation line, the upload's naming its server count, then a block line
+    per block it wrote, in record order: the entry of a block the point was
+    first to store, and otherwise a reference. Their digests are the
+    snapshot's digest lines (_digests_at) of every record for the upload,
+    of the record at the address an APPEND or UPDATE names, and of none for
+    a DELETE. Last comes its snapshot line."""
+    records, text = point.manifest.records, point.payload_snapshot
+    op, first, end = f"UPLOAD servers={point.manifest.server_count}", 0, len(records)
+    if point.op is not None:
+        kind, server, block = _OPERATION_LINE.fullmatch(point.op).groups()
+        op, first = point.op, bisect_left(records, (int(server), int(block)))
+        end = first + (kind != "DELETE")
+    start = _digests_at(text, len(records))
+    new = {block.digest: block for block in point.added}
+    lines = [_entry(new.pop(digest)) if digest in new else f"{digest}\n".encode("ascii")
+             for digest in text[start + 65 * first : start + 65 * end].split()]
+    tail = f"SNAPSHOT sha256={_sha256(text)}\n".encode("ascii")
+    write_file(directory, f"{point.epoch}.snapshot", b"".join([f"{op}\n".encode("utf-8"), *lines, tail]))
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _digest_line(point: RestorePoint) -> str:
-    """The digest line an operation's epoch file ends with, taken from the
-    point's snapshot: the line naming the block at the address its
-    operation line names, empty for a DELETE. A snapshot's digest lines,
-    one 65-character line per record, in record order, precede its final
-    END line."""
-    kind, server, block = _OPERATION_LINE.fullmatch(point.op).groups()
-    if kind == "DELETE":
-        return ""
-    records, text = point.manifest.records, point.payload_snapshot
-    start = len(text) - len("END\n") - 65 * (len(records) - bisect_left(records, (int(server), int(block))))
-    return text[start : start + 65]
+def _digests_at(text: str, records: int) -> int:
+    """Where the digest lines of a snapshot ``text`` of ``records``
+    records start: one 65-character line per record, in record order,
+    precedes its final END line."""
+    return len(text) - len("END\n") - 65 * records
 
 
 def _epoch_count(directory: Path) -> int:
@@ -605,23 +619,23 @@ def load_ledger(directory: Path) -> Ledger:
     """Load a persisted ledger by replay, revalidating every epoch: the one
     place that decides what an epoch committed.
 
-    0.snapshot's entries join the block store, and its snapshot, the one
-    manifest text of the ledger, loads into a new cluster; it must be the
-    upload's (_check_upload). Each later epoch file is read as a redo
-    record (_read_operation): its entries join the store, so epoch k
-    resolves only in the blocks of files 0..k, and its operation line makes
-    one put or drop in that same cluster (_replay), by the rules ops.apply
-    runs by. So each epoch's records are what its operation leaves on the
-    epoch before's, operation_records, by construction, and the points share
-    every record an epoch did not change. Each point's snapshot text is
-    rendered with snapshot_cluster, which joins again only the server its
-    operation wrote, and must hash to its file's snapshot line, which
-    catches an operation line edited into another that the epoch before
-    allows. Each distinct block is hashed once, and one snapshot is parsed,
-    so the cost is O(distinct stored bytes + records + epochs), besides
-    copying and hashing each point's text until points hold decoded
-    values. The cluster the replay ends in is kept for load_cluster. Files
-    are read as written, with no newline translation.
+    Each epoch file is read as a redo record (_read_record): its entries
+    join the block store, so epoch k resolves only in the blocks of files
+    0..k, and its operation line makes its writes (_replay): the upload
+    places its blocks round-robin on a new cluster, and each later
+    operation makes one put or drop in that same cluster, by the rules
+    ops.apply runs by. So each epoch's records are what its operation
+    leaves on the epoch before's, operation_records, by construction, and
+    the points share every record an epoch did not change. Each point's
+    snapshot text is rendered with snapshot_cluster, which joins again only
+    the server its operation wrote, and must hash to its file's snapshot
+    line, which catches an operation line edited into another that the
+    epoch before allows, and an upload's edited server count or block
+    order. Each distinct block is hashed once, and no manifest text is
+    parsed, so the cost is O(distinct stored bytes + records + epochs),
+    besides copying and hashing each point's text until points hold
+    decoded values. The cluster the replay ends in is kept for
+    load_cluster. Files are read as written, with no newline translation.
     """
     directory = Path(directory)
     ledger = Ledger(directory=directory)
@@ -632,17 +646,10 @@ def load_ledger(directory: Path) -> Ledger:
             data = (directory / name).read_bytes()
         except OSError as exc:
             raise SnapshotCorrupt(f"{name} does not load: {exc}") from exc
-        if epoch:
-            op, digest, check, blocks = _read_operation(name, data, ledger.blocks)
-        else:
-            op, (blocks, position) = None, _read_entries(name, data, 0, ledger.blocks)
+        op, written, check, blocks = _read_record(name, epoch, data, ledger.blocks)
         ledger.blocks.update(blocks)
-        if epoch:
-            text = _replay(cluster, ledger.blocks, name, epoch, op, digest, check)
-        else:
-            text = _snapshot_text(name, data, position)
-            cluster = load_snapshot(text, ledger.blocks)
-            _check_upload(name, stored_manifest(cluster))
-        ledger.points.append(RestorePoint(stored_manifest(cluster), text, op, tuple(blocks.values())))
+        cluster, text = _replay(cluster, name, epoch, op, written, check)
+        ledger.points.append(RestorePoint(stored_manifest(cluster), text, op if epoch else None,
+                                          tuple(blocks.values())))
     ledger._replayed = cluster
     return ledger

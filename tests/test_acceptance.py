@@ -262,10 +262,10 @@ def test_criterion_7_tpa_non_interference_and_agreement():
 # SHA-256 of every ledger file the demo writes at seed 42. A change of
 # ledger format updates these pins and says so.
 DEMO_LEDGER_SHA256 = {
-    "0.snapshot": "5533a2c4711e3c2fd388826040361265ca3f14c11bf13867b76b4ad0ef9302f6",
-    "1.snapshot": "77c4be656ea9df2526f097b68d7843063777366a937caa08ed12770c9b552624",
-    "2.snapshot": "2431ca93acb7b15f3cf92f224cd4f99302e1aa272a949e517e24536d887f193c",
-    "3.snapshot": "1877581c43d4fe2c8de17260898eb44e2db7510f1dee9677766932ac2c2871e8",
+    "0.snapshot": "06e8c450e3692e49fa4aff92cc9be689932cf014b49491b4f3d4e75b08329293",
+    "1.snapshot": "25e9cd26ef50b07c01f2628c2a3626fe8fda1b26840dc4ff25ec7494399c7c53",
+    "2.snapshot": "ebb16f68e1b2b2e056a91c6ce4d8310eb37c95276cdac9961d473b2b54c574cf",
+    "3.snapshot": "ad562cb05fad5bf8aecb43db79bc8bb36d7b4e01ef4979707303e76f81d556c9",
     "cluster.state": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty: the last point
     "config": "a07f9fbb9806c1bf1db68156c74d1cb624c2b40b9ea5b2e5164201295c000bb3",
 }

@@ -1,11 +1,21 @@
 """CLI behavior: exit codes, reports, persistence layout, determinism."""
 
+import hashlib
 import re
 from pathlib import Path
 
 import pytest
 
-from cloudledger import Level, build_manifest, cli, load_ledger, partition_upload, serialize_manifest, snapshot_cluster
+from cloudledger import (
+    Level,
+    build_manifest,
+    cli,
+    load_ledger,
+    make_block,
+    partition_upload,
+    serialize_manifest,
+    snapshot_cluster,
+)
 from cloudledger.cluster import SNAPSHOT_HEADER
 from cloudledger.ledger import _ledger_file, load_cluster
 from cloudledger.rng import generate_payload
@@ -279,11 +289,13 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     """A v3 directory may hold a snapshot its index never listed, which a
     later format would read as committed, a v4 directory keeps its
     operations in a journal file, not in its epoch files, a v5 directory
-    keeps its blocks in a pack, not in its epoch files, and a v6 directory
+    keeps its blocks in a pack, not in its epoch files, a v6 directory
     holds a full snapshot, status lines included, in every epoch file, not
-    a redo record, so every file headed SNAPSHOT v3, v4, v5 or v6 fails by
-    name, and recover writes nothing."""
-    current = tmp_path / "v7"
+    a redo record, and a v7 directory holds the upload's blocks and a full
+    snapshot in 0.snapshot, not an UPLOAD record, so every file headed
+    SNAPSHOT v3, v4, v5, v6 or v7 fails by name, and recover writes
+    nothing."""
+    current = tmp_path / "v8"
     three_epochs(current)
     assert run_cli("--ledger-dir", str(current), "tamper", "--kind", "flip-byte", "--server", "0",
                    "--block", "0") == 0
@@ -299,10 +311,13 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     blocks = {**ledger.blocks, **{block.digest: block for block in tampered}}
     pack = b"PACK v2\n" + b"".join(b"%s %d\n%s\n" % (digest.encode(), len(block.payload), block.payload)
                                    for digest, block in blocks.items())
-    for version in ("v3", "v4", "v5", "v6"):
-        # The v7 files as that version wrote them: a full snapshot in every
-        # epoch file, before v6 the blocks in a pack, and before v5 no
-        # operation lines, the operations in a journal.
+    for version in ("v3", "v4", "v5", "v6", "v7"):
+        # The v8 files as that version wrote them: in v7 a full snapshot in
+        # 0.snapshot and cluster.state, and after its operation line and
+        # entries a digest line and a snapshot line in every other epoch
+        # file; before v7 a full snapshot in every epoch file, before v6 the
+        # blocks in a pack, and before v5 no operation lines, the operations
+        # in a journal.
         ledger_dir = tmp_path / version
         ledger_dir.mkdir()
         (ledger_dir / "config").write_bytes((current / "config").read_bytes())
@@ -310,9 +325,12 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
             (ledger_dir / "blocks.pack").write_bytes(pack)
         for name, (op, added, text) in texts.items():
             assert text.startswith(SNAPSHOT_HEADER + "\n")
-            head = f"{op}\n" if op and version in ("v5", "v6") else ""
+            head = f"{op}\n" if op and version in ("v5", "v6", "v7") else ""
             text = f"SNAPSHOT {version}{text[len(SNAPSHOT_HEADER):]}"
-            (ledger_dir / name).write_bytes(_ledger_file(head, added if version == "v6" else (), text))
+            if op and version == "v7":  # no DELETE here: the digest its v8 block line starts with, then the hash
+                written = (current / name).read_bytes().split(b"\n")[1][:64].decode()
+                text = f"{written}\nSNAPSHOT sha256={hashlib.sha256(text.encode()).hexdigest()}\n"
+            (ledger_dir / name).write_bytes(_ledger_file(head, added if version in ("v6", "v7") else (), text))
         if version in ("v3", "v4"):
             (ledger_dir / "journal").write_bytes(journal)
         before = dir_contents(ledger_dir)
@@ -322,6 +340,35 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
             assert dir_contents(ledger_dir) == before, (version, command)
         assert seeded_upload(ledger_dir) == 3
         assert dir_contents(ledger_dir) == before
+
+
+@pytest.mark.parametrize("op, epoch, error", [
+    (("delete", "--server", "0", "--block", "1"), 1,
+     "1.snapshot holds 1 block line(s) for 'DELETE server=0 block=1', which writes 0"),
+    (("append", "--server", "1", "--gen-bytes", "20"), 1,
+     "1.snapshot holds 2 block line(s) for 'APPEND server=1 block=2', which writes 1"),
+    ((), 0, "epoch 0 is not what 'UPLOAD servers=3' leaves"),
+], ids=["delete", "append", "upload"])
+def test_an_entry_the_operation_did_not_write_exits_2(ledger_dir, capsys, op, epoch, error):
+    """Every entry in an epoch file is a block its operation wrote: a valid
+    entry of new bytes inserted after the operation line of a DELETE's
+    file, of an APPEND's beside the block it wrote, or of the upload's,
+    where it moves every block after it, makes verify, history and recover
+    exit 2 and write nothing; it never joins the store unused."""
+    flags = ("--servers", "3", "--block-size", "16", "--ledger-dir", str(ledger_dir))
+    assert run_cli(*flags, "upload", "--gen-bytes", "100") == 0
+    if op:
+        assert run_cli(*flags, *op) == 0
+    path = ledger_dir / f"{epoch}.snapshot"
+    line, lf, rest = path.read_bytes().partition(b"\n")
+    extra = make_block(b"hello extra")
+    path.write_bytes(line + lf + b"%s 11\n%s\n" % (extra.digest.encode(), extra.payload) + rest)
+    before = dir_contents(ledger_dir)
+    capsys.readouterr()
+    for command in ("verify", "history", "recover"):
+        assert run_cli(*flags, command) == 2, command
+        assert error in capsys.readouterr().err, command
+        assert dir_contents(ledger_dir) == before, command
 
 
 @pytest.mark.parametrize("edit, stray", [
@@ -611,7 +658,7 @@ def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(ledger_dir, tmp_pat
 @pytest.mark.parametrize("epoch, written, edit, error", [
     (1, 1, lambda data: data.replace(b"\n", b"\r\n", 1), "\\r', which is no operation line"),
     (1, 1, lambda data: data.replace(b"\n", b"\x0c\n", 1), "\\x0c', which is no operation line"),
-    (3, 3, lambda data: data[:-1], "' and no LF, where a block entry, a digest line or the snapshot line belongs"),
+    (3, 3, lambda data: data[:-1], "' and no LF, where a block line or the snapshot line belongs"),
     (3, 4, lambda data: data, "4.snapshot holds 'DELETE server=2 block=1', which epoch 3 refuses: server 2 holds no"),
 ], ids=["crlf", "form-feed", "no-final-lf", "past-the-last-epoch"])
 def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, capsys, epoch, written, edit, error):
@@ -635,14 +682,13 @@ def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, cap
     (1, lambda data, op: data.replace(op, b"APPEND server=0\n", 1), "starts with 'APPEND server=0', which is no"),
     (1, lambda data, op: data.replace(op, b"APPEND again\n", 1), "starts with 'APPEND again', which is no"),
     (1, lambda data, op: data.replace(op, b"junk line\n", 1), "starts with 'junk line', which is no operation"),
-    # A line before an epoch file's entries is neither an entry nor a snapshot header.
-    (0, lambda data, op: b"UPDATE nothing\n" + data, "0.snapshot at byte 0 holds 'UPDATE nothing', which is neither"),
+    (0, lambda data, op: b"UPDATE nothing\n" + data, "0.snapshot starts with 'UPDATE nothing', which is no operation"),
     (1, lambda data, op: data.replace(op, op + op, 1), "1.snapshot at byte 24 holds 'APPEND server=0 block=9', where"),
-    (0, lambda data, op: op + data, "0.snapshot at byte 0 holds 'APPEND server=0 block=9', which is neither a block"),
+    (0, lambda data, op: op + data, "0.snapshot holds 'APPEND server=0 block=9', but the upload commits epoch 0"),
 ], ids=["short-line", "again", "junk", "epoch-0-junk", "epoch-1-twice", "epoch-0"])
 def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, capsys, epoch, edit, error):
     """Every operation's epoch file starts with the one line it journals,
-    and the upload's 0.snapshot with its snapshot: on a 2-epoch ledger, an
+    and the upload's 0.snapshot with its UPLOAD line: on a 2-epoch ledger, an
     epoch file with any other first line, or with the operation line twice,
     makes history and recover exit 2 and write nothing."""
     seeded_upload(ledger_dir)

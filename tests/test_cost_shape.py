@@ -8,11 +8,11 @@ block store only the block its operation wrote: the servers whose
 records differ, object for object, from the last point's must hold the
 last point's blocks but for that one. The load row, on a small grid of
 records n and epochs E of a bound ledger: load_ledger and then
-load_cluster on an empty cluster.state parse one snapshot, 0.snapshot,
-make n puts for it and one put or drop per later epoch, render no record
-line but those puts', and hash each stored entry once; an operation's
-epoch file is its line, its new entries, a digest line for an APPEND or
-UPDATE and its snapshot line.
+load_cluster on an empty cluster.state parse no snapshot and no manifest,
+make n puts for the upload and one put or drop per later epoch, render no
+record line but those puts', and hash each stored entry once; every epoch
+file, 0.snapshot included, is its line, an entry per block it was first
+to store, a reference per other block it wrote, and its snapshot line.
 """
 
 import sys
@@ -122,18 +122,21 @@ def test_a_commit_renders_one_line_per_put_and_looks_up_only_rewritten_servers(c
     assert commit_row(fault_recover_update) == (3, 3, [make_block(b"again").digest])
 
 
-def epoch_file_bytes(point):
-    """An operation's epoch file size: its line, its entries, a digest line
-    for an APPEND or UPDATE, and its snapshot line."""
+def epoch_file_bytes(point, written):
+    """An epoch file's size: its line, an entry per block the point was
+    first to store, a 65-byte reference per other block of the ``written``
+    its operation wrote, and its 81-byte snapshot line."""
+    line = point.op or f"UPLOAD servers={point.manifest.server_count}"
     entries = sum(len(f"{block.digest} {len(block.payload)}\n") + len(block.payload) + 1 for block in point.added)
-    digest_line = 0 if point.op.startswith("DELETE") else 65
-    return len(point.op) + 1 + entries + digest_line + len("SNAPSHOT sha256=") + 65
+    return len(line) + 1 + entries + 65 * (written - len(point.added)) + len("SNAPSHOT sha256=") + 65
 
 
 @pytest.mark.parametrize("records, epochs", [(16, 1), (16, 7), (64, 7), (64, 19)])
 def test_a_load_parses_one_snapshot_and_replays_one_write_per_later_epoch(tmp_path, monkeypatch, records, epochs):
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(generate_payload(records, records * 8), 4, 8, directory=directory)
+    assert len(ledger.blocks) == records  # distinct blocks: 0.snapshot holds an entry for each, and no reference
+    assert (directory / "0.snapshot").stat().st_size == epoch_file_bytes(ledger.last(), records)
     for epoch in range(1, epochs):
         server = epoch % 4
         if epoch % 3 == 1:
@@ -143,7 +146,8 @@ def test_a_load_parses_one_snapshot_and_replays_one_write_per_later_epoch(tmp_pa
             update(cluster, ledger, server, max(cluster.servers[server].blocks), copied)
         else:
             delete(cluster, ledger, server, min(cluster.servers[server].blocks))
-        assert (directory / f"{epoch}.snapshot").stat().st_size == epoch_file_bytes(ledger.last()), epoch
+        written = 0 if ledger.last().op.startswith("DELETE") else 1
+        assert (directory / f"{epoch}.snapshot").stat().st_size == epoch_file_bytes(ledger.last(), written), epoch
     (directory / "cluster.state").write_bytes(b"")  # the live cluster is the last point
 
     counts = {"load_snapshot": 0, "parse_manifest": 0, "writes": 0, "hashed": 0}
@@ -167,7 +171,7 @@ def test_a_load_parses_one_snapshot_and_replays_one_write_per_later_epoch(tmp_pa
     counted(ServerState, "drop", "writes")
     loaded = load_ledger(directory)
     live = load_cluster(loaded, 0)
-    assert counts == {"load_snapshot": 1, "parse_manifest": 1, "writes": records + epochs - 1,
+    assert counts == {"load_snapshot": 0, "parse_manifest": 0, "writes": records + epochs - 1,
                       "hashed": len(loaded.blocks)}
     assert CountingFormat.rendered == records + sum(not point.op.startswith("DELETE") for point in ledger.points[1:])
     assert loaded.points == ledger.points

@@ -9,7 +9,6 @@ from cloudledger import (
     FaultKind,
     FaultSpec,
     Ledger,
-    ManifestFormatError,
     Mode,
     NothingToRestore,
     RecoveryAction,
@@ -234,8 +233,8 @@ def digest_of(payload):
 
 
 def replace_digest_line(path, digest, replacement):
-    """Replace ``digest`` in the snapshot of the ledger file ``path``: its
-    last occurrence, after the entry that stores its block."""
+    """Replace the last line ``digest`` of the ledger file ``path``: a
+    reference, after the entry that stores its block."""
     head, found, tail = path.read_bytes().rpartition(f"{digest}\n".encode())
     assert found
     path.write_bytes(head + f"{replacement}\n".encode() + tail)
@@ -338,23 +337,19 @@ def test_load_ledger_empty_directory(tmp_path):
     assert load_ledger(tmp_path).points == []
 
 
-@pytest.mark.parametrize("edit, claimed", [
-    (lambda directory, text: load_ledger(directory).points[1].payload_snapshot, 1),
-    (lambda directory, text: text.replace(" epoch=0 ", " epoch=2 ", 1), 2),
-], ids=["epoch-0-copied", "header-edited"])
-def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, edit, claimed):
-    """Only 0.snapshot holds a snapshot, and it must claim epoch 0: epoch
-    1's snapshot in its place, or an edited header, fails by name."""
+@pytest.mark.parametrize("epoch, line", [(1, b"UPLOAD servers=2"), (0, b"UPDATE server=0 block=0")],
+                         ids=["epoch-0-copied", "header-edited"])
+def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, epoch, line):
+    """The upload commits epoch 0, and only epoch 0: 0.snapshot copied as
+    1.snapshot, or its UPLOAD line edited into an operation line, fails by
+    name."""
     directory = tmp_path / "ledger"
-    cluster, _ = make_committed_state(bytes(range(10)), 2, 5, directory=directory)
-    update(cluster, load_ledger(directory), 0, 0, bytes(range(5)))  # the same bytes: epoch 1 names epoch 0's blocks
-    snapshot = directory / "0.snapshot"
-    data = snapshot.read_bytes()
-    head, text = data[: data.index(b"SNAPSHOT v7\n")], data[data.index(b"SNAPSHOT v7\n") :].decode()
-    edited = edit(directory, text)
-    assert edited != text
-    snapshot.write_bytes(head + edited.encode())
-    with pytest.raises(ManifestFormatError, match=f"0.snapshot claims epoch {claimed}$"):
+    cluster, _ = make_committed_state(bytes(range(5)), 2, 5, directory=directory)
+    update(cluster, load_ledger(directory), 0, 0, bytes(range(5)))  # the same bytes: epoch 1 names epoch 0's block
+    data = (directory / "0.snapshot").read_bytes()
+    (directory / f"{epoch}.snapshot").write_bytes(line + data[data.index(b"\n") :])
+    with pytest.raises(SnapshotCorrupt, match=f"{epoch}.snapshot holds '{line.decode()}', but the upload commits"
+                                              " epoch 0, and only epoch 0$"):
         load_ledger(directory)
 
 
@@ -372,16 +367,17 @@ def test_loaded_servers_hold_the_stored_block_objects(tmp_path):
 
 
 def test_load_ledger_rejects_tampered_snapshot(tmp_path):
+    """0.snapshot's reference to "ab", at server 1's block 0, swapped for another stored block."""
     directory = tmp_path / "ledger"
-    make_committed_state(b"abcdef", 2, 2, directory=directory)
+    make_committed_state(b"ababcd", 2, 2, directory=directory)
     replace_digest_line(directory / "0.snapshot", digest_of(b"ab"), digest_of(b"cd"))
-    with pytest.raises(SnapshotCorrupt, match="fails its manifest record"):
+    with pytest.raises(SnapshotCorrupt, match="epoch 0 is not what 'UPLOAD servers=2' leaves"):
         load_ledger(directory)
 
 
 def test_load_ledger_rejects_reference_missing_from_pack(tmp_path):
     directory = tmp_path / "ledger"
-    make_committed_state(b"abcdef", 2, 2, directory=directory)
+    make_committed_state(b"ababcd", 2, 2, directory=directory)
     replace_digest_line(directory / "0.snapshot", digest_of(b"ab"), "0" * 64)
     with pytest.raises(SnapshotCorrupt, match="which the store lacks"):
         load_ledger(directory)
@@ -458,8 +454,12 @@ def edit_snapshot(directory, epoch, pattern, replacement, into=None):
 
 
 @pytest.mark.parametrize("epoch, pattern, replacement, error", [
-    (0, "servers=3", "servers=4", "epoch 0 is not the round-robin upload of 7 blocks on 4 servers"),
-    (0, "^1 1 32 ", "1 2 32 ", "epoch 0 is not the round-robin upload"),
+    (0, "^UPLOAD servers=3$", "UPLOAD servers=4", "epoch 0 is not what 'UPLOAD servers=4' leaves"),
+    # Server 0's blocks 0 and 1 swapped: the upload's first two entries, each 32 bytes.
+    (0, "(?s)^([0-9a-f]{64} 32\n.{32}\n)([0-9a-f]{64} 32\n.{32}\n)", r"\2\1",
+     "epoch 0 is not what 'UPLOAD servers=3' leaves"),
+    # Epoch 3's reference, to server 0's block 1, swapped for another stored block of its weight.
+    (3, "^[0-9a-f]{64}$", digest_of(bytes(range(32))), "epoch 3 is not what 'UPDATE server=0 block=1' leaves"),
     (1, "^APPEND server=1 ", "APPEND server=9 ", "1.snapshot holds 'APPEND server=9 block=2', which epoch 0 refuses:"
      " it has 3 servers"),
     (1, "^APPEND server=1 ", "APPEND server=0 ", "1.snapshot holds 'APPEND server=0 block=2', which epoch 0 refuses:"
@@ -467,14 +467,14 @@ def edit_snapshot(directory, epoch, pattern, replacement, into=None):
     (1, "^APPEND server=1 block=2", "APPEND server=1 block=3", "which epoch 0 refuses: server 1's next block id is 2"),
     (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=2", "2.snapshot holds 'UPDATE server=2 block=2', which"
      " epoch 1 refuses: server 2 holds no block 2"),
-    # A bare digest line is no malformed entry: a DELETE writes no block, so its file names none.
-    (1, "^APPEND", "DELETE", "1.snapshot holds a digest line, but a DELETE writes no block"),
+    # The entry is no malformed line: a DELETE writes no block, so its file holds no block line.
+    (1, "^APPEND", "DELETE", "1.snapshot holds 1 block line(s) for 'DELETE server=1 block=2', which writes 0"),
     (2, "^UPDATE server=2 block=1", "UPDATE server=1 block=3", "epoch 1 refuses: server 1 holds no block 3"),
     (1, "^APPEND server=1 ", "APPEND server=01 ", "1.snapshot starts with 'APPEND server=01 block=2', which is no"),
     # Without its operation line, epoch 1's file starts with the entry of the block it appended.
     (1, "^APPEND server=1 block=2\n", "", f"1.snapshot starts with '{digest_of(bytes(8))} 8', which is no"),
-    # A line before epoch 0's entries is neither an entry nor a snapshot header.
-    (0, "^", "APPEND server=1 block=2\n", "0.snapshot at byte 0 holds 'APPEND server=1 block=2', which is neither"),
+    # Only the upload commits epoch 0.
+    (0, "^", "APPEND server=1 block=2\n", "0.snapshot holds 'APPEND server=1 block=2', but the upload commits"),
     # Epoch 3, an update of server 0's block 1 to identical bytes, as epoch 5, after epoch 4 deleted that block,
     # and as an append, of an id below the server's largest, 2.
     ((3, 5), "^", "", "5.snapshot holds 'UPDATE server=0 block=1', which epoch 4 refuses: server 0 holds no block 1"),
@@ -482,7 +482,7 @@ def edit_snapshot(directory, epoch, pattern, replacement, into=None):
      " next block id is 3"),
     # Epoch 4, the delete, again as epoch 5: the address it names is already gone.
     ((4, 5), "^", "", "5.snapshot holds 'DELETE server=0 block=1', which epoch 4 refuses: server 0 holds no block 1"),
-], ids=["upload-servers", "upload-id", "servers", "other-address", "append-id", "update-address",
+], ids=["upload-servers", "upload-id", "reference-swapped", "servers", "other-address", "append-id", "update-address",
         "op-kind-swapped", "op-address-moved", "op-server-01", "op-line-missing", "op-line-at-epoch-0",
         "update-freed-id", "append-freed-id", "delete-unheld"])
 def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsys, epoch, pattern, replacement,
@@ -491,8 +491,8 @@ def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsy
     before, so an operation line that names no operation that epoch allows
     (an update or a delete of an address it does not hold, an append of
     another id than the server's next, a server it does not have), an edit
-    of the upload's addresses or server count, which X, a sum of weights,
-    does not cover, or a file that is no redo record must make the epoch
+    of the upload's block order or server count or of a reference, which
+    X, a sum of weights, does not cover, or a file that is no redo record must make the epoch
     fail to load: every command that loads the ledger exits 2, and recover
     writes nothing. An epoch given as (source, target) is the source
     epoch's file, edited, written as the target's."""

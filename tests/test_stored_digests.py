@@ -145,18 +145,18 @@ def test_load_ledger_hashes_each_distinct_stored_byte_once(eleven_epochs, monkey
 
 
 def test_load_ledger_parses_each_epoch_manifest_once(eleven_epochs, monkeypatch):
-    # Only 0.snapshot stores a manifest; every later epoch is replayed onto it.
+    # No epoch file stores a manifest: the upload and every later epoch are replayed.
     directory, _ = eleven_epochs
     assert not list(directory.glob("*.manifest"))
     parsed, ledger = tally(monkeypatch, parse_manifest, lambda text: 1, lambda: load_ledger(directory))
     assert len(ledger.points) == APPENDS + 1
-    assert parsed == 1
+    assert parsed == 0
 
 
 def test_append_adds_about_its_delta_to_the_ledger_directory(eleven_epochs):
     # A full payload copy would add over 64 KiB per commit, and a full
     # snapshot 2.6 KiB. An epoch file holds its operation line, the entry
-    # of the appended block, its digest line and its snapshot line.
+    # of the appended block and its snapshot line.
     _, growth = eleven_epochs
     assert max(growth) <= APPEND_BYTES + 300
 
