@@ -4,9 +4,9 @@ Payloads are split into blocks, placed round-robin across simulated
 servers, and tracked through manifests of per-block (weight, checksum)
 records. The reading protocol compares client-side and cloud-side
 manifests before and after every change; each verified change commits a
-restore point (manifest and payload snapshot, from which the aggregate X
-derives) that crash recovery rewinds to; snapshots name blocks by content
-digest, and each distinct block is stored once. A fault-injection harness exercises detection
+restore point (its manifest, from which the aggregate X derives, and the
+redo record of the change) that crash recovery rewinds to; snapshots name
+blocks by content digest, and each distinct block is stored once. A fault-injection harness exercises detection
 coverage, including the weight-only mode whose same-size substitution
 blind spot the checksum mode closes.
 """

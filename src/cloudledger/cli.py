@@ -8,11 +8,11 @@ Ties the simulator together behind deterministic, scriptable subcommands:
 State lives in the ledger directory (--ledger-dir, or CLOUDLEDGER_DIR):
 one file per committed epoch (<epoch>.snapshot: a redo record of the
 upload or operation that committed it: its line, each block it wrote,
-stored the first time and named by digest after, and the hash of the
-snapshot it leaves), the live cluster snapshot (cluster.state: the
-live blocks no epoch file holds, the snapshot and the live status, empty
-while it is the last restore point), and the effective configuration
-(config, key=value lines). The ledger module writes every one of them
+stored the first time and named by digest after, and a chain line, the
+hash of its bytes and the chain of the files before it), the live
+cluster snapshot (cluster.state: the live blocks no epoch file holds,
+the snapshot and the live status, empty while it is the last restore
+point), and the effective configuration (config, key=value lines). The ledger module writes every one of them
 whole, through ledger.write_file. history renders the operation journal
 from the ledger's epochs.
 Identical configuration plus an identical command sequence reproduces

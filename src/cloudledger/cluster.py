@@ -304,18 +304,19 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # --- cluster snapshots -------------------------------------------------------
 #
 # A snapshot names each block by its content digest instead of carrying its
-# bytes (ledger format v8): the marker line SNAPSHOT_HEADER, the canonical
+# bytes (ledger format v9): the marker line SNAPSHOT_HEADER, the canonical
 # manifest text, one digest line per manifest record in record order, and a
 # final END. It holds what a restore point restores, and no live status: a
 # loaded snapshot has every server up and no stale read path, and only the
 # ledger's cluster.state records a DOWN server or an armed STALE path. The
 # bytes live once in a block store, a mapping from digest to DataBlock (on
 # disk, the entries of the ledger's files). Only a non-empty cluster.state
-# stores snapshot text; an epoch file stores its SHA-256.
+# stores snapshot text; an epoch file stores the operation that rebuilds it,
+# and the ledger keeps the last point's text in memory.
 
-SNAPSHOT_HEADER = "SNAPSHOT v8"
+SNAPSHOT_HEADER = "SNAPSHOT v9"
 _RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"],
-                    ["SNAPSHOT", "v6"], ["SNAPSHOT", "v7"])
+                    ["SNAPSHOT", "v6"], ["SNAPSHOT", "v7"], ["SNAPSHOT", "v8"])
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:

@@ -39,8 +39,10 @@ class NothingToRestore(CloudLedgerError):
 
 
 class SnapshotCorrupt(CloudLedgerError):
-    """A payload snapshot failed its own manifest consistency check, named a
-    block the store lacks, or a stored block failed its digest."""
+    """A ledger file failed to load: an epoch file failed its chain line or
+    is no redo record the epoch before allows, a snapshot failed its own
+    manifest consistency check or named a block the store lacks, or a
+    stored block failed its digest."""
 
 
 class StaleEpoch(CloudLedgerError):

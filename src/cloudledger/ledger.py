@@ -1,8 +1,8 @@
 """Append-only restore-point ledger and crash recovery.
 
-Every verified update commits one restore point: a snapshot of the
-cluster, which holds the cloud manifest and names each record's block by
-content digest. The point's aggregate X (cloud total plus user total
+Every verified update commits one restore point: the cloud manifest and
+the redo record that rebuilds it, the bytes of its epoch file. The
+point's aggregate X (cloud total plus user total
 summed over servers) is derived from that manifest: a verified commit
 has S = T, so X is twice the manifest total, and is never stored. The
 ledger keeps one block store, shared by all its points, holding each
@@ -15,9 +15,11 @@ Recovery declares the state intact when every server is up and the
 live records equal the last committed manifest's, one tuple comparison
 that, with no server unavailable, is the clean CHECKSUM verdict; equal
 records imply equal weights, so the live aggregate Y equals X without
-being computed. Otherwise the last snapshot is loaded into the cluster,
-writing only the addresses whose block differs, and only that restored
-state runs through verify_equality.
+being computed. Otherwise the last point's snapshot, the one snapshot
+text the ledger keeps, which names each record's block by content
+digest, is loaded into the cluster, writing only the addresses whose
+block differs, and only that restored state runs through
+verify_equality.
 
 Timestamps are logical clock ticks, not wall time, so ledgers are
 byte-reproducible: epoch k commits at tick k + 1. Ledger is a plain
@@ -31,9 +33,10 @@ the files 0.snapshot to (E-1).snapshot, found by one listing of the
 directory. Each is a redo record of the operation that committed it, the
 upload's included: its operation line, from which history renders the
 line the operation printed, then each block it wrote, stored or named,
-and the hash of the snapshot it left. load_ledger replays the upload
+and last a chain line, which hashes the file with the chain of the files
+before it. load_ledger checks every chain line, then replays the upload
 onto an empty cluster and each later operation onto the epoch before, so
-a clean ledger stores no manifest text.
+a clean ledger stores no manifest or snapshot text.
 """
 
 from __future__ import annotations
@@ -70,23 +73,22 @@ from .protocol import Mode, Verdict, verify_equality
 
 
 class RestorePoint(NamedTuple):
-    """One committed epoch: manifest, payload snapshot, operation line and added blocks.
-
-    The snapshot holds the manifest and names each record's block by
-    digest, resolved in the ledger's block store; it holds no live status.
-    ``op`` is the operation line, ``<KIND> server=<s> block=<b>``, of the
-    operation that committed the epoch, None for the upload's epoch 0,
-    whose file's line, ``UPLOAD servers=<n>``, the manifest gives.
-    ``added`` holds the blocks this commit was first to store, in address
-    order, as its epoch file holds them, so a loaded point equals the
-    committed one field by field. The epoch is the manifest's, and the
-    tick and X derive from the manifest.
+    """One committed epoch: its manifest and its record, the bytes of its
+    epoch file exactly as the commit wrote them or the load read them, so a
+    loaded point equals the committed one field by field. The record holds
+    no snapshot text: replaying it onto the epoch before rebuilds the
+    point. The epoch is the manifest's, and the tick and X derive from the
+    manifest.
     """
 
     manifest: Manifest
-    payload_snapshot: str
-    op: Optional[str] = None
-    added: tuple[DataBlock, ...] = ()
+    record: bytes
+
+    @property
+    def op(self) -> str:
+        """The record's first line: ``UPLOAD servers=<n>`` at epoch 0 and
+        ``<KIND> server=<s> block=<b>`` after, without the LF."""
+        return self.record.partition(b"\n")[0].decode("utf-8")
 
     @property
     def epoch(self) -> int:
@@ -106,17 +108,20 @@ class RestorePoint(NamedTuple):
 class Ledger:
     """Append-only list of restore points; points[k].epoch == k.
 
-    ``blocks`` is the block store (digest -> DataBlock) every point's
-    snapshot resolves in. When bound to a directory, every commit replaces
-    ``<epoch>.snapshot``, the rename that commits it. A ledger load_ledger
-    made also holds, until load_cluster takes it, the cluster its replay
-    ended in, at the last point.
+    ``blocks`` is the block store (digest -> DataBlock) every record
+    resolves in. ``last_snapshot`` is the last point's snapshot text, the
+    one a restore loads, kept once here rather than on every point; None
+    before the first commit. When bound to a directory, every commit
+    replaces ``<epoch>.snapshot``, the rename that commits it. A ledger
+    load_ledger made also holds, until load_cluster takes it, the cluster
+    its replay ended in, at the last point.
     """
 
-    def __init__(self, directory: Optional[Path] = None, blocks: Optional[dict[str, DataBlock]] = None) -> None:
+    def __init__(self, directory: Optional[Path] = None) -> None:
         self.points: list[RestorePoint] = []
         self.directory = directory
-        self.blocks = {} if blocks is None else blocks
+        self.blocks: dict[str, DataBlock] = {}
+        self.last_snapshot: Optional[str] = None
         self._replayed: Optional[ClusterState] = None
 
     @property
@@ -164,15 +169,18 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     Refuses unverified or epoch-desynced commits, an operation line at
     epoch 0 or none at a later epoch, and stored blocks that a stale read
     path hid from the verdict; on success the stored blocks' manifest (and
-    with it X), a payload snapshot and the operation line are frozen and
-    the logical clock ticks. The manifest shares every record the commit did
-    not change with the previous point, whose records become the
-    cluster's previous_records, the ones a stale read path replays. An
-    operation's blocks must be the previous point's but for the one its
-    line names (_written_block), as its epoch file records, so that block
+    with it X) and the record are frozen and the logical clock ticks. The
+    manifest shares every record the commit did not change with the
+    previous point, whose records become the cluster's previous_records,
+    the ones a stale read path replays. The record is the epoch file: the
+    operation line, the upload's naming its server count, a block line per
+    block the operation wrote, in record order (the entry of a block the
+    ledger stores for the first time, a reference otherwise), and the
+    chain line (_chain_line). An operation's blocks must be the previous
+    point's but for the one its line names (_written_blocks), so that block
     is the only one looked up in the store. A bound ledger writes the
-    epoch file before the blocks join the store and the point joins
-    ``points``.
+    epoch file before the blocks join the store, the point joins
+    ``points`` and its snapshot text becomes ``last_snapshot``.
     """
     if not verdict.z:
         raise UnverifiedState("refusing to snapshot a state that failed verification")
@@ -188,14 +196,20 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     if manifest.records != read_manifest(cluster).records:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
     if op is None:
-        added = _unstored_blocks(ledger.blocks, cluster.servers)
+        op = f"UPLOAD servers={cluster.server_count}"
+        written = [block for server in cluster.servers for block in server.blocks.values()]
     else:
-        written = _written_block(ledger.last(), cluster, op)
-        added = {} if written is None or written.digest in ledger.blocks else {written.digest: written}
-    point = RestorePoint(manifest, snapshot_cluster(cluster), op, tuple(added.values()))
+        written = _written_blocks(ledger.last(), ledger.last_snapshot, cluster, op)
+    added = _unstored_blocks(ledger.blocks, written)
+    new = dict(added)  # an entry where a block first occurs, a reference after
+    lines = [_entry(new.pop(block.digest)) if block.digest in new else f"{block.digest}\n".encode("ascii")
+             for block in written]
+    body = b"".join([f"{op}\n".encode("utf-8"), *lines])
+    point = RestorePoint(manifest, body + _chain_line(ledger.points[-1].record if ledger.points else b"", body))
     if ledger.directory is not None:
         _persist_point(ledger.directory, point)
     ledger.blocks.update(added)
+    ledger.last_snapshot = snapshot_cluster(cluster)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     ledger.points.append(point)
     return point
@@ -235,7 +249,7 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
 
 
 def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
-    """Overwrite cluster storage with the ledger's last payload snapshot.
+    """Overwrite cluster storage with the ledger's last snapshot.
 
     load_snapshot loads the snapshot into the cluster itself, taking the
     blocks from the ledger's store (unhashed) and writing only the
@@ -250,7 +264,7 @@ def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
     ops.apply.
     """
     point = ledger.last()
-    load_snapshot(point.payload_snapshot, ledger.blocks, into=cluster)
+    load_snapshot(ledger.last_snapshot, ledger.blocks, into=cluster)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     check = verify_equality(point.manifest, read_manifest(cluster), Mode.CHECKSUM)
     if not check.z:
@@ -270,17 +284,17 @@ def _rewritten_servers(last: RestorePoint, cluster: ClusterState) -> list[Server
             if len(server.records) != end - start or not all(map(is_, server.records.values(), records[start:end]))]
 
 
-def _written_block(last: RestorePoint, cluster: ClusterState, op: str) -> Optional[DataBlock]:
-    """The block an operation put at the address its line ``op`` names,
-    None for a DELETE, after refusing to commit a cluster of another server
-    count than the ``last`` point, or blocks that are not that point's with
-    only this one put or dropped: its epoch file records this block alone,
-    so load could not rebuild the point. Records equal to the prediction
-    leave only a block of another's weight and FNV-1a checksum to differ
-    so. The kept digest lines of each server _rewritten_servers finds are
-    compared in C with the last point's, sliced from its snapshot
-    (_digests_at)."""
-    records, text = last.manifest.records, last.payload_snapshot
+def _written_blocks(last: RestorePoint, text: str, cluster: ClusterState, op: str) -> list[DataBlock]:
+    """The blocks an operation wrote: the one it put at the address its
+    line ``op`` names, none for a DELETE. First refuses to commit a cluster
+    of another server count than the ``last`` point, or blocks that are not
+    that point's with only this one put or dropped: its epoch file records
+    this block alone, so load could not rebuild the point. Records equal to
+    the prediction leave only a block of another's weight and FNV-1a
+    checksum to differ so. The kept digest lines of each server
+    _rewritten_servers finds are compared in C with the last point's,
+    sliced from its snapshot ``text`` (_digests_at)."""
+    records = last.manifest.records
     if cluster.server_count != last.manifest.server_count:
         raise UnverifiedState(f"refusing to commit {cluster.server_count} servers after a point of"
                               f" {last.manifest.server_count}")
@@ -299,50 +313,49 @@ def _written_block(last: RestorePoint, cluster: ClusterState, op: str) -> Option
         if server.snapshot_lines()[1] != lines:
             raise UnverifiedState(f"refusing to commit server {server.server_index}: it holds a block {op!r} did"
                                   " not write, which its epoch file cannot record")
-    return written
+    return [] if written is None else [written]
 
 
-def _unstored_blocks(store: Mapping[str, DataBlock], servers: Iterable[ServerState]) -> dict[str, DataBlock]:
-    """The blocks on ``servers`` that ``store`` lacks, digest -> block, each once, in address order."""
+def _unstored_blocks(store: Mapping[str, DataBlock], blocks: Iterable[DataBlock]) -> dict[str, DataBlock]:
+    """The ``blocks`` that ``store`` lacks, digest -> block, each once, in the order given."""
     new: dict[str, DataBlock] = {}
-    for server in servers:
-        for block in server.blocks.values():
-            if block.digest not in store:
-                new.setdefault(block.digest, block)
+    for block in blocks:
+        if block.digest not in store:
+            new.setdefault(block.digest, block)
     return new
 
 
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v8: write_file replaces every file whole, by way of
+# Ledger format v9: write_file replaces every file whole, by way of
 # ``<name>.tmp``, so a crash leaves the old file or the new. An epoch's only
 # file is ``<epoch>.snapshot``, and its rename is the commit. Every epoch file,
 # the upload's included, is a redo record of one grammar: its operation line,
 # ``UPLOAD servers=<n>`` at epoch 0 and ``<KIND> server=<s> block=<b>`` after;
 # one block line per block the operation wrote, in record order: an entry
 # ``<sha256 hex> <weight>\n<payload>\n`` the first time the ledger stores that
-# content, otherwise a reference ``<sha256 hex>\n``; and last its snapshot line
-# ``SNAPSHOT sha256=<hex>\n``: the SHA-256 of the snapshot the epoch
-# committed, which replaying the operation must rebuild. The kind sets the
-# number of block lines: any for an UPLOAD, one for an APPEND or UPDATE, none
-# for a DELETE. So every block is stored once in the directory, epoch k names
-# blocks of files 0..k, and no epoch file holds manifest text. The CLI's
-# live cluster, ``cluster.state``, is written empty while it is the last
-# point with every server up and no stale read path, and otherwise holds
-# entries for the live blocks no epoch file holds (a pending tamper's), its
-# snapshot text, then a status line ``DOWN <server>`` per crashed server and
-# ``STALE`` for an armed stale read path: live status, which no restore point
-# holds. A crash before a rename leaves at most a partial ``.tmp``, which no
-# reader lists and a retry replaces.
+# content, otherwise a reference ``<sha256 hex>\n``; and last its chain line
+# ``CHAIN sha256=<hex>\n``: the SHA-256 of the chain hex of the file before
+# (nothing for 0.snapshot) followed by this file's bytes before the line. The
+# kind sets the number of block lines: any for an UPLOAD, one for an APPEND or
+# UPDATE, none for a DELETE. So every block is stored once in the directory,
+# epoch k names blocks of files 0..k, and no epoch file holds manifest or
+# snapshot text. The CLI's live cluster, ``cluster.state``, is written empty
+# while it is the last point with every server up and no stale read path, and
+# otherwise holds entries for the live blocks no epoch file holds (a pending
+# tamper's), its snapshot text, then a status line ``DOWN <server>`` per
+# crashed server and ``STALE`` for an armed stale read path: live status,
+# which no restore point holds. A crash before a rename leaves at most a
+# partial ``.tmp``, which no reader lists and a retry replaces.
 
 CLUSTER_FILE = "cluster.state"
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
 # An epoch file's block line: an entry's first line, or a reference, which has no weight.
 _BLOCK_LINE = re.compile(rb"([0-9a-f]{64})(?: ([0-9]+))?\n")
-_SNAPSHOT_LINE = re.compile(rb"SNAPSHOT sha256=([0-9a-f]{64})\n")
+_CHAIN_SIZE = len("CHAIN sha256=\n") + 64  # the bytes of a chain line
 # An operation line as operation_line renders it, decimals canonical as in a manifest.
 _OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_DECIMAL}) block=({_DECIMAL})")
-# The upload's line, as _persist_point renders it: a cluster has at least one server.
+# The upload's line, as commit_restore_point renders it: a cluster has at least one server.
 _UPLOAD_LINE = re.compile("UPLOAD servers=([1-9][0-9]*)")
 
 
@@ -424,50 +437,65 @@ def _snapshot_text(name: str, data: bytes, position: int) -> str:
                               f" ({exc.reason} at byte {position + exc.start})") from exc
 
 
+def _chain_line(previous: bytes, body: bytes) -> bytes:
+    """The chain line that ends an epoch file whose bytes before it are
+    ``body``: the SHA-256 of the chain hex that ends ``previous``, the epoch
+    file before (empty for 0.snapshot), followed by ``body``."""
+    return b"CHAIN sha256=%s\n" % hashlib.sha256(previous[-65:-1] + body).hexdigest().encode("ascii")
+
+
+def _check_chain(name: str, data: bytes, previous: bytes) -> None:
+    """Refuse ``name``'s ``data`` unless it ends in the chain line of its
+    other bytes after ``previous``, the epoch file before (_chain_line). A
+    file that ends in no chain line is named as a retired format when it
+    is one: a v8 file ends in a snapshot line, and an older one holds a
+    snapshot header, current or retired, after its entries."""
+    if data[-_CHAIN_SIZE:] == _chain_line(previous, data[:-_CHAIN_SIZE]):
+        return
+    if data[-_CHAIN_SIZE:].startswith(b"CHAIN sha256="):
+        raise SnapshotCorrupt(f"{name} fails its chain line: it, or an epoch file before it, changed after its commit")
+    last = data[data.rfind(b"\n", 0, len(data) - 1) + 1 :]
+    version = ["SNAPSHOT", "v8"] if last.startswith(b"SNAPSHOT sha256=") else (
+        data[_read_blocks(name, data, 0, {}, _PACK_ENTRY)[2] :].partition(b"\n")[0]  # past a retired format's entries
+        .decode("utf-8", "replace").split(" ")[:2])
+    if version in _RETIRED_HEADERS:
+        raise SnapshotCorrupt(f"{name} is in ledger format {version[1]}, which is no longer supported")
+    raise SnapshotCorrupt(f"{name} ends in {last.decode('utf-8', 'replace')!r}, where its chain line belongs")
+
+
 def _read_record(name: str, epoch: int, data: bytes, stored: Mapping[str, DataBlock]
-                 ) -> tuple[str, list[DataBlock], str, dict[str, DataBlock]]:
-    """Epoch ``epoch``'s file: its operation line, an UPLOAD at epoch 0 and
-    only there, the blocks its block lines name in order and the blocks of
-    its entries (_read_blocks), and the SHA-256 its snapshot line names.
-    The kind sets the number of block lines, and the snapshot line ends
-    the file; any other line is refused as the line it is. A file of a
-    retired format, entries and then a snapshot header, is refused by
-    name."""
+                 ) -> tuple[str, list[DataBlock], dict[str, DataBlock]]:
+    """Epoch ``epoch``'s file, given by its bytes before its chain line:
+    its operation line, an UPLOAD at epoch 0 and only there, the blocks its
+    block lines name in order and the blocks of its entries (_read_blocks).
+    The kind sets the number of block lines, which end the bytes; any other
+    line is refused as the line it is."""
     head, lf, _ = data.partition(b"\n")
     op = head.decode("utf-8", "replace")
     if not lf or _OPERATION_LINE.fullmatch(op) is None and _UPLOAD_LINE.fullmatch(op) is None:
-        position = _read_blocks(name, data, 0, {}, _PACK_ENTRY)[2]  # past a retired format's entries
-        version = data[position:].partition(b"\n")[0].decode("utf-8", "replace").split(" ")[:2]
-        if version in _RETIRED_HEADERS:
-            raise SnapshotCorrupt(f"{name} is in ledger format {version[1]}, which is no longer supported")
         raise SnapshotCorrupt(f"{name} starts with {op!r}{'' if lf else ' and no LF'}, which is no operation line")
     kind = op.split(" ")[0]
     if (kind == "UPLOAD") != (epoch == 0):
         raise SnapshotCorrupt(f"{name} holds {op!r}, but the upload commits epoch 0, and only epoch 0")
     blocks, written, position = _read_blocks(name, data, len(head) + 1, stored)
-    check = _SNAPSHOT_LINE.match(data, position)
-    if check is None or check.end() != len(data):
-        at = position if check is None else check.end()
-        line, lf, _ = data[at:].partition(b"\n")
-        found = f"holds {line.decode('utf-8', 'replace')!r}{'' if lf else ' and no LF'}" if line or lf else "ends"
-        expected = "a block line or the snapshot line belongs" if check is None else "the file ends"
-        raise SnapshotCorrupt(f"{name} at byte {at} {found}, where {expected}")
+    if position != len(data):
+        line, lf, _ = data[position:].partition(b"\n")
+        raise SnapshotCorrupt(f"{name} at byte {position} holds {line.decode('utf-8', 'replace')!r}"
+                              f"{'' if lf else ' and no LF'}, where a block line or the chain line belongs")
     count = {"APPEND": 1, "UPDATE": 1, "DELETE": 0}.get(kind, len(written))
     if len(written) != count:
         raise SnapshotCorrupt(f"{name} holds {len(written)} block line(s) for {op!r}, which writes {count}")
-    return op, written, check.group(1).decode("ascii"), blocks
+    return op, written, blocks
 
 
-def _replay(cluster: Optional[ClusterState], name: str, epoch: int, op: str, written: list[DataBlock],
-            check: str) -> tuple[ClusterState, str]:
+def _replay(cluster: Optional[ClusterState], name: str, epoch: int, op: str, written: list[DataBlock]) -> ClusterState:
     """Make the writes the operation line ``op`` names, with the blocks
-    ``written``, and return the cluster, now at ``epoch``, and the snapshot
-    it leaves, which must hash to ``check``. The upload, at epoch 0, where
-    there is no ``cluster`` yet, makes a new cluster of its servers and
-    puts the i-th block at the i-th address, in record order, of the
-    round-robin layout of that many blocks, as partition_upload places
-    them. Any other operation makes one put or drop in ``cluster``, at
-    epoch - 1, by the rules ops.apply runs by: the server exists, an
+    ``written``, and return the cluster, now at ``epoch``. The upload, at
+    epoch 0, where there is no ``cluster`` yet, makes a new cluster of its
+    servers and puts the i-th block at the i-th address, in record order,
+    of the round-robin layout of that many blocks, as partition_upload
+    places them. Any other operation makes one put or drop in ``cluster``,
+    at epoch - 1, by the rules ops.apply runs by: the server exists, an
     UPDATE or a DELETE names a block the server holds and an APPEND the
     next id after the server's largest. So its records are operation_records
     of the epoch before's, by construction."""
@@ -495,10 +523,7 @@ def _replay(cluster: Optional[ClusterState], name: str, epoch: int, op: str, wri
         else:
             cluster.servers[server].put(block, written[0])
     cluster.epoch = epoch
-    text = snapshot_cluster(cluster)
-    if _sha256(text) != check:
-        raise SnapshotCorrupt(f"epoch {epoch} is not what {op!r} leaves: {name} names another snapshot's hash")
-    return cluster, text
+    return cluster
 
 
 def _apply_status(cluster: ClusterState, status: str) -> None:
@@ -548,7 +573,7 @@ def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
         cluster = load_snapshot(snapshot + end, ledger.blocks | own, into=cluster)
         _apply_status(cluster, status)
     elif cluster is None:  # a ledger committed in this process, or one whose cluster was handed out
-        cluster = load_snapshot(ledger.last().payload_snapshot, ledger.blocks)
+        cluster = load_snapshot(ledger.last_snapshot, ledger.blocks)
     cluster.rng_seed = rng_seed
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     return cluster
@@ -561,35 +586,15 @@ def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
     text = snapshot_cluster(cluster)
     status = "".join([f"DOWN {server.server_index}\n" for server in cluster.servers if not server.alive])
     status += "STALE\n" if cluster.stale_armed else ""
-    same = ledger.points and not status and text == ledger.last().payload_snapshot
-    data = b"" if same else _ledger_file("", _unstored_blocks(ledger.blocks, cluster.servers).values(), text + status)
+    same = not status and text == ledger.last_snapshot
+    live = _unstored_blocks(ledger.blocks, (block for server in cluster.servers for block in server.blocks.values()))
+    data = b"" if same else _ledger_file("", live.values(), text + status)
     write_file(ledger.directory, CLUSTER_FILE, data)
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:
-    """Replace the point's epoch file, the rename that commits it: its
-    operation line, the upload's naming its server count, then a block line
-    per block it wrote, in record order: the entry of a block the point was
-    first to store, and otherwise a reference. Their digests are the
-    snapshot's digest lines (_digests_at) of every record for the upload,
-    of the record at the address an APPEND or UPDATE names, and of none for
-    a DELETE. Last comes its snapshot line."""
-    records, text = point.manifest.records, point.payload_snapshot
-    op, first, end = f"UPLOAD servers={point.manifest.server_count}", 0, len(records)
-    if point.op is not None:
-        kind, server, block = _OPERATION_LINE.fullmatch(point.op).groups()
-        op, first = point.op, bisect_left(records, (int(server), int(block)))
-        end = first + (kind != "DELETE")
-    start = _digests_at(text, len(records))
-    new = {block.digest: block for block in point.added}
-    lines = [_entry(new.pop(digest)) if digest in new else f"{digest}\n".encode("ascii")
-             for digest in text[start + 65 * first : start + 65 * end].split()]
-    tail = f"SNAPSHOT sha256={_sha256(text)}\n".encode("ascii")
-    write_file(directory, f"{point.epoch}.snapshot", b"".join([f"{op}\n".encode("utf-8"), *lines, tail]))
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """Replace the point's epoch file with its record, the rename that commits it."""
+    write_file(directory, f"{point.epoch}.snapshot", point.record)
 
 
 def _digests_at(text: str, records: int) -> int:
@@ -599,57 +604,59 @@ def _digests_at(text: str, records: int) -> int:
     return len(text) - len("END\n") - 65 * records
 
 
-def _epoch_count(directory: Path) -> int:
-    """The number of committed epochs, found by one listing of the
-    directory (none if it does not exist): exactly 0.snapshot to
-    (E-1).snapshot. Any other set of ``*.snapshot`` names, a gap, an extra
-    epoch or a number such as 01.snapshot, is refused. A ``.tmp`` file is
-    no snapshot."""
+def _epoch_files(directory: Path) -> list[str]:
+    """The names of the committed epochs' files, in epoch order, found by
+    one listing of the directory (none if it does not exist): exactly
+    0.snapshot to (E-1).snapshot. Any other set of ``*.snapshot`` names, a
+    gap, an extra epoch or a number such as 01.snapshot, is refused. A
+    ``.tmp`` file is no snapshot."""
     if not directory.is_dir():
-        return 0
+        return []
     snapshots = {name for name in os.listdir(directory) if name.endswith(".snapshot")}
-    expected = {f"{epoch}.snapshot" for epoch in range(len(snapshots))}
-    if snapshots != expected:
-        raise ManifestFormatError(f"{min(snapshots - expected)} is in the ledger, but the snapshots of"
+    expected = [f"{epoch}.snapshot" for epoch in range(len(snapshots))]
+    if snapshots != set(expected):
+        raise ManifestFormatError(f"{min(snapshots - set(expected))} is in the ledger, but the snapshots of"
                                   f" {len(snapshots)} epochs are 0.snapshot to {len(snapshots) - 1}.snapshot")
-    return len(snapshots)
+    return expected
 
 
 def load_ledger(directory: Path) -> Ledger:
     """Load a persisted ledger by replay, revalidating every epoch: the one
     place that decides what an epoch committed.
 
-    Each epoch file is read as a redo record (_read_record): its entries
-    join the block store, so epoch k resolves only in the blocks of files
-    0..k, and its operation line makes its writes (_replay): the upload
-    places its blocks round-robin on a new cluster, and each later
-    operation makes one put or drop in that same cluster, by the rules
-    ops.apply runs by. So each epoch's records are what its operation
-    leaves on the epoch before's, operation_records, by construction, and
-    the points share every record an epoch did not change. Each point's
-    snapshot text is rendered with snapshot_cluster, which joins again only
-    the server its operation wrote, and must hash to its file's snapshot
-    line, which catches an operation line edited into another that the
-    epoch before allows, and an upload's edited server count or block
-    order. Each distinct block is hashed once, and no manifest text is
-    parsed, so the cost is O(distinct stored bytes + records + epochs),
-    besides copying and hashing each point's text until points hold
-    decoded values. The cluster the replay ends in is kept for
-    load_cluster. Files are read as written, with no newline translation.
+    Every epoch file is read, as written, with no newline translation, and
+    must end in its chain line (_check_chain) before any entry is hashed or
+    any cluster is built, so an edit that leaves the chain inconsistent
+    fails at its file, whatever the replay would make of it. Then each
+    file is read as a redo record (_read_record): its entries join the
+    block store, so epoch k resolves only in the blocks of files 0..k, and
+    its operation line makes its writes (_replay): the upload places its
+    blocks round-robin on a new cluster, and each later operation makes one
+    put or drop in that same cluster, by the rules ops.apply runs by. So
+    each epoch's records are what its operation leaves on the epoch
+    before's, operation_records, by construction, and the points share
+    every record an epoch did not change. Each point holds its file's
+    bytes as its record. Each distinct block is hashed once, each file's
+    bytes once more by the chain, no manifest text is parsed, and only the
+    last point's snapshot text is rendered, so the cost is O(stored bytes
+    + records + epochs). The cluster the replay ends in is kept for
+    load_cluster.
     """
     directory = Path(directory)
     ledger = Ledger(directory=directory)
-    cluster: Optional[ClusterState] = None  # every epoch replays into it, so points share records
-    for epoch in range(_epoch_count(directory)):
-        name = f"{epoch}.snapshot"
+    names, records = _epoch_files(directory), []
+    for epoch, name in enumerate(names):
         try:
-            data = (directory / name).read_bytes()
+            records.append((directory / name).read_bytes())
         except OSError as exc:
             raise SnapshotCorrupt(f"{name} does not load: {exc}") from exc
-        op, written, check, blocks = _read_record(name, epoch, data, ledger.blocks)
+        _check_chain(name, records[-1], records[-2] if epoch else b"")
+    cluster: Optional[ClusterState] = None  # every epoch replays into it, so points share records
+    for epoch, (name, record) in enumerate(zip(names, records)):
+        op, written, blocks = _read_record(name, epoch, record[:-_CHAIN_SIZE], ledger.blocks)
         ledger.blocks.update(blocks)
-        cluster, text = _replay(cluster, name, epoch, op, written, check)
-        ledger.points.append(RestorePoint(stored_manifest(cluster), text, op if epoch else None,
-                                          tuple(blocks.values())))
+        cluster = _replay(cluster, name, epoch, op, written)
+        ledger.points.append(RestorePoint(stored_manifest(cluster), record))
+    ledger.last_snapshot = None if cluster is None else snapshot_cluster(cluster)
     ledger._replayed = cluster
     return ledger

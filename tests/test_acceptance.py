@@ -262,10 +262,10 @@ def test_criterion_7_tpa_non_interference_and_agreement():
 # SHA-256 of every ledger file the demo writes at seed 42. A change of
 # ledger format updates these pins and says so.
 DEMO_LEDGER_SHA256 = {
-    "0.snapshot": "06e8c450e3692e49fa4aff92cc9be689932cf014b49491b4f3d4e75b08329293",
-    "1.snapshot": "25e9cd26ef50b07c01f2628c2a3626fe8fda1b26840dc4ff25ec7494399c7c53",
-    "2.snapshot": "ebb16f68e1b2b2e056a91c6ce4d8310eb37c95276cdac9961d473b2b54c574cf",
-    "3.snapshot": "ad562cb05fad5bf8aecb43db79bc8bb36d7b4e01ef4979707303e76f81d556c9",
+    "0.snapshot": "8cc4ea82a562d1432add48d3a39ce054ce260dccf34b83db8e59c48edb403bd6",
+    "1.snapshot": "55124c5df388a9e29b57c612df05a431def52740bcf761817f174ad1a67c78e4",
+    "2.snapshot": "d8f1547d99d830187b06816567fe6c10cada987b45477e1f9b84492038adceba",
+    "3.snapshot": "1c550f211da15787079027f9b7e2bc97dfc81bb0bad13cc1a408bd56dcba14fa",
     "cluster.state": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty: the last point
     "config": "a07f9fbb9806c1bf1db68156c74d1cb624c2b40b9ea5b2e5164201295c000bb3",
 }

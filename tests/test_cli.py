@@ -17,8 +17,9 @@ from cloudledger import (
     snapshot_cluster,
 )
 from cloudledger.cluster import SNAPSHOT_HEADER
-from cloudledger.ledger import _ledger_file, load_cluster
+from cloudledger.ledger import _ledger_file, _read_record, load_cluster
 from cloudledger.rng import generate_payload
+from helpers import rechain
 
 MIB = 1024 * 1024
 
@@ -90,7 +91,7 @@ def test_upload_golden_one_mib_file(ledger_dir, tmp_path, capsys):
     rc = run_cli("--ledger-dir", str(ledger_dir), "upload", str(source))
     assert rc == 0
     assert [point.committed_x for point in load_ledger(ledger_dir).points] == [2 * MIB]
-    manifest_head = load_ledger(ledger_dir).points[0].payload_snapshot.splitlines()[1]
+    manifest_head = load_ledger(ledger_dir).last_snapshot.splitlines()[1]
     assert manifest_head == f"MANIFEST v1 level=CLOUD epoch=0 servers=4 total={MIB}"
 
 
@@ -131,7 +132,7 @@ def test_tamper_without_a_fault_seed_draws_from_the_config_seed(tmp_path, capsys
 
 def write_full_cluster_state(ledger_dir):
     """Write the last snapshot's text into cluster.state, which a clean ledger leaves empty, and return it."""
-    text = load_ledger(ledger_dir).last().payload_snapshot
+    text = load_ledger(ledger_dir).last_snapshot
     (ledger_dir / "cluster.state").write_text(text, encoding="utf-8")
     return text
 
@@ -223,7 +224,8 @@ def test_negative_gen_bytes_exits_2_and_writes_nothing(ledger_dir, capsys, comma
 
 def test_an_edited_snapshot_address_exits_2_and_writes_nothing(ledger_dir, tmp_path, capsys):
     """Raising the block id an epoch file's operation line names keeps its
-    weights, so X still matches; the append is not of the server's next id."""
+    weights, so X still matches; with the chain recomputed, the append is
+    not of the server's next id."""
     payload = tmp_path / "payload.bin"
     payload.write_bytes(bytes(range(200)))
     flags = ("--servers", "3", "--block-size", "32", "--ledger-dir", str(ledger_dir))
@@ -235,6 +237,7 @@ def test_an_edited_snapshot_address_exits_2_and_writes_nothing(ledger_dir, tmp_p
                           flags=re.MULTILINE)
     assert edits == 1
     snapshot.write_bytes(data)
+    rechain(ledger_dir, 1)
     before = dir_contents(ledger_dir)
     capsys.readouterr()
     for command in (["verify"], ["audit", "--epochs", "0..2"], ["recover"]):
@@ -291,12 +294,19 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     operations in a journal file, not in its epoch files, a v5 directory
     keeps its blocks in a pack, not in its epoch files, a v6 directory
     holds a full snapshot, status lines included, in every epoch file, not
-    a redo record, and a v7 directory holds the upload's blocks and a full
-    snapshot in 0.snapshot, not an UPLOAD record, so every file headed
-    SNAPSHOT v3, v4, v5, v6 or v7 fails by name, and recover writes
-    nothing."""
-    current = tmp_path / "v8"
+    a redo record, a v7 directory holds the upload's blocks and a full
+    snapshot in 0.snapshot, not an UPLOAD record, and a v8 directory ends
+    each epoch file in the hash of its snapshot, not a chain line, so every
+    file headed SNAPSHOT v3, v4, v5, v6 or v7, and every epoch file ending
+    in a v8 snapshot line, fails by name, and recover writes nothing."""
+    current = tmp_path / "current"
     three_epochs(current)
+    cut = tmp_path / "cut"  # each epoch's snapshot text: the last one of the ledger cut after that epoch
+    cut.mkdir()
+    snapshots = []
+    for epoch in range(3):
+        (cut / f"{epoch}.snapshot").write_bytes((current / f"{epoch}.snapshot").read_bytes())
+        snapshots.append(load_ledger(cut).last_snapshot)
     assert run_cli("--ledger-dir", str(current), "tamper", "--kind", "flip-byte", "--server", "0",
                    "--block", "0") == 0
     capsys.readouterr()
@@ -306,31 +316,41 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     live = load_cluster(ledger, 42)
     tampered = tuple(block for server in live.servers for block in server.blocks.values()
                      if block.digest not in ledger.blocks)
-    texts = {f"{point.epoch}.snapshot": (point.op, point.added, point.payload_snapshot) for point in ledger.points}
-    texts["cluster.state"] = (None, tampered, snapshot_cluster(live))
+    texts, stored = {}, {}
+    for point, text in zip(ledger.points, snapshots):
+        name = f"{point.epoch}.snapshot"
+        added = _read_record(name, point.epoch, point.record[:-78], stored)[2]
+        stored.update(added)
+        texts[name] = (point.op if point.epoch else None, tuple(added.values()), text, point.record[:-78])
+    texts["cluster.state"] = (None, tampered, snapshot_cluster(live), None)
     blocks = {**ledger.blocks, **{block.digest: block for block in tampered}}
     pack = b"PACK v2\n" + b"".join(b"%s %d\n%s\n" % (digest.encode(), len(block.payload), block.payload)
                                    for digest, block in blocks.items())
-    for version in ("v3", "v4", "v5", "v6", "v7"):
-        # The v8 files as that version wrote them: in v7 a full snapshot in
-        # 0.snapshot and cluster.state, and after its operation line and
-        # entries a digest line and a snapshot line in every other epoch
-        # file; before v7 a full snapshot in every epoch file, before v6 the
-        # blocks in a pack, and before v5 no operation lines, the operations
-        # in a journal.
+    for version in ("v3", "v4", "v5", "v6", "v7", "v8"):
+        # The v9 files as that version wrote them: in v8 each epoch file's
+        # operation line and block lines, then the hash of its snapshot; in
+        # v7 a full snapshot in 0.snapshot and cluster.state, and after its
+        # operation line and entries a digest line and a snapshot line in
+        # every other epoch file; before v7 a full snapshot in every epoch
+        # file, before v6 the blocks in a pack, and before v5 no operation
+        # lines, the operations in a journal.
         ledger_dir = tmp_path / version
         ledger_dir.mkdir()
         (ledger_dir / "config").write_bytes((current / "config").read_bytes())
-        if version != "v6":
+        if version in ("v3", "v4", "v5", "v7"):
             (ledger_dir / "blocks.pack").write_bytes(pack)
-        for name, (op, added, text) in texts.items():
+        for name, (op, added, text, body) in texts.items():
             assert text.startswith(SNAPSHOT_HEADER + "\n")
             head = f"{op}\n" if op and version in ("v5", "v6", "v7") else ""
             text = f"SNAPSHOT {version}{text[len(SNAPSHOT_HEADER):]}"
-            if op and version == "v7":  # no DELETE here: the digest its v8 block line starts with, then the hash
+            snapshot_line = f"SNAPSHOT sha256={hashlib.sha256(text.encode()).hexdigest()}\n"
+            if body is not None and version == "v8":
+                (ledger_dir / name).write_bytes(body + snapshot_line.encode())
+                continue
+            if op and version == "v7":  # no DELETE here: the digest its v9 block line starts with, then the hash
                 written = (current / name).read_bytes().split(b"\n")[1][:64].decode()
-                text = f"{written}\nSNAPSHOT sha256={hashlib.sha256(text.encode()).hexdigest()}\n"
-            (ledger_dir / name).write_bytes(_ledger_file(head, added if version in ("v6", "v7") else (), text))
+                text = f"{written}\n{snapshot_line}"
+            (ledger_dir / name).write_bytes(_ledger_file(head, added if version in ("v6", "v7", "v8") else (), text))
         if version in ("v3", "v4"):
             (ledger_dir / "journal").write_bytes(journal)
         before = dir_contents(ledger_dir)
@@ -347,14 +367,16 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
      "1.snapshot holds 1 block line(s) for 'DELETE server=0 block=1', which writes 0"),
     (("append", "--server", "1", "--gen-bytes", "20"), 1,
      "1.snapshot holds 2 block line(s) for 'APPEND server=1 block=2', which writes 1"),
-    ((), 0, "epoch 0 is not what 'UPLOAD servers=3' leaves"),
+    ((), 0, None),
 ], ids=["delete", "append", "upload"])
 def test_an_entry_the_operation_did_not_write_exits_2(ledger_dir, capsys, op, epoch, error):
     """Every entry in an epoch file is a block its operation wrote: a valid
     entry of new bytes inserted after the operation line of a DELETE's
-    file, of an APPEND's beside the block it wrote, or of the upload's,
-    where it moves every block after it, makes verify, history and recover
-    exit 2 and write nothing; it never joins the store unused."""
+    file or of an APPEND's beside the block it wrote makes verify, history
+    and recover exit 2 and write nothing, even with the chain recomputed;
+    it never joins the store unused. In the upload's file it moves every
+    block after it, an upload that loads once rechained, so only the
+    chain line refuses it (error None)."""
     flags = ("--servers", "3", "--block-size", "16", "--ledger-dir", str(ledger_dir))
     assert run_cli(*flags, "upload", "--gen-bytes", "100") == 0
     if op:
@@ -363,6 +385,10 @@ def test_an_entry_the_operation_did_not_write_exits_2(ledger_dir, capsys, op, ep
     line, lf, rest = path.read_bytes().partition(b"\n")
     extra = make_block(b"hello extra")
     path.write_bytes(line + lf + b"%s 11\n%s\n" % (extra.digest.encode(), extra.payload) + rest)
+    if error is None:
+        error = f"{epoch}.snapshot fails its chain line"
+    else:
+        rechain(ledger_dir, epoch)
     before = dir_contents(ledger_dir)
     capsys.readouterr()
     for command in ("verify", "history", "recover"):
@@ -658,18 +684,20 @@ def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(ledger_dir, tmp_pat
 @pytest.mark.parametrize("epoch, written, edit, error", [
     (1, 1, lambda data: data.replace(b"\n", b"\r\n", 1), "\\r', which is no operation line"),
     (1, 1, lambda data: data.replace(b"\n", b"\x0c\n", 1), "\\x0c', which is no operation line"),
-    (3, 3, lambda data: data[:-1], "' and no LF, where a block line or the snapshot line belongs"),
+    (3, 3, lambda data: data[:-1], "' and no LF, where a block line or the chain line belongs"),
     (3, 4, lambda data: data, "4.snapshot holds 'DELETE server=2 block=1', which epoch 3 refuses: server 2 holds no"),
 ], ids=["crlf", "form-feed", "no-final-lf", "past-the-last-epoch"])
 def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, capsys, epoch, written, edit, error):
     """history renders each operation's line from its epoch file, read as
     written, every line ending in LF alone, and refuses an epoch file past
-    the last epoch the ledger commits, writing nothing."""
+    the last epoch the ledger commits, writing nothing, even with every
+    chain line from the edited file on recomputed."""
     seeded_upload(ledger_dir)
     for op in (("append", "--server", "0", "--gen-bytes", "40"), ("update", "--server", "1", "--block", "0",
                "--gen-bytes", "8"), ("delete", "--server", "2", "--block", "1")):
         assert run_cli("--ledger-dir", str(ledger_dir), *op) == 0
     (ledger_dir / f"{written}.snapshot").write_bytes(edit((ledger_dir / f"{epoch}.snapshot").read_bytes()))
+    rechain(ledger_dir, written)
     before = dir_contents(ledger_dir)
     capsys.readouterr()
     assert run_cli("--ledger-dir", str(ledger_dir), "history") == 2
@@ -690,12 +718,14 @@ def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, cap
     """Every operation's epoch file starts with the one line it journals,
     and the upload's 0.snapshot with its UPLOAD line: on a 2-epoch ledger, an
     epoch file with any other first line, or with the operation line twice,
-    makes history and recover exit 2 and write nothing."""
+    makes history and recover exit 2 and write nothing, even with every
+    chain line from it on recomputed."""
     seeded_upload(ledger_dir)
     assert run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40") == 0
     op = (ledger_dir / "1.snapshot").read_bytes().split(b"\n", 1)[0] + b"\n"
     path = ledger_dir / f"{epoch}.snapshot"
     path.write_bytes(edit(path.read_bytes(), op))
+    rechain(ledger_dir, epoch)
     before = dir_contents(ledger_dir)
     capsys.readouterr()
     for command in ("history", "recover"):

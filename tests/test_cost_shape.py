@@ -10,11 +10,16 @@ last point's blocks but for that one. The load row, on a small grid of
 records n and epochs E of a bound ledger: load_ledger and then
 load_cluster on an empty cluster.state parse no snapshot and no manifest,
 make n puts for the upload and one put or drop per later epoch, render no
-record line but those puts', and hash each stored entry once; every epoch
-file, 0.snapshot included, is its line, an entry per block it was first
-to store, a reference per other block it wrote, and its snapshot line.
+record line but those puts' and one snapshot, the last point's, hash
+each stored entry once, and hash, for the chain, each epoch file's bytes
+before its chain line and the 64-hex chain of the file before it; every
+epoch file, 0.snapshot included, is its line, an entry per block it was
+first to store, a reference per other block it wrote, and its chain
+line. No point, committed or loaded, holds text: its fields are its
+manifest and its record's bytes.
 """
 
+import hashlib
 import sys
 
 import pytest
@@ -122,13 +127,19 @@ def test_a_commit_renders_one_line_per_put_and_looks_up_only_rewritten_servers(c
     assert commit_row(fault_recover_update) == (3, 3, [make_block(b"again").digest])
 
 
-def epoch_file_bytes(point, written):
-    """An epoch file's size: its line, an entry per block the point was
-    first to store, a 65-byte reference per other block of the ``written``
-    its operation wrote, and its 81-byte snapshot line."""
-    line = point.op or f"UPLOAD servers={point.manifest.server_count}"
-    entries = sum(len(f"{block.digest} {len(block.payload)}\n") + len(block.payload) + 1 for block in point.added)
-    return len(line) + 1 + entries + 65 * (written - len(point.added)) + len("SNAPSHOT sha256=") + 65
+def epoch_file_bytes(ledger, stored, written):
+    """The size of the ledger's last epoch file: its line, an entry per
+    block its commit was first to store (the blocks the store gained past
+    its first ``stored``), a 65-byte reference per other block of the
+    ``written`` its operation wrote, and its 78-byte chain line."""
+    added = list(ledger.blocks.values())[stored:]
+    entries = sum(len(f"{block.digest} {len(block.payload)}\n") + len(block.payload) + 1 for block in added)
+    return len(ledger.last().op) + 1 + entries + 65 * (written - len(added)) + len("CHAIN sha256=") + 65
+
+
+def assert_no_text(points):
+    assert not any(isinstance(field, str) for point in points for field in (*point, *point.manifest))
+    assert all(type(point.record) is bytes for point in points)
 
 
 @pytest.mark.parametrize("records, epochs", [(16, 1), (16, 7), (64, 7), (64, 19)])
@@ -136,8 +147,9 @@ def test_a_load_parses_one_snapshot_and_replays_one_write_per_later_epoch(tmp_pa
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(generate_payload(records, records * 8), 4, 8, directory=directory)
     assert len(ledger.blocks) == records  # distinct blocks: 0.snapshot holds an entry for each, and no reference
-    assert (directory / "0.snapshot").stat().st_size == epoch_file_bytes(ledger.last(), records)
+    assert (directory / "0.snapshot").stat().st_size == epoch_file_bytes(ledger, 0, records)
     for epoch in range(1, epochs):
+        stored = len(ledger.blocks)
         server = epoch % 4
         if epoch % 3 == 1:
             append(cluster, ledger, server, generate_payload(epoch, epoch))
@@ -147,10 +159,21 @@ def test_a_load_parses_one_snapshot_and_replays_one_write_per_later_epoch(tmp_pa
         else:
             delete(cluster, ledger, server, min(cluster.servers[server].blocks))
         written = 0 if ledger.last().op.startswith("DELETE") else 1
-        assert (directory / f"{epoch}.snapshot").stat().st_size == epoch_file_bytes(ledger.last(), written), epoch
+        assert (directory / f"{epoch}.snapshot").stat().st_size == epoch_file_bytes(ledger, stored, written), epoch
     (directory / "cluster.state").write_bytes(b"")  # the live cluster is the last point
+    assert_no_text(ledger.points)
 
-    counts = {"load_snapshot": 0, "parse_manifest": 0, "writes": 0, "hashed": 0}
+    counts = {"load_snapshot": 0, "parse_manifest": 0, "snapshot_cluster": 0, "writes": 0, "hashed": 0}
+    chained = []
+
+    class CountingHashlib:
+        """hashlib as the ledger module sees it, listing what it passes to sha256."""
+
+        @staticmethod
+        def sha256(data):
+            chained.append(len(data))
+            return hashlib.sha256(data)
+
     cluster_module = sys.modules["cloudledger.cluster"]
     monkeypatch.setattr(cluster_module, "_RECORD_FORMAT", CountingFormat(cluster_module._RECORD_FORMAT))
     CountingFormat.rendered = 0
@@ -166,13 +189,18 @@ def test_a_load_parses_one_snapshot_and_replays_one_write_per_later_epoch(tmp_pa
 
     counted(ledger_module, "load_snapshot", "load_snapshot")
     counted(ledger_module, "make_block", "hashed")
+    counted(ledger_module, "snapshot_cluster", "snapshot_cluster")
+    monkeypatch.setattr(ledger_module, "hashlib", CountingHashlib)
     counted(cluster_module, "parse_manifest", "parse_manifest")
     counted(ServerState, "put", "writes")
     counted(ServerState, "drop", "writes")
     loaded = load_ledger(directory)
     live = load_cluster(loaded, 0)
-    assert counts == {"load_snapshot": 0, "parse_manifest": 0, "writes": records + epochs - 1,
-                      "hashed": len(loaded.blocks)}
+    assert counts == {"load_snapshot": 0, "parse_manifest": 0, "snapshot_cluster": 1,
+                      "writes": records + epochs - 1, "hashed": len(loaded.blocks)}
+    sizes = [(directory / f"{epoch}.snapshot").stat().st_size for epoch in range(epochs)]
+    assert chained == [size - 78 + 64 * (epoch > 0) for epoch, size in enumerate(sizes)]
     assert CountingFormat.rendered == records + sum(not point.op.startswith("DELETE") for point in ledger.points[1:])
     assert loaded.points == ledger.points
+    assert_no_text(loaded.points)
     assert [server.records for server in live.servers] == [server.records for server in cluster.servers]

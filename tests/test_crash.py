@@ -19,6 +19,7 @@ import pytest
 
 from cloudledger import cli, load_ledger
 from cloudledger import ledger as ledger_module
+from helpers import rechain
 
 FLAGS = ("--servers", "3", "--block-size", "16", "--seed", "5")
 COMMANDS = {
@@ -198,9 +199,10 @@ def test_an_operation_failing_after_its_snapshot_leaves_the_new_epoch_readable(b
 def test_a_live_state_behind_the_ledger_names_recover(base, tmp_path, capsys):
     directory = tmp_path / "ledger"
     old_epoch = start_from(base, "append", directory)
+    old = load_ledger(directory).last_snapshot
     assert run_cli(directory, *COMMANDS["append"]) == 0
-    # The snapshot of the old epoch, without its operation line and entries.
-    (directory / "cluster.state").write_text(load_ledger(directory).points[old_epoch].payload_snapshot)
+    # The snapshot of the old epoch, which no epoch file holds.
+    (directory / "cluster.state").write_text(old)
     capsys.readouterr()
     for command in ("verify", "report"):
         assert run_cli(directory, command) == 5, command
@@ -258,7 +260,7 @@ ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
 # What verify, history and recover say of each bad entry edit_first_entry makes.
 ENTRY_ERRORS = {
     "bad-header": r"at byte \d+ holds 'Z[0-9a-f]{63} [0-9]+', (which is neither a block entry nor a snapshot header"
-                  r"|where a block line or the snapshot line belongs)",
+                  r"|where a block line or the chain line belongs)",
     "no-lf-after-payload": r"entry at byte \d+ is cut short",
     "weight-past-the-next-entry": r"entry at byte \d+ does not hash to its digest",
     "stored-twice": r"stores block [0-9a-f]{64}, which the ledger already stores",
@@ -298,9 +300,10 @@ def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_
     to cut, and a bad entry in an epoch file or in cluster.state (the two
     blocks two pending tampers wrote) is kept as it is: a malformed header,
     no LF after the payload, a weight raised past the next entry, a block
-    the ledger already stores, or bytes that do not hash to their digest. verify
-    and recover exit 2, and so does history for an epoch file (it reads no
-    cluster.state); recover writes nothing."""
+    the ledger already stores, or bytes that do not hash to their digest,
+    an epoch file's chain recomputed. verify and recover exit 2, and so
+    does history for an epoch file (it reads no cluster.state); recover
+    writes nothing."""
     directory = tmp_path / "ledger"
     start_from(base, "append", directory)
     if name == "cluster.state":
@@ -308,6 +311,8 @@ def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_
         assert run_cli(directory, "tamper", "--kind", "flip-byte", "--server", "0", "--block", "0") == 0
     data = (directory / name).read_bytes()
     (directory / name).write_bytes(edit_first_entry(data, kind, whole_entry((directory / "0.snapshot").read_bytes())))
+    if name == "0.snapshot":
+        rechain(directory)
     before = files(directory)
     capsys.readouterr()
     for command in ("verify", "history", "recover"):
@@ -319,15 +324,17 @@ def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_
 
 
 def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(base, tmp_path, capsys):
-    """A weight raised past the end of its epoch file makes the entry look
-    like the torn tail an append could leave; no write appends, so every
-    command that loads the ledger exits 2 and recover writes nothing."""
+    """A weight raised past the end of its epoch file, its chain recomputed,
+    makes the entry look like the torn tail an append could leave; no write
+    appends, so every command that loads the ledger exits 2 and recover
+    writes nothing."""
     directory = tmp_path / "ledger"
     start_from(base, "append", directory)
     snapshot = directory / "1.snapshot"
     data = snapshot.read_bytes()
     entry = ENTRY.search(data)
     snapshot.write_bytes(data[: entry.end(2)] + b"0000" + data[entry.end(2) :])
+    rechain(directory, 1)
     before = files(directory)
     capsys.readouterr()
     for command in ("verify", "history", "recover"):

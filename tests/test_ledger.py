@@ -1,6 +1,7 @@
 """Restore-point ledger: the aggregate X, commits, recovery, persistence."""
 
 import re
+import sys
 
 import pytest
 
@@ -12,7 +13,6 @@ from cloudledger import (
     Mode,
     NothingToRestore,
     RecoveryAction,
-    RestorePoint,
     SnapshotCorrupt,
     UnverifiedState,
     append,
@@ -34,7 +34,7 @@ from cloudledger import (
 from cloudledger import cli
 from cloudledger import ledger as ledger_module
 from cloudledger.ledger import _persist_point
-from helpers import make_committed_state
+from helpers import make_committed_state, rechain
 
 
 def test_compute_x_empty():
@@ -219,9 +219,11 @@ def test_recover_requires_a_point():
 @pytest.mark.parametrize("loaded_epoch", [0, 1])
 def test_recover_after_an_epoch_drift_takes_the_previous_records_from_the_ledger(loaded_epoch):
     cluster, ledger = make_committed_state(b"abcdefgh", 2, 2)
+    texts = [ledger.last_snapshot]
     update(cluster, ledger, 0, 0, b"zz")
+    texts.append(ledger.last_snapshot)
     update(cluster, ledger, 1, 0, b"yy")
-    drifted = load_snapshot(ledger.points[loaded_epoch].payload_snapshot, ledger.blocks)  # an older epoch's state
+    drifted = load_snapshot(texts[loaded_epoch], ledger.blocks)  # an older epoch's state
     assert drifted.previous_records is None
     assert recover(ledger, drifted).action is RecoveryAction.RESTORED
     assert drifted.epoch == 2
@@ -249,9 +251,7 @@ def swap_reference(snapshot):
 
 def test_recover_detects_corrupt_snapshot():
     cluster, ledger = make_committed_state(b"abcdef", 2, 2)
-    point = ledger.points[0]
-    broken = RestorePoint(point.manifest, swap_reference(point.payload_snapshot))
-    ledger.points[0] = broken
+    ledger.last_snapshot = swap_reference(ledger.last_snapshot)
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 0))
     with pytest.raises(SnapshotCorrupt, match="fails its manifest record"):
         recover(ledger, cluster)
@@ -289,7 +289,7 @@ def test_a_commit_whose_snapshot_write_fails_stays_out_of_the_ledger(tmp_path, m
     with pytest.raises(OSError):
         update(cluster, ledger, 0, 0, b"zz")
     assert len(ledger.points) == 1 and load_ledger(directory).points == ledger.points
-    assert snapshot_cluster(cluster) == ledger.points[0].payload_snapshot
+    assert snapshot_cluster(cluster) == ledger.last_snapshot
     monkeypatch.undo()
     assert update(cluster, ledger, 0, 0, b"zz").new_epoch == 1
     assert load_ledger(directory).points == ledger.points
@@ -342,12 +342,13 @@ def test_load_ledger_empty_directory(tmp_path):
 def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, epoch, line):
     """The upload commits epoch 0, and only epoch 0: 0.snapshot copied as
     1.snapshot, or its UPLOAD line edited into an operation line, fails by
-    name."""
+    name, its chain lines recomputed."""
     directory = tmp_path / "ledger"
     cluster, _ = make_committed_state(bytes(range(5)), 2, 5, directory=directory)
     update(cluster, load_ledger(directory), 0, 0, bytes(range(5)))  # the same bytes: epoch 1 names epoch 0's block
     data = (directory / "0.snapshot").read_bytes()
     (directory / f"{epoch}.snapshot").write_bytes(line + data[data.index(b"\n") :])
+    rechain(directory, epoch)
     with pytest.raises(SnapshotCorrupt, match=f"{epoch}.snapshot holds '{line.decode()}', but the upload commits"
                                               " epoch 0, and only epoch 0$"):
         load_ledger(directory)
@@ -355,23 +356,26 @@ def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, epoc
 
 def test_loaded_servers_hold_the_stored_block_objects(tmp_path):
     """A block carries no address, so loading puts the block store's own
-    object at every address that names it, repeated content included."""
+    object at every address that names it, repeated content included: in
+    the cluster the replay ends in and in one its last snapshot loads."""
     directory = tmp_path / "ledger"
     cluster, ledger = make_committed_state(bytes(24) + bytes(range(24)), 3, 6, directory=directory)
     append(cluster, ledger, 1, b"more")
     loaded = load_ledger(directory)
-    clusters = [load_snapshot(point.payload_snapshot, loaded.blocks) for point in loaded.points]
+    clusters = [loaded._replayed, load_snapshot(loaded.last_snapshot, loaded.blocks)]
     held = [block for restored in clusters for server in restored.servers for block in server.blocks.values()]
-    assert len(held) == 8 + 9 and len(loaded.blocks) == 6
+    assert len(held) == 9 + 9 and len(loaded.blocks) == 6
     assert all(block is loaded.blocks[block.digest] for block in held)
 
 
 def test_load_ledger_rejects_tampered_snapshot(tmp_path):
-    """0.snapshot's reference to "ab", at server 1's block 0, swapped for another stored block."""
+    """0.snapshot's reference to "ab", at server 1's block 0, swapped for
+    another stored block: an upload that loads, so only its chain line
+    catches the edit."""
     directory = tmp_path / "ledger"
     make_committed_state(b"ababcd", 2, 2, directory=directory)
     replace_digest_line(directory / "0.snapshot", digest_of(b"ab"), digest_of(b"cd"))
-    with pytest.raises(SnapshotCorrupt, match="epoch 0 is not what 'UPLOAD servers=2' leaves"):
+    with pytest.raises(SnapshotCorrupt, match="^0.snapshot fails its chain line"):
         load_ledger(directory)
 
 
@@ -379,6 +383,7 @@ def test_load_ledger_rejects_reference_missing_from_pack(tmp_path):
     directory = tmp_path / "ledger"
     make_committed_state(b"ababcd", 2, 2, directory=directory)
     replace_digest_line(directory / "0.snapshot", digest_of(b"ab"), "0" * 64)
+    rechain(directory)
     with pytest.raises(SnapshotCorrupt, match="which the store lacks"):
         load_ledger(directory)
 
@@ -390,6 +395,7 @@ def test_load_ledger_rejects_flipped_pack_byte(tmp_path):
     data = bytearray(snapshot.read_bytes())
     data[data.index(b" 2\nab\n") + 3] ^= 0x01
     snapshot.write_bytes(bytes(data))
+    rechain(directory)
     with pytest.raises(SnapshotCorrupt, match="does not hash to its digest"):
         load_ledger(directory)
 
@@ -398,7 +404,7 @@ def test_recovered_cluster_round_trips_through_snapshots():
     cluster, ledger = make_committed_state(bytes(range(77)), 4, 9)
     inject_fault(cluster, FaultSpec(FaultKind.TRUNCATE, 1, 0, seed=8))
     recover(ledger, cluster)
-    assert snapshot_cluster(cluster) == ledger.points[-1].payload_snapshot
+    assert snapshot_cluster(cluster) == ledger.last_snapshot
 
 
 def test_loaded_points_share_every_record_an_epoch_did_not_change(tmp_path):
@@ -453,50 +459,54 @@ def edit_snapshot(directory, epoch, pattern, replacement, into=None):
     (directory / f"{epoch if into is None else into}.snapshot").write_bytes(data)
 
 
-@pytest.mark.parametrize("epoch, pattern, replacement, error", [
-    (0, "^UPLOAD servers=3$", "UPLOAD servers=4", "epoch 0 is not what 'UPLOAD servers=4' leaves"),
+# An edit of an epoch file (an epoch given as (source, target) is the source
+# epoch's file, edited, written as the target's) and the error that refuses
+# it once every chain line from the edited file on is recomputed: the replay
+# rule or parse check it breaks. None marks a consistent rewrite, which loads
+# as another history once rechained, so only its chain line catches it.
+EPOCH_EDITS = {
+    "upload-servers": (0, "^UPLOAD servers=3$", "UPLOAD servers=4", None),
     # Server 0's blocks 0 and 1 swapped: the upload's first two entries, each 32 bytes.
-    (0, "(?s)^([0-9a-f]{64} 32\n.{32}\n)([0-9a-f]{64} 32\n.{32}\n)", r"\2\1",
-     "epoch 0 is not what 'UPLOAD servers=3' leaves"),
+    "upload-id": (0, "(?s)^([0-9a-f]{64} 32\n.{32}\n)([0-9a-f]{64} 32\n.{32}\n)", r"\2\1", None),
     # Epoch 3's reference, to server 0's block 1, swapped for another stored block of its weight.
-    (3, "^[0-9a-f]{64}$", digest_of(bytes(range(32))), "epoch 3 is not what 'UPDATE server=0 block=1' leaves"),
-    (1, "^APPEND server=1 ", "APPEND server=9 ", "1.snapshot holds 'APPEND server=9 block=2', which epoch 0 refuses:"
-     " it has 3 servers"),
-    (1, "^APPEND server=1 ", "APPEND server=0 ", "1.snapshot holds 'APPEND server=0 block=2', which epoch 0 refuses:"
-     " server 0's next block id is 3"),
-    (1, "^APPEND server=1 block=2", "APPEND server=1 block=3", "which epoch 0 refuses: server 1's next block id is 2"),
-    (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=2", "2.snapshot holds 'UPDATE server=2 block=2', which"
-     " epoch 1 refuses: server 2 holds no block 2"),
+    "reference-swapped": (3, "^[0-9a-f]{64}$", digest_of(bytes(range(32))), None),
+    "servers": (1, "^APPEND server=1 ", "APPEND server=9 ", "1.snapshot holds 'APPEND server=9 block=2', which epoch 0"
+                " refuses: it has 3 servers"),
+    "other-address": (1, "^APPEND server=1 ", "APPEND server=0 ", "1.snapshot holds 'APPEND server=0 block=2', which"
+                      " epoch 0 refuses: server 0's next block id is 3"),
+    "append-id": (1, "^APPEND server=1 block=2", "APPEND server=1 block=3",
+                  "which epoch 0 refuses: server 1's next block id is 2"),
+    "update-address": (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=2", "2.snapshot holds 'UPDATE server=2"
+                       " block=2', which epoch 1 refuses: server 2 holds no block 2"),
     # The entry is no malformed line: a DELETE writes no block, so its file holds no block line.
-    (1, "^APPEND", "DELETE", "1.snapshot holds 1 block line(s) for 'DELETE server=1 block=2', which writes 0"),
-    (2, "^UPDATE server=2 block=1", "UPDATE server=1 block=3", "epoch 1 refuses: server 1 holds no block 3"),
-    (1, "^APPEND server=1 ", "APPEND server=01 ", "1.snapshot starts with 'APPEND server=01 block=2', which is no"),
+    "op-kind-swapped": (1, "^APPEND", "DELETE", "1.snapshot holds 1 block line(s) for 'DELETE server=1 block=2',"
+                        " which writes 0"),
+    "op-address-moved": (2, "^UPDATE server=2 block=1", "UPDATE server=1 block=3",
+                         "epoch 1 refuses: server 1 holds no block 3"),
+    "op-server-01": (1, "^APPEND server=1 ", "APPEND server=01 ",
+                     "1.snapshot starts with 'APPEND server=01 block=2', which is no"),
     # Without its operation line, epoch 1's file starts with the entry of the block it appended.
-    (1, "^APPEND server=1 block=2\n", "", f"1.snapshot starts with '{digest_of(bytes(8))} 8', which is no"),
+    "op-line-missing": (1, "^APPEND server=1 block=2\n", "", f"1.snapshot starts with '{digest_of(bytes(8))} 8', which"
+                        " is no"),
     # Only the upload commits epoch 0.
-    (0, "^", "APPEND server=1 block=2\n", "0.snapshot holds 'APPEND server=1 block=2', but the upload commits"),
+    "op-line-at-epoch-0": (0, "^", "APPEND server=1 block=2\n", "0.snapshot holds 'APPEND server=1 block=2', but the"
+                           " upload commits"),
     # Epoch 3, an update of server 0's block 1 to identical bytes, as epoch 5, after epoch 4 deleted that block,
     # and as an append, of an id below the server's largest, 2.
-    ((3, 5), "^", "", "5.snapshot holds 'UPDATE server=0 block=1', which epoch 4 refuses: server 0 holds no block 1"),
-    ((3, 5), "^UPDATE", "APPEND", "5.snapshot holds 'APPEND server=0 block=1', which epoch 4 refuses: server 0's"
-     " next block id is 3"),
+    "update-freed-id": ((3, 5), "^", "", "5.snapshot holds 'UPDATE server=0 block=1', which epoch 4 refuses: server 0"
+                        " holds no block 1"),
+    "append-freed-id": ((3, 5), "^UPDATE", "APPEND", "5.snapshot holds 'APPEND server=0 block=1', which epoch 4"
+                        " refuses: server 0's next block id is 3"),
     # Epoch 4, the delete, again as epoch 5: the address it names is already gone.
-    ((4, 5), "^", "", "5.snapshot holds 'DELETE server=0 block=1', which epoch 4 refuses: server 0 holds no block 1"),
-], ids=["upload-servers", "upload-id", "reference-swapped", "servers", "other-address", "append-id", "update-address",
-        "op-kind-swapped", "op-address-moved", "op-server-01", "op-line-missing", "op-line-at-epoch-0",
-        "update-freed-id", "append-freed-id", "delete-unheld"])
-def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsys, epoch, pattern, replacement,
-                                                                  error):
-    """An epoch file from 1 is its operation, replayed on the epoch
-    before, so an operation line that names no operation that epoch allows
-    (an update or a delete of an address it does not hold, an append of
-    another id than the server's next, a server it does not have), an edit
-    of the upload's block order or server count or of a reference, which
-    X, a sum of weights, does not cover, or a file that is no redo record must make the epoch
-    fail to load: every command that loads the ledger exits 2, and recover
-    writes nothing. An epoch given as (source, target) is the source
-    epoch's file, edited, written as the target's."""
-    directory = tmp_path / "ledger"
+    "delete-unheld": ((4, 5), "^", "", "5.snapshot holds 'DELETE server=0 block=1', which epoch 4 refuses: server 0"
+                      " holds no block 1"),
+}
+
+
+def five_epochs(directory):
+    """A bound ledger of an upload, an append, two updates (the second to
+    identical bytes) and a delete, whose cluster.state is the last point:
+    the ledger every EPOCH_EDITS case edits. Returns its points."""
     cluster, ledger = make_committed_state(bytes(range(200)), 3, 32, directory=directory)
     append(cluster, ledger, 1, bytes(8))
     update(cluster, ledger, 2, 1, bytes(range(8)))
@@ -505,16 +515,88 @@ def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsy
     (directory / "cluster.state").write_bytes(b"")  # the live cluster is the last point
     assert load_ledger(directory).points == ledger.points
     assert cli.run(["--ledger-dir", str(directory), "recover"]) == 0
+    return ledger.points
+
+
+def edit_epoch(directory, epoch, pattern, replacement):
+    """Make the EPOCH_EDITS edit; return the epoch whose file it wrote."""
     source, target = epoch if isinstance(epoch, tuple) else (epoch, None)
     edit_snapshot(directory, source, pattern, replacement, into=target)
-    with pytest.raises(SnapshotCorrupt, match=re.escape(error)):
-        load_ledger(directory)
+    return source if target is None else target
+
+
+def assert_every_load_refuses(directory, capsys, error):
+    """verify, history and recover exit 2 naming ``error``, and write nothing."""
     before = {path.name: path.read_bytes() for path in directory.iterdir()}
     capsys.readouterr()
     for command in ("verify", "history", "recover"):
         assert cli.run(["--ledger-dir", str(directory), command]) == 2, command
         assert error in capsys.readouterr().err, command
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
+
+@pytest.mark.parametrize("epoch, pattern, replacement, error", EPOCH_EDITS.values(), ids=EPOCH_EDITS)
+def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsys, epoch, pattern, replacement,
+                                                                  error):
+    """An epoch file from 1 is its operation, replayed on the epoch
+    before, so an operation line that names no operation that epoch allows
+    (an update or a delete of an address it does not hold, an append of
+    another id than the server's next, a server it does not have), or a
+    file that is no redo record, must make the epoch fail to load even with
+    every chain line from it on recomputed: every command that loads the
+    ledger exits 2, and recover writes nothing. An edit of the upload's
+    block order or server count or of a reference, which X, a sum of
+    weights, does not cover, is a consistent rewrite once rechained; left
+    as it is, its chain line refuses it."""
+    directory = tmp_path / "ledger"
+    five_epochs(directory)
+    edited = edit_epoch(directory, epoch, pattern, replacement)
+    if error is None:
+        error = f"{edited}.snapshot fails its chain line"
+    else:
+        rechain(directory, edited)
+    with pytest.raises(SnapshotCorrupt, match=re.escape(error)):
+        load_ledger(directory)
+    assert_every_load_refuses(directory, capsys, error)
+
+
+@pytest.mark.parametrize("epoch, pattern, replacement, error", EPOCH_EDITS.values(), ids=EPOCH_EDITS)
+def test_an_epoch_edit_left_unchained_fails_on_its_chain_line(tmp_path, capsys, monkeypatch, epoch, pattern,
+                                                              replacement, error):
+    """Every EPOCH_EDITS edit, its chain line not recomputed, fails on the
+    chain line of the file it wrote, before any block is hashed or any
+    cluster built."""
+    directory = tmp_path / "ledger"
+    five_epochs(directory)
+    edited = edit_epoch(directory, epoch, pattern, replacement)
+    for name in ("make_block", "new_cluster"):
+        monkeypatch.setattr(ledger_module, name, None)  # calling either raises TypeError
+    with pytest.raises(SnapshotCorrupt, match=f"^{edited}.snapshot fails its chain line: it, or an epoch file"
+                                              " before it, changed after its commit$"):
+        load_ledger(directory)
+    monkeypatch.undo()
+    assert_every_load_refuses(directory, capsys, f"{edited}.snapshot fails its chain line")
+
+
+def test_an_edited_server_count_builds_no_cluster_before_the_chain_refuses_it(tmp_path, capsys, monkeypatch):
+    """The chain is checked before any cluster is built, so 0.snapshot's
+    UPLOAD line edited to 100000 servers, its chain line left as it was,
+    makes verify, history and recover exit 2 without ever making a
+    cluster of that many servers."""
+    directory = tmp_path / "ledger"
+    flags = ["--servers", "3", "--block-size", "16", "--ledger-dir", str(directory)]
+    assert cli.run([*flags, "upload", "--gen-bytes", "100"]) == 0
+    edit_snapshot(directory, 0, "^UPLOAD servers=3$", "UPLOAD servers=100000")
+    made = []
+
+    def counting_new_cluster(server_count, rng_seed=0):
+        made.append(server_count)
+        return new_cluster(server_count, rng_seed)
+
+    for module in (cli, ledger_module, sys.modules["cloudledger.cluster"]):
+        monkeypatch.setattr(module, "new_cluster", counting_new_cluster)
+    assert_every_load_refuses(directory, capsys, "0.snapshot fails its chain line")
+    assert 100000 not in made
 
 
 @pytest.mark.parametrize("line", ["UPDATE server=1 block=2", "APPEND server=1 block=1"], ids=["unheld", "append"])
@@ -527,5 +609,6 @@ def test_an_epoch_that_changes_no_record_is_an_update_of_a_held_block(tmp_path, 
     assert ledger.points[1].op == "UPDATE server=1 block=1"
     assert load_ledger(directory).points == ledger.points
     edit_snapshot(directory, 1, "^UPDATE server=1 block=1$", line)
+    rechain(directory, 1)
     with pytest.raises(SnapshotCorrupt, match=f"1.snapshot holds '{line}', which epoch 0 refuses: server 1"):
         load_ledger(directory)

@@ -28,7 +28,7 @@ def live(directory):
 
 def last_snapshot(directory):
     """The last point's snapshot text, as its epoch file holds it after the operation line and the entries."""
-    return load_ledger(directory).last().payload_snapshot.encode()
+    return load_ledger(directory).last_snapshot.encode()
 
 
 @pytest.fixture

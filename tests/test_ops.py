@@ -219,7 +219,7 @@ def test_a_raising_hook_rolls_back_and_a_later_stale_read_path_is_caught():
 
     with pytest.raises(RuntimeError):
         append(cluster, ledger, 1, b"q", post_mutation_hook=crash)
-    assert snapshot_cluster(cluster) == ledger.points[1].payload_snapshot
+    assert snapshot_cluster(cluster) == ledger.last_snapshot
     assert len(ledger.points) == 2
     assert recover(ledger, cluster).action is RecoveryAction.INTACT
     inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))  # replays epoch 0: block 0 is "ab"

@@ -18,7 +18,6 @@ from cloudledger import (
     FaultSpec,
     NoSuchTarget,
     RecoveryAction,
-    RestorePoint,
     SnapshotCorrupt,
     append,
     delete,
@@ -47,7 +46,7 @@ def objects(cluster):
 
 
 def fresh_load(ledger):
-    return load_snapshot(ledger.last().payload_snapshot, ledger.blocks)
+    return load_snapshot(ledger.last_snapshot, ledger.blocks)
 
 
 def random_fault(rng, cluster):
@@ -105,6 +104,7 @@ def test_loading_any_point_into_a_cluster_at_any_other_equals_a_fresh_load():
     every server path of the load, and every flag it sets."""
     rng = random.Random(7)
     cluster, ledger = make_committed_state(generate_payload(7, 300), 3, 16)
+    texts = [ledger.last_snapshot]
     for _ in range(8):
         server = rng.randrange(3)
         held = list(cluster.servers[server].blocks)
@@ -114,7 +114,7 @@ def test_loading_any_point_into_a_cluster_at_any_other_equals_a_fresh_load():
             update(cluster, ledger, server, rng.choice(held), rng.randbytes(rng.randrange(1, 20)))
         else:
             append(cluster, ledger, server, rng.randbytes(rng.randrange(1, 20)))
-    texts = [point.payload_snapshot for point in ledger.points]
+        texts.append(ledger.last_snapshot)
     for fault in (FaultSpec(FaultKind.SERVER_CRASH, 1), FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0)):
         inject_fault(cluster, fault)
         texts.append(snapshot_cluster(cluster))  # a DOWN line, then a STALE line as well
@@ -174,13 +174,12 @@ def test_a_snapshot_that_fails_a_check_leaves_the_live_cluster_as_it_was(corrupt
     inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 1, 0, seed=4))
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 2))
     before, identities = state(cluster), objects(cluster)
-    point = ledger.last()
-    text, message = corrupt(point.payload_snapshot, ledger)
+    text, message = corrupt(ledger.last_snapshot, ledger)
     with pytest.raises(SnapshotCorrupt, match=message):
         load_snapshot(text, ledger.blocks, into=cluster)
     assert state(cluster) == before and objects(cluster) == identities
 
-    ledger.points[-1] = RestorePoint(point.manifest, text)
+    ledger.last_snapshot = text
     with pytest.raises(SnapshotCorrupt, match=message):
         recover(ledger, cluster)
     assert state(cluster) == before and objects(cluster) == identities
@@ -189,7 +188,7 @@ def test_a_snapshot_that_fails_a_check_leaves_the_live_cluster_as_it_was(corrupt
 def test_loading_into_a_cluster_of_another_server_count_gives_it_the_snapshots_servers():
     cluster, ledger = make_committed_state(generate_payload(2, 90), 3, 10)
     other = new_cluster(2)
-    assert load_snapshot(ledger.last().payload_snapshot, ledger.blocks, into=other) is other
+    assert load_snapshot(ledger.last_snapshot, ledger.blocks, into=other) is other
     assert other.server_count == 3
     assert state(other) == state(fresh_load(ledger))
     other = new_cluster(4)

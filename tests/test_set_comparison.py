@@ -382,7 +382,7 @@ def test_an_audit_hashes_one_server_per_epoch():
     counted_ledger = Ledger()
     for point in ledger.points:
         manifest = point.manifest._replace(records=counted(point.manifest.records, memo))
-        counted_ledger.points.append(RestorePoint(manifest, point.payload_snapshot))
+        counted_ledger.points.append(RestorePoint(manifest, point.record))
     for server in cluster.servers:
         server.records = dict(zip(server.records, counted(server.records.values(), memo)))
     grant = AuditGrant(0, epochs, Mode.CHECKSUM)

@@ -69,6 +69,7 @@ def check_sequence(seed, steps):
     other = new_cluster(rng.randrange(1, 6))
     assert_renders_anew(cluster)
     assert_renders_anew(other)
+    texts = [ledger.last_snapshot]  # each point's snapshot text, as its commit left it
     kinds = ["append", "update", "delete", "fault", "rollback", "load"]
     for kind in kinds + [rng.choice(kinds) for _ in range(steps)]:
         target = some_block(rng, cluster, least=2 if kind == "delete" else 1)
@@ -100,16 +101,17 @@ def check_sequence(seed, steps):
 
             with pytest.raises(Abort):
                 update(cluster, ledger, *target, rng.randbytes(rng.randrange(1, 24)), post_mutation_hook=abort)
-            assert snapshot_cluster(cluster) == ledger.last().payload_snapshot
+            assert snapshot_cluster(cluster) == ledger.last_snapshot
         else:
             if rng.randrange(2):
                 other = new_cluster(rng.randrange(1, 6))
                 assert_renders_anew(other)
-            point = rng.choice(ledger.points)
-            load_snapshot(point.payload_snapshot, ledger.blocks, into=other)
-            assert snapshot_cluster(other) == point.payload_snapshot
+            text = rng.choice(texts)
+            load_snapshot(text, ledger.blocks, into=other)
+            assert snapshot_cluster(other) == text
             assert_renders_anew(other)
         assert_renders_anew(cluster)
+        texts[len(ledger.points) - 1 :] = [ledger.last_snapshot]
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -101,7 +101,7 @@ def test_load_snapshot_hashes_each_stored_byte_once(appended, monkeypatch):
     # Reading the block store back from disk hashes each stored byte once;
     # resolving the snapshot's references against it hashes nothing more.
     cluster, ledger, _ = appended
-    snapshot = ledger.last().payload_snapshot
+    snapshot = ledger.last_snapshot
     hashed, loaded = bytes_hashed(
         monkeypatch, lambda: load_snapshot(snapshot, load_ledger(ledger.directory).blocks)
     )
@@ -156,7 +156,7 @@ def test_load_ledger_parses_each_epoch_manifest_once(eleven_epochs, monkeypatch)
 def test_append_adds_about_its_delta_to_the_ledger_directory(eleven_epochs):
     # A full payload copy would add over 64 KiB per commit, and a full
     # snapshot 2.6 KiB. An epoch file holds its operation line, the entry
-    # of the appended block and its snapshot line.
+    # of the appended block and its chain line.
     _, growth = eleven_epochs
     assert max(growth) <= APPEND_BYTES + 300
 
@@ -245,7 +245,7 @@ def test_a_commit_refuses_a_block_its_operation_did_not_write(tmp_path, bound):
             append(cluster, ledger, server, b"appended", post_mutation_hook=hook)
         assert ledger.points == points and ledger.blocks == blocks
         assert cluster.servers[1].blocks[0].payload == first
-        assert snapshot_cluster(cluster) == ledger.last().payload_snapshot
+        assert snapshot_cluster(cluster) == ledger.last_snapshot
         if bound:
             assert {path.name: path.read_bytes() for path in directory.iterdir()} == files
             assert load_ledger(directory).points == ledger.points

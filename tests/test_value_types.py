@@ -49,7 +49,7 @@ IMMUTABLE = {  # one value of each former frozen class, and one of its fields
     "OperationResult": (OperationResult(OperationKind.DELETE, 0, 0, 1, VERDICT, VERDICT, 5, -5, 0), "s_after"),
     "AuditGrant": (AuditGrant(0, 0, Mode.CHECKSUM), "mode"),
     "SimConfig": (SimConfig(4, 4096, Mode.CHECKSUM, 42, Path("ledger")), "ledger_dir"),
-    "RestorePoint": (RestorePoint(MANIFEST, ""), "payload_snapshot"),
+    "RestorePoint": (RestorePoint(MANIFEST, b""), "record"),
 }
 
 
@@ -60,22 +60,21 @@ def test_values_reject_attribute_assignment(value, field):
             setattr(value, attribute, None)
 
 
-def test_restore_point_equality_includes_added():
-    """A loaded point holds the blocks its epoch file stores, in the order
-    the commit added them, so a point compares on all four fields."""
+def test_restore_point_equality_includes_its_record():
+    """A point is its manifest and its record, the bytes of its epoch file,
+    and compares on both; its operation line is the record's first line."""
     _, ledger = make_committed_state(b"abcdef", 2, 2)
     point = ledger.last()
-    assert point.added
-    rebuilt = RestorePoint(point.manifest, point.payload_snapshot, point.op, point.added)
+    assert RestorePoint._fields == ("manifest", "record") and point.op == "UPLOAD servers=2"
+    rebuilt = RestorePoint(point.manifest, bytes(point.record))
     assert rebuilt == point and hash(rebuilt) == hash(point)
-    assert point._replace(added=point.added[::-1]) != point
-    assert point._replace(added=()) != point
-    assert point._replace(payload_snapshot=point.payload_snapshot + "\n") != point
+    assert point._replace(record=point.record + b"\n") != point
+    assert point._replace(manifest=point.manifest._replace(epoch=1)) != point
 
 
 def test_a_block_is_its_content_and_a_point_derives_its_tick():
     assert DataBlock._fields == ("payload", "checksum", "digest")
-    points = [RestorePoint(MANIFEST._replace(epoch=epoch), "") for epoch in range(3)]
+    points = [RestorePoint(MANIFEST._replace(epoch=epoch), b"") for epoch in range(3)]
     assert [(point.epoch, point.timestamp) for point in points] == [(0, 1), (1, 2), (2, 3)]
 
 
