@@ -21,7 +21,9 @@ byte-identical directory contents.
 One command at a time writes: every command holds flock on the ledger
 directory, if it exists, from before its load to after its last write,
 exclusive for the commands that write and shared for the others, and a
-command that finds it held waits. fcntl makes this POSIX only.
+command that finds it held waits. An upload makes the directory first,
+so it always locks, and removes what it made again if it fails before
+writing into it. fcntl makes this POSIX only.
 
 Exit codes: 0 success / verified, 1 verification or operation failure,
 2 I/O or usage failure, 3 preexisting data, 4 missing target, 5 stale
@@ -31,9 +33,11 @@ epoch, 6 nothing to restore (no committed restore point).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import os
 import sys
+from itertools import takewhile
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -170,22 +174,34 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     )
 
 
-def _lock(directory: Path, exclusive: bool) -> Optional[int]:
+def _lock(directory: Path, exclusive: bool, create: bool = False) -> tuple[Optional[int], list[Path]]:
     """Take flock on the ledger directory, exclusive or shared, waiting for
-    it, and return the descriptor that holds it until it is closed; None,
-    with no lock, if the directory does not exist. The lock is on the
-    directory itself, so no file is written, and the kernel drops it when
-    the process dies."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except (FileNotFoundError, NotADirectoryError):
-        return None  # no ledger yet: nothing to lock
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-    except BaseException:
+    it, and return the descriptor that holds it until it is closed, and
+    the directories this call made, deepest first. A directory that does
+    not exist gets no lock, (None, []), unless ``create``: then it is made
+    first, parents too, so two uploads into one new directory take turns.
+    A lock that, once held, is no longer on the directory the path names
+    (a failed upload removed the directories it made) is let go and the
+    path locked again. The lock is on the directory itself, so no file is
+    written, and the kernel drops it when the process dies."""
+    while True:
+        made = list(takewhile(lambda path: not path.exists(), [directory, *directory.parents])) if create else []
+        if made:
+            directory.mkdir(parents=True, exist_ok=True)
+        try:
+            fd = os.open(directory, os.O_RDONLY)
+        except (FileNotFoundError, NotADirectoryError):
+            return None, []  # no ledger yet: nothing to lock
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+            if os.path.samestat(os.fstat(fd), os.stat(directory)):
+                return fd, made
+        except FileNotFoundError:
+            pass  # removed while this waited: lock what the path names now
+        except BaseException:
+            os.close(fd)
+            raise
         os.close(fd)
-        raise
-    return fd
 
 
 def _load_state(config: SimConfig, recovering: bool = False) -> tuple[ClusterState, Ledger]:
@@ -428,24 +444,27 @@ def run(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    lock = None
+    directory = _ledger_dir(args)
+    lock, made, code = None, [], EXIT_FAILED
     try:
-        lock = _lock(_ledger_dir(args), exclusive=args.func in _WRITERS)
-        return args.func(parser, args)
+        lock, made = _lock(directory, exclusive=args.func in _WRITERS, create=args.func is cmd_upload)
+        code = args.func(parser, args)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        code = int(exc.code or 0)
     except CloudLedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for errors, code in _EXIT_BY_ERROR:
-            if isinstance(exc, errors):
-                return code
-        return EXIT_FAILED
+        code = next((exit_code for errors, exit_code in _EXIT_BY_ERROR if isinstance(exc, errors)), EXIT_FAILED)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code = EXIT_IO
     finally:
+        if code != EXIT_OK:  # before the lock goes, so a waiting upload finds the path gone
+            with contextlib.suppress(OSError):  # not empty: the upload wrote files, which a retry replaces
+                for path in made:
+                    path.rmdir()
         if lock is not None:
             os.close(lock)
+    return code
 
 
 def main(argv: Optional[list[str]] = None) -> None:

@@ -5,7 +5,11 @@ servers. Every write, faults and snapshot loads included, goes through
 ServerState.put and drop, which keep each block's record (its address,
 its length and the checksum make_block stored with it, never client
 metadata) beside it. A cloud-level manifest joins those records, so a
-read hashes and builds nothing, yet sees any corruption of stored bytes.
+read hashes nothing, yet sees any corruption of stored bytes. Each
+server keeps its records as one tuple, and the cluster their join, until
+the next put or drop, so the reads between two writes share one record
+tuple, which is the one a commit freezes: the first read after a write
+joins the records again, and any other costs O(servers).
 put renders each record's manifest line as it writes the record, and
 each server keeps its joined snapshot lines and weight total until its
 next put or drop, so a commit renders one line per put and sums the
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from itertools import chain, compress
-from operator import itemgetter, ne
+from operator import is_, itemgetter, ne
 from typing import Mapping, NamedTuple, Optional
 
 from .checksum import fnv1a64
@@ -95,7 +99,8 @@ class ServerState:
     snapshot_lines joins those lines, renders the digest lines and sums
     the weights on first use, and keeps all three until the next put or
     drop, so the snapshot of a commit joins and sums again only the
-    servers written since their last snapshot.
+    servers written since their last snapshot. record_tuple keeps the
+    records as a tuple the same way, for stored_manifest to join.
     """
 
     def __init__(self, server_index: int) -> None:
@@ -105,6 +110,7 @@ class ServerState:
         self.record_lines: dict[int, str] = {}
         self.alive = True
         self._snapshot_lines: Optional[tuple[str, str, int]] = None
+        self._record_tuple: Optional[tuple[BlockRecord, ...]] = None
 
     def put(self, block_id: int, block: DataBlock) -> None:
         """Store a block at block_id, replacing any block there, and record
@@ -113,24 +119,31 @@ class ServerState:
         self.blocks[block_id] = block
         record = self.records[block_id] = new_record((self.server_index, block_id, len(block.payload), block.checksum))
         self.record_lines[block_id] = _RECORD_FORMAT % record
-        self._snapshot_lines = None
+        self._snapshot_lines = self._record_tuple = None
 
     def drop(self, block_id: int) -> None:
         """Remove the block at block_id, its record and its record line."""
         del self.blocks[block_id]
         del self.records[block_id]
         del self.record_lines[block_id]
-        self._snapshot_lines = None
+        self._snapshot_lines = self._record_tuple = None
 
     def snapshot_lines(self) -> tuple[str, str, int]:
         """The server's part of a snapshot: its manifest record lines, its
         digest lines and the total weight of its records, made on the
         first call after a put or drop and kept until the next one."""
         if self._snapshot_lines is None:
-            digests = "".join([f"{block.digest}\n" for block in self.blocks.values()])
+            digests = "\n".join([*map(itemgetter(2), self.blocks.values()), ""])  # each line ends in LF
             total = sum(map(itemgetter(2), self.records.values()))
             self._snapshot_lines = ("".join(self.record_lines.values()), digests, total)
         return self._snapshot_lines
+
+    def record_tuple(self) -> tuple[BlockRecord, ...]:
+        """The server's records in block-id order, made on the first call
+        after a put or drop and kept, the same object, until the next one."""
+        if self._record_tuple is None:
+            self._record_tuple = tuple(self.records.values())
+        return self._record_tuple
 
 
 class ClusterState:
@@ -141,7 +154,8 @@ class ClusterState:
     stale-manifest fault replays them through
     read_manifest (stamped with the current epoch, as a hiding CSP would)
     until a restore clears it. Mutation is serialized through a single
-    driver; reads are side-effect free.
+    driver; a read changes nothing but the record tuple stored_manifest
+    keeps, which is a function of the servers' own.
     """
 
     def __init__(self, servers: list[ServerState], rng_seed: int = 0) -> None:
@@ -150,6 +164,7 @@ class ClusterState:
         self.rng_seed = rng_seed
         self.stale_armed = False
         self.previous_records: Optional[tuple[BlockRecord, ...]] = None
+        self._joined: tuple[tuple[tuple[BlockRecord, ...], ...], tuple[BlockRecord, ...]] = ((), ())
 
     @property
     def server_count(self) -> int:
@@ -211,18 +226,28 @@ def upload(cluster: ClusterState, payload: bytes, block_size: int) -> Manifest:
 
 def stored_manifest(cluster: ClusterState, unavailable_servers: frozenset[int] = frozenset()) -> Manifest:
     """The cloud manifest of the blocks on every server not listed as
-    unavailable, whatever the read path serves: the servers' records
-    joined in server order, so already sorted, and shared, not rebuilt."""
-    records = chain.from_iterable(s.records.values() for s in cluster.servers
-                                  if s.server_index not in unavailable_servers)
-    return Manifest(Level.CLOUD, cluster.epoch, tuple(records), cluster.server_count, unavailable_servers)
+    unavailable, whatever the read path serves: the servers' record tuples
+    joined in server order, so already sorted, and shared, not rebuilt.
+    The cluster keeps the join with the tuples it was made from and makes
+    it again only when one of them is another object: after a put or a
+    drop, on a server a snapshot load replaced, or for another list of
+    servers or set of unavailable ones. Equal parts make an equal join, so
+    the reads between two writes return one tuple, O(servers) each."""
+    parts = tuple([s.record_tuple() for s in cluster.servers if s.server_index not in unavailable_servers])
+    joined, records = cluster._joined
+    if len(joined) != len(parts) or not all(map(is_, joined, parts)):
+        records = tuple(chain.from_iterable(parts))
+        cluster._joined = (parts, records)
+    return Manifest(Level.CLOUD, cluster.epoch, records, cluster.server_count, unavailable_servers)
 
 
 def read_manifest(cluster: ClusterState) -> Manifest:
     """The cloud-level manifest the read path serves: the stored manifest
     of the alive servers, whose records carry the weight and checksum
     make_block computed when each block was stored. Dead servers are
-    listed in unavailable_servers. While the stale-manifest fault is
+    listed in unavailable_servers. Reads with no put, drop or change of
+    liveness between them return one record tuple, the one a commit
+    between them freezes. While the stale-manifest fault is
     armed, the previous epoch's committed records are served instead,
     stamped with the current epoch (the lying CSP claims they are current).
     """

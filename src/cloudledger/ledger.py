@@ -12,8 +12,9 @@ for an operation, at most the one block it wrote, since its other blocks
 must be the last point's.
 
 Recovery declares the state intact when every server is up and the
-live records equal the last committed manifest's, one tuple comparison
-that, with no server unavailable, is the clean CHECKSUM verdict; equal
+live records equal the last committed manifest's, an identity test when
+no write came after the commit and else one tuple comparison, which,
+with no server unavailable, is the clean CHECKSUM verdict; equal
 records imply equal weights, so the live aggregate Y equals X without
 being computed. Otherwise the last point's snapshot, the one snapshot
 text the ledger keeps, which names each record's block by content
@@ -192,8 +193,8 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
         raise EpochMismatch(f"epoch {cluster.epoch} is committed {'with' if op else 'without'} an operation line;"
                             " the upload commits epoch 0, and one operation each later epoch")
 
-    manifest = stored_manifest(cluster)
-    if manifest.records != read_manifest(cluster).records:
+    manifest, served = stored_manifest(cluster), read_manifest(cluster).records
+    if manifest.records is not served and manifest.records != served:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
     if op is None:
         op = f"UPLOAD servers={cluster.server_count}"
@@ -220,8 +221,10 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
 
     Intact means: the cluster is at the committed epoch and server count,
     every server is alive, no stale read path is armed, and the live
-    records equal the stored manifest's. That is one tuple comparison in
-    C, and with every server up it is exactly a passing CHECKSUM
+    records equal the stored manifest's. That is an identity test when no
+    put or drop came after the commit, since the live records are then the
+    tuple the commit froze, and otherwise one tuple comparison in C; with
+    every server up it is exactly a passing CHECKSUM
     comparison, so verify_equality is not run; it also implies the live
     aggregate Y equals the committed X. Weight equality alone is not
     trusted, because identical-weight substitutions leave Y unchanged;
@@ -239,7 +242,7 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
         and live.epoch == last.epoch
         and all(s.alive for s in cluster.servers)
         and not cluster.stale_armed
-        and live.records == last.manifest.records
+        and (live.records is last.manifest.records or live.records == last.manifest.records)
     )
     if intact:
         return RecoveryReport(RecoveryAction.INTACT, last.epoch)

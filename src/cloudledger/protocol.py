@@ -6,7 +6,9 @@ is the record-by-record comparison of the two. CHECKSUM mode compares
 (weight, checksum) per block; WEIGHT_ONLY restricts the comparison to
 weights, which reproduces pure size accounting and its blind spot:
 substituting different content of identical length goes undetected.
-A clean check, with every server available, is one tuple comparison in
+A clean check, with every server available, is an identity test when
+both sides hold one record tuple, as the live records and the point
+committed since the last write do, and otherwise one tuple comparison in
 C, which hashes nothing and passes over a record shared by both sides by
 identity. Otherwise the two record tuples are split at server boundaries
 by bisect, each server's two slices are compared in C the same way, and
@@ -86,10 +88,12 @@ def verify_equality(user: Manifest, cloud: Manifest, mode: Mode) -> Verdict:
     parse_manifest guarantee.
 
     When no server is unavailable on either side and the record tuples
-    are equal, the verdict is clean at once. That comparison runs in C,
-    hashes no record, and stops at identity for a record object both
-    manifests share, as a live manifest shares its unchanged records with
-    the committed one.
+    are equal, the verdict is clean at once. Both sides holding one tuple
+    object, as the live manifest and the point committed since the last
+    write do, is tested first and compares no record; otherwise the
+    comparison runs in C, hashes no record, and stops at identity for a
+    record object both manifests share, as a live manifest shares its
+    unchanged records with the committed one.
 
     Otherwise _differing hashes only the servers whose slices differ; a
     record both sides hold unchanged on an available server cannot
@@ -101,7 +105,7 @@ def verify_equality(user: Manifest, cloud: Manifest, mode: Mode) -> Verdict:
     if user.epoch != cloud.epoch:
         raise EpochMismatch(f"cannot compare epoch {user.epoch} with epoch {cloud.epoch}")
     unavailable = user.unavailable_servers | cloud.unavailable_servers
-    if not unavailable and user.records == cloud.records:
+    if not unavailable and (user.records is cloud.records or user.records == cloud.records):
         return Verdict(z=True, mode=mode, divergences=(), epoch=user.epoch)
     user_only, cloud_only = _differing(user.records, cloud.records)
     return _classify(

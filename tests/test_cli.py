@@ -651,6 +651,11 @@ def test_config_file_flag(ledger_dir, tmp_path, capsys):
     assert run_cli("--ledger-dir", str(elsewhere), "--config", str(missing), "upload", "--gen-bytes", "50") == 2
     assert str(missing) in capsys.readouterr().err
     assert not elsewhere.exists()
+    # The upload made the directory, parents too, to lock it, and removes them all again.
+    nested = elsewhere / "a" / "b"
+    assert run_cli("--ledger-dir", str(nested), "--config", str(missing), "upload", "--gen-bytes", "50") == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not elsewhere.exists()
     # A key the CLI does not know is an error, not a silently ignored line.
     misspelled = tmp_path / "misspelled.cfg"
     misspelled.write_text("server=3\n")

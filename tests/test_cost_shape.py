@@ -16,7 +16,11 @@ before its chain line and the 64-hex chain of the file before it; every
 epoch file, 0.snapshot included, is its line, an entry per block it was
 first to store, a reference per other block it wrote, and its chain
 line. No point, committed or loaded, holds text: its fields are its
-manifest and its record's bytes.
+manifest and its record's bytes. The read row, on the same 4096 records:
+the reads between two writes share one record tuple, the one the commit
+froze, so an operation compares record tuples once, in its post-check, a
+verify or a recover right after it compares none, and a fault rewrites
+the tuple of its own server only.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ import pytest
 from cloudledger import (
     FaultKind,
     FaultSpec,
+    Mode,
     RecoveryAction,
     ServerState,
     append,
@@ -35,8 +40,10 @@ from cloudledger import (
     inject_fault,
     load_ledger,
     make_block,
+    read_manifest,
     recover,
     update,
+    verify_equality,
 )
 from cloudledger import ledger as ledger_module
 from cloudledger.ledger import load_cluster
@@ -125,6 +132,48 @@ def test_a_commit_renders_one_line_per_put_and_looks_up_only_rewritten_servers(c
 
     # The fault and the restore each put a block on server 6, which the commit compares, not looks up.
     assert commit_row(fault_recover_update) == (3, 3, [make_block(b"again").digest])
+
+
+class CountingTuple(tuple):
+    """A tuple that counts the times it is compared for equality."""
+
+    compared = 0
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        CountingTuple.compared += 1
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        CountingTuple.compared += 1
+        return tuple.__ne__(self, other)
+
+
+def test_reads_between_writes_share_one_record_tuple(counted, monkeypatch):
+    """The cluster module builds its record tuples as CountingTuples, which
+    count each comparison of two record tuples, whichever side they are on."""
+    cluster, ledger, _, _ = counted
+    monkeypatch.setattr(sys.modules["cloudledger.cluster"], "tuple", CountingTuple, raising=False)
+
+    def compared(operation):
+        """Run one step; return (record tuple comparisons, its result)."""
+        CountingTuple.compared = 0
+        result = operation()
+        return CountingTuple.compared, result
+
+    verify = lambda: verify_equality(ledger.last().manifest, read_manifest(cluster), Mode.CHECKSUM).z
+    for operation in (lambda: update(cluster, ledger, 3, 100, b"changed"), lambda: delete(cluster, ledger, 2, 7),
+                      lambda: append(cluster, ledger, 5, b"appended")):
+        assert compared(operation)[0] == 1  # the post-check: the prediction against the records just written
+        assert read_manifest(cluster).records is ledger.last().manifest.records
+        assert compared(verify) == (0, True)
+        assert compared(lambda: recover(ledger, cluster).action) == (0, RecoveryAction.INTACT)
+
+    parts = [server.record_tuple() for server in cluster.servers]
+    inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 6, 9, seed=1))
+    assert [server.record_tuple() is part for server, part in zip(cluster.servers, parts)] == [
+        index != 6 for index in range(8)]
+    assert recover(ledger, cluster).action is RecoveryAction.RESTORED
 
 
 def epoch_file_bytes(ledger, stored, written):

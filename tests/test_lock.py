@@ -3,10 +3,14 @@
 Two appends run at once on one ledger must both commit, one after the
 other, at epochs 1 and 2. In the test the first append sleeps inside each
 ledger.write_file call, after its load: without the lock the second loads
-epoch 0 meanwhile and both commit epoch 1, one replacing the other. Run as
-a script, it races two appends on a fresh ledger per try, two processes
-at once, tries one after another, seeded, and after each try checks that
-verify, history and recover exit 0 with both operations committed:
+epoch 0 meanwhile and both commit epoch 1, one replacing the other. Two
+uploads into one new directory must commit one: the other exits 3, as
+into any directory that holds a ledger. An upload makes the directory to
+lock it; without that the second finds no directory while the first
+sleeps in its first write, and both exit 0, one upload lost. Run as a
+script, each seeded try races two appends on a fresh ledger and two
+uploads into a new directory, two processes at once, and checks that
+verify, history and recover exit 0 with what should have committed:
 
     PYTHONPATH=src python -X dev -W error tests/test_lock.py [tries] [seed]
 """
@@ -45,19 +49,28 @@ sys.exit(cli.run(sys.argv[4:]))
 """
 
 
-def run_cli(directory, *argv):
+def run_cli(directory, *argv, flags=FLAGS):
     """cli.run in this process: (exit code, stdout)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run([*FLAGS, "--ledger-dir", str(directory), *argv])
+        code = cli.run([*flags, "--ledger-dir", str(directory), *argv])
     return code, out.getvalue()
 
 
-def start_append(directory, server, size, marker, delay=0.0, go="-"):
+def start_cli(directory, argv, marker, delay, go):
     return subprocess.Popen(
-        [sys.executable, "-c", DELAYED_CLI, str(marker), str(delay), str(go), *FLAGS, "--ledger-dir", str(directory),
-         "append", "--server", str(server), "--gen-bytes", str(size)],
+        [sys.executable, "-c", DELAYED_CLI, str(marker), str(delay), str(go), "--ledger-dir", str(directory), *argv],
         env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def start_append(directory, server, size, marker, delay=0.0, go="-"):
+    return start_cli(directory, [*FLAGS, "append", "--server", str(server), "--gen-bytes", str(size)],
+                     marker, delay, go)
+
+
+def start_upload(directory, servers, size, marker, delay=0.0, go="-"):
+    return start_cli(directory, ["--servers", str(servers), "--block-size", "16", "upload", "--gen-bytes", str(size)],
+                     marker, delay, go)
 
 
 def finish(directory, appends):
@@ -79,6 +92,47 @@ def finish(directory, appends):
     return None
 
 
+def finish_uploads(directory, uploads, servers):
+    """Wait for the uploads into ``directory``, of ``servers`` servers each;
+    return what went wrong unless one committed, the other exited 3 having
+    printed nothing, and the ledger is the committed one's."""
+    results = [(upload.communicate(timeout=120), upload.returncode) for upload in uploads]
+    codes = [code for _, code in results]
+    if sorted(codes) != [0, 3]:
+        return f"upload exit codes {codes}: {[err for (_, err), _ in results]}"
+    (out, _), _ = results[codes.index(0)]
+    (lost, err), _ = results[codes.index(3)]
+    if lost or "is not empty" not in err:
+        return f"the refused upload printed {lost!r} and {err!r}"
+    winner = servers[codes.index(0)]
+    if not out.startswith("UPLOAD bytes=") or f" servers={winner} " not in out.splitlines()[0]:
+        return f"the upload that committed printed {out!r}"
+    code, report = run_cli(directory, "report", flags=())
+    if code != 0 or not report.startswith(f"REPORT epoch=0 servers={winner} "):
+        return f"report exit {code}: {report!r}"
+    for command in ("verify", "history", "recover"):
+        code, out = run_cli(directory, command, flags=())
+        if code != 0:
+            return f"{command} exit {code}: {out!r}"
+    return None
+
+
+def test_two_uploads_into_one_new_directory_commit_one(tmp_path):
+    """The second upload starts while the first sleeps in its first write:
+    the directory the first made is locked, so the second waits for it,
+    finds a ledger and exits 3."""
+    directory = tmp_path / "ledger"
+    marker = tmp_path / "writing"
+    first = start_upload(directory, 3, 100, marker, delay=1.5)
+    deadline = time.monotonic() + 60
+    while not marker.exists():
+        assert first.poll() is None and time.monotonic() < deadline, first.communicate()
+        time.sleep(0.01)
+    second = start_upload(directory, 4, 120, tmp_path / "unused")
+    assert finish_uploads(directory, [first, second], [3, 4]) is None
+    assert first.returncode == 0
+
+
 def test_two_appends_at_once_commit_one_after_the_other(tmp_path):
     """The second append starts while the first sleeps in its first write,
     past its load, so without the lock both would load epoch 0."""
@@ -95,8 +149,10 @@ def test_two_appends_at_once_commit_one_after_the_other(tmp_path):
 
 
 def main(tries=20, seed=12):
-    """Each try starts both appends, lets them import, then lets them run at
-    the same moment; the payload sizes and servers are seeded."""
+    """Each try starts two appends on a fresh ledger, lets them import, then
+    lets them run at the same moment, and then two uploads into a new
+    directory the same way; the payload sizes, servers and server counts
+    are seeded."""
     rng = random.Random(seed)
     failures = 0
     with tempfile.TemporaryDirectory() as root:
@@ -107,11 +163,18 @@ def main(tries=20, seed=12):
                                     go=go) for _ in range(2)]
             time.sleep(0.5)
             go.touch()
-            broken = finish(directory, appends)
-            if broken is not None:
+            appended = finish(directory, appends)
+            directory, go = Path(root) / f"upload{attempt}", Path(root) / f"go-upload{attempt}"
+            servers = rng.sample(range(1, 6), 2)
+            uploads = [start_upload(directory, count, rng.randrange(40, 200), Path(root) / "unused", go=go)
+                       for count in servers]
+            time.sleep(0.5)
+            go.touch()
+            broken = [problem for problem in (appended, finish_uploads(directory, uploads, servers)) if problem]
+            if broken:
                 failures += 1
-                print(f"try {attempt}: {broken}")
-    print(f"{tries} tries of two concurrent appends, {failures} failed")
+                print(f"try {attempt}: {'; '.join(broken)}")
+    print(f"{tries} tries of two concurrent appends and two concurrent uploads, {failures} failed")
     return 1 if failures else 0
 
 

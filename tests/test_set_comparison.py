@@ -385,6 +385,8 @@ def test_an_audit_hashes_one_server_per_epoch():
         counted_ledger.points.append(RestorePoint(manifest, point.record))
     for server in cluster.servers:
         server.records = dict(zip(server.records, counted(server.records.values(), memo)))
+        server._record_tuple = None  # as put and drop do: the server's next read joins the counted records
+    assert all(type(record) is CountingRecord for record in read_manifest(cluster).records)
     grant = AuditGrant(0, epochs, Mode.CHECKSUM)
     expected = reference_audit(ledger, cluster, grant)
     count, verdicts = hashes(lambda: audit(counted_ledger, cluster, grant))

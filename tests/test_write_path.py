@@ -34,13 +34,18 @@ from cloudledger import (
     fnv1a64,
     generate_payload,
     inject_fault,
+    load_ledger,
+    load_snapshot,
     new_cluster,
     read_manifest,
     recover,
     round_trip_verify,
+    snapshot_cluster,
     update,
+    upload,
     verify_equality,
 )
+from cloudledger.ledger import load_cluster, save_cluster
 from helpers import make_committed_state
 
 
@@ -66,11 +71,14 @@ def rebuilt_read_manifest(cluster, ledger):
 
 
 def assert_records_match_a_rebuild(cluster, ledger, mode):
+    """The maintained records equal a rebuild, and a second read, with no
+    write between, returns the very record tuple of the first."""
     for server in cluster.servers:
         assert tuple(server.records.values()) == rebuilt_records(server)
         assert list(server.records) == list(server.blocks)
-    live, rebuilt = read_manifest(cluster), rebuilt_read_manifest(cluster, ledger)
-    assert live == rebuilt
+    live, again, rebuilt = read_manifest(cluster), read_manifest(cluster), rebuilt_read_manifest(cluster, ledger)
+    assert live == again == rebuilt
+    assert again.records is live.records
     committed = ledger.last().manifest
     assert verify_equality(committed, live, mode) == verify_equality(committed, rebuilt, mode)
 
@@ -81,13 +89,41 @@ def random_payload(rng):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("mode", list(Mode))
-def test_maintained_records_equal_a_full_rebuild(mode, seed):
+def test_maintained_records_equal_a_full_rebuild(mode, seed, tmp_path):
+    """Every step is checked against a rebuild: operations, faults and their
+    recovery, rolled-back operations, a snapshot of another server count
+    loaded into the cluster, and the same steps again on the cluster a load
+    of the persisted ledger hands out."""
     rng = random.Random(seed)
     cluster = new_cluster(3, rng_seed=seed)
     verdict = round_trip_verify(cluster, generate_payload(seed, 300), 3, 16, mode)
-    ledger = Ledger()
+    ledger = Ledger(directory=tmp_path / "ledger")
     commit_restore_point(ledger, cluster, verdict)
     assert_records_match_a_rebuild(cluster, ledger, mode)
+    run_steps(cluster, ledger, rng, mode)
+
+    other = new_cluster(2 + seed % 2 * 2)
+    upload(other, generate_payload(seed + 1, 100), 16)
+    other.epoch = cluster.epoch
+    blocks = {block.digest: block for server in other.servers for block in server.blocks.values()}
+    load_snapshot(snapshot_cluster(other), blocks, into=cluster)
+    assert cluster.server_count == other.server_count
+    assert_records_match_a_rebuild(cluster, ledger, mode)
+    assert recover(ledger, cluster).action is RecoveryAction.RESTORED
+    assert_records_match_a_rebuild(cluster, ledger, mode)
+
+    save_cluster(ledger, cluster)
+    ledger = load_ledger(ledger.directory)
+    cluster = load_cluster(ledger, seed)
+    assert_records_match_a_rebuild(cluster, ledger, mode)
+    run_steps(cluster, ledger, rng, mode)
+
+
+def run_steps(cluster, ledger, rng, mode):
+    """Seeded operations, then a fault of each kind and its recovery, then
+    an operation sabotaged by each fault but the stale read path, which
+    rolls back; the records are checked against a rebuild after each."""
+    servers = cluster.server_count
 
     def some_block(least=1):
         server = rng.choice([s for s in cluster.servers if len(s.blocks) >= least])
@@ -96,7 +132,7 @@ def test_maintained_records_equal_a_full_rebuild(mode, seed):
     kinds = ["append", "update", "delete", "delete-highest-then-append"]
     for kind in kinds * 4 + [rng.choice(kinds) for _ in range(24)]:
         if kind == "append":
-            append(cluster, ledger, rng.randrange(3), random_payload(rng))
+            append(cluster, ledger, rng.randrange(servers), random_payload(rng))
         elif kind == "update":
             update(cluster, ledger, *some_block(), random_payload(rng))
         elif kind == "delete":
@@ -119,7 +155,7 @@ def test_maintained_records_equal_a_full_rebuild(mode, seed):
         server_index, block_id = some_block()
         sabotage = FaultSpec(kind, server_index, block_id, seed=rng.randrange(1 << 16))
         with pytest.raises(PostStateCorrupt):
-            append(cluster, ledger, rng.randrange(3), random_payload(rng),
+            append(cluster, ledger, rng.randrange(servers), random_payload(rng),
                    post_mutation_hook=lambda c: inject_fault(c, sabotage))
         assert_records_match_a_rebuild(cluster, ledger, mode)
 
@@ -194,10 +230,12 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
     store (not a server's blocks): a Ledger binds it, and only a commit and
     a load add to it. A server's record lines are bound by its
     constructor and written only by put and drop, beside the records they
-    render. Its kept snapshot lines are bound by its constructor, cleared
-    by put and drop, and filled only by snapshot_lines, so they are joined
-    from the dicts as they stand."""
-    sites, lines, kept = [], [], []
+    render. Its kept snapshot lines and record tuple are bound by its
+    constructor, cleared by put and drop, and filled only by their getters,
+    snapshot_lines and record_tuple, so they are made from the dicts as
+    they stand. The cluster's joined records are bound by its constructor
+    and written only by stored_manifest, which joins the servers' tuples."""
+    sites, lines, kept, tuples, joined = [], [], [], [], []
     for path in sorted(Path(cloudledger.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         method, function = method_of(tree), function_of(tree)
@@ -208,6 +246,9 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
             sites.append((path.name, where))
         lines += [(path.name, method.get(id(node), "module level")) for node in storage_writes(tree, {"record_lines"})]
         kept += [(path.name, method.get(id(node), "module level")) for node in storage_writes(tree, {"_snapshot_lines"})]
+        tuples += [(path.name, method.get(id(node), "module level")) for node in storage_writes(tree, {"_record_tuple"})]
+        joined += [(path.name, method.get(id(node)) or function.get(id(node), "module level"))
+                   for node in storage_writes(tree, {"_joined"})]
     assert sorted(sites) == sorted(
         [("cluster.py", "ServerState.__init__ = {}")] * 2
         + [("cluster.py", "ServerState.put")] * 2
@@ -217,6 +258,9 @@ def test_stored_blocks_are_written_only_by_put_and_drop():
     assert sorted(lines) == [("cluster.py", f"ServerState.{name}") for name in ("__init__", "drop", "put")]
     assert sorted(kept) == [("cluster.py", f"ServerState.{name}")
                             for name in ("__init__", "drop", "put", "snapshot_lines")]
+    assert sorted(tuples) == [("cluster.py", f"ServerState.{name}")
+                              for name in ("__init__", "drop", "put", "record_tuple")]
+    assert sorted(joined) == [("cluster.py", "ClusterState.__init__"), ("cluster.py", "stored_manifest")]
 
 
 def file_writes(tree):
