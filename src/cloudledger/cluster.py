@@ -329,7 +329,7 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # --- cluster snapshots -------------------------------------------------------
 #
 # A snapshot names each block by its content digest instead of carrying its
-# bytes (ledger format v9): the marker line SNAPSHOT_HEADER, the canonical
+# bytes (ledger format v10): the marker line SNAPSHOT_HEADER, the canonical
 # manifest text, one digest line per manifest record in record order, and a
 # final END. It holds what a restore point restores, and no live status: a
 # loaded snapshot has every server up and no stale read path, and only the
@@ -339,9 +339,9 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # stores snapshot text; an epoch file stores the operation that rebuilds it,
 # and the ledger keeps the last point's text in memory.
 
-SNAPSHOT_HEADER = "SNAPSHOT v9"
+SNAPSHOT_HEADER = "SNAPSHOT v10"
 _RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"],
-                    ["SNAPSHOT", "v6"], ["SNAPSHOT", "v7"], ["SNAPSHOT", "v8"])
+                    ["SNAPSHOT", "v6"], ["SNAPSHOT", "v7"], ["SNAPSHOT", "v8"], ["SNAPSHOT", "v9"])
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:

@@ -33,11 +33,13 @@ its epoch file's rename, the commit, is done. The committed epochs are
 the files 0.snapshot to (E-1).snapshot, found by one listing of the
 directory. Each is a redo record of the operation that committed it, the
 upload's included: its operation line, from which history renders the
-line the operation printed, then each block it wrote, stored or named,
-and last a chain line, which hashes the file with the chain of the files
-before it. load_ledger checks every chain line, then replays the upload
-onto an empty cluster and each later operation onto the epoch before, so
-a clean ledger stores no manifest or snapshot text.
+line the operation printed, then each block it wrote, stored as its
+weight and payload or named by its digest, and last a chain line, which
+hashes the file with the chain of the files before it. The chain covers
+every entry's bytes, so no entry names its digest: the load computes it,
+once, to key the block store. load_ledger checks every chain line, then
+replays the upload onto an empty cluster and each later operation onto
+the epoch before, so a clean ledger stores no manifest or snapshot text.
 """
 
 from __future__ import annotations
@@ -330,31 +332,39 @@ def _unstored_blocks(store: Mapping[str, DataBlock], blocks: Iterable[DataBlock]
 
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v9: write_file replaces every file whole, by way of
+# Ledger format v10: write_file replaces every file whole, by way of
 # ``<name>.tmp``, so a crash leaves the old file or the new. An epoch's only
 # file is ``<epoch>.snapshot``, and its rename is the commit. Every epoch file,
 # the upload's included, is a redo record of one grammar: its operation line,
 # ``UPLOAD servers=<n>`` at epoch 0 and ``<KIND> server=<s> block=<b>`` after;
 # one block line per block the operation wrote, in record order: an entry
-# ``<sha256 hex> <weight>\n<payload>\n`` the first time the ledger stores that
-# content, otherwise a reference ``<sha256 hex>\n``; and last its chain line
-# ``CHAIN sha256=<hex>\n``: the SHA-256 of the chain hex of the file before
-# (nothing for 0.snapshot) followed by this file's bytes before the line. The
+# ``<weight>\n<payload>\n`` the first time the ledger stores that content, its
+# weight a canonical decimal of at most 63 digits, otherwise a reference
+# ``<sha256 hex>\n``, exactly 64 lowercase hex digits, so no weight line is a
+# reference; and last its chain line ``CHAIN sha256=<hex>\n``: the SHA-256 of
+# the chain hex of the file before (nothing for 0.snapshot) followed by this
+# file's bytes before the line. The chain covers every entry's bytes, so an
+# entry names no digest: the load computes it, to key the block store. The
 # kind sets the number of block lines: any for an UPLOAD, one for an APPEND or
 # UPDATE, none for a DELETE. So every block is stored once in the directory,
 # epoch k names blocks of files 0..k, and no epoch file holds manifest or
 # snapshot text. The CLI's live cluster, ``cluster.state``, is written empty
 # while it is the last point with every server up and no stale read path, and
-# otherwise holds entries for the live blocks no epoch file holds (a pending
-# tamper's), its snapshot text, then a status line ``DOWN <server>`` per
-# crashed server and ``STALE`` for an armed stale read path: live status,
-# which no restore point holds. A crash before a rename leaves at most a
-# partial ``.tmp``, which no reader lists and a retry replaces.
+# otherwise holds entries, of the same grammar, for the live blocks no epoch
+# file holds (a pending tamper's), its snapshot text, then a status line
+# ``DOWN <server>`` per crashed server and ``STALE`` for an armed stale read
+# path: live status, which no restore point holds. A crash before a rename
+# leaves at most a partial ``.tmp``, which no reader lists and a retry
+# replaces.
 
 CLUSTER_FILE = "cluster.state"
+# An entry's first line, its weight: never 64 characters, the length of a reference.
+_WEIGHT_LINE = rb"(?P<weight>0|[1-9][0-9]{0,62})\n"
+_ENTRY_LINE = re.compile(_WEIGHT_LINE)
+# An epoch file's block line: a reference, or an entry's weight line.
+_BLOCK_LINE = re.compile(rb"(?P<digest>[0-9a-f]{64})\n|" + _WEIGHT_LINE)
+# A retired format's entry header, stepped past only to name that format.
 _PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
-# An epoch file's block line: an entry's first line, or a reference, which has no weight.
-_BLOCK_LINE = re.compile(rb"([0-9a-f]{64})(?: ([0-9]+))?\n")
 _CHAIN_SIZE = len("CHAIN sha256=\n") + 64  # the bytes of a chain line
 # An operation line as operation_line renders it, decimals canonical as in a manifest.
 _OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_DECIMAL}) block=({_DECIMAL})")
@@ -383,13 +393,8 @@ def write_file(directory: Path, name: str, data: bytes) -> None:
 
 
 def _entry(block: DataBlock) -> bytes:
-    """The entry that stores a block: ``<sha256 hex> <weight>\n<payload>\n``."""
-    return b"%s %d\n%s\n" % (block.digest.encode("ascii"), len(block.payload), block.payload)
-
-
-def _ledger_file(head: str, blocks: Iterable[DataBlock], tail: str) -> bytes:
-    """A ledger file's bytes: ``head``, one entry per block, then ``tail``."""
-    return b"".join([head.encode("utf-8"), *map(_entry, blocks), tail.encode("utf-8")])
+    """The entry that stores a block: ``<weight>\n<payload>\n``."""
+    return b"%d\n%s\n" % (len(block.payload), block.payload)
 
 
 def _read_blocks(name: str, data: bytes, position: int, stored: Mapping[str, DataBlock],
@@ -397,40 +402,52 @@ def _read_blocks(name: str, data: bytes, position: int, stored: Mapping[str, Dat
     """The block lines in ``name``'s ``data`` from ``position`` on, read
     while ``line`` matches: the blocks of its entries, digest -> block, the
     blocks of all its lines in order, and the position after them. An
-    entry's payload is hashed once, by make_block, and must hash to its
-    digest, and a block that ``stored`` (the other files) or an earlier
-    entry holds is refused. A reference, which _PACK_ENTRY does not match,
-    must name a block one of them holds. No line carries an address: a
-    block object is put at every address a line names it at."""
+    entry's payload is hashed once, by make_block, whose digest names the
+    block, and a block that ``stored`` (the other files) or an earlier
+    entry holds is refused. A reference must name a block one of them
+    holds. No line carries an address: a block object is put at every
+    address a line names it at."""
     blocks: dict[str, DataBlock] = {}
     written: list[DataBlock] = []
     while (match := line.match(data, position)) is not None:
-        digest, position = match.group(1).decode("ascii"), match.end()
-        if match.group(2) is not None:  # an entry, which stores the block
-            end = position + int(match.group(2))
+        if match["weight"] is not None:  # an entry, which stores the block
+            end = match.end() + int(match["weight"])
             if data[end : end + 1] != b"\n":
-                raise ManifestFormatError(f"{name} entry at byte {match.start()} is cut short")
-            if digest in stored or digest in blocks:
-                raise ManifestFormatError(f"{name} stores block {digest}, which the ledger already stores")
-            blocks[digest] = make_block(data[position:end])
-            if blocks[digest].digest != digest:
-                raise SnapshotCorrupt(f"{name} entry at byte {match.start()} does not hash to its digest {digest}")
+                raise ManifestFormatError(f"{name} entry at byte {position} is cut short")
+            block = make_block(data[match.end() : end])
+            if block.digest in stored or block.digest in blocks:
+                raise ManifestFormatError(f"{name} stores block {block.digest}, which the ledger already stores")
+            blocks[block.digest] = block
             position = end + 1
-        block = blocks[digest] if digest in blocks else stored.get(digest)
-        if block is None:
-            raise SnapshotCorrupt(f"{name} names block {digest}, which the store lacks")
+        else:
+            digest, position = match["digest"].decode("ascii"), match.end()
+            block = blocks[digest] if digest in blocks else stored.get(digest)
+            if block is None:
+                raise SnapshotCorrupt(f"{name} names block {digest}, which the store lacks")
         written.append(block)
     return blocks, written, position
+
+
+def _retired_version(data: bytes, position: int) -> Optional[list[str]]:
+    """The retired format of ``data``, as the first two words of its header,
+    when a retired header follows the retired entries (``<sha256 hex>
+    <weight>\n<payload>\n``, _PACK_ENTRY) from ``position``; else None."""
+    while (entry := _PACK_ENTRY.match(data, position)) is not None:
+        position = entry.end() + int(entry.group(2)) + 1
+    version = data[position:].partition(b"\n")[0].decode("utf-8", "replace").split(" ")[:2]
+    return version if version in _RETIRED_HEADERS else None
 
 
 def _snapshot_text(name: str, data: bytes, position: int) -> str:
     """The rest of ``name``'s ``data`` from ``position``, after its entries,
     decoded as strict UTF-8: snapshot text, which must be empty or start
-    with a snapshot header, current or retired (load_snapshot names a
-    retired one), so a malformed entry header is named as the line it is."""
+    with the snapshot header, so a malformed entry header is named as the
+    line it is. A retired format, its entries included, is named."""
     rest = data[position:]
     line = rest.partition(b"\n")[0].decode("utf-8", "replace")
-    if rest and line.split(" ")[:2] not in (SNAPSHOT_HEADER.split(" "), *_RETIRED_HEADERS):
+    if rest and line.split(" ")[:2] != SNAPSHOT_HEADER.split(" "):
+        if (version := _retired_version(data, position)) is not None:
+            raise SnapshotCorrupt(f"{name} is in ledger format {version[1]}, which is no longer supported")
         raise SnapshotCorrupt(f"{name} at byte {position} holds {line!r}, which is neither a block entry nor a"
                               " snapshot header")
     try:
@@ -452,16 +469,14 @@ def _check_chain(name: str, data: bytes, previous: bytes) -> None:
     other bytes after ``previous``, the epoch file before (_chain_line). A
     file that ends in no chain line is named as a retired format when it
     is one: a v8 file ends in a snapshot line, and an older one holds a
-    snapshot header, current or retired, after its entries."""
+    retired snapshot header after its entries (_retired_version)."""
     if data[-_CHAIN_SIZE:] == _chain_line(previous, data[:-_CHAIN_SIZE]):
         return
     if data[-_CHAIN_SIZE:].startswith(b"CHAIN sha256="):
         raise SnapshotCorrupt(f"{name} fails its chain line: it, or an epoch file before it, changed after its commit")
     last = data[data.rfind(b"\n", 0, len(data) - 1) + 1 :]
-    version = ["SNAPSHOT", "v8"] if last.startswith(b"SNAPSHOT sha256=") else (
-        data[_read_blocks(name, data, 0, {}, _PACK_ENTRY)[2] :].partition(b"\n")[0]  # past a retired format's entries
-        .decode("utf-8", "replace").split(" ")[:2])
-    if version in _RETIRED_HEADERS:
+    version = ["SNAPSHOT", "v8"] if last.startswith(b"SNAPSHOT sha256=") else _retired_version(data, 0)
+    if version is not None:
         raise SnapshotCorrupt(f"{name} is in ledger format {version[1]}, which is no longer supported")
     raise SnapshotCorrupt(f"{name} ends in {last.decode('utf-8', 'replace')!r}, where its chain line belongs")
 
@@ -472,7 +487,8 @@ def _read_record(name: str, epoch: int, data: bytes, stored: Mapping[str, DataBl
     its operation line, an UPLOAD at epoch 0 and only there, the blocks its
     block lines name in order and the blocks of its entries (_read_blocks).
     The kind sets the number of block lines, which end the bytes; any other
-    line is refused as the line it is."""
+    line is refused as the line it is, and a v9 entry, which the chain
+    check passes, as its format."""
     head, lf, _ = data.partition(b"\n")
     op = head.decode("utf-8", "replace")
     if not lf or _OPERATION_LINE.fullmatch(op) is None and _UPLOAD_LINE.fullmatch(op) is None:
@@ -482,6 +498,8 @@ def _read_record(name: str, epoch: int, data: bytes, stored: Mapping[str, DataBl
         raise SnapshotCorrupt(f"{name} holds {op!r}, but the upload commits epoch 0, and only epoch 0")
     blocks, written, position = _read_blocks(name, data, len(head) + 1, stored)
     if position != len(data):
+        if _PACK_ENTRY.match(data, position):  # a v9 entry, which named its digest: the chain passes it
+            raise SnapshotCorrupt(f"{name} is in ledger format v9, which is no longer supported")
         line, lf, _ = data[position:].partition(b"\n")
         raise SnapshotCorrupt(f"{name} at byte {position} holds {line.decode('utf-8', 'replace')!r}"
                               f"{'' if lf else ' and no LF'}, where a block line or the chain line belongs")
@@ -571,7 +589,7 @@ def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
     data = (ledger.directory / CLUSTER_FILE).read_bytes()
     cluster, ledger._replayed = ledger._replayed, None
     if data:
-        own, _, position = _read_blocks(CLUSTER_FILE, data, 0, ledger.blocks, _PACK_ENTRY)
+        own, _, position = _read_blocks(CLUSTER_FILE, data, 0, ledger.blocks, _ENTRY_LINE)
         snapshot, end, status = _snapshot_text(CLUSTER_FILE, data, position).rpartition("\nEND\n")
         cluster = load_snapshot(snapshot + end, ledger.blocks | own, into=cluster)
         _apply_status(cluster, status)
@@ -585,13 +603,15 @@ def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
 def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
     """Replace the live cluster: empty while it is the last point with every
     server up and no stale read path, and otherwise the live blocks no epoch
-    file holds, then its snapshot, then its status lines."""
+    file holds, then its snapshot, then its status lines. Only a file
+    written non-empty walks the live blocks."""
     text = snapshot_cluster(cluster)
     status = "".join([f"DOWN {server.server_index}\n" for server in cluster.servers if not server.alive])
     status += "STALE\n" if cluster.stale_armed else ""
-    same = not status and text == ledger.last_snapshot
-    live = _unstored_blocks(ledger.blocks, (block for server in cluster.servers for block in server.blocks.values()))
-    data = b"" if same else _ledger_file("", live.values(), text + status)
+    data = b""
+    if status or text != ledger.last_snapshot:
+        live = (block for server in cluster.servers for block in server.blocks.values())
+        data = b"".join([*map(_entry, _unstored_blocks(ledger.blocks, live).values()), (text + status).encode("utf-8")])
     write_file(ledger.directory, CLUSTER_FILE, data)
 
 

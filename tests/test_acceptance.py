@@ -262,10 +262,10 @@ def test_criterion_7_tpa_non_interference_and_agreement():
 # SHA-256 of every ledger file the demo writes at seed 42. A change of
 # ledger format updates these pins and says so.
 DEMO_LEDGER_SHA256 = {
-    "0.snapshot": "8cc4ea82a562d1432add48d3a39ce054ce260dccf34b83db8e59c48edb403bd6",
-    "1.snapshot": "55124c5df388a9e29b57c612df05a431def52740bcf761817f174ad1a67c78e4",
-    "2.snapshot": "d8f1547d99d830187b06816567fe6c10cada987b45477e1f9b84492038adceba",
-    "3.snapshot": "1c550f211da15787079027f9b7e2bc97dfc81bb0bad13cc1a408bd56dcba14fa",
+    "0.snapshot": "9c1546b122d64a8ac6abd8a5c09d8cc8fab5f0b75353c6db9f2784fbf70e6ccd",
+    "1.snapshot": "dcedae44facee75118202703ab49df5185e8cc61c171df2ed0ccef22fc33e7e5",
+    "2.snapshot": "f06f217749f059b09e47f357022d5933298ba6c91e2fa7d01b171770ccfe595b",
+    "3.snapshot": "eeacc53f08174c13e58610788411093a8b797a172ec20b760e1c9ca441403ad0",
     "cluster.state": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty: the last point
     "config": "a07f9fbb9806c1bf1db68156c74d1cb624c2b40b9ea5b2e5164201295c000bb3",
 }

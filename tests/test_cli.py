@@ -11,13 +11,12 @@ from cloudledger import (
     build_manifest,
     cli,
     load_ledger,
-    make_block,
     partition_upload,
     serialize_manifest,
     snapshot_cluster,
 )
 from cloudledger.cluster import SNAPSHOT_HEADER
-from cloudledger.ledger import _ledger_file, _read_record, load_cluster
+from cloudledger.ledger import _read_record, load_cluster
 from cloudledger.rng import generate_payload
 from helpers import rechain
 
@@ -288,6 +287,11 @@ def three_epochs(ledger_dir):
         assert run_cli("--ledger-dir", str(ledger_dir), *op) == 0
 
 
+def old_entry(block):
+    """A block entry as v2 to v9 wrote it: ``<sha256 hex> <weight>\n<payload>\n``."""
+    return b"%s %d\n%s\n" % (block.digest.encode(), len(block.payload), block.payload)
+
+
 def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     """A v3 directory may hold a snapshot its index never listed, which a
     later format would read as committed, a v4 directory keeps its
@@ -295,10 +299,11 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     keeps its blocks in a pack, not in its epoch files, a v6 directory
     holds a full snapshot, status lines included, in every epoch file, not
     a redo record, a v7 directory holds the upload's blocks and a full
-    snapshot in 0.snapshot, not an UPLOAD record, and a v8 directory ends
-    each epoch file in the hash of its snapshot, not a chain line, so every
-    file headed SNAPSHOT v3, v4, v5, v6 or v7, and every epoch file ending
-    in a v8 snapshot line, fails by name, and recover writes nothing."""
+    snapshot in 0.snapshot, not an UPLOAD record, a v8 directory ends each
+    epoch file in the hash of its snapshot, not a chain line, and a v9
+    directory heads each entry with its digest, so every file headed
+    SNAPSHOT v3 to v9, every epoch file ending in a v8 snapshot line and
+    every v9 entry fails by name, and recover writes nothing."""
     current = tmp_path / "current"
     three_epochs(current)
     cut = tmp_path / "cut"  # each epoch's snapshot text: the last one of the ledger cut after that epoch
@@ -316,41 +321,47 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     live = load_cluster(ledger, 42)
     tampered = tuple(block for server in live.servers for block in server.blocks.values()
                      if block.digest not in ledger.blocks)
-    texts, stored = {}, {}
+    texts, stored, chain, v9_files = {}, {}, b"", {}
     for point, text in zip(ledger.points, snapshots):
         name = f"{point.epoch}.snapshot"
-        added = _read_record(name, point.epoch, point.record[:-78], stored)[2]
+        op, written, added = _read_record(name, point.epoch, point.record[:-78], stored)
         stored.update(added)
-        texts[name] = (point.op if point.epoch else None, tuple(added.values()), text, point.record[:-78])
-    texts["cluster.state"] = (None, tampered, snapshot_cluster(live), None)
+        # The file as v9 wrote it: the entry of a block where it first occurs, a reference after, the chain line.
+        new = dict(added)
+        body = b"".join([f"{op}\n".encode(), *(old_entry(new.pop(block.digest)) if block.digest in new
+                                               else f"{block.digest}\n".encode() for block in written)])
+        chain = hashlib.sha256(chain + body).hexdigest().encode()
+        v9_files[name] = body + b"CHAIN sha256=%s\n" % chain
+        texts[name] = (point.op if point.epoch else None, tuple(added.values()), text, body, written)
+    texts["cluster.state"] = (None, tampered, snapshot_cluster(live), None, ())
     blocks = {**ledger.blocks, **{block.digest: block for block in tampered}}
-    pack = b"PACK v2\n" + b"".join(b"%s %d\n%s\n" % (digest.encode(), len(block.payload), block.payload)
-                                   for digest, block in blocks.items())
-    for version in ("v3", "v4", "v5", "v6", "v7", "v8"):
-        # The v9 files as that version wrote them: in v8 each epoch file's
-        # operation line and block lines, then the hash of its snapshot; in
-        # v7 a full snapshot in 0.snapshot and cluster.state, and after its
-        # operation line and entries a digest line and a snapshot line in
-        # every other epoch file; before v7 a full snapshot in every epoch
-        # file, before v6 the blocks in a pack, and before v5 no operation
-        # lines, the operations in a journal.
+    pack = b"PACK v2\n" + b"".join(map(old_entry, blocks.values()))
+    for version in ("v3", "v4", "v5", "v6", "v7", "v8", "v9"):
+        # The v10 files as that version wrote them: in v9 each entry headed
+        # by its digest; in v8 also each epoch file's operation line and
+        # block lines, then the hash of its snapshot; in v7 a full snapshot
+        # in 0.snapshot and cluster.state, and after its operation line and
+        # entries a digest line and a snapshot line in every other epoch
+        # file; before v7 a full snapshot in every epoch file, before v6 the
+        # blocks in a pack, and before v5 no operation lines, the operations
+        # in a journal.
         ledger_dir = tmp_path / version
         ledger_dir.mkdir()
         (ledger_dir / "config").write_bytes((current / "config").read_bytes())
         if version in ("v3", "v4", "v5", "v7"):
             (ledger_dir / "blocks.pack").write_bytes(pack)
-        for name, (op, added, text, body) in texts.items():
+        for name, (op, added, text, body, written) in texts.items():
             assert text.startswith(SNAPSHOT_HEADER + "\n")
             head = f"{op}\n" if op and version in ("v5", "v6", "v7") else ""
             text = f"SNAPSHOT {version}{text[len(SNAPSHOT_HEADER):]}"
             snapshot_line = f"SNAPSHOT sha256={hashlib.sha256(text.encode()).hexdigest()}\n"
-            if body is not None and version == "v8":
-                (ledger_dir / name).write_bytes(body + snapshot_line.encode())
+            if body is not None and version in ("v8", "v9"):
+                (ledger_dir / name).write_bytes(v9_files[name] if version == "v9" else body + snapshot_line.encode())
                 continue
-            if op and version == "v7":  # no DELETE here: the digest its v9 block line starts with, then the hash
-                written = (current / name).read_bytes().split(b"\n")[1][:64].decode()
-                text = f"{written}\n{snapshot_line}"
-            (ledger_dir / name).write_bytes(_ledger_file(head, added if version in ("v6", "v7", "v8") else (), text))
+            if op and version == "v7":  # no DELETE here: the digest of the block it wrote, then the hash
+                text = f"{written[0].digest}\n{snapshot_line}"
+            entries = added if version in ("v6", "v7", "v8", "v9") else ()
+            (ledger_dir / name).write_bytes(b"".join([head.encode(), *map(old_entry, entries), text.encode()]))
         if version in ("v3", "v4"):
             (ledger_dir / "journal").write_bytes(journal)
         before = dir_contents(ledger_dir)
@@ -360,6 +371,13 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
             assert dir_contents(ledger_dir) == before, (version, command)
         assert seeded_upload(ledger_dir) == 3
         assert dir_contents(ledger_dir) == before
+    # A v9 cluster.state beside v10 epoch files is named by the cluster.state reader (history does not read it).
+    (current / "cluster.state").write_bytes((tmp_path / "v9" / "cluster.state").read_bytes())
+    before = dir_contents(current)
+    for command in ("verify", "recover"):
+        assert run_cli("--ledger-dir", str(current), command) == 2, command
+        assert "cluster.state is in ledger format v9" in capsys.readouterr().err, command
+        assert dir_contents(current) == before, command
 
 
 @pytest.mark.parametrize("op, epoch, error", [
@@ -383,8 +401,7 @@ def test_an_entry_the_operation_did_not_write_exits_2(ledger_dir, capsys, op, ep
         assert run_cli(*flags, *op) == 0
     path = ledger_dir / f"{epoch}.snapshot"
     line, lf, rest = path.read_bytes().partition(b"\n")
-    extra = make_block(b"hello extra")
-    path.write_bytes(line + lf + b"%s 11\n%s\n" % (extra.digest.encode(), extra.payload) + rest)
+    path.write_bytes(line + lf + b"11\nhello extra\n" + rest)
     if error is None:
         error = f"{epoch}.snapshot fails its chain line"
     else:

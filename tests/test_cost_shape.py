@@ -20,7 +20,8 @@ manifest and its record's bytes. The read row, on the same 4096 records:
 the reads between two writes share one record tuple, the one the commit
 froze, so an operation compares record tuples once, in its post-check, a
 verify or a recover right after it compares none, and a fault rewrites
-the tuple of its own server only.
+the tuple of its own server only. The save row: a save of the live
+cluster while it is the last point walks no block.
 """
 
 import hashlib
@@ -176,13 +177,29 @@ def test_reads_between_writes_share_one_record_tuple(counted, monkeypatch):
     assert recover(ledger, cluster).action is RecoveryAction.RESTORED
 
 
+def test_a_clean_save_walks_no_block(tmp_path, monkeypatch):
+    """save_cluster writes cluster.state empty while the live cluster is the
+    last point, so only a save that writes it non-empty looks for the live
+    blocks no epoch file holds: a clean save walks no block."""
+    cluster, ledger = make_committed_state(generate_payload(3, 256 * 16), 8, 16, directory=tmp_path)
+    walked, unstored = [], ledger_module._unstored_blocks
+    monkeypatch.setattr(ledger_module, "_unstored_blocks",
+                        lambda store, blocks: unstored(store, (walked.append(block) or block for block in blocks)))
+    ledger_module.save_cluster(ledger, cluster)
+    assert walked == [] and (tmp_path / "cluster.state").read_bytes() == b""
+    inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 6, 9, seed=1))
+    ledger_module.save_cluster(ledger, cluster)
+    assert len(walked) == 256  # one entry, the flipped block's, then the snapshot
+    assert (tmp_path / "cluster.state").read_bytes().startswith(b"16\n%s\n" % cluster.servers[6].blocks[9].payload)
+
+
 def epoch_file_bytes(ledger, stored, written):
     """The size of the ledger's last epoch file: its line, an entry per
     block its commit was first to store (the blocks the store gained past
     its first ``stored``), a 65-byte reference per other block of the
     ``written`` its operation wrote, and its 78-byte chain line."""
     added = list(ledger.blocks.values())[stored:]
-    entries = sum(len(f"{block.digest} {len(block.payload)}\n") + len(block.payload) + 1 for block in added)
+    entries = sum(len(f"{len(block.payload)}\n") + len(block.payload) + 1 for block in added)
     return len(ledger.last().op) + 1 + entries + 65 * (written - len(added)) + len("CHAIN sha256=") + 65
 
 

@@ -256,39 +256,50 @@ def test_the_journal_follows_a_torn_commit(base, tmp_path, monkeypatch, capsys, 
     assert [line.split(" ")[:2] for line in capsys.readouterr().out.splitlines()] == [["1", "APPEND"], ["2", "APPEND"]]
 
 
-ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
-# What verify, history and recover say of each bad entry edit_first_entry makes.
+# What verify, history and recover say of each bad entry edit_first_entry
+# makes: in 0.snapshot, its chain recomputed, and in cluster.state. An edit
+# that leaves well-formed entries of other bytes is another upload in
+# 0.snapshot, which only its chain line refuses, so it is not rechained
+# (None); in cluster.state it leaves a block the snapshot names missing.
+MISSING = r"references block [0-9a-f]{64}, which the store lacks"
 ENTRY_ERRORS = {
-    "bad-header": r"at byte \d+ holds 'Z[0-9a-f]{63} [0-9]+', (which is neither a block entry nor a snapshot header"
-                  r"|where a block line or the chain line belongs)",
-    "no-lf-after-payload": r"entry at byte \d+ is cut short",
-    "weight-past-the-next-entry": r"entry at byte \d+ does not hash to its digest",
-    "stored-twice": r"stores block [0-9a-f]{64}, which the ledger already stores",
-    "not-its-digest": r"entry at byte \d+ does not hash to its digest",
+    "bad-header": (r"at byte \d+ holds 'Z[0-9]*', (which is neither a block entry nor a snapshot header"
+                   r"|where a block line or the chain line belongs)",) * 2,
+    "no-lf-after-payload": (r"entry at byte \d+ is cut short",) * 2,
+    "weight-past-the-next-entry": (None, MISSING),
+    "stored-twice": (r"stores block [0-9a-f]{64}, which the ledger already stores",) * 2,
+    "not-its-digest": (None, MISSING),
 }
 
 
-def whole_entry(data, start=0):
-    """The first entry in ``data`` from ``start`` on, with its payload and LF."""
-    entry = ENTRY.search(data, start)
-    return data[entry.start() : entry.end() + int(entry.group(2)) + 1]
+def first_entry_at(data):
+    """Where ``data``'s first entry starts: at its first byte in
+    cluster.state, after the operation line in an epoch file."""
+    return 0 if data[:1].isdigit() else data.index(b"\n") + 1
+
+
+def whole_entry(data, start):
+    """The entry in ``data`` at ``start``, with its weight line, payload and LF."""
+    payload = data.index(b"\n", start) + 1
+    return data[start : payload + int(data[start : payload - 1]) + 1]
 
 
 def edit_first_entry(data, kind, other):
     """``data`` with its first entry, which another follows, made bad as
     ``kind`` names; ``other`` is an entry that 0.snapshot holds first."""
-    first = ENTRY.search(data)
-    start, lf = first.start(), first.end() + int(first.group(2))  # lf: where the payload's LF is
+    start = first_entry_at(data)
+    weight_end = data.index(b"\n", start)
+    lf = weight_end + 1 + int(data[start:weight_end])  # where the payload's LF is
     if kind == "bad-header":
         return data[:start] + b"Z" + data[start + 1 :]
     if kind == "no-lf-after-payload":
         return data[:lf] + b"x" + data[lf + 1 :]
-    if kind == "weight-past-the-next-entry":  # raised by the next entry's length: the payload ends at its LF
-        weight = int(first.group(2)) + len(whole_entry(data, lf + 1))
-        return data[: first.start(2)] + b"%d" % weight + data[first.end(2) :]
+    if kind == "weight-past-the-next-entry":  # the payload ends at the next entry's LF
+        weight = int(data[start:weight_end]) + len(whole_entry(data, lf + 1))
+        return data[:start] + b"%d" % weight + data[weight_end:]
     if kind == "stored-twice":
         return data[:start] + other + data[start:]
-    assert kind == "not-its-digest"
+    assert kind == "not-its-digest"  # a payload byte flipped: the entry names no digest to fail
     return data[: lf - 1] + bytes([data[lf - 1] ^ 1]) + data[lf:]
 
 
@@ -300,18 +311,21 @@ def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_
     to cut, and a bad entry in an epoch file or in cluster.state (the two
     blocks two pending tampers wrote) is kept as it is: a malformed header,
     no LF after the payload, a weight raised past the next entry, a block
-    the ledger already stores, or bytes that do not hash to their digest,
-    an epoch file's chain recomputed. verify and recover exit 2, and so
-    does history for an epoch file (it reads no cluster.state); recover
-    writes nothing."""
+    the ledger already stores, or a flipped payload byte, an epoch file's
+    chain recomputed unless only the chain refuses the edit. verify and
+    recover exit 2, and so does history for an epoch file (it reads no
+    cluster.state); recover writes nothing."""
     directory = tmp_path / "ledger"
     start_from(base, "append", directory)
     if name == "cluster.state":
         assert run_cli(directory, *COMMANDS["tamper"]) == 0
         assert run_cli(directory, "tamper", "--kind", "flip-byte", "--server", "0", "--block", "0") == 0
-    data = (directory / name).read_bytes()
-    (directory / name).write_bytes(edit_first_entry(data, kind, whole_entry((directory / "0.snapshot").read_bytes())))
-    if name == "0.snapshot":
+    data, first = (directory / name).read_bytes(), (directory / "0.snapshot").read_bytes()
+    (directory / name).write_bytes(edit_first_entry(data, kind, whole_entry(first, first_entry_at(first))))
+    error = ENTRY_ERRORS[kind][name == "cluster.state"]
+    if error is None:
+        error = "0.snapshot fails its chain line"
+    elif name == "0.snapshot":
         rechain(directory)
     before = files(directory)
     capsys.readouterr()
@@ -319,7 +333,7 @@ def test_recover_keeps_a_malformed_pack_entry_that_is_not_a_torn_tail(base, tmp_
         expected = 0 if command == "history" and name == "cluster.state" else 2
         assert run_cli(directory, command) == expected, command
         err = capsys.readouterr().err
-        assert expected == 0 or re.search(ENTRY_ERRORS[kind], err), (command, err)
+        assert expected == 0 or re.search(error, err), (command, err)
         assert files(directory) == before, command
 
 
@@ -332,12 +346,13 @@ def test_recover_cuts_nothing_when_a_corrupt_entry_only_looks_like_a_torn_tail(b
     start_from(base, "append", directory)
     snapshot = directory / "1.snapshot"
     data = snapshot.read_bytes()
-    entry = ENTRY.search(data)
-    snapshot.write_bytes(data[: entry.end(2)] + b"0000" + data[entry.end(2) :])
+    start = first_entry_at(data)
+    weight_end = data.index(b"\n", start)
+    snapshot.write_bytes(data[:weight_end] + b"0000" + data[weight_end:])
     rechain(directory, 1)
     before = files(directory)
     capsys.readouterr()
     for command in ("verify", "history", "recover"):
         assert run_cli(directory, command) == 2, command
-        assert f"1.snapshot entry at byte {entry.start()} is cut short" in capsys.readouterr().err, command
+        assert f"1.snapshot entry at byte {start} is cut short" in capsys.readouterr().err, command
     assert files(directory) == before

@@ -389,15 +389,20 @@ def test_load_ledger_rejects_reference_missing_from_pack(tmp_path):
 
 
 def test_load_ledger_rejects_flipped_pack_byte(tmp_path):
+    """A payload byte flipped in an epoch file fails its chain line, which
+    covers every entry's bytes. With the chain recomputed too, a consistent
+    rewrite, the file loads as the other content, as no entry names its
+    digest."""
     directory = tmp_path / "ledger"
     make_committed_state(b"abcdef", 2, 2, directory=directory)
     snapshot = directory / "0.snapshot"
     data = bytearray(snapshot.read_bytes())
-    data[data.index(b" 2\nab\n") + 3] ^= 0x01
+    data[data.index(b"\n2\nab\n") + 3] ^= 0x01
     snapshot.write_bytes(bytes(data))
-    rechain(directory)
-    with pytest.raises(SnapshotCorrupt, match="does not hash to its digest"):
+    with pytest.raises(SnapshotCorrupt, match="0.snapshot fails its chain line"):
         load_ledger(directory)
+    rechain(directory)
+    assert digest_of(b"`b") in load_ledger(directory).blocks
 
 
 def test_recovered_cluster_round_trips_through_snapshots():
@@ -467,7 +472,7 @@ def edit_snapshot(directory, epoch, pattern, replacement, into=None):
 EPOCH_EDITS = {
     "upload-servers": (0, "^UPLOAD servers=3$", "UPLOAD servers=4", None),
     # Server 0's blocks 0 and 1 swapped: the upload's first two entries, each 32 bytes.
-    "upload-id": (0, "(?s)^([0-9a-f]{64} 32\n.{32}\n)([0-9a-f]{64} 32\n.{32}\n)", r"\2\1", None),
+    "upload-id": (0, "(?s)^(32\n.{32}\n)(32\n.{32}\n)", r"\2\1", None),
     # Epoch 3's reference, to server 0's block 1, swapped for another stored block of its weight.
     "reference-swapped": (3, "^[0-9a-f]{64}$", digest_of(bytes(range(32))), None),
     "servers": (1, "^APPEND server=1 ", "APPEND server=9 ", "1.snapshot holds 'APPEND server=9 block=2', which epoch 0"
@@ -486,8 +491,15 @@ EPOCH_EDITS = {
     "op-server-01": (1, "^APPEND server=1 ", "APPEND server=01 ",
                      "1.snapshot starts with 'APPEND server=01 block=2', which is no"),
     # Without its operation line, epoch 1's file starts with the entry of the block it appended.
-    "op-line-missing": (1, "^APPEND server=1 block=2\n", "", f"1.snapshot starts with '{digest_of(bytes(8))} 8', which"
-                        " is no"),
+    "op-line-missing": (1, "^APPEND server=1 block=2\n", "", "1.snapshot starts with '8', which is no"),
+    # An entry's weight line is a canonical decimal, so a leading zero or a sign is no block line.
+    "weight-leading-zero": (1, "^8$", "08", "1.snapshot at byte 24 holds '08', where a block line or the chain"
+                            " line belongs"),
+    "weight-signed": (1, "^8$", "+8", "1.snapshot at byte 24 holds '+8', where a block line or the chain line"
+                      " belongs"),
+    # A line of 64 decimal digits is a reference, never a weight (at most 63 digits): to a block none stores.
+    "reference-of-digits": (1, "(?s)^8\n.{8}\n", "0123456789" * 6 + "0123\n", "1.snapshot names block"
+                            f" {'0123456789' * 6}0123, which the store lacks"),
     # Only the upload commits epoch 0.
     "op-line-at-epoch-0": (0, "^", "APPEND server=1 block=2\n", "0.snapshot holds 'APPEND server=1 block=2', but the"
                            " upload commits"),
@@ -576,6 +588,35 @@ def test_an_epoch_edit_left_unchained_fails_on_its_chain_line(tmp_path, capsys, 
         load_ledger(directory)
     monkeypatch.undo()
     assert_every_load_refuses(directory, capsys, f"{edited}.snapshot fails its chain line")
+
+
+# Payloads that look like other lines of an epoch file. An entry's weight
+# line says where its payload ends, so none of them is read as a line.
+EDGE_PAYLOADS = {
+    "empty": b"",
+    "lf": b"\n",
+    "weight-line": b"5\n",
+    "reference-line": b"ab" * 32,
+    "reference-lines": b"\n" + b"ab" * 32 + b"\n" + b"0" * 64 + b"\n",
+    "chain-line": b"CHAIN sha256=" + b"0" * 64 + b"\n",
+}
+
+
+@pytest.mark.parametrize("payload", EDGE_PAYLOADS.values(), ids=EDGE_PAYLOADS)
+def test_an_entry_is_its_weight_line_and_payload_whatever_the_payload_holds(tmp_path, capsys, payload):
+    """An appended block's entry is ``<weight>\\n<payload>\\n``, a 0-byte one
+    included, and the ledger loads it as the block it was, by load_ledger
+    and by the CLI's recover, which finds the live cluster intact."""
+    directory = tmp_path / "ledger"
+    cluster, ledger = make_committed_state(bytes(range(50)), 3, 4, directory=directory)
+    append(cluster, ledger, 2, payload)
+    assert ledger.points[1].record[:-78] == b"APPEND server=2 block=4\n%d\n%s\n" % (len(payload), payload)
+    loaded = load_ledger(directory)
+    assert loaded.points == ledger.points and make_block(payload).digest in loaded.blocks
+    (directory / "cluster.state").write_bytes(b"")  # the live cluster is the last point
+    capsys.readouterr()
+    assert cli.run(["--ledger-dir", str(directory), "recover"]) == 0
+    assert capsys.readouterr().out == "INTACT epoch=1\n"
 
 
 def test_an_edited_server_count_builds_no_cluster_before_the_chain_refuses_it(tmp_path, capsys, monkeypatch):
