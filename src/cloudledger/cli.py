@@ -10,11 +10,12 @@ one file per committed epoch (<epoch>.snapshot: a redo record of the
 upload or operation that committed it: its line, each block it wrote,
 stored the first time and named by digest after, and a chain line, the
 hash of its bytes and the chain of the files before it), the live
-cluster snapshot (cluster.state: the live blocks no epoch file holds,
-the snapshot and the live status, empty while it is the last restore
-point), and the effective configuration (config, key=value lines). The ledger module writes every one of them
-whole, through ledger.write_file. history renders the operation journal
-from the ledger's epochs.
+cluster (cluster.state: empty while no fault since the last commit or
+restore is in effect, and otherwise a HEAD line naming the last epoch
+and a line per tamper or crash since, which replay onto that point), and
+the effective configuration (config, key=value lines). The ledger module
+writes every one of them whole, through ledger.write_file. history
+renders the operation journal from the ledger's epochs.
 Identical configuration plus an identical command sequence reproduces
 byte-identical directory contents.
 

@@ -17,8 +17,10 @@ weights of only the servers written since their last snapshot.
 Fault injection covers byte corruption, truncation, same-weight
 substitution, block drops, server crashes (which erase that server's
 data), and a lying read path that replays the previous epoch's records.
-FaultSpec and FaultReport are NamedTuples; ServerState and ClusterState
-are plain mutable classes.
+The cluster lists the faults injected since its last snapshot load, each
+with the seed of its byte stream, so replaying them onto that snapshot
+rebuilds it. FaultSpec and FaultReport are NamedTuples; ServerState and
+ClusterState are plain mutable classes.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .manifest import (
     parse_manifest,
     serialize_manifest,
 )
-from .rng import XorShift64Star
+from .rng import _MASK64, XorShift64Star
 
 
 class FaultKind(enum.Enum):
@@ -89,11 +91,10 @@ class ServerState:
     block's address lives. Both dicts stay in block-id order (appends take
     the next id, updates replace in place), which is the manifest order.
     A record object outlives the writes at other addresses, so a commit's
-    manifest shares it, and a snapshot loaded into the server (a recover,
-    a rollback or a non-empty cluster.state) drops the ids the
-    snapshot lacks and puts only the blocks that differ or are missing; a
-    server whose remaining ids are no prefix of the snapshot's is
-    replaced by a new one instead. put renders each record's manifest
+    manifest shares it, and a snapshot loaded into the server (a recover
+    or a rollback) drops the ids the snapshot lacks and puts only the
+    blocks that differ or are missing; a server whose remaining ids are no
+    prefix of the snapshot's is replaced by a new one instead. put renders each record's manifest
     line into record_lines, the third dict that put and drop alone write,
     so a record line is rendered once, when its record is written.
     snapshot_lines joins those lines, renders the digest lines and sums
@@ -153,9 +154,13 @@ class ClusterState:
     there are any), come only from ledger.previous_records; the
     stale-manifest fault replays them through
     read_manifest (stamped with the current epoch, as a hiding CSP would)
-    until a restore clears it. Mutation is serialized through a single
-    driver; a read changes nothing but the record tuple stored_manifest
-    keeps, which is a function of the servers' own.
+    until a restore clears it. faults lists the faults injected since the
+    last snapshot load or intact recover, each with the seed of its byte
+    stream (rng_seed xor its own), so they replay onto that state under
+    any rng_seed; a commit keeps only the ones still in effect. Mutation is
+    serialized through a single driver; a read changes nothing but the
+    record tuple stored_manifest keeps, which is a function of the
+    servers' own.
     """
 
     def __init__(self, servers: list[ServerState], rng_seed: int = 0) -> None:
@@ -164,6 +169,7 @@ class ClusterState:
         self.rng_seed = rng_seed
         self.stale_armed = False
         self.previous_records: Optional[tuple[BlockRecord, ...]] = None
+        self.faults: list[FaultSpec] = []
         self._joined: tuple[tuple[tuple[BlockRecord, ...], ...], tuple[BlockRecord, ...]] = ((), ())
 
     @property
@@ -264,7 +270,18 @@ def read_manifest(cluster: ClusterState) -> Manifest:
 
 
 def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
-    """Apply one fault to the cluster, deterministically from (state, seed)."""
+    """Apply one fault to the cluster, deterministically from (state, seed),
+    and list it in cluster.faults: its kind and server, the block its
+    report names (none for a crash or a stale read path, which name none)
+    and the seed of its byte stream, rng_seed xor its own, as 64 bits."""
+    report = _apply_fault(cluster, fault)
+    cluster.faults.append(FaultSpec(fault.kind, fault.target_server, report.target_block,
+                                    (cluster.rng_seed ^ fault.seed) & _MASK64))
+    return report
+
+
+def _apply_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
+    """What inject_fault does to the cluster, and its report."""
     if not 0 <= fault.target_server < cluster.server_count:
         raise NoSuchTarget(f"no server {fault.target_server}")
     server = cluster.servers[fault.target_server]
@@ -329,19 +346,17 @@ def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # --- cluster snapshots -------------------------------------------------------
 #
 # A snapshot names each block by its content digest instead of carrying its
-# bytes (ledger format v10): the marker line SNAPSHOT_HEADER, the canonical
-# manifest text, one digest line per manifest record in record order, and a
-# final END. It holds what a restore point restores, and no live status: a
-# loaded snapshot has every server up and no stale read path, and only the
-# ledger's cluster.state records a DOWN server or an armed STALE path. The
+# bytes: the marker line SNAPSHOT_HEADER, the canonical manifest text, one
+# digest line per manifest record in record order, and a final END. It holds
+# what a restore point restores, and no live status or fault: a loaded
+# snapshot has every server up, no stale read path and no fault listed. The
 # bytes live once in a block store, a mapping from digest to DataBlock (on
-# disk, the entries of the ledger's files). Only a non-empty cluster.state
-# stores snapshot text; an epoch file stores the operation that rebuilds it,
-# and the ledger keeps the last point's text in memory.
+# disk, the entries of the ledger's epoch files). No file stores snapshot
+# text: an epoch file stores the operation that rebuilds it, the ledger's
+# cluster.state the faults since the last point, and the ledger keeps the
+# last point's text in memory, the one a restore loads.
 
-SNAPSHOT_HEADER = "SNAPSHOT v10"
-_RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"],
-                    ["SNAPSHOT", "v6"], ["SNAPSHOT", "v7"], ["SNAPSHOT", "v8"], ["SNAPSHOT", "v9"])
+SNAPSHOT_HEADER = "SNAPSHOT v11"
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
@@ -383,15 +398,11 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     differing block, found by one C pass over its blocks, and one per
     missing id, all larger, so an append costs one put. Any other server
     is replaced by a new one, filled by put in block-id order. The epoch is
-    then set from the snapshot, every server is alive and the stale read
-    path is disarmed: a snapshot holds no live status.
+    then set from the snapshot, every server is alive, the stale read path
+    is disarmed and no fault is listed: a snapshot holds no live status.
     """
     head = text.partition("\n")[0]
     if head != SNAPSHOT_HEADER:
-        version = head.split(" ")[:2]
-        if version in _RETIRED_HEADERS:
-            raise SnapshotCorrupt(f"snapshot is in ledger format {version[1]}, which is no longer supported;"
-                                  f" expected format {SNAPSHOT_HEADER.split()[1]} ({SNAPSHOT_HEADER!r})")
         raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
     split = text.find("\nEND\n", len(head))
     if split < 0:
@@ -450,6 +461,7 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
             server.put(block_id, block)
     cluster.epoch = manifest.epoch
     cluster.stale_armed = False
+    cluster.faults = []
     for server in cluster.servers:
         server.alive = True
     return cluster

@@ -40,9 +40,10 @@ class NothingToRestore(CloudLedgerError):
 
 class SnapshotCorrupt(CloudLedgerError):
     """A ledger file failed to load: an epoch file failed its chain line or
-    is no redo record the epoch before allows, a snapshot failed its own
-    manifest consistency check or named a block the store lacks, or a
-    stored block failed its digest."""
+    is no redo record the epoch before allows, cluster.state holds a line
+    that is no HEAD or fault line or a fault its point refuses, a file is
+    in a retired format, or a snapshot failed its own manifest consistency
+    check or named a block the store lacks."""
 
 
 class StaleEpoch(CloudLedgerError):

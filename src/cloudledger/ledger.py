@@ -39,7 +39,9 @@ hashes the file with the chain of the files before it. The chain covers
 every entry's bytes, so no entry names its digest: the load computes it,
 once, to key the block store. load_ledger checks every chain line, then
 replays the upload onto an empty cluster and each later operation onto
-the epoch before, so a clean ledger stores no manifest or snapshot text.
+the epoch before, so no ledger file stores manifest or snapshot text. The
+CLI's live cluster, cluster.state, is the last point with the faults
+injected since it replayed onto it (load_cluster).
 """
 
 from __future__ import annotations
@@ -51,13 +53,14 @@ import re
 from bisect import bisect_left
 from operator import is_
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .cluster import (
-    _RETIRED_HEADERS,
-    SNAPSHOT_HEADER,
     ClusterState,
+    FaultKind,
+    FaultSpec,
     ServerState,
+    inject_fault,
     load_snapshot,
     new_cluster,
     read_manifest,
@@ -67,6 +70,7 @@ from .cluster import (
 from .errors import (
     EpochMismatch,
     ManifestFormatError,
+    NoSuchTarget,
     NothingToRestore,
     SnapshotCorrupt,
     UnverifiedState,
@@ -183,7 +187,10 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     point's but for the one its line names (_written_blocks), so that block
     is the only one looked up in the store. A bound ledger writes the
     epoch file before the blocks join the store, the point joins
-    ``points`` and its snapshot text becomes ``last_snapshot``.
+    ``points`` and its snapshot text becomes ``last_snapshot``. The
+    cluster then lists only the crashes and stale read paths among its
+    faults: the stored blocks verified as the point's, so no other fault
+    is in effect, and these replay onto it as they did onto the point before.
     """
     if not verdict.z:
         raise UnverifiedState("refusing to snapshot a state that failed verification")
@@ -203,7 +210,7 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
         written = [block for server in cluster.servers for block in server.blocks.values()]
     else:
         written = _written_blocks(ledger.last(), ledger.last_snapshot, cluster, op)
-    added = _unstored_blocks(ledger.blocks, written)
+    added = {block.digest: block for block in written if block.digest not in ledger.blocks}
     new = dict(added)  # an entry where a block first occurs, a reference after
     lines = [_entry(new.pop(block.digest)) if block.digest in new else f"{block.digest}\n".encode("ascii")
              for block in written]
@@ -214,6 +221,7 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     ledger.blocks.update(added)
     ledger.last_snapshot = snapshot_cluster(cluster)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
+    cluster.faults = [fault for fault in cluster.faults if fault.kind in _LIVE_STATUS]
     ledger.points.append(point)
     return point
 
@@ -231,11 +239,13 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
     aggregate Y equals the committed X. Weight equality alone is not
     trusted, because identical-weight substitutions leave Y unchanged;
     nor is a pass through a stale read path, which replays committed
-    records whatever the servers store. Otherwise the snapshot is loaded
-    into the cluster, which writes only the addresses a fault changed, so
-    the restored cluster shares the committed records; crashed servers
-    are revived, the lying read path is cleared, and the restored state is
-    re-verified: the one verify_equality call a recover makes.
+    records whatever the servers store. An intact cluster's faults, such as
+    two flips of one byte that cancel, are no longer listed. Otherwise the
+    snapshot is loaded into the cluster, which writes only the addresses a
+    fault changed, so the restored cluster shares the committed records;
+    crashed servers are revived, the lying read path and the fault list are
+    cleared, and the restored state is re-verified: the one verify_equality
+    call a recover makes.
     """
     last = ledger.last()
     live = read_manifest(cluster)
@@ -247,6 +257,7 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
         and (live.records is last.manifest.records or live.records == last.manifest.records)
     )
     if intact:
+        cluster.faults = []
         return RecoveryReport(RecoveryAction.INTACT, last.epoch)
 
     rewrite_cluster_from_point(ledger, cluster)
@@ -321,18 +332,9 @@ def _written_blocks(last: RestorePoint, text: str, cluster: ClusterState, op: st
     return [] if written is None else [written]
 
 
-def _unstored_blocks(store: Mapping[str, DataBlock], blocks: Iterable[DataBlock]) -> dict[str, DataBlock]:
-    """The ``blocks`` that ``store`` lacks, digest -> block, each once, in the order given."""
-    new: dict[str, DataBlock] = {}
-    for block in blocks:
-        if block.digest not in store:
-            new.setdefault(block.digest, block)
-    return new
-
-
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v10: write_file replaces every file whole, by way of
+# Ledger format v11: write_file replaces every file whole, by way of
 # ``<name>.tmp``, so a crash leaves the old file or the new. An epoch's only
 # file is ``<epoch>.snapshot``, and its rename is the commit. Every epoch file,
 # the upload's included, is a redo record of one grammar: its operation line,
@@ -347,24 +349,36 @@ def _unstored_blocks(store: Mapping[str, DataBlock], blocks: Iterable[DataBlock]
 # entry names no digest: the load computes it, to key the block store. The
 # kind sets the number of block lines: any for an UPLOAD, one for an APPEND or
 # UPDATE, none for a DELETE. So every block is stored once in the directory,
-# epoch k names blocks of files 0..k, and no epoch file holds manifest or
+# epoch k names blocks of files 0..k, and no ledger file holds manifest or
 # snapshot text. The CLI's live cluster, ``cluster.state``, is written empty
-# while it is the last point with every server up and no stale read path, and
-# otherwise holds entries, of the same grammar, for the live blocks no epoch
-# file holds (a pending tamper's), its snapshot text, then a status line
-# ``DOWN <server>`` per crashed server and ``STALE`` for an armed stale read
-# path: live status, which no restore point holds. A crash before a rename
-# leaves at most a partial ``.tmp``, which no reader lists and a retry
-# replaces.
+# while no fault since the last commit or restore is in effect, and otherwise
+# holds ``HEAD <epoch>`` and then one line per fault the cluster lists, in
+# order: ``<kind> server=<s> block=<b> seed=<seed>``, its FaultKind value, its
+# server, its block (``-`` for a crash or a stale read path, which name none)
+# and the seed of its byte stream, below 2**64, all decimals canonical and
+# every line ending in LF. load_cluster replays the faults with inject_fault
+# onto the last point when HEAD names its epoch: a tampered block is a
+# function of the point and the fault, so the file stores the fault. A crash
+# before a rename leaves at most a partial ``.tmp``, which no reader lists and
+# a retry replaces.
 
 CLUSTER_FILE = "cluster.state"
+# A canonical decimal of at most 20 digits: every seed below 2**64, and few enough digits for int().
+_NUMBER = "0|[1-9][0-9]{0,19}"
+_HEAD_LINE = re.compile(f"HEAD ({_NUMBER})")
+_FAULT_LINE = re.compile(f"({'|'.join(kind.value for kind in FaultKind)}) server=({_NUMBER}) block=({_NUMBER}|-)"
+                         f" seed=({_NUMBER})")
+# The faults that name no block, and the only ones a commit leaves in effect.
+_LIVE_STATUS = (FaultKind.SERVER_CRASH, FaultKind.CSP_STALE_MANIFEST)
 # An entry's first line, its weight: never 64 characters, the length of a reference.
 _WEIGHT_LINE = rb"(?P<weight>0|[1-9][0-9]{0,62})\n"
-_ENTRY_LINE = re.compile(_WEIGHT_LINE)
 # An epoch file's block line: a reference, or an entry's weight line.
 _BLOCK_LINE = re.compile(rb"(?P<digest>[0-9a-f]{64})\n|" + _WEIGHT_LINE)
-# A retired format's entry header, stepped past only to name that format.
-_PACK_ENTRY = re.compile(rb"([0-9a-f]{64}) ([0-9]+)\n")
+# A retired format's entry header, stepped past only to name that format: v2
+# to v9 headed each entry with its digest, and v10's cluster.state held entries.
+_PACK_ENTRY = re.compile(rb"([0-9a-f]{64} )?([0-9]+)\n")
+_RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"],
+                    ["SNAPSHOT", "v6"], ["SNAPSHOT", "v7"], ["SNAPSHOT", "v8"], ["SNAPSHOT", "v9"], ["SNAPSHOT", "v10"])
 _CHAIN_SIZE = len("CHAIN sha256=\n") + 64  # the bytes of a chain line
 # An operation line as operation_line renders it, decimals canonical as in a manifest.
 _OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_DECIMAL}) block=({_DECIMAL})")
@@ -397,11 +411,11 @@ def _entry(block: DataBlock) -> bytes:
     return b"%d\n%s\n" % (len(block.payload), block.payload)
 
 
-def _read_blocks(name: str, data: bytes, position: int, stored: Mapping[str, DataBlock],
-                 line: re.Pattern[bytes] = _BLOCK_LINE) -> tuple[dict[str, DataBlock], list[DataBlock], int]:
-    """The block lines in ``name``'s ``data`` from ``position`` on, read
-    while ``line`` matches: the blocks of its entries, digest -> block, the
-    blocks of all its lines in order, and the position after them. An
+def _read_blocks(name: str, data: bytes, position: int,
+                 stored: Mapping[str, DataBlock]) -> tuple[dict[str, DataBlock], list[DataBlock], int]:
+    """The block lines in ``name``'s ``data`` from ``position`` on: the
+    blocks of its entries, digest -> block, the blocks of all its lines in
+    order, and the position after them. An
     entry's payload is hashed once, by make_block, whose digest names the
     block, and a block that ``stored`` (the other files) or an earlier
     entry holds is refused. A reference must name a block one of them
@@ -409,7 +423,7 @@ def _read_blocks(name: str, data: bytes, position: int, stored: Mapping[str, Dat
     address a line names it at."""
     blocks: dict[str, DataBlock] = {}
     written: list[DataBlock] = []
-    while (match := line.match(data, position)) is not None:
+    while (match := _BLOCK_LINE.match(data, position)) is not None:
         if match["weight"] is not None:  # an entry, which stores the block
             end = match.end() + int(match["weight"])
             if data[end : end + 1] != b"\n":
@@ -430,31 +444,12 @@ def _read_blocks(name: str, data: bytes, position: int, stored: Mapping[str, Dat
 
 def _retired_version(data: bytes, position: int) -> Optional[list[str]]:
     """The retired format of ``data``, as the first two words of its header,
-    when a retired header follows the retired entries (``<sha256 hex>
+    when a retired header follows the retired entries (``[<sha256 hex> ]
     <weight>\n<payload>\n``, _PACK_ENTRY) from ``position``; else None."""
     while (entry := _PACK_ENTRY.match(data, position)) is not None:
         position = entry.end() + int(entry.group(2)) + 1
     version = data[position:].partition(b"\n")[0].decode("utf-8", "replace").split(" ")[:2]
     return version if version in _RETIRED_HEADERS else None
-
-
-def _snapshot_text(name: str, data: bytes, position: int) -> str:
-    """The rest of ``name``'s ``data`` from ``position``, after its entries,
-    decoded as strict UTF-8: snapshot text, which must be empty or start
-    with the snapshot header, so a malformed entry header is named as the
-    line it is. A retired format, its entries included, is named."""
-    rest = data[position:]
-    line = rest.partition(b"\n")[0].decode("utf-8", "replace")
-    if rest and line.split(" ")[:2] != SNAPSHOT_HEADER.split(" "):
-        if (version := _retired_version(data, position)) is not None:
-            raise SnapshotCorrupt(f"{name} is in ledger format {version[1]}, which is no longer supported")
-        raise SnapshotCorrupt(f"{name} at byte {position} holds {line!r}, which is neither a block entry nor a"
-                              " snapshot header")
-    try:
-        return rest.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SnapshotCorrupt(f"{name} does not load: its snapshot, from byte {position}, is not UTF-8"
-                              f" ({exc.reason} at byte {position + exc.start})") from exc
 
 
 def _chain_line(previous: bytes, body: bytes) -> bytes:
@@ -498,7 +493,7 @@ def _read_record(name: str, epoch: int, data: bytes, stored: Mapping[str, DataBl
         raise SnapshotCorrupt(f"{name} holds {op!r}, but the upload commits epoch 0, and only epoch 0")
     blocks, written, position = _read_blocks(name, data, len(head) + 1, stored)
     if position != len(data):
-        if _PACK_ENTRY.match(data, position):  # a v9 entry, which named its digest: the chain passes it
+        if (entry := _PACK_ENTRY.match(data, position)) and entry[1]:  # a v9 entry, headed by its digest
             raise SnapshotCorrupt(f"{name} is in ledger format v9, which is no longer supported")
         line, lf, _ = data[position:].partition(b"\n")
         raise SnapshotCorrupt(f"{name} at byte {position} holds {line.decode('utf-8', 'replace')!r}"
@@ -547,72 +542,63 @@ def _replay(cluster: Optional[ClusterState], name: str, epoch: int, op: str, wri
     return cluster
 
 
-def _apply_status(cluster: ClusterState, status: str) -> None:
-    """Set the cluster's live status from the status lines ``status``, each
-    ending in LF and given at most once: ``DOWN <server>`` for a crashed
-    server, which holds no records (a crash erases them), and ``STALE`` for
-    an armed stale read path, never at epoch 0, which has no previous epoch
-    to replay."""
-    *lines, rest = status.split("\n")
-    down: set[int] = set()
-    stale = False
-    for line in lines:
-        if line == "STALE" and not stale:
-            stale = True
-        elif line[5:].isdecimal() and line == f"DOWN {int(line[5:])}" and int(line[5:]) not in down:
-            down.add(int(line[5:]))
-        else:
-            raise SnapshotCorrupt(f"bad or repeated status line: {line!r}")
+def _read_faults(data: bytes) -> tuple[Optional[int], list[FaultSpec]]:
+    """The epoch of cluster.state's HEAD line and its faults, as its bytes
+    ``data``, which are not empty, hold them. Any line that is not one the
+    grammar allows, its seed under 2**64 and a block for exactly the
+    faults that name one, is refused as the line it is, and a file of a
+    retired format, its entries included, by its format."""
+    *lines, rest = data.decode("utf-8", "replace").split("\n")
+    head = _HEAD_LINE.fullmatch(lines[0] if lines else rest)
+    if head is None:
+        if (version := _retired_version(data, 0)) is not None:
+            raise SnapshotCorrupt(f"{CLUSTER_FILE} is in ledger format {version[1]}, which is no longer supported")
+        raise SnapshotCorrupt(f"{CLUSTER_FILE} starts with {(lines or [rest])[0]!r}, which is no HEAD line")
     if rest:
-        raise SnapshotCorrupt(f"{CLUSTER_FILE} ends in {rest!r}, a status line with no LF")
-    if stale and cluster.epoch == 0:
-        raise SnapshotCorrupt("STALE line at epoch 0, which has no previous epoch to replay")
-    for server_index in down:
-        if not 0 <= server_index < cluster.server_count:
-            raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")
-        if cluster.servers[server_index].records:
-            raise SnapshotCorrupt(f"DOWN line names server {server_index}, which holds records")
-    cluster.stale_armed = stale
-    for server_index in down:
-        cluster.servers[server_index].alive = False
+        raise SnapshotCorrupt(f"{CLUSTER_FILE} ends in {rest!r}, a line with no LF")
+    faults = []
+    for line in lines[1:]:
+        match = _FAULT_LINE.fullmatch(line)
+        if match is None or int(match[4]) >> 64 or (match[3] == "-") != (FaultKind(match[1]) in _LIVE_STATUS):
+            raise SnapshotCorrupt(f"{CLUSTER_FILE} holds {line!r}, which is no fault line")
+        faults.append(FaultSpec(FaultKind(match[1]), int(match[2]), None if match[3] == "-" else int(match[3]),
+                                int(match[4])))
+    return int(head[1]), faults
 
 
 def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
-    """The live cluster in the ledger's directory, seeded with ``rng_seed``.
-    An empty file is the last point: the cluster load_ledger's replay ended
-    in, which it hands out once, so a clean command parses no snapshot.
-    Otherwise the file's snapshot is loaded into that cluster,
-    which writes only the addresses where it differs, its blocks resolving
-    in the store and in the file's own entries, which stay out of the store,
-    and then its status lines (_apply_status), which this file alone holds,
-    are applied."""
+    """The live cluster in the ledger's directory, seeded with ``rng_seed``:
+    the cluster load_ledger's replay ended in, which it hands out once, so
+    a command parses no snapshot, with the faults cluster.state lists
+    (_read_faults) replayed onto it by inject_fault. A HEAD line that names
+    another epoch than the last point's leaves the cluster at that epoch,
+    which every command but recover refuses, and its faults unreplayed; a
+    fault that the point refuses, such as one naming a block it lacks,
+    fails the load."""
     data = (ledger.directory / CLUSTER_FILE).read_bytes()
+    epoch, faults = _read_faults(data) if data else (None, [])
     cluster, ledger._replayed = ledger._replayed, None
-    if data:
-        own, _, position = _read_blocks(CLUSTER_FILE, data, 0, ledger.blocks, _ENTRY_LINE)
-        snapshot, end, status = _snapshot_text(CLUSTER_FILE, data, position).rpartition("\nEND\n")
-        cluster = load_snapshot(snapshot + end, ledger.blocks | own, into=cluster)
-        _apply_status(cluster, status)
-    elif cluster is None:  # a ledger committed in this process, or one whose cluster was handed out
+    if cluster is None:  # a ledger committed in this process, or one whose cluster was handed out
         cluster = load_snapshot(ledger.last_snapshot, ledger.blocks)
     cluster.rng_seed = rng_seed
+    if epoch is not None and epoch != cluster.epoch:
+        cluster.epoch, faults = epoch, []
     cluster.previous_records = previous_records(ledger, cluster.epoch)
+    for fault in faults:
+        try:
+            inject_fault(cluster, fault._replace(seed=fault.seed ^ rng_seed))  # inject_fault xors rng_seed back
+        except NoSuchTarget as exc:
+            raise SnapshotCorrupt(f"{CLUSTER_FILE} holds a {fault.kind.value} fault that epoch {epoch} refuses:"
+                                  f" {exc}") from exc
     return cluster
 
 
 def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
-    """Replace the live cluster: empty while it is the last point with every
-    server up and no stale read path, and otherwise the live blocks no epoch
-    file holds, then its snapshot, then its status lines. Only a file
-    written non-empty walks the live blocks."""
-    text = snapshot_cluster(cluster)
-    status = "".join([f"DOWN {server.server_index}\n" for server in cluster.servers if not server.alive])
-    status += "STALE\n" if cluster.stale_armed else ""
-    data = b""
-    if status or text != ledger.last_snapshot:
-        live = (block for server in cluster.servers for block in server.blocks.values())
-        data = b"".join([*map(_entry, _unstored_blocks(ledger.blocks, live).values()), (text + status).encode("utf-8")])
-    write_file(ledger.directory, CLUSTER_FILE, data)
+    """Replace the live cluster: empty while the cluster lists no fault,
+    and otherwise its HEAD line and one line per fault (_read_faults)."""
+    lines = [f"{kind.value} server={server} block={'-' if block is None else block} seed={seed}\n"
+             for kind, server, block, seed in cluster.faults]
+    write_file(ledger.directory, CLUSTER_FILE, "".join([f"HEAD {cluster.epoch}\n", *lines] if lines else []).encode())
 
 
 def _persist_point(directory: Path, point: RestorePoint) -> None:

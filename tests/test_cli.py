@@ -129,82 +129,56 @@ def test_tamper_without_a_fault_seed_draws_from_the_config_seed(tmp_path, capsys
     assert notes[0].startswith("byte ") and notes[0] != notes[1], notes
 
 
-def write_full_cluster_state(ledger_dir):
-    """Write the last snapshot's text into cluster.state, which a clean ledger leaves empty, and return it."""
-    text = load_ledger(ledger_dir).last_snapshot
-    (ledger_dir / "cluster.state").write_text(text, encoding="utf-8")
-    return text
-
-
-def test_snapshot_naming_unknown_server_exits_2(ledger_dir, capsys):
-    seeded_upload(ledger_dir)
+def assert_cluster_state_exits_2(ledger_dir, capsys, data, error):
+    """verify and recover both reject a cluster.state holding ``data``, and leave it as it is."""
     state = ledger_dir / "cluster.state"
-    state.write_text(write_full_cluster_state(ledger_dir).replace("servers=3", "servers=1", 1))
-    assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 2
-    assert "snapshot manifest unreadable" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "edit, error",
-    [
-        (lambda text: text.replace(" epoch=0 ", " epoch=-1 ", 1), "manifest epoch -1 is negative"),
-        (lambda text: text.replace("\n0 0 ", "\n0 -1 ", 1), "record block -1 is negative"),
-    ],
-)
-def test_cluster_state_with_a_negative_epoch_or_block_exits_2(ledger_dir, capsys, edit, error):
-    seeded_upload(ledger_dir)
-    assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error)
-
-
-def assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error):
-    """verify and recover both reject the edited cluster.state, and leave it as it is."""
-    state = ledger_dir / "cluster.state"
-    full = write_full_cluster_state(ledger_dir)
-    edited = edit(full)
-    assert edited != full
-    state.write_text(edited, encoding="utf-8")
+    state.write_text(data, encoding="utf-8")
     capsys.readouterr()
     for command in ("verify", "recover"):
         assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
         assert error in capsys.readouterr().err
-    assert state.read_text(encoding="utf-8") == edited
+    assert state.read_text(encoding="utf-8") == data
 
 
-def add_status_lines(*lines):
-    """Status lines as cluster.state holds them, after the snapshot's END."""
-    return lambda text: text + "".join(line + "\n" for line in lines)
+def test_snapshot_naming_unknown_server_exits_2(ledger_dir, capsys):
+    """The live cluster, a snapshot in earlier formats and the last point's
+    faults now, names a server the 3-server cluster lacks."""
+    seeded_upload(ledger_dir)
+    assert_cluster_state_exits_2(ledger_dir, capsys, "HEAD 0\nflip-byte server=3 block=0 seed=42\n",
+                                 "cluster.state holds a flip-byte fault that epoch 0 refuses: no server 3")
+
+
+@pytest.mark.parametrize("data, error", [
+    ("HEAD -1\n", "cluster.state starts with 'HEAD -1', which is no HEAD line"),
+    ("HEAD 0\nflip-byte server=0 block=-1 seed=42\n",
+     "cluster.state holds 'flip-byte server=0 block=-1 seed=42', which is no fault line"),
+], ids=["negative-epoch", "negative-block"])
+def test_cluster_state_with_a_negative_epoch_or_block_exits_2(ledger_dir, capsys, data, error):
+    seeded_upload(ledger_dir)
+    assert_cluster_state_exits_2(ledger_dir, capsys, data, error)
 
 
 @pytest.mark.parametrize(
-    "edit, error",
+    "data, error",
     [
-        (add_status_lines("STALE"), "STALE line at epoch 0"),
-        (add_status_lines("DOWN 1"), "DOWN line names server 1, which holds records"),
-        (add_status_lines("STALE", "STALE"), "bad or repeated status line: 'STALE'"),
-        (add_status_lines("DOWN 2", "DOWN 2"), "bad or repeated status line: 'DOWN 2'"),
-        (add_status_lines("DOWN 01"), "bad or repeated status line: 'DOWN 01'"),
-        (add_status_lines("DOWN \u0661"), "bad or repeated status line: 'DOWN \u0661'"),  # Arabic-Indic 1
+        ("HEAD 0\nstale-manifest server=0 block=- seed=42\n",
+         "stale-manifest fault that epoch 0 refuses: no previous-epoch manifest to serve as stale"),
+        ("HEAD 0\ncrash server=1 block=- seed=42\nflip-byte server=1 block=0 seed=42\n",
+         "flip-byte fault that epoch 0 refuses: no block 0 on server 1"),
+        ("HEAD 0\ncrash server=01 block=- seed=42\n",
+         "holds 'crash server=01 block=- seed=42', which is no fault line"),
+        ("HEAD 0\ncrash server=\u0661 block=- seed=42\n",  # Arabic-Indic 1
+         "holds 'crash server=\u0661 block=- seed=42', which is no fault line"),
     ],
-    ids=["stale-at-epoch-0", "down-server-with-records", "repeated-stale", "repeated-down", "zero-padded-down",
-         "non-ascii-down"],
+    ids=["stale-at-epoch-0", "down-server-with-records", "zero-padded-down", "non-ascii-down"],
 )
-def test_cluster_state_with_a_status_line_snapshots_never_write_exits_2(ledger_dir, capsys, edit, error):
-    """Only cluster.state holds status lines, and only the ones a live cluster can have."""
+def test_cluster_state_with_a_status_line_snapshots_never_write_exits_2(ledger_dir, capsys, data, error):
+    """Only cluster.state holds the crash and stale-manifest faults that set
+    a live status, which no snapshot holds, and only ones its point allows:
+    no stale read path at epoch 0, which has no epoch before it, and no
+    record on a crashed server."""
     seeded_upload(ledger_dir)
-    assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, error)
-
-
-@pytest.mark.parametrize("servers", ["0", "-1"])
-def test_cluster_state_of_no_servers_exits_2(ledger_dir, capsys, servers):
-    seeded_upload(ledger_dir, gen_bytes=0)
-    edit = lambda text: text.replace(" servers=3 ", f" servers={servers} ", 1)
-    assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, f"snapshot manifest has servers={servers};")
-
-
-def test_cluster_state_of_a_user_level_manifest_exits_2(ledger_dir, capsys):
-    seeded_upload(ledger_dir)
-    edit = lambda text: text.replace(" level=CLOUD ", " level=USER ", 1)
-    assert_edited_cluster_state_exits_2(ledger_dir, capsys, edit, "snapshot manifest has level=USER;")
+    assert_cluster_state_exits_2(ledger_dir, capsys, data, error)
 
 
 @pytest.mark.parametrize("command", [["upload"], ["append", "--server", "0"]], ids=["upload", "append"])
@@ -300,10 +274,14 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     holds a full snapshot, status lines included, in every epoch file, not
     a redo record, a v7 directory holds the upload's blocks and a full
     snapshot in 0.snapshot, not an UPLOAD record, a v8 directory ends each
-    epoch file in the hash of its snapshot, not a chain line, and a v9
-    directory heads each entry with its digest, so every file headed
-    SNAPSHOT v3 to v9, every epoch file ending in a v8 snapshot line and
-    every v9 entry fails by name, and recover writes nothing."""
+    epoch file in the hash of its snapshot, not a chain line, a v9
+    directory heads each entry with its digest, and a v10 cluster.state
+    holds entries, a snapshot and status lines, not the faults since the
+    last point, so every file headed SNAPSHOT v3 to v9, every epoch file
+    ending in a v8 snapshot line, every v9 entry and every non-empty v10
+    cluster.state fails by name, and recover writes nothing. v10 epoch
+    files are the current bytes, so a v10 directory whose cluster.state
+    is empty loads."""
     current = tmp_path / "current"
     three_epochs(current)
     cut = tmp_path / "cut"  # each epoch's snapshot text: the last one of the ledger cut after that epoch
@@ -371,13 +349,24 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
             assert dir_contents(ledger_dir) == before, (version, command)
         assert seeded_upload(ledger_dir) == 3
         assert dir_contents(ledger_dir) == before
-    # A v9 cluster.state beside v10 epoch files is named by the cluster.state reader (history does not read it).
-    (current / "cluster.state").write_bytes((tmp_path / "v9" / "cluster.state").read_bytes())
-    before = dir_contents(current)
+    # v10 wrote cluster.state as an entry per live block no epoch file held,
+    # the snapshot and status lines; its epoch files are the current bytes.
+    # A v9 cluster.state is named by the cluster.state reader too, and
+    # history, which does not read it, passes both.
+    v10_state = b"".join([*(b"%d\n%s\n" % (len(block.payload), block.payload) for block in tampered),
+                          f"SNAPSHOT v10{snapshot_cluster(live)[len(SNAPSHOT_HEADER):]}STALE\n".encode()])
+    for version, state in (("v10", v10_state), ("v9", (tmp_path / "v9" / "cluster.state").read_bytes())):
+        (current / "cluster.state").write_bytes(state)
+        before = dir_contents(current)
+        for command in ("verify", "history", "recover"):
+            assert run_cli("--ledger-dir", str(current), command) == (0 if command == "history" else 2), command
+            assert command == "history" or f"cluster.state is in ledger format {version}" in capsys.readouterr().err
+            assert dir_contents(current) == before, command
+    (current / "cluster.state").write_bytes(b"")
+    capsys.readouterr()
     for command in ("verify", "recover"):
-        assert run_cli("--ledger-dir", str(current), command) == 2, command
-        assert "cluster.state is in ledger format v9" in capsys.readouterr().err, command
-        assert dir_contents(current) == before, command
+        assert run_cli("--ledger-dir", str(current), command) == 0, command
+    assert capsys.readouterr().out == "VERDICT z=true mode=checksum epoch=2 divergences=0\nINTACT epoch=2\n"
 
 
 @pytest.mark.parametrize("op, epoch, error", [
@@ -436,7 +425,8 @@ def test_a_snapshot_set_other_than_one_per_epoch_from_0_exits_2(ledger_dir, caps
 def test_commit_while_stale_read_path_is_armed_keeps_the_ledger_loadable(ledger_dir, tmp_path, capsys):
     # An update that rewrites a block with its own bytes commits even while
     # the read path replays the previous epoch. The armed path is live
-    # status: cluster.state records the STALE line, and epoch 2's file does not.
+    # status: cluster.state lists its fault, at epoch 2 once the update
+    # commits, and epoch 2's file does not.
     seeded_upload(ledger_dir, gen_bytes=200)
     same_bytes = tmp_path / "block0.bin"
     same_bytes.write_bytes(generate_payload(42, 200)[:32])
@@ -444,8 +434,8 @@ def test_commit_while_stale_read_path_is_armed_keeps_the_ledger_loadable(ledger_
     assert run_cli(*update) == 0
     assert run_cli("--ledger-dir", str(ledger_dir), "tamper", "--kind", "stale-manifest", "--server", "0") == 0
     assert run_cli(*update) == 0
-    assert b"STALE" not in (ledger_dir / "2.snapshot").read_bytes()
-    assert (ledger_dir / "cluster.state").read_bytes().endswith(b"\nEND\nSTALE\n")
+    assert b"stale" not in (ledger_dir / "2.snapshot").read_bytes()
+    assert (ledger_dir / "cluster.state").read_bytes() == b"HEAD 2\nstale-manifest server=0 block=- seed=42\n"
     for command in ("verify", "recover", "report"):
         assert run_cli("--ledger-dir", str(ledger_dir), command) == 0, capsys.readouterr().err
     assert len(load_ledger(ledger_dir).points) == 3
@@ -482,7 +472,7 @@ def test_recover_restores_while_a_stale_read_path_is_armed(ledger_dir, tmp_path,
     capsys.readouterr()
     assert run_cli("--ledger-dir", d, "recover") == 0
     assert capsys.readouterr().out == "RESTORED epoch=1\n"
-    assert "STALE" not in (ledger_dir / "cluster.state").read_text().splitlines()
+    assert (ledger_dir / "cluster.state").read_bytes() == b""
     assert run_cli("--ledger-dir", d, "append", "--server", "1", "--gen-bytes", "10") == 0
     assert run_cli("--ledger-dir", d, "recover") == 0
     assert capsys.readouterr().out.endswith("INTACT epoch=2\n")
@@ -491,10 +481,10 @@ def test_recover_restores_while_a_stale_read_path_is_armed(ledger_dir, tmp_path,
 def test_a_down_server_is_live_status_that_only_cluster_state_holds(ledger_dir, tmp_path, capsys):
     """With 4 servers and a 30-byte upload in 16-byte blocks, server 3
     holds nothing, so after it crashes an append still verifies and
-    commits. The DOWN line is live status: epoch 1's file holds none,
-    cluster.state holds it until recover revives the server, and is empty
-    after that. Every command prints what it printed while a restore point
-    recorded the line."""
+    commits. The crash is live status: epoch 1's file holds none, and
+    cluster.state lists it, at epoch 1 once the append commits, until
+    recover revives the server, and is empty after that. Every command
+    prints what it printed while a restore point recorded a DOWN line."""
     payload = tmp_path / "payload.bin"
     payload.write_bytes(bytes(range(30)))
     flags = ("--servers", "4", "--block-size", "16", "--ledger-dir", str(ledger_dir))
@@ -513,8 +503,8 @@ def test_a_down_server_is_live_status_that_only_cluster_state_holds(ledger_dir, 
     for argv, code, first in expected:
         assert run_cli(*flags, *argv) == code, argv
         assert capsys.readouterr().out.splitlines()[0] == first, argv
-    assert not any(b"DOWN" in (ledger_dir / f"{epoch}.snapshot").read_bytes() for epoch in (0, 1))
-    assert state.read_bytes().endswith(b"\nEND\nDOWN 3\n")
+    assert not any(b"crash" in (ledger_dir / f"{epoch}.snapshot").read_bytes() for epoch in (0, 1))
+    assert state.read_bytes() == b"HEAD 1\ncrash server=3 block=- seed=42\n"
     for first in ("RESTORED epoch=1", "INTACT epoch=1"):
         assert run_cli(*flags, "recover") == 0
         assert capsys.readouterr().out == first + "\n"

@@ -7,15 +7,12 @@ import pytest
 from cloudledger import (
     FaultKind,
     FaultSpec,
-    Ledger,
     Level,
-    Mode,
     NoSuchTarget,
     PreexistingData,
     ServerDown,
     SnapshotCorrupt,
     build_manifest,
-    commit_restore_point,
     inject_fault,
     load_snapshot,
     make_block,
@@ -25,9 +22,10 @@ from cloudledger import (
     snapshot_cluster,
     upload,
     user_level_manifest,
-    verify_equality,
+    update,
 )
 from cloudledger.ledger import load_cluster, save_cluster
+from helpers import make_committed_state
 
 
 def reassemble_oracle(per_server, server_count):
@@ -252,28 +250,29 @@ def test_snapshot_round_trip():
 
 
 def test_live_status_is_kept_by_cluster_state_not_by_snapshots(tmp_path):
-    """A snapshot, what a restore point holds, has no DOWN or STALE line,
-    and a loaded one has every server up and no stale read path; the
-    ledger's cluster.state alone keeps both flags."""
-    cluster = new_cluster(3)
-    first = upload(cluster, bytes(range(12)), 2)
-    ledger = Ledger(directory=tmp_path)
-    commit_restore_point(ledger, cluster, verify_equality(first, first, Mode.CHECKSUM))
-    cluster.previous_records = first.records
-    cluster.epoch = 1
-    inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 1))
-    inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))
+    """A snapshot, what a restore point holds, has no crashed server or
+    stale read path, and a loaded one has every server up, no stale read
+    path and no fault listed; the ledger's cluster.state alone keeps both,
+    as the faults that set them, which a load replays onto the last point
+    under any seed."""
+    cluster, ledger = make_committed_state(bytes(range(12)), 3, 2, seed=7, directory=tmp_path)
+    update(cluster, ledger, 0, 0, cluster.servers[0].blocks[0].payload)  # epoch 1 has an epoch to replay stale
+    faults = [FaultSpec(FaultKind.SERVER_CRASH, 1, 4, seed=1), FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0)]
+    for fault in faults:
+        inject_fault(cluster, fault)
+    assert cluster.faults == [FaultSpec(FaultKind.SERVER_CRASH, 1, None, 6), FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0,
+                                                                                   None, 7)]
     text = snapshot_cluster(cluster)
-    assert "DOWN" not in text and "STALE" not in text
     loaded = load_snapshot(text, stored_blocks(cluster), into=cluster)
-    assert all(server.alive for server in loaded.servers) and not loaded.stale_armed
-    inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 1))
-    inject_fault(cluster, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))
+    assert all(server.alive for server in loaded.servers) and not loaded.stale_armed and loaded.faults == []
+    for fault in faults:
+        inject_fault(cluster, fault)
     save_cluster(ledger, cluster)
-    assert (tmp_path / "cluster.state").read_text().endswith(text + "DOWN 1\nSTALE\n")
-    live = load_cluster(ledger, 0)
+    assert (tmp_path / "cluster.state").read_bytes() == (b"HEAD 1\ncrash server=1 block=- seed=6\n"
+                                                         b"stale-manifest server=0 block=- seed=7\n")
+    live = load_cluster(ledger, -3)
     assert [server.alive for server in live.servers] == [True, False, True] and live.stale_armed
-    assert snapshot_cluster(live) == text
+    assert snapshot_cluster(live) == text and live.faults == cluster.faults and live.rng_seed == -3
 
 
 def test_snapshot_detects_payload_corruption():
@@ -293,6 +292,12 @@ def test_snapshot_detects_payload_corruption():
 def test_load_snapshot_rejects_a_manifest_of_no_servers(servers):
     text = snapshot_cluster(new_cluster(2)).replace(" servers=2 ", f" servers={servers} ", 1)
     with pytest.raises(SnapshotCorrupt, match=f"servers={servers};"):
+        load_snapshot(text, {})
+
+
+def test_load_snapshot_rejects_a_user_level_manifest():
+    text = snapshot_cluster(new_cluster(2)).replace(" level=CLOUD ", " level=USER ", 1)
+    with pytest.raises(SnapshotCorrupt, match="snapshot manifest has level=USER;"):
         load_snapshot(text, {})
 
 

@@ -20,8 +20,13 @@ manifest and its record's bytes. The read row, on the same 4096 records:
 the reads between two writes share one record tuple, the one the commit
 froze, so an operation compares record tuples once, in its post-check, a
 verify or a recover right after it compares none, and a fault rewrites
-the tuple of its own server only. The save row: a save of the live
-cluster while it is the last point walks no block.
+the tuple of its own server only. The save row: a save walks no block,
+and writes nothing for a cluster that is the last point. The fault row,
+through the CLI on the same 4096 records: a tamper writes cluster.state
+as a HEAD line and one line per pending fault, a verify, report or tamper
+after it replays the faults onto the cluster the ledger's replay ended
+in, so it loads no snapshot and parses no manifest, and a recover after
+it loads and parses one of each, the last point's, to restore it.
 """
 
 import hashlib
@@ -46,6 +51,7 @@ from cloudledger import (
     update,
     verify_equality,
 )
+from cloudledger import cli
 from cloudledger import ledger as ledger_module
 from cloudledger.ledger import load_cluster
 from helpers import make_committed_state
@@ -177,20 +183,70 @@ def test_reads_between_writes_share_one_record_tuple(counted, monkeypatch):
     assert recover(ledger, cluster).action is RecoveryAction.RESTORED
 
 
-def test_a_clean_save_walks_no_block(tmp_path, monkeypatch):
-    """save_cluster writes cluster.state empty while the live cluster is the
-    last point, so only a save that writes it non-empty looks for the live
-    blocks no epoch file holds: a clean save walks no block."""
-    cluster, ledger = make_committed_state(generate_payload(3, 256 * 16), 8, 16, directory=tmp_path)
-    walked, unstored = [], ledger_module._unstored_blocks
-    monkeypatch.setattr(ledger_module, "_unstored_blocks",
-                        lambda store, blocks: unstored(store, (walked.append(block) or block for block in blocks)))
-    ledger_module.save_cluster(ledger, cluster)
-    assert walked == [] and (tmp_path / "cluster.state").read_bytes() == b""
+class WalkedDict(dict):
+    """A server's blocks, listing each walk over them."""
+
+    walks = []
+
+    def __iter__(self):
+        WalkedDict.walks.append("iter")
+        return super().__iter__()
+
+    def values(self):
+        WalkedDict.walks.append("values")
+        return super().values()
+
+    def items(self):
+        WalkedDict.walks.append("items")
+        return super().items()
+
+
+def test_a_clean_save_walks_no_block(tmp_path):
+    """save_cluster writes what the cluster lists, never a block: nothing
+    while it is the last point, and a HEAD line and the fault's line after
+    a fault, whatever the record count."""
+    cluster, ledger = make_committed_state(generate_payload(3, 256 * 16), 8, 16, seed=11, directory=tmp_path)
     inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 6, 9, seed=1))
+    for server in cluster.servers:
+        server.blocks = WalkedDict(server.blocks)
+    WalkedDict.walks = []
     ledger_module.save_cluster(ledger, cluster)
-    assert len(walked) == 256  # one entry, the flipped block's, then the snapshot
-    assert (tmp_path / "cluster.state").read_bytes().startswith(b"16\n%s\n" % cluster.servers[6].blocks[9].payload)
+    assert (tmp_path / "cluster.state").read_bytes() == b"HEAD 0\nflip-byte server=6 block=9 seed=10\n"
+    cluster.faults = []
+    ledger_module.save_cluster(ledger, cluster)
+    assert WalkedDict.walks == [] and (tmp_path / "cluster.state").read_bytes() == b""
+
+
+def test_a_pending_fault_is_a_line_and_replays_without_a_snapshot(tmp_path, monkeypatch, capsys):
+    directory = tmp_path / "ledger"
+    flags = ["--servers", "8", "--block-size", "16", "--seed", "3", "--ledger-dir", str(directory)]
+    assert cli.run([*flags, "upload", "--gen-bytes", str(4096 * 16)]) == 0
+    assert len(load_ledger(directory).last().manifest.records) == 4096
+    counts = {}
+    for module, name in ((ledger_module, "load_snapshot"), (sys.modules["cloudledger.cluster"], "parse_manifest")):
+        function = getattr(module, name)
+
+        def counting(*args, function=function, name=name, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def calls(*argv):
+        """Run one command; return (exit code, load_snapshot calls, parse_manifest calls)."""
+        counts.update(load_snapshot=0, parse_manifest=0)
+        return cli.run([*flags, *argv]), counts["load_snapshot"], counts["parse_manifest"]
+
+    lines = [b"HEAD 0"]
+    for server in range(3):
+        assert calls("tamper", "--kind", "flip-byte", "--server", str(server), "--block", "9") == (0, 0, 0)
+        lines.append(b"flip-byte server=%d block=9 seed=3" % server)
+        assert (directory / "cluster.state").read_bytes() == b"\n".join([*lines, b""])
+    assert calls("verify") == (1, 0, 0)
+    assert calls("report") == (0, 0, 0)
+    capsys.readouterr()
+    assert calls("recover") == (0, 1, 1)
+    assert capsys.readouterr().out == "RESTORED epoch=0\n" and (directory / "cluster.state").read_bytes() == b""
 
 
 def epoch_file_bytes(ledger, stored, written):

@@ -32,8 +32,7 @@ from cloudledger import (
     serialize_manifest,
 )
 from cloudledger import cli
-from cloudledger.cluster import SNAPSHOT_HEADER, _RETIRED_HEADERS
-from cloudledger.ledger import _apply_status
+from cloudledger.cluster import SNAPSHOT_HEADER
 from cloudledger.manifest import _RECORD_LINES, _bad_record, _parse_header, _render_header
 from helpers import make_committed_state
 
@@ -77,9 +76,6 @@ def reference_parse_manifest(text):
 def reference_load_snapshot(text, blocks, rng_seed=0):
     lines = text.splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
-        head = lines[0].split(" ")[:2] if lines else []
-        if head in _RETIRED_HEADERS:
-            raise SnapshotCorrupt(f"snapshot is in ledger format {head[1]}")
         raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
     if "END" not in lines:
         raise SnapshotCorrupt("snapshot missing manifest terminator")
@@ -92,27 +88,14 @@ def reference_load_snapshot(text, blocks, rng_seed=0):
         raise SnapshotCorrupt(f"snapshot manifest has servers={manifest.server_count}")
     if manifest.level is not Level.CLOUD:
         raise SnapshotCorrupt(f"snapshot manifest has level={manifest.level.value}")
-    last = len(lines) - 1 - lines[::-1].index("END")  # status lines, which cluster.state alone holds, follow it
-    if last == split:
+    if lines[-1] != "END" or len(lines) - 1 == split:
         raise SnapshotCorrupt("snapshot not terminated by END")
     count = len(manifest.records)
-    digests, status = lines[split + 1 : last], lines[last + 1 :]
+    digests = lines[split + 1 : -1]
     if len(digests) != count:
         raise SnapshotCorrupt(f"snapshot has {len(digests)} digest lines for {count} manifest records")
-    down = set()
-    stale = False
-    for line in status:
-        if line == "STALE" and not stale:
-            stale = True
-        elif line[5:].isdecimal() and line == f"DOWN {int(line[5:])}" and int(line[5:]) not in down:
-            down.add(int(line[5:]))
-        else:
-            raise SnapshotCorrupt(f"bad or repeated status line: {line!r}")
-    if stale and manifest.epoch == 0:
-        raise SnapshotCorrupt("STALE line at epoch 0")
     cluster = new_cluster(manifest.server_count, rng_seed=rng_seed)
     cluster.epoch = manifest.epoch
-    cluster.stale_armed = stale
     for record, digest in zip(manifest.records, digests):
         block = blocks.get(digest)
         if block is None:
@@ -120,12 +103,6 @@ def reference_load_snapshot(text, blocks, rng_seed=0):
         if (len(block.payload), block.checksum) != (record.weight, record.checksum):
             raise SnapshotCorrupt(f"block referenced by server={record.server_index} block={record.block_id}")
         cluster.servers[record.server_index].put(record.block_id, block)
-    for server_index in down:
-        if not 0 <= server_index < cluster.server_count:
-            raise SnapshotCorrupt(f"DOWN line names unknown server {server_index}")
-        if cluster.servers[server_index].blocks:
-            raise SnapshotCorrupt(f"DOWN line names server {server_index}, which holds records")
-        cluster.servers[server_index].alive = False
     return cluster
 
 
@@ -156,26 +133,6 @@ def seeded_snapshot(seed):
     return text + "END\n", blocks, manifest
 
 
-def seeded_status(seed, manifest):
-    """Status lines for a seeded snapshot, as cluster.state holds them after
-    it: DOWN lines for servers that hold no records, and STALE after epoch 0."""
-    rng = random.Random(seed)
-    holding = {record.server_index for record in manifest.records}
-    status = [f"DOWN {s}" for s in range(manifest.server_count) if s not in holding and rng.random() < 0.7]
-    if manifest.epoch and rng.random() < 0.5:
-        status.append("STALE")
-    return "".join(f"{line}\n" for line in status)
-
-
-def load_live(text, blocks, rng_seed=0):
-    """What load_cluster makes of a cluster.state holding ``text`` after
-    its entries: the snapshot, up to the last END line, then the status lines."""
-    snapshot, end, status = text.rpartition("\nEND\n")
-    cluster = load_snapshot(snapshot + end, blocks, rng_seed=rng_seed)
-    _apply_status(cluster, status)
-    return cluster
-
-
 ALPHABET = "\n\r \t0159afEND-SOWTALx\x0b\x0c\x1c\x85\u2028\xe9\u0663"
 
 
@@ -204,7 +161,7 @@ def outcome(decode, *args):
 
 
 def cluster_value(cluster):
-    return (cluster.epoch, cluster.stale_armed, cluster.rng_seed, cluster.previous_records,
+    return (cluster.epoch, cluster.stale_armed, cluster.faults, cluster.rng_seed, cluster.previous_records,
             [(s.server_index, s.alive, list(s.blocks.items()), list(s.records.items())) for s in cluster.servers])
 
 
@@ -232,16 +189,13 @@ def test_parse_manifest_agrees_with_the_per_line_oracle(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_load_snapshot_agrees_with_the_per_line_oracle(seed):
-    """load_snapshot, and after it the status lines of a cluster.state."""
     text, blocks, manifest = seeded_snapshot(seed)
     loaded = load_snapshot(text, blocks, rng_seed=seed)
     assert cluster_value(loaded) == cluster_value(reference_load_snapshot(text, blocks, rng_seed=seed))
     assert tuple(r for s in loaded.servers for r in s.records.values()) == manifest.records
-    live = text + seeded_status(seed, manifest)
-    assert cluster_value(load_live(live, blocks, seed)) == cluster_value(reference_load_snapshot(live, blocks, seed))
-    for edited in single_character_edits(live, random.Random(seed), 300):
+    for edited in single_character_edits(text, random.Random(seed), 300):
         assert_agrees(edited, outcome(reference_load_snapshot, edited, blocks),
-                      outcome(load_live, edited, blocks), cluster_value)
+                      outcome(load_snapshot, edited, blocks), cluster_value)
 
 
 def test_the_seeds_cover_the_edge_cases():
@@ -250,9 +204,6 @@ def test_the_seeds_cover_the_edge_cases():
     assert any(r.block_id > 256 for r in records)
     assert {0, 2**64 - 1} <= {r.checksum for r in records}
     assert any(not m.records for _, _, m in snapshots)
-    status = [seeded_status(seed, m) for seed, (_, _, m) in zip(SEEDS, snapshots)]
-    assert any("DOWN " in lines for lines in status)
-    assert any("STALE\n" in lines for lines in status)
 
 
 # --- LF line ends only -------------------------------------------------------------

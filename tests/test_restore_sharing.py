@@ -100,8 +100,9 @@ def test_a_recovered_cluster_equals_a_fresh_load_of_its_snapshot(seed):
 
 
 def test_loading_any_point_into_a_cluster_at_any_other_equals_a_fresh_load():
-    """Appends, deletes and updates between two points, and status lines:
-    every server path of the load, and every flag it sets."""
+    """Appends, deletes and updates between two points, and a crashed
+    server and a stale read path, which no snapshot holds: every server
+    path of the load, and every flag it sets."""
     rng = random.Random(7)
     cluster, ledger = make_committed_state(generate_payload(7, 300), 3, 16)
     texts = [ledger.last_snapshot]
@@ -117,7 +118,7 @@ def test_loading_any_point_into_a_cluster_at_any_other_equals_a_fresh_load():
         texts.append(ledger.last_snapshot)
     for fault in (FaultSpec(FaultKind.SERVER_CRASH, 1), FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0)):
         inject_fault(cluster, fault)
-        texts.append(snapshot_cluster(cluster))  # a DOWN line, then a STALE line as well
+        texts.append(snapshot_cluster(cluster))  # the crash erases server 1; the stale path adds no text
     for start in texts:
         for target in texts:
             live = load_snapshot(start, ledger.blocks)
