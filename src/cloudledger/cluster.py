@@ -30,7 +30,6 @@ from itertools import chain, compress
 from operator import is_, itemgetter, ne
 from typing import Mapping, NamedTuple, Optional
 
-from .checksum import fnv1a64
 from .errors import (
     ManifestFormatError,
     NoSuchTarget,
@@ -91,12 +90,12 @@ class ServerState:
     block's address lives. Both dicts stay in block-id order (appends take
     the next id, updates replace in place), which is the manifest order.
     A record object outlives the writes at other addresses, so a commit's
-    manifest shares it, and a snapshot loaded into the server (a recover
-    or a rollback) drops the ids the snapshot lacks and puts only the
-    blocks that differ or are missing; a server whose remaining ids are no
-    prefix of the snapshot's is replaced by a new one instead. put renders each record's manifest
-    line into record_lines, the third dict that put and drop alone write,
-    so a record line is rendered once, when its record is written.
+    manifest shares it, and a snapshot loaded into a server that holds its
+    block ids (a recover or a rollback) puts only the blocks that differ; a
+    server that holds other ids is replaced by a new one instead. put
+    renders each record's manifest line into record_lines, the third dict
+    that put and drop alone write, so a record line is rendered once, when
+    its record is written.
     snapshot_lines joins those lines, renders the digest lines and sums
     the weights on first use, and keeps all three until the next put or
     drop, so the snapshot of a commit joins and sums again only the
@@ -325,21 +324,21 @@ def _apply_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
         xor_value = 1 + stream.randrange(255)
         corrupted = bytearray(block.payload)
         corrupted[position] ^= xor_value
-        payload = bytes(corrupted)
+        substitute = make_block(bytes(corrupted))
         note = f"byte {position} xored with 0x{xor_value:02x}"
     elif fault.kind is FaultKind.TRUNCATE:
         cut = 1 + stream.randrange(before.weight)
-        payload = block.payload[: before.weight - cut]
+        substitute = make_block(block.payload[: before.weight - cut])
         note = f"{cut} trailing bytes removed"
     elif fault.kind is FaultKind.SAME_WEIGHT_SUBSTITUTE:
-        payload = stream.bytes(before.weight)
-        while payload == block.payload or fnv1a64(payload) == block.checksum:
-            payload = stream.bytes(before.weight)
+        substitute = make_block(stream.bytes(before.weight))
+        while substitute.checksum == block.checksum:  # the same bytes included
+            substitute = make_block(stream.bytes(before.weight))
         note = "payload substituted, same weight"
     else:
         raise NoSuchTarget(f"unknown fault kind {fault.kind!r}")
 
-    server.put(block_id, make_block(payload))
+    server.put(block_id, substitute)
     return FaultReport(fault.kind, fault.target_server, block_id, before, server.records[block_id], note)
 
 
@@ -393,13 +392,12 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
 
     Writes go only where a server's blocks differ from the snapshot's, so
     an unchanged address keeps its record object, which the committed
-    points share. A server first drops the ids the snapshot lacks; if the
-    ids it keeps are a prefix of the snapshot's, it gets one put per
-    differing block, found by one C pass over its blocks, and one per
-    missing id, all larger, so an append costs one put. Any other server
-    is replaced by a new one, filled by put in block-id order. The epoch is
-    then set from the snapshot, every server is alive, the stale read path
-    is disarmed and no fault is listed: a snapshot holds no live status.
+    points share. A server that holds the snapshot's block ids gets one
+    put per differing block, found by one C pass over its blocks. Any
+    other server is replaced by a new one, filled by put in block-id
+    order. The epoch is then set from the snapshot, every server is alive,
+    the stale read path is disarmed and no fault is listed: a snapshot
+    holds no live status.
     """
     head = text.partition("\n")[0]
     if head != SNAPSHOT_HEADER:
@@ -443,21 +441,12 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     ids = list(map(itemgetter(1), records))
     for server, start, end in zip(cluster.servers, bounds, bounds[1:]):
         target_ids, target_blocks = ids[start:end], found[start:end]
-        held = list(server.blocks)
-        if held != target_ids:
-            wanted = set(target_ids)
-            kept = [block_id for block_id in held if block_id in wanted]
-            if kept == target_ids[: len(kept)]:
-                for block_id in held:
-                    if block_id not in wanted:
-                        server.drop(block_id)
-            else:  # put in block-id order: an id put back before a kept one must not land at the end
-                server = cluster.servers[server.server_index] = ServerState(server.server_index)
-        # The server holds a prefix of the snapshot's ids: put the blocks that
-        # differ there, then the missing ids, which are all larger.
-        count = len(server.blocks)
-        changed = compress(zip(target_ids, target_blocks), map(ne, server.blocks.values(), target_blocks))
-        for block_id, block in [*changed, *zip(target_ids[count:], target_blocks[count:])]:
+        targets = zip(target_ids, target_blocks)
+        if list(server.blocks) == target_ids:
+            targets = compress(targets, map(ne, server.blocks.values(), target_blocks))
+        else:  # put in block-id order: an id put back before a kept one must not land at the end
+            server = cluster.servers[server.server_index] = ServerState(server.server_index)
+        for block_id, block in targets:
             server.put(block_id, block)
     cluster.epoch = manifest.epoch
     cluster.stale_armed = False

@@ -51,7 +51,6 @@ import hashlib
 import os
 import re
 from bisect import bisect_left
-from operator import is_
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
@@ -59,7 +58,6 @@ from .cluster import (
     ClusterState,
     FaultKind,
     FaultSpec,
-    ServerState,
     inject_fault,
     load_snapshot,
     new_cluster,
@@ -75,7 +73,7 @@ from .errors import (
     SnapshotCorrupt,
     UnverifiedState,
 )
-from .manifest import _DECIMAL, BlockRecord, DataBlock, Manifest, _server_bounds, make_block
+from .manifest import BlockRecord, DataBlock, Manifest, _server_bounds, make_block
 from .protocol import Mode, Verdict, verify_equality
 
 
@@ -184,13 +182,14 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     block the operation wrote, in record order (the entry of a block the
     ledger stores for the first time, a reference otherwise), and the
     chain line (_chain_line). An operation's blocks must be the previous
-    point's but for the one its line names (_written_blocks), so that block
-    is the only one looked up in the store. A bound ledger writes the
-    epoch file before the blocks join the store, the point joins
-    ``points`` and its snapshot text becomes ``last_snapshot``. The
-    cluster then lists only the crashes and stale read paths among its
-    faults: the stored blocks verified as the point's, so no other fault
-    is in effect, and these replay onto it as they did onto the point before.
+    point's but for the one its line names, which _written_blocks checks on
+    every server's kept digest lines, so that block is the only one looked
+    up in the store. A bound ledger writes the epoch file before the
+    blocks join the store, the point joins ``points`` and its snapshot text
+    becomes ``last_snapshot``. The cluster then lists only the crashes and
+    stale read paths among its faults: the stored blocks verified as the
+    point's, so no other fault is in effect, and these replay onto it as
+    they did onto the point before.
     """
     if not verdict.z:
         raise UnverifiedState("refusing to snapshot a state that failed verification")
@@ -287,19 +286,6 @@ def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
         raise SnapshotCorrupt(f"restored state fails its manifest check ({len(check.divergences)} divergences)")
 
 
-def _rewritten_servers(last: RestorePoint, cluster: ClusterState) -> list[ServerState]:
-    """The servers whose records are not, object for object, the ``last``
-    point's records on that server, which has the cluster's server count.
-    put always makes a new record, even for the same bytes or a block of
-    the same weight and checksum, so any other server holds the very
-    blocks the last commit stored or found in the store. Each comparison
-    is one pass in C that stops at the first record the server rewrote."""
-    records = last.manifest.records
-    bounds = _server_bounds(records, cluster.server_count)
-    return [server for server, start, end in zip(cluster.servers, bounds, bounds[1:])
-            if len(server.records) != end - start or not all(map(is_, server.records.values(), records[start:end]))]
-
-
 def _written_blocks(last: RestorePoint, text: str, cluster: ClusterState, op: str) -> list[DataBlock]:
     """The blocks an operation wrote: the one it put at the address its
     line ``op`` names, none for a DELETE. First refuses to commit a cluster
@@ -307,9 +293,13 @@ def _written_blocks(last: RestorePoint, text: str, cluster: ClusterState, op: st
     that point's with only this one put or dropped: its epoch file records
     this block alone, so load could not rebuild the point. Records equal to
     the prediction leave only a block of another's weight and FNV-1a
-    checksum to differ so. The kept digest lines of each server
-    _rewritten_servers finds are compared in C with the last point's,
-    sliced from its snapshot ``text`` (_digests_at)."""
+    checksum to differ so. Each server's kept digest lines are compared in
+    C with its slice of the last point's snapshot ``text`` (_digests_at),
+    into which the operation's line is spliced: put always makes a new
+    record, so a server whose records are the point's holds the point's
+    blocks, and comparing it too refuses nothing more. snapshot_cluster
+    takes the same kept lines right after, so the check joins nothing the
+    commit would not."""
     records = last.manifest.records
     if cluster.server_count != last.manifest.server_count:
         raise UnverifiedState(f"refusing to commit {cluster.server_count} servers after a point of"
@@ -319,8 +309,7 @@ def _written_blocks(last: RestorePoint, text: str, cluster: ClusterState, op: st
     written = None if kind == "DELETE" else cluster.servers[key[0]].blocks.get(key[1])
     start = _digests_at(text, len(records))
     bounds = _server_bounds(records, cluster.server_count)
-    for server in _rewritten_servers(last, cluster):
-        first, end = bounds[server.server_index], bounds[server.server_index + 1]
+    for server, first, end in zip(cluster.servers, bounds, bounds[1:]):
         lines = text[start + 65 * first : start + 65 * end]
         if server.server_index == key[0]:
             at = bisect_left(records, key) - first
@@ -380,10 +369,10 @@ _PACK_ENTRY = re.compile(rb"([0-9a-f]{64} )?([0-9]+)\n")
 _RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"],
                     ["SNAPSHOT", "v6"], ["SNAPSHOT", "v7"], ["SNAPSHOT", "v8"], ["SNAPSHOT", "v9"], ["SNAPSHOT", "v10"])
 _CHAIN_SIZE = len("CHAIN sha256=\n") + 64  # the bytes of a chain line
-# An operation line as operation_line renders it, decimals canonical as in a manifest.
-_OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_DECIMAL}) block=({_DECIMAL})")
-# The upload's line, as commit_restore_point renders it: a cluster has at least one server.
-_UPLOAD_LINE = re.compile("UPLOAD servers=([1-9][0-9]*)")
+# An operation line as operation_line renders it, its decimals _NUMBERs.
+_OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_NUMBER}) block=({_NUMBER})")
+# The upload's line, as commit_restore_point renders it: a cluster has at least one server, a nonzero _NUMBER.
+_UPLOAD_LINE = re.compile("UPLOAD servers=([1-9][0-9]{0,19})")
 
 
 def operation_line(kind: str, server: int, block: int) -> str:
@@ -570,16 +559,18 @@ def load_cluster(ledger: Ledger, rng_seed: int) -> ClusterState:
     """The live cluster in the ledger's directory, seeded with ``rng_seed``:
     the cluster load_ledger's replay ended in, which it hands out once, so
     a command parses no snapshot, with the faults cluster.state lists
-    (_read_faults) replayed onto it by inject_fault. A HEAD line that names
-    another epoch than the last point's leaves the cluster at that epoch,
-    which every command but recover refuses, and its faults unreplayed; a
-    fault that the point refuses, such as one naming a block it lacks,
-    fails the load."""
+    (_read_faults) replayed onto it by inject_fault. A ledger that holds no
+    such cluster (one committed in this process, or whose cluster was
+    handed out) raises ValueError. A HEAD line that names another epoch
+    than the last point's leaves the cluster at that epoch, which every
+    command but recover refuses, and its faults unreplayed; a fault that
+    the point refuses, such as one naming a block it lacks, fails the
+    load."""
+    cluster, ledger._replayed = ledger._replayed, None
+    if cluster is None:
+        raise ValueError("load_cluster takes the cluster of a ledger load_ledger has just loaded")
     data = (ledger.directory / CLUSTER_FILE).read_bytes()
     epoch, faults = _read_faults(data) if data else (None, [])
-    cluster, ledger._replayed = ledger._replayed, None
-    if cluster is None:  # a ledger committed in this process, or one whose cluster was handed out
-        cluster = load_snapshot(ledger.last_snapshot, ledger.blocks)
     cluster.rng_seed = rng_seed
     if epoch is not None and epoch != cluster.epoch:
         cluster.epoch, faults = epoch, []

@@ -8,6 +8,7 @@ import pytest
 
 from cloudledger import (
     Level,
+    SnapshotCorrupt,
     build_manifest,
     cli,
     load_ledger,
@@ -725,26 +726,55 @@ def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, cap
     (0, lambda data, op: b"UPDATE nothing\n" + data, "0.snapshot starts with 'UPDATE nothing', which is no operation"),
     (1, lambda data, op: data.replace(op, op + op, 1), "1.snapshot at byte 24 holds 'APPEND server=0 block=9', where"),
     (0, lambda data, op: op + data, "0.snapshot holds 'APPEND server=0 block=9', but the upload commits epoch 0"),
-], ids=["short-line", "again", "junk", "epoch-0-junk", "epoch-1-twice", "epoch-0"])
+    (1, lambda data, op: data.replace(op, b"APPEND server=" + b"1" * 5000 + b" block=5\n", 1),
+     "1.snapshot starts with 'APPEND server=111111"),
+    (0, lambda data, op: b"UPLOAD servers=" + b"1" * 5000 + data[data.index(b"\n"):],
+     "0.snapshot starts with 'UPLOAD servers=111111"),
+], ids=["short-line", "again", "junk", "epoch-0-junk", "epoch-1-twice", "epoch-0", "over-long-server",
+        "over-long-servers"])
 def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, capsys, epoch, edit, error):
     """Every operation's epoch file starts with the one line it journals,
     and the upload's 0.snapshot with its UPLOAD line: on a 2-epoch ledger, an
     epoch file with any other first line, or with the operation line twice,
-    makes history and recover exit 2 and write nothing, even with every
-    chain line from it on recomputed."""
+    makes load_ledger raise SnapshotCorrupt, and history, verify and recover
+    exit 2 and write nothing, even with every chain line from it on
+    recomputed. An operation line's decimals have at most 20 digits, as a
+    fault line's do, so int() never meets its 4,300-digit limit."""
     seeded_upload(ledger_dir)
     assert run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40") == 0
     op = (ledger_dir / "1.snapshot").read_bytes().split(b"\n", 1)[0] + b"\n"
     path = ledger_dir / f"{epoch}.snapshot"
     path.write_bytes(edit(path.read_bytes(), op))
     rechain(ledger_dir, epoch)
+    with pytest.raises(SnapshotCorrupt, match=re.escape(error)):
+        load_ledger(ledger_dir)
     before = dir_contents(ledger_dir)
     capsys.readouterr()
-    for command in ("history", "recover"):
+    for command in ("history", "verify", "recover"):
         assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, command
         out, err = capsys.readouterr()
         assert out == "" and error in err, (command, err)
         assert dir_contents(ledger_dir) == before
+
+
+def test_an_edited_config_mode_passes_a_same_weight_tamper(ledger_dir, capsys):
+    """Open blind spot: config is outside the chain. After its mode is
+    edited from checksum to weight-only, a same-weight tamper passes verify
+    and audit with exit 0, while recover, which compares checksums
+    whatever the mode, still restores. A head or key that covers the
+    settings refuses the edit, which flips this test."""
+    seeded_upload(ledger_dir)
+    config = ledger_dir / "config"
+    config.write_bytes(config.read_bytes().replace(b"mode=checksum\n", b"mode=weight-only\n"))
+    assert run_cli("--ledger-dir", str(ledger_dir), "tamper", "--kind", "same-weight", "--server", "1",
+                   "--block", "0") == 0
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 0
+    assert run_cli("--ledger-dir", str(ledger_dir), "audit", "--epochs", "0") == 0
+    assert capsys.readouterr().out == ("VERDICT z=true mode=weight-only epoch=0 divergences=0\n"
+                                       "TPA VERDICT z=true mode=weight-only epoch=0 divergences=0\n")
+    assert run_cli("--ledger-dir", str(ledger_dir), "recover") == 0
+    assert capsys.readouterr().out == "RESTORED epoch=0\n"
 
 
 def test_identical_command_sequences_produce_identical_directories(tmp_path):

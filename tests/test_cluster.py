@@ -24,7 +24,7 @@ from cloudledger import (
     user_level_manifest,
     update,
 )
-from cloudledger.ledger import load_cluster, save_cluster
+from cloudledger.ledger import load_cluster, load_ledger, save_cluster
 from helpers import make_committed_state
 
 
@@ -253,8 +253,8 @@ def test_live_status_is_kept_by_cluster_state_not_by_snapshots(tmp_path):
     """A snapshot, what a restore point holds, has no crashed server or
     stale read path, and a loaded one has every server up, no stale read
     path and no fault listed; the ledger's cluster.state alone keeps both,
-    as the faults that set them, which a load replays onto the last point
-    under any seed."""
+    as the faults that set them, which a load from disk replays onto the
+    last point under any seed."""
     cluster, ledger = make_committed_state(bytes(range(12)), 3, 2, seed=7, directory=tmp_path)
     update(cluster, ledger, 0, 0, cluster.servers[0].blocks[0].payload)  # epoch 1 has an epoch to replay stale
     faults = [FaultSpec(FaultKind.SERVER_CRASH, 1, 4, seed=1), FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0)]
@@ -270,9 +270,13 @@ def test_live_status_is_kept_by_cluster_state_not_by_snapshots(tmp_path):
     save_cluster(ledger, cluster)
     assert (tmp_path / "cluster.state").read_bytes() == (b"HEAD 1\ncrash server=1 block=- seed=6\n"
                                                          b"stale-manifest server=0 block=- seed=7\n")
-    live = load_cluster(ledger, -3)
+    loaded = load_ledger(tmp_path)
+    live = load_cluster(loaded, -3)
     assert [server.alive for server in live.servers] == [True, False, True] and live.stale_armed
     assert snapshot_cluster(live) == text and live.faults == cluster.faults and live.rng_seed == -3
+    for ledger in (ledger, loaded):  # committed in this process, and handed out already
+        with pytest.raises(ValueError, match="load_ledger"):
+            load_cluster(ledger, -3)
 
 
 def test_snapshot_detects_payload_corruption():

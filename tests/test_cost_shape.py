@@ -4,10 +4,10 @@ One row per call, counted exactly, so no count can flake. The commit row,
 on 4096 records over 8 servers: a commit renders one record line per put
 made since the last commit (ServerState.put renders its record's line,
 and no snapshot renders a whole server again), and it looks up in the
-block store only the block its operation wrote: the servers whose
-records differ, object for object, from the last point's must hold the
-last point's blocks but for that one. The load row, on a small grid of
-records n and epochs E of a bound ledger: load_ledger and then
+block store only the block its operation wrote: every server's kept
+digest lines are compared with its slice of the last point's snapshot,
+so every other block must be the last point's. The load row, on a small
+grid of records n and epochs E of a bound ledger: load_ledger and then
 load_cluster on an empty cluster.state parse no snapshot and no manifest,
 make n puts for the upload and one put or drop per later epoch, render no
 record line but those puts' and one snapshot, the last point's, hash
@@ -113,7 +113,7 @@ def counted(monkeypatch):
     return cluster, ledger, puts, whole
 
 
-def test_a_commit_renders_one_line_per_put_and_looks_up_only_rewritten_servers(counted):
+def test_a_commit_renders_one_line_per_put_and_looks_up_only_the_written_block(counted):
     cluster, ledger, puts, whole = counted
 
     def commit_row(operation):

@@ -119,6 +119,16 @@ def test_intact_recover_hashes_nothing(appended, monkeypatch):
     assert hashed == 0
 
 
+def test_a_same_weight_fault_hashes_its_substitute_once(appended, monkeypatch):
+    # make_block hashes each candidate once, and the fault puts that very block.
+    cluster, _, _ = appended
+    fault = FaultSpec(FaultKind.SAME_WEIGHT_SUBSTITUTE, 2, 3, seed=5)
+    hashed, report = bytes_hashed(monkeypatch, lambda: inject_fault(cluster, fault))
+    assert report.after.weight == report.before.weight == 4096
+    assert report.after.checksum != report.before.checksum
+    assert hashed == 4096
+
+
 @pytest.fixture
 def eleven_epochs(tmp_path):
     """The 64 KiB store above, then ten 100 B appends on servers i % 4.
