@@ -12,12 +12,13 @@ stored the first time and named by digest after, and a chain line, the
 hash of its bytes and the chain of the files before it), the live
 cluster (cluster.state: empty while no fault since the last commit or
 restore is in effect, and otherwise a HEAD line naming the last epoch
-and a line per tamper or crash since, which replay onto that point), and
-the effective configuration (config, key=value lines). The ledger module
-writes every one of them whole, through ledger.write_file. history
-renders the operation journal from the ledger's epochs.
-Identical configuration plus an identical command sequence reproduces
-byte-identical directory contents.
+and a line per tamper or crash since, which replay onto that point). The
+upload's line in 0.snapshot records the settings, so the chain covers
+them: a command's flags override the --config file, which overrides
+those settings, which override the defaults. The ledger module writes
+every file whole, through ledger.write_file. history renders the
+operation journal from the ledger's epochs. Identical settings plus an
+identical command sequence reproduces byte-identical directory contents.
 
 One command at a time writes: every command holds flock on the ledger
 directory, if it exists, from before its load to after its last write,
@@ -77,6 +78,8 @@ from .ledger import (
     load_ledger,
     recover,
     save_cluster,
+    upload_line,
+    upload_settings,
     write_file,
 )
 from .protocol import Mode, render_verdict_report, round_trip_verify, verify_equality
@@ -105,13 +108,11 @@ DEFAULT_MODE = Mode.CHECKSUM
 DEFAULT_SEED = 42
 DEFAULT_LEDGER_DIR = "ledger"
 
-CONFIG_FILE = "config"
 CONFIG_KEYS = ("servers", "block_size", "mode", "seed")
 # What an upload writes before its commit, the rename of 0.snapshot.tmp. A
 # directory holding nothing else has committed nothing, so an upload into it
 # starts over.
-_UPLOAD_FILES = {name + suffix for name in (CONFIG_FILE, CLUSTER_FILE) for suffix in ("", ".tmp")}
-_UPLOAD_FILES |= {"0.snapshot.tmp"}
+_UPLOAD_FILES = {CLUSTER_FILE, f"{CLUSTER_FILE}.tmp", "0.snapshot.tmp"}
 
 
 class SimConfig(NamedTuple):
@@ -147,31 +148,22 @@ def _ledger_dir(args: argparse.Namespace) -> Path:
     return Path(args.ledger_dir or os.environ.get("CLOUDLEDGER_DIR") or DEFAULT_LEDGER_DIR)
 
 
-def resolve_config(args: argparse.Namespace) -> SimConfig:
-    """Flags override the config file, which overrides defaults.
-
-    The config file is --config when given, which must exist, otherwise
-    the one the upload command wrote into the ledger directory, if any.
-    """
-    ledger_dir = _ledger_dir(args)
-    file_values: dict[str, str] = {}
-    config_path = Path(args.config) if args.config else ledger_dir / CONFIG_FILE
-    if args.config or config_path.exists():
-        file_values = _parse_config_file(config_path)
+def resolve_config(args: argparse.Namespace, recorded: dict[str, str]) -> SimConfig:
+    """Flags override the --config file, which must exist when given,
+    which overrides the settings ``recorded`` in the upload's line
+    (upload_settings; none for the upload itself), which override the
+    defaults."""
+    values = {**recorded, **(_parse_config_file(Path(args.config)) if args.config else {})}
 
     def pick(flag, key: str, fallback):
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return fallback
+        return flag if flag is not None else values.get(key, fallback)
 
     return SimConfig(
         server_count=int(pick(args.servers, "servers", DEFAULT_SERVERS)),
         block_size=int(pick(args.block_size, "block_size", DEFAULT_BLOCK_SIZE)),
         mode=Mode(pick(args.mode, "mode", DEFAULT_MODE.value)),
         seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
-        ledger_dir=ledger_dir,
+        ledger_dir=_ledger_dir(args),
     )
 
 
@@ -205,19 +197,21 @@ def _lock(directory: Path, exclusive: bool, create: bool = False) -> tuple[Optio
         os.close(fd)
 
 
-def _load_state(config: SimConfig, recovering: bool = False) -> tuple[ClusterState, Ledger]:
-    """The live cluster and the ledger. Refuses a ledger that committed no
-    point before it reads cluster.state, and, unless ``recovering``, a live
-    cluster behind the last committed epoch, which an operation that failed
-    after its snapshot leaves."""
-    ledger = load_ledger(config.ledger_dir)
+def _load_state(args: argparse.Namespace, recovering: bool = False) -> tuple[SimConfig, ClusterState, Ledger]:
+    """The settings, the live cluster and the ledger. Refuses a ledger that
+    committed no point before it resolves the settings, which fall back on
+    the upload's line, or reads cluster.state, and, unless ``recovering``,
+    a live cluster behind the last committed epoch, which an operation
+    that failed after its snapshot leaves."""
+    ledger = load_ledger(_ledger_dir(args))
     if not ledger.points:
-        raise NothingToRestore(f"no restore points in {config.ledger_dir}")
+        raise NothingToRestore(f"no restore points in {ledger.directory}")
+    config = resolve_config(args, upload_settings(ledger))
     cluster = load_cluster(ledger, config.seed)
     if cluster.epoch != ledger.last().epoch and not recovering:
         raise EpochMismatch(f"{CLUSTER_FILE} is at epoch {cluster.epoch} but the ledger committed epoch"
                             f" {ledger.last().epoch}; run recover to restore it")
-    return cluster, ledger
+    return config, cluster, ledger
 
 
 def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, config: SimConfig,
@@ -236,7 +230,7 @@ def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, 
 
 
 def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+    config = resolve_config(args, {})
     if config.ledger_dir.exists():
         kept = sorted(p.name for p in config.ledger_dir.iterdir() if p.name not in _UPLOAD_FILES)
         if kept:
@@ -246,6 +240,7 @@ def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     verdict = round_trip_verify(
         cluster, payload, config.server_count, config.block_size, config.mode
     )
+    line = upload_line(config.server_count, config.block_size, config.mode, config.seed)
     print(
         f"UPLOAD bytes={len(payload)} servers={config.server_count}"
         f" block_size={config.block_size} mode={config.mode.value} seed={config.seed}"
@@ -253,17 +248,13 @@ def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     print(render_verdict_report(verdict), end="")
     if not verdict.z:
         return EXIT_FAILED
-    values = (config.server_count, config.block_size, config.mode.value, config.seed)
-    text = "".join(f"{key}={value}\n" for key, value in zip(CONFIG_KEYS, values))
-    write_file(config.ledger_dir, CONFIG_FILE, text.encode("utf-8"))
     write_file(config.ledger_dir, CLUSTER_FILE, b"")  # the live cluster is the point committed next
-    commit_restore_point(Ledger(directory=config.ledger_dir), cluster, verdict)
+    commit_restore_point(Ledger(directory=config.ledger_dir), cluster, verdict, line)
     return EXIT_OK
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    cluster, ledger = _load_state(config)
+    config, cluster, ledger = _load_state(args)
     stored = ledger.last().manifest
     verdict = verify_equality(stored, read_manifest(cluster), config.mode)
     report = render_verdict_report(verdict)
@@ -275,8 +266,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def cmd_op(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    cluster, ledger = _load_state(config)
+    config, cluster, ledger = _load_state(args)
     kind = ops.OperationKind(args.op_kind)
     payload: Optional[bytes] = None
     if kind in (ops.OperationKind.APPEND, ops.OperationKind.UPDATE):
@@ -299,8 +289,7 @@ def cmd_op(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    cluster, ledger = _load_state(config)
+    _, cluster, ledger = _load_state(args)
     fault = FaultSpec(
         kind=FaultKind(args.kind),
         target_server=args.server,
@@ -315,8 +304,7 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    cluster, ledger = _load_state(config, recovering=True)
+    _, cluster, ledger = _load_state(args, recovering=True)
     report = recover(ledger, cluster)
     save_cluster(ledger, cluster)
     print(f"{report.action.value} epoch={report.epoch}")
@@ -324,8 +312,7 @@ def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    cluster, ledger = _load_state(config)
+    config, cluster, ledger = _load_state(args)
     first, sep, last = args.epochs.partition("..")
     grant = AuditGrant(
         first_epoch=int(first),
@@ -343,7 +330,7 @@ def cmd_history(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     """One line per committed operation, as the operation printed it: the
     operation line of each epoch from 1, the change of the total as delta
     and the new total as s_after."""
-    points = load_ledger(resolve_config(args).ledger_dir).points
+    points = load_ledger(_ledger_dir(args)).points
     for before, point in zip(points, points[1:]):
         total = point.manifest.total_weight
         print(journal_line(point.epoch, point.op, total - before.manifest.total_weight, total))
@@ -351,8 +338,7 @@ def cmd_history(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    cluster, ledger = _load_state(config)
+    config, cluster, ledger = _load_state(args)
     print(
         f"REPORT epoch={cluster.epoch} servers={cluster.server_count}"
         f" block_size={config.block_size} mode={config.mode.value} seed={config.seed}"
@@ -415,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server", type=int, required=True)
     p.add_argument("--block", type=int)
     p.add_argument("--fault-seed", type=int, default=0,
-                   help="xored into the config seed to seed the fault byte stream (default 0: the config seed)")
+                   help="xored into the upload's seed to seed the fault byte stream (default 0: the upload's seed)")
     p.set_defaults(func=cmd_tamper)
 
     p = sub.add_parser("crash", help="crash a server (erases its blocks)")

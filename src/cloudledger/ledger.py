@@ -91,7 +91,7 @@ class RestorePoint(NamedTuple):
 
     @property
     def op(self) -> str:
-        """The record's first line: ``UPLOAD servers=<n>`` at epoch 0 and
+        """The record's first line: the upload's (upload_line) at epoch 0 and
         ``<KIND> server=<s> block=<b>`` after, without the LF."""
         return self.record.partition(b"\n")[0].decode("utf-8")
 
@@ -169,19 +169,20 @@ class RecoveryReport(NamedTuple):
 def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict,
                          op: Optional[str] = None) -> RestorePoint:
     """Append a restore point for the cluster's current (verified) state,
-    committed by the operation whose line is ``op``, or by the upload.
+    committed by the operation or the upload whose line is ``op``: when
+    None, the upload's line naming the server count alone (upload_line).
 
-    Refuses unverified or epoch-desynced commits, an operation line at
-    epoch 0 or none at a later epoch, and stored blocks that a stale read
+    Refuses unverified or epoch-desynced commits, any line at epoch 0 but
+    an upload's naming the cluster's server count, any at a later epoch
+    but an operation's, and stored blocks that a stale read
     path hid from the verdict; on success the stored blocks' manifest (and
     with it X) and the record are frozen and the logical clock ticks. The
     manifest shares every record the commit did not change with the
     previous point, whose records become the cluster's previous_records,
     the ones a stale read path replays. The record is the epoch file: the
-    operation line, the upload's naming its server count, a block line per
-    block the operation wrote, in record order (the entry of a block the
-    ledger stores for the first time, a reference otherwise), and the
-    chain line (_chain_line). An operation's blocks must be the previous
+    line, a block line per block the operation wrote, in record order (the
+    entry of a block the ledger stores for the first time, a reference
+    otherwise), and the chain line (_chain_line). An operation's blocks must be the previous
     point's but for the one its line names, which _written_blocks checks on
     every server's kept digest lines, so that block is the only one looked
     up in the store. A bound ledger writes the epoch file before the
@@ -197,15 +198,17 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
         raise EpochMismatch(f"verdict is for epoch {verdict.epoch}, cluster is at {cluster.epoch}")
     if cluster.epoch != ledger.next_epoch:
         raise EpochMismatch(f"ledger expects epoch {ledger.next_epoch}, cluster is at {cluster.epoch}")
-    if (op is None) != (cluster.epoch == 0):
-        raise EpochMismatch(f"epoch {cluster.epoch} is committed {'with' if op else 'without'} an operation line;"
-                            " the upload commits epoch 0, and one operation each later epoch")
+    if op is None and cluster.epoch == 0:
+        op = upload_line(cluster.server_count)
+    line = (_UPLOAD_LINE if cluster.epoch == 0 else _OPERATION_LINE).fullmatch(op or "")
+    if line is None or cluster.epoch == 0 and line["servers"] != str(cluster.server_count):
+        raise EpochMismatch(f"epoch {cluster.epoch} is committed with {op!r}; the upload of the cluster's"
+                            f" {cluster.server_count} servers commits epoch 0, and one operation each later epoch")
 
     manifest, served = stored_manifest(cluster), read_manifest(cluster).records
     if manifest.records is not served and manifest.records != served:
         raise UnverifiedState("refusing to snapshot stored blocks that differ from the verified read path")
-    if op is None:
-        op = f"UPLOAD servers={cluster.server_count}"
+    if cluster.epoch == 0:
         written = [block for server in cluster.servers for block in server.blocks.values()]
     else:
         written = _written_blocks(ledger.last(), ledger.last_snapshot, cluster, op)
@@ -323,33 +326,36 @@ def _written_blocks(last: RestorePoint, text: str, cluster: ClusterState, op: st
 
 # --- persistence --------------------------------------------------------------
 #
-# Ledger format v11: write_file replaces every file whole, by way of
+# Ledger format v12: write_file replaces every file whole, by way of
 # ``<name>.tmp``, so a crash leaves the old file or the new. An epoch's only
 # file is ``<epoch>.snapshot``, and its rename is the commit. Every epoch file,
 # the upload's included, is a redo record of one grammar: its operation line,
-# ``UPLOAD servers=<n>`` at epoch 0 and ``<KIND> server=<s> block=<b>`` after;
-# one block line per block the operation wrote, in record order: an entry
-# ``<weight>\n<payload>\n`` the first time the ledger stores that content, its
-# weight a canonical decimal of at most 63 digits, otherwise a reference
-# ``<sha256 hex>\n``, exactly 64 lowercase hex digits, so no weight line is a
-# reference; and last its chain line ``CHAIN sha256=<hex>\n``: the SHA-256 of
-# the chain hex of the file before (nothing for 0.snapshot) followed by this
-# file's bytes before the line. The chain covers every entry's bytes, so an
-# entry names no digest: the load computes it, to key the block store. The
-# kind sets the number of block lines: any for an UPLOAD, one for an APPEND or
-# UPDATE, none for a DELETE. So every block is stored once in the directory,
-# epoch k names blocks of files 0..k, and no ledger file holds manifest or
-# snapshot text. The CLI's live cluster, ``cluster.state``, is written empty
-# while no fault since the last commit or restore is in effect, and otherwise
-# holds ``HEAD <epoch>`` and then one line per fault the cluster lists, in
-# order: ``<kind> server=<s> block=<b> seed=<seed>``, its FaultKind value, its
-# server, its block (``-`` for a crash or a stale read path, which name none)
-# and the seed of its byte stream, below 2**64, all decimals canonical and
-# every line ending in LF. load_cluster replays the faults with inject_fault
-# onto the last point when HEAD names its epoch: a tampered block is a
-# function of the point and the fault, so the file stores the fault. A crash
-# before a rename leaves at most a partial ``.tmp``, which no reader lists and
-# a retry replaces.
+# ``UPLOAD v12 servers=<n>`` at epoch 0, followed, when the CLI uploaded, by
+# `` block_size=<B> mode=<m> seed=<s>``, its settings, and ``<KIND>
+# server=<s> block=<b>`` after; one block line per block the operation wrote,
+# in record order: an entry ``<weight>\n<payload>\n`` the first time the
+# ledger stores that content, its weight a canonical decimal of at most 63
+# digits, otherwise a reference ``<sha256 hex>\n``, exactly 64 lowercase hex
+# digits, so no weight line is a reference; and last its chain line ``CHAIN
+# sha256=<hex>\n``: the SHA-256 of the chain hex of the file before (nothing
+# for 0.snapshot) followed by this file's bytes before the line. The chain
+# covers every entry's bytes, and the settings, so an entry names no digest:
+# the load computes it, to key the block store. ``v12`` in the upload's line
+# is the format marker: a 0.snapshot that does not start with ``UPLOAD v12 ``
+# is of a retired format, v11 or earlier. The kind sets the number of block
+# lines: any for an UPLOAD, one for an APPEND or UPDATE, none for a DELETE. So
+# every block is stored once in the directory, epoch k names blocks of files
+# 0..k, and no ledger file holds manifest or snapshot text. The CLI's live
+# cluster, ``cluster.state``, is written empty while no fault since the last
+# commit or restore is in effect, and otherwise holds ``HEAD <epoch>`` and
+# then one line per fault the cluster lists, in order: ``<kind> server=<s>
+# block=<b> seed=<seed>``, its FaultKind value, its server, its block (``-``
+# for a crash or a stale read path, which name none) and the seed of its byte
+# stream, below 2**64, all decimals canonical and every line ending in LF.
+# load_cluster replays the faults with inject_fault onto the last point when
+# HEAD names its epoch: a tampered block is a function of the point and the
+# fault, so the file stores the fault. A crash before a rename leaves at most a
+# partial ``.tmp``, which no reader lists and a retry replaces.
 
 CLUSTER_FILE = "cluster.state"
 # A canonical decimal of at most 20 digits: every seed below 2**64, and few enough digits for int().
@@ -363,21 +369,43 @@ _LIVE_STATUS = (FaultKind.SERVER_CRASH, FaultKind.CSP_STALE_MANIFEST)
 _WEIGHT_LINE = rb"(?P<weight>0|[1-9][0-9]{0,62})\n"
 # An epoch file's block line: a reference, or an entry's weight line.
 _BLOCK_LINE = re.compile(rb"(?P<digest>[0-9a-f]{64})\n|" + _WEIGHT_LINE)
-# A retired format's entry header, stepped past only to name that format: v2
-# to v9 headed each entry with its digest, and v10's cluster.state held entries.
-_PACK_ENTRY = re.compile(rb"([0-9a-f]{64} )?([0-9]+)\n")
-_RETIRED_HEADERS = (["MANIFEST", "v1"], ["SNAPSHOT", "v2"], ["SNAPSHOT", "v3"], ["SNAPSHOT", "v4"], ["SNAPSHOT", "v5"],
-                    ["SNAPSHOT", "v6"], ["SNAPSHOT", "v7"], ["SNAPSHOT", "v8"], ["SNAPSHOT", "v9"], ["SNAPSHOT", "v10"])
 _CHAIN_SIZE = len("CHAIN sha256=\n") + 64  # the bytes of a chain line
 # An operation line as operation_line renders it, its decimals _NUMBERs.
 _OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_NUMBER}) block=({_NUMBER})")
-# The upload's line, as commit_restore_point renders it: a cluster has at least one server, a nonzero _NUMBER.
-_UPLOAD_LINE = re.compile("UPLOAD servers=([1-9][0-9]{0,19})")
+# What every 0.snapshot of this format starts with, and none of a retired one.
+_UPLOAD_HEAD = "UPLOAD v12 "
+# The upload's line, as upload_line renders it: a cluster has at least one server and a block at least one
+# byte, nonzero _NUMBERs, and the seed is a _NUMBER that may be negative.
+_UPLOAD_LINE = re.compile(f"{_UPLOAD_HEAD}servers=(?P<servers>[1-9][0-9]{{0,19}})(?: block_size=(?P<block_size>"
+                          f"[1-9][0-9]{{0,19}}) mode=(?P<mode>{'|'.join(mode.value for mode in Mode)})"
+                          f" seed=(?P<seed>0|-?[1-9][0-9]{{0,19}}))?")
 
 
 def operation_line(kind: str, server: int, block: int) -> str:
     """What an operation did, as its epoch file's first line holds it, without the LF."""
     return f"{kind} server={server} block={block}"
+
+
+def upload_line(server_count: int, block_size: Optional[int] = None, mode: Optional[Mode] = None,
+                seed: Optional[int] = None) -> str:
+    """The upload's line, as 0.snapshot's first line holds it, without the
+    LF: the format marker and the server count, then, when the CLI
+    uploads, its block size, mode and seed, which the chain then covers. A
+    value the line cannot hold (_UPLOAD_LINE), such as a seed of 21 digits,
+    raises ValueError."""
+    settings = "" if block_size is None else f" block_size={block_size} mode={mode.value} seed={seed}"
+    line = f"{_UPLOAD_HEAD}servers={server_count}{settings}"
+    if _UPLOAD_LINE.fullmatch(line) is None:
+        raise ValueError(f"the upload's line cannot hold {line!r}")
+    return line
+
+
+def upload_settings(ledger: Ledger) -> dict[str, str]:
+    """The settings the upload's line of a loaded ledger records, by key:
+    ``servers``, and ``block_size``, ``mode`` and ``seed`` when the CLI
+    uploaded."""
+    return {key: value for key, value in _UPLOAD_LINE.fullmatch(ledger.points[0].op).groupdict().items()
+            if value is not None}
 
 
 def journal_line(epoch: int, op: str, delta: int, s_after: int) -> str:
@@ -431,16 +459,6 @@ def _read_blocks(name: str, data: bytes, position: int,
     return blocks, written, position
 
 
-def _retired_version(data: bytes, position: int) -> Optional[list[str]]:
-    """The retired format of ``data``, as the first two words of its header,
-    when a retired header follows the retired entries (``[<sha256 hex> ]
-    <weight>\n<payload>\n``, _PACK_ENTRY) from ``position``; else None."""
-    while (entry := _PACK_ENTRY.match(data, position)) is not None:
-        position = entry.end() + int(entry.group(2)) + 1
-    version = data[position:].partition(b"\n")[0].decode("utf-8", "replace").split(" ")[:2]
-    return version if version in _RETIRED_HEADERS else None
-
-
 def _chain_line(previous: bytes, body: bytes) -> bytes:
     """The chain line that ends an epoch file whose bytes before it are
     ``body``: the SHA-256 of the chain hex that ends ``previous``, the epoch
@@ -450,18 +468,12 @@ def _chain_line(previous: bytes, body: bytes) -> bytes:
 
 def _check_chain(name: str, data: bytes, previous: bytes) -> None:
     """Refuse ``name``'s ``data`` unless it ends in the chain line of its
-    other bytes after ``previous``, the epoch file before (_chain_line). A
-    file that ends in no chain line is named as a retired format when it
-    is one: a v8 file ends in a snapshot line, and an older one holds a
-    retired snapshot header after its entries (_retired_version)."""
+    other bytes after ``previous``, the epoch file before (_chain_line)."""
     if data[-_CHAIN_SIZE:] == _chain_line(previous, data[:-_CHAIN_SIZE]):
         return
     if data[-_CHAIN_SIZE:].startswith(b"CHAIN sha256="):
         raise SnapshotCorrupt(f"{name} fails its chain line: it, or an epoch file before it, changed after its commit")
     last = data[data.rfind(b"\n", 0, len(data) - 1) + 1 :]
-    version = ["SNAPSHOT", "v8"] if last.startswith(b"SNAPSHOT sha256=") else _retired_version(data, 0)
-    if version is not None:
-        raise SnapshotCorrupt(f"{name} is in ledger format {version[1]}, which is no longer supported")
     raise SnapshotCorrupt(f"{name} ends in {last.decode('utf-8', 'replace')!r}, where its chain line belongs")
 
 
@@ -471,8 +483,7 @@ def _read_record(name: str, epoch: int, data: bytes, stored: Mapping[str, DataBl
     its operation line, an UPLOAD at epoch 0 and only there, the blocks its
     block lines name in order and the blocks of its entries (_read_blocks).
     The kind sets the number of block lines, which end the bytes; any other
-    line is refused as the line it is, and a v9 entry, which the chain
-    check passes, as its format."""
+    line is refused as the line it is."""
     head, lf, _ = data.partition(b"\n")
     op = head.decode("utf-8", "replace")
     if not lf or _OPERATION_LINE.fullmatch(op) is None and _UPLOAD_LINE.fullmatch(op) is None:
@@ -482,8 +493,6 @@ def _read_record(name: str, epoch: int, data: bytes, stored: Mapping[str, DataBl
         raise SnapshotCorrupt(f"{name} holds {op!r}, but the upload commits epoch 0, and only epoch 0")
     blocks, written, position = _read_blocks(name, data, len(head) + 1, stored)
     if position != len(data):
-        if (entry := _PACK_ENTRY.match(data, position)) and entry[1]:  # a v9 entry, headed by its digest
-            raise SnapshotCorrupt(f"{name} is in ledger format v9, which is no longer supported")
         line, lf, _ = data[position:].partition(b"\n")
         raise SnapshotCorrupt(f"{name} at byte {position} holds {line.decode('utf-8', 'replace')!r}"
                               f"{'' if lf else ' and no LF'}, where a block line or the chain line belongs")
@@ -505,7 +514,7 @@ def _replay(cluster: Optional[ClusterState], name: str, epoch: int, op: str, wri
     next id after the server's largest. So its records are operation_records
     of the epoch before's, by construction."""
     if cluster is None:  # the upload, as _read_record checked
-        cluster, blocks = new_cluster(int(op.removeprefix("UPLOAD servers="))), iter(written)
+        cluster, blocks = new_cluster(int(_UPLOAD_LINE.fullmatch(op)["servers"])), iter(written)
         for server in cluster.servers:  # server s holds every n-th block from the s-th
             for block in range(len(range(server.server_index, len(written), cluster.server_count))):
                 server.put(block, next(blocks))
@@ -535,13 +544,10 @@ def _read_faults(data: bytes) -> tuple[Optional[int], list[FaultSpec]]:
     """The epoch of cluster.state's HEAD line and its faults, as its bytes
     ``data``, which are not empty, hold them. Any line that is not one the
     grammar allows, its seed under 2**64 and a block for exactly the
-    faults that name one, is refused as the line it is, and a file of a
-    retired format, its entries included, by its format."""
+    faults that name one, is refused as the line it is."""
     *lines, rest = data.decode("utf-8", "replace").split("\n")
     head = _HEAD_LINE.fullmatch(lines[0] if lines else rest)
     if head is None:
-        if (version := _retired_version(data, 0)) is not None:
-            raise SnapshotCorrupt(f"{CLUSTER_FILE} is in ledger format {version[1]}, which is no longer supported")
         raise SnapshotCorrupt(f"{CLUSTER_FILE} starts with {(lines or [rest])[0]!r}, which is no HEAD line")
     if rest:
         raise SnapshotCorrupt(f"{CLUSTER_FILE} ends in {rest!r}, a line with no LF")
@@ -624,10 +630,13 @@ def load_ledger(directory: Path) -> Ledger:
     """Load a persisted ledger by replay, revalidating every epoch: the one
     place that decides what an epoch committed.
 
-    Every epoch file is read, as written, with no newline translation, and
-    must end in its chain line (_check_chain) before any entry is hashed or
-    any cluster is built, so an edit that leaves the chain inconsistent
-    fails at its file, whatever the replay would make of it. Then each
+    0.snapshot must start with the format marker, which no retired
+    format's holds, so every retired format fails by one name before its
+    chain is checked. Every epoch file is read, as written, with no newline
+    translation, and must end in its chain line (_check_chain) before any
+    entry is hashed or any cluster is built, so an edit that leaves the
+    chain inconsistent fails at its file, whatever the replay would make
+    of it. Then each
     file is read as a redo record (_read_record): its entries join the
     block store, so epoch k resolves only in the blocks of files 0..k, and
     its operation line makes its writes (_replay): the upload places its
@@ -650,6 +659,8 @@ def load_ledger(directory: Path) -> Ledger:
             records.append((directory / name).read_bytes())
         except OSError as exc:
             raise SnapshotCorrupt(f"{name} does not load: {exc}") from exc
+        if epoch == 0 and not records[0].startswith(_UPLOAD_HEAD.encode()):
+            raise SnapshotCorrupt("0.snapshot is in ledger format v11 or earlier, which is no longer supported")
         _check_chain(name, records[-1], records[-2] if epoch else b"")
     cluster: Optional[ClusterState] = None  # every epoch replays into it, so points share records
     for epoch, (name, record) in enumerate(zip(names, records)):

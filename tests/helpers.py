@@ -47,6 +47,8 @@ def state_fingerprint(cluster: ClusterState, ledger: Optional[Ledger] = None) ->
 
 
 CHAIN_LINE = re.compile(rb"CHAIN sha256=([0-9a-f]{64})\n")
+# The error of a ledger whose 0.snapshot lacks the format marker: every retired format's.
+RETIRED = "0.snapshot is in ledger format v11 or earlier, which is no longer supported"
 
 
 def rechain(directory: Path, epoch: int = 0) -> None:

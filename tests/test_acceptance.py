@@ -262,12 +262,11 @@ def test_criterion_7_tpa_non_interference_and_agreement():
 # SHA-256 of every ledger file the demo writes at seed 42. A change of
 # ledger format updates these pins and says so.
 DEMO_LEDGER_SHA256 = {
-    "0.snapshot": "9c1546b122d64a8ac6abd8a5c09d8cc8fab5f0b75353c6db9f2784fbf70e6ccd",
-    "1.snapshot": "dcedae44facee75118202703ab49df5185e8cc61c171df2ed0ccef22fc33e7e5",
-    "2.snapshot": "f06f217749f059b09e47f357022d5933298ba6c91e2fa7d01b171770ccfe595b",
-    "3.snapshot": "eeacc53f08174c13e58610788411093a8b797a172ec20b760e1c9ca441403ad0",
+    "0.snapshot": "f9736a4a3cdf68d9d089f362019e77db9d264bf3d86b11f2db422bfa55324ff6",
+    "1.snapshot": "bdf16cf3ad543823c59704114cbe9576ad75ff107a2d88ef5bbdac85ee59daac",
+    "2.snapshot": "f9aef69f7bf6f423fcf5cad7ff7d1da04493232687eb0f6e791d0989d9c41819",
+    "3.snapshot": "1606aaa188163bd4676f7bf86babea76b79e555572fe8228ec509d78e5775b2b",
     "cluster.state": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",  # empty: the last point
-    "config": "a07f9fbb9806c1bf1db68156c74d1cb624c2b40b9ea5b2e5164201295c000bb3",
 }
 
 

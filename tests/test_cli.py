@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from cloudledger import (
 from cloudledger.cluster import SNAPSHOT_HEADER
 from cloudledger.ledger import _read_record, load_cluster
 from cloudledger.rng import generate_payload
-from helpers import rechain
+from helpers import RETIRED, rechain
 
 MIB = 1024 * 1024
 
@@ -58,7 +59,9 @@ def test_upload_commits_epoch_zero(ledger_dir, capsys):
     out = capsys.readouterr().out
     assert "UPLOAD bytes=800 servers=3 block_size=32 mode=checksum seed=42" in out
     assert "VERDICT z=true mode=checksum epoch=0 divergences=0" in out
-    assert sorted(p.name for p in ledger_dir.iterdir()) == ["0.snapshot", "cluster.state", "config"]
+    assert sorted(p.name for p in ledger_dir.iterdir()) == ["0.snapshot", "cluster.state"]
+    assert (ledger_dir / "0.snapshot").read_bytes().startswith(b"UPLOAD v12 servers=3 block_size=32 mode=checksum"
+                                                               b" seed=42\n")
     assert [point.committed_x for point in load_ledger(ledger_dir).points] == [1600]
     assert (ledger_dir / "cluster.state").read_bytes() == b""  # the live cluster is the committed point
 
@@ -115,19 +118,22 @@ def test_verify_clean_and_after_tamper(ledger_dir, capsys):
 
 
 def test_tamper_without_a_fault_seed_draws_from_the_config_seed(tmp_path, capsys):
-    """The fault stream is seeded with the config seed xor --fault-seed, so
-    with the default fault seed two config seeds tamper the same input
-    differently, as they do through the library's FaultSpec default."""
+    """The fault stream is seeded with the upload's seed, which its line
+    records, a negative one too, xor --fault-seed, so with the default
+    fault seed two upload seeds tamper the same input differently, as they
+    do through the library's FaultSpec default."""
     source = tmp_path / "payload.bin"
     source.write_bytes(generate_payload(7, 800))
     notes = []
-    for seed in ("1", "2"):
+    for seed in ("1", "2", "-5"):
         directory = str(tmp_path / f"seed{seed}")
         assert run_cli("--seed", seed, "--ledger-dir", directory, "upload", str(source)) == 0
         capsys.readouterr()
         assert run_cli("--ledger-dir", directory, "tamper", "--kind", "flip-byte", "--server", "0", "--block", "0") == 0
         notes.append(capsys.readouterr().out.partition(" note=")[2])
-    assert notes[0].startswith("byte ") and notes[0] != notes[1], notes
+        assert run_cli("--ledger-dir", directory, "report") == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(f" seed={seed}")
+    assert notes[0].startswith("byte ") and len(set(notes)) == 3, notes
 
 
 def assert_cluster_state_exits_2(ledger_dir, capsys, data, error):
@@ -234,24 +240,50 @@ def old_snapshot(version, payload, servers, block_size):
     return "\n".join(lines + ["END"]) + "\n"
 
 
+def as_v11(ledger_dir):
+    """Rewrite a ledger directory as format v11 wrote it: the upload's line
+    named the server count alone, every chain line from it on covering
+    that, and the settings were in a config file of key=value lines."""
+    path = ledger_dir / "0.snapshot"
+    line, lf, rest = path.read_bytes().partition(b"\n")
+    settings = [field.split(b"=") for field in line.split(b" ")[2:]]
+    path.write_bytes(b"UPLOAD servers=%s\n%s" % (settings[0][1], rest))
+    rechain(ledger_dir)
+    (ledger_dir / "config").write_bytes(b"".join(b"%s=%s\n" % (key, value) for key, value in settings))
+
+
+def assert_retired(ledger_dir, capsys):
+    """Every command that loads the ledger exits 2 naming the retired
+    formats, and writes nothing, and an upload into it exits 3."""
+    before = dir_contents(ledger_dir)
+    capsys.readouterr()
+    for command in ("verify", "history", "recover", "report"):
+        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, (ledger_dir.name, command)
+        assert RETIRED in capsys.readouterr().err, (ledger_dir.name, command)
+        assert dir_contents(ledger_dir) == before, (ledger_dir.name, command)
+    assert seeded_upload(ledger_dir) == 3
+    assert dir_contents(ledger_dir) == before
+
+
 def test_v1_ledger_files_are_rejected_by_name(tmp_path, capsys):
+    """A 0.snapshot without the format marker is of a retired format, v11 or
+    earlier: v1 and v2 snapshot text and v11's UPLOAD line alike. A
+    cluster.state in an older format beside current epoch files has no
+    HEAD line."""
     payload = generate_payload(42, 800)
-    for version in ("v1", "v2"):
-        old = old_snapshot(version, payload, 3, 32)
-        # A v5 ledger whose cluster.state is still in an older format ...
+    for version in ("v1", "v2", "v11"):
         ledger_dir = tmp_path / version
         seeded_upload(ledger_dir)
-        (ledger_dir / "cluster.state").write_text(old)
-        capsys.readouterr()
-        assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 2
-        assert f"ledger format {version}" in capsys.readouterr().err
-        # ... and an epoch snapshot in that format, as an older ledger directory holds.
-        (ledger_dir / "0.snapshot").write_text(old)
-        for command in ("verify", "recover"):
-            assert run_cli("--ledger-dir", str(ledger_dir), command) == 2
-            err = capsys.readouterr().err
-            assert f"ledger format {version}" in err
-            assert "payload line" not in err
+        if version == "v11":
+            as_v11(ledger_dir)
+        else:
+            old = old_snapshot(version, payload, 3, 32)
+            (ledger_dir / "cluster.state").write_text(old)
+            capsys.readouterr()
+            assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 2
+            assert "which is no HEAD line" in capsys.readouterr().err
+            (ledger_dir / "0.snapshot").write_text(old)  # as an older ledger directory holds it
+        assert_retired(ledger_dir, capsys)
 
 
 def three_epochs(ledger_dir):
@@ -278,13 +310,14 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     epoch file in the hash of its snapshot, not a chain line, a v9
     directory heads each entry with its digest, and a v10 cluster.state
     holds entries, a snapshot and status lines, not the faults since the
-    last point, so every file headed SNAPSHOT v3 to v9, every epoch file
-    ending in a v8 snapshot line, every v9 entry and every non-empty v10
-    cluster.state fails by name, and recover writes nothing. v10 epoch
-    files are the current bytes, so a v10 directory whose cluster.state
-    is empty loads."""
+    last point, and a v11 directory keeps its settings in a config file,
+    not in the upload's line. None of their 0.snapshot files starts with
+    the format marker, ``UPLOAD v12 ``, so each directory fails naming the
+    retired formats, v11 or earlier, and recover writes nothing. A v9 or
+    v10 cluster.state beside current epoch files has no HEAD line."""
     current = tmp_path / "current"
     three_epochs(current)
+    upload = "UPLOAD servers=3"  # the upload's line as v8 to v11 wrote it
     cut = tmp_path / "cut"  # each epoch's snapshot text: the last one of the ledger cut after that epoch
     cut.mkdir()
     snapshots = []
@@ -304,6 +337,7 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     for point, text in zip(ledger.points, snapshots):
         name = f"{point.epoch}.snapshot"
         op, written, added = _read_record(name, point.epoch, point.record[:-78], stored)
+        op = op if point.epoch else upload
         stored.update(added)
         # The file as v9 wrote it: the entry of a block where it first occurs, a reference after, the chain line.
         new = dict(added)
@@ -315,6 +349,10 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
     texts["cluster.state"] = (None, tampered, snapshot_cluster(live), None, ())
     blocks = {**ledger.blocks, **{block.digest: block for block in tampered}}
     pack = b"PACK v2\n" + b"".join(map(old_entry, blocks.values()))
+    v11 = tmp_path / "v11"
+    shutil.copytree(current, v11)
+    as_v11(v11)
+    assert_retired(v11, capsys)
     for version in ("v3", "v4", "v5", "v6", "v7", "v8", "v9"):
         # The v10 files as that version wrote them: in v9 each entry headed
         # by its digest; in v8 also each epoch file's operation line and
@@ -326,7 +364,7 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
         # in a journal.
         ledger_dir = tmp_path / version
         ledger_dir.mkdir()
-        (ledger_dir / "config").write_bytes((current / "config").read_bytes())
+        (ledger_dir / "config").write_bytes((v11 / "config").read_bytes())
         if version in ("v3", "v4", "v5", "v7"):
             (ledger_dir / "blocks.pack").write_bytes(pack)
         for name, (op, added, text, body, written) in texts.items():
@@ -343,17 +381,11 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
             (ledger_dir / name).write_bytes(b"".join([head.encode(), *map(old_entry, entries), text.encode()]))
         if version in ("v3", "v4"):
             (ledger_dir / "journal").write_bytes(journal)
-        before = dir_contents(ledger_dir)
-        for command in ("verify", "history", "recover"):
-            assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, (version, command)
-            assert f"ledger format {version}" in capsys.readouterr().err, (version, command)
-            assert dir_contents(ledger_dir) == before, (version, command)
-        assert seeded_upload(ledger_dir) == 3
-        assert dir_contents(ledger_dir) == before
+        assert_retired(ledger_dir, capsys)
     # v10 wrote cluster.state as an entry per live block no epoch file held,
-    # the snapshot and status lines; its epoch files are the current bytes.
-    # A v9 cluster.state is named by the cluster.state reader too, and
-    # history, which does not read it, passes both.
+    # the snapshot and status lines. Beside current epoch files it, and a v9
+    # cluster.state, has no HEAD line, and history, which does not read it,
+    # passes both.
     v10_state = b"".join([*(b"%d\n%s\n" % (len(block.payload), block.payload) for block in tampered),
                           f"SNAPSHOT v10{snapshot_cluster(live)[len(SNAPSHOT_HEADER):]}STALE\n".encode()])
     for version, state in (("v10", v10_state), ("v9", (tmp_path / "v9" / "cluster.state").read_bytes())):
@@ -361,7 +393,7 @@ def test_a_v3_ledger_is_rejected_by_name(tmp_path, capsys):
         before = dir_contents(current)
         for command in ("verify", "history", "recover"):
             assert run_cli("--ledger-dir", str(current), command) == (0 if command == "history" else 2), command
-            assert command == "history" or f"cluster.state is in ledger format {version}" in capsys.readouterr().err
+            assert command == "history" or "which is no HEAD line" in capsys.readouterr().err
             assert dir_contents(current) == before, command
     (current / "cluster.state").write_bytes(b"")
     capsys.readouterr()
@@ -533,7 +565,7 @@ def test_weight_only_blind_spot_via_cli(ledger_dir, capsys):
     )
     # configured weight-only mode misses it ...
     assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 0
-    # ... a flag override to checksum mode catches it (flags beat the config file)
+    # ... a flag override to checksum mode catches it (flags beat the settings the upload recorded)
     assert run_cli("--ledger-dir", str(ledger_dir), "--mode", "checksum", "verify") == 1
     # ... and truncation is caught even in weight-only mode
     run_cli("--ledger-dir", str(ledger_dir), "tamper", "--kind", "truncate", "--server", "1", "--block", "0")
@@ -591,9 +623,14 @@ def test_recover_with_no_ledger_exits_6(ledger_dir):
     assert run_cli("--ledger-dir", str(ledger_dir), "recover") == 6
 
 
-def test_invalid_configuration_exits_2(ledger_dir):
-    assert run_cli("--servers", "0", "--ledger-dir", str(ledger_dir), "upload", "--gen-bytes", "4") == 2
-    assert run_cli("--block-size", "0", "--ledger-dir", str(ledger_dir), "upload", "--gen-bytes", "4") == 2
+def test_invalid_configuration_exits_2(ledger_dir, capsys):
+    """A setting the upload cannot use, or its line cannot hold (a seed of
+    21 digits), exits 2 before the upload writes, which removes the
+    directory it made."""
+    for flag, value in (("--servers", "0"), ("--block-size", "0"), ("--seed", "1" * 21), ("--seed", "-" + "1" * 21)):
+        assert run_cli(flag, value, "--ledger-dir", str(ledger_dir), "upload", "--gen-bytes", "4") == 2, value
+        assert not ledger_dir.exists(), value
+    assert "the upload's line cannot hold" in capsys.readouterr().err
 
 
 def test_audit_cli_output(ledger_dir, capsys):
@@ -654,7 +691,7 @@ def test_config_file_flag(ledger_dir, tmp_path, capsys):
     assert run_cli("--ledger-dir", str(ledger_dir), "--config", str(config), "upload", "--gen-bytes", "50") == 0
     out = capsys.readouterr().out
     assert "UPLOAD bytes=50 servers=5 block_size=10 mode=checksum seed=7" in out
-    # An explicit --config must exist; only the ledger directory's own config is optional.
+    # An explicit --config must exist.
     missing, elsewhere = tmp_path / "no-such.cfg", tmp_path / "elsewhere"
     assert run_cli("--ledger-dir", str(elsewhere), "--config", str(missing), "upload", "--gen-bytes", "50") == 2
     assert str(missing) in capsys.readouterr().err
@@ -678,20 +715,14 @@ def test_config_file_flag(ledger_dir, tmp_path, capsys):
     b"servers=5\x0cblock_size=10\n",
     b"servers=5\nblock_size=10",
 ], ids=["crlf", "form-feed", "no-final-lf"])
-def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(ledger_dir, tmp_path, capsys, text):
-    """Both the ledger directory's config and --config must end every line in LF, and in nothing else."""
+def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(tmp_path, capsys, text):
+    """--config must end every line in LF, and in nothing else."""
     config = tmp_path / "sim.cfg"
     config.write_bytes(text)
     elsewhere = tmp_path / "elsewhere"
     assert run_cli("--ledger-dir", str(elsewhere), "--config", str(config), "upload", "--gen-bytes", "50") == 2
     assert f"config file {config} " in capsys.readouterr().err
     assert not elsewhere.exists()
-    assert seeded_upload(ledger_dir) == 0
-    (ledger_dir / "config").write_bytes(text)
-    capsys.readouterr()
-    for command in ("verify", "report"):
-        assert run_cli("--ledger-dir", str(ledger_dir), command) == 2, command
-        assert f"config file {ledger_dir / 'config'} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("epoch, written, edit, error", [
@@ -723,13 +754,13 @@ def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, cap
     (1, lambda data, op: data.replace(op, b"APPEND server=0\n", 1), "starts with 'APPEND server=0', which is no"),
     (1, lambda data, op: data.replace(op, b"APPEND again\n", 1), "starts with 'APPEND again', which is no"),
     (1, lambda data, op: data.replace(op, b"junk line\n", 1), "starts with 'junk line', which is no operation"),
-    (0, lambda data, op: b"UPDATE nothing\n" + data, "0.snapshot starts with 'UPDATE nothing', which is no operation"),
+    (0, lambda data, op: b"UPDATE nothing\n" + data, RETIRED),
     (1, lambda data, op: data.replace(op, op + op, 1), "1.snapshot at byte 24 holds 'APPEND server=0 block=9', where"),
-    (0, lambda data, op: op + data, "0.snapshot holds 'APPEND server=0 block=9', but the upload commits epoch 0"),
+    (0, lambda data, op: op + data, RETIRED),
     (1, lambda data, op: data.replace(op, b"APPEND server=" + b"1" * 5000 + b" block=5\n", 1),
      "1.snapshot starts with 'APPEND server=111111"),
-    (0, lambda data, op: b"UPLOAD servers=" + b"1" * 5000 + data[data.index(b"\n"):],
-     "0.snapshot starts with 'UPLOAD servers=111111"),
+    (0, lambda data, op: b"UPLOAD v12 servers=" + b"1" * 5000 + data[data.index(b" block_size="):],
+     "0.snapshot starts with 'UPLOAD v12 servers=111111"),
 ], ids=["short-line", "again", "junk", "epoch-0-junk", "epoch-1-twice", "epoch-0", "over-long-server",
         "over-long-servers"])
 def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, capsys, epoch, edit, error):
@@ -738,7 +769,8 @@ def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, cap
     epoch file with any other first line, or with the operation line twice,
     makes load_ledger raise SnapshotCorrupt, and history, verify and recover
     exit 2 and write nothing, even with every chain line from it on
-    recomputed. An operation line's decimals have at most 20 digits, as a
+    recomputed. A 0.snapshot that does not start with the format marker
+    fails as a retired format. An operation line's decimals have at most 20 digits, as a
     fault line's do, so int() never meets its 4,300-digit limit."""
     seeded_upload(ledger_dir)
     assert run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "40") == 0
@@ -757,24 +789,31 @@ def test_history_and_recover_refuse_a_line_no_operation_journals(ledger_dir, cap
         assert dir_contents(ledger_dir) == before
 
 
-def test_an_edited_config_mode_passes_a_same_weight_tamper(ledger_dir, capsys):
-    """Open blind spot: config is outside the chain. After its mode is
-    edited from checksum to weight-only, a same-weight tamper passes verify
-    and audit with exit 0, while recover, which compares checksums
-    whatever the mode, still restores. A head or key that covers the
-    settings refuses the edit, which flips this test."""
+@pytest.mark.parametrize("setting, edited", [
+    (b" servers=3 ", b" servers=9 "),
+    (b" block_size=32 ", b" block_size=99 "),
+    (b" mode=checksum ", b" mode=weight-only "),
+    (b" seed=42", b" seed=43"),
+], ids=["servers", "block_size", "mode", "seed"])
+def test_an_edited_upload_setting_fails_its_chain_line(ledger_dir, capsys, setting, edited):
+    """The settings are in the upload's line, which the chain covers. An
+    edit of any, such as the mode's to weight-only, under which a
+    same-weight tamper would pass verify and audit, makes every command
+    that loads the ledger exit 2, and write nothing."""
     seeded_upload(ledger_dir)
-    config = ledger_dir / "config"
-    config.write_bytes(config.read_bytes().replace(b"mode=checksum\n", b"mode=weight-only\n"))
     assert run_cli("--ledger-dir", str(ledger_dir), "tamper", "--kind", "same-weight", "--server", "1",
                    "--block", "0") == 0
+    path = ledger_dir / "0.snapshot"
+    line, lf, rest = path.read_bytes().partition(b"\n")
+    assert line.count(setting) == 1
+    path.write_bytes(line.replace(setting, edited) + lf + rest)
+    before = dir_contents(ledger_dir)
     capsys.readouterr()
-    assert run_cli("--ledger-dir", str(ledger_dir), "verify") == 0
-    assert run_cli("--ledger-dir", str(ledger_dir), "audit", "--epochs", "0") == 0
-    assert capsys.readouterr().out == ("VERDICT z=true mode=weight-only epoch=0 divergences=0\n"
-                                       "TPA VERDICT z=true mode=weight-only epoch=0 divergences=0\n")
-    assert run_cli("--ledger-dir", str(ledger_dir), "recover") == 0
-    assert capsys.readouterr().out == "RESTORED epoch=0\n"
+    for command in (["verify"], ["audit", "--epochs", "0"], ["report"], ["recover"]):
+        assert run_cli("--ledger-dir", str(ledger_dir), *command) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and "0.snapshot fails its chain line" in err, (command, err)
+    assert dir_contents(ledger_dir) == before
 
 
 def test_identical_command_sequences_produce_identical_directories(tmp_path):

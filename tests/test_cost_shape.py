@@ -26,11 +26,16 @@ through the CLI on the same 4096 records: a tamper writes cluster.state
 as a HEAD line and one line per pending fault, a verify, report or tamper
 after it replays the faults onto the cluster the ledger's replay ended
 in, so it loads no snapshot and parses no manifest, and a recover after
-it loads and parses one of each, the last point's, to restore it.
+it loads and parses one of each, the last point's, to restore it. The
+file row, through the CLI: an upload makes two writes, cluster.state and
+then 0.snapshot, whose rename commits it, and a verify of an E-epoch
+ledger reads E + 1 files, each epoch file and then cluster.state, once:
+the settings are in the upload's line, so no other file holds them.
 """
 
 import hashlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +331,30 @@ def test_a_load_parses_one_snapshot_and_replays_one_write_per_later_epoch(tmp_pa
     assert loaded.points == ledger.points
     assert_no_text(loaded.points)
     assert [server.records for server in live.servers] == [server.records for server in cluster.servers]
+
+
+@pytest.mark.parametrize("epochs", [1, 4])
+def test_an_upload_writes_two_files_and_a_verify_reads_each_ledger_file_once(tmp_path, monkeypatch, epochs):
+    directory = tmp_path / "ledger"
+    flags = ["--servers", "3", "--block-size", "16", "--ledger-dir", str(directory)]
+    written, write_file = [], ledger_module.write_file
+
+    def counting_write(target, name, data):
+        written.append(name)
+        write_file(target, name, data)
+
+    for module in (ledger_module, cli):
+        monkeypatch.setattr(module, "write_file", counting_write)
+    assert cli.run([*flags, "upload", "--gen-bytes", "100"]) == 0
+    assert written == ["cluster.state", "0.snapshot"]
+    for epoch in range(1, epochs):
+        assert cli.run([*flags, "append", "--server", str(epoch % 3), "--gen-bytes", "20"]) == 0
+    read, read_bytes = [], Path.read_bytes
+
+    def counting_read(path):
+        read.append(path)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read)
+    assert cli.run([*flags, "verify"]) == 0
+    assert read == [directory / name for name in [*(f"{epoch}.snapshot" for epoch in range(epochs)), "cluster.state"]]

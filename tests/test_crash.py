@@ -33,7 +33,7 @@ COMMANDS = {
 }
 # The files each command writes, in order: the snapshot's rename is the commit.
 WRITES = {
-    "upload": ["config", "cluster.state", "0.snapshot"],
+    "upload": ["cluster.state", "0.snapshot"],
     "append": ["2.snapshot", "cluster.state"],
     "update": ["2.snapshot", "cluster.state"],
     "delete": ["2.snapshot", "cluster.state"],
@@ -158,16 +158,16 @@ def test_a_crash_at_any_write_leaves_the_old_epoch_or_the_new(base, clean_upload
 
 
 def test_a_failed_replace_leaves_the_old_file(tmp_path, monkeypatch):
-    ledger_module.write_file(tmp_path, "config", b"old\n")
+    ledger_module.write_file(tmp_path, "cluster.state", b"old\n")
 
     def failing_replace(source, target):
         raise OSError("injected failure at rename")
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError):
-        ledger_module.write_file(tmp_path, "config", b"new\n")
-    assert (tmp_path / "config").read_bytes() == b"old\n"
-    assert (tmp_path / "config.tmp").read_bytes() == b"new\n"
+        ledger_module.write_file(tmp_path, "cluster.state", b"new\n")
+    assert (tmp_path / "cluster.state").read_bytes() == b"old\n"
+    assert (tmp_path / "cluster.state.tmp").read_bytes() == b"new\n"
 
 
 def test_an_operation_failing_after_its_snapshot_leaves_the_new_epoch_readable(base, tmp_path, monkeypatch, capsys):

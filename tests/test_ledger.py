@@ -34,7 +34,7 @@ from cloudledger import (
 from cloudledger import cli
 from cloudledger import ledger as ledger_module
 from cloudledger.ledger import _persist_point
-from helpers import make_committed_state, rechain
+from helpers import RETIRED, make_committed_state, rechain
 
 
 def test_compute_x_empty():
@@ -99,22 +99,27 @@ def test_commit_refuses_epoch_desync():
 
 
 def test_commit_refuses_an_operation_line_that_does_not_match_its_epoch(tmp_path):
-    """The upload commits epoch 0 without an operation line and each
-    operation a later epoch with one; a commit that mixes them up would
-    write a ledger no command loads, so it is refused and writes nothing."""
+    """The upload commits epoch 0 with its line, or none, which stands for
+    the line naming the cluster's server count alone, and each operation a
+    later epoch with its operation line; a commit that mixes them up, or
+    whose upload line names another server count, would write a ledger no
+    command loads, so it is refused and writes nothing."""
     directory = tmp_path / "ledger"
     cluster = new_cluster(2)
     verdict = round_trip_verify(cluster, bytes(range(16)), 2, 4, Mode.CHECKSUM)
     ledger = Ledger(directory=directory)
-    with pytest.raises(EpochMismatch, match="epoch 0 is committed with an operation line"):
-        commit_restore_point(ledger, cluster, verdict, "APPEND server=0 block=2")
+    for line in ("APPEND server=0 block=2", "UPLOAD v12 servers=3", "UPLOAD v12 servers=3 block_size=4 mode=checksum"
+                 " seed=0"):
+        with pytest.raises(EpochMismatch, match=f"epoch 0 is committed with '{line}'; the upload of the cluster's 2"):
+            commit_restore_point(ledger, cluster, verdict, line)
     assert ledger.points == [] and not directory.exists()
     commit_restore_point(ledger, cluster, verdict)
     points, files = list(ledger.points), {path.name: path.read_bytes() for path in directory.iterdir()}
     cluster.servers[0].put(2, make_block(b"more"))
     cluster.epoch = 1
-    with pytest.raises(EpochMismatch, match="epoch 1 is committed without an operation line"):
-        commit_restore_point(ledger, cluster, verdict._replace(epoch=1))
+    for line in (None, "UPLOAD v12 servers=2"):
+        with pytest.raises(EpochMismatch, match=f"epoch 1 is committed with {line!r}; "):
+            commit_restore_point(ledger, cluster, verdict._replace(epoch=1), line)
     assert ledger.points == points
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == files
 
@@ -337,20 +342,23 @@ def test_load_ledger_empty_directory(tmp_path):
     assert load_ledger(tmp_path).points == []
 
 
-@pytest.mark.parametrize("epoch, line", [(1, b"UPLOAD servers=2"), (0, b"UPDATE server=0 block=0")],
-                         ids=["epoch-0-copied", "header-edited"])
-def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, epoch, line):
+@pytest.mark.parametrize("epoch, line, error", [
+    (1, b"UPLOAD v12 servers=2", "1.snapshot holds 'UPLOAD v12 servers=2', but the upload commits epoch 0, and only"
+     " epoch 0"),
+    (0, b"UPDATE server=0 block=0", RETIRED),
+], ids=["epoch-0-copied", "header-edited"])
+def test_load_ledger_rejects_a_snapshot_that_claims_another_epoch(tmp_path, epoch, line, error):
     """The upload commits epoch 0, and only epoch 0: 0.snapshot copied as
-    1.snapshot, or its UPLOAD line edited into an operation line, fails by
-    name, its chain lines recomputed."""
+    1.snapshot fails by name, its chain lines recomputed, and its UPLOAD
+    line edited into an operation line lacks the format marker, so it
+    fails as a retired format."""
     directory = tmp_path / "ledger"
     cluster, _ = make_committed_state(bytes(range(5)), 2, 5, directory=directory)
     update(cluster, load_ledger(directory), 0, 0, bytes(range(5)))  # the same bytes: epoch 1 names epoch 0's block
     data = (directory / "0.snapshot").read_bytes()
     (directory / f"{epoch}.snapshot").write_bytes(line + data[data.index(b"\n") :])
     rechain(directory, epoch)
-    with pytest.raises(SnapshotCorrupt, match=f"{epoch}.snapshot holds '{line.decode()}', but the upload commits"
-                                              " epoch 0, and only epoch 0$"):
+    with pytest.raises(SnapshotCorrupt, match=f"^{re.escape(error)}$"):
         load_ledger(directory)
 
 
@@ -470,7 +478,7 @@ def edit_snapshot(directory, epoch, pattern, replacement, into=None):
 # rule or parse check it breaks. None marks a consistent rewrite, which loads
 # as another history once rechained, so only its chain line catches it.
 EPOCH_EDITS = {
-    "upload-servers": (0, "^UPLOAD servers=3$", "UPLOAD servers=4", None),
+    "upload-servers": (0, "^UPLOAD v12 servers=3$", "UPLOAD v12 servers=4", None),
     # Server 0's blocks 0 and 1 swapped: the upload's first two entries, each 32 bytes.
     "upload-id": (0, "(?s)^(32\n.{32}\n)(32\n.{32}\n)", r"\2\1", None),
     # Epoch 3's reference, to server 0's block 1, swapped for another stored block of its weight.
@@ -500,9 +508,8 @@ EPOCH_EDITS = {
     # A line of 64 decimal digits is a reference, never a weight (at most 63 digits): to a block none stores.
     "reference-of-digits": (1, "(?s)^8\n.{8}\n", "0123456789" * 6 + "0123\n", "1.snapshot names block"
                             f" {'0123456789' * 6}0123, which the store lacks"),
-    # Only the upload commits epoch 0.
-    "op-line-at-epoch-0": (0, "^", "APPEND server=1 block=2\n", "0.snapshot holds 'APPEND server=1 block=2', but the"
-                           " upload commits"),
+    # Only the upload commits epoch 0: a 0.snapshot that does not start with its format marker is a retired one's.
+    "op-line-at-epoch-0": (0, "^", "APPEND server=1 block=2\n", RETIRED),
     # Epoch 3, an update of server 0's block 1 to identical bytes, as epoch 5, after epoch 4 deleted that block,
     # and as an append, of an id below the server's largest, 2.
     "update-freed-id": ((3, 5), "^", "", "5.snapshot holds 'UPDATE server=0 block=1', which epoch 4 refuses: server 0"
@@ -577,17 +584,19 @@ def test_an_epoch_edit_left_unchained_fails_on_its_chain_line(tmp_path, capsys, 
                                                               replacement, error):
     """Every EPOCH_EDITS edit, its chain line not recomputed, fails on the
     chain line of the file it wrote, before any block is hashed or any
-    cluster built."""
+    cluster built; one that takes 0.snapshot's format marker away fails on
+    the marker, before any chain line is checked."""
     directory = tmp_path / "ledger"
     five_epochs(directory)
     edited = edit_epoch(directory, epoch, pattern, replacement)
+    if error != RETIRED:
+        error = f"{edited}.snapshot fails its chain line: it, or an epoch file before it, changed after its commit"
     for name in ("make_block", "new_cluster"):
         monkeypatch.setattr(ledger_module, name, None)  # calling either raises TypeError
-    with pytest.raises(SnapshotCorrupt, match=f"^{edited}.snapshot fails its chain line: it, or an epoch file"
-                                              " before it, changed after its commit$"):
+    with pytest.raises(SnapshotCorrupt, match=f"^{re.escape(error)}$"):
         load_ledger(directory)
     monkeypatch.undo()
-    assert_every_load_refuses(directory, capsys, f"{edited}.snapshot fails its chain line")
+    assert_every_load_refuses(directory, capsys, error)
 
 
 # Payloads that look like other lines of an epoch file. An entry's weight
@@ -627,7 +636,7 @@ def test_an_edited_server_count_builds_no_cluster_before_the_chain_refuses_it(tm
     directory = tmp_path / "ledger"
     flags = ["--servers", "3", "--block-size", "16", "--ledger-dir", str(directory)]
     assert cli.run([*flags, "upload", "--gen-bytes", "100"]) == 0
-    edit_snapshot(directory, 0, "^UPLOAD servers=3$", "UPLOAD servers=100000")
+    edit_snapshot(directory, 0, "^UPLOAD v12 servers=3 ", "UPLOAD v12 servers=100000 ")
     made = []
 
     def counting_new_cluster(server_count, rng_seed=0):

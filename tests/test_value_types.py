@@ -65,7 +65,7 @@ def test_restore_point_equality_includes_its_record():
     and compares on both; its operation line is the record's first line."""
     _, ledger = make_committed_state(b"abcdef", 2, 2)
     point = ledger.last()
-    assert RestorePoint._fields == ("manifest", "record") and point.op == "UPLOAD servers=2"
+    assert RestorePoint._fields == ("manifest", "record") and point.op == "UPLOAD v12 servers=2"
     rebuilt = RestorePoint(point.manifest, bytes(point.record))
     assert rebuilt == point and hash(rebuilt) == hash(point)
     assert point._replace(record=point.record + b"\n") != point

@@ -3,8 +3,7 @@
 Loads the ledger first, so only a directory that loads is counted, then
 splits each epoch file into its operation line, its entries' weight lines
 and payloads (each payload with the LF that ends it), its references and
-its chain line, and counts ``cluster.state``, ``config`` and any other
-file whole. The kinds sum to the directory's size, printed last:
+its chain line, and counts ``cluster.state`` and any other file whole. The kinds sum to the directory's size, printed last:
 
     PYTHONPATH=src python tools/ledger_bytes.py DIR
 """
@@ -14,8 +13,7 @@ from pathlib import Path
 
 from cloudledger.ledger import _BLOCK_LINE, _CHAIN_SIZE, CLUSTER_FILE, load_ledger
 
-KINDS = ("operation lines", "entry weight lines", "payloads", "references", "chain lines", CLUSTER_FILE, "config",
-         "other files")
+KINDS = ("operation lines", "entry weight lines", "payloads", "references", "chain lines", CLUSTER_FILE, "other files")
 
 
 def ledger_bytes(directory: Path) -> dict[str, int]:
@@ -38,7 +36,7 @@ def ledger_bytes(directory: Path) -> dict[str, int]:
     epoch_files = {f"{point.epoch}.snapshot" for point in points}
     for path in directory.iterdir():
         if path.name not in epoch_files:
-            counts[path.name if path.name in (CLUSTER_FILE, "config") else "other files"] += path.stat().st_size
+            counts[CLUSTER_FILE if path.name == CLUSTER_FILE else "other files"] += path.stat().st_size
     return counts
 
 
