@@ -117,7 +117,7 @@ _UPLOAD_FILES = {CLUSTER_FILE, f"{CLUSTER_FILE}.tmp", "0.snapshot.tmp"}
 
 class SimConfig(NamedTuple):
     server_count: int
-    block_size: int
+    block_size: Optional[int]  # None when nothing names one: only the upload uses it
     mode: Mode
     seed: int
     ledger_dir: Path
@@ -152,15 +152,18 @@ def resolve_config(args: argparse.Namespace, recorded: dict[str, str]) -> SimCon
     """Flags override the --config file, which must exist when given,
     which overrides the settings ``recorded`` in the upload's line
     (upload_settings; none for the upload itself), which override the
-    defaults."""
+    defaults. The block size has no default here: no command after the
+    upload uses it, so it is None when nothing names it, and the upload
+    passes the default as ``recorded``."""
     values = {**recorded, **(_parse_config_file(Path(args.config)) if args.config else {})}
 
     def pick(flag, key: str, fallback):
         return flag if flag is not None else values.get(key, fallback)
 
+    block_size = pick(args.block_size, "block_size", None)
     return SimConfig(
         server_count=int(pick(args.servers, "servers", DEFAULT_SERVERS)),
-        block_size=int(pick(args.block_size, "block_size", DEFAULT_BLOCK_SIZE)),
+        block_size=None if block_size is None else int(block_size),
         mode=Mode(pick(args.mode, "mode", DEFAULT_MODE.value)),
         seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
         ledger_dir=_ledger_dir(args),
@@ -230,7 +233,7 @@ def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, 
 
 
 def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = resolve_config(args, {})
+    config = resolve_config(args, {"block_size": str(DEFAULT_BLOCK_SIZE)})
     if config.ledger_dir.exists():
         kept = sorted(p.name for p in config.ledger_dir.iterdir() if p.name not in _UPLOAD_FILES)
         if kept:
@@ -341,7 +344,8 @@ def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     config, cluster, ledger = _load_state(args)
     print(
         f"REPORT epoch={cluster.epoch} servers={cluster.server_count}"
-        f" block_size={config.block_size} mode={config.mode.value} seed={config.seed}"
+        f" block_size={'-' if config.block_size is None else config.block_size}"
+        f" mode={config.mode.value} seed={config.seed}"
     )
     print(f"live_total={cluster.total_stored_bytes()}")
     print(f"points={len(ledger.points)}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from itertools import chain, compress
 from operator import is_, itemgetter, ne
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     ManifestFormatError,
@@ -211,20 +211,25 @@ def partition_upload(payload: bytes, server_count: int, block_size: int) -> list
     return per_server
 
 
-def upload(cluster: ClusterState, payload: bytes, block_size: int) -> Manifest:
-    """Store a payload across all servers and return the cloud manifest.
+def upload(cluster: ClusterState, blocks: Sequence[Sequence[DataBlock]]) -> Manifest:
+    """Store per-server block lists, as partition_upload makes them, and
+    return the cloud manifest: the k-th block of list i goes to server i
+    as block k, and is put as it is, so nothing is hashed again.
 
-    The manifest is read back from what was stored. Refuses to run
-    against a cluster that already holds data (initial-upload contract) or
-    has a dead server; in both cases the cluster is left untouched.
+    The manifest is read back from what was stored. Refuses, before any
+    put, a list of lists that is not one per server (ValueError), a
+    cluster that already holds data (initial-upload contract) or has a
+    dead server; in each case the cluster is left untouched.
     """
+    if len(blocks) != cluster.server_count:
+        raise ValueError(f"cluster has {cluster.server_count} servers, upload has blocks for {len(blocks)}")
     dead = [s.server_index for s in cluster.servers if not s.alive]
     if dead:
         raise ServerDown(f"servers not alive: {dead}")
     if cluster.has_data():
         raise PreexistingData("cluster already holds data; initial upload requires empty storage")
-    for server, blocks in zip(cluster.servers, partition_upload(payload, cluster.server_count, block_size)):
-        for block_id, block in enumerate(blocks):
+    for server, server_blocks in zip(cluster.servers, blocks):
+        for block_id, block in enumerate(server_blocks):
             server.put(block_id, block)
     return read_manifest(cluster)
 

@@ -99,7 +99,10 @@ class Manifest(NamedTuple):
 
 
 def make_block(payload: bytes) -> DataBlock:
-    """Build the DataBlock of ``payload``, hashing it once."""
+    """Build the DataBlock of ``payload``, one FNV-1a and one SHA-256
+    pass over it. An upload's user manifest and its stored blocks share
+    the blocks partition_upload makes, and an operation's predicted
+    record the block it stores, so each written byte passes here once."""
     payload = bytes(payload)
     return DataBlock(payload, fnv1a64(payload), sha256(payload).hexdigest())
 

@@ -6,6 +6,9 @@ point (checksums included); afterwards, the client-side prediction of the
 new manifest must match what the cloud actually serves. The prediction is
 ledger.operation_records, the committed records with the operation's
 address spliced, which load_ledger's replay of each persisted epoch leaves.
+The spliced record takes its weight and checksum from the block the
+operation stores, so make_block hashes the payload once; that hides no
+fault, because a block is its content and every fault stores a new block.
 Only then is a new restore point committed, advancing the epoch by
 exactly one, with the operation line that names its kind and address. Any
 failure after the mutation rolls the cluster back to the last snapshot
@@ -25,7 +28,6 @@ from __future__ import annotations
 import enum
 from typing import Callable, NamedTuple, Optional
 
-from .checksum import fnv1a64
 from .cluster import ClusterState, make_block, read_manifest
 from .errors import (
     NoSuchBlock,
@@ -156,10 +158,10 @@ def apply(
         server.drop(block_id)
         record, delta = None, -old_weight
     else:
-        payload = bytes(request.payload or b"")
-        server.put(block_id, make_block(payload))
-        record = BlockRecord(request.server_index, block_id, len(payload), fnv1a64(payload))
-        delta = len(payload) - old_weight
+        block = make_block(request.payload or b"")
+        server.put(block_id, block)
+        record = BlockRecord(request.server_index, block_id, len(block.payload), block.checksum)
+        delta = len(block.payload) - old_weight
 
     cluster.epoch += 1
     cluster.previous_records = previous_records(ledger, cluster.epoch)

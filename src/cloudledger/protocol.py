@@ -184,17 +184,19 @@ def round_trip_verify(
 ) -> Verdict:
     """Full before/after protocol run for an initial upload.
 
-    Computes the user manifest, uploads, re-reads the cloud manifest, and
-    returns the comparison. post_upload_hook runs between the write and
-    the read-back; fault scenarios use it to corrupt in-flight state. On a
-    true verdict the caller may commit a restore point.
+    Partitions the payload once, builds the user manifest from those
+    blocks before anything is stored, uploads the same blocks (which
+    raises ValueError if server_count is not the cluster's), re-reads the
+    cloud manifest, and returns the comparison; so make_block hashes each
+    payload byte once. Sharing the blocks hides no fault: a block is its
+    content, and a fault stores a new block of its new bytes.
+    post_upload_hook runs between the write and the read-back; fault
+    scenarios use it to corrupt in-flight state. On a true verdict the
+    caller may commit a restore point.
     """
-    if server_count != cluster.server_count:
-        raise ValueError(
-            f"cluster has {cluster.server_count} servers, protocol run asked for {server_count}"
-        )
-    user = user_level_manifest(payload, server_count, block_size, cluster.epoch)
-    upload(cluster, payload, block_size)
+    blocks = partition_upload(payload, server_count, block_size)
+    user = build_manifest(Level.USER, cluster.epoch, blocks)
+    upload(cluster, blocks)
     if post_upload_hook is not None:
         post_upload_hook(cluster)
     cloud = read_manifest(cluster)

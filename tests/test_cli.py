@@ -20,7 +20,7 @@ from cloudledger import (
 from cloudledger.cluster import SNAPSHOT_HEADER
 from cloudledger.ledger import _read_record, load_cluster
 from cloudledger.rng import generate_payload
-from helpers import RETIRED, rechain
+from helpers import RETIRED, make_committed_state, rechain
 
 MIB = 1024 * 1024
 
@@ -676,6 +676,21 @@ def test_report_prints_each_point_as_epoch_tick_and_x(ledger_dir, capsys):
     points = load_ledger(ledger_dir).points
     lines = [f"{p.epoch} {p.epoch + 1} {2 * p.manifest.total_weight}\n" for p in points]
     assert out.split("points=4\n")[1] == "".join(lines) + "END\n"
+
+
+def test_report_names_no_block_size_the_upload_line_does_not_record(ledger_dir, tmp_path, capsys):
+    """A ledger committed through the library records no block size, and no
+    command after the upload uses one, so report prints none unless a flag or
+    --config names one."""
+    make_committed_state(generate_payload(1, 100), 2, 16, directory=ledger_dir)
+    (ledger_dir / "cluster.state").write_bytes(b"")
+    config = tmp_path / "sim.cfg"
+    config.write_text("block_size=8\n")
+    for flags, block_size in (((), "-"), (("--block-size", "16"), "16"), (("--config", str(config)), "8")):
+        capsys.readouterr()
+        assert run_cli("--ledger-dir", str(ledger_dir), *flags, "report") == 0
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head == f"REPORT epoch=0 servers=2 block_size={block_size} mode=checksum seed=42"
 
 
 def test_ledger_dir_from_environment(tmp_path, monkeypatch, capsys):

@@ -93,7 +93,7 @@ def test_partition_validates_arguments():
 def test_upload_then_read_matches_user_manifest():
     payload = bytes(range(200))
     cluster = new_cluster(3)
-    cloud = upload(cluster, payload, 16)
+    cloud = upload(cluster, partition_upload(payload, cluster.server_count, 16))
     user = user_level_manifest(payload, 3, 16, 0)
     assert cloud.level is Level.CLOUD and user.level is Level.USER
     assert cloud.records == user.records
@@ -103,7 +103,7 @@ def test_upload_then_read_matches_user_manifest():
 
 def test_upload_fifty_units_total():
     cluster = new_cluster(5)
-    manifest = upload(cluster, bytes(range(50)), 1)
+    manifest = upload(cluster, partition_upload(bytes(range(50)), cluster.server_count, 1))
     assert manifest.total_weight == 50
     assert len(manifest.records) == 50
 
@@ -113,15 +113,15 @@ def test_upload_onto_crashed_server_leaves_state_unchanged():
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 1))
     before = snapshot_cluster(cluster)
     with pytest.raises(ServerDown):
-        upload(cluster, b"payload", 2)
+        upload(cluster, partition_upload(b"payload", cluster.server_count, 2))
     assert snapshot_cluster(cluster) == before
 
 
 def test_upload_onto_nonempty_cluster_rejected():
     cluster = new_cluster(2)
-    upload(cluster, b"first", 2)
+    upload(cluster, partition_upload(b"first", cluster.server_count, 2))
     with pytest.raises(PreexistingData):
-        upload(cluster, b"second", 2)
+        upload(cluster, partition_upload(b"second", cluster.server_count, 2))
 
 
 def test_read_manifest_fresh_cluster_is_empty():
@@ -132,7 +132,7 @@ def test_read_manifest_fresh_cluster_is_empty():
 
 def test_flip_byte_changes_exactly_one_checksum():
     cluster = new_cluster(3)
-    before = upload(cluster, bytes(range(90)), 10)
+    before = upload(cluster, partition_upload(bytes(range(90)), cluster.server_count, 10))
     inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 0, 2, seed=5))
     after = read_manifest(cluster)
     changed = [
@@ -147,7 +147,7 @@ def test_flip_byte_changes_exactly_one_checksum():
 
 def test_same_weight_substitute_preserves_total():
     cluster = new_cluster(2)
-    before = upload(cluster, bytes(range(64)), 16)
+    before = upload(cluster, partition_upload(bytes(range(64)), cluster.server_count, 16))
     report = inject_fault(cluster, FaultSpec(FaultKind.SAME_WEIGHT_SUBSTITUTE, 1, 0, seed=7))
     after = read_manifest(cluster)
     assert after.total_weight == before.total_weight
@@ -159,7 +159,7 @@ def test_same_weight_substitute_preserves_total():
 
 def test_truncate_single_byte_block_to_zero():
     cluster = new_cluster(1)
-    upload(cluster, b"z", 1)
+    upload(cluster, partition_upload(b"z", cluster.server_count, 1))
     report = inject_fault(cluster, FaultSpec(FaultKind.TRUNCATE, 0, 0, seed=1))
     assert report.after.weight == 0
     assert cluster.servers[0].blocks[0].payload == b""
@@ -167,7 +167,7 @@ def test_truncate_single_byte_block_to_zero():
 
 def test_drop_block_removes_only_that_record():
     cluster = new_cluster(2)
-    before = upload(cluster, bytes(range(40)), 5)
+    before = upload(cluster, partition_upload(bytes(range(40)), cluster.server_count, 5))
     inject_fault(cluster, FaultSpec(FaultKind.DROP_BLOCK, 0, 1))
     after = read_manifest(cluster)
     assert len(after.records) == len(before.records) - 1
@@ -178,7 +178,7 @@ def test_drop_block_removes_only_that_record():
 
 def test_server_crash_marks_unavailable_and_spares_others():
     cluster = new_cluster(3)
-    before = upload(cluster, bytes(range(90)), 10)
+    before = upload(cluster, partition_upload(bytes(range(90)), cluster.server_count, 10))
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 2))
     after = read_manifest(cluster)
     assert after.unavailable_servers == frozenset({2})
@@ -200,7 +200,7 @@ def test_fault_determinism():
         snapshots = []
         for _ in range(2):
             cluster = new_cluster(3, rng_seed=9)
-            upload(cluster, bytes(range(120)), 20)
+            upload(cluster, partition_upload(bytes(range(120)), cluster.server_count, 20))
             inject_fault(cluster, spec)
             snapshots.append(snapshot_cluster(cluster))
         assert snapshots[0] == snapshots[1], spec
@@ -208,7 +208,7 @@ def test_fault_determinism():
 
 def test_fault_target_validation():
     cluster = new_cluster(2)
-    upload(cluster, bytes(range(8)), 2)
+    upload(cluster, partition_upload(bytes(range(8)), cluster.server_count, 2))
     with pytest.raises(NoSuchTarget):
         inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 5, 0))
     with pytest.raises(NoSuchTarget):
@@ -222,7 +222,7 @@ def test_fault_target_validation():
 
 def test_stale_manifest_changes_reads_not_payloads():
     cluster = new_cluster(2)
-    upload(cluster, bytes(range(20)), 5)
+    upload(cluster, partition_upload(bytes(range(20)), cluster.server_count, 5))
     # a committed update happened: epoch moves on, content changes
     cluster.epoch = 1
     cluster.servers[0].drop(max(cluster.servers[0].blocks))
@@ -240,7 +240,7 @@ def test_stale_manifest_changes_reads_not_payloads():
 
 def test_snapshot_round_trip():
     cluster = new_cluster(3, rng_seed=4)
-    upload(cluster, bytes(range(33)), 4)
+    upload(cluster, partition_upload(bytes(range(33)), cluster.server_count, 4))
     cluster.epoch = 2
     text = snapshot_cluster(cluster)
     loaded = load_snapshot(text, stored_blocks(cluster), rng_seed=4)
@@ -281,7 +281,7 @@ def test_live_status_is_kept_by_cluster_state_not_by_snapshots(tmp_path):
 
 def test_snapshot_detects_payload_corruption():
     cluster = new_cluster(2)
-    upload(cluster, b"abcdef", 2)
+    upload(cluster, partition_upload(b"abcdef", cluster.server_count, 2))
     text = snapshot_cluster(cluster)
     blocks = stored_blocks(cluster)
     substitute = make_block(b"cc")
@@ -307,7 +307,7 @@ def test_load_snapshot_rejects_a_user_level_manifest():
 
 def test_snapshot_detects_missing_payload_line():
     cluster = new_cluster(2)
-    upload(cluster, b"abcdef", 2)
+    upload(cluster, partition_upload(b"abcdef", cluster.server_count, 2))
     lines = snapshot_cluster(cluster).splitlines()
     del lines[-2]  # drop one reference line
     with pytest.raises(SnapshotCorrupt):
@@ -316,7 +316,7 @@ def test_snapshot_detects_missing_payload_line():
 
 def test_empty_payload_blocks_survive_snapshots():
     cluster = new_cluster(1)
-    upload(cluster, b"x", 1)
+    upload(cluster, partition_upload(b"x", cluster.server_count, 1))
     inject_fault(cluster, FaultSpec(FaultKind.TRUNCATE, 0, 0, seed=3))
     text = snapshot_cluster(cluster)
     loaded = load_snapshot(text, stored_blocks(cluster))

@@ -30,7 +30,10 @@ it loads and parses one of each, the last point's, to restore it. The
 file row, through the CLI: an upload makes two writes, cluster.state and
 then 0.snapshot, whose rename commits it, and a verify of an E-epoch
 ledger reads E + 1 files, each epoch file and then cluster.state, once:
-the settings are in the upload's line, so no other file holds them.
+the settings are in the upload's line, so no other file holds them. The
+upload row, on the same 4096 records: round_trip_verify partitions the
+payload once and builds the user manifest from the blocks it stores, so
+it makes one block per record and hashes each payload byte once.
 """
 
 import hashlib
@@ -51,8 +54,10 @@ from cloudledger import (
     inject_fault,
     load_ledger,
     make_block,
+    new_cluster,
     read_manifest,
     recover,
+    round_trip_verify,
     update,
     verify_equality,
 )
@@ -358,3 +363,22 @@ def test_an_upload_writes_two_files_and_a_verify_reads_each_ledger_file_once(tmp
     monkeypatch.setattr(Path, "read_bytes", counting_read)
     assert cli.run([*flags, "verify"]) == 0
     assert read == [directory / name for name in [*(f"{epoch}.snapshot" for epoch in range(epochs)), "cluster.state"]]
+
+
+def test_an_upload_makes_one_block_per_record_and_hashes_each_byte_once(monkeypatch):
+    payload = generate_payload(5, 4096 * 16)
+    counts = {"make_block": 0, "fnv1a64": 0}
+    manifest_module = sys.modules["cloudledger.manifest"]
+    for name, measure in (("make_block", lambda data: 1), ("fnv1a64", len)):
+        function = getattr(manifest_module, name)
+
+        def counting(data, function=function, name=name, measure=measure):
+            counts[name] += measure(data)
+            return function(data)
+
+        for module in [module for key, module in sys.modules.items() if key.split(".")[0] == "cloudledger"]:
+            if getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, counting)
+    verdict = round_trip_verify(new_cluster(8), payload, 8, 16, Mode.CHECKSUM)
+    assert verdict.z
+    assert counts == {"make_block": 4096, "fnv1a64": len(payload)}

@@ -11,11 +11,13 @@ from cloudledger import (
     FaultSpec,
     Level,
     Mode,
+    NoSuchTarget,
     PreexistingData,
     build_manifest,
     inject_fault,
     make_block,
     new_cluster,
+    partition_upload,
     read_manifest,
     render_verdict_report,
     round_trip_verify,
@@ -70,7 +72,7 @@ def test_flip_byte_yields_single_checksum_mismatch():
     cluster = new_cluster(3)
     payload = bytes(range(90))
     user = user_level_manifest(payload, 3, 10, 0)
-    upload(cluster, payload, 10)
+    upload(cluster, partition_upload(payload, cluster.server_count, 10))
     inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 1, 1, seed=3))
     verdict = verify_equality(user, read_manifest(cluster), Mode.CHECKSUM)
     assert not verdict.z
@@ -86,7 +88,7 @@ def test_same_weight_substitution_blind_spot():
     cluster = new_cluster(2)
     payload = bytes(range(64))
     user = user_level_manifest(payload, 2, 8, 0)
-    upload(cluster, payload, 8)
+    upload(cluster, partition_upload(payload, cluster.server_count, 8))
     inject_fault(cluster, FaultSpec(FaultKind.SAME_WEIGHT_SUBSTITUTE, 0, 2, seed=9))
     cloud = read_manifest(cluster)
     assert verify_equality(user, cloud, Mode.WEIGHT_ONLY).z
@@ -108,7 +110,7 @@ def test_server_unavailable_reported_per_user_record():
     cluster = new_cluster(3)
     payload = bytes(range(90))
     user = user_level_manifest(payload, 3, 10, 0)
-    upload(cluster, payload, 10)
+    upload(cluster, partition_upload(payload, cluster.server_count, 10))
     expected_lost = sum(1 for r in user.records if r.server_index == 2)
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 2))
     verdict = verify_equality(user, read_manifest(cluster), Mode.CHECKSUM)
@@ -127,7 +129,7 @@ def test_checksum_mode_catches_every_single_mutation():
         payload = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
         cluster = new_cluster(server_count, rng_seed=case)
         user = user_level_manifest(payload, server_count, block_size, 0)
-        upload(cluster, payload, block_size)
+        upload(cluster, partition_upload(payload, cluster.server_count, block_size))
         target = rng.choice([r for r in user.records])
         kind = rng.choice(BLOCK_FAULTS)
         inject_fault(cluster, FaultSpec(kind, target.server_index, target.block_id, seed=case))
@@ -144,7 +146,7 @@ def test_weight_only_detects_weight_changes_and_only_those():
         payload = bytes(rng.randrange(256) for _ in range(rng.randrange(4, 120)))
         cluster = new_cluster(2, rng_seed=case)
         user = user_level_manifest(payload, 2, 4, 0)
-        upload(cluster, payload, 4)
+        upload(cluster, partition_upload(payload, cluster.server_count, 4))
         target = rng.choice(user.records)
         if case % 2 == 0:
             inject_fault(
@@ -171,22 +173,41 @@ def test_round_trip_clean_upload():
     assert verdict.z
 
 
-def test_round_trip_fault_between_write_and_read():
-    cluster = new_cluster(2)
-    verdict = round_trip_verify(
-        cluster,
-        bytes(range(32)),
-        2,
-        4,
-        Mode.CHECKSUM,
-        post_upload_hook=lambda c: inject_fault(c, FaultSpec(FaultKind.FLIP_BYTE, 0, 0, seed=1)),
-    )
+# What a fault on server 0, block 1 of a 2-server, 8-block round trip shows: (server, block, kind) per divergence.
+ROUND_TRIP_FAULTS = {
+    FaultKind.FLIP_BYTE: [(0, 1, DivergenceKind.CHECKSUM_MISMATCH)],
+    FaultKind.TRUNCATE: [(0, 1, DivergenceKind.WEIGHT_MISMATCH)],
+    FaultKind.DROP_BLOCK: [(0, 1, DivergenceKind.MISSING)],
+    FaultKind.SAME_WEIGHT_SUBSTITUTE: [(0, 1, DivergenceKind.CHECKSUM_MISMATCH)],
+    FaultKind.SERVER_CRASH: [(0, block, DivergenceKind.SERVER_UNAVAILABLE) for block in range(4)],
+}
+
+
+@pytest.mark.parametrize("kind", list(FaultKind), ids=lambda kind: kind.value)
+def test_round_trip_fault_between_write_and_read(kind):
+    """The user manifest and the stored blocks come from one partition, yet
+    every fault the hook injects shows, against the independent oracle."""
+    payload = bytes(range(32))
+    oracle = {record.key: record for record in user_level_manifest(payload, 2, 4, 0).records}
+
+    def run(mode):
+        hook = lambda cluster: inject_fault(cluster, FaultSpec(kind, 0, 1, seed=1))
+        return round_trip_verify(new_cluster(2), payload, 2, 4, mode, post_upload_hook=hook)
+
+    if kind is FaultKind.CSP_STALE_MANIFEST:  # epoch 0 has no previous records to serve
+        with pytest.raises(NoSuchTarget):
+            run(Mode.CHECKSUM)
+        return
+    verdict = run(Mode.CHECKSUM)
     assert not verdict.z
+    assert [(d.server_index, d.block_id, d.kind) for d in verdict.divergences] == ROUND_TRIP_FAULTS[kind]
+    assert all(d.expected == oracle[(d.server_index, d.block_id)] for d in verdict.divergences)
+    assert run(Mode.WEIGHT_ONLY).z is (kind in (FaultKind.FLIP_BYTE, FaultKind.SAME_WEIGHT_SUBSTITUTE))
 
 
 def test_round_trip_requires_empty_cluster():
     cluster = new_cluster(2)
-    upload(cluster, b"already here", 4)
+    upload(cluster, partition_upload(b"already here", cluster.server_count, 4))
     with pytest.raises(PreexistingData):
         round_trip_verify(cluster, b"new data", 2, 4, Mode.CHECKSUM)
 
@@ -196,11 +217,20 @@ def test_round_trip_validates_server_count():
         round_trip_verify(new_cluster(3), b"x", 2, 4, Mode.CHECKSUM)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_upload_refuses_blocks_for_another_server_count(count):
+    """zip would drop the servers or the block lists past the shorter; the upload refuses before any put."""
+    cluster = new_cluster(3)
+    with pytest.raises(ValueError, match=f"cluster has 3 servers, upload has blocks for {count}"):
+        upload(cluster, partition_upload(bytes(range(40)), count, 4))
+    assert not cluster.has_data()
+
+
 def test_report_rendering():
     cluster = new_cluster(2)
     payload = bytes(range(20))
     user = user_level_manifest(payload, 2, 10, 0)
-    upload(cluster, payload, 10)
+    upload(cluster, partition_upload(payload, cluster.server_count, 10))
     inject_fault(cluster, FaultSpec(FaultKind.DROP_BLOCK, 1, 0))
     verdict = verify_equality(user, read_manifest(cluster), Mode.CHECKSUM)
     report = render_verdict_report(verdict)

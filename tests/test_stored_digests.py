@@ -84,8 +84,9 @@ def appended(monkeypatch, tmp_path):
 
 
 def test_append_hashes_only_the_new_payload(appended):
-    # once when the cloud stores the block, once for the client's expected record
-    assert appended[2] == 2 * APPEND_BYTES
+    # once, when make_block builds the block the cloud stores; the client's
+    # expected record takes its checksum from that block
+    assert appended[2] == APPEND_BYTES
 
 
 def test_verify_hashes_nothing(appended, monkeypatch):

@@ -37,6 +37,7 @@ from cloudledger import (
     load_ledger,
     load_snapshot,
     new_cluster,
+    partition_upload,
     read_manifest,
     recover,
     round_trip_verify,
@@ -103,7 +104,7 @@ def test_maintained_records_equal_a_full_rebuild(mode, seed, tmp_path):
     run_steps(cluster, ledger, rng, mode)
 
     other = new_cluster(2 + seed % 2 * 2)
-    upload(other, generate_payload(seed + 1, 100), 16)
+    upload(other, partition_upload(generate_payload(seed + 1, 100), other.server_count, 16))
     other.epoch = cluster.epoch
     blocks = {block.digest: block for server in other.servers for block in server.blocks.values()}
     load_snapshot(snapshot_cluster(other), blocks, into=cluster)
