@@ -14,11 +14,16 @@ cluster (cluster.state: empty while no fault since the last commit or
 restore is in effect, and otherwise a HEAD line naming the last epoch
 and a line per tamper or crash since, which replay onto that point). The
 upload's line in 0.snapshot records the settings, so the chain covers
-them: a command's flags override the --config file, which overrides
-those settings, which override the defaults. The ledger module writes
-every file whole, through ledger.write_file. history renders the
-operation journal from the ledger's epochs. Identical settings plus an
-identical command sequence reproduces byte-identical directory contents.
+them: a command's flags override those settings, which override the
+defaults. The ledger module writes every file whole, through
+ledger.write_file. history renders the operation journal from the
+ledger's epochs. Identical settings plus an identical command sequence
+reproduces byte-identical directory contents.
+
+run resolves each input once. argparse checks the arguments, the payload
+rule (an input file or --gen-bytes, exactly one) too, and run locks the
+one ledger directory the command then loads, so each cmd_* takes only
+the parsed arguments.
 
 One command at a time writes: every command holds flock on the ledger
 directory, if it exists, from before its load to after its last write,
@@ -28,8 +33,9 @@ so it always locks, and removes what it made again if it fails before
 writing into it. fcntl makes this POSIX only.
 
 Exit codes: 0 success / verified, 1 verification or operation failure,
-2 I/O or usage failure, 3 preexisting data, 4 missing target, 5 stale
-epoch, 6 nothing to restore (no committed restore point).
+2 I/O or usage failure (a usage failure before any lock or load), 3
+preexisting data, 4 missing target, 5 stale epoch, 6 nothing to restore
+(no committed restore point).
 """
 
 from __future__ import annotations
@@ -108,7 +114,6 @@ DEFAULT_MODE = Mode.CHECKSUM
 DEFAULT_SEED = 42
 DEFAULT_LEDGER_DIR = "ledger"
 
-CONFIG_KEYS = ("servers", "block_size", "mode", "seed")
 # What an upload writes before its commit, the rename of 0.snapshot.tmp. A
 # directory holding nothing else has committed nothing, so an upload into it
 # starts over.
@@ -120,45 +125,16 @@ class SimConfig(NamedTuple):
     block_size: Optional[int]  # None when nothing names one: only the upload uses it
     mode: Mode
     seed: int
-    ledger_dir: Path
-
-
-def _parse_config_file(path: Path) -> dict[str, str]:
-    """The file's key=value lines, read as written: each must end in LF and hold no other line end."""
-    text = path.read_bytes().decode("utf-8")
-    lines = text.split("\n")
-    if lines.pop() or text.splitlines() != lines:
-        raise ManifestFormatError(f"config file {path} has a line that does not end in LF alone")
-    values: dict[str, str] = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ManifestFormatError(f"bad config line in {path}: {line!r}")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ManifestFormatError(f"unknown config key {key!r} in {path}")
-        values[key] = value.strip()
-    return values
-
-
-def _ledger_dir(args: argparse.Namespace) -> Path:
-    return Path(args.ledger_dir or os.environ.get("CLOUDLEDGER_DIR") or DEFAULT_LEDGER_DIR)
 
 
 def resolve_config(args: argparse.Namespace, recorded: dict[str, str]) -> SimConfig:
-    """Flags override the --config file, which must exist when given,
-    which overrides the settings ``recorded`` in the upload's line
-    (upload_settings; none for the upload itself), which override the
-    defaults. The block size has no default here: no command after the
-    upload uses it, so it is None when nothing names it, and the upload
-    passes the default as ``recorded``."""
-    values = {**recorded, **(_parse_config_file(Path(args.config)) if args.config else {})}
+    """Flags override the settings ``recorded`` in the upload's line
+    (upload_settings), which override the defaults. The block size has no
+    default here: no command after the upload uses it, so it is None when
+    nothing names it, and the upload passes the default as ``recorded``."""
 
     def pick(flag, key: str, fallback):
-        return flag if flag is not None else values.get(key, fallback)
+        return flag if flag is not None else recorded.get(key, fallback)
 
     block_size = pick(args.block_size, "block_size", None)
     return SimConfig(
@@ -166,7 +142,6 @@ def resolve_config(args: argparse.Namespace, recorded: dict[str, str]) -> SimCon
         block_size=None if block_size is None else int(block_size),
         mode=Mode(pick(args.mode, "mode", DEFAULT_MODE.value)),
         seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
-        ledger_dir=_ledger_dir(args),
     )
 
 
@@ -206,7 +181,7 @@ def _load_state(args: argparse.Namespace, recovering: bool = False) -> tuple[Sim
     the upload's line, or reads cluster.state, and, unless ``recovering``,
     a live cluster behind the last committed epoch, which an operation
     that failed after its snapshot leaves."""
-    ledger = load_ledger(_ledger_dir(args))
+    ledger = load_ledger(args.ledger_dir)
     if not ledger.points:
         raise NothingToRestore(f"no restore points in {ledger.directory}")
     config = resolve_config(args, upload_settings(ledger))
@@ -217,28 +192,23 @@ def _load_state(args: argparse.Namespace, recovering: bool = False) -> tuple[Sim
     return config, cluster, ledger
 
 
-def _resolve_payload(parser: argparse.ArgumentParser, args: argparse.Namespace, config: SimConfig,
-                     epoch: int) -> bytes:
-    if args.input is not None and args.gen_bytes is not None:
-        parser.error("give either an input file or --gen-bytes, not both")
+def _resolve_payload(args: argparse.Namespace, config: SimConfig, epoch: int) -> bytes:
+    """The input file's bytes, or --gen-bytes seeded bytes: argparse lets exactly one through."""
     if args.input is not None:
         return Path(args.input).read_bytes()
-    if args.gen_bytes is not None:
-        return generate_payload(config.seed ^ epoch, args.gen_bytes)
-    parser.error("an input file or --gen-bytes is required")
-    raise AssertionError("unreachable")
+    return generate_payload(config.seed ^ epoch, args.gen_bytes)
 
 
 # --- commands ------------------------------------------------------------------
 
 
-def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_upload(args: argparse.Namespace) -> int:
     config = resolve_config(args, {"block_size": str(DEFAULT_BLOCK_SIZE)})
-    if config.ledger_dir.exists():
-        kept = sorted(p.name for p in config.ledger_dir.iterdir() if p.name not in _UPLOAD_FILES)
+    if args.ledger_dir.exists():
+        kept = sorted(p.name for p in args.ledger_dir.iterdir() if p.name not in _UPLOAD_FILES)
         if kept:
-            raise PreexistingData(f"ledger directory {config.ledger_dir} is not empty: it holds {kept[0]}")
-    payload = _resolve_payload(parser, args, config, epoch=0)
+            raise PreexistingData(f"ledger directory {args.ledger_dir} is not empty: it holds {kept[0]}")
+    payload = _resolve_payload(args, config, epoch=0)
     cluster = new_cluster(config.server_count, rng_seed=config.seed)
     verdict = round_trip_verify(
         cluster, payload, config.server_count, config.block_size, config.mode
@@ -251,12 +221,12 @@ def cmd_upload(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     print(render_verdict_report(verdict), end="")
     if not verdict.z:
         return EXIT_FAILED
-    write_file(config.ledger_dir, CLUSTER_FILE, b"")  # the live cluster is the point committed next
-    commit_restore_point(Ledger(directory=config.ledger_dir), cluster, verdict, line)
+    write_file(args.ledger_dir, CLUSTER_FILE, b"")  # the live cluster is the point committed next
+    commit_restore_point(Ledger(directory=args.ledger_dir), cluster, verdict, line)
     return EXIT_OK
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     config, cluster, ledger = _load_state(args)
     stored = ledger.last().manifest
     verdict = verify_equality(stored, read_manifest(cluster), config.mode)
@@ -268,12 +238,12 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return EXIT_OK if verdict.z else EXIT_FAILED
 
 
-def cmd_op(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_op(args: argparse.Namespace) -> int:
     config, cluster, ledger = _load_state(args)
     kind = ops.OperationKind(args.op_kind)
     payload: Optional[bytes] = None
     if kind in (ops.OperationKind.APPEND, ops.OperationKind.UPDATE):
-        payload = _resolve_payload(parser, args, config, epoch=cluster.epoch)
+        payload = _resolve_payload(args, config, epoch=cluster.epoch)
     request = ops.OperationRequest(
         kind=kind,
         server_index=args.server,
@@ -291,7 +261,7 @@ def cmd_op(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_tamper(args: argparse.Namespace) -> int:
     _, cluster, ledger = _load_state(args)
     fault = FaultSpec(
         kind=FaultKind(args.kind),
@@ -306,7 +276,7 @@ def cmd_tamper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return EXIT_OK
 
 
-def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_recover(args: argparse.Namespace) -> int:
     _, cluster, ledger = _load_state(args, recovering=True)
     report = recover(ledger, cluster)
     save_cluster(ledger, cluster)
@@ -314,7 +284,7 @@ def cmd_recover(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return EXIT_OK
 
 
-def cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_audit(args: argparse.Namespace) -> int:
     config, cluster, ledger = _load_state(args)
     first, sep, last = args.epochs.partition("..")
     grant = AuditGrant(
@@ -329,18 +299,18 @@ def cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return EXIT_OK if all(v.z for v in verdicts) else EXIT_FAILED
 
 
-def cmd_history(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_history(args: argparse.Namespace) -> int:
     """One line per committed operation, as the operation printed it: the
     operation line of each epoch from 1, the change of the total as delta
     and the new total as s_after."""
-    points = load_ledger(_ledger_dir(args)).points
+    points = load_ledger(args.ledger_dir).points
     for before, point in zip(points, points[1:]):
         total = point.manifest.total_weight
         print(journal_line(point.epoch, point.op, total - before.manifest.total_weight, total))
     return EXIT_OK
 
 
-def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     config, cluster, ledger = _load_state(args)
     print(
         f"REPORT epoch={cluster.epoch} servers={cluster.server_count}"
@@ -372,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=[m.value for m in Mode], help="comparison mode")
     parser.add_argument("--seed", type=int, help=f"seed for payload generation and faults (default {DEFAULT_SEED})")
     parser.add_argument("--ledger-dir", help="state directory (default $CLOUDLEDGER_DIR or ./ledger)")
-    parser.add_argument("--config", help="key=value config file read before flags are applied")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_payload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", nargs="?", help="payload file")
-        p.add_argument("--gen-bytes", type=int, help="generate this many seeded bytes instead of reading a file")
+        payload = p.add_mutually_exclusive_group(required=True)
+        payload.add_argument("input", nargs="?", help="payload file")
+        payload.add_argument("--gen-bytes", type=int, help="generate this many seeded bytes instead of reading a file")
 
     p = sub.add_parser("upload", help="initial upload with before/after verification")
     add_payload_args(p)
@@ -430,18 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    directory = _ledger_dir(args)
+    args.ledger_dir = Path(args.ledger_dir or os.environ.get("CLOUDLEDGER_DIR") or DEFAULT_LEDGER_DIR)
     lock, made, code = None, [], EXIT_FAILED
     try:
-        lock, made = _lock(directory, exclusive=args.func in _WRITERS, create=args.func is cmd_upload)
-        code = args.func(parser, args)
-    except SystemExit as exc:
-        code = int(exc.code or 0)
+        lock, made = _lock(args.ledger_dir, exclusive=args.func in _WRITERS, create=args.func is cmd_upload)
+        code = args.func(args)
     except CloudLedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = next((exit_code for errors, exit_code in _EXIT_BY_ERROR if isinstance(exc, errors)), EXIT_FAILED)

@@ -158,7 +158,7 @@ def apply(
         server.drop(block_id)
         record, delta = None, -old_weight
     else:
-        block = make_block(request.payload or b"")
+        block = make_block(request.payload)
         server.put(block_id, block)
         record = BlockRecord(request.server_index, block_id, len(block.payload), block.checksum)
         delta = len(block.payload) - old_weight

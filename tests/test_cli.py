@@ -678,15 +678,13 @@ def test_report_prints_each_point_as_epoch_tick_and_x(ledger_dir, capsys):
     assert out.split("points=4\n")[1] == "".join(lines) + "END\n"
 
 
-def test_report_names_no_block_size_the_upload_line_does_not_record(ledger_dir, tmp_path, capsys):
+def test_report_names_no_block_size_the_upload_line_does_not_record(ledger_dir, capsys):
     """A ledger committed through the library records no block size, and no
-    command after the upload uses one, so report prints none unless a flag or
-    --config names one."""
+    command after the upload uses one, so report prints none unless a flag
+    names one."""
     make_committed_state(generate_payload(1, 100), 2, 16, directory=ledger_dir)
     (ledger_dir / "cluster.state").write_bytes(b"")
-    config = tmp_path / "sim.cfg"
-    config.write_text("block_size=8\n")
-    for flags, block_size in (((), "-"), (("--block-size", "16"), "16"), (("--config", str(config)), "8")):
+    for flags, block_size in (((), "-"), (("--block-size", "16"), "16")):
         capsys.readouterr()
         assert run_cli("--ledger-dir", str(ledger_dir), *flags, "report") == 0
         head = capsys.readouterr().out.splitlines()[0]
@@ -700,44 +698,59 @@ def test_ledger_dir_from_environment(tmp_path, monkeypatch, capsys):
     assert (target / "0.snapshot").exists()
 
 
-def test_config_file_flag(ledger_dir, tmp_path, capsys):
-    config = tmp_path / "sim.cfg"
-    config.write_text("servers=5\nblock_size=10\nseed=7\nmode=checksum\n")
-    assert run_cli("--ledger-dir", str(ledger_dir), "--config", str(config), "upload", "--gen-bytes", "50") == 0
-    out = capsys.readouterr().out
-    assert "UPLOAD bytes=50 servers=5 block_size=10 mode=checksum seed=7" in out
-    # An explicit --config must exist.
-    missing, elsewhere = tmp_path / "no-such.cfg", tmp_path / "elsewhere"
-    assert run_cli("--ledger-dir", str(elsewhere), "--config", str(missing), "upload", "--gen-bytes", "50") == 2
+def test_a_failed_upload_removes_the_directories_it_made(tmp_path, capsys):
+    """The upload makes the ledger directory, parents too, to lock it, and
+    removes them all again when it fails before writing into it."""
+    missing, elsewhere = tmp_path / "no-such-file", tmp_path / "elsewhere"
+    assert run_cli("--ledger-dir", str(elsewhere / "a" / "b"), "upload", str(missing)) == 2
     assert str(missing) in capsys.readouterr().err
-    assert not elsewhere.exists()
-    # The upload made the directory, parents too, to lock it, and removes them all again.
-    nested = elsewhere / "a" / "b"
-    assert run_cli("--ledger-dir", str(nested), "--config", str(missing), "upload", "--gen-bytes", "50") == 2
-    assert str(missing) in capsys.readouterr().err
-    assert not elsewhere.exists()
-    # A key the CLI does not know is an error, not a silently ignored line.
-    misspelled = tmp_path / "misspelled.cfg"
-    misspelled.write_text("server=3\n")
-    assert run_cli("--ledger-dir", str(elsewhere), "--config", str(misspelled), "upload", "--gen-bytes", "300") == 2
-    err = capsys.readouterr().err
-    assert "'server'" in err and str(misspelled) in err
     assert not elsewhere.exists()
 
 
-@pytest.mark.parametrize("text", [
-    b"servers=5\r\nblock_size=10\r\n",
-    b"servers=5\x0cblock_size=10\n",
-    b"servers=5\nblock_size=10",
-], ids=["crlf", "form-feed", "no-final-lf"])
-def test_a_config_whose_lines_do_not_end_in_lf_alone_exits_2(tmp_path, capsys, text):
-    """--config must end every line in LF, and in nothing else."""
-    config = tmp_path / "sim.cfg"
-    config.write_bytes(text)
-    elsewhere = tmp_path / "elsewhere"
-    assert run_cli("--ledger-dir", str(elsewhere), "--config", str(config), "upload", "--gen-bytes", "50") == 2
-    assert f"config file {config} " in capsys.readouterr().err
-    assert not elsewhere.exists()
+PAYLOAD_COMMANDS = {
+    "upload": ("upload",),
+    "append": ("append", "--server", "0"),
+    "update": ("update", "--server", "1", "--block", "0"),
+}
+
+
+@pytest.mark.parametrize("payload, error", [
+    ((), "one of the arguments input --gen-bytes is required"),
+    (("--gen-bytes", "8", "payload.bin"), "argument input: not allowed with argument --gen-bytes"),
+], ids=["none", "both"])
+@pytest.mark.parametrize("command", PAYLOAD_COMMANDS.values(), ids=PAYLOAD_COMMANDS)
+def test_a_payload_command_takes_an_input_file_or_gen_bytes_not_both(tmp_path, capsys, command, payload, error):
+    """argparse refuses a command given no payload or two before the
+    command locks or loads: an upload makes no directory, and an operation
+    leaves every file of the ledger as it was."""
+    if command[0] == "upload":
+        target = tmp_path / "new" / "a" / "b"
+    else:
+        target = tmp_path / "ledger"
+        seeded_upload(target)
+        before = dir_contents(target)
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", str(target), *command, *payload) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {error}\n" in captured.err
+    if command[0] == "upload":
+        assert not (tmp_path / "new").exists()
+    else:
+        assert dir_contents(target) == before
+
+
+def test_a_usage_error_exits_2_before_the_ledger_is_read(ledger_dir, tmp_path, capsys):
+    """A command without its payload exits 2 where its ledger would exit 3
+    (an upload into a non-empty directory) or 6 (an append with no ledger),
+    and the --config flag is gone."""
+    seeded_upload(ledger_dir)
+    before = dir_contents(ledger_dir)
+    assert run_cli("--ledger-dir", str(ledger_dir), "upload") == 2
+    assert dir_contents(ledger_dir) == before
+    assert run_cli("--ledger-dir", str(tmp_path / "none"), "append", "--server", "0") == 2
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", str(ledger_dir), "--config", "sim.cfg", "verify") == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("epoch, written, edit, error", [

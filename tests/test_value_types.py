@@ -48,7 +48,7 @@ IMMUTABLE = {  # one value of each former frozen class, and one of its fields
     "OperationRequest": (OperationRequest(OperationKind.DELETE, 0, 0), "epoch_expected"),
     "OperationResult": (OperationResult(OperationKind.DELETE, 0, 0, 1, VERDICT, VERDICT, 5, -5, 0), "s_after"),
     "AuditGrant": (AuditGrant(0, 0, Mode.CHECKSUM), "mode"),
-    "SimConfig": (SimConfig(4, 4096, Mode.CHECKSUM, 42, Path("ledger")), "ledger_dir"),
+    "SimConfig": (SimConfig(4, 4096, Mode.CHECKSUM, 42), "seed"),
     "RestorePoint": (RestorePoint(MANIFEST, b""), "record"),
 }
 
