@@ -29,10 +29,7 @@ from .cluster import (
 )
 from .errors import (
     CloudLedgerError,
-    EmptyGrant,
     EpochMismatch,
-    ManifestFormatError,
-    NoSuchBlock,
     NoSuchTarget,
     NothingToRestore,
     PostStateCorrupt,
@@ -40,7 +37,6 @@ from .errors import (
     PreStateCorrupt,
     ServerDown,
     SnapshotCorrupt,
-    StaleEpoch,
     UnverifiedState,
 )
 from .ledger import (

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cluster import ClusterState, read_manifest
-from .errors import EmptyGrant
+from .errors import NoSuchTarget
 from .ledger import Ledger
 from .manifest import _record_at
 from .protocol import Mode, Verdict, _classify, _differing
@@ -64,7 +64,7 @@ def audit(ledger: Ledger, cluster: ClusterState, grant: AuditGrant) -> list[Verd
     """
     epochs = granted_epochs(ledger, grant)
     if not epochs:
-        raise EmptyGrant(
+        raise NoSuchTarget(
             f"grant {grant.first_epoch}..{grant.last_epoch} covers none of the"
             f" {len(ledger.points)} committed epochs"
         )

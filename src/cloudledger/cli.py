@@ -21,9 +21,9 @@ ledger's epochs. Identical settings plus an identical command sequence
 reproduces byte-identical directory contents.
 
 run resolves each input once. argparse checks the arguments, the payload
-rule (an input file or --gen-bytes, exactly one) too, and run locks the
-one ledger directory the command then loads, so each cmd_* takes only
-the parsed arguments.
+rule (an input file or --gen-bytes, exactly one) and the values of
+--epochs and --gen-bytes too, and run locks the one ledger directory the
+command then loads, so each cmd_* takes only the parsed arguments.
 
 One command at a time writes: every command holds flock on the ledger
 directory, if it exists, from before its load to after its last write,
@@ -61,19 +61,13 @@ from .cluster import (
 )
 from .errors import (
     CloudLedgerError,
-    EmptyGrant,
     EpochMismatch,
-    ManifestFormatError,
-    NoSuchBlock,
     NoSuchTarget,
     NothingToRestore,
     PostStateCorrupt,
     PreexistingData,
     PreStateCorrupt,
-    ServerDown,
     SnapshotCorrupt,
-    StaleEpoch,
-    UnverifiedState,
 )
 from .ledger import (
     CLUSTER_FILE,
@@ -99,14 +93,14 @@ EXIT_NO_TARGET = 4
 EXIT_STALE = 5
 EXIT_NOTHING_TO_RESTORE = 6
 
-_EXIT_BY_ERROR = [
-    (PreexistingData, EXIT_PREEXISTING),
-    ((NoSuchTarget, NoSuchBlock, EmptyGrant), EXIT_NO_TARGET),
-    ((StaleEpoch, EpochMismatch), EXIT_STALE),
-    (NothingToRestore, EXIT_NOTHING_TO_RESTORE),
-    ((PreStateCorrupt, PostStateCorrupt, UnverifiedState, ServerDown), EXIT_FAILED),
-    ((SnapshotCorrupt, ManifestFormatError), EXIT_IO),
-]
+# One error class per exit code from 2 on; any other CloudLedgerError exits 1.
+_EXIT_BY_ERROR = {
+    SnapshotCorrupt: EXIT_IO,
+    PreexistingData: EXIT_PREEXISTING,
+    NoSuchTarget: EXIT_NO_TARGET,
+    EpochMismatch: EXIT_STALE,
+    NothingToRestore: EXIT_NOTHING_TO_RESTORE,
+}
 
 DEFAULT_SERVERS = 4
 DEFAULT_BLOCK_SIZE = 4096
@@ -286,13 +280,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     config, cluster, ledger = _load_state(args)
-    first, sep, last = args.epochs.partition("..")
-    grant = AuditGrant(
-        first_epoch=int(first),
-        last_epoch=int(last) if sep else int(first),
-        mode=Mode(args.mode) if args.mode else config.mode,
-    )
-    verdicts = run_audit(ledger, cluster, grant)
+    verdicts = run_audit(ledger, cluster, AuditGrant(*args.epochs, config.mode))
     for verdict in verdicts:
         for line in render_verdict_report(verdict).splitlines():
             print(f"TPA {line}")
@@ -332,6 +320,25 @@ _WRITERS = (cmd_upload, cmd_op, cmd_tamper, cmd_recover)
 # --- parser ----------------------------------------------------------------------
 
 
+def _epoch_range(text: str) -> tuple[int, int]:
+    """--epochs: ``first..last``, inclusive, or one epoch."""
+    first, sep, last = text.partition("..")
+    try:
+        return int(first), int(last if sep else first)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid epoch range: {text!r}") from None
+
+
+def _byte_count(text: str) -> int:
+    """--gen-bytes: an int, 0 or more."""
+    try:
+        if (count := int(text)) >= 0:
+            return count
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    raise argparse.ArgumentTypeError(f"payload size must be >= 0, got {count}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cloudledger",
@@ -348,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_payload_args(p: argparse.ArgumentParser) -> None:
         payload = p.add_mutually_exclusive_group(required=True)
         payload.add_argument("input", nargs="?", help="payload file")
-        payload.add_argument("--gen-bytes", type=int, help="generate this many seeded bytes instead of reading a file")
+        payload.add_argument("--gen-bytes", type=_byte_count,
+                             help="generate this many seeded bytes instead of reading a file")
 
     p = sub.add_parser("upload", help="initial upload with before/after verification")
     add_payload_args(p)
@@ -386,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("audit", help="third-party audit of committed epochs")
-    p.add_argument("--epochs", required=True, help="inclusive epoch range, e.g. 0..3 or a single epoch")
-    p.add_argument("--mode", choices=[m.value for m in Mode], help="override the configured mode")
+    p.add_argument("--epochs", type=_epoch_range, required=True, help="inclusive epoch range, e.g. 0..3 or a single epoch")
+    p.add_argument("--mode", choices=[m.value for m in Mode], default=argparse.SUPPRESS, help="override the global --mode")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("history", help="print the operation journal")
@@ -411,7 +419,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         code = args.func(args)
     except CloudLedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = next((exit_code for errors, exit_code in _EXIT_BY_ERROR if isinstance(exc, errors)), EXIT_FAILED)
+        code = _EXIT_BY_ERROR.get(type(exc), EXIT_FAILED)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_IO

@@ -31,7 +31,6 @@ from operator import is_, itemgetter, ne
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
-    ManifestFormatError,
     NoSuchTarget,
     PreexistingData,
     ServerDown,
@@ -410,10 +409,7 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     split = text.find("\nEND\n", len(head))
     if split < 0:
         raise SnapshotCorrupt("snapshot missing manifest terminator")
-    try:
-        manifest = parse_manifest(text[len(head) + 1 : split + len("\nEND\n")])
-    except ManifestFormatError as exc:
-        raise SnapshotCorrupt(f"snapshot manifest unreadable: {exc}") from exc
+    manifest = parse_manifest(text[len(head) + 1 : split + len("\nEND\n")])
     server_count = manifest.server_count
     if server_count < 1:
         raise SnapshotCorrupt(f"snapshot manifest has servers={server_count}; a cluster needs one")

@@ -15,15 +15,13 @@ class ServerDown(CloudLedgerError):
 
 
 class NoSuchTarget(CloudLedgerError):
-    """A fault injection named a server or block that does not exist."""
-
-
-class NoSuchBlock(CloudLedgerError):
-    """A dynamic operation named a block that does not exist."""
+    """A fault injection or a dynamic operation named a server or block
+    that does not exist, or an audit grant covers no committed epoch."""
 
 
 class EpochMismatch(CloudLedgerError):
-    """Two manifests (or a verdict and a cluster) disagree about the epoch."""
+    """Two manifests (or a verdict and a cluster) disagree about the epoch,
+    or an operation request carried an epoch that is no longer current."""
 
 
 class PreexistingData(CloudLedgerError):
@@ -39,23 +37,13 @@ class NothingToRestore(CloudLedgerError):
 
 
 class SnapshotCorrupt(CloudLedgerError):
-    """A ledger file failed to load: an epoch file failed its chain line or
-    is no redo record the epoch before allows, cluster.state holds a line
-    that is no HEAD or fault line or a fault its point refuses, a file is
-    in a retired format, or a snapshot failed its own manifest consistency
-    check or named a block the store lacks."""
-
-
-class StaleEpoch(CloudLedgerError):
-    """An operation request carried an epoch that is no longer current."""
-
-
-class EmptyGrant(CloudLedgerError):
-    """An audit grant covers no committed epoch."""
-
-
-class ManifestFormatError(CloudLedgerError):
-    """A serialized manifest, the set of epoch files, or a block entry in a ledger file failed to parse."""
+    """A ledger file or a serialized manifest failed to load: the epoch
+    files are not exactly 0.snapshot up to the last, an epoch file failed
+    its chain line or is no redo record the epoch before allows, a block
+    entry is cut short, stores a block the ledger already stores or names
+    one the store lacks, cluster.state holds a line that is no HEAD or
+    fault line or a fault its point refuses, a file is in a retired
+    format, or a manifest failed to parse or its own consistency check."""
 
 
 class PreStateCorrupt(CloudLedgerError):

@@ -67,7 +67,6 @@ from .cluster import (
 )
 from .errors import (
     EpochMismatch,
-    ManifestFormatError,
     NoSuchTarget,
     NothingToRestore,
     SnapshotCorrupt,
@@ -444,10 +443,10 @@ def _read_blocks(name: str, data: bytes, position: int,
         if match["weight"] is not None:  # an entry, which stores the block
             end = match.end() + int(match["weight"])
             if data[end : end + 1] != b"\n":
-                raise ManifestFormatError(f"{name} entry at byte {position} is cut short")
+                raise SnapshotCorrupt(f"{name} entry at byte {position} is cut short")
             block = make_block(data[match.end() : end])
             if block.digest in stored or block.digest in blocks:
-                raise ManifestFormatError(f"{name} stores block {block.digest}, which the ledger already stores")
+                raise SnapshotCorrupt(f"{name} stores block {block.digest}, which the ledger already stores")
             blocks[block.digest] = block
             position = end + 1
         else:
@@ -621,8 +620,8 @@ def _epoch_files(directory: Path) -> list[str]:
     snapshots = {name for name in os.listdir(directory) if name.endswith(".snapshot")}
     expected = [f"{epoch}.snapshot" for epoch in range(len(snapshots))]
     if snapshots != set(expected):
-        raise ManifestFormatError(f"{min(snapshots - set(expected))} is in the ledger, but the snapshots of"
-                                  f" {len(snapshots)} epochs are 0.snapshot to {len(snapshots) - 1}.snapshot")
+        raise SnapshotCorrupt(f"{min(snapshots - set(expected))} is in the ledger, but the snapshots of"
+                              f" {len(snapshots)} epochs are 0.snapshot to {len(snapshots) - 1}.snapshot")
     return expected
 
 

@@ -28,7 +28,7 @@ from operator import itemgetter, lt
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .checksum import fnv1a64
-from .errors import ManifestFormatError
+from .errors import SnapshotCorrupt
 
 
 class Level(enum.Enum):
@@ -171,12 +171,12 @@ def _render_header(level: Level, epoch: int, server_count: int, total: int) -> s
 def _parse_header(line: str) -> dict[str, str]:
     parts = line.split(" ")
     if parts[:2] != ["MANIFEST", "v1"]:
-        raise ManifestFormatError(f"bad manifest header: {line!r}")
+        raise SnapshotCorrupt(f"bad manifest header: {line!r}")
     fields = {}
     for part in parts[2:]:
         key, sep, value = part.partition("=")
         if not sep:
-            raise ManifestFormatError(f"bad manifest header field: {part!r}")
+            raise SnapshotCorrupt(f"bad manifest header field: {part!r}")
         fields[key] = value
     return fields
 
@@ -187,12 +187,12 @@ _DECIMAL = "(?:0|[1-9][0-9]*)"
 _RECORD_LINES = re.compile(f"(?:{_DECIMAL} {_DECIMAL} {_DECIMAL} [0-9a-f]{{16}}\n)*")
 
 
-def _bad_record(line: str) -> ManifestFormatError:
+def _bad_record(line: str) -> SnapshotCorrupt:
     """The error for the first record line _RECORD_LINES rejects."""
     for name, field in zip(("server", "block", "weight"), line.split(" ")):
         if field.startswith("-"):
-            return ManifestFormatError(f"record {name} {field} is negative")
-    return ManifestFormatError(f"record line is not canonical: {line!r}")
+            return SnapshotCorrupt(f"record {name} {field} is negative")
+    return SnapshotCorrupt(f"record line is not canonical: {line!r}")
 
 
 def parse_manifest(text: str) -> Manifest:
@@ -207,7 +207,7 @@ def parse_manifest(text: str) -> Manifest:
     C tuple constructor.
     """
     if not text:
-        raise ManifestFormatError("empty manifest text")
+        raise SnapshotCorrupt("empty manifest text")
     first, _, section = text.partition("\n")
     header = _parse_header(first)
     try:
@@ -216,14 +216,14 @@ def parse_manifest(text: str) -> Manifest:
         server_count = int(header["servers"])
         total = int(header["total"])
     except (KeyError, ValueError) as exc:
-        raise ManifestFormatError(f"bad manifest header: {first!r}") from exc
+        raise SnapshotCorrupt(f"bad manifest header: {first!r}") from exc
     if epoch < 0:
-        raise ManifestFormatError(f"manifest epoch {epoch} is negative")
+        raise SnapshotCorrupt(f"manifest epoch {epoch} is negative")
     if first != _render_header(level, epoch, server_count, total):
-        raise ManifestFormatError(f"manifest header is not canonical: {first!r}")
+        raise SnapshotCorrupt(f"manifest header is not canonical: {first!r}")
 
     if not section.endswith("END\n"):
-        raise ManifestFormatError("manifest not terminated by END")
+        raise SnapshotCorrupt("manifest not terminated by END")
     canonical = _RECORD_LINES.match(section).end()
     if canonical != len(section) - len("END\n"):
         raise _bad_record(section[canonical:].partition("\n")[0])
@@ -233,12 +233,12 @@ def parse_manifest(text: str) -> Manifest:
     ids = list(map(int, fields[1::4]))
     keys = list(zip(servers, ids))
     if not all(map(lt, keys, keys[1:])):
-        raise ManifestFormatError("records out of order")
+        raise SnapshotCorrupt("records out of order")
     if servers and servers[-1] >= server_count:  # in order, so the last server is the largest
-        raise ManifestFormatError(f"record server {servers[-1]} outside servers={server_count}")
+        raise SnapshotCorrupt(f"record server {servers[-1]} outside servers={server_count}")
     weights = list(map(int, fields[2::4]))
     if sum(weights) != total:
-        raise ManifestFormatError("header total does not match record weights")
+        raise SnapshotCorrupt("header total does not match record weights")
     checksums = map(int, fields[3::4], repeat(16))
     records = tuple(map(new_record, zip(servers, ids, weights, checksums)))
     return Manifest(level=level, epoch=epoch, records=records, server_count=server_count)

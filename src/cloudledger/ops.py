@@ -30,11 +30,11 @@ from typing import Callable, NamedTuple, Optional
 
 from .cluster import ClusterState, make_block, read_manifest
 from .errors import (
-    NoSuchBlock,
+    EpochMismatch,
+    NoSuchTarget,
     PostStateCorrupt,
     PreStateCorrupt,
     ServerDown,
-    StaleEpoch,
 )
 from .ledger import (
     Ledger,
@@ -118,9 +118,9 @@ def apply(
 ) -> OperationResult:
     """Run one verified operation end to end.
 
-    Raises StaleEpoch for requests pinned to an old epoch, PreStateCorrupt
+    Raises EpochMismatch for requests pinned to an old epoch, PreStateCorrupt
     (without mutating) when the live state no longer matches the last
-    restore point, NoSuchBlock / ServerDown for bad targets, and
+    restore point, NoSuchTarget / ServerDown for bad targets, and
     PostStateCorrupt when the mutation landed wrong. post_mutation_hook runs
     between the mutation and the post-check; fault scenarios use it to
     corrupt in-flight state. Any exception from the hook, the post-check or
@@ -130,7 +130,7 @@ def apply(
     _validate_request(request)
     last = ledger.last()
     if request.epoch_expected != cluster.epoch:
-        raise StaleEpoch(f"request is for epoch {request.epoch_expected}, cluster is at {cluster.epoch}")
+        raise EpochMismatch(f"request is for epoch {request.epoch_expected}, cluster is at {cluster.epoch}")
 
     pre_verdict = verify_equality(last.manifest, read_manifest(cluster), Mode.CHECKSUM)
     if not pre_verdict.z:
@@ -140,7 +140,7 @@ def apply(
         )
 
     if not 0 <= request.server_index < cluster.server_count:
-        raise NoSuchBlock(f"no server {request.server_index}")
+        raise NoSuchTarget(f"no server {request.server_index}")
     server = cluster.servers[request.server_index]
     if not server.alive:
         raise ServerDown(f"server {request.server_index} is not alive")
@@ -150,7 +150,7 @@ def apply(
     elif request.block_id in server.records:
         block_id = request.block_id
     else:
-        raise NoSuchBlock(f"no block {request.block_id} on server {request.server_index}")
+        raise NoSuchTarget(f"no block {request.block_id} on server {request.server_index}")
     key = (request.server_index, block_id)
     committed = _record_at(last.manifest.records, key)
     old_weight = 0 if committed is None else committed.weight

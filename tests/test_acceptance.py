@@ -31,7 +31,7 @@ from cloudledger import (
     FaultSpec,
     Ledger,
     Mode,
-    NoSuchBlock,
+    NoSuchTarget,
     RecoveryAction,
     append,
     audit,
@@ -218,7 +218,7 @@ def test_criterion_6_accounting_identity():
                     )
                 else:
                     result = delete(cluster, ledger, server_index, rng.choice(list(blocks)))
-            except NoSuchBlock:
+            except NoSuchTarget:
                 continue
             assert result.s_after == result.s_before + result.delta
             delta_sum += result.delta

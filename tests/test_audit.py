@@ -5,10 +5,10 @@ import pytest
 from cloudledger import (
     AuditGrant,
     BlockRecord,
-    EmptyGrant,
     FaultKind,
     FaultSpec,
     Mode,
+    NoSuchTarget,
     append,
     audit,
     inject_fault,
@@ -52,7 +52,7 @@ def test_blocks_appended_later_are_not_extra():
 
 def test_empty_grant_rejected():
     cluster, ledger = make_committed_state(bytes(range(20)), 2, 5)
-    with pytest.raises(EmptyGrant):
+    with pytest.raises(NoSuchTarget):
         audit(ledger, cluster, AuditGrant(5, 9, Mode.CHECKSUM))
 
 

@@ -12,6 +12,7 @@ from cloudledger import (
     SnapshotCorrupt,
     build_manifest,
     cli,
+    errors,
     load_ledger,
     partition_upload,
     serialize_manifest,
@@ -96,11 +97,6 @@ def test_upload_golden_one_mib_file(ledger_dir, tmp_path, capsys):
     assert [point.committed_x for point in load_ledger(ledger_dir).points] == [2 * MIB]
     manifest_head = load_ledger(ledger_dir).last_snapshot.splitlines()[1]
     assert manifest_head == f"MANIFEST v1 level=CLOUD epoch=0 servers=4 total={MIB}"
-
-
-def test_upload_requires_some_payload(ledger_dir, capsys):
-    rc = run_cli("--ledger-dir", str(ledger_dir), "upload")
-    assert rc == 2
 
 
 def test_verify_clean_and_after_tamper(ledger_dir, capsys):
@@ -649,6 +645,26 @@ def test_audit_cli_output(ledger_dir, capsys):
     assert "TPA CHECKSUM_MISMATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("global_mode, own_mode, code", [
+    ([], [], 1),
+    (["--mode", "weight-only"], [], 0),
+    ([], ["--mode", "weight-only"], 0),
+    (["--mode", "weight-only"], ["--mode", "checksum"], 1),
+    (["--mode", "checksum"], ["--mode", "weight-only"], 0),
+], ids=["recorded", "global", "own", "own-over-global-checksum", "own-over-global-weight-only"])
+def test_audit_takes_the_global_mode_unless_it_names_its_own(ledger_dir, capsys, global_mode, own_mode, code):
+    """The global --mode overrides the mode the upload recorded (checksum)
+    for audit as for every command, and audit's own --mode, after the
+    subcommand, overrides both: only weight-only misses a same-weight
+    tamper."""
+    seeded_upload(ledger_dir)
+    run_cli("--ledger-dir", str(ledger_dir), "tamper", "--kind", "same-weight", "--server", "1", "--block", "0")
+    capsys.readouterr()
+    assert run_cli("--ledger-dir", str(ledger_dir), *global_mode, "audit", "--epochs", "0", *own_mode) == code
+    mode = (own_mode or global_mode or ["--mode", "checksum"])[1]
+    assert capsys.readouterr().out.startswith(f"TPA VERDICT z={'false' if code else 'true'} mode={mode} epoch=0 ")
+
+
 def test_report_summary(ledger_dir, capsys):
     seeded_upload(ledger_dir)
     run_cli("--ledger-dir", str(ledger_dir), "append", "--server", "0", "--gen-bytes", "100")
@@ -742,7 +758,8 @@ def test_a_payload_command_takes_an_input_file_or_gen_bytes_not_both(tmp_path, c
 def test_a_usage_error_exits_2_before_the_ledger_is_read(ledger_dir, tmp_path, capsys):
     """A command without its payload exits 2 where its ledger would exit 3
     (an upload into a non-empty directory) or 6 (an append with no ledger),
-    and the --config flag is gone."""
+    the --config flag is gone, and a malformed --epochs or a negative
+    --gen-bytes exits 2 whether or not a ledger exists."""
     seeded_upload(ledger_dir)
     before = dir_contents(ledger_dir)
     assert run_cli("--ledger-dir", str(ledger_dir), "upload") == 2
@@ -751,6 +768,32 @@ def test_a_usage_error_exits_2_before_the_ledger_is_read(ledger_dir, tmp_path, c
     capsys.readouterr()
     assert run_cli("--ledger-dir", str(ledger_dir), "--config", "sim.cfg", "verify") == 2
     assert capsys.readouterr().out == ""
+    for directory in (ledger_dir, tmp_path / "none"):
+        for argv, error in [
+            (("audit", "--epochs", "x"), "argument --epochs: invalid epoch range: 'x'"),
+            (("audit", "--epochs", "0..x"), "argument --epochs: invalid epoch range: '0..x'"),
+            (("append", "--server", "0", "--gen-bytes", "-5"), "argument --gen-bytes: payload size must be >= 0, got -5"),
+            (("append", "--server", "0", "--gen-bytes", "x"), "argument --gen-bytes: invalid int value: 'x'"),
+        ]:
+            assert run_cli("--ledger-dir", str(directory), *argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"error: {error}\n" in captured.err, argv
+    assert dir_contents(ledger_dir) == before and not (tmp_path / "none").exists()
+
+
+def test_each_exit_code_from_2_on_has_one_error_class(ledger_dir, monkeypatch):
+    """Every error class the package defines exits with one code: the
+    table's, one class for each of 2 to 6, or 1 for the rest."""
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.CloudLedgerError)]
+    table = dict(cli._EXIT_BY_ERROR)
+    assert sorted(table.values()) == [2, 3, 4, 5, 6]
+    assert set(table) <= set(classes)
+    seeded_upload(ledger_dir)
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls.__new__(cls, "boom")
+        monkeypatch.setattr(cli, "cmd_report", fail)
+        assert run_cli("--ledger-dir", str(ledger_dir), "report") == table.get(cls, 1), cls
 
 
 @pytest.mark.parametrize("epoch, written, edit, error", [

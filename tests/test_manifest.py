@@ -8,7 +8,7 @@ from cloudledger import (
     BlockRecord,
     Level,
     Manifest,
-    ManifestFormatError,
+    SnapshotCorrupt,
     build_manifest,
     fnv1a64,
     make_block,
@@ -169,6 +169,6 @@ def test_parse_rejects_malformed_text(mutation):
     blocks = [[make_block(b"a"), make_block(b"b" * 9)]]
     text = serialize_manifest(build_manifest(Level.USER, 0, blocks))
     assert "total=10" in text
-    with pytest.raises(ManifestFormatError):
+    with pytest.raises(SnapshotCorrupt):
         parse_manifest(mutation(text))
 

@@ -5,17 +5,17 @@ import random
 import pytest
 
 from cloudledger import (
+    EpochMismatch,
     FaultKind,
     FaultSpec,
     Mode,
-    NoSuchBlock,
+    NoSuchTarget,
     OperationKind,
     OperationRequest,
     PostStateCorrupt,
     PreStateCorrupt,
     RecoveryAction,
     ServerDown,
-    StaleEpoch,
     UnverifiedState,
     append,
     apply,
@@ -105,9 +105,9 @@ def test_delete_middle_block_keeps_ids():
 
 def test_delete_missing_block():
     cluster, ledger = make_committed_state(b"abc", 2, 4)
-    with pytest.raises(NoSuchBlock):
+    with pytest.raises(NoSuchTarget):
         delete(cluster, ledger, 0, 99)
-    with pytest.raises(NoSuchBlock):
+    with pytest.raises(NoSuchTarget):
         delete(cluster, ledger, 7, 0)
 
 
@@ -149,7 +149,7 @@ def test_stale_request_rejected():
     request = OperationRequest(
         kind=OperationKind.APPEND, server_index=0, payload=b"x", epoch_expected=5
     )
-    with pytest.raises(StaleEpoch):
+    with pytest.raises(EpochMismatch):
         apply(cluster, ledger, request)
     assert cluster.epoch == 0
 

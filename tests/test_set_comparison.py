@@ -26,12 +26,12 @@ from cloudledger import (
     BlockRecord,
     Divergence,
     DivergenceKind,
-    EmptyGrant,
     FaultKind,
     FaultSpec,
     Level,
     Manifest,
     Mode,
+    NoSuchTarget,
     Verdict,
     append,
     audit,
@@ -75,7 +75,7 @@ def reference_audit(ledger, cluster, grant: AuditGrant) -> list[Verdict]:
     """Compare each granted epoch with the live manifest restricted to that epoch's addresses."""
     epochs = granted_epochs(ledger, grant)
     if not epochs:
-        raise EmptyGrant("no granted epochs")
+        raise NoSuchTarget("no granted epochs")
     live = read_manifest(cluster)
     verdicts = []
     for epoch in epochs:
@@ -302,8 +302,8 @@ def check_audits(rng: random.Random, rounds: int, max_ops: int, every_grant: boo
                 grant = AuditGrant(first, last, mode)
                 try:
                     expected = reference_audit(ledger, cluster, grant)
-                except EmptyGrant:
-                    with pytest.raises(EmptyGrant):
+                except NoSuchTarget:
+                    with pytest.raises(NoSuchTarget):
                         audit(ledger, cluster, grant)
                     continue
                 assert audit(ledger, cluster, grant) == expected, (fault, grant)
