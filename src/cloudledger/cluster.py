@@ -5,11 +5,15 @@ servers. Every write, faults and snapshot loads included, goes through
 ServerState.put and drop, which keep each block's record (its address,
 its length and the checksum make_block stored with it, never client
 metadata) beside it. A cloud-level manifest joins those records, so a
-read hashes nothing, yet sees any corruption of stored bytes. Each
-server keeps its records as one tuple, and the cluster their join, until
-the next put or drop, so the reads between two writes share one record
-tuple, which is the one a commit freezes: the first read after a write
-joins the records again, and any other costs O(servers).
+read hashes nothing, yet sees any corruption of stored bytes. An
+operation's write, made live by ops.apply or replayed by load_ledger, is
+write_block's: before it puts or drops, it checks that the server exists
+and is alive, and that the operation names the server's next id (APPEND)
+or a block the server holds (UPDATE, DELETE). Each server keeps its
+records as one tuple, and the cluster their join, until the next put or
+drop, so the reads between two writes share one record tuple, which is
+the one a commit freezes: the first read after a write joins the records
+again, and any other costs O(servers).
 put renders each record's manifest line as it writes the record, and
 each server keeps its joined snapshot lines and weight total until its
 next put or drop, so a commit renders one line per put and sums the
@@ -19,8 +23,9 @@ substitution, block drops, server crashes (which erase that server's
 data), and a lying read path that replays the previous epoch's records.
 The cluster lists the faults injected since its last snapshot load, each
 with the seed of its byte stream, so replaying them onto that snapshot
-rebuilds it. FaultSpec and FaultReport are NamedTuples; ServerState and
-ClusterState are plain mutable classes.
+rebuilds it. OperationKind and FaultKind are enums, FaultSpec and
+FaultReport NamedTuples; ServerState and ClusterState are plain mutable
+classes.
 """
 
 from __future__ import annotations
@@ -58,6 +63,12 @@ class FaultKind(enum.Enum):
     DROP_BLOCK = "drop-block"
     SERVER_CRASH = "crash"
     CSP_STALE_MANIFEST = "stale-manifest"
+
+
+class OperationKind(enum.Enum):
+    APPEND = "APPEND"
+    DELETE = "DELETE"
+    UPDATE = "UPDATE"
 
 
 class FaultSpec(NamedTuple):
@@ -231,6 +242,35 @@ def upload(cluster: ClusterState, blocks: Sequence[Sequence[DataBlock]]) -> Mani
         for block_id, block in enumerate(server_blocks):
             server.put(block_id, block)
     return read_manifest(cluster)
+
+
+def write_block(cluster: ClusterState, kind: OperationKind, server_index: int, block_id: Optional[int],
+                block: Optional[DataBlock]) -> int:
+    """Make the one write an operation of ``kind`` names and return the id
+    of the block it wrote: the rule of where an operation may write, for
+    ops.apply and load_ledger's replay alike. Before any write, the server
+    must exist (NoSuchTarget) and be alive (ServerDown); an APPEND takes the
+    next id after the server's largest, which ``block_id``, if given, must
+    be, and an UPDATE or a DELETE must name a block the server holds
+    (NoSuchTarget). Then ``block`` is put at the address, or the block there
+    dropped when ``block`` is None."""
+    if not 0 <= server_index < cluster.server_count:
+        raise NoSuchTarget(f"no server {server_index}")
+    server = cluster.servers[server_index]
+    if not server.alive:
+        raise ServerDown(f"server {server_index} is not alive")
+    if kind is OperationKind.APPEND:
+        next_id = max(server.blocks, default=-1) + 1
+        if block_id not in (None, next_id):
+            raise NoSuchTarget(f"server {server_index}'s next block id is {next_id}")
+        block_id = next_id
+    elif block_id not in server.blocks:
+        raise NoSuchTarget(f"no block {block_id} on server {server_index}")
+    if block is None:
+        server.drop(block_id)
+    else:
+        server.put(block_id, block)
+    return block_id
 
 
 def stored_manifest(cluster: ClusterState, unavailable_servers: frozenset[int] = frozenset()) -> Manifest:

@@ -16,7 +16,8 @@ class ServerDown(CloudLedgerError):
 
 class NoSuchTarget(CloudLedgerError):
     """A fault injection or a dynamic operation named a server or block
-    that does not exist, or an audit grant covers no committed epoch."""
+    that does not exist, an append named another id than the server's
+    next, or an audit grant covers no committed epoch."""
 
 
 class EpochMismatch(CloudLedgerError):

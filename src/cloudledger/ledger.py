@@ -51,6 +51,7 @@ import hashlib
 import os
 import re
 from bisect import bisect_left
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
@@ -58,12 +59,15 @@ from .cluster import (
     ClusterState,
     FaultKind,
     FaultSpec,
+    OperationKind,
     inject_fault,
     load_snapshot,
     new_cluster,
     read_manifest,
     snapshot_cluster,
     stored_manifest,
+    upload,
+    write_block,
 )
 from .errors import (
     EpochMismatch,
@@ -370,7 +374,8 @@ _WEIGHT_LINE = rb"(?P<weight>0|[1-9][0-9]{0,62})\n"
 _BLOCK_LINE = re.compile(rb"(?P<digest>[0-9a-f]{64})\n|" + _WEIGHT_LINE)
 _CHAIN_SIZE = len("CHAIN sha256=\n") + 64  # the bytes of a chain line
 # An operation line as operation_line renders it, its decimals _NUMBERs.
-_OPERATION_LINE = re.compile(f"(APPEND|DELETE|UPDATE) server=({_NUMBER}) block=({_NUMBER})")
+_OPERATION_LINE = re.compile(f"({'|'.join(kind.value for kind in OperationKind)}) server=({_NUMBER})"
+                             f" block=({_NUMBER})")
 # What every 0.snapshot of this format starts with, and none of a retired one.
 _UPLOAD_HEAD = "UPLOAD v12 "
 # The upload's line, as upload_line renders it: a cluster has at least one server and a block at least one
@@ -505,36 +510,23 @@ def _replay(cluster: Optional[ClusterState], name: str, epoch: int, op: str, wri
     """Make the writes the operation line ``op`` names, with the blocks
     ``written``, and return the cluster, now at ``epoch``. The upload, at
     epoch 0, where there is no ``cluster`` yet, makes a new cluster of its
-    servers and puts the i-th block at the i-th address, in record order,
-    of the round-robin layout of that many blocks, as partition_upload
-    places them. Any other operation makes one put or drop in ``cluster``,
-    at epoch - 1, by the rules ops.apply runs by: the server exists, an
-    UPDATE or a DELETE names a block the server holds and an APPEND the
-    next id after the server's largest. So its records are operation_records
-    of the epoch before's, by construction."""
-    if cluster is None:  # the upload, as _read_record checked
+    servers and stores the blocks by upload, the i-th at the i-th address,
+    in record order, of the round-robin layout of that many blocks, as
+    partition_upload places them. Any other operation makes its one write
+    in ``cluster``, at epoch - 1, by write_block, the write ops.apply
+    makes, and a target write_block refuses (NoSuchTarget) is
+    SnapshotCorrupt, with write_block's reason. So its records are
+    operation_records of the epoch before's, by construction."""
+    if cluster is None:  # the upload, as _read_record checked: server s holds every n-th block from the s-th
         cluster, blocks = new_cluster(int(_UPLOAD_LINE.fullmatch(op)["servers"])), iter(written)
-        for server in cluster.servers:  # server s holds every n-th block from the s-th
-            for block in range(len(range(server.server_index, len(written), cluster.server_count))):
-                server.put(block, next(blocks))
+        upload(cluster, [list(islice(blocks, len(range(server, len(written), cluster.server_count))))
+                         for server in range(cluster.server_count)])
     else:
         kind, server, block = _OPERATION_LINE.fullmatch(op).groups()
-        server, block = int(server), int(block)
-        held = cluster.servers[server].blocks if server < cluster.server_count else None
-        if held is None:
-            refusal = f"it has {cluster.server_count} servers"
-        elif kind == "APPEND" and block != max(held, default=-1) + 1:
-            refusal = f"server {server}'s next block id is {max(held, default=-1) + 1}"
-        elif kind != "APPEND" and block not in held:
-            refusal = f"server {server} holds no block {block}"
-        else:
-            refusal = None
-        if refusal is not None:
-            raise SnapshotCorrupt(f"{name} holds {op!r}, which epoch {epoch - 1} refuses: {refusal}")
-        if kind == "DELETE":
-            cluster.servers[server].drop(block)
-        else:
-            cluster.servers[server].put(block, written[0])
+        try:
+            write_block(cluster, OperationKind(kind), int(server), int(block), written[0] if written else None)
+        except NoSuchTarget as exc:
+            raise SnapshotCorrupt(f"{name} holds {op!r}, which epoch {epoch - 1} refuses: {exc}") from exc
     cluster.epoch = epoch
     return cluster
 
@@ -635,13 +627,14 @@ def load_ledger(directory: Path) -> Ledger:
     translation, and must end in its chain line (_check_chain) before any
     entry is hashed or any cluster is built, so an edit that leaves the
     chain inconsistent fails at its file, whatever the replay would make
-    of it. Then each
-    file is read as a redo record (_read_record): its entries join the
-    block store, so epoch k resolves only in the blocks of files 0..k, and
-    its operation line makes its writes (_replay): the upload places its
-    blocks round-robin on a new cluster, and each later operation makes one
-    put or drop in that same cluster, by the rules ops.apply runs by. So
-    each epoch's records are what its operation leaves on the epoch
+    of it. Then each file is read as a redo record (_read_record): its
+    entries join the block store, so epoch k resolves only in the blocks
+    of files 0..k, and its operation line makes its writes (_replay): the
+    upload places its blocks round-robin on a new cluster, and each later
+    operation makes its one write in that same cluster by
+    cluster.write_block, the write ops.apply makes, so an epoch whose
+    operation ops.apply would refuse fails to load, with the same reason.
+    So each epoch's records are what its operation leaves on the epoch
     before's, operation_records, by construction, and the points share
     every record an epoch did not change. Each point holds its file's
     bytes as its record. Each distinct block is hashed once, each file's

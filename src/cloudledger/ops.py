@@ -2,40 +2,38 @@
 
 Each operation is bracketed by two protocol runs. Before mutating, the
 live cloud state must verify clean against the last committed restore
-point (checksums included); afterwards, the client-side prediction of the
-new manifest must match what the cloud actually serves. The prediction is
-ledger.operation_records, the committed records with the operation's
-address spliced, which load_ledger's replay of each persisted epoch leaves.
-The spliced record takes its weight and checksum from the block the
-operation stores, so make_block hashes the payload once; that hides no
-fault, because a block is its content and every fault stores a new block.
-Only then is a new restore point committed, advancing the epoch by
-exactly one, with the operation line that names its kind and address. Any
-failure after the mutation rolls the cluster back to the last snapshot
-and is re-raised, so operations are atomic. The byte accounting is exact:
-s_after = s_before + delta, with delta the signed weight contribution of
-the operation against the last point's record at its address. No
-manifest is summed for it: s_after is the committed cluster's stored
-bytes, the sum of the weight totals its servers keep beside their
-snapshot lines, and s_before = s_after - delta, which is the last point's
-total because the commit requires the stored records to be the
-prediction, the last point's records with one splice. Requests and
-results are NamedTuples.
+point (checksums included). The mutation is cluster.write_block, the one
+write load_ledger's replay of each epoch makes too, so a live operation
+and a replayed one are refused by one rule, in the same words, before
+any write; the payload is hashed before that check, so a refused
+operation hashes bytes it then drops. Afterwards, the client-side
+prediction of the new manifest must match what the cloud actually
+serves. The prediction is ledger.operation_records, the committed
+records with the operation's address spliced, which load_ledger's replay
+of each persisted epoch leaves. The spliced record takes its weight and
+checksum from the block the operation stores, so make_block hashes the
+payload once; that hides no fault, because a block is its content and
+every fault stores a new block. Only then is a new restore point
+committed, advancing the epoch by exactly one, with the operation line
+that names its kind and address. Any failure after the mutation rolls
+the cluster back to the last snapshot and is re-raised, so operations
+are atomic. The byte accounting is exact: s_after = s_before + delta,
+with delta the signed weight contribution of the operation against the
+last point's record at its address. No manifest is summed for it:
+s_after is the committed cluster's stored bytes, the sum of the weight
+totals its servers keep beside their snapshot lines, and s_before =
+s_after - delta, which is the last point's total because the commit
+requires the stored records to be the prediction, the last point's
+records with one splice. OperationKind is cluster's, re-exported here.
+Requests and results are NamedTuples.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, NamedTuple, Optional
 
-from .cluster import ClusterState, make_block, read_manifest
-from .errors import (
-    EpochMismatch,
-    NoSuchTarget,
-    PostStateCorrupt,
-    PreStateCorrupt,
-    ServerDown,
-)
+from .cluster import ClusterState, OperationKind, make_block, read_manifest, write_block
+from .errors import EpochMismatch, PostStateCorrupt, PreStateCorrupt
 from .ledger import (
     Ledger,
     commit_restore_point,
@@ -49,18 +47,14 @@ from .manifest import BlockRecord, Level, Manifest, _record_at
 from .protocol import Mode, Verdict, verify_equality
 
 
-class OperationKind(enum.Enum):
-    APPEND = "APPEND"
-    DELETE = "DELETE"
-    UPDATE = "UPDATE"
-
-
 class OperationRequest(NamedTuple):
     """A client's intent: what to do, where, with which bytes, at which epoch.
 
-    DELETE carries no payload; APPEND carries no block_id (the server
-    assigns the next one); epoch_expected pins the request to the state
-    the client believes is current.
+    DELETE carries no payload, APPEND and UPDATE carry one. An APPEND's
+    block_id may be None: the server assigns its next id, which a given
+    block_id must be (write_block), so a request can name an append as its
+    epoch file does. epoch_expected pins the request to the state the
+    client believes is current.
     """
 
     kind: OperationKind
@@ -93,21 +87,11 @@ class OperationResult(NamedTuple):
 
 
 def _validate_request(request: OperationRequest) -> None:
-    if request.kind is OperationKind.APPEND:
-        if request.payload is None:
-            raise ValueError("APPEND requires a payload")
-        if request.block_id is not None:
-            raise ValueError("APPEND assigns its own block_id")
-    elif request.kind is OperationKind.DELETE:
-        if request.payload is not None:
-            raise ValueError("DELETE carries no payload")
-        if request.block_id is None:
-            raise ValueError("DELETE requires a block_id")
-    elif request.kind is OperationKind.UPDATE:
-        if request.payload is None:
-            raise ValueError("UPDATE requires a payload")
-        if request.block_id is None:
-            raise ValueError("UPDATE requires a block_id")
+    kind = request.kind.value
+    if (request.payload is None) != (request.kind is OperationKind.DELETE):
+        raise ValueError(f"{kind} requires a payload" if request.payload is None else f"{kind} carries no payload")
+    if request.block_id is None and request.kind is not OperationKind.APPEND:
+        raise ValueError(f"{kind} requires a block_id")
 
 
 def apply(
@@ -120,12 +104,13 @@ def apply(
 
     Raises EpochMismatch for requests pinned to an old epoch, PreStateCorrupt
     (without mutating) when the live state no longer matches the last
-    restore point, NoSuchTarget / ServerDown for bad targets, and
-    PostStateCorrupt when the mutation landed wrong. post_mutation_hook runs
-    between the mutation and the post-check; fault scenarios use it to
-    corrupt in-flight state. Any exception from the hook, the post-check or
-    the commit (UnverifiedState when it refuses what a stale read path
-    hid) rolls the cluster back to the last restore point and is re-raised.
+    restore point, NoSuchTarget / ServerDown (without mutating) for a
+    target cluster.write_block refuses, and PostStateCorrupt when the
+    mutation landed wrong. post_mutation_hook runs between the mutation
+    and the post-check; fault scenarios use it to corrupt in-flight state.
+    Any exception from the hook, the post-check or the commit
+    (UnverifiedState when it refuses what a stale read path hid) rolls the
+    cluster back to the last restore point and is re-raised.
     """
     _validate_request(request)
     last = ledger.last()
@@ -139,29 +124,12 @@ def apply(
             pre_verdict,
         )
 
-    if not 0 <= request.server_index < cluster.server_count:
-        raise NoSuchTarget(f"no server {request.server_index}")
-    server = cluster.servers[request.server_index]
-    if not server.alive:
-        raise ServerDown(f"server {request.server_index} is not alive")
-
-    if request.kind is OperationKind.APPEND:
-        block_id = max(server.blocks, default=-1) + 1
-    elif request.block_id in server.records:
-        block_id = request.block_id
-    else:
-        raise NoSuchTarget(f"no block {request.block_id} on server {request.server_index}")
+    block = None if request.kind is OperationKind.DELETE else make_block(request.payload)
+    block_id = write_block(cluster, request.kind, request.server_index, request.block_id, block)
     key = (request.server_index, block_id)
     committed = _record_at(last.manifest.records, key)
-    old_weight = 0 if committed is None else committed.weight
-    if request.kind is OperationKind.DELETE:
-        server.drop(block_id)
-        record, delta = None, -old_weight
-    else:
-        block = make_block(request.payload)
-        server.put(block_id, block)
-        record = BlockRecord(request.server_index, block_id, len(block.payload), block.checksum)
-        delta = len(block.payload) - old_weight
+    record = None if block is None else BlockRecord(*key, len(block.payload), block.checksum)
+    delta = (0 if record is None else record.weight) - (0 if committed is None else committed.weight)
 
     cluster.epoch += 1
     cluster.previous_records = previous_records(ledger, cluster.epoch)

@@ -800,7 +800,8 @@ def test_each_exit_code_from_2_on_has_one_error_class(ledger_dir, monkeypatch):
     (1, 1, lambda data: data.replace(b"\n", b"\r\n", 1), "\\r', which is no operation line"),
     (1, 1, lambda data: data.replace(b"\n", b"\x0c\n", 1), "\\x0c', which is no operation line"),
     (3, 3, lambda data: data[:-1], "' and no LF, where a block line or the chain line belongs"),
-    (3, 4, lambda data: data, "4.snapshot holds 'DELETE server=2 block=1', which epoch 3 refuses: server 2 holds no"),
+    (3, 4, lambda data: data, "4.snapshot holds 'DELETE server=2 block=1', which epoch 3 refuses: no block 1 on"
+                              " server 2"),
 ], ids=["crlf", "form-feed", "no-final-lf", "past-the-last-epoch"])
 def test_history_of_a_journal_the_ledger_does_not_commit_exits_2(ledger_dir, capsys, epoch, written, edit, error):
     """history renders each operation's line from its epoch file, read as

@@ -11,11 +11,15 @@ from cloudledger import (
     FaultSpec,
     Ledger,
     Mode,
+    NoSuchTarget,
     NothingToRestore,
+    OperationKind,
+    OperationRequest,
     RecoveryAction,
     SnapshotCorrupt,
     UnverifiedState,
     append,
+    apply,
     commit_restore_point,
     delete,
     inject_fault,
@@ -33,8 +37,8 @@ from cloudledger import (
 )
 from cloudledger import cli
 from cloudledger import ledger as ledger_module
-from cloudledger.ledger import _persist_point
-from helpers import RETIRED, make_committed_state, rechain
+from cloudledger.ledger import _persist_point, load_cluster
+from helpers import RETIRED, make_committed_state, rechain, state_fingerprint
 
 
 def test_compute_x_empty():
@@ -484,18 +488,18 @@ EPOCH_EDITS = {
     # Epoch 3's reference, to server 0's block 1, swapped for another stored block of its weight.
     "reference-swapped": (3, "^[0-9a-f]{64}$", digest_of(bytes(range(32))), None),
     "servers": (1, "^APPEND server=1 ", "APPEND server=9 ", "1.snapshot holds 'APPEND server=9 block=2', which epoch 0"
-                " refuses: it has 3 servers"),
+                " refuses: no server 9"),
     "other-address": (1, "^APPEND server=1 ", "APPEND server=0 ", "1.snapshot holds 'APPEND server=0 block=2', which"
                       " epoch 0 refuses: server 0's next block id is 3"),
     "append-id": (1, "^APPEND server=1 block=2", "APPEND server=1 block=3",
                   "which epoch 0 refuses: server 1's next block id is 2"),
     "update-address": (2, "^UPDATE server=2 block=1", "UPDATE server=2 block=2", "2.snapshot holds 'UPDATE server=2"
-                       " block=2', which epoch 1 refuses: server 2 holds no block 2"),
+                       " block=2', which epoch 1 refuses: no block 2 on server 2"),
     # The entry is no malformed line: a DELETE writes no block, so its file holds no block line.
     "op-kind-swapped": (1, "^APPEND", "DELETE", "1.snapshot holds 1 block line(s) for 'DELETE server=1 block=2',"
                         " which writes 0"),
     "op-address-moved": (2, "^UPDATE server=2 block=1", "UPDATE server=1 block=3",
-                         "epoch 1 refuses: server 1 holds no block 3"),
+                         "epoch 1 refuses: no block 3 on server 1"),
     "op-server-01": (1, "^APPEND server=1 ", "APPEND server=01 ",
                      "1.snapshot starts with 'APPEND server=01 block=2', which is no"),
     # Without its operation line, epoch 1's file starts with the entry of the block it appended.
@@ -512,13 +516,13 @@ EPOCH_EDITS = {
     "op-line-at-epoch-0": (0, "^", "APPEND server=1 block=2\n", RETIRED),
     # Epoch 3, an update of server 0's block 1 to identical bytes, as epoch 5, after epoch 4 deleted that block,
     # and as an append, of an id below the server's largest, 2.
-    "update-freed-id": ((3, 5), "^", "", "5.snapshot holds 'UPDATE server=0 block=1', which epoch 4 refuses: server 0"
-                        " holds no block 1"),
+    "update-freed-id": ((3, 5), "^", "", "5.snapshot holds 'UPDATE server=0 block=1', which epoch 4"
+                        " refuses: no block 1 on server 0"),
     "append-freed-id": ((3, 5), "^UPDATE", "APPEND", "5.snapshot holds 'APPEND server=0 block=1', which epoch 4"
                         " refuses: server 0's next block id is 3"),
     # Epoch 4, the delete, again as epoch 5: the address it names is already gone.
-    "delete-unheld": ((4, 5), "^", "", "5.snapshot holds 'DELETE server=0 block=1', which epoch 4 refuses: server 0"
-                      " holds no block 1"),
+    "delete-unheld": ((4, 5), "^", "", "5.snapshot holds 'DELETE server=0 block=1', which epoch 4"
+                      " refuses: no block 1 on server 0"),
 }
 
 
@@ -554,6 +558,27 @@ def assert_every_load_refuses(directory, capsys, error):
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
 
 
+def assert_apply_refuses(directory, cut, epoch, reason):
+    """ops.apply, run on the ledger ``directory`` cut after epoch - 1 (a
+    copy of its files 0 to epoch - 1 in ``cut``), refuses the operation
+    epoch ``epoch``'s file names with NoSuchTarget(``reason``), and leaves
+    the cluster, the ledger and every file of the copy as they were."""
+    cut.mkdir()
+    for earlier in range(epoch):
+        (cut / f"{earlier}.snapshot").write_bytes((directory / f"{earlier}.snapshot").read_bytes())
+    (cut / "cluster.state").write_bytes(b"")
+    ledger = load_ledger(cut)
+    cluster = load_cluster(ledger, 0)
+    op = (directory / f"{epoch}.snapshot").read_bytes().partition(b"\n")[0].decode()
+    kind, server, block = re.fullmatch(r"(\w+) server=(\d+) block=(\d+)", op).groups()
+    request = OperationRequest(OperationKind(kind), int(server), int(block),
+                               None if kind == "DELETE" else bytes(8), cluster.epoch)
+    before = state_fingerprint(cluster, ledger), {path.name: path.read_bytes() for path in cut.iterdir()}
+    with pytest.raises(NoSuchTarget, match=f"^{re.escape(reason)}$"):
+        apply(cluster, ledger, request)
+    assert (state_fingerprint(cluster, ledger), {path.name: path.read_bytes() for path in cut.iterdir()}) == before
+
+
 @pytest.mark.parametrize("epoch, pattern, replacement, error", EPOCH_EDITS.values(), ids=EPOCH_EDITS)
 def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsys, epoch, pattern, replacement,
                                                                   error):
@@ -563,10 +588,13 @@ def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsy
     another id than the server's next, a server it does not have), or a
     file that is no redo record, must make the epoch fail to load even with
     every chain line from it on recomputed: every command that loads the
-    ledger exits 2, and recover writes nothing. An edit of the upload's
-    block order or server count or of a reference, which X, a sum of
-    weights, does not cover, is a consistent rewrite once rechained; left
-    as it is, its chain line refuses it."""
+    ledger exits 2, and recover writes nothing. The load refuses such an
+    operation by the rule ops.apply runs by, in its words: ops.apply, given
+    the same operation on the epoch before, raises NoSuchTarget with the
+    reason the load gives after "refuses: ", before any write. An edit of
+    the upload's block order or server count or of a reference, which X, a
+    sum of weights, does not cover, is a consistent rewrite once
+    rechained; left as it is, its chain line refuses it."""
     directory = tmp_path / "ledger"
     five_epochs(directory)
     edited = edit_epoch(directory, epoch, pattern, replacement)
@@ -577,6 +605,8 @@ def test_load_ledger_rejects_an_epoch_no_single_operation_leaves(tmp_path, capsy
     with pytest.raises(SnapshotCorrupt, match=re.escape(error)):
         load_ledger(directory)
     assert_every_load_refuses(directory, capsys, error)
+    if "refuses: " in error:
+        assert_apply_refuses(directory, tmp_path / "cut", edited, error.partition("refuses: ")[2])
 
 
 @pytest.mark.parametrize("epoch, pattern, replacement, error", EPOCH_EDITS.values(), ids=EPOCH_EDITS)
@@ -649,8 +679,10 @@ def test_an_edited_server_count_builds_no_cluster_before_the_chain_refuses_it(tm
     assert 100000 not in made
 
 
-@pytest.mark.parametrize("line", ["UPDATE server=1 block=2", "APPEND server=1 block=1"], ids=["unheld", "append"])
-def test_an_epoch_that_changes_no_record_is_an_update_of_a_held_block(tmp_path, line):
+@pytest.mark.parametrize("line, reason", [("UPDATE server=1 block=2", "no block 2 on server 1"),
+                                          ("APPEND server=1 block=1", "server 1's next block id is 2")],
+                         ids=["unheld", "append"])
+def test_an_epoch_that_changes_no_record_is_an_update_of_a_held_block(tmp_path, line, reason):
     """An update to identical bytes changes no record, so only its line
     names the block: an update of a block the epoch before holds."""
     directory = tmp_path / "ledger"
@@ -660,5 +692,5 @@ def test_an_epoch_that_changes_no_record_is_an_update_of_a_held_block(tmp_path, 
     assert load_ledger(directory).points == ledger.points
     edit_snapshot(directory, 1, "^UPDATE server=1 block=1$", line)
     rechain(directory, 1)
-    with pytest.raises(SnapshotCorrupt, match=f"1.snapshot holds '{line}', which epoch 0 refuses: server 1"):
+    with pytest.raises(SnapshotCorrupt, match=f"^1.snapshot holds '{line}', which epoch 0 refuses: {reason}$"):
         load_ledger(directory)

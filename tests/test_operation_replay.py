@@ -5,16 +5,22 @@ and load_ledger replays every persisted epoch's operation, which leaves
 the same splice. No epoch file holds a hash of the state, so the replay
 is cross-checked here instead. A seeded random sequence of library
 operations (appends, updates to new, identical, another block's and
-empty bytes, deletes, faults of every kind each followed by recover, then
-deletes down to an empty server and appends to it) runs on a ledger
-bound to a directory, and the points loaded from that directory must
+empty bytes, deletes, faults of every kind each followed by recover,
+operations ops.apply refuses, then deletes down to an empty server and
+appends to it) runs on a ledger bound to a directory, and the points
+loaded from that directory must
 equal the committed ones, field by field: each point's record is its
 epoch file's bytes, as committed, and the loaded ledger's last snapshot
 text is the committed cluster's.
 The totals stay exact on the way: each result's s_before and s_after are
 the totals of the points before and after it, and after every step the
 cluster's kept total, cluster.total_stored_bytes(), is the stored bytes
-counted block by block. Run as a script, it checks a larger seeded set:
+counted block by block. A refused operation (an update or a delete of an
+id the server does not hold, a freed one included, an append of another
+id than the server's next, or any kind on a server past the count) raises
+NoSuchTarget before any write: the cluster, the ledger and every file in
+the directory are as they were, and the sequence still loads as
+committed. Run as a script, it checks a larger seeded set:
 
     PYTHONPATH=src python -X dev -W error tests/test_operation_replay.py
 """
@@ -29,8 +35,12 @@ import pytest
 from cloudledger import (
     FaultKind,
     FaultSpec,
+    NoSuchTarget,
+    OperationKind,
+    OperationRequest,
     RecoveryAction,
     append,
+    apply,
     delete,
     inject_fault,
     load_ledger,
@@ -38,9 +48,9 @@ from cloudledger import (
     snapshot_cluster,
     update,
 )
-from helpers import make_committed_state
+from helpers import make_committed_state, state_fingerprint
 
-KINDS = ("append", "update", "identical", "copy", "empty", "delete", "fault")
+KINDS = ("append", "update", "identical", "copy", "empty", "delete", "fault", "refused")
 NEEDS_BYTES = {FaultKind.FLIP_BYTE, FaultKind.TRUNCATE, FaultKind.SAME_WEIGHT_SUBSTITUTE}
 
 
@@ -72,6 +82,27 @@ def fault_and_recover(rng, cluster, ledger):
     assert_total_exact(cluster)
 
 
+def refuse(rng, cluster, ledger, directory):
+    """Run a random operation ops.apply refuses, on a server up to two past
+    the count; it must raise NoSuchTarget and change no state or file."""
+    kind = rng.choice(list(OperationKind))
+    server = rng.randrange(cluster.server_count + 2)
+    held = cluster.servers[server].blocks if server < cluster.server_count else {}
+    next_id = max(held, default=-1) + 1
+    if kind is OperationKind.APPEND and server < cluster.server_count:  # any id but the next
+        ids = [block_id for block_id in range(next_id + 2) if block_id != next_id]
+    else:  # any id the server does not hold, a freed one included
+        ids = [block_id for block_id in range(next_id + 2) if block_id not in held]
+    payload = None if kind is OperationKind.DELETE else rng.randbytes(rng.randrange(0, 24))
+    request = OperationRequest(kind, server, rng.choice(ids), payload, cluster.epoch)
+    files = {path.name: path.read_bytes() for path in directory.iterdir()}
+    before = state_fingerprint(cluster, ledger)
+    with pytest.raises(NoSuchTarget):
+        apply(cluster, ledger, request)
+    assert state_fingerprint(cluster, ledger) == before
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == files
+
+
 def check_sequence(seed, steps, directory):
     rng = random.Random(seed)
     servers = rng.randrange(1, 5)
@@ -82,6 +113,8 @@ def check_sequence(seed, steps, directory):
         held = [(server.server_index, block_id) for server in cluster.servers for block_id in server.blocks]
         if kind == "fault":
             fault_and_recover(rng, cluster, ledger)
+        elif kind == "refused":
+            refuse(rng, cluster, ledger, directory)
         elif kind == "append" or not held:
             operate(cluster, ledger, append, rng.randrange(servers), rng.randbytes(rng.randrange(0, 24)))
         elif kind == "delete":

@@ -227,10 +227,11 @@ def test_a_raising_hook_rolls_back_and_a_later_stale_read_path_is_caught():
 
 
 def test_request_shape_validation():
+    """A request of the wrong shape is a ValueError; an APPEND may name a
+    block id, which must be the server's next, as its epoch file names it."""
     cluster, ledger = make_committed_state(b"ab", 1, 2)
     bad_requests = [
         OperationRequest(kind=OperationKind.APPEND, server_index=0, payload=None, epoch_expected=0),
-        OperationRequest(kind=OperationKind.APPEND, server_index=0, block_id=0, payload=b"x", epoch_expected=0),
         OperationRequest(kind=OperationKind.DELETE, server_index=0, block_id=0, payload=b"x", epoch_expected=0),
         OperationRequest(kind=OperationKind.DELETE, server_index=0, epoch_expected=0),
         OperationRequest(kind=OperationKind.UPDATE, server_index=0, block_id=0, epoch_expected=0),
@@ -238,6 +239,10 @@ def test_request_shape_validation():
     for request in bad_requests:
         with pytest.raises(ValueError):
             apply(cluster, ledger, request)
+    request = OperationRequest(kind=OperationKind.APPEND, server_index=0, block_id=0, payload=b"x", epoch_expected=0)
+    with pytest.raises(NoSuchTarget, match="^server 0's next block id is 1$"):
+        apply(cluster, ledger, request)
+    assert apply(cluster, ledger, request._replace(block_id=1)).block_id == 1
 
 
 def test_journal_line_format():
