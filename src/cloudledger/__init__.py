@@ -12,7 +12,7 @@ blind spot the checksum mode closes.
 """
 
 from .audit import AuditGrant, audit
-from .checksum import checksum_hex, fnv1a64
+from .checksum import checksum_hex, fnv1a64, fnv1a64_many
 from .cluster import (
     ClusterState,
     FaultKind,
@@ -55,6 +55,7 @@ from .manifest import (
     Manifest,
     build_manifest,
     make_block,
+    make_blocks,
     parse_manifest,
     serialize_manifest,
 )

@@ -49,6 +49,7 @@ from .manifest import (
     _RECORD_FORMAT,
     _server_bounds,
     make_block,
+    make_blocks,
     new_record,
     parse_manifest,
     serialize_manifest,
@@ -209,16 +210,15 @@ def partition_upload(payload: bytes, server_count: int, block_size: int) -> list
     Global block k (payload[k*B : (k+1)*B], last one ragged) goes to
     server k mod n; a block's position in its server's list is its block
     id (0, 1, 2, ...). Reading the blocks back in global order
-    reconstructs the payload exactly.
+    reconstructs the payload exactly. Every block is made in one
+    make_blocks call, so their FNV passes run together.
     """
     if server_count < 1:
         raise ValueError(f"server_count must be >= 1, got {server_count}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    per_server: list[list[DataBlock]] = [[] for _ in range(server_count)]
-    for k in range(0, len(payload), block_size):
-        per_server[(k // block_size) % server_count].append(make_block(payload[k : k + block_size]))
-    return per_server
+    blocks = make_blocks([payload[k : k + block_size] for k in range(0, len(payload), block_size)])
+    return [blocks[server::server_count] for server in range(server_count)]
 
 
 def upload(cluster: ClusterState, blocks: Sequence[Sequence[DataBlock]]) -> Manifest:

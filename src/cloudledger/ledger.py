@@ -76,7 +76,7 @@ from .errors import (
     SnapshotCorrupt,
     UnverifiedState,
 )
-from .manifest import BlockRecord, DataBlock, Manifest, _server_bounds, make_block
+from .manifest import BlockRecord, DataBlock, Manifest, _server_bounds, make_blocks
 from .protocol import Mode, Verdict, verify_equality
 
 
@@ -436,26 +436,37 @@ def _read_blocks(name: str, data: bytes, position: int,
                  stored: Mapping[str, DataBlock]) -> tuple[dict[str, DataBlock], list[DataBlock], int]:
     """The block lines in ``name``'s ``data`` from ``position`` on: the
     blocks of its entries, digest -> block, the blocks of all its lines in
-    order, and the position after them. An
-    entry's payload is hashed once, by make_block, whose digest names the
-    block, and a block that ``stored`` (the other files) or an earlier
-    entry holds is refused. A reference must name a block one of them
-    holds. No line carries an address: a block object is put at every
-    address a line names it at."""
-    blocks: dict[str, DataBlock] = {}
-    written: list[DataBlock] = []
+    order, and the position after them. The lines are parsed first: the
+    entries' payloads and the references' digests, in order. Then every
+    entry is hashed, in one make_blocks call, whose digests name the
+    blocks, and the lines are checked in order: an entry whose block
+    ``stored`` (the other files) or an earlier entry holds is refused,
+    and a reference must name a block one of them holds. So a cut-short
+    entry is reported before a refused line above it. No line carries an
+    address: a block object is put at every address a line names it at."""
+    payloads: list[bytes] = []
+    lines: list[Optional[str]] = []  # a reference's digest, or None for an entry
     while (match := _BLOCK_LINE.match(data, position)) is not None:
         if match["weight"] is not None:  # an entry, which stores the block
             end = match.end() + int(match["weight"])
             if data[end : end + 1] != b"\n":
                 raise SnapshotCorrupt(f"{name} entry at byte {position} is cut short")
-            block = make_block(data[match.end() : end])
+            payloads.append(data[match.end() : end])
+            lines.append(None)
+            position = end + 1
+        else:
+            lines.append(match["digest"].decode("ascii"))
+            position = match.end()
+    entries = iter(make_blocks(payloads) if payloads else ())
+    blocks: dict[str, DataBlock] = {}
+    written: list[DataBlock] = []
+    for digest in lines:
+        if digest is None:
+            block = next(entries)
             if block.digest in stored or block.digest in blocks:
                 raise SnapshotCorrupt(f"{name} stores block {block.digest}, which the ledger already stores")
             blocks[block.digest] = block
-            position = end + 1
         else:
-            digest, position = match["digest"].decode("ascii"), match.end()
             block = blocks[digest] if digest in blocks else stored.get(digest)
             if block is None:
                 raise SnapshotCorrupt(f"{name} names block {digest}, which the store lacks")

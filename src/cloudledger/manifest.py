@@ -2,10 +2,10 @@
 
 A DataBlock is the payload-bearing unit stored on a server, and nothing
 but its content: the payload, its checksum and its content digest, the
-two hashes computed once, by make_block(payload), when the bytes are
-stored. Its weight is len(payload). Every cloud-side reader uses those
-stored digests, and the ledger's block store is keyed by the content
-digest. A block does not know its address: the server's dict key is its
+two hashes computed once, by make_blocks (or make_block for one
+payload), when the bytes are stored. Its weight is len(payload). Every
+cloud-side reader uses those stored digests, and the ledger's block
+store is keyed by the content digest. A block does not know its address: the server's dict key is its
 block id, and its server is the one holding it. BlockRecord is its
 metadata projection at that address (no payload). A Manifest is the
 ordered list of records for one side of the reading protocol (user level
@@ -27,7 +27,7 @@ from itertools import chain, repeat
 from operator import itemgetter, lt
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .checksum import fnv1a64
+from .checksum import fnv1a64_many
 from .errors import SnapshotCorrupt
 
 
@@ -44,7 +44,7 @@ class DataBlock(NamedTuple):
     checksum is the payload's FNV-1a 64 digest and digest its SHA-256 in
     lowercase hex, the name the content-addressed block store files it
     under (collision resistant, unlike FNV, so two payloads never share a
-    name); its weight is len(payload). make_block is the only constructor,
+    name); its weight is len(payload). make_blocks is the only constructor,
     so readers can trust both hashes without rehashing the payload. A block
     carries no address, so one block object can sit at any number of
     addresses. A NamedTuple because simulations create these by the
@@ -98,13 +98,23 @@ class Manifest(NamedTuple):
         return sum(map(itemgetter(2), self.records))
 
 
+def make_blocks(payloads: Iterable[bytes]) -> list[DataBlock]:
+    """Build the DataBlock of each payload: one FNV-1a pass (the passes
+    of all the payloads run together, in checksum.fnv1a64_many) and one
+    SHA-256 pass over each. This is the one DataBlock constructor. An
+    upload's user manifest and its stored blocks share the blocks
+    partition_upload makes here in one call, a load hashes an epoch
+    file's entries in one call, and an operation's predicted record
+    shares the block it stores, so each written byte passes here once."""
+    payloads = list(map(bytes, payloads))
+    return [DataBlock(payload, checksum, sha256(payload).hexdigest())
+            for payload, checksum in zip(payloads, fnv1a64_many(payloads))]
+
+
 def make_block(payload: bytes) -> DataBlock:
-    """Build the DataBlock of ``payload``, one FNV-1a and one SHA-256
-    pass over it. An upload's user manifest and its stored blocks share
-    the blocks partition_upload makes, and an operation's predicted
-    record the block it stores, so each written byte passes here once."""
-    payload = bytes(payload)
-    return DataBlock(payload, fnv1a64(payload), sha256(payload).hexdigest())
+    """The DataBlock of one payload, make_blocks((payload,))[0]: an
+    operation or a fault hashes its one payload with the scalar fnv1a64."""
+    return make_blocks((payload,))[0]
 
 
 def build_manifest(level: Level, epoch: int, blocks: Sequence[Iterable[DataBlock]]) -> Manifest:

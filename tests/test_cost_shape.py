@@ -33,7 +33,11 @@ ledger reads E + 1 files, each epoch file and then cluster.state, once:
 the settings are in the upload's line, so no other file holds them. The
 upload row, on the same 4096 records: round_trip_verify partitions the
 payload once and builds the user manifest from the blocks it stores, so
-it makes one block per record and hashes each payload byte once.
+it makes one block per record and hashes each payload byte once. The
+hashing row: an upload of n blocks makes one make_blocks call of n
+payloads, whose FNV passes run together, a load one call per epoch file
+that holds entries, of its entries, and an operation or a fault hashes
+its one payload with the scalar fnv1a64.
 """
 
 import hashlib
@@ -50,10 +54,12 @@ from cloudledger import (
     ServerState,
     append,
     delete,
+    fnv1a64,
     generate_payload,
     inject_fault,
     load_ledger,
     make_block,
+    make_blocks,
     new_cluster,
     read_manifest,
     recover,
@@ -310,17 +316,17 @@ def test_a_load_parses_one_snapshot_and_replays_one_write_per_later_epoch(tmp_pa
     monkeypatch.setattr(cluster_module, "_RECORD_FORMAT", CountingFormat(cluster_module._RECORD_FORMAT))
     CountingFormat.rendered = 0
 
-    def counted(module, name, key):
+    def counted(module, name, key, measure=lambda *args: 1):
         function = getattr(module, name)
 
         def counting(*args, **kwargs):
-            counts[key] += 1
+            counts[key] += measure(*args)
             return function(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
 
     counted(ledger_module, "load_snapshot", "load_snapshot")
-    counted(ledger_module, "make_block", "hashed")
+    counted(ledger_module, "make_blocks", "hashed", len)
     counted(ledger_module, "snapshot_cluster", "snapshot_cluster")
     monkeypatch.setattr(ledger_module, "hashlib", CountingHashlib)
     counted(cluster_module, "parse_manifest", "parse_manifest")
@@ -365,20 +371,51 @@ def test_an_upload_writes_two_files_and_a_verify_reads_each_ledger_file_once(tmp
     assert read == [directory / name for name in [*(f"{epoch}.snapshot" for epoch in range(epochs)), "cluster.state"]]
 
 
+def count_calls(monkeypatch, function, record):
+    """Wrap ``function`` under every cloudledger binding of it, so that each
+    call first passes its one argument to ``record``."""
+
+    def counting(argument):
+        record(argument)
+        return function(argument)
+
+    for module in [module for key, module in sys.modules.items() if key.split(".")[0] == "cloudledger"]:
+        if getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+
+
 def test_an_upload_makes_one_block_per_record_and_hashes_each_byte_once(monkeypatch):
     payload = generate_payload(5, 4096 * 16)
-    counts = {"make_block": 0, "fnv1a64": 0}
-    manifest_module = sys.modules["cloudledger.manifest"]
-    for name, measure in (("make_block", lambda data: 1), ("fnv1a64", len)):
-        function = getattr(manifest_module, name)
+    counts = {"blocks": 0, "bytes": 0}
 
-        def counting(data, function=function, name=name, measure=measure):
-            counts[name] += measure(data)
-            return function(data)
+    def record(payloads):
+        counts["blocks"] += len(payloads)
+        counts["bytes"] += sum(map(len, payloads))
 
-        for module in [module for key, module in sys.modules.items() if key.split(".")[0] == "cloudledger"]:
-            if getattr(module, name, None) is function:
-                monkeypatch.setattr(module, name, counting)
+    count_calls(monkeypatch, make_blocks, record)
     verdict = round_trip_verify(new_cluster(8), payload, 8, 16, Mode.CHECKSUM)
     assert verdict.z
-    assert counts == {"make_block": 4096, "fnv1a64": len(payload)}
+    assert counts == {"blocks": 4096, "bytes": len(payload)}
+
+
+def test_many_payloads_are_hashed_in_one_call_and_one_payload_by_the_scalar_hash(tmp_path, monkeypatch):
+    """An upload of n blocks makes one make_blocks call of n payloads, and
+    a load one call per epoch file that holds entries, of its entries; an
+    operation or a fault hashes its one payload with the scalar fnv1a64."""
+    directory = tmp_path / "ledger"
+    made, scalar = [], []
+    count_calls(monkeypatch, make_blocks, lambda payloads: made.append(len(payloads)))
+    count_calls(monkeypatch, fnv1a64, lambda payload: scalar.append(len(payload)))
+    cluster, ledger = make_committed_state(generate_payload(7, 300 * 16), 4, 16, directory=directory)
+    assert (made, scalar) == ([300], [])
+    del made[:]
+    append(cluster, ledger, 1, b"appended")
+    update(cluster, ledger, 2, 0, b"new")
+    update(cluster, ledger, 3, 0, cluster.servers[0].blocks[0].payload)  # bytes the store holds: no entry
+    delete(cluster, ledger, 0, 1)
+    inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 2, 3, seed=1))
+    assert made == [1, 1, 1, 1]
+    assert scalar == [len(b"appended"), len(b"new"), 16, 16]
+    del made[:], scalar[:]
+    load_ledger(directory)
+    assert (made, scalar) == ([300, 1, 1], [len(b"appended"), len(b"new")])

@@ -621,7 +621,7 @@ def test_an_epoch_edit_left_unchained_fails_on_its_chain_line(tmp_path, capsys, 
     edited = edit_epoch(directory, epoch, pattern, replacement)
     if error != RETIRED:
         error = f"{edited}.snapshot fails its chain line: it, or an epoch file before it, changed after its commit"
-    for name in ("make_block", "new_cluster"):
+    for name in ("make_blocks", "new_cluster"):
         monkeypatch.setattr(ledger_module, name, None)  # calling either raises TypeError
     with pytest.raises(SnapshotCorrupt, match=f"^{re.escape(error)}$"):
         load_ledger(directory)

@@ -1,9 +1,11 @@
 """Stored blocks are the single source of their (weight, checksum).
 
-make_block hashes a payload when it is stored; every cloud-side reader
-uses those digests instead of rehashing. These tests pin how many bytes
-each step hashes, and how many bytes a commit adds to the ledger
-directory, and check the invariant that makes stored digests safe to
+make_blocks hashes payloads when they are stored; every cloud-side
+reader uses those digests instead of rehashing. These tests pin how many
+bytes each step hashes: at fnv1a64 for a step that hashes one payload,
+at make_blocks for a load, which hashes an epoch file's entries in one
+call, whose FNV passes run together in fnv1a64_many. They also pin how
+many bytes a commit adds to the ledger directory, and check the invariant that makes stored digests safe to
 read: after any operation or fault, each block's digests still match its
 bytes.
 """
@@ -30,6 +32,7 @@ from cloudledger import (
     load_ledger,
     load_snapshot,
     make_block,
+    make_blocks,
     parse_manifest,
     read_manifest,
     recover,
@@ -64,6 +67,11 @@ def tally(monkeypatch, function, measure, action):
 
 def bytes_hashed(monkeypatch, action):
     return tally(monkeypatch, fnv1a64, len, action)
+
+
+def bytes_made(monkeypatch, action):
+    """The payload bytes action passes to make_blocks, and its result."""
+    return tally(monkeypatch, make_blocks, lambda payloads: sum(map(len, payloads)), action)
 
 
 def directory_bytes(directory):
@@ -103,12 +111,12 @@ def test_load_snapshot_hashes_each_stored_byte_once(appended, monkeypatch):
     # resolving the snapshot's references against it hashes nothing more.
     cluster, ledger, _ = appended
     snapshot = ledger.last_snapshot
-    hashed, loaded = bytes_hashed(
+    hashed, loaded = bytes_made(
         monkeypatch, lambda: load_snapshot(snapshot, load_ledger(ledger.directory).blocks)
     )
     assert snapshot_cluster(loaded) == snapshot
     assert hashed == STORE_BYTES + APPEND_BYTES
-    hashed, loaded = bytes_hashed(monkeypatch, lambda: load_snapshot(snapshot, ledger.blocks))
+    hashed, loaded = bytes_made(monkeypatch, lambda: load_snapshot(snapshot, ledger.blocks))
     assert snapshot_cluster(loaded) == snapshot
     assert hashed == 0
 
@@ -150,7 +158,7 @@ def eleven_epochs(tmp_path):
 
 def test_load_ledger_hashes_each_distinct_stored_byte_once(eleven_epochs, monkeypatch):
     directory, _ = eleven_epochs
-    hashed, ledger = bytes_hashed(monkeypatch, lambda: load_ledger(directory))
+    hashed, ledger = bytes_made(monkeypatch, lambda: load_ledger(directory))
     assert len(ledger.points) == APPENDS + 1
     assert hashed == STORE_BYTES + APPENDS * APPEND_BYTES
 
@@ -200,7 +208,8 @@ def test_stored_digests_match_payloads_after_every_op_and_fault():
         assert_digests_match_payloads(cluster)
 
 
-def test_data_block_is_built_only_by_make_block():
+def test_data_block_is_built_only_by_the_one_constructor():
+    # make_blocks is the one constructor; make_block(p) is make_blocks((p,))[0].
     def builds_data_block(node):
         if not isinstance(node, ast.Call):
             return False
@@ -212,13 +221,13 @@ def test_data_block_is_built_only_by_make_block():
     sites = []
     for path in sorted(Path(cloudledger.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        in_make_block = {
+        in_make_blocks = {
             id(node)
             for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef) and function.name == "make_block"
+            if isinstance(function, ast.FunctionDef) and function.name == "make_blocks"
             for node in ast.walk(function)
         }
-        sites += [(path.name, id(node) in in_make_block) for node in ast.walk(tree) if builds_data_block(node)]
+        sites += [(path.name, id(node) in in_make_blocks) for node in ast.walk(tree) if builds_data_block(node)]
     assert sites == [("manifest.py", True)]
 
 
