@@ -9,9 +9,11 @@ classification the client's comparison uses. Blocks at addresses the
 epoch did not hold are not its concern, so none is ever compared. It
 reads the live manifest once and walks the granted epochs from newest to
 oldest, keeping the set current step by step. Consecutive restore points
-differ in one operation, so each step costs one comparison pass over
-the records in C, one server's records hashed, and Python work per
-reported divergence. The interface is metadata-only by construction:
+differ at the one address the newer one's operation line names, so each
+step costs two bisects and at most two set updates, and Python work per
+reported divergence; only the start, the newest granted epoch against
+the live records, compares whole manifests, and not even that when they
+are equal. The interface is metadata-only by construction:
 verdicts carry records (weights and checksums), never payload bytes, and
 nothing here can mutate cluster or ledger state. A grant is a NamedTuple.
 """
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 from .cluster import ClusterState, read_manifest
 from .errors import NoSuchTarget
-from .ledger import Ledger
+from .ledger import Ledger, operation_address
 from .manifest import _record_at
 from .protocol import Mode, Verdict, _classify, _differing
 
@@ -55,12 +57,19 @@ def audit(ledger: Ledger, cluster: ClusterState, grant: AuditGrant) -> list[Verd
     "does the cloud currently serve what epoch e committed", so the
     newest epoch is the live integrity check.
 
-    The set starts as the newest granted epoch's difference from the live
-    records; the walk then steps down one epoch at a time, diffing point
-    e against point e + 1 (usually one server's slice): the records
-    leaving the epoch leave the set, and those entering it join unless
-    the live records hold them. Returns one verdict per granted epoch,
-    oldest first.
+    The set starts empty when the newest granted epoch's records equal
+    the live ones (a dead server's records are missing from the live
+    ones, so equality hides no crash), and as their difference otherwise.
+    The walk then steps down one epoch at a time: point e + 1 differs from
+    point e only at the address its operation line names, so the record
+    point e + 1 holds there leaves the set and the one point e holds there
+    joins it unless the live records hold it. That is a precondition:
+    ops.apply commits only records equal to operation_records of the last
+    point's at that address, and commit_restore_point refuses blocks that
+    differ from the last point's elsewhere (_written_blocks); load_ledger
+    builds each point by replaying its line's one write onto the point
+    before.
+    Returns one verdict per granted epoch, oldest first.
     """
     epochs = granted_epochs(ledger, grant)
     if not epochs:
@@ -69,15 +78,17 @@ def audit(ledger: Ledger, cluster: ClusterState, grant: AuditGrant) -> list[Verd
             f" {len(ledger.points)} committed epochs"
         )
     live = read_manifest(cluster)
-    epoch_only = _differing(ledger.points[epochs[-1]].manifest.records, live.records)[0]
+    newest = ledger.points[epochs[-1]].manifest.records
+    epoch_only = set() if newest == live.records else _differing(newest, live.records)[0]
     verdicts = []
     for epoch in reversed(epochs):
         if epoch < epochs[-1]:
-            leaving, entering = _differing(ledger.points[epoch + 1].manifest.records,
-                                           ledger.points[epoch].manifest.records)
-            epoch_only -= leaving
-            epoch_only |= entering
-            epoch_only.difference_update(r for r in entering if _record_at(live.records, r.key) == r)
+            key = operation_address(ledger.points[epoch + 1].op)
+            leaving = _record_at(ledger.points[epoch + 1].manifest.records, key)
+            entering = _record_at(ledger.points[epoch].manifest.records, key)
+            epoch_only.discard(leaving)
+            if entering is not None and _record_at(live.records, key) != entering:
+                epoch_only.add(entering)
         held = (_record_at(live.records, r.key) for r in epoch_only)
         verdicts.append(_classify(epoch_only, filter(None, held), live.unavailable_servers, grant.mode, epoch))
     verdicts.reverse()

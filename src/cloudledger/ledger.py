@@ -95,8 +95,10 @@ class RestorePoint(NamedTuple):
     @property
     def op(self) -> str:
         """The record's first line: the upload's (upload_line) at epoch 0 and
-        ``<KIND> server=<s> block=<b>`` after, without the LF."""
-        return self.record.partition(b"\n")[0].decode("utf-8")
+        ``<KIND> server=<s> block=<b>`` after, without the LF. Only the line
+        is copied, not the rest of the record."""
+        end = self.record.find(b"\n")
+        return self.record[: None if end < 0 else end].decode("utf-8")
 
     @property
     def epoch(self) -> int:
@@ -310,9 +312,8 @@ def _written_blocks(last: RestorePoint, text: str, cluster: ClusterState, op: st
     if cluster.server_count != last.manifest.server_count:
         raise UnverifiedState(f"refusing to commit {cluster.server_count} servers after a point of"
                               f" {last.manifest.server_count}")
-    kind, server_index, block_id = _OPERATION_LINE.fullmatch(op).groups()
-    key = (int(server_index), int(block_id))
-    written = None if kind == "DELETE" else cluster.servers[key[0]].blocks.get(key[1])
+    key = operation_address(op)
+    written = None if op.startswith("DELETE ") else cluster.servers[key[0]].blocks.get(key[1])
     start = _digests_at(text, len(records))
     bounds = _server_bounds(records, cluster.server_count)
     for server, first, end in zip(cluster.servers, bounds, bounds[1:]):
@@ -388,6 +389,13 @@ _UPLOAD_LINE = re.compile(f"{_UPLOAD_HEAD}servers=(?P<servers>[1-9][0-9]{{0,19}}
 def operation_line(kind: str, server: int, block: int) -> str:
     """What an operation did, as its epoch file's first line holds it, without the LF."""
     return f"{kind} server={server} block={block}"
+
+
+def operation_address(op: str) -> tuple[int, int]:
+    """The (server, block) address an operation line, as operation_line
+    renders it, names."""
+    _, server, block = _OPERATION_LINE.fullmatch(op).groups()
+    return int(server), int(block)
 
 
 def upload_line(server_count: int, block_size: Optional[int] = None, mode: Optional[Mode] = None,
@@ -533,9 +541,9 @@ def _replay(cluster: Optional[ClusterState], name: str, epoch: int, op: str, wri
         upload(cluster, [list(islice(blocks, len(range(server, len(written), cluster.server_count))))
                          for server in range(cluster.server_count)])
     else:
-        kind, server, block = _OPERATION_LINE.fullmatch(op).groups()
         try:
-            write_block(cluster, OperationKind(kind), int(server), int(block), written[0] if written else None)
+            write_block(cluster, OperationKind(op.partition(" ")[0]), *operation_address(op),
+                        written[0] if written else None)
         except NoSuchTarget as exc:
             raise SnapshotCorrupt(f"{name} holds {op!r}, which epoch {epoch - 1} refuses: {exc}") from exc
     cluster.epoch = epoch

@@ -127,7 +127,7 @@ def build_manifest(level: Level, epoch: int, blocks: Sequence[Iterable[DataBlock
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
     records = tuple(
-        BlockRecord(server_index, block_id, len(block.payload), block.checksum)
+        new_record((server_index, block_id, len(block.payload), block.checksum))
         for server_index, server_blocks in enumerate(blocks)
         for block_id, block in enumerate(server_blocks)
     )

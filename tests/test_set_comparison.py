@@ -7,7 +7,9 @@ records that differ; audit walks the granted epochs from newest to
 oldest, keeping the records each epoch committed that the live records
 lack, and classifies them against the live records at their addresses
 instead of restricting the live manifest to each epoch's addresses.
-The reference functions below are the earlier
+Audits run on seeded histories whose operations may cross a fault and its
+restore, on the ledger as committed and as load_ledger loads it back from
+its directory. The reference functions below are the earlier
 implementations, kept as the oracle: on seeded random inputs both must
 give equal results. Run as a script, it checks a larger seeded set:
 
@@ -16,6 +18,8 @@ give equal results. Run as a script, it checks a larger seeded set:
 
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -32,12 +36,15 @@ from cloudledger import (
     Manifest,
     Mode,
     NoSuchTarget,
+    RecoveryAction,
     Verdict,
     append,
     audit,
     delete,
     inject_fault,
+    load_ledger,
     read_manifest,
+    recover,
     update,
     verify_equality,
 )
@@ -232,16 +239,26 @@ def test_a_clean_check_hashes_no_record(mode):
         verify_equality(user, Manifest(Level.CLOUD, 2, copies[1:], 3), mode)
 
 
-def random_history(rng: random.Random, max_ops: int = 6):
-    """A committed upload followed by a seeded script of 1 to ``max_ops`` verified operations.
+def random_history(rng: random.Random, max_ops: int, directory: Path):
+    """A committed upload followed by a seeded script of 1 to ``max_ops``
+    verified operations, on a ledger bound to ``directory``, and the
+    number of restores in it.
 
     The script includes deleting a server's highest block id and then
     appending to that server, which hands out an id an earlier epoch held.
+    Before an operation it may inject a fault of a random kind and recover,
+    which restores the last point, so the audit walk steps across restores.
     """
     servers = rng.randint(1, 3)
     payload = bytes(rng.randrange(256) for _ in range(rng.randint(0, 40)))
-    cluster, ledger = make_committed_state(payload, servers, rng.choice((3, 8)), seed=rng.randrange(1 << 16))
+    cluster, ledger = make_committed_state(payload, servers, rng.choice((3, 8)), seed=rng.randrange(1 << 16),
+                                           directory=directory)
+    restores = 0
     for _ in range(rng.randint(1, max_ops)):
+        kinds = [kind for kind in FaultKind if kind is not FaultKind.CSP_STALE_MANIFEST or ledger.next_epoch > 1]
+        if rng.random() < 0.25 and inject_random_fault(rng, cluster, rng.choice(kinds)):
+            assert recover(ledger, cluster).action is RecoveryAction.RESTORED
+            restores += 1
         server = rng.randrange(servers)
         blocks = cluster.servers[server].blocks
         new_bytes = bytes(rng.randrange(256) for _ in range(rng.randint(0, 9)))
@@ -256,7 +273,7 @@ def random_history(rng: random.Random, max_ops: int = 6):
             highest = max(blocks)
             delete(cluster, ledger, server, highest)
             assert append(cluster, ledger, server, new_bytes).block_id <= highest
-    return cluster, ledger
+    return cluster, ledger, restores
 
 
 def inject_random_fault(rng: random.Random, cluster, kind: FaultKind) -> bool:
@@ -289,31 +306,39 @@ def grant_ranges(rng: random.Random, points: int, every: bool):
 
 
 def check_audits(rng: random.Random, rounds: int, max_ops: int, every_grant: bool) -> None:
+    """Audit seeded histories, as committed and as load_ledger loads them
+    back from their directory, against reference_audit."""
     faults = [None, *FaultKind]
-    grants = extra_dropped = 0
-    for round_ in range(rounds * len(faults)):
-        cluster, ledger = random_history(rng, max_ops)
-        fault = faults[round_ % len(faults)]
-        if fault is not None and not inject_random_fault(rng, cluster, fault):
-            continue
-        live_keys = {r.key for r in read_manifest(cluster).records}
-        for first, last in grant_ranges(rng, len(ledger.points), every_grant):
-            for mode in Mode:
-                grant = AuditGrant(first, last, mode)
-                try:
-                    expected = reference_audit(ledger, cluster, grant)
-                except NoSuchTarget:
-                    with pytest.raises(NoSuchTarget):
-                        audit(ledger, cluster, grant)
-                    continue
-                assert audit(ledger, cluster, grant) == expected, (fault, grant)
-                grants += 1
-                extra_dropped += any(
-                    live_keys - {r.key for r in ledger.points[e].manifest.records}
-                    for e in granted_epochs(ledger, grant)
-                )
+    grants = extra_dropped = restores = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for round_ in range(rounds * len(faults)):
+            cluster, ledger, restored = random_history(rng, max_ops, Path(scratch) / str(round_))
+            restores += restored
+            fault = faults[round_ % len(faults)]
+            if fault is not None and not inject_random_fault(rng, cluster, fault):
+                continue
+            loaded = load_ledger(ledger.directory)
+            live_keys = {r.key for r in read_manifest(cluster).records}
+            for first, last in grant_ranges(rng, len(ledger.points), every_grant):
+                for mode in Mode:
+                    grant = AuditGrant(first, last, mode)
+                    try:
+                        expected = reference_audit(ledger, cluster, grant)
+                    except NoSuchTarget:
+                        for audited in (ledger, loaded):
+                            with pytest.raises(NoSuchTarget):
+                                audit(audited, cluster, grant)
+                        continue
+                    assert audit(ledger, cluster, grant) == expected, (fault, grant)
+                    assert audit(loaded, cluster, grant) == expected, (fault, grant, "loaded")
+                    grants += 1
+                    extra_dropped += any(
+                        live_keys - {r.key for r in ledger.points[e].manifest.records}
+                        for e in granted_epochs(ledger, grant)
+                    )
     assert grants > 100 * rounds
     assert extra_dropped > 0
+    assert restores > 0
 
 
 def test_audits_equal_the_address_restricted_reference():
@@ -369,32 +394,43 @@ def test_a_check_hashes_only_the_servers_that_differ(mode):
     assert count == per_server  # the crashed server's committed slice; unavailable slices are not hashed
 
 
-def test_an_audit_hashes_one_server_per_epoch():
-    """Each step of the walk diffs two consecutive points, which one
-    update tells apart on one server, so an audit of E epochs hashes
-    E servers' records, not E whole manifests."""
-    servers, per_server, epochs = 8, 32, 24
-    cluster, ledger = make_committed_state(bytes(range(256)) * 4, servers, 4)
+@pytest.mark.parametrize("per_server", [32, 128])
+def test_an_audit_hashes_one_server_then_two_records_per_epoch(per_server):
+    """The start compares the live records with the newest point, which a
+    flipped byte tells apart on one server (and none before the flip, when
+    the two are equal); each step then looks up the one address the newer
+    point's operation line names, so an audit of E epochs hashes at most
+    one server's records once and two records per step, however many
+    records each server holds."""
+    servers, epochs = 8, 24
+    cluster, ledger = make_committed_state(bytes(range(256)) * (per_server // 8), servers, 4)
     for k in range(epochs):
         update(cluster, ledger, k % servers, k % per_server, bytes([k]) * (1 + k % 5))
-    inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 2, 7, seed=3))
     memo = {}
     counted_ledger = Ledger()
     for point in ledger.points:
         manifest = point.manifest._replace(records=counted(point.manifest.records, memo))
         counted_ledger.points.append(RestorePoint(manifest, point.record))
-    for server in cluster.servers:
-        server.records = dict(zip(server.records, counted(server.records.values(), memo)))
-        server._record_tuple = None  # as put and drop do: the server's next read joins the counted records
-    assert all(type(record) is CountingRecord for record in read_manifest(cluster).records)
     grant = AuditGrant(0, epochs, Mode.CHECKSUM)
-    expected = reference_audit(ledger, cluster, grant)
-    count, verdicts = hashes(lambda: audit(counted_ledger, cluster, grant))
-    assert verdicts == expected
+
+    def counted_audit():
+        for server in cluster.servers:
+            server.records = dict(zip(server.records, counted(server.records.values(), memo)))
+            server._record_tuple = None  # as put and drop do: the server's next read joins the counted records
+        assert all(type(record) is CountingRecord for record in read_manifest(cluster).records)
+        expected = reference_audit(ledger, cluster, grant)
+        count, verdicts = hashes(lambda: audit(counted_ledger, cluster, grant))
+        assert verdicts == expected
+        return count, verdicts
+
+    count, verdicts = counted_audit()
+    assert verdicts[-1].z and count == 2 * epochs  # the live records are the newest point's: the set starts empty
+    inject_fault(cluster, FaultSpec(FaultKind.FLIP_BYTE, 2, 7, seed=3))
+    count, verdicts = counted_audit()
     assert sum(not v.z for v in verdicts) == epochs + 1
-    # The live records and the newest point differ on server 2, then each step on one server;
-    # comparing every epoch's manifest with the live one as whole sets hashed 2 x 256 records per epoch.
-    assert count == 2 * per_server * (epochs + 1)
+    # Server 2's slice on each side at the start, then the record leaving the set and the one entering it
+    # per step; diffing each step's two points hashed one server's slices again, 2 x per_server per epoch.
+    assert count == 2 * per_server + 2 * epochs
 
 
 def test_an_audit_classifies_only_what_the_epoch_committed(monkeypatch):

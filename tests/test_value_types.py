@@ -9,6 +9,7 @@ time to every CLI command.
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,22 @@ def test_restore_point_equality_includes_its_record():
     assert rebuilt == point and hash(rebuilt) == hash(point)
     assert point._replace(record=point.record + b"\n") != point
     assert point._replace(manifest=point.manifest._replace(epoch=1)) != point
+
+
+def test_a_point_copies_only_its_operation_line_to_read_it():
+    """Every CLI command but history reads 0.snapshot's line, so reading it
+    must not copy the multi-MiB rest of the record; a record with no LF is
+    its line."""
+    line = b"UPDATE server=1 block=2"
+    point = RestorePoint(MANIFEST, line + b"\n" + bytes(8 << 20))
+    tracemalloc.start()
+    try:
+        assert point.op == line.decode()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    assert RestorePoint(MANIFEST, line).op == line.decode()
 
 
 def test_a_block_is_its_content_and_a_point_derives_its_tick():
