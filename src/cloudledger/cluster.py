@@ -31,6 +31,7 @@ classes.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from itertools import chain, compress
 from operator import is_, itemgetter, ne
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -47,7 +48,7 @@ from .manifest import (
     Level,
     Manifest,
     _RECORD_FORMAT,
-    _server_bounds,
+    _render_header,
     make_block,
     make_blocks,
     new_record,
@@ -101,16 +102,19 @@ class ServerState:
     block's address lives. Both dicts stay in block-id order (appends take
     the next id, updates replace in place), which is the manifest order.
     A record object outlives the writes at other addresses, so a commit's
-    manifest shares it, and a snapshot loaded into a server that holds its
-    block ids (a recover or a rollback) puts only the blocks that differ; a
-    server that holds other ids is replaced by a new one instead. put
+    manifest shares it, and a snapshot loaded into a server (a recover or a
+    rollback) leaves it alone when it renders its section byte for byte,
+    and else, when it holds its section's block ids, puts only the blocks
+    that differ; a server that holds other ids is replaced by a new one
+    instead. put
     renders each record's manifest line into record_lines, the third dict
     that put and drop alone write, so a record line is rendered once, when
     its record is written.
     snapshot_lines joins those lines, renders the digest lines and sums
     the weights on first use, and keeps all three until the next put or
     drop, so the snapshot of a commit joins and sums again only the
-    servers written since their last snapshot. record_tuple keeps the
+    servers written since their last snapshot, and a load compares a
+    section with them in place. record_tuple keeps the
     records as a tuple the same way, for stored_manifest to join.
     """
 
@@ -389,81 +393,193 @@ def _apply_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # --- cluster snapshots -------------------------------------------------------
 #
 # A snapshot names each block by its content digest instead of carrying its
-# bytes: the marker line SNAPSHOT_HEADER, the canonical manifest text, one
-# digest line per manifest record in record order, and a final END. It holds
-# what a restore point restores, and no live status or fault: a loaded
-# snapshot has every server up, no stale read path and no fault listed. The
-# bytes live once in a block store, a mapping from digest to DataBlock (on
-# disk, the entries of the ledger's epoch files). No file stores snapshot
-# text: an epoch file stores the operation that rebuilds it, the ledger's
-# cluster.state the faults since the last point, and the ledger keeps the
-# last point's text in memory, the one a restore loads.
+# bytes: the marker line SNAPSHOT_HEADER, then one section per server, in
+# server order. A section is that server's canonical manifest text (its
+# header names the snapshot's epoch and server count and the server's own
+# total, then its record lines and END), then one digest line per record, in
+# record order, and END. So a section stands alone: it is all a restore of
+# its server reads, and a server that renders its section byte for byte
+# needs no restore. A snapshot holds what a restore point restores, and no
+# live status or fault: a loaded snapshot has every server up, no stale read
+# path and no fault listed. The bytes live once in a block store, a mapping
+# from digest to DataBlock (on disk, the entries of the ledger's epoch
+# files). No file stores snapshot text: an epoch file stores the operation
+# that rebuilds it, the ledger's cluster.state the faults since the last
+# point, and the ledger keeps the last point's text in memory, the one a
+# restore loads.
 
-SNAPSHOT_HEADER = "SNAPSHOT v11"
+SNAPSHOT_HEADER = "SNAPSHOT v12"
 
 
 def snapshot_cluster(cluster: ClusterState) -> str:
     """The cluster's snapshot text. Each server's record lines, digest
     lines and weight total are the ones it kept since its last put or
     drop, so a commit joins and sums only the servers written since their
-    last snapshot; serialize_manifest wraps the record lines in the
-    manifest's header, whose total is the sum of the servers' totals, and
-    END. No manifest of the records is built: the one passed names only
-    the header's level, epoch and server count."""
-    lines = [server.snapshot_lines() for server in cluster.servers]
+    last snapshot; serialize_manifest wraps each server's record lines in
+    its section's manifest header and END, so a commit renders one header
+    line per server. No manifest of the records is built: the one passed
+    names only the header's level, epoch and server count."""
     header = Manifest(Level.CLOUD, cluster.epoch, (), cluster.server_count)
-    manifest = serialize_manifest(header, "".join(map(itemgetter(0), lines)), sum(map(itemgetter(2), lines)))
-    return "".join((SNAPSHOT_HEADER, "\n", manifest, *map(itemgetter(1), lines), "END\n"))
+    parts = [SNAPSHOT_HEADER, "\n"]
+    for records, digests, total in map(ServerState.snapshot_lines, cluster.servers):
+        parts += (serialize_manifest(header, records, total), digests, "END\n")
+    return "".join(parts)
+
+
+def _section_end(text: str, position: int, epoch: int, server_count: int, server: ServerState) -> int:
+    """Where the section at ``position`` of a snapshot ``text`` ends, if it
+    is byte for byte the section ``server`` renders in a snapshot of
+    ``epoch`` and ``server_count`` servers, else -1. The text is compared
+    in place, part by part, with the lines the server keeps, so nothing is
+    copied or searched."""
+    records, digests, total = server.snapshot_lines()
+    for part in (_render_header(Level.CLOUD, epoch, server_count, total), "\n", records, "END\n", digests, "END\n"):
+        if not text.startswith(part, position):
+            return -1
+        position += len(part)
+    return position
+
+
+def _spliced_section_end(text: str, position: int, server: ServerState, records: tuple[BlockRecord, ...],
+                         key: tuple[int, int], digest: Optional[str]) -> int:
+    """Where the section at ``position`` of a snapshot ``text`` ends, if it
+    is the one of ``records``, sorted, that ``server`` holds after one
+    write at ``key``: its kept record lines are the section's with the
+    line of ``key`` replaced by the server's own, inserted, or removed when
+    the server holds none, and its kept digest lines the section's with
+    ``digest``'s line likewise at the record's place, or none when
+    ``digest`` is None; else -1. Only that line is searched for, in this
+    section: the line of the record at ``key``, or of the next one, or the
+    section's END line, whose place the lengths give. The header is not
+    compared: its total is the records', which are compared."""
+    record_lines, digest_lines, _ = server.snapshot_lines()
+    line = server.record_lines.get(key[1], "")
+    at = bisect_left(records, key)
+    replaced = at < len(records) and records[at][:2] == key
+    start = text.find("\n", position) + 1  # the section's record lines, after its header
+    split = (text.find("\n%d %d " % records[at][:2], position) + 1 if at < len(records)
+             else start + len(record_lines) - len(line))
+    after = text.find("\n", split) + 1 if replaced else split
+    stop = after + len(record_lines) - len(line) - (split - start)  # the section's END line
+    digests = stop + len("END\n")
+    cut, end = digests + 65 * at, digests + 65 * len(records)
+    if not (text.startswith("END\n", stop) and record_lines == text[start:split] + line + text[after:stop]
+            and digest_lines == "".join((text[digests:cut], "" if digest is None else f"{digest}\n",
+                                         text[cut + 65 * replaced : end]))
+            and text.startswith("END\n", end)):
+        return -1
+    return end + len("END\n")
 
 
 def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
                   into: Optional[ClusterState] = None) -> ClusterState:
     """Load snapshot text into a cluster, taking the block each digest line
     names from ``blocks`` (digest -> DataBlock) and putting that very
-    object at the address of the manifest record in the same position.
-    Nothing is decoded or hashed: each block must match its record by its
-    length and the checksum make_block stored with it. Lines end in LF
-    only, the last one included. Any inconsistency, a manifest of no
-    servers or of the user level included, raises SnapshotCorrupt.
+    object at the address of the manifest record in the same position of
+    its section. Nothing is decoded or hashed: each block must match its
+    record by its length and the checksum make_block stored with it. Lines
+    end in LF only, the last one included. Any inconsistency raises
+    SnapshotCorrupt: among others a section of no servers or of the user
+    level, a section whose records name another server than its own, and
+    sections that disagree on the epoch or the server count, or that number
+    other than that count.
 
     The cluster is a new one seeded with ``rng_seed``, or ``into``, which
     gets new servers if it has another server count than the snapshot.
-    Every check runs before the first write, so a snapshot that fails one
-    leaves ``into`` as it was. The text is cut at LFs by str methods, the
-    blocks are looked up in one pass, and their weights and checksums are
-    compared with the records' column by column in C; only a failed check
-    walks the records, to name the first bad one.
+    A section that is byte for byte the one the ``into`` server of its
+    index renders now (_section_end) is left alone: it would write nothing,
+    and its text is that server's own rendering, so it is neither parsed
+    nor looked up. So a restore after a fault reads only the sections of
+    the servers the fault changed, and a new cluster, or an ``into`` of
+    another server count or epoch, reads them all. Each other section is
+    read by _read_section: parsed by parse_manifest, its blocks looked up
+    in one pass and their weights and checksums compared with its records
+    column by column in C; only a failed check walks the records, to name
+    the first bad one. Every check runs before the first write, so a
+    snapshot that fails one leaves ``into`` as it was.
 
-    Writes go only where a server's blocks differ from the snapshot's, so
+    Writes go only where a server's blocks differ from its section's, so
     an unchanged address keeps its record object, which the committed
-    points share. A server that holds the snapshot's block ids gets one
-    put per differing block, found by one C pass over its blocks. Any
-    other server is replaced by a new one, filled by put in block-id
-    order. The epoch is then set from the snapshot, every server is alive,
-    the stale read path is disarmed and no fault is listed: a snapshot
-    holds no live status.
+    points share. A server that holds its section's block ids gets one put
+    per differing block, found by one C pass over its blocks. Any other
+    server is replaced by a new one, filled by put in block-id order. The
+    epoch is then set from the snapshot, every server is alive, the stale
+    read path is disarmed and no fault is listed: a snapshot holds no live
+    status.
     """
-    head = text.partition("\n")[0]
-    if head != SNAPSHOT_HEADER:
+    if not text.startswith(f"{SNAPSHOT_HEADER}\n"):
         raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
-    split = text.find("\nEND\n", len(head))
-    if split < 0:
-        raise SnapshotCorrupt("snapshot missing manifest terminator")
-    manifest = parse_manifest(text[len(head) + 1 : split + len("\nEND\n")])
-    server_count = manifest.server_count
-    if server_count < 1:
-        raise SnapshotCorrupt(f"snapshot manifest has servers={server_count}; a cluster needs one")
+    kept = [] if into is None else into.servers
+    position, index, shape, loads = len(SNAPSHOT_HEADER) + 1, 0, None, []
+    while position < len(text):
+        end = -1 if index >= len(kept) else _section_end(text, position, into.epoch, into.server_count, kept[index])
+        if end >= 0:
+            section_shape = (into.epoch, into.server_count)
+        else:
+            end, section_shape, ids, found = _read_section(text, position, index, blocks)
+            loads.append((index, ids, found))
+        shape = shape or section_shape
+        if section_shape != shape:
+            raise SnapshotCorrupt(f"snapshot section {index} has epoch={section_shape[0]} servers={section_shape[1]},"
+                                  f" section 0 epoch={shape[0]} servers={shape[1]}")
+        position, index = end, index + 1
+    if shape is None:
+        raise SnapshotCorrupt("snapshot holds no server section; a cluster needs one")
+    epoch, server_count = shape
+    if index != server_count:
+        raise SnapshotCorrupt(f"snapshot has {index} server sections for servers={server_count}")
+
+    if into is None:
+        cluster = new_cluster(server_count, rng_seed=rng_seed)
+    else:
+        cluster = into
+        if cluster.server_count != server_count:
+            cluster.servers = [ServerState(i) for i in range(server_count)]
+    for index, target_ids, target_blocks in loads:
+        server = cluster.servers[index]
+        targets = zip(target_ids, target_blocks)
+        if list(server.blocks) == target_ids:
+            targets = compress(targets, map(ne, server.blocks.values(), target_blocks))
+        else:  # put in block-id order: an id put back before a kept one must not land at the end
+            server = cluster.servers[index] = ServerState(index)
+        for block_id, block in targets:
+            server.put(block_id, block)
+    cluster.epoch = epoch
+    cluster.stale_armed = False
+    cluster.faults = []
+    for server in cluster.servers:
+        server.alive = True
+    return cluster
+
+
+def _read_section(text: str, position: int, index: int, blocks: Mapping[str, DataBlock]
+                  ) -> tuple[int, tuple[int, int], list[int], list[DataBlock]]:
+    """Parse and check the section of server ``index`` that starts at
+    ``position`` of a snapshot ``text``, cut at its two END lines, which
+    searches its bytes only: where it ends, its (epoch, server count), and
+    its block ids and the blocks its digest lines name, in record order.
+    Refuses a manifest of no servers or of the user level, a record of
+    another server, a digest line count other than the record count, and
+    a block the store lacks or that fails its record (_first_bad_record)."""
+    cut = text.find("\nEND\n", position) + len("\nEND\n")
+    if cut < len("\nEND\n"):
+        raise SnapshotCorrupt(f"snapshot section {index} missing manifest terminator")
+    manifest = parse_manifest(text[position:cut])
+    if manifest.server_count < 1:
+        raise SnapshotCorrupt(f"snapshot manifest has servers={manifest.server_count}; a cluster needs one")
     if manifest.level is not Level.CLOUD:
         raise SnapshotCorrupt(f"snapshot manifest has level={manifest.level.value}; a snapshot holds the cloud's")
-
-    digests = text[split + len("\nEND\n") :].split("\n")
-    if digests[-2:] != ["END", ""]:
-        raise SnapshotCorrupt("snapshot not terminated by END")
-    del digests[-2:]
-    records = manifest.records
+    end = text.find("\nEND\n", cut - 1) + len("\nEND\n")
+    if end < len("\nEND\n"):
+        raise SnapshotCorrupt(f"snapshot section {index} not terminated by END")
+    records, digests = manifest.records, text[cut : end - len("END\n")].split("\n")
+    digests.pop()  # after the LF ending the last digest line, or nothing
+    other = {records[0][0], records[-1][0]} - {index} if records else ()  # in order: the ends suffice
+    if other:
+        raise SnapshotCorrupt(f"snapshot section {index} holds a record of server {min(other)}")
     if len(digests) != len(records):
-        raise SnapshotCorrupt(f"snapshot has {len(digests)} digest lines for {len(records)} manifest records")
-
+        raise SnapshotCorrupt(f"snapshot section {index} has {len(digests)} digest lines for {len(records)}"
+                              " manifest records")
     try:
         found = list(map(blocks.__getitem__, digests))
     except KeyError:
@@ -471,30 +587,7 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     if (list(map(itemgetter(2), records)) != list(map(len, map(itemgetter(0), found)))
             or list(map(itemgetter(3), records)) != list(map(itemgetter(1), found))):
         raise _first_bad_record(records, digests, blocks)
-    bounds = _server_bounds(records, server_count)
-    if into is None:
-        cluster = new_cluster(server_count, rng_seed=rng_seed)
-    else:
-        cluster = into
-        if cluster.server_count != server_count:
-            cluster.servers = [ServerState(i) for i in range(server_count)]
-
-    ids = list(map(itemgetter(1), records))
-    for server, start, end in zip(cluster.servers, bounds, bounds[1:]):
-        target_ids, target_blocks = ids[start:end], found[start:end]
-        targets = zip(target_ids, target_blocks)
-        if list(server.blocks) == target_ids:
-            targets = compress(targets, map(ne, server.blocks.values(), target_blocks))
-        else:  # put in block-id order: an id put back before a kept one must not land at the end
-            server = cluster.servers[server.server_index] = ServerState(server.server_index)
-        for block_id, block in targets:
-            server.put(block_id, block)
-    cluster.epoch = manifest.epoch
-    cluster.stale_armed = False
-    cluster.faults = []
-    for server in cluster.servers:
-        server.alive = True
-    return cluster
+    return end, (manifest.epoch, manifest.server_count), list(map(itemgetter(1), records)), found
 
 
 def _first_bad_record(records: tuple[BlockRecord, ...], digests: list[str],

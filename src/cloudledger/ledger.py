@@ -17,10 +17,11 @@ no write came after the commit and else one tuple comparison, which,
 with no server unavailable, is the clean CHECKSUM verdict; equal
 records imply equal weights, so the live aggregate Y equals X without
 being computed. Otherwise the last point's snapshot, the one snapshot
-text the ledger keeps, which names each record's block by content
-digest, is loaded into the cluster, writing only the addresses whose
-block differs, and only that restored state runs through
-verify_equality.
+text the ledger keeps, one section per server, which names each
+record's block by content digest, is loaded into the cluster, parsing
+only the sections of the servers that differ from theirs and writing
+only the addresses whose block differs, and only that restored state
+runs through verify_equality.
 
 Timestamps are logical clock ticks, not wall time, so ledgers are
 byte-reproducible: epoch k commits at tick k + 1. Ledger is a plain
@@ -60,6 +61,9 @@ from .cluster import (
     FaultKind,
     FaultSpec,
     OperationKind,
+    SNAPSHOT_HEADER,
+    _section_end,
+    _spliced_section_end,
     inject_fault,
     load_snapshot,
     new_cluster,
@@ -189,8 +193,8 @@ def commit_restore_point(ledger: Ledger, cluster: ClusterState, verdict: Verdict
     entry of a block the ledger stores for the first time, a reference
     otherwise), and the chain line (_chain_line). An operation's blocks must be the previous
     point's but for the one its line names, which _written_blocks checks on
-    every server's kept digest lines, so that block is the only one looked
-    up in the store. A bound ledger writes the epoch file before the
+    every server's section of the last snapshot, so that block is the only
+    one looked up in the store. A bound ledger writes the epoch file before the
     blocks join the store, the point joins ``points`` and its snapshot text
     becomes ``last_snapshot``. The cluster then lists only the crashes and
     stale read paths among its faults: the stored blocks verified as the
@@ -248,8 +252,9 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
     nor is a pass through a stale read path, which replays committed
     records whatever the servers store. An intact cluster's faults, such as
     two flips of one byte that cancel, are no longer listed. Otherwise the
-    snapshot is loaded into the cluster, which writes only the addresses a
-    fault changed, so the restored cluster shares the committed records;
+    snapshot is loaded into the cluster, which parses only the sections of
+    the servers a fault changed and writes only the addresses a fault
+    changed, so the restored cluster shares the committed records;
     crashed servers are revived, the lying read path and the fault list are
     cleared, and the restored state is re-verified: the one verify_equality
     call a recover makes.
@@ -274,9 +279,12 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
 def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
     """Overwrite cluster storage with the ledger's last snapshot.
 
-    load_snapshot loads the snapshot into the cluster itself, taking the
-    blocks from the ledger's store (unhashed) and writing only the
-    addresses whose block differs, so every unchanged address keeps the
+    load_snapshot loads the snapshot into the cluster itself, leaving alone
+    each server that renders its section byte for byte (all of them but
+    the ones a fault changed, or none when the cluster is at another epoch,
+    as a failed ops.apply's is), taking the blocks from the ledger's store
+    (unhashed) and writing only the addresses whose block differs, so every
+    unchanged address keeps the
     record object the committed point holds (a cluster of another server
     count gets new servers). Like every snapshot load, it revives every
     server and disarms a stale read path. Resets the epoch to the point's
@@ -297,32 +305,34 @@ def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
 def _written_blocks(last: RestorePoint, text: str, cluster: ClusterState, op: str) -> list[DataBlock]:
     """The blocks an operation wrote: the one it put at the address its
     line ``op`` names, none for a DELETE. First refuses to commit a cluster
-    of another server count than the ``last`` point, or blocks that are not
-    that point's with only this one put or dropped: its epoch file records
-    this block alone, so load could not rebuild the point. Records equal to
-    the prediction leave only a block of another's weight and FNV-1a
-    checksum to differ so. Each server's kept digest lines are compared in
-    C with its slice of the last point's snapshot ``text`` (_digests_at),
-    into which the operation's line is spliced: put always makes a new
-    record, so a server whose records are the point's holds the point's
-    blocks, and comparing it too refuses nothing more. snapshot_cluster
-    takes the same kept lines right after, so the check joins nothing the
-    commit would not."""
-    records = last.manifest.records
-    if cluster.server_count != last.manifest.server_count:
-        raise UnverifiedState(f"refusing to commit {cluster.server_count} servers after a point of"
-                              f" {last.manifest.server_count}")
+    of another server count than the ``last`` point, or servers that are
+    not that point's with only this one block put or dropped: its epoch
+    file records this block alone, so load could not rebuild the point.
+    Records equal to the prediction leave only a block of another's weight
+    and FNV-1a checksum, or block ids moved on another server, to differ
+    so. The last point's snapshot ``text`` is walked section by section, in
+    server order: every server but the written one must render its section
+    exactly (cluster._section_end, which compares in place), and the
+    written server must hold its section with the operation's record line
+    and digest line spliced in, its record lines at the line of the
+    record's address (or of the next record) and its digest lines at the
+    record's place (cluster._spliced_section_end, which searches that
+    section only, for that line). snapshot_cluster takes the same kept
+    lines right after, so the check joins nothing the commit would not."""
+    records, count = last.manifest.records, cluster.server_count
+    if count != last.manifest.server_count:
+        raise UnverifiedState(f"refusing to commit {count} servers after a point of {last.manifest.server_count}")
     key = operation_address(op)
     written = None if op.startswith("DELETE ") else cluster.servers[key[0]].blocks.get(key[1])
-    start = _digests_at(text, len(records))
-    bounds = _server_bounds(records, cluster.server_count)
-    for server, first, end in zip(cluster.servers, bounds, bounds[1:]):
-        lines = text[start + 65 * first : start + 65 * end]
-        if server.server_index == key[0]:
-            at = bisect_left(records, key) - first
-            held = at < end - first and records[first + at].key == key
-            lines = lines[: 65 * at] + ("" if written is None else f"{written.digest}\n") + lines[65 * (at + held) :]
-        if server.snapshot_lines()[1] != lines:
+    first, end = _server_bounds(records, count)[key[0] : key[0] + 2]
+    position = len(SNAPSHOT_HEADER) + 1
+    for server in cluster.servers:
+        if server.server_index != key[0]:
+            position = _section_end(text, position, last.epoch, count, server)
+        else:
+            position = _spliced_section_end(text, position, server, records[first:end], key,
+                                            None if written is None else written.digest)
+        if position < 0:
             raise UnverifiedState(f"refusing to commit server {server.server_index}: it holds a block {op!r} did"
                                   " not write, which its epoch file cannot record")
     return [] if written is None else [written]
@@ -611,13 +621,6 @@ def save_cluster(ledger: Ledger, cluster: ClusterState) -> None:
 def _persist_point(directory: Path, point: RestorePoint) -> None:
     """Replace the point's epoch file with its record, the rename that commits it."""
     write_file(directory, f"{point.epoch}.snapshot", point.record)
-
-
-def _digests_at(text: str, records: int) -> int:
-    """Where the digest lines of a snapshot ``text`` of ``records``
-    records start: one 65-character line per record, in record order,
-    precedes its final END line."""
-    return len(text) - len("END\n") - 65 * records
 
 
 def _epoch_files(directory: Path) -> list[str]:

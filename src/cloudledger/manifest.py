@@ -162,8 +162,9 @@ def serialize_manifest(manifest: Manifest, lines: Optional[str] = None, total: O
     digits. Byte-identical for equal manifests; any differing record
     tuple changes the output. ``lines`` are the record lines, in
     _RECORD_FORMAT, and ``total`` their weight total, if the caller
-    already has them (snapshot_cluster joins the lines and sums the
-    totals each server keeps, so a commit renders one line per put);
+    already has them (snapshot_cluster passes the lines and the total
+    each server keeps, one section per server, so a commit renders one
+    line per put);
     else they are rendered and summed from the manifest's records here.
     """
     if lines is None:

@@ -95,8 +95,10 @@ def test_upload_golden_one_mib_file(ledger_dir, tmp_path, capsys):
     rc = run_cli("--ledger-dir", str(ledger_dir), "upload", str(source))
     assert rc == 0
     assert [point.committed_x for point in load_ledger(ledger_dir).points] == [2 * MIB]
-    manifest_head = load_ledger(ledger_dir).last_snapshot.splitlines()[1]
-    assert manifest_head == f"MANIFEST v1 level=CLOUD epoch=0 servers=4 total={MIB}"
+    lines = load_ledger(ledger_dir).last_snapshot.splitlines()
+    # One section per server, each headed by its manifest's line: 64 blocks of 4096 B, a quarter of the total.
+    assert lines[1] == f"MANIFEST v1 level=CLOUD epoch=0 servers=4 total={MIB // 4}"
+    assert [line for line in lines if line.startswith("MANIFEST ")] == [lines[1]] * 4
 
 
 def test_verify_clean_and_after_tamper(ledger_dir, capsys):

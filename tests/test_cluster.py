@@ -292,17 +292,74 @@ def test_snapshot_detects_payload_corruption():
         load_snapshot(corrupted, blocks)
 
 
+def edit_section(text, section, old, new):
+    """``text`` with ``old`` replaced by ``new`` in the header line of its ``section``-th server section."""
+    lines = text.split("\n")
+    at = [i for i, line in enumerate(lines) if line.startswith("MANIFEST ")][section]
+    lines[at] = lines[at].replace(old, new, 1)
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("servers", [0, -1])
 def test_load_snapshot_rejects_a_manifest_of_no_servers(servers):
-    text = snapshot_cluster(new_cluster(2)).replace(" servers=2 ", f" servers={servers} ", 1)
-    with pytest.raises(SnapshotCorrupt, match=f"servers={servers};"):
-        load_snapshot(text, {})
+    for section in (0, 1):  # the first section's header, whose shape the others must share, and a later one's
+        text = edit_section(snapshot_cluster(new_cluster(2)), section, " servers=2 ", f" servers={servers} ")
+        with pytest.raises(SnapshotCorrupt, match=f"servers={servers};"):
+            load_snapshot(text, {})
 
 
 def test_load_snapshot_rejects_a_user_level_manifest():
-    text = snapshot_cluster(new_cluster(2)).replace(" level=CLOUD ", " level=USER ", 1)
-    with pytest.raises(SnapshotCorrupt, match="snapshot manifest has level=USER;"):
-        load_snapshot(text, {})
+    for section in (0, 1):
+        text = edit_section(snapshot_cluster(new_cluster(2)), section, " level=CLOUD ", " level=USER ")
+        with pytest.raises(SnapshotCorrupt, match="snapshot manifest has level=USER;"):
+            load_snapshot(text, {})
+
+
+def sections(cluster):
+    """The cluster's snapshot text cut into its header line and its server sections."""
+    text = snapshot_cluster(cluster)
+    head, _, body = text.partition("\n")
+    parts = body.split("MANIFEST ")[1:]
+    return f"{head}\n", [f"MANIFEST {part}" for part in parts]
+
+
+@pytest.mark.parametrize("into", [False, True])
+def test_load_snapshot_rejects_a_section_whose_records_name_another_server(into):
+    cluster = new_cluster(3)
+    upload(cluster, partition_upload(bytes(range(40)), cluster.server_count, 4))
+    head, parts = sections(cluster)
+    live = load_snapshot(head + "".join(parts), stored_blocks(cluster)) if into else None
+    swapped = head + "".join([parts[1], parts[0], parts[2]])  # servers 0 and 1 in each other's place
+    with pytest.raises(SnapshotCorrupt, match="snapshot section 0 holds a record of server 1"):
+        load_snapshot(swapped, stored_blocks(cluster), into=live)
+    renamed = head + "".join([parts[0], parts[1].replace("\n1 2 4 ", "\n2 2 4 "), parts[2]])  # its last record
+    assert renamed != head + "".join(parts)
+    with pytest.raises(SnapshotCorrupt, match="snapshot section 1 holds a record of server 2"):
+        load_snapshot(renamed, stored_blocks(cluster), into=live)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("epoch=4", "epoch=5"), "snapshot section 1 has epoch=5 servers=3, section 0 epoch=4 servers=3"),
+    (("servers=3", "servers=4"), "snapshot section 1 has epoch=4 servers=4, section 0 epoch=4 servers=3"),
+])
+@pytest.mark.parametrize("into", [False, True])
+def test_load_snapshot_rejects_sections_that_disagree_on_the_epoch_or_the_server_count(edit, message, into):
+    cluster = new_cluster(3)
+    upload(cluster, partition_upload(bytes(range(40)), cluster.server_count, 4))
+    cluster.epoch = 4
+    text = snapshot_cluster(cluster)
+    live = load_snapshot(text, stored_blocks(cluster)) if into else None
+    with pytest.raises(SnapshotCorrupt, match=message):
+        load_snapshot(edit_section(text, 1, *edit), stored_blocks(cluster), into=live)
+
+
+def test_load_snapshot_rejects_a_section_count_other_than_the_server_count():
+    head, parts = sections(new_cluster(2))
+    for count in (1, 3):
+        with pytest.raises(SnapshotCorrupt, match=f"snapshot has {count} server sections for servers=2"):
+            load_snapshot(head + parts[0] * count, {})
+    with pytest.raises(SnapshotCorrupt, match="snapshot holds no server section"):
+        load_snapshot(head, {})
 
 
 def test_snapshot_detects_missing_payload_line():

@@ -26,7 +26,10 @@ through the CLI on the same 4096 records: a tamper writes cluster.state
 as a HEAD line and one line per pending fault, a verify, report or tamper
 after it replays the faults onto the cluster the ledger's replay ended
 in, so it loads no snapshot and parses no manifest, and a recover after
-it loads and parses one of each, the last point's, to restore it. The
+it loads one, the last point's, to restore it, and parses only the
+sections of the servers the faults changed. The restore row, on the
+same 4096 records: a flip on one of 8 servers parses that server's 512
+records, a stale read path none, and a fresh load all 8 sections. The
 file row, through the CLI: an upload makes two writes, cluster.state and
 then 0.snapshot, whose rename commits it, and a verify of an E-epoch
 ledger reads E + 1 files, each epoch file and then cluster.state, once:
@@ -261,8 +264,45 @@ def test_a_pending_fault_is_a_line_and_replays_without_a_snapshot(tmp_path, monk
     assert calls("verify") == (1, 0, 0)
     assert calls("report") == (0, 0, 0)
     capsys.readouterr()
-    assert calls("recover") == (0, 1, 1)
+    assert calls("recover") == (0, 1, 3)  # one section parsed per flipped server
     assert capsys.readouterr().out == "RESTORED epoch=0\n" and (directory / "cluster.state").read_bytes() == b""
+
+
+def test_a_restore_parses_only_the_sections_of_the_servers_a_fault_changed(monkeypatch):
+    cluster, ledger = make_committed_state(generate_payload(5, 4096 * 16), 8, 16)
+    update(cluster, ledger, 3, 100, b"changed")  # epoch 1: a stale read path has an epoch to replay
+    loads, parsed = [], []
+    load_snapshot, parse_manifest = ledger_module.load_snapshot, sys.modules["cloudledger.cluster"].parse_manifest
+
+    def counting_load(*args, **kwargs):
+        loads.append(1)
+        return load_snapshot(*args, **kwargs)
+
+    def counting_parse(text):
+        manifest = parse_manifest(text)
+        parsed.append(len(manifest.records))
+        return manifest
+
+    monkeypatch.setattr(ledger_module, "load_snapshot", counting_load)
+    monkeypatch.setattr(sys.modules["cloudledger.cluster"], "parse_manifest", counting_parse)
+
+    def restore(*faults):
+        """Inject the faults and recover; return (load_snapshot calls, records parsed per parse_manifest call)."""
+        loads.clear()
+        parsed.clear()
+        for fault in faults:
+            inject_fault(cluster, fault)
+        assert recover(ledger, cluster).action is RecoveryAction.RESTORED
+        return len(loads), list(parsed)
+
+    assert restore(FaultSpec(FaultKind.FLIP_BYTE, 6, 9, seed=1)) == (1, [512])
+    assert restore(FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0)) == (1, [])
+    assert restore(FaultSpec(FaultKind.SERVER_CRASH, 1)) == (1, [512])
+    assert restore(FaultSpec(FaultKind.TRUNCATE, 2, 0, seed=2), FaultSpec(FaultKind.DROP_BLOCK, 5, 511)) == (
+        1, [512, 512])
+    parsed.clear()
+    load_snapshot(ledger.last_snapshot, ledger.blocks)
+    assert parsed == [512] * 8
 
 
 def epoch_file_bytes(ledger, stored, written):

@@ -3,14 +3,15 @@
 reference_parse_manifest and reference_load_snapshot are the decoders as
 they were before parse_manifest and load_snapshot went to column-wise
 decoding: one line and one record at a time, with lines cut by
-str.splitlines. They are the oracle. Over seeded manifests and
-snapshots, and over every single-byte deletion and a seeded sample of
-single-character insertions and replacements of them, the new decoders
-must reject what the oracle rejects, with the same exception class, and
-return an equal value where it accepts. The one licensed difference:
-splitlines also ends a line at CR, form feed, U+2028 and the like, and
-accepts a text whose last line lacks its LF; the new decoders accept LF
-line ends only, so on such texts they may reject what the oracle accepted.
+str.splitlines, and a snapshot cut into its server sections at their END
+lines. They are the oracle. Over seeded manifests and snapshots, and
+over every single-byte deletion and a seeded sample of single-character
+insertions and replacements of them, the new decoders must reject what
+the oracle rejects, with the same exception class, and return an equal
+value where it accepts. The one licensed difference: splitlines also
+ends a line at CR, form feed, U+2028 and the like, and accepts a text
+whose last line lacks its LF; the new decoders accept LF line ends only,
+so on such texts they may reject what the oracle accepted.
 """
 
 import random
@@ -76,29 +77,40 @@ def reference_load_snapshot(text, blocks, rng_seed=0):
     lines = text.splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
-    if "END" not in lines:
-        raise SnapshotCorrupt("snapshot missing manifest terminator")
-    split = lines.index("END")
-    manifest = reference_parse_manifest("\n".join(lines[1 : split + 1]) + "\n")
-    if manifest.server_count < 1:
-        raise SnapshotCorrupt(f"snapshot manifest has servers={manifest.server_count}")
-    if manifest.level is not Level.CLOUD:
-        raise SnapshotCorrupt(f"snapshot manifest has level={manifest.level.value}")
-    if lines[-1] != "END" or len(lines) - 1 == split:
-        raise SnapshotCorrupt("snapshot not terminated by END")
-    count = len(manifest.records)
-    digests = lines[split + 1 : -1]
-    if len(digests) != count:
-        raise SnapshotCorrupt(f"snapshot has {len(digests)} digest lines for {count} manifest records")
-    cluster = new_cluster(manifest.server_count, rng_seed=rng_seed)
-    cluster.epoch = manifest.epoch
-    for record, digest in zip(manifest.records, digests):
-        block = blocks.get(digest)
-        if block is None:
-            raise SnapshotCorrupt(f"server={record.server_index} block={record.block_id} references {digest}")
-        if (len(block.payload), block.checksum) != (record.weight, record.checksum):
-            raise SnapshotCorrupt(f"block referenced by server={record.server_index} block={record.block_id}")
-        cluster.servers[record.server_index].put(record.block_id, block)
+    sections, start = [], 1
+    while start < len(lines):  # one section per server: its manifest, its END, its digest lines, END
+        if "END" not in lines[start + 1 :]:
+            raise SnapshotCorrupt("snapshot missing manifest terminator")
+        split = lines.index("END", start + 1)
+        manifest = reference_parse_manifest("\n".join(lines[start : split + 1]) + "\n")
+        if manifest.server_count < 1:
+            raise SnapshotCorrupt(f"snapshot manifest has servers={manifest.server_count}")
+        if manifest.level is not Level.CLOUD:
+            raise SnapshotCorrupt(f"snapshot manifest has level={manifest.level.value}")
+        if sections and (manifest.epoch, manifest.server_count) != (sections[0][0].epoch, sections[0][0].server_count):
+            raise SnapshotCorrupt("snapshot sections disagree on the epoch or the server count")
+        if any(record.server_index != len(sections) for record in manifest.records):
+            raise SnapshotCorrupt(f"snapshot section {len(sections)} holds a record of another server")
+        if "END" not in lines[split + 1 :]:
+            raise SnapshotCorrupt("snapshot not terminated by END")
+        end = lines.index("END", split + 1)
+        digests = lines[split + 1 : end]
+        if len(digests) != len(manifest.records):
+            raise SnapshotCorrupt(f"snapshot has {len(digests)} digest lines for {len(manifest.records)} records")
+        sections.append((manifest, digests))
+        start = end + 1
+    if not sections or len(sections) != sections[0][0].server_count:
+        raise SnapshotCorrupt(f"snapshot has {len(sections)} server sections")
+    cluster = new_cluster(sections[0][0].server_count, rng_seed=rng_seed)
+    cluster.epoch = sections[0][0].epoch
+    for manifest, digests in sections:
+        for record, digest in zip(manifest.records, digests):
+            block = blocks.get(digest)
+            if block is None:
+                raise SnapshotCorrupt(f"server={record.server_index} block={record.block_id} references {digest}")
+            if (len(block.payload), block.checksum) != (record.weight, record.checksum):
+                raise SnapshotCorrupt(f"block referenced by server={record.server_index} block={record.block_id}")
+            cluster.servers[record.server_index].put(record.block_id, block)
     return cluster
 
 
@@ -108,25 +120,30 @@ EDGE_CHECKSUMS = (0, 1, 2**64 - 1)
 
 
 def seeded_snapshot(seed):
-    """A snapshot text and its block store: up to 4 servers, sparse block ids
-    up to 600 (above CPython's small-int cache), checksums including 0 and
-    2**64 - 1, and possibly no records."""
+    """A snapshot text, its block store and its manifest: up to 4 servers,
+    some of them empty, sparse block ids up to 600 (above CPython's
+    small-int cache), checksums including 0 and 2**64 - 1, and possibly no
+    records. The text is the v12 grammar written out anew: one section per
+    server, its manifest and then its digest lines, each ending in END."""
     rng = random.Random(seed)
     server_count = rng.randint(1, 4)
     epoch = rng.choice((0, 1, 7, 300))
     holding = sorted(rng.sample(range(server_count), rng.randint(0, server_count)))
-    blocks, records, digests = {}, [], []
-    for server in holding:
-        for block_id in sorted(rng.sample(range(601), rng.randint(1, 2))):
+    blocks, records, sections = {}, [], []
+    for server in range(server_count):
+        held, digests = [], []
+        for block_id in sorted(rng.sample(range(601), rng.randint(1, 2))) if server in holding else ():
             payload = rng.randbytes(rng.choice((0, 1, 5, 300)))
             checksum = rng.choice(EDGE_CHECKSUMS + (rng.getrandbits(64),))
             digest = sha256(payload + bytes([seed % 256, len(records)])).hexdigest()
             blocks[digest] = DataBlock(payload, checksum, digest)
-            records.append(BlockRecord(server, block_id, len(payload), checksum))
+            held.append(BlockRecord(server, block_id, len(payload), checksum))
             digests.append(digest)
+        records += held
+        part = Manifest(Level.CLOUD, epoch, tuple(held), server_count)
+        sections.append(serialize_manifest(part) + "".join(f"{line}\n" for line in digests) + "END\n")
     manifest = Manifest(Level.CLOUD, epoch, tuple(records), server_count)
-    text = SNAPSHOT_HEADER + "\n" + serialize_manifest(manifest) + "".join(f"{line}\n" for line in digests)
-    return text + "END\n", blocks, manifest
+    return SNAPSHOT_HEADER + "\n" + "".join(sections), blocks, manifest
 
 
 ALPHABET = "\n\r \t0159afEND-SOWTALx\x0b\x0c\x1c\x85\u2028\xe9\u0663"
@@ -194,12 +211,29 @@ def test_load_snapshot_agrees_with_the_per_line_oracle(seed):
                       outcome(load_snapshot, edited, blocks), cluster_value)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_load_into_the_cluster_of_the_snapshot_agrees_with_the_per_line_oracle(seed):
+    """Into a cluster loaded from the unedited text, every section an edit
+    left alone is that cluster's own rendering, which the load skips: the
+    result, or the refusal, must still be the oracle's, and a refusal must
+    leave the cluster as it was."""
+    text, blocks, _ = seeded_snapshot(seed)
+    for edited in single_character_edits(text, random.Random(seed), 300):
+        into = load_snapshot(text, blocks, rng_seed=seed)
+        before = cluster_value(into)
+        loaded = outcome(load_snapshot, edited, blocks, seed, into)
+        assert_agrees(edited, outcome(reference_load_snapshot, edited, blocks, seed), loaded, cluster_value)
+        if isinstance(loaded, Exception):
+            assert cluster_value(into) == before, edited
+
+
 def test_the_seeds_cover_the_edge_cases():
     snapshots = [seeded_snapshot(seed) for seed in SEEDS]
     records = [r for _, _, m in snapshots for r in m.records]
     assert any(r.block_id > 256 for r in records)
     assert {0, 2**64 - 1} <= {r.checksum for r in records}
     assert any(not m.records for _, _, m in snapshots)
+    assert any(0 < len({r.server_index for r in m.records}) < m.server_count for _, _, m in snapshots)
 
 
 # --- LF line ends only -------------------------------------------------------------

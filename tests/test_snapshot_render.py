@@ -3,14 +3,15 @@
 snapshot_cluster joins the record lines put rendered, the digest lines
 each server rendered on the first snapshot after its last put or drop,
 and the weight totals kept beside them, so a commit renders one record
-line per put and joins only the servers written since. The reference
-below renders every line again: the snapshot header, serialize_manifest
-of the stored manifest (its total summed from the records), then every
-block's digest; live status is no part of a snapshot. After each step of
-a seeded random sequence (operations, every fault kind, recover, a rolled-back
-operation, and loads of committed points into a cluster of another
-server count) both must give the same text. Run as a script, it checks
-a larger seeded set:
+line per put, one manifest header line per server, and joins only the
+servers written since. The reference below renders every line again: the
+snapshot header, then for each server in order its section,
+serialize_manifest of the stored manifest cut to that server's records
+(its total summed from them), every block's digest and END; live status
+is no part of a snapshot. After each step of a seeded random sequence
+(operations, every fault kind, recover, a rolled-back operation, and
+loads of committed points into a cluster of another server count) both
+must give the same text. Run as a script, it checks a larger seeded set:
 
     PYTHONPATH=src python -X dev -W error tests/test_snapshot_render.py
 """
@@ -40,9 +41,13 @@ from helpers import make_committed_state
 
 
 def reference_snapshot(cluster):
-    """The cluster's snapshot text with every line rendered anew."""
-    lines = "".join(f"{block.digest}\n" for server in cluster.servers for block in server.blocks.values())
-    return f"{SNAPSHOT_HEADER}\n{serialize_manifest(stored_manifest(cluster))}{lines}END\n"
+    """The cluster's snapshot text with every line rendered anew, one section per server."""
+    manifest, sections = stored_manifest(cluster), []
+    for server in cluster.servers:
+        records = tuple(record for record in manifest.records if record.server_index == server.server_index)
+        digests = "".join(f"{block.digest}\n" for block in server.blocks.values())
+        sections.append(f"{serialize_manifest(manifest._replace(records=records))}{digests}END\n")
+    return f"{SNAPSHOT_HEADER}\n{''.join(sections)}"
 
 
 def assert_renders_anew(cluster):

@@ -23,8 +23,10 @@ from cloudledger import (
     FaultKind,
     FaultSpec,
     Mode,
+    OperationKind,
     RecoveryAction,
     append,
+    commit_restore_point,
     delete,
     fnv1a64,
     generate_payload,
@@ -41,6 +43,7 @@ from cloudledger import (
     UnverifiedState,
     verify_equality,
 )
+from cloudledger.cluster import write_block
 from helpers import make_committed_state
 
 STORE_BYTES = 64 * 1024
@@ -269,3 +272,26 @@ def test_a_commit_refuses_a_block_its_operation_did_not_write(tmp_path, bound):
         if bound:
             assert {path.name: path.read_bytes() for path in directory.iterdir()} == files
             assert load_ledger(directory).points == ledger.points
+
+
+@pytest.mark.parametrize("moved", [1, 0], ids=["another-server", "the-written-server"])
+def test_a_commit_refuses_block_ids_moved_on_any_server(tmp_path, moved):
+    """60 B over 3 servers at B=4; server ``moved``'s last block is moved
+    to the next id, an APPEND of the same block and a DELETE of the
+    original, which leaves its digest lines as they were. An UPDATE of
+    server 0 block 0 is then committed with a verdict of the records as
+    read. Its epoch file records that update alone, so a load would give
+    another point: the commit is refused, block ids included, on another
+    server and on the written one, and nothing joins the ledger."""
+    cluster, ledger = make_committed_state(generate_payload(1, 60), 3, 4, directory=tmp_path)
+    last = max(cluster.servers[moved].blocks)
+    write_block(cluster, OperationKind.APPEND, moved, None, cluster.servers[moved].blocks[last])
+    write_block(cluster, OperationKind.DELETE, moved, last, None)
+    write_block(cluster, OperationKind.UPDATE, 0, 0, make_block(b"new!"))
+    cluster.epoch += 1
+    manifest = read_manifest(cluster)
+    points, files = list(ledger.points), sorted(path.name for path in tmp_path.iterdir())
+    with pytest.raises(UnverifiedState, match=f"server {moved}: it holds a block 'UPDATE server=0 block=0'"):
+        commit_restore_point(ledger, cluster, verify_equality(manifest, manifest, Mode.CHECKSUM),
+                             "UPDATE server=0 block=0")
+    assert ledger.points == points and sorted(path.name for path in tmp_path.iterdir()) == files
