@@ -8,7 +8,7 @@ metadata) beside it. A cloud-level manifest joins those records, so a
 read hashes nothing, yet sees any corruption of stored bytes. An
 operation's write, made live by ops.apply or replayed by load_ledger, is
 write_block's: before it puts or drops, it checks that the server exists
-and is alive, and that the operation names the server's next id (APPEND)
+and is up, and that the operation names the server's next id (APPEND)
 or a block the server holds (UPDATE, DELETE). Each server keeps its
 records as one tuple, and the cluster their join, until the next put or
 drop, so the reads between two writes share one record tuple, which is
@@ -23,9 +23,11 @@ substitution, block drops, server crashes (which erase that server's
 data), and a lying read path that replays the previous epoch's records.
 The cluster lists the faults injected since its last snapshot load, each
 with the seed of its byte stream, so replaying them onto that snapshot
-rebuilds it. OperationKind and FaultKind are enums, FaultSpec and
-FaultReport NamedTuples; ServerState and ClusterState are plain mutable
-classes.
+rebuilds it. That list is also the cluster's live status, kept nowhere
+else: a server is down while a listed crash names it, and the read path
+is stale while a stale-manifest fault is listed. OperationKind and
+FaultKind are enums, FaultSpec and FaultReport NamedTuples; ServerState
+and ClusterState are plain mutable classes.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class FaultKind(enum.Enum):
     CSP_STALE_MANIFEST = "stale-manifest"
 
 
+# The faults that name no block, and the only ones still in effect once the
+# stored blocks verify: a crashed server and a stale read path.
+_LIVE_STATUS = (FaultKind.SERVER_CRASH, FaultKind.CSP_STALE_MANIFEST)
+
+
 class OperationKind(enum.Enum):
     APPEND = "APPEND"
     DELETE = "DELETE"
@@ -94,8 +101,9 @@ class FaultReport(NamedTuple):
 
 
 class ServerState:
-    """One server partition: blocks and their records keyed by block_id,
-    plus a liveness flag.
+    """One server partition: blocks and their records keyed by block_id.
+    It keeps no liveness flag: whether it is up is the cluster's fault
+    list's to say.
 
     A server starts empty; put and drop are the only writers of both dicts,
     so records[i] is the record of blocks[i]. The keys are the only place a
@@ -123,7 +131,6 @@ class ServerState:
         self.blocks: dict[int, DataBlock] = {}
         self.records: dict[int, BlockRecord] = {}
         self.record_lines: dict[int, str] = {}
-        self.alive = True
         self._snapshot_lines: Optional[tuple[str, str, int]] = None
         self._record_tuple: Optional[tuple[BlockRecord, ...]] = None
 
@@ -162,16 +169,18 @@ class ServerState:
 
 
 class ClusterState:
-    """The simulated CSP: R servers, the current epoch, and read-path state.
+    """The simulated CSP: R servers, the current epoch, and its faults.
 
     previous_records, the records committed at epoch - 1 (None before
-    there are any), come only from ledger.previous_records; the
-    stale-manifest fault replays them through
-    read_manifest (stamped with the current epoch, as a hiding CSP would)
-    until a restore clears it. faults lists the faults injected since the
-    last snapshot load or intact recover, each with the seed of its byte
-    stream (rng_seed xor its own), so they replay onto that state under
-    any rng_seed; a commit keeps only the ones still in effect. Mutation is
+    there are any), come only from ledger.previous_records; while a
+    stale-manifest fault is listed, read_manifest replays them (stamped
+    with the current epoch, as a hiding CSP would). faults lists the
+    faults injected since the last snapshot load or intact recover, each
+    with the seed of its byte stream (rng_seed xor its own), so they replay
+    onto that state under any rng_seed; a commit keeps only the ones still
+    in effect (_LIVE_STATUS). The list is the one record of the live
+    status: no flag beside it says which servers are down or whether the
+    read path is stale (_named). Mutation is
     serialized through a single driver; a read changes nothing but the
     record tuple stored_manifest keeps, which is a function of the
     servers' own.
@@ -181,7 +190,6 @@ class ClusterState:
         self.servers = servers
         self.epoch = 0
         self.rng_seed = rng_seed
-        self.stale_armed = False
         self.previous_records: Optional[tuple[BlockRecord, ...]] = None
         self.faults: list[FaultSpec] = []
         self._joined: tuple[tuple[tuple[BlockRecord, ...], ...], tuple[BlockRecord, ...]] = ((), ())
@@ -197,6 +205,15 @@ class ClusterState:
 
     def has_data(self) -> bool:
         return any(s.blocks for s in self.servers)
+
+
+def _named(cluster: ClusterState, kind: FaultKind) -> frozenset[int]:
+    """The servers the listed faults of ``kind`` name: for SERVER_CRASH the
+    servers that are down, and for CSP_STALE_MANIFEST a set that is empty
+    exactly while the read path is not stale."""
+    if not cluster.faults:  # no fault since the last commit or restore: every read's case in a clean run
+        return frozenset()
+    return frozenset([fault.target_server for fault in cluster.faults if fault.kind is kind])
 
 
 def new_cluster(server_count: int, rng_seed: int = 0) -> ClusterState:
@@ -233,11 +250,11 @@ def upload(cluster: ClusterState, blocks: Sequence[Sequence[DataBlock]]) -> Mani
     The manifest is read back from what was stored. Refuses, before any
     put, a list of lists that is not one per server (ValueError), a
     cluster that already holds data (initial-upload contract) or has a
-    dead server; in each case the cluster is left untouched.
+    down server; in each case the cluster is left untouched.
     """
     if len(blocks) != cluster.server_count:
         raise ValueError(f"cluster has {cluster.server_count} servers, upload has blocks for {len(blocks)}")
-    dead = [s.server_index for s in cluster.servers if not s.alive]
+    dead = sorted(_named(cluster, FaultKind.SERVER_CRASH))
     if dead:
         raise ServerDown(f"servers not alive: {dead}")
     if cluster.has_data():
@@ -253,16 +270,16 @@ def write_block(cluster: ClusterState, kind: OperationKind, server_index: int, b
     """Make the one write an operation of ``kind`` names and return the id
     of the block it wrote: the rule of where an operation may write, for
     ops.apply and load_ledger's replay alike. Before any write, the server
-    must exist (NoSuchTarget) and be alive (ServerDown); an APPEND takes the
+    must exist (NoSuchTarget) and be up (ServerDown); an APPEND takes the
     next id after the server's largest, which ``block_id``, if given, must
     be, and an UPDATE or a DELETE must name a block the server holds
     (NoSuchTarget). Then ``block`` is put at the address, or the block there
     dropped when ``block`` is None."""
     if not 0 <= server_index < cluster.server_count:
         raise NoSuchTarget(f"no server {server_index}")
-    server = cluster.servers[server_index]
-    if not server.alive:
+    if server_index in _named(cluster, FaultKind.SERVER_CRASH):
         raise ServerDown(f"server {server_index} is not alive")
+    server = cluster.servers[server_index]
     if kind is OperationKind.APPEND:
         next_id = max(server.blocks, default=-1) + 1
         if block_id not in (None, next_id):
@@ -296,15 +313,15 @@ def stored_manifest(cluster: ClusterState, unavailable_servers: frozenset[int] =
 
 def read_manifest(cluster: ClusterState) -> Manifest:
     """The cloud-level manifest the read path serves: the stored manifest
-    of the alive servers, whose records carry the weight and checksum
-    make_block computed when each block was stored. Dead servers are
-    listed in unavailable_servers. Reads with no put, drop or change of
-    liveness between them return one record tuple, the one a commit
-    between them freezes. While the stale-manifest fault is
-    armed, the previous epoch's committed records are served instead,
-    stamped with the current epoch (the lying CSP claims they are current).
+    of the servers that are up, whose records carry the weight and checksum
+    make_block computed when each block was stored. The servers a listed
+    crash names are listed in unavailable_servers. Reads with no put, drop
+    or new crash between them return one record tuple, the one a commit
+    between them freezes. While a stale-manifest fault is listed, the
+    previous epoch's committed records are served instead, stamped with
+    the current epoch (the lying CSP claims they are current).
     """
-    if cluster.stale_armed:
+    if _named(cluster, FaultKind.CSP_STALE_MANIFEST):
         if cluster.previous_records is None:
             raise NoSuchTarget("stale manifest armed but no previous-epoch manifest exists")
         return Manifest(
@@ -313,14 +330,16 @@ def read_manifest(cluster: ClusterState) -> Manifest:
             records=cluster.previous_records,
             server_count=cluster.server_count,
         )
-    return stored_manifest(cluster, frozenset(s.server_index for s in cluster.servers if not s.alive))
+    return stored_manifest(cluster, _named(cluster, FaultKind.SERVER_CRASH))
 
 
 def inject_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
     """Apply one fault to the cluster, deterministically from (state, seed),
     and list it in cluster.faults: its kind and server, the block its
     report names (none for a crash or a stale read path, which name none)
-    and the seed of its byte stream, rng_seed xor its own, as 64 bits."""
+    and the seed of its byte stream, rng_seed xor its own, as 64 bits. A
+    crash or a stale read path is in effect from then on only because it
+    is listed."""
     report = _apply_fault(cluster, fault)
     cluster.faults.append(FaultSpec(fault.kind, fault.target_server, report.target_block,
                                     (cluster.rng_seed ^ fault.seed) & _MASK64))
@@ -336,7 +355,6 @@ def _apply_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 
     if fault.kind is FaultKind.SERVER_CRASH:
         erased = sum(r.weight for r in server.records.values())
-        server.alive = False
         for block_id in list(server.blocks):
             server.drop(block_id)
         return FaultReport(
@@ -347,7 +365,6 @@ def _apply_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
     if fault.kind is FaultKind.CSP_STALE_MANIFEST:
         if cluster.previous_records is None:
             raise NoSuchTarget("no previous-epoch manifest to serve as stale")
-        cluster.stale_armed = True
         return FaultReport(
             fault.kind, fault.target_server, None, None, None,
             f"read path now serves the epoch-{cluster.epoch - 1} manifest",
@@ -400,10 +417,10 @@ def _apply_fault(cluster: ClusterState, fault: FaultSpec) -> FaultReport:
 # record order, and END. So a section stands alone: it is all a restore of
 # its server reads, and a server that renders its section byte for byte
 # needs no restore. A snapshot holds what a restore point restores, and no
-# live status or fault: a loaded snapshot has every server up, no stale read
-# path and no fault listed. The bytes live once in a block store, a mapping
-# from digest to DataBlock (on disk, the entries of the ledger's epoch
-# files). No file stores snapshot text: an epoch file stores the operation
+# live status or fault: a loaded snapshot has no fault listed, so every
+# server is up and the read path is not stale. The bytes live once in a
+# block store, a mapping from digest to DataBlock (on disk, the entries of
+# the ledger's epoch files). No file stores snapshot text: an epoch file stores the operation
 # that rebuilds it, the ledger's cluster.state the faults since the last
 # point, and the ledger keeps the last point's text in memory, the one a
 # restore loads.
@@ -503,9 +520,8 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
     points share. A server that holds its section's block ids gets one put
     per differing block, found by one C pass over its blocks. Any other
     server is replaced by a new one, filled by put in block-id order. The
-    epoch is then set from the snapshot, every server is alive, the stale
-    read path is disarmed and no fault is listed: a snapshot holds no live
-    status.
+    epoch is then set from the snapshot and no fault is listed: a snapshot
+    holds no live status.
     """
     if not text.startswith(f"{SNAPSHOT_HEADER}\n"):
         raise SnapshotCorrupt(f"snapshot does not start with {SNAPSHOT_HEADER!r}")
@@ -544,11 +560,7 @@ def load_snapshot(text: str, blocks: Mapping[str, DataBlock], rng_seed: int = 0,
             server = cluster.servers[index] = ServerState(index)
         for block_id, block in targets:
             server.put(block_id, block)
-    cluster.epoch = epoch
-    cluster.stale_armed = False
-    cluster.faults = []
-    for server in cluster.servers:
-        server.alive = True
+    cluster.epoch, cluster.faults = epoch, []
     return cluster
 
 

@@ -11,7 +11,7 @@ class CloudLedgerError(Exception):
 
 
 class ServerDown(CloudLedgerError):
-    """A write targeted a server whose alive flag is False."""
+    """A write targeted a server that a listed crash names."""
 
 
 class NoSuchTarget(CloudLedgerError):

@@ -11,12 +11,12 @@ first to store it), so a commit stores only the blocks the store lacks:
 for an operation, at most the one block it wrote, since its other blocks
 must be the last point's.
 
-Recovery declares the state intact when every server is up and the
-live records equal the last committed manifest's, an identity test when
-no write came after the commit and else one tuple comparison, which,
-with no server unavailable, is the clean CHECKSUM verdict; equal
-records imply equal weights, so the live aggregate Y equals X without
-being computed. Otherwise the last point's snapshot, the one snapshot
+Recovery declares the state intact when the cluster lists no crash or
+stale read path among its faults and the live records equal the last
+committed manifest's, an identity test when no write came after the
+commit and else one tuple comparison, which, with no server
+unavailable, is the clean CHECKSUM verdict; equal records imply equal
+weights, so the live aggregate Y equals X without being computed. Otherwise the last point's snapshot, the one snapshot
 text the ledger keeps, one section per server, which names each
 record's block by content digest, is loaded into the cluster, parsing
 only the sections of the servers that differ from theirs and writing
@@ -62,6 +62,7 @@ from .cluster import (
     FaultSpec,
     OperationKind,
     SNAPSHOT_HEADER,
+    _LIVE_STATUS,
     _section_end,
     _spliced_section_end,
     inject_fault,
@@ -241,31 +242,33 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
     """Restore the cluster to the last committed point unless it is intact.
 
     Intact means: the cluster is at the committed epoch and server count,
-    every server is alive, no stale read path is armed, and the live
-    records equal the stored manifest's. That is an identity test when no
-    put or drop came after the commit, since the live records are then the
-    tuple the commit froze, and otherwise one tuple comparison in C; with
-    every server up it is exactly a passing CHECKSUM
-    comparison, so verify_equality is not run; it also implies the live
+    lists no fault of _LIVE_STATUS (no server is down and the read path is
+    not stale), and the live records equal the stored manifest's. That is
+    an identity test when no put or drop came after the commit, since the
+    live records are then the tuple the commit froze, and otherwise one
+    tuple comparison in C; with every server up it is exactly a passing
+    CHECKSUM comparison, so verify_equality is not run; it also implies the live
     aggregate Y equals the committed X. Weight equality alone is not
     trusted, because identical-weight substitutions leave Y unchanged;
     nor is a pass through a stale read path, which replays committed
     records whatever the servers store. An intact cluster's faults, such as
-    two flips of one byte that cancel, are no longer listed. Otherwise the
-    snapshot is loaded into the cluster, which parses only the sections of
-    the servers a fault changed and writes only the addresses a fault
-    changed, so the restored cluster shares the committed records;
-    crashed servers are revived, the lying read path and the fault list are
-    cleared, and the restored state is re-verified: the one verify_equality
-    call a recover makes.
+    two flips of one byte that cancel, are no longer listed. Otherwise
+    rewrite_cluster_from_point resets the epoch to the point's and loads
+    its snapshot into the cluster, which parses only the sections of the
+    servers whose rendering at that epoch differs from the point's, also
+    when the cluster was at another epoch, and writes only the addresses a
+    fault changed, so the restored cluster shares the committed records;
+    the fault list is cleared, which revives crashed servers and the
+    honest read path, and the restored state is re-verified: the one
+    verify_equality call a recover makes. A refused snapshot leaves the
+    cluster at the point's epoch with its blocks untouched.
     """
     last = ledger.last()
     live = read_manifest(cluster)
     intact = (
         live.server_count == last.manifest.server_count
         and live.epoch == last.epoch
-        and all(s.alive for s in cluster.servers)
-        and not cluster.stale_armed
+        and not any(fault.kind in _LIVE_STATUS for fault in cluster.faults)
         and (live.records is last.manifest.records or live.records == last.manifest.records)
     )
     if intact:
@@ -279,22 +282,26 @@ def recover(ledger: Ledger, cluster: ClusterState) -> RecoveryReport:
 def rewrite_cluster_from_point(ledger: Ledger, cluster: ClusterState) -> None:
     """Overwrite cluster storage with the ledger's last snapshot.
 
+    First resets the epoch to the point's, so that a cluster at another
+    epoch, as a failed ops.apply's is and as load_cluster leaves one under
+    a HEAD line that names another, compares as one at the point's. Then
     load_snapshot loads the snapshot into the cluster itself, leaving alone
-    each server that renders its section byte for byte (all of them but
-    the ones a fault changed, or none when the cluster is at another epoch,
-    as a failed ops.apply's is), taking the blocks from the ledger's store
-    (unhashed) and writing only the addresses whose block differs, so every
-    unchanged address keeps the
+    each server that renders its section byte for byte at that epoch (all
+    of them but the ones a fault or the failed operation changed), taking
+    the blocks from the ledger's store (unhashed) and writing only the
+    addresses whose block differs, so every unchanged address keeps the
     record object the committed point holds (a cluster of another server
-    count gets new servers). Like every snapshot load, it revives every
-    server and disarms a stale read path. Resets the epoch to the point's
-    and the previous_records to those committed before it, and re-verifies
-    the result against the stored manifest, a comparison that stops at
-    identity for the shared records; failure to verify means the snapshot
-    itself is corrupt. It is the one rollback, for recover and a failed
-    ops.apply.
+    count gets new servers). Like every snapshot load, it clears the fault
+    list, so no server is down and the read path is not stale. A snapshot
+    that load_snapshot refuses leaves the cluster at the point's epoch with
+    its blocks and faults untouched. Then resets the previous_records to
+    those committed before the point, and re-verifies the result against
+    the stored manifest, a comparison that stops at identity for the
+    shared records; failure to verify means the snapshot itself is
+    corrupt. It is the one rollback, for recover and a failed ops.apply.
     """
     point = ledger.last()
+    cluster.epoch = point.epoch
     load_snapshot(ledger.last_snapshot, ledger.blocks, into=cluster)
     cluster.previous_records = previous_records(ledger, cluster.epoch)
     check = verify_equality(point.manifest, read_manifest(cluster), Mode.CHECKSUM)
@@ -377,8 +384,6 @@ _NUMBER = "0|[1-9][0-9]{0,19}"
 _HEAD_LINE = re.compile(f"HEAD ({_NUMBER})")
 _FAULT_LINE = re.compile(f"({'|'.join(kind.value for kind in FaultKind)}) server=({_NUMBER}) block=({_NUMBER}|-)"
                          f" seed=({_NUMBER})")
-# The faults that name no block, and the only ones a commit leaves in effect.
-_LIVE_STATUS = (FaultKind.SERVER_CRASH, FaultKind.CSP_STALE_MANIFEST)
 # An entry's first line, its weight: never 64 characters, the length of a reference.
 _WEIGHT_LINE = rb"(?P<weight>0|[1-9][0-9]{0,62})\n"
 # An epoch file's block line: a reference, or an entry's weight line.

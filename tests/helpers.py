@@ -37,7 +37,7 @@ def make_committed_state(
 def state_fingerprint(cluster: ClusterState, ledger: Optional[Ledger] = None) -> str:
     """Hash of the serialized cluster, its live status (and the ledger) for before/after comparisons."""
     digest = hashlib.sha256(snapshot_cluster(cluster).encode())
-    digest.update(f"{[server.alive for server in cluster.servers]} {cluster.stale_armed}".encode())
+    digest.update(repr(cluster.faults).encode())
     if ledger is not None:
         digest.update(str(ledger.last_snapshot).encode())
         for point in ledger.points:

@@ -264,7 +264,7 @@ def test_live_status_is_kept_by_cluster_state_not_by_snapshots(tmp_path):
                                                                                    None, 7)]
     text = snapshot_cluster(cluster)
     loaded = load_snapshot(text, stored_blocks(cluster), into=cluster)
-    assert all(server.alive for server in loaded.servers) and not loaded.stale_armed and loaded.faults == []
+    assert loaded.faults == [] and read_manifest(loaded).unavailable_servers == frozenset()
     for fault in faults:
         inject_fault(cluster, fault)
     save_cluster(ledger, cluster)
@@ -272,7 +272,8 @@ def test_live_status_is_kept_by_cluster_state_not_by_snapshots(tmp_path):
                                                          b"stale-manifest server=0 block=- seed=7\n")
     loaded = load_ledger(tmp_path)
     live = load_cluster(loaded, -3)
-    assert [server.alive for server in live.servers] == [True, False, True] and live.stale_armed
+    crashed = {fault.target_server for fault in live.faults if fault.kind is FaultKind.SERVER_CRASH}
+    assert crashed == {1} and FaultKind.CSP_STALE_MANIFEST in {fault.kind for fault in live.faults}
     assert snapshot_cluster(live) == text and live.faults == cluster.faults and live.rng_seed == -3
     for ledger in (ledger, loaded):  # committed in this process, and handed out already
         with pytest.raises(ValueError, match="load_ledger"):

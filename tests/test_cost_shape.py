@@ -29,7 +29,9 @@ in, so it loads no snapshot and parses no manifest, and a recover after
 it loads one, the last point's, to restore it, and parses only the
 sections of the servers the faults changed. The restore row, on the
 same 4096 records: a flip on one of 8 servers parses that server's 512
-records, a stale read path none, and a fresh load all 8 sections. The
+records, a stale read path none, the rollback of an update whose hook
+raises only the updated server's section, and a fresh load all 8
+sections. The
 file row, through the CLI: an upload makes two writes, cluster.state and
 then 0.snapshot, whose rename commits it, and a verify of an E-epoch
 ledger reads E + 1 files, each epoch file and then cluster.state, once:
@@ -300,6 +302,19 @@ def test_a_restore_parses_only_the_sections_of_the_servers_a_fault_changed(monke
     assert restore(FaultSpec(FaultKind.SERVER_CRASH, 1)) == (1, [512])
     assert restore(FaultSpec(FaultKind.TRUNCATE, 2, 0, seed=2), FaultSpec(FaultKind.DROP_BLOCK, 5, 511)) == (
         1, [512, 512])
+
+    def fail(_cluster):
+        raise RuntimeError("hook")
+
+    def value(c):
+        return c.epoch, c.faults, [(list(s.blocks.items()), list(s.records.items())) for s in c.servers]
+
+    loads.clear()
+    parsed.clear()
+    with pytest.raises(RuntimeError, match="hook"):
+        update(cluster, ledger, 4, 7, b"rolled back", post_mutation_hook=fail)
+    assert (len(loads), parsed) == (1, [512])  # the rollback compares at the point's epoch
+    assert value(cluster) == value(load_snapshot(ledger.last_snapshot, ledger.blocks))
     parsed.clear()
     load_snapshot(ledger.last_snapshot, ledger.blocks)
     assert parsed == [512] * 8

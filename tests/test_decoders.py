@@ -174,8 +174,8 @@ def outcome(decode, *args):
 
 
 def cluster_value(cluster):
-    return (cluster.epoch, cluster.stale_armed, cluster.faults, cluster.rng_seed, cluster.previous_records,
-            [(s.server_index, s.alive, list(s.blocks.items()), list(s.records.items())) for s in cluster.servers])
+    return (cluster.epoch, cluster.faults, cluster.rng_seed, cluster.previous_records,
+            [(s.server_index, list(s.blocks.items()), list(s.records.items())) for s in cluster.servers])
 
 
 def assert_agrees(text, expected, actual, value=lambda x: x):

@@ -145,7 +145,7 @@ def test_recover_after_crash_restores_last_epoch():
     assert report.epoch == 1
     check = verify_equality(ledger.points[-1].manifest, read_manifest(cluster), Mode.CHECKSUM)
     assert check.z
-    assert all(s.alive for s in cluster.servers)
+    assert cluster.faults == [] and read_manifest(cluster).unavailable_servers == frozenset()
 
 
 def test_recover_clean_state_is_intact():
@@ -200,7 +200,7 @@ def test_recover_revives_crashed_empty_server():
     inject_fault(cluster, FaultSpec(FaultKind.SERVER_CRASH, 2))
     report = recover(ledger, cluster)
     assert report.action is RecoveryAction.RESTORED
-    assert all(s.alive for s in cluster.servers)
+    assert cluster.faults == [] and read_manifest(cluster).unavailable_servers == frozenset()
 
 
 def test_recover_clears_stale_read_path():
@@ -216,7 +216,7 @@ def test_recover_clears_stale_read_path():
         assert verify_equality(ledger.points[-1].manifest, read_manifest(cluster), Mode.CHECKSUM).z is identical
         report = recover(ledger, cluster)
         assert report.action is RecoveryAction.RESTORED
-        assert not cluster.stale_armed
+        assert not any(fault.kind is FaultKind.CSP_STALE_MANIFEST for fault in cluster.faults)
         assert verify_equality(ledger.points[-1].manifest, read_manifest(cluster), Mode.CHECKSUM).z
 
 

@@ -90,7 +90,7 @@ def test_delete_sole_block_leaves_alive_empty_server():
     manifest = read_manifest(cluster)
     assert manifest.records == ()
     assert cluster.servers[0].blocks == {}
-    assert cluster.servers[0].alive
+    assert manifest.unavailable_servers == frozenset() and cluster.faults == []
 
 
 def test_delete_middle_block_keeps_ids():

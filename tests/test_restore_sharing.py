@@ -9,8 +9,10 @@ points hold. These tests check that the result equals a fresh load of the
 same snapshot, that unchanged records stay shared (and memory stays flat
 over many recovers), and that a snapshot failing a check changes nothing.
 The seeded property check_restores also pins which sections a restore
-parses: exactly those of the servers whose rendering differs from the
-last point's. Run as a script, it checks a larger seeded set:
+parses, whether a recover, the rollback of a failed operation or a
+recover of a cluster one epoch behind: exactly those of the servers
+whose rendering at the last point's epoch differs from the point's. Run
+as a script, it checks a larger seeded set:
 
     PYTHONPATH=src python -X dev -W error tests/test_restore_sharing.py
 """
@@ -42,9 +44,9 @@ from helpers import make_committed_state
 
 
 def state(cluster):
-    """Everything a load sets, dict order included."""
-    return (cluster.epoch, cluster.stale_armed, [
-        (s.server_index, s.alive, list(s.blocks.items()), list(s.records.items())) for s in cluster.servers
+    """Everything a load sets, dict order included: the fault list is the live status."""
+    return (cluster.epoch, cluster.faults, [
+        (s.server_index, list(s.blocks.items()), list(s.records.items())) for s in cluster.servers
     ])
 
 
@@ -224,17 +226,26 @@ def sections(text):
     return [f"MANIFEST {part}" for part in text.partition("\n")[2].split("MANIFEST ")[1:]]
 
 
-def operate(rng, cluster, ledger):
-    """One random committed operation: an append, or an update or a delete of a held block."""
+def operate(rng, cluster, ledger, hook=None):
+    """One random operation, committed unless ``hook`` raises after its
+    write: an append, or an update or a delete of a held block."""
     server = rng.randrange(cluster.server_count)
     held = list(cluster.servers[server].blocks)
     choice = rng.randrange(3)
     if choice == 0 or not held:
-        append(cluster, ledger, server, rng.randbytes(rng.randrange(0, 12)))
+        append(cluster, ledger, server, rng.randbytes(rng.randrange(0, 12)), post_mutation_hook=hook)
     elif choice == 1:
-        update(cluster, ledger, server, rng.choice(held), rng.randbytes(rng.randrange(0, 12)))
+        update(cluster, ledger, server, rng.choice(held), rng.randbytes(rng.randrange(0, 12)), post_mutation_hook=hook)
     else:
-        delete(cluster, ledger, server, rng.choice(held))
+        delete(cluster, ledger, server, rng.choice(held), post_mutation_hook=hook)
+
+
+def changed_sections(cluster, text, epoch):
+    """The indices of the sections of the snapshot ``text`` of a point at
+    ``epoch`` that differ from the cluster's own rendering at that epoch,
+    whichever epoch the cluster is at."""
+    live = snapshot_cluster(cluster).replace(f" epoch={cluster.epoch} servers=", f" epoch={epoch} servers=")
+    return [index for index, (mine, committed) in enumerate(zip(sections(live), sections(text))) if mine != committed]
 
 
 def fault_mix(rng, cluster):
@@ -259,12 +270,16 @@ def fault_mix(rng, cluster):
 
 def check_restores(seed, steps):
     """A seeded history of operations, each followed by a fault mix and a
-    recover. Each restore must equal a fresh load of the same text, parse
-    exactly the sections of the servers whose rendering differs from the
-    last point's, and keep every server object and record object of the
-    others. Every few steps the last text is also loaded into a cluster of
-    another server count, and into one loaded from an earlier point, at
-    another epoch: both parse every section and equal the fresh load."""
+    recover; every third step the cluster is first set one epoch behind,
+    as load_cluster leaves it under a HEAD line one behind, and every few
+    steps an operation then fails after its write, in a hook that injects
+    a random fault and raises, and is rolled back. Each restore must equal
+    a fresh load of the same text, parse exactly the sections of the
+    servers whose rendering at the last point's epoch differs from the
+    point's, and keep every server object and record object of the others.
+    Every few steps the last text is also loaded into a cluster of another
+    server count, and into one loaded from an earlier point, at another
+    epoch: both parse every section and equal the fresh load."""
     rng = random.Random(seed)
     servers, block_size = rng.randrange(1, 6), rng.randrange(2, 12)
     payload = generate_payload(seed, rng.randrange(1, servers * block_size * 4))
@@ -286,6 +301,8 @@ def check_restores(seed, steps):
         for step in range(steps):
             operate(rng, cluster, ledger)
             texts.append(ledger.last_snapshot)
+            if step % 3 == 1:
+                cluster.epoch -= 1
             for fault in fault_mix(rng, cluster):
                 try:
                     inject_fault(cluster, fault)
@@ -293,8 +310,7 @@ def check_restores(seed, steps):
                     continue
                 kinds.add(fault.kind)
             text = ledger.last_snapshot
-            changed = [index for index, (live, committed) in enumerate(zip(sections(snapshot_cluster(cluster)),
-                                                                           sections(text))) if live != committed]
+            changed = changed_sections(cluster, text, ledger.last().epoch)
             before = objects(cluster)
             del parsed[:]
             action = recover(ledger, cluster).action
@@ -302,6 +318,27 @@ def check_restores(seed, steps):
             assert state(cluster) == state(fresh_load(ledger)), (seed, step)
             for index, (kept, now) in enumerate(zip(before, objects(cluster))):
                 assert index in changed or kept == now, (seed, step, index)
+
+            if step % 4 == 2:
+                seen = {}
+
+                def hook(c):
+                    fault = random_fault(rng, c)
+                    try:
+                        inject_fault(c, fault)
+                        kinds.add(fault.kind)
+                    except NoSuchTarget:
+                        pass
+                    seen.update(changed=changed_sections(c, text, ledger.last().epoch), before=objects(c))
+                    raise Boom()
+
+                del parsed[:]
+                with pytest.raises(Boom):
+                    operate(rng, cluster, ledger, hook)
+                assert parsed == manifests(text, seen["changed"]), (seed, step)
+                assert state(cluster) == state(fresh_load(ledger)), (seed, step)
+                for index, (kept, now) in enumerate(zip(seen["before"], objects(cluster))):
+                    assert index in seen["changed"] or kept == now, (seed, step, index)
 
             if step % 4 == 3:
                 other = new_cluster(rng.choice([n for n in range(1, 7) if n != servers]))
@@ -328,7 +365,7 @@ def main():
     for seed in range(1000, 1200):
         kinds |= check_restores(seed, steps=60)
     assert kinds == set(FaultKind), kinds
-    print("restores equal fresh loads and parse only the changed sections")
+    print("restores, rollbacks and recovers an epoch behind equal fresh loads and parse only the changed sections")
     return 0
 
 

@@ -60,13 +60,14 @@ def rebuilt_records(server):
 
 def rebuilt_read_manifest(cluster, ledger):
     """read_manifest as defined before servers kept records: the records
-    rebuilt from the alive servers' blocks, with the dead ones unavailable,
-    or, while the stale read path is armed, the records committed at
-    epoch - 1."""
-    if cluster.stale_armed:
+    rebuilt from the blocks of the servers no listed crash names, with
+    those unavailable, or, while a stale-manifest fault is listed, the
+    records committed at epoch - 1. The live status is read from
+    cluster.faults here, not through the cluster module."""
+    if any(fault.kind is FaultKind.CSP_STALE_MANIFEST for fault in cluster.faults):
         records = ledger.points[cluster.epoch - 1].manifest.records
         return Manifest(Level.CLOUD, cluster.epoch, records, cluster.server_count)
-    dead = frozenset(s.server_index for s in cluster.servers if not s.alive)
+    dead = frozenset(fault.target_server for fault in cluster.faults if fault.kind is FaultKind.SERVER_CRASH)
     records = tuple(r for s in cluster.servers if s.server_index not in dead for r in rebuilt_records(s))
     return Manifest(Level.CLOUD, cluster.epoch, records, cluster.server_count, dead)
 
@@ -169,7 +170,7 @@ def test_stale_read_path_armed_during_an_update_replays_the_last_point():
     payload = cluster.servers[1].blocks[0].payload
     arm = lambda c: inject_fault(c, FaultSpec(FaultKind.CSP_STALE_MANIFEST, 0))
     assert update(cluster, ledger, 1, 0, payload, post_mutation_hook=arm).new_epoch == 2
-    assert cluster.stale_armed
+    assert [fault.kind for fault in cluster.faults] == [FaultKind.CSP_STALE_MANIFEST]
     assert cluster.previous_records == ledger.points[1].manifest.records
 
 
